@@ -18,7 +18,7 @@ import click
 from scipy import stats
 
 from . import __version__
-from .direct import ModelParams, meeting_statistics, run_direct
+from .direct import ModelParams, meeting_statistics, run_direct, run_direct_batch
 from .distributions import BetaParams, RngStream, digamma, integrate_log_odds
 from .rwre import criterion, difference_recurrence
 from .urn import PolyaUrn, polya_fraction_samples, polya_limit_law, three_color_fraction_samples
@@ -125,23 +125,24 @@ def simulate(config_path, n_particles, a, delta, l0, r0, events, trials,
     trials = _resolve(trials, cfg, "trials", 100)
     seed = _resolve(seed, cfg, "seed", 0)
     stop_after_meetings = _resolve(stop_after_meetings, cfg, "stop_after_meetings", None)
-    if n_particles < 1:
-        raise click.UsageError("--n must be at least 1")
+    if not 1 <= n_particles <= 2:
+        raise click.UsageError("--n must be 1 or 2 (more walkers need explicit start positions)")
     if trials < 1:
         raise click.UsageError("--trials must be at least 1")
     params = _model_params(a, delta, l0, r0, events, seed)
 
-    records = []
-    for trial in range(trials):
-        rng = RngStream(seed, trial)
-        records.append(
-            run_direct(
-                params, n_particles, rng,
-                record_events=(trial == 0 and trajectory_out is not None),
-                timestamps=timestamps,
-                stop_after_meetings=stop_after_meetings,
-            )
-        )
+    streams = [RngStream(seed, trial) for trial in range(trials)]
+    if timestamps:
+        # holding times interleave a variable number of draws with the
+        # uniforms, so only the scalar engine replays them
+        records = [
+            run_direct(params, n_particles, rng, record_events=False, timestamps=True,
+                       stop_after_meetings=stop_after_meetings)
+            for rng in streams
+        ]
+    else:
+        records = run_direct_batch(params, n_particles, streams,
+                                   stop_after_meetings=stop_after_meetings)
     resolved = {
         "n": n_particles, "a": a, "delta": delta, "l0": l0, "r0": r0,
         "events": events, "trials": trials, "seed": seed,
@@ -158,7 +159,9 @@ def simulate(config_path, n_particles, a, delta, l0, r0, events, trials,
             buf.write(f"{row['k']},{row['frequency']!r},{row['stderr']!r}\r\n")
     _write_text(out_path, buf.getvalue())
     if trajectory_out is not None:
-        _write_text(trajectory_out, records[0].to_jsonl())
+        first = run_direct(params, n_particles, RngStream(seed, 0), timestamps=timestamps,
+                           stop_after_meetings=stop_after_meetings)
+        _write_text(trajectory_out, first.to_jsonl())
 
 
 @main.command("urn-verify")
@@ -380,6 +383,10 @@ def rwre(config_path, alpha1, beta1, alpha2, beta2, budgets, trials, seed, out_p
         p2 = BetaParams(alpha2, beta2)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+    if not budget_list or min(budget_list) < 1:
+        raise click.UsageError("--budgets must be positive integers")
+    if trials < 1:
+        raise click.UsageError("--trials must be at least 1")
     import warnings as _warnings
 
     with _warnings.catch_warnings(record=True) as caught:

@@ -126,12 +126,18 @@ def direct_step(
     return i, v, to
 
 
-def _default_positions(params: ModelParams, n_particles: int) -> list[int]:
-    if n_particles == 1:
-        return [params.l0]
-    if n_particles == 2:
-        return [params.l0, params.r0]
-    raise ValueError("for n_particles > 2, pass explicit start positions")
+def _start_positions(
+    params: ModelParams, n_particles: int, positions: list[int] | None
+) -> list[int]:
+    if n_particles < 1:
+        raise ValueError("need at least one particle")
+    if positions is None:
+        if n_particles > 2:
+            raise ValueError("for n_particles > 2, pass explicit start positions")
+        positions = [params.l0, params.r0][:n_particles]
+    if len(positions) != n_particles:
+        raise ValueError("positions length must equal n_particles")
+    return list(positions)
 
 
 def run_direct(
@@ -148,29 +154,34 @@ def run_direct(
     ``stop_after_meetings=k`` ends the run once the k-th meeting is seen,
     which keeps hitting-time experiments cheap.
     """
-    if n_particles < 1:
-        raise ValueError("need at least one particle")
-    if positions is None:
-        positions = _default_positions(params, n_particles)
-    else:
-        positions = list(positions)
-    if len(positions) != n_particles:
-        raise ValueError("positions length must equal n_particles")
-
+    positions = _start_positions(params, n_particles, positions)
     record = TrajectoryRecord(params=params, n_particles=n_particles)
-    weights = WeightMap(params.a)
-    t = 0.0
-
     if n_particles > 1 and len(set(positions)) == 1:
         record.meeting_times.append(0)
         if stop_after_meetings is not None and len(record.meeting_times) >= stop_after_meetings:
             record.final_positions = positions
             return record
+    return _run_from(record, WeightMap(params.a), positions, rng, 1,
+                     record_events, timestamps, stop_after_meetings)
 
-    for e in range(1, params.max_events + 1):
+
+def _run_from(
+    record: TrajectoryRecord,
+    weights: WeightMap,
+    positions: list[int],
+    rng: RngStream,
+    first_event: int,
+    record_events: bool = False,
+    timestamps: bool = False,
+    stop_after_meetings: int | None = None,
+) -> TrajectoryRecord:
+    """Continue one run from the given state with events ``first_event`` on."""
+    n_particles = len(positions)
+    t = 0.0
+    for e in range(first_event, record.params.max_events + 1):
         if timestamps:
             t += rng.exponential(1.0 / n_particles)
-        i, frm, to = direct_step(weights, positions, params, rng)
+        i, frm, to = direct_step(weights, positions, record.params, rng)
         if record_events:
             record.events.append((e, t if timestamps else None, i, frm, to))
         record.events_executed = e
@@ -180,6 +191,147 @@ def run_direct(
                 break
     record.final_positions = positions
     return record
+
+
+# Uniforms read from each trial's stream per chunk of the batch engine, and
+# trials run in lockstep at once: its arrays stay O(block x chunk), whatever
+# the event budget and the number of trials.
+_CHUNK_UNIFORMS = 1024
+_BLOCK_TRIALS = 1024
+# A lockstep step costs about as much as five scalar events (2-vCPU VM), so
+# fewer live trials than this run, or finish, on the scalar engine.
+_MIN_LOCKSTEP = 6
+
+
+def run_direct_batch(
+    params: ModelParams,
+    n_particles: int,
+    streams: list[RngStream],
+    positions: list[int] | None = None,
+    stop_after_meetings: int | None = None,
+) -> list[TrajectoryRecord]:
+    """Run one trial per stream in lockstep, without event logs.
+
+    Returns the records ``run_direct(params, n_particles, s, positions,
+    record_events=False, stop_after_meetings=...)`` would give for each
+    stream ``s``, bit for bit.  A trial draws exactly two uniforms per
+    event, so each chunk reads every trial's next uniforms in scalar
+    order.  Once too few trials are live for lockstep to pay, they finish
+    on the scalar kernel from the same state.  Streams may end advanced
+    past a trial's last event.
+    """
+    start = _start_positions(params, n_particles, positions)
+    streams = list(streams)
+    if len(streams) > _BLOCK_TRIALS:
+        return [
+            rec
+            for k in range(0, len(streams), _BLOCK_TRIALS)
+            for rec in run_direct_batch(params, n_particles, streams[k:k + _BLOCK_TRIALS],
+                                        start, stop_after_meetings)
+        ]
+    if len(streams) < _MIN_LOCKSTEP:
+        return [run_direct(params, n_particles, s, start, record_events=False,
+                           stop_after_meetings=stop_after_meetings) for s in streams]
+    n = n_particles
+    records = [TrajectoryRecord(params=params, n_particles=n) for _ in streams]
+    coincident = n > 1 and len(set(start)) == 1
+    if coincident:
+        for rec in records:
+            rec.meeting_times.append(0)
+        if stop_after_meetings is not None and stop_after_meetings <= 1:
+            for rec in records:
+                rec.final_positions = list(start)
+            return records
+    # the first meeting inside the run always ends a run with a limit <= 1
+    limit = None if stop_after_meetings is None else max(stop_after_meetings, 1)
+    delta = params.delta
+
+    # slot j holds trial trial[j]; its walker i sits at pos[j * n + i]
+    trial = np.arange(len(streams))
+    pos = np.tile(np.asarray(start, dtype=np.int64), len(streams))
+    counts = np.full(len(streams), int(coincident))
+    alive = np.ones(len(streams), dtype=bool)
+    # edge weights W[j, v - offset] of edge [v, v+1]; untouched edges weigh a
+    offset, W = min(start), np.empty((len(streams), 0))
+    e0 = 0
+    while e0 < params.max_events and np.count_nonzero(alive) >= _MIN_LOCKSTEP:
+        slots = len(streams)
+        steps = min(max(_CHUNK_UNIFORMS // 2, 1), params.max_events - e0)
+        # a walker moves at most `steps` sites per chunk and touches the
+        # edges on both sides of it
+        lo, hi = int(pos.min()) - steps - 1, int(pos.max()) + steps
+        if lo < offset or hi >= offset + W.shape[1]:
+            new_lo = min(offset, lo - steps)
+            new_hi = max(offset + W.shape[1], hi + steps + 1)
+            grown = np.full((slots, new_hi - new_lo), float(params.a))
+            grown[:, offset - new_lo:offset - new_lo + W.shape[1]] = W
+            offset, W = new_lo, grown
+        flat_w = W.reshape(-1)
+        row = np.arange(slots) * W.shape[1] - offset  # flat index of edge [v, v+1], minus v
+
+        u = np.empty((slots, 2 * steps))
+        for j, stream in enumerate(streams):
+            u[j] = stream.uniforms(2 * steps)
+        mover = (u[:, 0::2] * n).astype(np.int64)
+        np.minimum(mover, n - 1, out=mover)  # uniform() can return values arbitrarily close to 1
+        mover_idx = np.ascontiguousarray((mover + (np.arange(slots) * n)[:, None]).T)
+        u_dir = np.ascontiguousarray(u[:, 1::2].T)
+        landed = np.empty((steps, slots), dtype=np.int64)
+        met = np.zeros((steps, slots), dtype=bool)
+        grid = pos.reshape(slots, n)
+        left_walker, right_walker = pos[0::n], pos[n - 1::n]
+        for s in range(steps):
+            i = mover_idx[s]
+            wr_i = row + pos.take(i)
+            edge = wr_i - 1
+            wl = flat_w.take(edge)
+            wr = flat_w.take(wr_i)
+            right = u_dir[s] < (wr + delta) / (wl + wr + delta)
+            edge += right  # the traversed edge
+            flat_w[edge] += 1.0
+            new = landed[s]
+            np.subtract(edge, row, out=new)
+            new += right
+            pos.put(i, new)
+            if n == 2:
+                np.equal(left_walker, right_walker, out=met[s])
+            elif n > 2:
+                np.equal(grid.min(axis=1), grid.max(axis=1), out=met[s])
+
+        if n > 1:
+            if limit is not None:
+                met &= alive
+                met &= counts + np.cumsum(met, axis=0) <= limit
+            for j in np.flatnonzero(met.any(axis=0)).tolist():
+                at_step = np.flatnonzero(met[:, j])
+                records[trial[j]].meeting_times.extend((e0 + 1 + at_step).tolist())
+        if limit is not None:
+            # a retired slot steps on to the end of the chunk, unrecorded
+            counts += met.sum(axis=0)
+            done = np.flatnonzero(alive & (counts >= limit))
+            last_step = steps - 1 - np.argmax(met[::-1, done], axis=0)
+            for j, s in zip(done.tolist(), last_step.tolist()):
+                rec = records[trial[j]]
+                rec.events_executed = e0 + 1 + s
+                rec.final_positions = [int(landed[s, j])] * n  # all walkers met there
+            alive[done] = False
+            if 2 * np.count_nonzero(alive) < slots:
+                keep = np.flatnonzero(alive)
+                trial, counts, W = trial[keep], counts[keep], W[keep]
+                pos = pos.reshape(slots, n)[keep].reshape(-1)
+                streams = [streams[j] for j in keep.tolist()]
+                alive = alive[keep]
+        e0 += steps
+
+    for j in np.flatnonzero(alive).tolist():
+        rec = records[trial[j]]
+        rec.events_executed = e0
+        rec.final_positions = pos[j * n:(j + 1) * n].tolist()
+        if e0 < params.max_events:  # streams sit at a chunk boundary
+            weights = WeightMap(params.a, zip(range(offset, offset + W.shape[1]), W[j].tolist()))
+            _run_from(rec, weights, rec.final_positions, streams[j], e0 + 1,
+                      stop_after_meetings=stop_after_meetings)
+    return records
 
 
 @dataclass
@@ -207,17 +359,16 @@ def meeting_statistics(records: list[TrajectoryRecord]) -> MeetingSummary:
         if (rec.params, rec.n_particles) != ref:
             raise ValueError("meeting_statistics requires records with identical parameters")
     n = len(records)
-    max_k = max((len(r.meeting_times) for r in records), default=0)
-    freqs, errs, gaps = [], [], []
-    for k in range(1, max_k + 1):
-        hits = sum(1 for r in records if len(r.meeting_times) >= k)
-        f = hits / n
-        freqs.append(f)
-        errs.append((f * (1 - f) / n) ** 0.5)
-        gap_vals = [
-            r.meeting_times[k - 1] - (r.meeting_times[k - 2] if k > 1 else 0)
-            for r in records
-            if len(r.meeting_times) >= k
-        ]
-        gaps.append(sum(gap_vals) / len(gap_vals) if gap_vals else 0.0)
+    lengths = [len(r.meeting_times) for r in records]
+    max_k = max(lengths)
+    # hits[k-1] = trials with >= k meetings; gap_sums[k-1] sums the integer
+    # gaps between meetings k-1 and k over those trials
+    hits = np.cumsum(np.bincount(lengths, minlength=max_k + 1)[::-1])[::-1][1:].tolist()
+    gap_sums = np.zeros(max_k, dtype=np.int64)
+    for r in records:
+        if r.meeting_times:
+            gap_sums[:len(r.meeting_times)] += np.diff(r.meeting_times, prepend=0)
+    freqs = [h / n for h in hits]
+    errs = [(f * (1 - f) / n) ** 0.5 for f in freqs]
+    gaps = [g / h for g, h in zip(gap_sums.tolist(), hits)]
     return MeetingSummary(n_trials=n, frequencies=freqs, stderrs=errs, mean_gaps=gaps)

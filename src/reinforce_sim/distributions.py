@@ -52,7 +52,17 @@ class RngStream:
         return u
 
     def uniforms(self, n: int) -> np.ndarray:
-        return self.gen.random(n)
+        """The next ``n`` draws of the :meth:`uniform` sequence, as an array.
+
+        The buffered block is drained first, so mixing the two methods
+        never reorders draws.
+        """
+        k = min(n, self._buf.shape[0] - self._pos)
+        if k <= 0:
+            return self.gen.random(n)
+        head = self._buf[self._pos:self._pos + k]
+        self._pos += k
+        return np.concatenate((head, self.gen.random(n - k)))
 
     def gamma(self, shape: float, size=None):
         return self.gen.gamma(shape, size=size)

@@ -11,7 +11,7 @@ from scipy import stats
 
 from reinforce_sim import baselines
 from reinforce_sim.coupling import run_coupling, sample_site_environment
-from reinforce_sim.direct import ModelParams, run_direct
+from reinforce_sim.direct import ModelParams, run_direct_batch
 from reinforce_sim.distributions import (
     BetaParams,
     digamma,
@@ -173,13 +173,10 @@ def test_criterion_5_recurrence_trend_direct():
     details = []
     for delta in (0.0, 0.5):
         params = ModelParams(a=1.0, delta=delta, l0=0, r0=2, max_events=budgets[-1])
-        taus = []
-        for t in range(baselines.PILOT_TRIALS):
-            rec = run_direct(
-                params, 2, make_stream(515, t + (0 if delta == 0.0 else 500_000)),
-                record_events=False, stop_after_meetings=1,
-            )
-            taus.append(rec.meeting_times[0] if rec.meeting_times else None)
+        offset = 0 if delta == 0.0 else 500_000
+        streams = [make_stream(515, t + offset) for t in range(baselines.PILOT_TRIALS)]
+        records = run_direct_batch(params, 2, streams, stop_after_meetings=1)
+        taus = [rec.meeting_times[0] if rec.meeting_times else None for rec in records]
         fracs = [
             sum(1 for tau in taus if tau is not None and tau <= b) / len(taus)
             for b in budgets

@@ -5,6 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from reinforce_sim.cli import main
+from reinforce_sim.direct import ModelParams, meeting_statistics, run_direct
+from reinforce_sim.distributions import RngStream
 
 
 @pytest.fixture()
@@ -75,6 +77,28 @@ class TestSimulate:
         assert len(lines) == 50
         row = json.loads(lines[0])
         assert set(row) == {"e", "t", "p", "from", "to"}
+
+    @pytest.mark.parametrize("timestamps", [False, True])
+    def test_scalar_engine_bytes(self, runner, tmp_path, timestamps):
+        out, traj = tmp_path / "m.csv", tmp_path / "traj.jsonl"
+        args = ["simulate", "--trials", "6", "--events", "700", "--seed", "13",
+                "--stop-after-meetings", "3", "--out", str(out), "--trajectory-out", str(traj)]
+        result = runner.invoke(main, args + (["--timestamps"] if timestamps else []))
+        assert result.exit_code == 0
+        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=700, seed=13)
+        records = [
+            run_direct(params, 2, RngStream(13, t), timestamps=timestamps, stop_after_meetings=3)
+            for t in range(6)
+        ]
+        rows = [f"{r['k']},{r['frequency']!r},{r['stderr']!r}"
+                for r in meeting_statistics(records).rows()]
+        assert read_csv(out).split("\r\n")[-len(rows) - 1:-1] == rows
+        assert traj.read_text() == records[0].to_jsonl()
+
+    def test_more_than_two_walkers_is_usage_error(self, runner):
+        result = runner.invoke(main, ["simulate", "--n", "3"])
+        assert result.exit_code == 2
+        assert "--n" in result.output
 
     def test_config_file_with_flag_override(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -258,6 +282,11 @@ class TestRwre:
         )
         assert result.exit_code == 0
         assert "mu > 0" in result.output
+
+    def test_nonpositive_budget_is_usage_error(self, runner):
+        result = runner.invoke(main, ["rwre", "--budgets", "0"])
+        assert result.exit_code == 2
+        assert "--budgets" in result.output
 
     def test_rerun_is_byte_identical(self, runner, tmp_path):
         args = ["rwre", "--budgets", "50,100", "--trials", "50", "--seed", "5"]

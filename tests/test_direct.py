@@ -1,5 +1,6 @@
 """Weight dynamics: single steps, runs, meetings, and the single-particle
 urn equivalence."""
+import dataclasses
 import json
 from fractions import Fraction
 from itertools import product
@@ -7,6 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from reinforce_sim import direct
 from reinforce_sim.direct import (
     ModelParams,
     WeightMap,
@@ -14,6 +16,7 @@ from reinforce_sim.direct import (
     meeting_statistics,
     right_jump_probability,
     run_direct,
+    run_direct_batch,
 )
 from reinforce_sim.distributions import make_stream
 
@@ -184,6 +187,74 @@ class TestRunDirect:
         assert json.loads(rec.meetings_json()) == rec.meeting_times
 
 
+def scalar_records(params, n, seed, trials, positions=None, stop=None):
+    return [
+        run_direct(params, n, make_stream(seed, t), positions, record_events=False,
+                   stop_after_meetings=stop)
+        for t in range(trials)
+    ]
+
+
+def batch_records(params, n, seed, trials, positions=None, stop=None):
+    streams = [make_stream(seed, t) for t in range(trials)]
+    return run_direct_batch(params, n, streams, positions, stop_after_meetings=stop)
+
+
+class TestRunDirectBatch:
+    """The lockstep engine must reproduce the scalar records bit for bit."""
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("l0,r0", [(0, 0), (0, 1), (-2, 5)])
+    @pytest.mark.parametrize("n,positions", [(1, None), (2, None), (3, "explicit")])
+    def test_matches_scalar_on_grid(self, a, delta, l0, r0, n, positions):
+        if positions == "explicit":
+            positions = [l0, r0, l0 + 1]
+        for budget in (1, 515):  # one chunk is 512 events
+            params = ModelParams(a=a, delta=delta, l0=l0, r0=r0, max_events=budget)
+            for stop in (None, 1, 3):
+                assert batch_records(params, n, 70, 8, positions, stop) == \
+                    scalar_records(params, n, 70, 8, positions, stop)
+
+    @pytest.mark.parametrize("stop", [None, 1, 3])
+    def test_output_does_not_depend_on_chunk_or_block_size(self, monkeypatch, stop):
+        params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=401)
+        expected = scalar_records(params, 2, 71, 24, stop=stop)
+        for chunk, block in ((2, 24), (7, 8), (64, 6)):
+            monkeypatch.setattr(direct, "_CHUNK_UNIFORMS", chunk)
+            monkeypatch.setattr(direct, "_BLOCK_TRIALS", block)
+            assert batch_records(params, 2, 71, 24, stop=stop) == expected
+
+    def test_window_growth(self, monkeypatch):
+        # one-event chunks leave one site of slack, so every excursion past
+        # the start grows the weight window
+        monkeypatch.setattr(direct, "_CHUNK_UNIFORMS", 2)
+        monkeypatch.setattr(direct, "_MIN_LOCKSTEP", 1)
+        params = ModelParams(a=0.5, delta=0.9, l0=0, r0=0, max_events=3001)
+        logged = [run_direct(params, 1, make_stream(72, t)) for t in range(3)]
+        assert max(abs(to) for rec in logged for *_, to in rec.events) > 4
+        expected = [dataclasses.replace(rec, events=[]) for rec in logged]
+        assert batch_records(params, 1, 72, 3) == expected
+
+    def test_retired_trials_are_compacted_then_finish_on_scalar_kernel(self):
+        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=1, max_events=3000)
+        got = batch_records(params, 2, 73, 200, stop=1)
+        assert got == scalar_records(params, 2, 73, 200, stop=1)
+        assert sum(rec.events_executed < 512 for rec in got) > 100
+        assert 0 < sum(rec.events_executed > 1024 for rec in got) < direct._MIN_LOCKSTEP
+
+    def test_no_streams_no_records(self):
+        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10)
+        assert run_direct_batch(params, 2, []) == []
+
+    def test_positions_validated_like_scalar(self):
+        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10)
+        with pytest.raises(ValueError):
+            run_direct_batch(params, 3, [make_stream(74, 0)])
+        with pytest.raises(ValueError):
+            run_direct_batch(params, 2, [make_stream(74, 0)], positions=[0])
+
+
 class TestSingleParticleUrnEquivalence:
     """A single reinforced walker admits its own per-site urn picture:
     site v holds a two-color urn whose red/blue masses start as the two
@@ -287,6 +358,18 @@ class TestMeetingStatistics:
         recs = [run_direct(p1, 2, make_stream(66, 0)), run_direct(p2, 2, make_stream(66, 1))]
         with pytest.raises(ValueError):
             meeting_statistics(recs)
+
+    def test_matches_quadratic_reference(self):
+        records = self._records(40, 67)
+        summary = meeting_statistics(records)
+        max_k = max(len(r.meeting_times) for r in records)
+        for k in range(1, max_k + 1):
+            have = [r.meeting_times for r in records if len(r.meeting_times) >= k]
+            f = len(have) / len(records)
+            gaps = [m[k - 1] - (m[k - 2] if k > 1 else 0) for m in have]
+            assert summary.frequencies[k - 1] == f
+            assert summary.stderrs[k - 1] == (f * (1 - f) / len(records)) ** 0.5
+            assert summary.mean_gaps[k - 1] == sum(gaps) / len(gaps)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

@@ -39,6 +39,18 @@ class TestRngStream:
         assert block.shape == (1000,)
         assert ((block >= 0) & (block < 1)).all()
 
+    def test_uniforms_continue_the_uniform_sequence(self):
+        # crosses the 8192-draw buffer boundary with the buffer partly drained
+        ref = make_stream(8, 1)
+        expected = [ref.uniform() for _ in range(20_000)]
+        rng = make_stream(8, 1)
+        got = []
+        for k in (8000, 500, 0, 9000, 3):
+            got.append(rng.uniform())
+            got.extend(rng.uniforms(k).tolist())
+        got.append(rng.uniform())
+        assert got == expected[:len(got)]
+
     def test_zero_seed_is_valid(self):
         assert 0.0 <= make_stream(0, 0).uniform() < 1.0
 
