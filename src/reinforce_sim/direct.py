@@ -156,32 +156,19 @@ def run_direct(
     """
     positions = _start_positions(params, n_particles, positions)
     record = TrajectoryRecord(params=params, n_particles=n_particles)
+    weights = WeightMap(params.a)
+    t = 0.0
+
     if n_particles > 1 and len(set(positions)) == 1:
         record.meeting_times.append(0)
         if stop_after_meetings is not None and len(record.meeting_times) >= stop_after_meetings:
             record.final_positions = positions
             return record
-    return _run_from(record, WeightMap(params.a), positions, rng, 1,
-                     record_events, timestamps, stop_after_meetings)
 
-
-def _run_from(
-    record: TrajectoryRecord,
-    weights: WeightMap,
-    positions: list[int],
-    rng: RngStream,
-    first_event: int,
-    record_events: bool = False,
-    timestamps: bool = False,
-    stop_after_meetings: int | None = None,
-) -> TrajectoryRecord:
-    """Continue one run from the given state with events ``first_event`` on."""
-    n_particles = len(positions)
-    t = 0.0
-    for e in range(first_event, record.params.max_events + 1):
+    for e in range(1, params.max_events + 1):
         if timestamps:
             t += rng.exponential(1.0 / n_particles)
-        i, frm, to = direct_step(weights, positions, record.params, rng)
+        i, frm, to = direct_step(weights, positions, params, rng)
         if record_events:
             record.events.append((e, t if timestamps else None, i, frm, to))
         record.events_executed = e
@@ -194,13 +181,40 @@ def _run_from(
 
 
 # Uniforms read from each trial's stream per chunk of the batch engine, and
-# trials run in lockstep at once: its arrays stay O(block x chunk), whatever
-# the event budget and the number of trials.
+# trials a lockstep group starts with: its draw arrays stay O(block x chunk)
+# whatever the event budget.
 _CHUNK_UNIFORMS = 1024
 _BLOCK_TRIALS = 1024
+# Edge weights a group of several trials may hold (32 MB of float64).  A
+# group whose window would outgrow this splits in half and runs the halves
+# one after the other.  Each of the at most log2(block) halvings parks half
+# this many, so a block holds O(this x log2(block)) weights whatever the
+# budget.  A single trial's window grows freely: one float per edge it spans.
+_WINDOW_CELLS = 1 << 22
 # A lockstep step costs about as much as five scalar events (2-vCPU VM), so
-# fewer live trials than this run, or finish, on the scalar engine.
+# runs of fewer trials than this use the scalar engine.
 _MIN_LOCKSTEP = 6
+
+
+@dataclass
+class _Lockstep:
+    """Trials stepped together: slot j runs ``records[j]`` on ``streams[j]``."""
+
+    records: list
+    streams: list
+    pos: np.ndarray  # pos[j, i] is the site of walker i in slot j
+    counts: np.ndarray  # meetings recorded per slot
+    weights: np.ndarray  # weights[j, v - offset] of edge [v, v+1]; untouched edges weigh a
+    offset: int
+    events: int  # events every slot has executed
+
+    def take(self, slots: np.ndarray) -> "_Lockstep":
+        """A new group of the given slots, with copies of their state."""
+        keep = slots.tolist()
+        return _Lockstep(
+            [self.records[j] for j in keep], [self.streams[j] for j in keep],
+            self.pos[slots], self.counts[slots], self.weights[slots], self.offset, self.events,
+        )
 
 
 def run_direct_batch(
@@ -216,25 +230,16 @@ def run_direct_batch(
     record_events=False, stop_after_meetings=...)`` would give for each
     stream ``s``, bit for bit.  A trial draws exactly two uniforms per
     event, so each chunk reads every trial's next uniforms in scalar
-    order.  Once too few trials are live for lockstep to pay, they finish
-    on the scalar kernel from the same state.  Streams may end advanced
-    past a trial's last event.
+    order.  Streams may end advanced past a trial's last event.
     """
     start = _start_positions(params, n_particles, positions)
     streams = list(streams)
-    if len(streams) > _BLOCK_TRIALS:
-        return [
-            rec
-            for k in range(0, len(streams), _BLOCK_TRIALS)
-            for rec in run_direct_batch(params, n_particles, streams[k:k + _BLOCK_TRIALS],
-                                        start, stop_after_meetings)
-        ]
-    if len(streams) < _MIN_LOCKSTEP:
+    if len(streams) < _MIN_LOCKSTEP or max(start) - min(start) > _WINDOW_CELLS:
+        # (far-apart walkers would need a dense window spanning the gap)
         return [run_direct(params, n_particles, s, start, record_events=False,
                            stop_after_meetings=stop_after_meetings) for s in streams]
-    n = n_particles
-    records = [TrajectoryRecord(params=params, n_particles=n) for _ in streams]
-    coincident = n > 1 and len(set(start)) == 1
+    records = [TrajectoryRecord(params=params, n_particles=n_particles) for _ in streams]
+    coincident = n_particles > 1 and len(set(start)) == 1
     if coincident:
         for rec in records:
             rec.meeting_times.append(0)
@@ -244,33 +249,57 @@ def run_direct_batch(
             return records
     # the first meeting inside the run always ends a run with a limit <= 1
     limit = None if stop_after_meetings is None else max(stop_after_meetings, 1)
-    delta = params.delta
+    groups = []
+    for k in range(0, len(streams), _BLOCK_TRIALS):
+        block = streams[k:k + _BLOCK_TRIALS]
+        groups.append(_Lockstep(
+            records[k:k + _BLOCK_TRIALS], block,
+            np.tile(np.asarray(start, dtype=np.int64), (len(block), 1)),
+            np.full(len(block), int(coincident)), np.empty((len(block), 0)), min(start), 0,
+        ))
+    groups.reverse()
+    while groups:  # depth first, so split halves run before later blocks
+        groups.extend(reversed(_advance(groups.pop(), params, limit)))
+    return records
 
-    # slot j holds trial trial[j]; its walker i sits at pos[j * n + i]
-    trial = np.arange(len(streams))
-    pos = np.tile(np.asarray(start, dtype=np.int64), len(streams))
-    counts = np.full(len(streams), int(coincident))
-    alive = np.ones(len(streams), dtype=bool)
-    # edge weights W[j, v - offset] of edge [v, v+1]; untouched edges weigh a
-    offset, W = min(start), np.empty((len(streams), 0))
-    e0 = 0
-    while e0 < params.max_events and np.count_nonzero(alive) >= _MIN_LOCKSTEP:
-        slots = len(streams)
-        steps = min(max(_CHUNK_UNIFORMS // 2, 1), params.max_events - e0)
+
+def _advance(g: _Lockstep, params: ModelParams, limit: int | None) -> list[_Lockstep]:
+    """Step group ``g`` until its trials end.
+
+    Returns ``[]`` once they have, or the two halves still to run when its
+    weight window would outgrow ``_WINDOW_CELLS``.
+    """
+    n = g.pos.shape[1]
+    delta = params.delta
+    alive = np.ones(len(g.records), dtype=bool)
+    while g.events < params.max_events and alive.any():
+        steps = min(max(_CHUNK_UNIFORMS // 2, 1), params.max_events - g.events)
         # a walker moves at most `steps` sites per chunk and touches the
         # edges on both sides of it
-        lo, hi = int(pos.min()) - steps - 1, int(pos.max()) + steps
-        if lo < offset or hi >= offset + W.shape[1]:
-            new_lo = min(offset, lo - steps)
-            new_hi = max(offset + W.shape[1], hi + steps + 1)
+        lo, hi = int(g.pos.min()) - steps - 1, int(g.pos.max()) + steps
+        width = g.weights.shape[1]
+        if lo < g.offset or hi >= g.offset + width:
+            if not alive.all():  # retired slots, still stepping, never grow the window
+                g, alive = g.take(np.flatnonzero(alive)), alive[alive]
+                continue
+            slots = len(g.records)
+            # grow by at least the old width on each side a walker may
+            # leave, so copying costs O(1) amortised per site
+            pad = max(width, steps)
+            new_lo = lo - pad if lo < g.offset else g.offset
+            new_hi = hi + 1 + pad if hi >= g.offset + width else g.offset + width
+            if slots > 1 and slots * (new_hi - new_lo) > _WINDOW_CELLS:
+                return [g.take(half) for half in np.array_split(np.arange(slots), 2)]
             grown = np.full((slots, new_hi - new_lo), float(params.a))
-            grown[:, offset - new_lo:offset - new_lo + W.shape[1]] = W
-            offset, W = new_lo, grown
-        flat_w = W.reshape(-1)
-        row = np.arange(slots) * W.shape[1] - offset  # flat index of edge [v, v+1], minus v
+            grown[:, g.offset - new_lo:g.offset - new_lo + width] = g.weights
+            g.offset, g.weights = new_lo, grown
+        slots, width = len(g.records), g.weights.shape[1]
+        flat_w = g.weights.reshape(-1)
+        pos = g.pos.reshape(-1)  # walker i of slot j sits at pos[j * n + i]
+        row = np.arange(slots) * width - g.offset  # flat index of edge [v, v+1], minus v
 
         u = np.empty((slots, 2 * steps))
-        for j, stream in enumerate(streams):
+        for j, stream in enumerate(g.streams):
             u[j] = stream.uniforms(2 * steps)
         mover = (u[:, 0::2] * n).astype(np.int64)
         np.minimum(mover, n - 1, out=mover)  # uniform() can return values arbitrarily close to 1
@@ -278,7 +307,6 @@ def run_direct_batch(
         u_dir = np.ascontiguousarray(u[:, 1::2].T)
         landed = np.empty((steps, slots), dtype=np.int64)
         met = np.zeros((steps, slots), dtype=bool)
-        grid = pos.reshape(slots, n)
         left_walker, right_walker = pos[0::n], pos[n - 1::n]
         for s in range(steps):
             i = mover_idx[s]
@@ -296,42 +324,33 @@ def run_direct_batch(
             if n == 2:
                 np.equal(left_walker, right_walker, out=met[s])
             elif n > 2:
-                np.equal(grid.min(axis=1), grid.max(axis=1), out=met[s])
+                np.equal(g.pos.min(axis=1), g.pos.max(axis=1), out=met[s])
 
         if n > 1:
             if limit is not None:
                 met &= alive
-                met &= counts + np.cumsum(met, axis=0) <= limit
+                met &= g.counts + np.cumsum(met, axis=0) <= limit
             for j in np.flatnonzero(met.any(axis=0)).tolist():
                 at_step = np.flatnonzero(met[:, j])
-                records[trial[j]].meeting_times.extend((e0 + 1 + at_step).tolist())
+                g.records[j].meeting_times.extend((g.events + 1 + at_step).tolist())
         if limit is not None:
-            # a retired slot steps on to the end of the chunk, unrecorded
-            counts += met.sum(axis=0)
-            done = np.flatnonzero(alive & (counts >= limit))
+            # a retired slot steps on, unrecorded, until it is compacted away
+            g.counts += met.sum(axis=0)
+            done = np.flatnonzero(alive & (g.counts >= limit))
             last_step = steps - 1 - np.argmax(met[::-1, done], axis=0)
             for j, s in zip(done.tolist(), last_step.tolist()):
-                rec = records[trial[j]]
-                rec.events_executed = e0 + 1 + s
+                rec = g.records[j]
+                rec.events_executed = g.events + 1 + s
                 rec.final_positions = [int(landed[s, j])] * n  # all walkers met there
             alive[done] = False
-            if 2 * np.count_nonzero(alive) < slots:
-                keep = np.flatnonzero(alive)
-                trial, counts, W = trial[keep], counts[keep], W[keep]
-                pos = pos.reshape(slots, n)[keep].reshape(-1)
-                streams = [streams[j] for j in keep.tolist()]
-                alive = alive[keep]
-        e0 += steps
+        g.events += steps
+        if 2 * np.count_nonzero(alive) < slots:
+            g, alive = g.take(np.flatnonzero(alive)), alive[alive]
 
     for j in np.flatnonzero(alive).tolist():
-        rec = records[trial[j]]
-        rec.events_executed = e0
-        rec.final_positions = pos[j * n:(j + 1) * n].tolist()
-        if e0 < params.max_events:  # streams sit at a chunk boundary
-            weights = WeightMap(params.a, zip(range(offset, offset + W.shape[1]), W[j].tolist()))
-            _run_from(rec, weights, rec.final_positions, streams[j], e0 + 1,
-                      stop_after_meetings=stop_after_meetings)
-    return records
+        g.records[j].events_executed = g.events
+        g.records[j].final_positions = g.pos[j].tolist()
+    return []
 
 
 @dataclass

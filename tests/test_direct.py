@@ -236,12 +236,40 @@ class TestRunDirectBatch:
         expected = [dataclasses.replace(rec, events=[]) for rec in logged]
         assert batch_records(params, 1, 72, 3) == expected
 
-    def test_retired_trials_are_compacted_then_finish_on_scalar_kernel(self):
+    @pytest.mark.parametrize("stop", [None, 2])
+    def test_drifting_walkers_split_groups_under_the_window_cap(self, monkeypatch, stop):
+        # at delta >= 1 walkers drift almost linearly, so a 200-cell cap
+        # splits the 16-trial group into halves, down to single trials
+        monkeypatch.setattr(direct, "_CHUNK_UNIFORMS", 8)
+        monkeypatch.setattr(direct, "_WINDOW_CELLS", 200)
+        sizes = []
+        advance = direct._advance
+
+        def spy(g, params, limit):
+            halves = advance(g, params, limit)
+            sizes.append((len(g.records), g.weights.size))
+            return halves
+
+        monkeypatch.setattr(direct, "_advance", spy)
+        params = ModelParams(a=1.0, delta=5.0, l0=0, r0=3, max_events=2003)
+        expected = scalar_records(params, 2, 75, 16, stop=stop)
+        assert batch_records(params, 2, 75, 16, stop=stop) == expected
+        assert max(max(rec.final_positions) for rec in expected) > 200
+        assert len(sizes) > 1  # one block, so every further group is a half
+        if stop is None:  # without retirements the group spied on is the one grown
+            assert any(slots == 1 for slots, _ in sizes)
+            assert all(slots == 1 or cells <= 200 for slots, cells in sizes)
+
+    def test_far_apart_walkers_run_without_a_dense_window(self):
+        params = ModelParams(a=1.0, delta=0.5, l0=0, r0=10**12, max_events=50)
+        assert batch_records(params, 2, 76, 8) == scalar_records(params, 2, 76, 8)
+
+    def test_retired_trials_are_compacted(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=1, max_events=3000)
         got = batch_records(params, 2, 73, 200, stop=1)
         assert got == scalar_records(params, 2, 73, 200, stop=1)
         assert sum(rec.events_executed < 512 for rec in got) > 100
-        assert 0 < sum(rec.events_executed > 1024 for rec in got) < direct._MIN_LOCKSTEP
+        assert sum(rec.events_executed > 1024 for rec in got) > 0
 
     def test_no_streams_no_records(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10)
