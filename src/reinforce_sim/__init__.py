@@ -8,7 +8,7 @@ from .direct import ModelParams, TrajectoryRecord, WeightMap, meeting_statistics
 from .distributions import BetaParams, DirichletParams, RngStream, make_stream
 from .rwre import BDEnvironment, Classification, CriterionResult, criterion
 from .urn import MagicUrn, PolyaUrn, Side
-from .urn_process import enumerate_exact, init_urn_field, tv_distance
+from .urn_process import enumerate_exact, tv_distance
 
 __all__ = [
     "BDEnvironment",
@@ -25,7 +25,6 @@ __all__ = [
     "WeightMap",
     "criterion",
     "enumerate_exact",
-    "init_urn_field",
     "make_stream",
     "meeting_statistics",
     "run_direct",

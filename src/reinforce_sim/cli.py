@@ -21,31 +21,46 @@ from . import __version__
 from .direct import ModelParams, meeting_statistics, run_direct, run_direct_batch
 from .distributions import BetaParams, RngStream, digamma, integrate_log_odds
 from .rwre import criterion, difference_recurrence
-from .urn import PolyaUrn, polya_fraction_samples, polya_limit_law, three_color_fraction_samples
-from .urn import MagicUrn
+from .urn import (
+    MagicUrn, PolyaUrn, polya_fraction_samples, polya_limit_law, three_color_fraction_samples,
+)
 from .urn_process import MAX_ENUM_HORIZON, SmallAPolicyError, enumerate_exact, tv_distance
 from .coupling import marginal_check, run_coupling
 
 TV_TOLERANCE = 1e-12
 
 
-def _load_config(path: str | None) -> dict:
+# options naming files; these and the on/off flags are not read from a config file
+_NOT_CONFIGURABLE = {"config_path", "out_path", "trajectory_out"}
+
+
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Make the config file's settings the defaults of the command's options.
+
+    The option is eager, so this runs before the other options are read:
+    a flag then overrides the file, which overrides the built-in default,
+    and click converts a file value with its flag's type (usage error on
+    failure).  Malformed JSON and unknown keys are usage errors too.
+    """
     if path is None:
-        return {}
+        return
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise click.UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise click.UsageError("config file must contain a JSON object")
-    return cfg
-
-
-def _resolve(flag, config: dict, key: str, default):
-    """Flags override the config file, which overrides built-in defaults."""
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+    known = {
+        p.name for p in ctx.command.params
+        if isinstance(p, click.Option) and not p.is_flag and p.name not in _NOT_CONFIGURABLE
+    }
+    unknown = sorted(set(cfg) - known)
+    if unknown:
+        raise click.UsageError(
+            f"unknown config key(s) {', '.join(unknown)}; expected some of {', '.join(sorted(known))}"
+        )
+    ctx.default_map = {key: value for key, value in cfg.items() if value is not None}
 
 
 def _meta(config: dict) -> dict:
@@ -68,7 +83,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _model_params(a, delta, l0, r0, events, seed, allow_small_a=False) -> ModelParams:
-    if delta is not None and delta < 0:
+    if delta < 0:
         raise click.UsageError(f"delta must be nonnegative (got {delta})")
     try:
         return ModelParams(
@@ -86,24 +101,25 @@ def main() -> None:
 
 
 _seed_option = click.option(
-    "--seed", type=int, default=None, envvar="REINFORCE_SIM_SEED",
+    "--seed", type=int, default=0, envvar="REINFORCE_SIM_SEED",
     help="Master seed (env REINFORCE_SIM_SEED is the fallback; default 0).",
 )
 _config_option = click.option(
     "--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-    default=None, help="JSON config file; explicit flags override it.",
+    is_eager=True, expose_value=False, callback=_load_config,
+    help="JSON config file keyed by option name; explicit flags override it.",
 )
 
 
 @main.command()
 @_config_option
-@click.option("--n", "n_particles", type=int, default=None, help="Number of particles (default 2).")
-@click.option("--a", type=float, default=None, help="Initial edge weight (default 1.0).")
-@click.option("--delta", type=float, default=None, help="Rightward drift (default 0.0).")
-@click.option("--l0", type=int, default=None)
-@click.option("--r0", type=int, default=None)
-@click.option("--events", type=int, default=None, help="Event budget per trial (default 10000).")
-@click.option("--trials", type=int, default=None, help="Number of trials (default 100).")
+@click.option("--n", type=int, default=2, help="Number of particles (default 2).")
+@click.option("--a", type=float, default=1.0, help="Initial edge weight (default 1.0).")
+@click.option("--delta", type=float, default=0.0, help="Rightward drift (default 0.0).")
+@click.option("--l0", type=int, default=0)
+@click.option("--r0", type=int, default=2)
+@click.option("--events", type=int, default=10000, help="Event budget per trial (default 10000).")
+@click.option("--trials", type=int, default=100, help="Number of trials (default 100).")
 @click.option("--stop-after-meetings", type=int, default=None,
               help="End each trial after this many meetings (hitting-time mode).")
 @click.option("--timestamps", is_flag=True, help="Attach exponential holding times.")
@@ -112,20 +128,10 @@ _config_option = click.option(
               help="Meeting statistics CSV (default stdout).")
 @click.option("--trajectory-out", type=click.Path(dir_okay=False), default=None,
               help="JSONL event log of the first trial.")
-def simulate(config_path, n_particles, a, delta, l0, r0, events, trials,
+def simulate(n, a, delta, l0, r0, events, trials,
              stop_after_meetings, timestamps, seed, out_path, trajectory_out) -> None:
     """Run the direct weight-reinforced dynamics and report meeting statistics."""
-    cfg = _load_config(config_path)
-    n_particles = _resolve(n_particles, cfg, "n", 2)
-    a = _resolve(a, cfg, "a", 1.0)
-    delta = _resolve(delta, cfg, "delta", 0.0)
-    l0 = _resolve(l0, cfg, "l0", 0)
-    r0 = _resolve(r0, cfg, "r0", 2)
-    events = _resolve(events, cfg, "events", 10000)
-    trials = _resolve(trials, cfg, "trials", 100)
-    seed = _resolve(seed, cfg, "seed", 0)
-    stop_after_meetings = _resolve(stop_after_meetings, cfg, "stop_after_meetings", None)
-    if not 1 <= n_particles <= 2:
+    if not 1 <= n <= 2:
         raise click.UsageError("--n must be 1 or 2 (more walkers need explicit start positions)")
     if trials < 1:
         raise click.UsageError("--trials must be at least 1")
@@ -136,15 +142,15 @@ def simulate(config_path, n_particles, a, delta, l0, r0, events, trials,
         # holding times interleave a variable number of draws with the
         # uniforms, so only the scalar engine replays them
         records = [
-            run_direct(params, n_particles, rng, record_events=False, timestamps=True,
+            run_direct(params, n, rng, record_events=False, timestamps=True,
                        stop_after_meetings=stop_after_meetings)
             for rng in streams
         ]
     else:
-        records = run_direct_batch(params, n_particles, streams,
+        records = run_direct_batch(params, n, streams,
                                    stop_after_meetings=stop_after_meetings)
     resolved = {
-        "n": n_particles, "a": a, "delta": delta, "l0": l0, "r0": r0,
+        "n": n, "a": a, "delta": delta, "l0": l0, "r0": r0,
         "events": events, "trials": trials, "seed": seed,
         "outside_recurrence_regime": params.outside_recurrence_regime,
     }
@@ -154,35 +160,29 @@ def simulate(config_path, n_particles, a, delta, l0, r0, events, trials,
     if params.outside_recurrence_regime:
         buf.write("# note: delta >= 1 is outside the proven recurrence regime\r\n")
     buf.write("k,frequency,stderr\r\n")
-    if n_particles > 1:
+    if n > 1:
         for row in meeting_statistics(records).rows():
             buf.write(f"{row['k']},{row['frequency']!r},{row['stderr']!r}\r\n")
     _write_text(out_path, buf.getvalue())
     if trajectory_out is not None:
-        first = run_direct(params, n_particles, RngStream(seed, 0), timestamps=timestamps,
+        first = run_direct(params, n, RngStream(seed, 0), timestamps=timestamps,
                            stop_after_meetings=stop_after_meetings)
         _write_text(trajectory_out, first.to_jsonl())
 
 
 @main.command("urn-verify")
 @_config_option
-@click.option("--a", type=float, default=None)
-@click.option("--delta", type=float, default=None)
-@click.option("--l0", type=int, default=None)
-@click.option("--r0", type=int, default=None)
-@click.option("--horizon", type=int, default=None, help="Enumeration depth (default 4).")
+@click.option("--a", type=float, default=1.0)
+@click.option("--delta", type=float, default=0.0)
+@click.option("--l0", type=int, default=0)
+@click.option("--r0", type=int, default=2)
+@click.option("--horizon", type=int, default=4, help="Enumeration depth (default 4).")
 @click.option("--allow-small-a", is_flag=True, help="Permit 0 < a < 1 for the urn model.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="JSON report path (default stdout summary only).")
-def urn_verify(config_path, a, delta, l0, r0, horizon, allow_small_a, out_path) -> None:
+def urn_verify(a, delta, l0, r0, horizon, allow_small_a, out_path) -> None:
     """Certify the urn representation against the weight dynamics by exact
     enumeration; fails (exit 1) if the distributions differ."""
-    cfg = _load_config(config_path)
-    a = _resolve(a, cfg, "a", 1.0)
-    delta = _resolve(delta, cfg, "delta", 0.0)
-    l0 = _resolve(l0, cfg, "l0", 0)
-    r0 = _resolve(r0, cfg, "r0", 2)
-    horizon = _resolve(horizon, cfg, "horizon", 4)
     if horizon < 0 or horizon > MAX_ENUM_HORIZON:
         raise click.UsageError(
             f"horizon {horizon} outside [0, {MAX_ENUM_HORIZON}] "
@@ -213,30 +213,22 @@ def urn_verify(config_path, a, delta, l0, r0, horizon, allow_small_a, out_path) 
 
 @main.command()
 @_config_option
-@click.option("--a", type=float, default=None)
-@click.option("--delta", type=float, default=None)
-@click.option("--l0", type=int, default=None)
-@click.option("--r0", type=int, default=None)
-@click.option("--events", type=int, default=None, help="Event budget per run (default 10000).")
-@click.option("--trials", type=int, default=None, help="Number of coupled runs (default 100).")
+@click.option("--a", type=float, default=1.0)
+@click.option("--delta", type=float, default=0.0)
+@click.option("--l0", type=int, default=0)
+@click.option("--r0", type=int, default=2)
+@click.option("--events", type=int, default=10000, help="Event budget per run (default 10000).")
+@click.option("--trials", type=int, default=100, help="Number of coupled runs (default 100).")
 @click.option("--allow-small-a", is_flag=True)
 @click.option("--marginal-check", "do_marginal_check", is_flag=True,
               help="Append a fixed-environment jump-frequency test report.")
 @_seed_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="JSONL run summaries (default stdout).")
-def couple(config_path, a, delta, l0, r0, events, trials, allow_small_a,
+def couple(a, delta, l0, r0, events, trials, allow_small_a,
            do_marginal_check, seed, out_path) -> None:
     """Run the four-process coupled construction; any ordering violation
     is a hard failure (exit 1)."""
-    cfg = _load_config(config_path)
-    a = _resolve(a, cfg, "a", 1.0)
-    delta = _resolve(delta, cfg, "delta", 0.0)
-    l0 = _resolve(l0, cfg, "l0", 0)
-    r0 = _resolve(r0, cfg, "r0", 2)
-    events = _resolve(events, cfg, "events", 10000)
-    trials = _resolve(trials, cfg, "trials", 100)
-    seed = _resolve(seed, cfg, "seed", 0)
     if trials < 1:
         raise click.UsageError("--trials must be at least 1")
     params = _model_params(a, delta, l0, r0, events, seed, allow_small_a=allow_small_a)
@@ -271,11 +263,10 @@ def couple(config_path, a, delta, l0, r0, events, trials, allow_small_a,
 @click.option("--pair", "pairs", type=(float, float), multiple=True,
               help="Beta shape pair alpha beta; repeatable.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-def criterion_cmd(config_path, pairs, out_path) -> None:
+def criterion_cmd(pairs, out_path) -> None:
     """Evaluate transience / return-time criteria over a parameter grid,
     with both the closed form and the quadrature route."""
-    cfg = _load_config(config_path)
-    grid = list(pairs) or [tuple(p) for p in cfg.get("pairs", [])]
+    grid = list(pairs)
     if not grid:
         raise click.UsageError("give at least one --pair ALPHA BETA (or pairs in --config)")
     rows = []
@@ -295,47 +286,38 @@ def criterion_cmd(config_path, pairs, out_path) -> None:
 
 @main.command()
 @_config_option
-@click.option("--red", type=float, default=None, help="Initial red mass (default 1.0).")
-@click.option("--blue", type=float, default=None, help="Initial blue mass (default 1.0).")
-@click.option("--d", "d_", type=float, default=None, help="Reinforcement per draw (default 1.0).")
-@click.option("--draws", type=int, default=None, help="Drawings per run (default 10000).")
-@click.option("--runs", type=int, default=None, help="Monte Carlo runs (default 10000).")
+@click.option("--red", type=float, default=1.0, help="Initial red mass (default 1.0).")
+@click.option("--blue", type=float, default=1.0, help="Initial blue mass (default 1.0).")
+@click.option("--d", type=float, default=1.0, help="Reinforcement per draw (default 1.0).")
+@click.option("--draws", type=int, default=10000, help="Drawings per run (default 10000).")
+@click.option("--runs", type=int, default=10000, help="Monte Carlo runs (default 10000).")
 @click.option("--three-color", is_flag=True,
               help="Also test the (pure red, family, pure blue) marginals.")
-@click.option("--ks-threshold", type=float, default=None, help="Default 0.02.")
+@click.option("--ks-threshold", type=float, default=0.02, help="Default 0.02.")
 @_seed_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
-def polya(config_path, red, blue, d_, draws, runs, three_color, ks_threshold,
-          seed, out_path) -> None:
+def polya(red, blue, d, draws, runs, three_color, ks_threshold, seed, out_path) -> None:
     """Monte Carlo check of the urn limit laws (KS against the Beta or
     Dirichlet-marginal targets); exit 1 if a KS distance exceeds the threshold."""
-    cfg = _load_config(config_path)
-    red = _resolve(red, cfg, "red", 1.0)
-    blue = _resolve(blue, cfg, "blue", 1.0)
-    d_ = _resolve(d_, cfg, "d", 1.0)
-    draws = _resolve(draws, cfg, "draws", 10000)
-    runs = _resolve(runs, cfg, "runs", 10000)
-    threshold = _resolve(ks_threshold, cfg, "ks_threshold", 0.02)
-    seed = _resolve(seed, cfg, "seed", 0)
     try:
-        urn = PolyaUrn(red, blue, d_)
+        urn = PolyaUrn(red, blue, d)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     rng = RngStream(seed, 0)
     samples = polya_fraction_samples(urn, draws, runs, rng)
     law = polya_limit_law(urn)
     ks = float(stats.kstest(samples, lambda x: stats.beta.cdf(x, law.alpha, law.beta)).statistic)
-    resolved = {"red": red, "blue": blue, "d": d_, "draws": draws, "runs": runs,
-                "seed": seed, "ks_threshold": threshold, "three_color": three_color}
+    resolved = {"red": red, "blue": blue, "d": d, "draws": draws, "runs": runs,
+                "seed": seed, "ks_threshold": ks_threshold, "three_color": three_color}
     report = {
         "meta": _meta(resolved),
         "two_color": {
             "target": {"alpha": law.alpha, "beta": law.beta},
             "ks_distance": ks,
-            "passed": ks < threshold,
+            "passed": ks < ks_threshold,
         },
     }
-    failed = ks >= threshold
+    failed = ks >= ks_threshold
     if three_color:
         fracs = three_color_fraction_samples(MagicUrn(red, blue), draws, runs,
                                              RngStream(seed, 1))
@@ -346,8 +328,8 @@ def polya(config_path, red, blue, d_, draws, runs, three_color, ks_threshold,
             a1, a2 = alphas[i], total - alphas[i]
             ks_i = float(stats.kstest(fracs[:, i], lambda x: stats.beta.cdf(x, a1, a2)).statistic)
             marginals.append({"component": name, "alpha": a1, "beta": a2,
-                              "ks_distance": ks_i, "passed": ks_i < threshold})
-            failed = failed or ks_i >= threshold
+                              "ks_distance": ks_i, "passed": ks_i < ks_threshold})
+            failed = failed or ks_i >= ks_threshold
         report["three_color"] = marginals
     _write_text(out_path, json.dumps(report, sort_keys=True) + "\n")
     if failed:
@@ -356,29 +338,21 @@ def polya(config_path, red, blue, d_, draws, runs, three_color, ks_threshold,
 
 @main.command()
 @_config_option
-@click.option("--alpha1", type=float, default=None)
-@click.option("--beta1", type=float, default=None)
-@click.option("--alpha2", type=float, default=None)
-@click.option("--beta2", type=float, default=None)
-@click.option("--budgets", type=str, default=None,
+@click.option("--alpha1", type=float, default=0.5)
+@click.option("--beta1", type=float, default=1.5)
+@click.option("--alpha2", type=float, default=0.5)
+@click.option("--beta2", type=float, default=1.5)
+@click.option("--budgets", type=str, default="100,1000,10000",
               help="Comma-separated event budgets (default 100,1000,10000).")
-@click.option("--trials", type=int, default=None, help="Default 1000.")
+@click.option("--trials", type=int, default=1000, help="Default 1000.")
 @_seed_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Curve CSV (default stdout).")
-def rwre(config_path, alpha1, beta1, alpha2, beta2, budgets, trials, seed, out_path) -> None:
+def rwre(alpha1, beta1, alpha2, beta2, budgets, trials, seed, out_path) -> None:
     """Two-chain difference-recurrence experiment: return-probability curve
     over increasing event budgets."""
-    cfg = _load_config(config_path)
-    alpha1 = _resolve(alpha1, cfg, "alpha1", 0.5)
-    beta1 = _resolve(beta1, cfg, "beta1", 1.5)
-    alpha2 = _resolve(alpha2, cfg, "alpha2", 0.5)
-    beta2 = _resolve(beta2, cfg, "beta2", 1.5)
-    budgets = _resolve(budgets, cfg, "budgets", "100,1000,10000")
-    trials = _resolve(trials, cfg, "trials", 1000)
-    seed = _resolve(seed, cfg, "seed", 0)
     try:
-        budget_list = [int(tok) for tok in str(budgets).split(",") if tok.strip()]
+        budget_list = [int(tok) for tok in budgets.split(",") if tok.strip()]
         p1 = BetaParams(alpha1, beta1)
         p2 = BetaParams(alpha2, beta2)
     except ValueError as exc:

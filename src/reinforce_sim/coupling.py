@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from scipy import stats
 
 from .direct import ModelParams
-from .distributions import DirichletParams, RngStream, sample_dirichlet
-from .urn import DrawOutcome, MagicUrn, Side, magic_draw
-from .urn_process import UrnField, check_small_a_policy, init_urn_field, initial_masses
+from .distributions import RngStream, sample_dirichlet
+from .urn import MagicUrn, Side, magic_draw, magic_limit_params
+from .urn_process import UrnField, check_small_a_policy, initial_masses
 
 
 class SandwichViolationError(RuntimeError):
@@ -28,8 +28,8 @@ class SandwichViolationError(RuntimeError):
 class SiteEnvironment:
     """Limiting pure-red and pure-blue fractions at one site.
 
-    Both come from one simplex draw, so q_r + p_l <= 1; the complements
-    give the left walker's left rate and the right walker's right rate.
+    Both come from one simplex draw, so q_r + p_l <= 1.  The left walker
+    jumps right with probability p_l, the right walker with 1 - q_r.
     """
 
     q_r_polya: float
@@ -42,32 +42,18 @@ class SiteEnvironment:
             raise ValueError(f"fractions must sum to at most 1: {self}")
 
     @property
-    def q_l_polya(self) -> float:
-        return 1.0 - self.p_l_polya
-
-    @property
     def p_r_polya(self) -> float:
         return 1.0 - self.q_r_polya
 
 
-def site_dirichlet_params(params: ModelParams, v: int) -> DirichletParams:
-    """Dirichlet(R0/2, 1/2, B0/2) parameters for the urn at site v.
+def sample_site_environment(params: ModelParams, v: int, rng: RngStream) -> SiteEnvironment:
+    """One environment draw for site v from the Dirichlet limit law of the
+    site's initial urn.
 
     Nonpositive initial masses become point-mass markers, matching the
     degenerate environment table rows.
     """
-    red, blue = initial_masses(params, v)
-    return DirichletParams(
-        red / 2.0 if red > 0 else None,
-        0.5,
-        blue / 2.0 if blue > 0 else None,
-    )
-
-
-def sample_site_environment(params: ModelParams, v: int, rng: RngStream) -> SiteEnvironment:
-    """One environment draw for site v from the site's Dirichlet law."""
-    check_small_a_policy(params)
-    p = site_dirichlet_params(params, v)
+    p = magic_limit_params(MagicUrn(*initial_masses(params, v)))
     if p.alpha_red is not None and p.alpha_blue is not None:
         q_r, _, p_l = sample_dirichlet(rng, p)
         return SiteEnvironment(q_r, p_l)
@@ -99,9 +85,6 @@ class Environment:
             self._sites[v] = env
         return env
 
-    def sites(self):
-        return dict(self._sites)
-
 
 @dataclass
 class CoupledState:
@@ -129,15 +112,12 @@ def init_coupled_state(params: ModelParams, env: Environment | None = None,
         env = Environment(params, env_rng)
     return CoupledState(
         lP=params.l0, l=params.l0, r=params.r0, rP=params.r0,
-        field=init_urn_field(params) if params.l0 < params.r0 else None,
+        field=UrnField(params) if params.l0 < params.r0 else None,
         env=env,
     )
 
 
-_BLUEISH = (DrawOutcome.PURE_BLUE, DrawOutcome.FAM_BLUE)
-
-
-def coupled_step(state: CoupledState, params: ModelParams, rng: RngStream) -> tuple:
+def coupled_step(state: CoupledState, rng: RngStream) -> tuple:
     """One event of the coupled quadruple; returns an event record.
 
     Clock groups: the l pair (shared clock when coincident), the r pair,
@@ -159,31 +139,18 @@ def coupled_step(state: CoupledState, params: ModelParams, rng: RngStream) -> tu
 
     if g == "l_group":
         v = state.l
-        urn = state.field.urn_at(v)
-        outcome, direction, new_urn = magic_draw(urn, Side.LEFT, rng)
-        state.field.set_urn(v, new_urn)
-        if direction is Side.LEFT:
-            state.l = v - 1
-            if l_coincident:
-                state.lP = v - 1  # red or chameleon marble: both jump left
-        else:
-            state.l = v + 1
-            if l_coincident:
-                # outer walker follows right only on a pure blue marble
-                state.lP = v + 1 if outcome is DrawOutcome.PURE_BLUE else v - 1
+        direction, pure = magic_draw(state.field.urn_at(v), Side.LEFT, rng)
+        state.l = v - 1 if direction is Side.LEFT else v + 1
+        if l_coincident:
+            # red or chameleon marble: both jump left; the outer walker
+            # follows a right jump only on a pure blue marble
+            state.lP = v + 1 if pure and direction is Side.RIGHT else v - 1
     elif g == "r_group":
         v = state.r
-        urn = state.field.urn_at(v)
-        outcome, direction, new_urn = magic_draw(urn, Side.RIGHT, rng)
-        state.field.set_urn(v, new_urn)
-        if direction is Side.RIGHT:
-            state.r = v + 1
-            if r_coincident:
-                state.rP = v + 1  # blue or chameleon marble: both jump right
-        else:
-            state.r = v - 1
-            if r_coincident:
-                state.rP = v - 1 if outcome is DrawOutcome.PURE_RED else v + 1
+        direction, pure = magic_draw(state.field.urn_at(v), Side.RIGHT, rng)
+        state.r = v + 1 if direction is Side.RIGHT else v - 1
+        if r_coincident:
+            state.rP = v - 1 if pure and direction is Side.LEFT else v + 1
     elif g == "lP":
         v = state.lP
         state.lP = v + 1 if rng.uniform() < state.env.at(v).p_l_polya else v - 1
@@ -243,7 +210,7 @@ def run_coupling(
     e = 0
     try:
         for e in range(1, max_events + 1):
-            coupled_step(state, params, rng)
+            coupled_step(state, rng)
             gap = state.rP - state.lP
             if gap > max_gap:
                 max_gap = gap
@@ -315,7 +282,7 @@ def marginal_check(
             if state.l >= state.r:
                 break
             before = (state.lP, state.l, state.r, state.rP)
-            g, after = coupled_step(state, params, trial_rng)
+            g, after = coupled_step(state, trial_rng)
             if g == "lP":
                 key = ("lP", before[0])
                 c = counts.setdefault(key, [0, 0])

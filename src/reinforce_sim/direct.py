@@ -61,12 +61,6 @@ class WeightMap:
     def reinforce(self, v: int) -> None:
         self._w[v] = self._w.get(v, self.a) + 1
 
-    def total_added(self):
-        return sum(w - self.a for w in self._w.values())
-
-    def items(self):
-        return self._w.items()
-
     def copy(self) -> "WeightMap":
         return WeightMap(self.a, self._w)
 
@@ -99,9 +93,6 @@ class TrajectoryRecord:
         for e, t, p, frm, to in self.events:
             lines.append(json.dumps({"e": e, "t": t, "p": p, "from": frm, "to": to}))
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def meetings_json(self) -> str:
-        return json.dumps(self.meeting_times)
 
 
 def direct_step(
@@ -360,12 +351,11 @@ class MeetingSummary:
     n_trials: int
     frequencies: list[float]  # frequencies[k-1] = fraction of trials with >= k meetings
     stderrs: list[float]
-    mean_gaps: list[float]  # mean event gap between meeting k-1 and k (0 -> start)
 
     def rows(self):
         return [
-            {"k": k + 1, "frequency": f, "stderr": s, "mean_gap": g}
-            for k, (f, s, g) in enumerate(zip(self.frequencies, self.stderrs, self.mean_gaps))
+            {"k": k + 1, "frequency": f, "stderr": s}
+            for k, (f, s) in enumerate(zip(self.frequencies, self.stderrs))
         ]
 
 
@@ -379,15 +369,8 @@ def meeting_statistics(records: list[TrajectoryRecord]) -> MeetingSummary:
             raise ValueError("meeting_statistics requires records with identical parameters")
     n = len(records)
     lengths = [len(r.meeting_times) for r in records]
-    max_k = max(lengths)
-    # hits[k-1] = trials with >= k meetings; gap_sums[k-1] sums the integer
-    # gaps between meetings k-1 and k over those trials
-    hits = np.cumsum(np.bincount(lengths, minlength=max_k + 1)[::-1])[::-1][1:].tolist()
-    gap_sums = np.zeros(max_k, dtype=np.int64)
-    for r in records:
-        if r.meeting_times:
-            gap_sums[:len(r.meeting_times)] += np.diff(r.meeting_times, prepend=0)
+    # hits[k-1] = trials with >= k meetings
+    hits = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:].tolist()
     freqs = [h / n for h in hits]
     errs = [(f * (1 - f) / n) ** 0.5 for f in freqs]
-    gaps = [g / h for g, h in zip(gap_sums.tolist(), hits)]
-    return MeetingSummary(n_trials=n, frequencies=freqs, stderrs=errs, mean_gaps=gaps)
+    return MeetingSummary(n_trials=n, frequencies=freqs, stderrs=errs)

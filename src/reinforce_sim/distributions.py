@@ -64,9 +64,6 @@ class RngStream:
         self._pos += k
         return np.concatenate((head, self.gen.random(n - k)))
 
-    def gamma(self, shape: float, size=None):
-        return self.gen.gamma(shape, size=size)
-
     def exponential(self, scale: float = 1.0) -> float:
         return float(self.gen.exponential(scale))
 

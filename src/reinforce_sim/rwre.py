@@ -1,6 +1,6 @@
 """Birth-death chains in random environment: transience/return-time
-criteria in closed form, plus simulators for single chains and for the
-two-chain difference recurrence experiment.
+criteria in closed form, plus a simulator for the two-chain difference
+recurrence experiment.
 
 Sign conventions: transience to the right is governed by
 E[log(p/(1-p))] > 0, while the difference-recurrence hypothesis uses
@@ -95,19 +95,11 @@ class BDEnvironment:
 
     def __init__(
         self,
-        sampler: BetaParams | None = None,
-        rng: RngStream | None = None,
+        sampler: BetaParams,
+        rng: RngStream,
         overrides: dict[int, float] | None = None,
-        constant: float | None = None,
     ):
-        if sampler is not None and rng is None:
-            raise ValueError("an iid-sampled environment needs an RngStream")
-        if sampler is None and constant is None:
-            raise ValueError("provide a sampler or a constant probability")
-        if constant is not None and not 0.0 <= constant <= 1.0:
-            raise ValueError("constant probability must lie in [0, 1]")
         self.sampler = sampler
-        self.constant = constant
         self._rng = rng
         self.overrides = dict(overrides or {})
         for v, pv in self.overrides.items():
@@ -118,38 +110,11 @@ class BDEnvironment:
     def p(self, v: int) -> float:
         if v in self.overrides:
             return self.overrides[v]
-        if self.constant is not None:
-            return self.constant
         pv = self._sites.get(v)
         if pv is None:
             pv = float(sample_beta(self._rng, self.sampler))
             self._sites[v] = pv
         return pv
-
-
-@dataclass
-class BDTrajectorySummary:
-    start: int
-    final_position: int
-    events_executed: int
-    returns_to_start: int
-    first_return_event: int | None
-
-
-def simulate_bd(
-    env: BDEnvironment, start: int, max_events: int, rng: RngStream
-) -> BDTrajectorySummary:
-    """Embedded-chain run of a birth-death walk in the given environment."""
-    pos = start
-    returns = 0
-    first_return = None
-    for e in range(1, max_events + 1):
-        pos = pos + 1 if rng.uniform() < env.p(pos) else pos - 1
-        if pos == start:
-            returns += 1
-            if first_return is None:
-                first_return = e
-    return BDTrajectorySummary(start, pos, max_events, returns, first_return)
 
 
 @dataclass

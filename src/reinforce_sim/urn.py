@@ -8,7 +8,7 @@ present at the site (red for the left particle, blue for the right).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -19,19 +19,6 @@ from .distributions import BetaParams, DirichletParams, RngStream
 class Side(Enum):
     LEFT = "left"
     RIGHT = "right"
-
-
-class Color(Enum):
-    RED = "red"
-    BLUE = "blue"
-
-
-class DrawOutcome(Enum):
-    PURE_RED = "pure_red"
-    PURE_BLUE = "pure_blue"
-    FAM_RED = "fam_red"
-    FAM_BLUE = "fam_blue"
-    MAGIC = "magic"
 
 
 class NegativeMassError(ValueError):
@@ -62,34 +49,27 @@ class PolyaUrn:
         return self.red / self.total
 
 
-def polya_draw(urn: PolyaUrn, rng: RngStream) -> tuple[Color, PolyaUrn]:
-    """One drawing: pick a color proportionally to mass, reinforce it by d."""
-    p_red = urn.red_probability()
-    if rng.uniform() < p_red:
-        return Color.RED, replace(urn, red=urn.red + urn.d)
-    return Color.BLUE, replace(urn, blue=urn.blue + urn.d)
-
-
 def polya_limit_law(urn: PolyaUrn) -> BetaParams:
     """Limit law of the red fraction: Beta(R0/D, B0/D)."""
     return BetaParams(urn.red / urn.d, urn.blue / urn.d)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MagicUrn:
-    """Urn holding pure red/blue marbles, family red/blue marbles, and
+    """One site's urn: pure red/blue marbles, family red/blue marbles, and
     the unit-mass chameleon marble (implicit).
 
     Family marbles keep a fixed color once added; only the chameleon
     marble changes color with the particle present.  ``pure_red`` may be
     negative at initialization when a < 1; every draw checks that the
-    effective masses stay nonnegative.
+    masses of both directions stay nonnegative.  Draws update the masses
+    in place.
     """
 
     pure_red: float
     pure_blue: float
-    fam_red: float = 0.0
-    fam_blue: float = 0.0
+    fam_red: float = 0  # an int zero keeps Fraction masses exact
+    fam_blue: float = 0
 
     def __post_init__(self) -> None:
         if self.fam_red < 0 or self.fam_blue < 0:
@@ -115,112 +95,70 @@ class MagicUrn:
         return self.pure_red + self.pure_blue + self.fam_red + self.fam_blue + 1
 
 
-_RED_OUTCOMES = (DrawOutcome.PURE_RED, DrawOutcome.FAM_RED)
-_BLUE_OUTCOMES = (DrawOutcome.PURE_BLUE, DrawOutcome.FAM_BLUE)
+def left_mass(urn: MagicUrn, present: Side):
+    """Mass of the marbles that send the present particle left: the red
+    marbles, plus the chameleon marble when the left particle is present.
 
-
-def outcome_masses(urn: MagicUrn) -> dict[DrawOutcome, float]:
-    return {
-        DrawOutcome.PURE_RED: urn.pure_red,
-        DrawOutcome.PURE_BLUE: urn.pure_blue,
-        DrawOutcome.FAM_RED: urn.fam_red,
-        DrawOutcome.FAM_BLUE: urn.fam_blue,
-        DrawOutcome.MAGIC: 1,
-    }
-
-
-def _check_effective_masses(urn: MagicUrn, present: Side) -> None:
-    eff_red = urn.red_mass + (1 if present is Side.LEFT else 0)
-    eff_blue = urn.blue_mass + (1 if present is Side.RIGHT else 0)
-    if eff_red < 0 or eff_blue < 0:
+    The rest of ``urn.total`` sends it right.  Raises NegativeMassError
+    when either direction's mass is negative (only possible for a < 1).
+    """
+    red, blue = urn.red_mass, urn.blue_mass
+    if present is Side.LEFT:
+        red += 1
+    else:
+        blue += 1
+    if red < 0 or blue < 0:
         raise NegativeMassError(
-            f"effective masses went negative (red={eff_red}, blue={eff_blue}) "
+            f"effective masses went negative (red={red}, blue={blue}) "
             f"with {present.value} particle present; urn={urn}"
         )
+    return red
 
 
-def outcome_direction(outcome: DrawOutcome, present: Side) -> Side:
-    """Jump direction implied by the drawn marble's color."""
-    if outcome in _RED_OUTCOMES:
-        return Side.LEFT
-    if outcome in _BLUE_OUTCOMES:
-        return Side.RIGHT
-    return present  # chameleon marble: red iff the left particle is present
+def reinforce(urn: MagicUrn, direction: Side, pure: bool) -> None:
+    """Add two marbles of the drawn color: pure after a pure marble, family
+    after a family marble or the chameleon marble."""
+    if direction is Side.LEFT:
+        if pure:
+            urn.pure_red += 2
+        else:
+            urn.fam_red += 2
+    elif pure:
+        urn.pure_blue += 2
+    else:
+        urn.fam_blue += 2
 
 
-def apply_outcome(urn: MagicUrn, outcome: DrawOutcome, present: Side) -> MagicUrn:
-    """Add two marbles of the drawn marble's color and family status."""
-    if outcome is DrawOutcome.PURE_RED:
-        return replace(urn, pure_red=urn.pure_red + 2)
-    if outcome is DrawOutcome.PURE_BLUE:
-        return replace(urn, pure_blue=urn.pure_blue + 2)
-    if outcome is DrawOutcome.FAM_RED:
-        return replace(urn, fam_red=urn.fam_red + 2)
-    if outcome is DrawOutcome.FAM_BLUE:
-        return replace(urn, fam_blue=urn.fam_blue + 2)
-    # chameleon drawn: the two new marbles join the family with its current color
-    if present is Side.LEFT:
-        return replace(urn, fam_red=urn.fam_red + 2)
-    return replace(urn, fam_blue=urn.fam_blue + 2)
+def magic_draw(urn: MagicUrn, present: Side, rng: RngStream) -> tuple[Side, bool]:
+    """One drawing with the given particle present; reinforces ``urn`` in
+    place and returns (jump direction, whether the marble was pure).
 
-
-def magic_draw(
-    urn: MagicUrn, present: Side, rng: RngStream
-) -> tuple[DrawOutcome, Side, MagicUrn]:
-    """One drawing with the given particle present.
-
-    Selects among the five categories proportionally to mass (the
-    chameleon marble counts 1), reinforces the drawn category by 2, and
-    reports the implied jump direction.
+    One uniform picks the direction pool by mass (``left_mass`` against
+    the rest), and within the pool the marble is pure when that uniform
+    falls below the pool's pure mass.
     """
-    _check_effective_masses(urn, present)
+    left = left_mass(urn, present)
     total = urn.total
     if total <= 0:
         raise NegativeMassError(f"urn total mass {total} is not positive; urn={urn}")
-    left_is_present = present is Side.LEFT
-    eff_red = urn.red_mass + (1 if left_is_present else 0)
     u = rng.uniform() * total
-    # direction pool first (pooled masses are valid even when a pure mass
-    # is negative for a < 1), then the category within the pool
-    if u < eff_red:
-        if left_is_present:
-            cats = ((DrawOutcome.PURE_RED, urn.pure_red), (DrawOutcome.FAM_RED, urn.fam_red),
-                    (DrawOutcome.MAGIC, 1))
-        else:
-            cats = ((DrawOutcome.PURE_RED, urn.pure_red), (DrawOutcome.FAM_RED, urn.fam_red))
+    if u < left:
+        direction, pure_mass = Side.LEFT, urn.pure_red
     else:
-        u -= eff_red
-        if left_is_present:
-            cats = ((DrawOutcome.PURE_BLUE, urn.pure_blue), (DrawOutcome.FAM_BLUE, urn.fam_blue))
-        else:
-            cats = ((DrawOutcome.PURE_BLUE, urn.pure_blue), (DrawOutcome.FAM_BLUE, urn.fam_blue),
-                    (DrawOutcome.MAGIC, 1))
-    if any(m < 0 for _, m in cats):
-        # the three-color split is ill-defined here; reattribute the draw
-        # among the nonnegative categories (direction dynamics only depend
-        # on the pooled masses, so this leaves the walk law untouched)
-        cats = tuple((o, m) for o, m in cats if m > 0)
-        u = rng.uniform() * sum(m for _, m in cats)
-    outcome = cats[-1][0]
-    acc = 0
-    for cand, mass in cats[:-1]:
-        acc += mass
-        if u < acc:
-            outcome = cand
-            break
-    direction = outcome_direction(outcome, present)
-    return outcome, direction, apply_outcome(urn, outcome, present)
-
-
-def effective_edge_weights(urn: MagicUrn, present: Side):
-    """Edge weights ([v-1,v], [v,v+1]) implied by the urn contents.
-
-    The chameleon marble contributes to the red side when the left
-    particle is present and to the blue side otherwise.
-    """
-    if present is Side.LEFT:
-        return urn.red_mass + 1, urn.blue_mass
-    return urn.red_mass, urn.blue_mass + 1
+        u -= left
+        direction, pure_mass = Side.RIGHT, urn.pure_blue
+    if pure_mass < 0:
+        # the pure/family split is ill-defined here (a < 1): the draw goes
+        # to the pool's family marbles, which leaves the walk's law alone
+        # (it only depends on the pooled masses).  A second uniform, the
+        # one a reattribution among the pool's other marbles would use,
+        # is still drawn: seeded small-a runs depend on it.
+        rng.uniform()
+        pure = False
+    else:
+        pure = u < pure_mass
+    reinforce(urn, direction, pure)
+    return direction, pure
 
 
 def magic_limit_params(urn: MagicUrn) -> DirichletParams:

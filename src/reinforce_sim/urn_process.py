@@ -12,9 +12,9 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .direct import ModelParams
+from .direct import ModelParams, WeightMap, right_jump_probability
 from .distributions import RngStream
-from .urn import MagicUrn, NegativeMassError, Side, magic_draw
+from .urn import MagicUrn, NegativeMassError, Side, left_mass, magic_draw, reinforce
 
 MAX_ENUM_HORIZON = 8
 
@@ -27,14 +27,16 @@ class SmallAPolicyError(ValueError):
     """Urn representation requested for a < 1 without the override flag."""
 
 
-def initial_masses(params: ModelParams, v: int):
+def initial_masses(params: ModelParams, v: int, num=float):
     """Initial (red, blue) urn masses at site v, chameleon marble excluded.
 
     The masses mirror the edge weights seen by the first particle to
     arrive: sites left of l0 are first reached by the left particle after
     it has traversed [v, v+1] once, and symmetrically on the right.
+    ``num`` is the number type: ``float`` for the samplers, ``Fraction``
+    for exact enumeration.
     """
-    a, d = params.a, params.delta
+    a, d = num(params.a), num(params.delta)
     if v < params.l0:
         return a - 1, 1 + a + d
     if v == params.l0:
@@ -67,28 +69,8 @@ class UrnField:
         if urn is None:
             if self.params.l0 == self.params.r0:
                 raise DecoupledError("particles start coincident; the urn field is unused")
-            red, blue = initial_masses(self.params, v)
-            urn = MagicUrn(red, blue)
-            self._urns[v] = urn
+            urn = self._urns[v] = MagicUrn(*initial_masses(self.params, v))
         return urn
-
-    def set_urn(self, v: int, urn: MagicUrn) -> None:
-        self._urns[v] = urn
-
-
-def init_urn_field(params: ModelParams) -> UrnField:
-    return UrnField(params)
-
-
-def jump_probabilities(urn: MagicUrn, present: Side):
-    """(left, right) jump probabilities for the particle present at the urn.
-
-    Equal to the closed forms (R+1)/(R+B+1), B/(R+B+1) for the left
-    particle and R/(R+B+1), (B+1)/(R+B+1) for the right one.
-    """
-    total = urn.total
-    left = urn.red_mass + (1 if present is Side.LEFT else 0)
-    return left / total, (total - left) / total
 
 
 def urn_process_step(
@@ -96,7 +78,7 @@ def urn_process_step(
 ) -> tuple[int, int, tuple]:
     """One jump of the urn-driven pair: uniform mover, urn-drawn direction.
 
-    Returns (l', r', (mover, from, to, outcome)).
+    Returns (l', r', (mover, from, to)).
     """
     if l >= r:
         raise DecoupledError(
@@ -105,16 +87,14 @@ def urn_process_step(
         )
     mover = Side.LEFT if rng.uniform() < 0.5 else Side.RIGHT
     v = l if mover is Side.LEFT else r
-    urn = field.urn_at(v)
     try:
-        outcome, direction, new_urn = magic_draw(urn, mover, rng)
+        direction, _ = magic_draw(field.urn_at(v), mover, rng)
     except NegativeMassError as exc:
         raise NegativeMassError(f"site {v} (a={field.params.a}): {exc}") from exc
-    field.set_urn(v, new_urn)
     to = v - 1 if direction is Side.LEFT else v + 1
     if mover is Side.LEFT:
-        return to, r, (mover, v, to, outcome)
-    return l, to, (mover, v, to, outcome)
+        return to, r, (mover, v, to)
+    return l, to, (mover, v, to)
 
 
 def run_urn_process(params: ModelParams, rng: RngStream, max_events: int | None = None):
@@ -126,7 +106,7 @@ def run_urn_process(params: ModelParams, rng: RngStream, max_events: int | None 
     l, r = params.l0, params.r0
     if l == r:
         return 0, 0, (l, r)
-    field = init_urn_field(params)
+    field = UrnField(params)
     for e in range(1, budget + 1):
         l, r, _ = urn_process_step(field, l, r, rng)
         if l == r:
@@ -167,109 +147,74 @@ def _enum_guard(horizon: int) -> None:
         )
 
 
-def _enum_direct(params: ModelParams, horizon: int) -> dict[tuple, Fraction]:
-    a = Fraction(params.a)
-    delta = Fraction(params.delta)
-    half = Fraction(1, 2)
-    acc: dict[tuple, Fraction] = {}
-
-    def recurse(weights: dict, l: int, r: int, depth: int, prob: Fraction, traj: tuple):
-        if l == r or depth == horizon:
-            acc[traj] = acc.get(traj, Fraction(0)) + prob
-            return
-        for mover in (0, 1):
-            v = l if mover == 0 else r
-            wl = weights.get(v - 1, a)
-            wr = weights.get(v, a)
-            p_right = (wr + delta) / (wl + wr + delta)
-            for direction, p_dir in ((0, 1 - p_right), (1, p_right)):
-                if p_dir == 0:
-                    continue
-                w2 = dict(weights)
-                if direction == 1:
-                    w2[v] = wr + 1
-                    nl, nr = (v + 1, r) if mover == 0 else (l, v + 1)
-                else:
-                    w2[v - 1] = wl + 1
-                    nl, nr = (v - 1, r) if mover == 0 else (l, v - 1)
-                recurse(w2, nl, nr, depth + 1, prob * half * p_dir, traj + ((mover, direction),))
-
-    recurse({}, params.l0, params.r0, 0, Fraction(1), ())
-    return acc
-
-
-def _enum_urn(params: ModelParams, horizon: int) -> dict[tuple, Fraction]:
-    check_small_a_policy(params)
-    a = Fraction(params.a)
-    delta = Fraction(params.delta)
-    half = Fraction(1, 2)
-    acc: dict[tuple, Fraction] = {}
-
-    def fresh_urn(v: int) -> MagicUrn:
-        if v < params.l0:
-            red, blue = a - 1, 1 + a + delta
-        elif v == params.l0:
-            red, blue = a - 1, a + delta
-        elif v < params.r0:
-            red, blue = a, a + delta
-        elif v == params.r0:
-            red, blue = a, a - 1 + delta
-        else:
-            red, blue = a + 1, a - 1 + delta
-        return MagicUrn(red, blue, Fraction(0), Fraction(0))
-
-    def recurse(urns: dict, l: int, r: int, depth: int, prob: Fraction, traj: tuple):
-        if l == r or depth == horizon:
-            acc[traj] = acc.get(traj, Fraction(0)) + prob
-            return
-        for mover_idx, present in ((0, Side.LEFT), (1, Side.RIGHT)):
-            v = l if mover_idx == 0 else r
-            urn = urns.get(v)
-            if urn is None:
-                urn = fresh_urn(v)
-            total = urn.total
-            # pool the categories by jump direction: the future law only
-            # depends on the pooled red/blue masses, so the two new
-            # marbles can always be booked as family marbles
-            left_mass = urn.red_mass + (1 if present is Side.LEFT else 0)
-            for d_idx, mass in ((0, left_mass), (1, total - left_mass)):
-                if mass < 0:
-                    raise NegativeMassError(
-                        f"effective mass {mass} negative at site {v} (a={params.a})"
-                    )
-                if mass == 0:
-                    continue
-                to = v - 1 if d_idx == 0 else v + 1
-                u2 = dict(urns)
-                if d_idx == 0:
-                    u2[v] = replace(urn, fam_red=urn.fam_red + 2)
-                else:
-                    u2[v] = replace(urn, fam_blue=urn.fam_blue + 2)
-                nl, nr = (to, r) if mover_idx == 0 else (l, to)
-                recurse(
-                    u2, nl, nr, depth + 1,
-                    prob * half * Fraction(mass) / Fraction(total),
-                    traj + ((mover_idx, d_idx),),
-                )
-
-    recurse({}, params.l0, params.r0, 0, Fraction(1), ())
-    return acc
-
-
 def enumerate_exact(model: str, params: ModelParams, horizon: int) -> ExactDistribution:
     """Exhaustive trajectory distribution of the chosen model.
 
     ``model`` is "direct" (weight dynamics) or "urn" (chameleon urns).
-    Branches are absorbed at the first meeting; total mass is exactly 1.
+    Both walk one recursion over (mover, direction) branches; each model
+    supplies the branches of one move from the one-step kernel its
+    samplers run, in exact arithmetic.  Branches are absorbed at the
+    first meeting; total mass is exactly 1.
     """
     _enum_guard(horizon)
     if model == "direct":
-        probs = _enum_direct(params, horizon)
+        state, branches = WeightMap(Fraction(params.a)), _direct_branches(params)
     elif model == "urn":
-        probs = _enum_urn(params, horizon)
+        check_small_a_policy(params)
+        state, branches = {}, _urn_branches(params)
     else:
         raise ValueError(f"unknown model {model!r}; expected 'direct' or 'urn'")
+    half = Fraction(1, 2)
+    probs: dict[tuple, Fraction] = {}
+
+    def recurse(state, l: int, r: int, depth: int, prob: Fraction, traj: tuple):
+        if l == r or depth == horizon:
+            probs[traj] = probs.get(traj, Fraction(0)) + prob
+            return
+        for mover in (0, 1):
+            v = l if mover == 0 else r
+            for direction, p_dir, after in branches(state, v, mover):
+                to = v + 1 if direction else v - 1
+                nl, nr = (to, r) if mover == 0 else (l, to)
+                recurse(after, nl, nr, depth + 1, prob * half * p_dir,
+                        traj + ((mover, direction),))
+
+    recurse(state, params.l0, params.r0, 0, Fraction(1), ())
     return ExactDistribution(horizon=horizon, params=params, probs=probs)
+
+
+def _direct_branches(params: ModelParams):
+    """(direction, probability, weights after) of each possible jump from v."""
+    delta = Fraction(params.delta)
+
+    def branches(weights: WeightMap, v: int, mover: int):
+        p_right = right_jump_probability(weights, v, delta)
+        for direction, p_dir in ((0, 1 - p_right), (1, p_right)):
+            if p_dir:
+                after = weights.copy()
+                after.reinforce(v - 1 + direction)
+                yield direction, p_dir, after
+    return branches
+
+
+def _urn_branches(params: ModelParams):
+    """(direction, probability, urns after) of each possible draw at v.
+
+    The future law only depends on the pooled red/blue masses, so the two
+    new marbles are always booked as family marbles.
+    """
+    def branches(urns: dict, v: int, mover: int):
+        urn = urns.get(v)
+        if urn is None:
+            urn = MagicUrn(*initial_masses(params, v, Fraction))
+        total = urn.total
+        left = left_mass(urn, Side.LEFT if mover == 0 else Side.RIGHT)
+        for direction, side, mass in ((0, Side.LEFT, left), (1, Side.RIGHT, total - left)):
+            if mass:
+                drawn = replace(urn)
+                reinforce(drawn, side, False)
+                yield direction, mass / total, {**urns, v: drawn}
+    return branches
 
 
 def tv_distance(d1: ExactDistribution, d2: ExactDistribution) -> float:

@@ -114,6 +114,37 @@ class TestSimulate:
         assert resolved["trials"] == 7  # flag wins
         assert resolved["r0"] == 4  # config fills the rest
 
+    def test_unknown_config_key_is_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trails": 5}))
+        result = runner.invoke(main, ["simulate", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "trails" in result.output
+
+    def test_malformed_config_is_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"trials": 5,')
+        result = runner.invoke(main, ["simulate", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "not valid JSON" in result.output
+
+    def test_config_values_take_the_flag_type(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": "5", "events": "100", "a": 1}))
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        r1 = runner.invoke(main, ["simulate", "--config", str(cfg), "--out", str(out1)])
+        r2 = runner.invoke(main, ["simulate", "--trials", "5", "--events", "100", "--a", "1",
+                                  "--out", str(out2)])
+        assert r1.exit_code == r2.exit_code == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_config_value_of_wrong_type_is_usage_error(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": "five"}))
+        result = runner.invoke(main, ["simulate", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "--trials" in result.output
+
     def test_seed_envvar_fallback(self, runner, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["simulate", "--trials", "10", "--events", "200"]

@@ -21,6 +21,11 @@ from reinforce_sim.direct import (
 from reinforce_sim.distributions import make_stream
 
 
+def added_weight(w: WeightMap, lo: int, hi: int):
+    """Weight added by reinforcement to the edges [v, v+1], lo <= v < hi."""
+    return sum(w.weight(v) - w.a for v in range(lo, hi))
+
+
 class TestModelParams:
     def test_valid_params_accepted(self):
         p = ModelParams(a=1.0, delta=0.5, l0=0, r0=2)
@@ -58,7 +63,6 @@ class TestWeightMap:
         w.reinforce(3)
         assert w.weight(3) == 3.0
         assert w.weight(2) == 1.0
-        assert w.total_added() == 2
 
     def test_copy_is_independent(self):
         w = WeightMap(1.0)
@@ -94,7 +98,8 @@ class TestDirectStep:
         i, frm, to = direct_step(w, positions, params, rng)
         assert abs(to - frm) == 1
         assert positions[i] == to
-        assert w.total_added() == 1
+        assert w.weight(min(frm, to)) == 2.0  # the traversed edge
+        assert added_weight(w, -1, 7) == 1
 
     def test_mover_is_uniform(self):
         rng = make_stream(52, 0)
@@ -152,7 +157,7 @@ class TestRunDirect:
         positions = [0, 2]
         for _ in range(300):
             direct_step(w, positions, params, rng)
-        assert w.total_added() == 300
+        assert added_weight(w, -301, 303) == 300  # every edge 300 jumps can reach
 
     def test_timestamps_increase(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=4, max_events=200)
@@ -184,7 +189,6 @@ class TestRunDirect:
         assert len(lines) == 20
         row = json.loads(lines[0])
         assert set(row) == {"e", "t", "p", "from", "to"}
-        assert json.loads(rec.meetings_json()) == rec.meeting_times
 
 
 def scalar_records(params, n, seed, trials, positions=None, stop=None):
@@ -372,7 +376,7 @@ class TestMeetingStatistics:
     def test_rows_schema(self):
         rows = meeting_statistics(self._records(50, 64)).rows()
         assert rows[0]["k"] == 1
-        assert set(rows[0]) == {"k", "frequency", "stderr", "mean_gap"}
+        assert set(rows[0]) == {"k", "frequency", "stderr"}
 
     def test_coincident_starts_give_frequency_one(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=0, max_events=10)
@@ -394,10 +398,8 @@ class TestMeetingStatistics:
         for k in range(1, max_k + 1):
             have = [r.meeting_times for r in records if len(r.meeting_times) >= k]
             f = len(have) / len(records)
-            gaps = [m[k - 1] - (m[k - 2] if k > 1 else 0) for m in have]
             assert summary.frequencies[k - 1] == f
             assert summary.stderrs[k - 1] == (f * (1 - f) / len(records)) ** 0.5
-            assert summary.mean_gaps[k - 1] == sum(gaps) / len(gaps)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

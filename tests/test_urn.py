@@ -1,29 +1,76 @@
 """Classic Polya urns and the chameleon-marble urn."""
+from dataclasses import astuple, replace
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from reinforce_sim.distributions import make_stream
 from reinforce_sim.urn import (
-    DrawOutcome,
     MagicUrn,
     NegativeMassError,
     PolyaUrn,
     Side,
-    apply_outcome,
-    effective_edge_weights,
+    left_mass,
     magic_draw,
     magic_limit_params,
-    outcome_direction,
-    outcome_masses,
-    polya_draw,
     polya_fraction_samples,
     polya_limit_law,
+    reinforce,
     three_color_fraction_samples,
 )
+
+
+class FixedUniforms:
+    """Stream stand-in that returns the given uniforms in order."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def uniform(self):
+        return self.values.pop(0)
+
+
+def reference_draw(urn: MagicUrn, present: Side, rng):
+    """Five-category reference drawing: (direction, pure, masses after).
+
+    Picks a color pool by mass, then a category in the pool in proportion
+    to its mass; a pool holding a negative pure mass (a < 1) reattributes
+    the draw among its positive categories with a second uniform.
+    """
+    chameleon = ("magic", 1)
+    red = [("pure_red", urn.pure_red), ("fam_red", urn.fam_red)]
+    blue = [("pure_blue", urn.pure_blue), ("fam_blue", urn.fam_blue)]
+    (red if present is Side.LEFT else blue).append(chameleon)
+    eff_red = urn.pure_red + urn.fam_red + (1 if present is Side.LEFT else 0)
+    eff_blue = urn.pure_blue + urn.fam_blue + (1 if present is Side.RIGHT else 0)
+    total = urn.pure_red + urn.pure_blue + urn.fam_red + urn.fam_blue + 1
+    if eff_red < 0 or eff_blue < 0 or total <= 0:
+        raise ValueError("no valid direction law")
+    u = rng.uniform() * total
+    if u < eff_red:
+        direction, pool = Side.LEFT, red
+    else:
+        direction, pool = Side.RIGHT, blue
+        u -= eff_red
+    if any(mass < 0 for _, mass in pool):
+        pool = [(name, mass) for name, mass in pool if mass > 0]
+        u = rng.uniform() * sum(mass for _, mass in pool)
+    drawn, acc = pool[-1][0], 0
+    for name, mass in pool[:-1]:
+        acc += mass
+        if u < acc:
+            drawn = name
+            break
+    if drawn == "magic":  # the chameleon's two new marbles join its color's family
+        drawn = "fam_red" if present is Side.LEFT else "fam_blue"
+    after = replace(urn)
+    setattr(after, drawn, getattr(after, drawn) + 2)
+    return direction, drawn.startswith("pure"), after
 
 
 class TestPolyaUrn:
@@ -32,13 +79,10 @@ class TestPolyaUrn:
         assert PolyaUrn(2.0, 1.0).red_probability() == pytest.approx(2.0 / 3.0)
 
     def test_draw_reinforces_only_drawn_color(self):
-        rng = make_stream(31, 0)
-        urn = PolyaUrn(1.0, 1.0, d=2.0)
-        color, after = polya_draw(urn, rng)
-        if color.value == "red":
-            assert (after.red, after.blue) == (3.0, 1.0)
-        else:
-            assert (after.red, after.blue) == (1.0, 3.0)
+        # after one drawing from (1, 1) with d = 2 the red fraction is 3/4
+        # (red drawn) or 1/4 (blue drawn), never anything else
+        xs = polya_fraction_samples(PolyaUrn(1.0, 1.0, d=2.0), 1, 1000, make_stream(31, 0))
+        assert set(xs.tolist()) == {0.25, 0.75}
 
     def test_invalid_masses_rejected(self):
         with pytest.raises(ValueError):
@@ -125,47 +169,55 @@ class TestMagicUrnMasses:
         urn = MagicUrn(-0.5, 1.0)
         assert urn.red_mass == -0.5
 
-    def test_outcome_masses_table(self):
-        urn = MagicUrn(1.0, 2.0, fam_red=4.0, fam_blue=6.0)
-        masses = outcome_masses(urn)
-        assert masses[DrawOutcome.PURE_RED] == 1.0
-        assert masses[DrawOutcome.PURE_BLUE] == 2.0
-        assert masses[DrawOutcome.FAM_RED] == 4.0
-        assert masses[DrawOutcome.FAM_BLUE] == 6.0
-        assert masses[DrawOutcome.MAGIC] == 1
+
+# MagicUrn(1, 1, 1, 1) has total mass 5, laid out as pure red, family red,
+# (chameleon if the left particle is present), pure blue, family blue,
+# (chameleon if the right one is).  Uniform u lands at 5u on that line.
+UNIT_URN = MagicUrn(1.0, 1.0, 1.0, 1.0)
+
+
+def draw_at(u: float, present: Side):
+    urn = replace(UNIT_URN)
+    direction, pure = magic_draw(urn, present, FixedUniforms(u))
+    return direction, pure, urn
 
 
 class TestOutcomeRules:
     def test_direction_fixed_colors(self):
-        for present in (Side.LEFT, Side.RIGHT):
-            assert outcome_direction(DrawOutcome.PURE_RED, present) is Side.LEFT
-            assert outcome_direction(DrawOutcome.FAM_RED, present) is Side.LEFT
-            assert outcome_direction(DrawOutcome.PURE_BLUE, present) is Side.RIGHT
-            assert outcome_direction(DrawOutcome.FAM_BLUE, present) is Side.RIGHT
+        # pure red, family red, pure blue, family blue, with either particle present
+        slots = {Side.LEFT: (0.1, 0.3, 0.7, 0.9), Side.RIGHT: (0.1, 0.3, 0.5, 0.7)}
+        for present, (pure_red, fam_red, pure_blue, fam_blue) in slots.items():
+            assert draw_at(pure_red, present)[:2] == (Side.LEFT, True)
+            assert draw_at(fam_red, present)[:2] == (Side.LEFT, False)
+            assert draw_at(pure_blue, present)[:2] == (Side.RIGHT, True)
+            assert draw_at(fam_blue, present)[:2] == (Side.RIGHT, False)
+        # a uniform on a boundary (5 * 0.2 == 1.0) belongs to the next marble
+        assert draw_at(0.2, Side.LEFT)[:2] == (Side.LEFT, False)
 
     def test_chameleon_direction_tracks_present_particle(self):
-        assert outcome_direction(DrawOutcome.MAGIC, Side.LEFT) is Side.LEFT
-        assert outcome_direction(DrawOutcome.MAGIC, Side.RIGHT) is Side.RIGHT
+        assert draw_at(0.5, Side.LEFT)[:2] == (Side.LEFT, False)
+        assert draw_at(0.9, Side.RIGHT)[:2] == (Side.RIGHT, False)
 
     def test_updates_add_two_to_drawn_category(self):
-        urn = MagicUrn(1.0, 2.0, fam_red=0.0, fam_blue=3.0)
-        assert apply_outcome(urn, DrawOutcome.PURE_RED, Side.LEFT).pure_red == 3.0
-        assert apply_outcome(urn, DrawOutcome.PURE_BLUE, Side.LEFT).pure_blue == 4.0
-        assert apply_outcome(urn, DrawOutcome.FAM_RED, Side.RIGHT).fam_red == 2.0
-        assert apply_outcome(urn, DrawOutcome.FAM_BLUE, Side.RIGHT).fam_blue == 5.0
+        for direction, pure, field in ((Side.LEFT, True, 0), (Side.RIGHT, True, 1),
+                                       (Side.LEFT, False, 2), (Side.RIGHT, False, 3)):
+            urn = MagicUrn(1.0, 2.0, fam_red=0.0, fam_blue=3.0)
+            before = astuple(urn)
+            reinforce(urn, direction, pure)
+            grown = [after - b for after, b in zip(astuple(urn), before)]
+            assert grown == [2.0 if i == field else 0.0 for i in range(4)]
 
     def test_chameleon_update_joins_family_with_current_color(self):
-        urn = MagicUrn(1.0, 2.0)
-        left = apply_outcome(urn, DrawOutcome.MAGIC, Side.LEFT)
-        assert (left.fam_red, left.fam_blue) == (2.0, 0.0)
-        right = apply_outcome(urn, DrawOutcome.MAGIC, Side.RIGHT)
-        assert (right.fam_red, right.fam_blue) == (0.0, 2.0)
+        _, _, left = draw_at(0.5, Side.LEFT)
+        assert astuple(left) == (1.0, 1.0, 3.0, 1.0)
+        _, _, right = draw_at(0.9, Side.RIGHT)
+        assert astuple(right) == (1.0, 1.0, 1.0, 3.0)
 
     def test_total_grows_by_two_per_draw(self):
         rng = make_stream(34, 0)
         urn = MagicUrn(1.0, 1.5)
         for k in range(1, 200):
-            _, _, urn = magic_draw(urn, Side.LEFT if k % 2 else Side.RIGHT, rng)
+            magic_draw(urn, Side.LEFT if k % 2 else Side.RIGHT, rng)
             assert urn.total == pytest.approx(3.5 + 2 * k)
 
 
@@ -174,22 +226,28 @@ class TestMagicDraw:
         urn = MagicUrn(2.0, 1.5, fam_red=3.0, fam_blue=0.5)
         rng = make_stream(35, 0)
         n = 100_000
-        counts = dict.fromkeys(DrawOutcome, 0)
+        counts = dict.fromkeys(product(Side, (True, False)), 0)
         for _ in range(n):
-            outcome, _, _ = magic_draw(urn, Side.LEFT, rng)
-            counts[outcome] += 1
-        for outcome, mass in outcome_masses(urn).items():
+            counts[magic_draw(replace(urn), Side.LEFT, rng)] += 1
+        # the chameleon marble is red (a family-like draw) with the left particle present
+        masses = {(Side.LEFT, True): urn.pure_red, (Side.LEFT, False): urn.fam_red + 1,
+                  (Side.RIGHT, True): urn.pure_blue, (Side.RIGHT, False): urn.fam_blue}
+        for key, mass in masses.items():
             p = mass / urn.total
             se = np.sqrt(p * (1 - p) / n)
-            assert abs(counts[outcome] / n - p) < 4 * se
+            assert abs(counts[key] / n - p) < 4 * se
 
     def test_direction_matches_outcome(self):
+        # the one mass that grows is the drawn marble's: pure or family, of
+        # the jump direction's color (fields: pure red, pure blue, family red, family blue)
         rng = make_stream(36, 0)
         urn = MagicUrn(1.0, 1.0)
         for k in range(500):
             present = Side.LEFT if k % 2 else Side.RIGHT
-            outcome, direction, urn = magic_draw(urn, present, rng)
-            assert direction is outcome_direction(outcome, present)
+            before = astuple(urn)
+            direction, pure = magic_draw(urn, present, rng)
+            grown = [i for i, (x, y) in enumerate(zip(astuple(urn), before)) if x != y]
+            assert grown == [(0 if pure else 2) + (direction is Side.RIGHT)]
 
     def test_negative_effective_mass_is_hard_error(self):
         # fresh a < 1 urn visited by the wrong particle: effective red
@@ -207,23 +265,52 @@ class TestMagicDraw:
         n = 20_000
         lefts = 0
         for _ in range(n):
-            outcome, direction, _ = magic_draw(urn, Side.LEFT, rng)
-            assert outcome is not DrawOutcome.PURE_RED
+            direction, pure = magic_draw(replace(urn), Side.LEFT, rng)
+            assert not (pure and direction is Side.LEFT)
             lefts += direction is Side.LEFT
         p_left = (urn.red_mass + 1) / urn.total  # 0.5 / 1.5
         assert abs(lefts / n - p_left) < 4 * np.sqrt(p_left * (1 - p_left) / n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pure_red=st.sampled_from([-0.5, 0.0, 1.0]) | st.floats(-0.99, 8.0),
+        pure_blue=st.sampled_from([-0.5, 0.0, 1.0]) | st.floats(-0.99, 8.0),
+        fam_red=st.sampled_from([0.0, 0.5, 2.0]) | st.floats(0.0, 8.0),
+        fam_blue=st.sampled_from([0.0, 0.5, 2.0]) | st.floats(0.0, 8.0),
+        present=st.sampled_from(Side),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_five_category_reference(self, pure_red, pure_blue, fam_red, fam_blue,
+                                             present, seed):
+        urn = MagicUrn(pure_red, pure_blue, fam_red, fam_blue)
+        ref_rng, rng = make_stream(seed, 0), make_stream(seed, 0)
+        try:
+            expected = reference_draw(urn, present, ref_rng)
+        except ValueError:
+            with pytest.raises(NegativeMassError):
+                magic_draw(urn, present, rng)
+            return
+        direction, pure = magic_draw(urn, present, rng)
+        assert (direction, pure, urn) == expected
+        assert rng.uniform() == ref_rng.uniform()  # both used the same draws
+
+
+def edge_weights(urn: MagicUrn, present: Side):
+    """Edge weights ([v-1,v], [v,v+1]) the present particle sees at the urn."""
+    left = left_mass(urn, present)
+    return left, urn.total - left
 
 
 class TestEffectiveEdgeWeights:
     def test_chameleon_side_depends_on_present(self):
         urn = MagicUrn(1.0, 2.0, fam_red=4.0, fam_blue=0.0)
-        assert effective_edge_weights(urn, Side.LEFT) == (6.0, 2.0)
-        assert effective_edge_weights(urn, Side.RIGHT) == (5.0, 3.0)
+        assert edge_weights(urn, Side.LEFT) == (6.0, 2.0)
+        assert edge_weights(urn, Side.RIGHT) == (5.0, 3.0)
 
     def test_fresh_inner_urn_matches_initial_edge_weights(self):
         # a=1, delta=0 interior site: both edges at weight 1
-        assert effective_edge_weights(MagicUrn(0.0, 1.0), Side.LEFT) == (1.0, 1.0)
-        assert effective_edge_weights(MagicUrn(1.0, 0.0), Side.RIGHT) == (1.0, 1.0)
+        assert edge_weights(MagicUrn(0.0, 1.0), Side.LEFT) == (1.0, 1.0)
+        assert edge_weights(MagicUrn(1.0, 0.0), Side.RIGHT) == (1.0, 1.0)
 
 
 class TestLimitLaws:

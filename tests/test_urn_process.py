@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 
 from reinforce_sim.direct import ModelParams
 from reinforce_sim.distributions import make_stream
-from reinforce_sim.urn import MagicUrn, NegativeMassError, Side
+from reinforce_sim.urn import MagicUrn, NegativeMassError, Side, left_mass
 from reinforce_sim.urn_process import (
     MAX_ENUM_HORIZON,
     DecoupledError,
     ExactDistribution,
     SmallAPolicyError,
+    UrnField,
     enumerate_exact,
-    init_urn_field,
     initial_masses,
-    jump_probabilities,
     run_urn_process,
     tv_distance,
     urn_process_step,
@@ -51,21 +50,27 @@ class TestInitialMasses:
         p = params_for(a=1.25, delta=0.75, l0=-3, r0=5)
         assert initial_masses(p, 0) == (1.25, 2.0)
 
+    def test_exact_masses_equal_float_masses(self):
+        p = params_for(a=0.75, delta=0.3, l0=-1, r0=2)
+        for v in range(-3, 5):
+            exact = initial_masses(p, v, Fraction)
+            assert all(type(m) is Fraction for m in exact)
+            assert [float(m) for m in exact] == list(initial_masses(p, v))
+
 
 class TestSmallAPolicy:
     def test_small_a_rejected_by_default(self):
         with pytest.raises(SmallAPolicyError):
-            init_urn_field(params_for(a=0.5))
+            UrnField(params_for(a=0.5))
 
     def test_small_a_allowed_with_flag(self):
-        field = init_urn_field(params_for(a=0.5, allow_small_a=True))
+        field = UrnField(params_for(a=0.5, allow_small_a=True))
         assert field.urn_at(0).pure_red == -0.5
 
     def test_small_a_hard_error_on_negative_effective_mass(self):
         # right particle on a fresh a<1 site of the left class
         p = params_for(a=0.5, l0=0, r0=1, allow_small_a=True)
-        field = init_urn_field(p)
-        field.set_urn(-1, MagicUrn(*initial_masses(p, -1)))
+        field = UrnField(p)
         rng = make_stream(71, 0)
         with pytest.raises(NegativeMassError):
             for _ in range(200):
@@ -74,15 +79,21 @@ class TestSmallAPolicy:
 
 class TestUrnField:
     def test_lazy_materialization(self):
-        field = init_urn_field(params_for())
+        field = UrnField(params_for())
         urn = field.urn_at(1)
         assert (urn.pure_red, urn.pure_blue) == (1.0, 1.0)
         assert field.urn_at(1) is urn
 
     def test_coincident_start_is_decoupled(self):
-        field = init_urn_field(params_for(l0=1, r0=1))
+        field = UrnField(params_for(l0=1, r0=1))
         with pytest.raises(DecoupledError):
             field.urn_at(1)
+
+
+def jump_probabilities(urn: MagicUrn, present: Side):
+    """(left, right) jump probabilities of the present particle."""
+    left = left_mass(urn, present)
+    return left / urn.total, (urn.total - left) / urn.total
 
 
 class TestJumpProbabilities:
@@ -116,9 +127,9 @@ class TestJumpProbabilities:
 
 class TestUrnProcessStep:
     def test_moves_exactly_one_particle(self):
-        field = init_urn_field(params_for(r0=4))
+        field = UrnField(params_for(r0=4))
         rng = make_stream(73, 0)
-        l, r, (mover, frm, to, outcome) = urn_process_step(field, 0, 4, rng)
+        l, r, (mover, frm, to) = urn_process_step(field, 0, 4, rng)
         assert abs(to - frm) == 1
         if mover is Side.LEFT:
             assert (l, r) == (to, 4) and frm == 0
@@ -126,7 +137,7 @@ class TestUrnProcessStep:
             assert (l, r) == (0, to) and frm == 4
 
     def test_meeting_or_crossing_is_an_error(self):
-        field = init_urn_field(params_for())
+        field = UrnField(params_for())
         rng = make_stream(74, 0)
         with pytest.raises(DecoupledError):
             urn_process_step(field, 1, 1, rng)
@@ -204,8 +215,8 @@ class TestEnumeration:
         n = 40_000
         counts = {}
         for _ in range(n):
-            field = init_urn_field(p)
-            _, _, (mover, frm, to, _) = urn_process_step(field, 0, 2, rng)
+            field = UrnField(p)
+            _, _, (mover, frm, to) = urn_process_step(field, 0, 2, rng)
             key = ((0 if mover is Side.LEFT else 1, 1 if to > frm else 0),)
             counts[key] = counts.get(key, 0) + 1
         for traj, prob in d.probs.items():
@@ -256,22 +267,16 @@ class TestWeightAgreement:
         a = Fraction(p.a)
         delta = Fraction(p.delta)
 
-        def fresh(v):
-            red, blue = initial_masses(p, v)
-            return MagicUrn(Fraction(red), Fraction(blue), Fraction(0), Fraction(0))
-
         def rec(urns, weights, l, r, depth):
             if l == r or depth == 0:
                 return
             for mover_idx, present in ((0, Side.LEFT), (1, Side.RIGHT)):
                 v = l if mover_idx == 0 else r
-                urn = urns.get(v) or fresh(v)
+                urn = urns.get(v) or MagicUrn(*initial_masses(p, v, Fraction))
                 wl = weights.get(v - 1, a)
                 wr = weights.get(v, a) + delta
-                eff_l, eff_r = (
-                    jump_probabilities(urn, present)[0] * urn.total,
-                    jump_probabilities(urn, present)[1] * urn.total,
-                )
+                eff_l = left_mass(urn, present)
+                eff_r = urn.total - eff_l
                 assert eff_l == wl
                 assert eff_r == wr
                 for d_idx in (0, 1):
