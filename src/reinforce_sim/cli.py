@@ -13,19 +13,22 @@ from __future__ import annotations
 import io
 import json
 import sys
+import warnings
 
 import click
 from scipy import stats
 
 from . import __version__
 from .direct import ModelParams, meeting_statistics, run_direct, run_direct_batch
-from .distributions import BetaParams, RngStream, digamma, integrate_log_odds
+from .distributions import (
+    ENVIRONMENT, HOLDING_TIMES, BetaParams, RngStream, digamma, integrate_log_odds,
+)
 from .rwre import criterion, difference_recurrence
 from .urn import (
     MagicUrn, PolyaUrn, polya_fraction_samples, polya_limit_law, three_color_fraction_samples,
 )
 from .urn_process import MAX_ENUM_HORIZON, SmallAPolicyError, enumerate_exact, tv_distance
-from .coupling import marginal_check, run_coupling
+from .coupling import Environment, marginal_check, run_coupling
 
 TV_TOLERANCE = 1e-12
 
@@ -82,13 +85,10 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _model_params(a, delta, l0, r0, events, seed, allow_small_a=False) -> ModelParams:
-    if delta < 0:
-        raise click.UsageError(f"delta must be nonnegative (got {delta})")
+def _model_params(a, delta, l0, r0, events, allow_small_a=False) -> ModelParams:
     try:
         return ModelParams(
-            a=a, delta=delta, l0=l0, r0=r0, max_events=events, seed=seed,
-            allow_small_a=allow_small_a,
+            a=a, delta=delta, l0=l0, r0=r0, max_events=events, allow_small_a=allow_small_a,
         )
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
@@ -122,7 +122,8 @@ _config_option = click.option(
 @click.option("--trials", type=int, default=100, help="Number of trials (default 100).")
 @click.option("--stop-after-meetings", type=int, default=None,
               help="End each trial after this many meetings (hitting-time mode).")
-@click.option("--timestamps", is_flag=True, help="Attach exponential holding times.")
+@click.option("--timestamps", is_flag=True,
+              help="Give the --trajectory-out events exponential holding times.")
 @_seed_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Meeting statistics CSV (default stdout).")
@@ -135,20 +136,10 @@ def simulate(n, a, delta, l0, r0, events, trials,
         raise click.UsageError("--n must be 1 or 2 (more walkers need explicit start positions)")
     if trials < 1:
         raise click.UsageError("--trials must be at least 1")
-    params = _model_params(a, delta, l0, r0, events, seed)
+    params = _model_params(a, delta, l0, r0, events)
 
     streams = [RngStream(seed, trial) for trial in range(trials)]
-    if timestamps:
-        # holding times interleave a variable number of draws with the
-        # uniforms, so only the scalar engine replays them
-        records = [
-            run_direct(params, n, rng, record_events=False, timestamps=True,
-                       stop_after_meetings=stop_after_meetings)
-            for rng in streams
-        ]
-    else:
-        records = run_direct_batch(params, n, streams,
-                                   stop_after_meetings=stop_after_meetings)
+    records = run_direct_batch(params, n, streams, stop_after_meetings=stop_after_meetings)
     resolved = {
         "n": n, "a": a, "delta": delta, "l0": l0, "r0": r0,
         "events": events, "trials": trials, "seed": seed,
@@ -165,9 +156,9 @@ def simulate(n, a, delta, l0, r0, events, trials,
             buf.write(f"{row['k']},{row['frequency']!r},{row['stderr']!r}\r\n")
     _write_text(out_path, buf.getvalue())
     if trajectory_out is not None:
-        first = run_direct(params, n, RngStream(seed, 0), timestamps=timestamps,
-                           stop_after_meetings=stop_after_meetings)
-        _write_text(trajectory_out, first.to_jsonl())
+        first = run_direct(params, n, RngStream(seed, 0), stop_after_meetings=stop_after_meetings)
+        clock = RngStream(seed, 0, HOLDING_TIMES) if timestamps else None
+        _write_text(trajectory_out, first.to_jsonl(clock))
 
 
 @main.command("urn-verify")
@@ -188,7 +179,7 @@ def urn_verify(a, delta, l0, r0, horizon, allow_small_a, out_path) -> None:
             f"horizon {horizon} outside [0, {MAX_ENUM_HORIZON}] "
             f"(full expansion would have ~{4 ** max(horizon, 0)} leaves)"
         )
-    params = _model_params(a, delta, l0, r0, 0, 0, allow_small_a=allow_small_a)
+    params = _model_params(a, delta, l0, r0, 0, allow_small_a=allow_small_a)
     try:
         d_direct = enumerate_exact("direct", params, horizon)
         d_urn = enumerate_exact("urn", params, horizon)
@@ -231,10 +222,11 @@ def couple(a, delta, l0, r0, events, trials, allow_small_a,
     is a hard failure (exit 1)."""
     if trials < 1:
         raise click.UsageError("--trials must be at least 1")
-    params = _model_params(a, delta, l0, r0, events, seed, allow_small_a=allow_small_a)
+    params = _model_params(a, delta, l0, r0, events, allow_small_a=allow_small_a)
     try:
         results = [
-            run_coupling(params, events, RngStream(seed, trial))
+            run_coupling(params, events, RngStream(seed, trial),
+                         Environment(params, RngStream(seed, trial, ENVIRONMENT)))
             for trial in range(trials)
         ]
     except SmallAPolicyError as exc:
@@ -246,10 +238,7 @@ def couple(a, delta, l0, r0, events, trials, allow_small_a,
     lines = [json.dumps({"meta": _meta(resolved)}, sort_keys=True)]
     lines += [res.to_json() for res in results]
     if do_marginal_check:
-        report = marginal_check(
-            params, trials=min(trials, 200), max_events=events,
-            rng=RngStream(seed, 10_000_000), env_rng=RngStream(seed, 20_000_000),
-        )
+        report = marginal_check(params, trials=min(trials, 200), max_events=events, seed=seed)
         lines.append(report.to_json())
     _write_text(out_path, "\n".join(lines) + "\n")
     violations = sum(res.violations for res in results)
@@ -299,6 +288,9 @@ def criterion_cmd(pairs, out_path) -> None:
 def polya(red, blue, d, draws, runs, three_color, ks_threshold, seed, out_path) -> None:
     """Monte Carlo check of the urn limit laws (KS against the Beta or
     Dirichlet-marginal targets); exit 1 if a KS distance exceeds the threshold."""
+    for name, value in (("--draws", draws), ("--runs", runs)):
+        if value < 1:
+            raise click.UsageError(f"{name} must be at least 1")
     try:
         urn = PolyaUrn(red, blue, d)
     except ValueError as exc:
@@ -361,11 +353,9 @@ def rwre(alpha1, beta1, alpha2, beta2, budgets, trials, seed, out_path) -> None:
         raise click.UsageError("--budgets must be positive integers")
     if trials < 1:
         raise click.UsageError("--trials must be at least 1")
-    import warnings as _warnings
-
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
-        curve = difference_recurrence(p1, p2, budget_list, trials, RngStream(seed, 0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        curve = difference_recurrence(p1, p2, budget_list, trials, seed)
     for w in caught:
         click.echo(f"warning: {w.message}", err=True)
     resolved = {"alpha1": alpha1, "beta1": beta1, "alpha2": alpha2, "beta2": beta2,

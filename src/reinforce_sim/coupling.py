@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from scipy import stats
 
 from .direct import ModelParams
-from .distributions import RngStream, sample_dirichlet
+from .distributions import ENVIRONMENT, BetaParams, RngStream, sample_beta, sample_dirichlet
 from .urn import MagicUrn, Side, magic_draw, magic_limit_params
 from .urn_process import UrnField, check_small_a_policy, initial_masses
 
@@ -59,18 +59,17 @@ def sample_site_environment(params: ModelParams, v: int, rng: RngStream) -> Site
         return SiteEnvironment(q_r, p_l)
     if p.alpha_red is None and p.alpha_blue is None:
         return SiteEnvironment(0.0, 0.0)
+    # one fraction frozen at 0; the other against the family aggregates to a Beta
     if p.alpha_red is None:
-        # red fraction frozen at 0; (family, blue) aggregate to Beta(blue, family)
-        g_fam = rng.gen.gamma(p.alpha_family)
-        g_blue = rng.gen.gamma(p.alpha_blue)
-        return SiteEnvironment(0.0, g_blue / (g_fam + g_blue))
-    g_fam = rng.gen.gamma(p.alpha_family)
-    g_red = rng.gen.gamma(p.alpha_red)
-    return SiteEnvironment(g_red / (g_fam + g_red), 0.0)
+        return SiteEnvironment(0.0, sample_beta(rng, BetaParams(p.alpha_blue, p.alpha_family)))
+    return SiteEnvironment(sample_beta(rng, BetaParams(p.alpha_red, p.alpha_family)), 0.0)
 
 
 class Environment:
-    """Lazily sampled, memoized site -> SiteEnvironment table."""
+    """Lazily sampled, memoized site -> SiteEnvironment table.
+
+    Sites are drawn from ``rng`` in the order they are first visited.
+    """
 
     def __init__(self, params: ModelParams, rng: RngStream):
         check_small_a_policy(params)
@@ -104,12 +103,7 @@ class CoupledState:
             )
 
 
-def init_coupled_state(params: ModelParams, env: Environment | None = None,
-                       env_rng: RngStream | None = None) -> CoupledState:
-    if env is None:
-        if env_rng is None:
-            raise ValueError("provide either an Environment or an env_rng to sample one")
-        env = Environment(params, env_rng)
+def init_coupled_state(params: ModelParams, env: Environment) -> CoupledState:
     return CoupledState(
         lP=params.l0, l=params.l0, r=params.r0, rP=params.r0,
         field=UrnField(params) if params.l0 < params.r0 else None,
@@ -171,7 +165,7 @@ class CouplingRunResult:
     max_gap: int  # maximum of rP - lP over the run
     events_executed: int
     seed: int
-    stream_id: int
+    stream_id: int  # trial of the dynamics stream (seed, trial)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -187,23 +181,17 @@ class CouplingRunResult:
 
 
 def run_coupling(
-    params: ModelParams,
-    max_events: int,
-    rng: RngStream,
-    env: Environment | None = None,
-    env_rng: RngStream | None = None,
+    params: ModelParams, max_events: int, rng: RngStream, env: Environment
 ) -> CouplingRunResult:
-    """Run the coupled quadruple until the inner pair meets or the budget ends.
+    """Run the coupled quadruple on dynamics stream ``rng`` in environment
+    ``env`` until the inner pair meets or the budget ends.
 
     The environment may be shared across runs (fixed-environment
-    experiments) or sampled from ``env_rng``; by default it is sampled
-    from the dynamics stream.
+    experiments) or sampled per run from its own stream.
     """
-    if env is None:
-        env = Environment(params, env_rng if env_rng is not None else rng)
     if params.l0 == params.r0:
-        return CouplingRunResult(0, 0, 0, 0, rng.seed, rng.stream_id)
-    state = init_coupled_state(params, env=env)
+        return CouplingRunResult(0, 0, 0, 0, rng.seed, rng.trial)
+    state = init_coupled_state(params, env)
     max_gap = state.rP - state.lP
     violations = 0
     tau1 = None
@@ -219,7 +207,7 @@ def run_coupling(
                 break
     except SandwichViolationError:
         violations = 1
-    return CouplingRunResult(violations, tau1, max_gap, e, rng.seed, rng.stream_id)
+    return CouplingRunResult(violations, tau1, max_gap, e, rng.seed, rng.trial)
 
 
 @dataclass
@@ -259,25 +247,26 @@ def marginal_check(
     params: ModelParams,
     trials: int,
     max_events: int,
-    rng: RngStream,
-    env_rng: RngStream,
+    seed: int,
     significance: float = 0.01,
     min_visits: int = 20,
 ) -> MarginalCheckReport:
     """Verify the free outer walkers follow their per-site jump laws.
 
-    One environment draw is shared across all trials; only free
-    (non-coincident) steps are tallied, since coincident steps are
-    resolved by the urn drawing rather than the limiting fractions.
+    The environment of trial 0, stream (seed, 0, ENVIRONMENT), is held
+    fixed, and trials 0, 1, ... rerun their dynamics streams (seed, trial)
+    in it.  Only free (non-coincident) steps are tallied, since coincident
+    steps are resolved by the urn drawing rather than the limiting
+    fractions.
     """
-    env = Environment(params, env_rng)
+    env = Environment(params, RngStream(seed, 0, ENVIRONMENT))
     counts: dict[tuple[str, int], list[int]] = {}
 
     for trial in range(trials):
-        trial_rng = RngStream(rng.seed, rng.stream_id + 1 + trial)
+        trial_rng = RngStream(seed, trial)
         if params.l0 == params.r0:
             break
-        state = init_coupled_state(params, env=env)
+        state = init_coupled_state(params, env)
         for _ in range(max_events):
             if state.l >= state.r:
                 break

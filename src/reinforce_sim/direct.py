@@ -2,8 +2,8 @@
 
 Each particle carries an independent rate-1 exponential clock, so the
 embedded jump chain picks the next mover uniformly among the particles.
-Continuous timestamps are optional decoration sampled as Exp(n) holding
-times; every distributional statement here is about the jump chain.
+Continuous timestamps are optional decoration, Exp(n) holding times
+from a stream of their own; every statement here is about the jump chain.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ class ModelParams:
     l0: int
     r0: int
     max_events: int = 0
-    seed: int = 0
     allow_small_a: bool = False
 
     def __post_init__(self) -> None:
@@ -76,7 +75,7 @@ def right_jump_probability(weights: WeightMap, v: int, delta):
 class TrajectoryRecord:
     """Event log of one run plus the meeting times of the tracked particles.
 
-    ``events`` holds (event index, time or None, particle id, from, to);
+    ``events`` holds (event index, particle id, from, to);
     ``meeting_times`` holds event indices at which all particles coincide
     (0 is recorded when they start coincident).
     """
@@ -88,9 +87,15 @@ class TrajectoryRecord:
     final_positions: list = field(default_factory=list)
     events_executed: int = 0
 
-    def to_jsonl(self) -> str:
+    def to_jsonl(self, clock: RngStream | None = None) -> str:
+        """One JSON line per event; its time "t" sums the Exp(n) holding
+        times drawn from ``clock`` up to the event, or is null."""
+        times = [None] * len(self.events)
+        if clock is not None:
+            holds = clock.gen.exponential(1.0 / self.n_particles, size=len(self.events))
+            times = np.cumsum(holds).tolist()
         lines = []
-        for e, t, p, frm, to in self.events:
+        for (e, p, frm, to), t in zip(self.events, times):
             lines.append(json.dumps({"e": e, "t": t, "p": p, "from": frm, "to": to}))
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -137,7 +142,6 @@ def run_direct(
     rng: RngStream,
     positions: list[int] | None = None,
     record_events: bool = True,
-    timestamps: bool = False,
     stop_after_meetings: int | None = None,
 ) -> TrajectoryRecord:
     """Run up to ``params.max_events`` jumps and record meetings.
@@ -148,7 +152,6 @@ def run_direct(
     positions = _start_positions(params, n_particles, positions)
     record = TrajectoryRecord(params=params, n_particles=n_particles)
     weights = WeightMap(params.a)
-    t = 0.0
 
     if n_particles > 1 and len(set(positions)) == 1:
         record.meeting_times.append(0)
@@ -157,11 +160,9 @@ def run_direct(
             return record
 
     for e in range(1, params.max_events + 1):
-        if timestamps:
-            t += rng.exponential(1.0 / n_particles)
         i, frm, to = direct_step(weights, positions, params, rng)
         if record_events:
-            record.events.append((e, t if timestamps else None, i, frm, to))
+            record.events.append((e, i, frm, to))
         record.events_executed = e
         if n_particles > 1 and min(positions) == max(positions):
             record.meeting_times.append(e)

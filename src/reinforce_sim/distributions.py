@@ -1,10 +1,12 @@
 """Seeded random streams and the beta / Dirichlet / digamma substrate.
 
 All randomness in the package flows through :class:`RngStream`, a
-counter-based Philox generator keyed by ``(seed, stream_id)``.  The same
-pair reproduces the same draw sequence on any platform; distinct stream
-ids give statistically independent streams (numpy's SeedSequence
-spawning guarantee).
+counter-based Philox generator keyed in the style of Random123 (Salmon
+et al., SC'11): a trial's dynamics stream by ``(seed, trial)``, anything
+else the trial samples (an environment, holding times) by ``(seed,
+trial, role)``.  Dynamics streams give only uniforms, so no output
+depends on how uniforms are buffered.  Distinct keys give statistically
+independent streams (numpy's SeedSequence guarantee).
 """
 from __future__ import annotations
 
@@ -14,7 +16,13 @@ import numpy as np
 from scipy import integrate, special
 
 _MASK64 = (1 << 64) - 1
-_BUFFER_BLOCK = 8192
+_BUFFER_BLOCK = 1024
+
+# Roles: SeedSequence([s, t, 0]) equals SeedSequence([s, t]), so role 0
+# would alias the dynamics stream and is not one.
+ENVIRONMENT = 1  # a coupled run's quenched environment; rwre chain one's
+MIRROR_ENVIRONMENT = 2  # rwre chain two's (the mirrored half-line)
+HOLDING_TIMES = 3  # exponential holding times of a logged trajectory
 
 
 class QuadratureError(RuntimeError):
@@ -23,22 +31,26 @@ class QuadratureError(RuntimeError):
 
 @dataclass
 class RngStream:
-    """Deterministic random stream keyed by (seed, stream_id).
+    """Deterministic random stream keyed by (seed, trial) or (seed, trial, role).
 
-    Backed by numpy's Philox4x64 bit generator seeded through
-    ``SeedSequence([seed, stream_id])``.  Uniform draws are buffered in
-    blocks for speed; consumption order is still fully deterministic.
+    Backed by numpy's Philox4x64 bit generator seeded through the
+    ``SeedSequence`` of the key.  Uniform draws are buffered in blocks for
+    speed; consumption order is still fully deterministic.
     """
 
     seed: int
-    stream_id: int
+    trial: int
+    role: int | None = None
     gen: np.random.Generator = field(init=False, repr=False)
     _buf: np.ndarray = field(init=False, repr=False)
     _pos: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        ss = np.random.SeedSequence([self.seed & _MASK64, self.stream_id & _MASK64])
-        self.gen = np.random.Generator(np.random.Philox(ss))
+        if self.role == 0:
+            raise ValueError("role 0 aliases the dynamics stream; roles are nonzero")
+        key = [self.seed & _MASK64, self.trial & _MASK64]
+        key += [] if self.role is None else [self.role]
+        self.gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
         self._buf = np.empty(0)
         self._pos = 0
 
@@ -64,13 +76,10 @@ class RngStream:
         self._pos += k
         return np.concatenate((head, self.gen.random(n - k)))
 
-    def exponential(self, scale: float = 1.0) -> float:
-        return float(self.gen.exponential(scale))
 
-
-def make_stream(seed: int, stream_id: int = 0) -> RngStream:
-    """Create a deterministic stream for the given (seed, stream_id) pair."""
-    return RngStream(int(seed), int(stream_id))
+def make_stream(seed: int, trial: int = 0) -> RngStream:
+    """Create the dynamics stream of the given (seed, trial) pair."""
+    return RngStream(int(seed), int(trial))
 
 
 @dataclass(frozen=True)

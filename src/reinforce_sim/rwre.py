@@ -12,7 +12,9 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-from .distributions import BetaParams, RngStream, digamma, sample_beta
+from .distributions import (
+    ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, digamma, sample_beta,
+)
 
 
 class Classification(Enum):
@@ -89,8 +91,9 @@ def criterion(p: BetaParams) -> CriterionResult:
 class BDEnvironment:
     """Per-site right-jump probabilities: iid Beta draws plus overrides.
 
-    Sites are sampled lazily and memoized; ``overrides`` pins exact
-    values (e.g. reflecting boundaries with p = 1).
+    Sites are sampled lazily from ``rng`` in the order they are first
+    visited, and memoized; ``overrides`` pins exact values (e.g.
+    reflecting boundaries with p = 1).
     """
 
     def __init__(
@@ -146,7 +149,7 @@ def difference_recurrence(
     p2: BetaParams,
     budgets: list[int],
     trials: int,
-    rng: RngStream,
+    seed: int,
 ) -> RecurrenceCurve:
     """Monte Carlo return-probability curve for the difference of two
     conditionally independent half-line chains.
@@ -156,6 +159,11 @@ def difference_recurrence(
     p2.  Per trial, the first event at which both chains are back at 0
     simultaneously is recorded; the curve reports the fraction of trials
     with a return by each budget.
+
+    Trial t moves on stream (seed, t); chain one's environment comes from
+    (seed, t, ENVIRONMENT), chain two's from (seed, t, MIRROR_ENVIRONMENT).
+    A chain reaches site i only after sites 1, ..., i - 1, so the draw of
+    site i does not depend on the path.
     """
     budgets = sorted(budgets)
     if not budgets or budgets[0] <= 0:
@@ -172,9 +180,9 @@ def difference_recurrence(
     max_budget = budgets[-1]
     first_returns = []
     for trial in range(trials):
-        trial_rng = RngStream(rng.seed, rng.stream_id + 1 + trial)
-        env1 = BDEnvironment(sampler=p1, rng=trial_rng, overrides={0: 1.0})
-        env2 = BDEnvironment(sampler=p2, rng=trial_rng, overrides={0: 1.0})
+        trial_rng = RngStream(seed, trial)
+        env1 = BDEnvironment(p1, RngStream(seed, trial, ENVIRONMENT), overrides={0: 1.0})
+        env2 = BDEnvironment(p2, RngStream(seed, trial, MIRROR_ENVIRONMENT), overrides={0: 1.0})
         zr = 0  # distance of chain one from the origin (nonnegative)
         zl = 0  # distance of chain two from the origin (nonnegative)
         first = None

@@ -135,7 +135,10 @@ def magic_draw(urn: MagicUrn, present: Side, rng: RngStream) -> tuple[Side, bool
 
     One uniform picks the direction pool by mass (``left_mass`` against
     the rest), and within the pool the marble is pure when that uniform
-    falls below the pool's pure mass.
+    falls below the pool's pure mass.  A negative pure mass (a < 1) makes
+    the pure/family split ill-defined; the draw then goes to the pool's
+    family marbles, which leaves the walk's law alone (it only depends on
+    the pooled masses).
     """
     left = left_mass(urn, present)
     total = urn.total
@@ -147,16 +150,7 @@ def magic_draw(urn: MagicUrn, present: Side, rng: RngStream) -> tuple[Side, bool
     else:
         u -= left
         direction, pure_mass = Side.RIGHT, urn.pure_blue
-    if pure_mass < 0:
-        # the pure/family split is ill-defined here (a < 1): the draw goes
-        # to the pool's family marbles, which leaves the walk's law alone
-        # (it only depends on the pooled masses).  A second uniform, the
-        # one a reattribution among the pool's other marbles would use,
-        # is still drawn: seeded small-a runs depend on it.
-        rng.uniform()
-        pure = False
-    else:
-        pure = u < pure_mass
+    pure = u < pure_mass  # never for a negative pure mass: u >= 0
     reinforce(urn, direction, pure)
     return direction, pure
 

@@ -10,10 +10,12 @@ import pytest
 from scipy import stats
 
 from reinforce_sim import baselines
-from reinforce_sim.coupling import run_coupling, sample_site_environment
+from reinforce_sim.coupling import Environment, run_coupling, sample_site_environment
 from reinforce_sim.direct import ModelParams, run_direct_batch
 from reinforce_sim.distributions import (
+    ENVIRONMENT,
     BetaParams,
+    RngStream,
     digamma,
     integrate_log_odds,
     make_stream,
@@ -61,7 +63,9 @@ def test_criterion_2_sandwich_invariant():
     total = violations = tau1_hits = 0
     for c, params in enumerate(PARAM_GRID):
         for t in range(runs_per_config):
-            res = run_coupling(params, budget, make_stream(2026, c * 10_000 + t))
+            key = (2026, c * 10_000 + t)
+            res = run_coupling(params, budget, make_stream(*key),
+                               Environment(params, RngStream(*key, ENVIRONMENT)))
             total += 1
             violations += res.violations
             tau1_hits += res.tau1_event is not None
@@ -195,8 +199,7 @@ def test_criterion_5_recurrence_trend_direct():
 def test_criterion_5_recurrence_trend_difference():
     p = BetaParams(0.5, 1.5)
     budgets = [100, 1_000, 10_000]
-    curve = difference_recurrence(p, p, budgets, baselines.PILOT_TRIALS,
-                                  make_stream(525, 0))
+    curve = difference_recurrence(p, p, budgets, baselines.PILOT_TRIALS, 525)
     monotone = all(
         f1 <= f2 for f1, f2 in zip(curve.hit_fractions, curve.hit_fractions[1:])
     )

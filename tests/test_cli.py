@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, output formats, reproducibility."""
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import reinforce_sim
+from reinforce_sim import distributions
 from reinforce_sim.cli import main
 from reinforce_sim.direct import ModelParams, meeting_statistics, run_direct
-from reinforce_sim.distributions import RngStream
+from reinforce_sim.distributions import HOLDING_TIMES, RngStream
 
 
 @pytest.fixture()
@@ -85,15 +88,14 @@ class TestSimulate:
                 "--stop-after-meetings", "3", "--out", str(out), "--trajectory-out", str(traj)]
         result = runner.invoke(main, args + (["--timestamps"] if timestamps else []))
         assert result.exit_code == 0
-        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=700, seed=13)
-        records = [
-            run_direct(params, 2, RngStream(13, t), timestamps=timestamps, stop_after_meetings=3)
-            for t in range(6)
-        ]
+        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=700)
+        records = [run_direct(params, 2, RngStream(13, t), stop_after_meetings=3)
+                   for t in range(6)]
         rows = [f"{r['k']},{r['frequency']!r},{r['stderr']!r}"
                 for r in meeting_statistics(records).rows()]
         assert read_csv(out).split("\r\n")[-len(rows) - 1:-1] == rows
-        assert traj.read_text() == records[0].to_jsonl()
+        clock = RngStream(13, 0, HOLDING_TIMES) if timestamps else None
+        assert traj.read_text() == records[0].to_jsonl(clock)
 
     def test_more_than_two_walkers_is_usage_error(self, runner):
         result = runner.invoke(main, ["simulate", "--n", "3"])
@@ -288,6 +290,12 @@ class TestPolya:
         result = runner.invoke(main, ["polya", "--red", "-1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--runs", "0"), ("--draws", "-3"), ("--draws", "0")])
+    def test_nonpositive_count_is_usage_error(self, runner, flag, value):
+        result = runner.invoke(main, ["polya", flag, value])
+        assert result.exit_code == 2
+        assert f"{flag} must be at least 1" in result.output
+
 
 class TestRwre:
     def test_curve_csv(self, runner, tmp_path):
@@ -327,11 +335,53 @@ class TestRwre:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+# Commands whose environments or holding times used to share a generator
+# with the buffered uniforms; TRAJ stands for a trajectory file.
+KEYED_STREAM_COMMANDS = {
+    "couple": ["couple", "--trials", "20", "--events", "2000", "--seed", "7"],
+    "couple-marginal-check": ["couple", "--trials", "20", "--events", "2000", "--seed", "7",
+                              "--marginal-check"],
+    "couple-small-a": ["couple", "--a", "0.5", "--allow-small-a", "--r0", "3", "--trials", "20",
+                       "--events", "2000", "--seed", "7"],
+    "rwre": ["rwre", "--budgets", "100,500", "--trials", "100", "--seed", "7"],
+    "simulate-timestamps": ["simulate", "--trials", "3", "--events", "20000", "--seed", "7",
+                            "--timestamps", "--trajectory-out", "TRAJ"],
+}
+
+
+class TestStreamKeys:
+    @pytest.mark.parametrize("name", sorted(KEYED_STREAM_COMMANDS))
+    def test_output_does_not_depend_on_the_buffer_block(self, runner, tmp_path, monkeypatch,
+                                                         name):
+        outputs = set()
+        for block in (8192, 4096, 1000):
+            monkeypatch.setattr(distributions, "_BUFFER_BLOCK", block)
+            out, traj = tmp_path / f"{block}.out", tmp_path / f"{block}.jsonl"
+            args = [str(traj) if a == "TRAJ" else a for a in KEYED_STREAM_COMMANDS[name]]
+            result = runner.invoke(main, args + ["--out", str(out)])
+            assert result.exit_code == 0
+            outputs.add((out.read_bytes(), traj.read_bytes() if traj.exists() else b""))
+        assert len(outputs) == 1
+
+    def test_timestamps_leave_the_meeting_csv_alone(self, runner, tmp_path):
+        args = ["simulate", "--trials", "8", "--events", "3000", "--seed", "7"]
+        plain, stamped = tmp_path / "plain.csv", tmp_path / "stamped.csv"
+        assert runner.invoke(main, args + ["--out", str(plain)]).exit_code == 0
+        assert runner.invoke(main, args + ["--timestamps", "--out", str(stamped)]).exit_code == 0
+        assert plain.read_bytes() == stamped.read_bytes()
+
+
 class TestTopLevel:
     def test_version_flag(self, runner):
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
         assert "reinforce-sim" in result.output
+
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+        assert project["version"] == reinforce_sim.__version__
 
     def test_help_lists_subcommands(self, runner):
         result = runner.invoke(main, ["--help"])

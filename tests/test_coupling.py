@@ -19,13 +19,18 @@ from reinforce_sim.coupling import (
     sample_site_environment,
 )
 from reinforce_sim.direct import ModelParams
-from reinforce_sim.distributions import make_stream
+from reinforce_sim.distributions import ENVIRONMENT, RngStream, make_stream
 from reinforce_sim.urn import MagicUrn, magic_limit_params
 from reinforce_sim.urn_process import SmallAPolicyError, initial_masses
 
 
 def params_for(a=1.0, delta=0.0, l0=0, r0=2, **kw):
     return ModelParams(a=a, delta=delta, l0=l0, r0=r0, **kw)
+
+
+def env_for(params, seed, trial=0):
+    """The environment of trial ``trial``, from its own role stream."""
+    return Environment(params, RngStream(seed, trial, ENVIRONMENT))
 
 
 def site_dirichlet_params(params, v):
@@ -119,12 +124,12 @@ class TestEnvironment:
 
 class TestCoupledStep:
     def test_initial_state_is_degenerate_sandwich(self):
-        state = init_coupled_state(params_for(), env_rng=make_stream(85, 0))
+        state = init_coupled_state(params_for(), env_for(params_for(), 85, 0))
         assert (state.lP, state.l, state.r, state.rP) == (0, 0, 2, 2)
         state.check_sandwich()
 
     def test_step_past_meeting_rejected(self):
-        state = init_coupled_state(params_for(), env_rng=make_stream(86, 0))
+        state = init_coupled_state(params_for(), env_for(params_for(), 86, 0))
         state.l = state.r = 1
         with pytest.raises(SandwichViolationError):
             coupled_step(state, make_stream(86, 1))
@@ -135,7 +140,7 @@ class TestCoupledStep:
         p = params_for(r0=4)
         rng = make_stream(87, 0)
         for _ in range(300):
-            state = init_coupled_state(p, env_rng=make_stream(87, 1))
+            state = init_coupled_state(p, env_for(p, 87, 1))
             set_urn(state, 0, MagicUrn(0.0, 0.0))
             set_urn(state, 4, MagicUrn(0.0, 0.0))
             g, (lP, l, r, rP) = coupled_step(state, rng)
@@ -152,7 +157,7 @@ class TestCoupledStep:
         rng = make_stream(88, 0)
         seen_split = False
         for _ in range(300):
-            state = init_coupled_state(p, env_rng=make_stream(88, 1))
+            state = init_coupled_state(p, env_for(p, 88, 1))
             set_urn(state, 0, MagicUrn(0.0, 0.0, fam_blue=1e9))
             g, (lP, l, r, rP) = coupled_step(state, rng)
             if g == "l_group" and l == 1:
@@ -165,7 +170,7 @@ class TestCoupledStep:
         rng = make_stream(89, 0)
         seen = False
         for _ in range(300):
-            state = init_coupled_state(p, env_rng=make_stream(89, 1))
+            state = init_coupled_state(p, env_for(p, 89, 1))
             set_urn(state, 0, MagicUrn(0.0, 1e9))
             g, (lP, l, r, rP) = coupled_step(state, rng)
             if g == "l_group":
@@ -176,7 +181,7 @@ class TestCoupledStep:
     def test_free_walker_clock_groups(self):
         p = params_for(r0=4)
         rng = make_stream(90, 0)
-        state = init_coupled_state(p, env_rng=make_stream(90, 1))
+        state = init_coupled_state(p, env_for(p, 90, 1))
         state.lP = -3  # free both outer walkers
         state.rP = 7
         groups = set()
@@ -192,18 +197,19 @@ class TestRunCoupling:
     def test_no_violations_and_ordering_summary(self):
         p = params_for()
         for t in range(100):
-            res = run_coupling(p, 2000, make_stream(91, t))
+            res = run_coupling(p, 2000, make_stream(91, t), env_for(p, 91, t))
             assert res.violations == 0
             assert res.max_gap >= 2
             if res.tau1_event is not None:
                 assert res.tau1_event <= res.events_executed
 
     def test_coincident_start_summary(self):
-        res = run_coupling(params_for(l0=1, r0=1), 100, make_stream(92, 0))
+        p = params_for(l0=1, r0=1)
+        res = run_coupling(p, 100, make_stream(92, 0), env_for(p, 92))
         assert (res.violations, res.tau1_event, res.events_executed) == (0, 0, 0)
 
     def test_json_summary_schema(self):
-        res = run_coupling(params_for(), 500, make_stream(93, 0))
+        res = run_coupling(params_for(), 500, make_stream(93, 0), env_for(params_for(), 93))
         row = json.loads(res.to_json())
         assert set(row) == {
             "violations", "tau1_event", "max_rP_minus_lP", "events", "seed", "stream_id",
@@ -213,18 +219,15 @@ class TestRunCoupling:
     def test_shared_environment_reuse(self):
         p = params_for()
         env = Environment(p, make_stream(94, 0))
-        r1 = run_coupling(p, 500, make_stream(94, 1), env=env)
-        r2 = run_coupling(p, 500, make_stream(94, 2), env=env)
+        r1 = run_coupling(p, 500, make_stream(94, 1), env)
+        r2 = run_coupling(p, 500, make_stream(94, 2), env)
         assert r1.violations == r2.violations == 0
 
 
 class TestMarginalCheck:
     def test_free_walkers_follow_environment(self):
         p = params_for()
-        report = marginal_check(
-            p, trials=300, max_events=2000,
-            rng=make_stream(95, 0), env_rng=make_stream(95, 1),
-        )
+        report = marginal_check(p, trials=300, max_events=2000, seed=95)
         assert report.passed
         assert report.trials == 300
         assert len(report.checks) > 0
@@ -236,20 +239,14 @@ class TestMarginalCheck:
         # a=1: site l0 has p_l frozen at 0, so a free left outer walker
         # there never jumps right
         p = params_for()
-        report = marginal_check(
-            p, trials=300, max_events=2000,
-            rng=make_stream(96, 0), env_rng=make_stream(96, 1),
-        )
+        report = marginal_check(p, trials=300, max_events=2000, seed=96)
         for c in report.checks:
             if c.walker == "lP" and c.expected_right == 0.0:
                 assert c.right_jumps == 0
 
     def test_json_schema(self):
         p = params_for()
-        report = marginal_check(
-            p, trials=50, max_events=500,
-            rng=make_stream(97, 0), env_rng=make_stream(97, 1),
-        )
+        report = marginal_check(p, trials=50, max_events=500, seed=97)
         data = json.loads(report.to_json())
         assert set(data) == {"trials", "significance", "excluded_sites", "passed", "checks"}
 
@@ -261,7 +258,7 @@ class TestMarginalCheck:
         lex, rex = [], []
         for t in range(300):
             rng = make_stream(98, 100 + t)
-            state = init_coupled_state(p, env=env)
+            state = init_coupled_state(p, env)
             state.lP = -15
             state.rP = 25
             lc = lr = rc = rr = 0

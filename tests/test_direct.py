@@ -18,7 +18,7 @@ from reinforce_sim.direct import (
     run_direct,
     run_direct_batch,
 )
-from reinforce_sim.distributions import make_stream
+from reinforce_sim.distributions import HOLDING_TIMES, RngStream, make_stream
 
 
 def added_weight(w: WeightMap, lo: int, hi: int):
@@ -141,7 +141,7 @@ class TestRunDirect:
         rec = run_direct(params, 2, make_stream(56, 0))
         positions = [0, 3]
         meetings = []
-        for e, t, p, frm, to in rec.events:
+        for e, p, frm, to in rec.events:
             assert positions[p] == frm
             assert abs(to - frm) == 1
             positions[p] = to
@@ -161,9 +161,12 @@ class TestRunDirect:
 
     def test_timestamps_increase(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=4, max_events=200)
-        rec = run_direct(params, 2, make_stream(58, 0), timestamps=True)
-        times = [t for _, t, _, _, _ in rec.events]
+        rec = run_direct(params, 2, make_stream(58, 0))
+        lines = rec.to_jsonl(RngStream(58, 0, HOLDING_TIMES)).splitlines()
+        times = [json.loads(line)["t"] for line in lines]
+        assert len(times) == 200 and times[0] > 0
         assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
+        assert all(json.loads(line)["t"] is None for line in rec.to_jsonl().splitlines())
 
     def test_stop_after_first_meeting(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=100_000)

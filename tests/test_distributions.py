@@ -6,9 +6,13 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from reinforce_sim.distributions import (
+    ENVIRONMENT,
+    HOLDING_TIMES,
+    MIRROR_ENVIRONMENT,
     BetaParams,
     DirichletParams,
     QuadratureError,
+    RngStream,
     digamma,
     integrate_log_odds,
     make_stream,
@@ -40,7 +44,7 @@ class TestRngStream:
         assert ((block >= 0) & (block < 1)).all()
 
     def test_uniforms_continue_the_uniform_sequence(self):
-        # crosses the 8192-draw buffer boundary with the buffer partly drained
+        # crosses buffer boundaries with the buffer partly drained
         ref = make_stream(8, 1)
         expected = [ref.uniform() for _ in range(20_000)]
         rng = make_stream(8, 1)
@@ -53,6 +57,20 @@ class TestRngStream:
 
     def test_zero_seed_is_valid(self):
         assert 0.0 <= make_stream(0, 0).uniform() < 1.0
+
+    def test_distinct_keys_give_distinct_streams(self):
+        keys = [(trial, role) for trial in range(4)
+                for role in (None, ENVIRONMENT, MIRROR_ENVIRONMENT, HOLDING_TIMES)]
+        heads = {tuple(RngStream(5, trial, role).uniforms(8)) for trial, role in keys}
+        assert len(heads) == len(keys)
+
+    def test_dynamics_stream_has_no_role(self):
+        # the dynamics key stays SeedSequence([seed, trial]), which keeps
+        # seeded simulate output; role 0 would alias it
+        ref = np.random.Generator(np.random.Philox(np.random.SeedSequence([5, 2])))
+        assert RngStream(5, 2).uniforms(8).tolist() == ref.random(8).tolist()
+        with pytest.raises(ValueError, match="role 0"):
+            RngStream(5, 2, 0)
 
 
 class TestSampleBeta:

@@ -128,7 +128,7 @@ class TestSimulateBd:
 class TestDifferenceRecurrence:
     def test_curve_is_monotone_with_errors(self):
         p = BetaParams(0.5, 1.5)  # mu > 0
-        curve = difference_recurrence(p, p, [100, 400, 1600], 200, make_stream(108, 0))
+        curve = difference_recurrence(p, p, [100, 400, 1600], 200, 108)
         assert curve.regime_ok
         assert curve.budgets == [100, 400, 1600]
         assert all(
@@ -141,36 +141,38 @@ class TestDifferenceRecurrence:
     def test_outside_regime_warns(self):
         p = BetaParams(2.0, 1.0)  # mu < 0
         with pytest.warns(UserWarning, match="mu > 0"):
-            curve = difference_recurrence(p, p, [50], 20, make_stream(109, 0))
+            curve = difference_recurrence(p, p, [50], 20, 109)
         assert not curve.regime_ok
 
     def test_invalid_inputs_rejected(self):
         p = BetaParams(0.5, 1.5)
         with pytest.raises(ValueError):
-            difference_recurrence(p, p, [], 10, make_stream(110, 0))
+            difference_recurrence(p, p, [], 10, 110)
         with pytest.raises(ValueError):
-            difference_recurrence(p, p, [0], 10, make_stream(110, 0))
+            difference_recurrence(p, p, [0], 10, 110)
         with pytest.raises(ValueError):
-            difference_recurrence(p, p, [10], 0, make_stream(110, 0))
+            difference_recurrence(p, p, [10], 0, 110)
 
     def test_deterministic_reduction_oracle(self):
         # chain one frozen as the 0-1 oscillator (point mass at zero):
         # an independent re-implementation of the reduced system must
-        # produce the same hit fractions from the same streams
+        # produce the same hit fractions from the same keyed streams
         p1 = BetaParams.degenerate_zero()
         p2 = BetaParams(0.5, 1.5)
         budgets = [50, 200, 800]
         trials = 150
-        seed_rng = make_stream(111, 0)
         with pytest.warns(UserWarning):
-            curve = difference_recurrence(p1, p2, budgets, trials, seed_rng)
+            curve = difference_recurrence(p1, p2, budgets, trials, 111)
 
-        from reinforce_sim.distributions import RngStream, sample_beta
+        from reinforce_sim.distributions import MIRROR_ENVIRONMENT, RngStream, sample_beta
 
         firsts = []
         for trial in range(trials):
-            rng = RngStream(111, 1 + trial)
-            env2 = {}
+            rng = RngStream(111, trial)
+            # chain two meets its sites in the order 1, 2, ..., so the
+            # k-th draw of its environment stream is site k's
+            env_rng = RngStream(111, trial, MIRROR_ENVIRONMENT)
+            env2 = []
             zr = zl = 0
             first = None
             for e in range(1, budgets[-1] + 1):
@@ -183,9 +185,9 @@ class TestDifferenceRecurrence:
                     if zl == 0:
                         zl = 1
                     else:
-                        if zl not in env2:
-                            env2[zl] = sample_beta(rng, p2)
-                        zl = zl + 1 if u < env2[zl] else zl - 1
+                        while len(env2) < zl:
+                            env2.append(sample_beta(env_rng, p2))
+                        zl = zl + 1 if u < env2[zl - 1] else zl - 1
                 if zr == 0 and zl == 0:
                     first = e
                     break

@@ -292,7 +292,8 @@ class TestMagicDraw:
             return
         direction, pure = magic_draw(urn, present, rng)
         assert (direction, pure, urn) == expected
-        assert rng.uniform() == ref_rng.uniform()  # both used the same draws
+        second = make_stream(seed, 0).uniforms(2)[1]
+        assert rng.uniform() == second  # magic_draw consumed exactly one uniform
 
 
 def edge_weights(urn: MagicUrn, present: Side):
