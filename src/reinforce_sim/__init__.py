@@ -2,10 +2,10 @@
 walks on the integer line, their marble-urn representation, the coupled
 random-environment sandwich, and birth-death recurrence criteria."""
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .direct import ModelParams, TrajectoryRecord, WeightMap, meeting_statistics, run_direct
-from .distributions import BetaParams, DirichletParams, RngStream, make_stream
+from .distributions import BetaParams, DirichletParams, RngStream
 from .rwre import BDEnvironment, Classification, CriterionResult, criterion
 from .urn import MagicUrn, PolyaUrn, Side
 from .urn_process import enumerate_exact, tv_distance
@@ -25,7 +25,6 @@ __all__ = [
     "WeightMap",
     "criterion",
     "enumerate_exact",
-    "make_stream",
     "meeting_statistics",
     "run_direct",
     "tv_distance",

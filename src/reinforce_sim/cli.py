@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 invariant falsified at runtime, 2 usage error.
 """
 from __future__ import annotations
 
-import io
 import json
 import sys
 import warnings
@@ -70,19 +69,22 @@ def _meta(config: dict) -> dict:
     return {"tool": "reinforce-sim", "version": __version__, "config": config}
 
 
-def _csv_header_lines(config: dict) -> list[str]:
-    return [
-        f"# reinforce-sim v{__version__}",
-        f"# config: {json.dumps(config, sort_keys=True)}",
-    ]
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+
+
+def _write_csv(path: str | None, config: dict, notes: list[str], columns: tuple, rows) -> None:
+    """CRLF CSV: version and config header lines, ``# note:`` lines, the
+    column row, then the ``repr`` of each row dict's cells."""
+    lines = [f"# reinforce-sim v{__version__}", f"# config: {json.dumps(config, sort_keys=True)}"]
+    lines += [f"# note: {note}" for note in notes]
+    lines.append(",".join(columns))
+    lines += [",".join(repr(row[c]) for c in columns) for row in rows]
+    _write_text(path, "".join(line + "\r\n" for line in lines))
 
 
 def _model_params(a, delta, l0, r0, events, allow_small_a=False) -> ModelParams:
@@ -145,16 +147,9 @@ def simulate(n, a, delta, l0, r0, events, trials,
         "events": events, "trials": trials, "seed": seed,
         "outside_recurrence_regime": params.outside_recurrence_regime,
     }
-    buf = io.StringIO()
-    for line in _csv_header_lines(resolved):
-        buf.write(line + "\r\n")
-    if params.outside_recurrence_regime:
-        buf.write("# note: delta >= 1 is outside the proven recurrence regime\r\n")
-    buf.write("k,frequency,stderr\r\n")
-    if n > 1:
-        for row in meeting_statistics(records).rows():
-            buf.write(f"{row['k']},{row['frequency']!r},{row['stderr']!r}\r\n")
-    _write_text(out_path, buf.getvalue())
+    notes = ["delta >= 1 is outside the proven recurrence regime"]
+    _write_csv(out_path, resolved, notes if params.outside_recurrence_regime else [],
+               ("k", "frequency", "stderr"), meeting_statistics(records).rows() if n > 1 else [])
     if trajectory_out is not None:
         first = run_direct(params, n, RngStream(seed, 0), stop_after_meetings=stop_after_meetings)
         clock = RngStream(seed, 0, HOLDING_TIMES) if timestamps else None
@@ -293,11 +288,10 @@ def polya(red, blue, d, draws, runs, three_color, ks_threshold, seed, out_path) 
             raise click.UsageError(f"{name} must be at least 1")
     try:
         urn = PolyaUrn(red, blue, d)
+        law = polya_limit_law(urn)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    rng = RngStream(seed, 0)
-    samples = polya_fraction_samples(urn, draws, runs, rng)
-    law = polya_limit_law(urn)
+        raise click.UsageError(f"no Beta limit law for red={red}, blue={blue}, d={d}: {exc}") from exc
+    samples = polya_fraction_samples(urn, draws, runs, RngStream(seed, 0))
     ks = float(stats.kstest(samples, lambda x: stats.beta.cdf(x, law.alpha, law.beta)).statistic)
     resolved = {"red": red, "blue": blue, "d": d, "draws": draws, "runs": runs,
                 "seed": seed, "ks_threshold": ks_threshold, "three_color": three_color}
@@ -361,13 +355,7 @@ def rwre(alpha1, beta1, alpha2, beta2, budgets, trials, seed, out_path) -> None:
     resolved = {"alpha1": alpha1, "beta1": beta1, "alpha2": alpha2, "beta2": beta2,
                 "budgets": budget_list, "trials": trials, "seed": seed,
                 "regime_ok": curve.regime_ok}
-    buf = io.StringIO()
-    for line in _csv_header_lines(resolved):
-        buf.write(line + "\r\n")
-    buf.write("budget,hit_fraction,stderr\r\n")
-    for row in curve.rows():
-        buf.write(f"{row['budget']},{row['hit_fraction']!r},{row['stderr']!r}\r\n")
-    _write_text(out_path, buf.getvalue())
+    _write_csv(out_path, resolved, [], ("budget", "hit_fraction", "stderr"), curve.rows())
 
 
 if __name__ == "__main__":

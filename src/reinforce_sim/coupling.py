@@ -93,7 +93,7 @@ class CoupledState:
     l: int
     r: int
     rP: int
-    field: UrnField | None
+    field: UrnField
     env: Environment
 
     def check_sandwich(self) -> None:
@@ -106,17 +106,26 @@ class CoupledState:
 def init_coupled_state(params: ModelParams, env: Environment) -> CoupledState:
     return CoupledState(
         lP=params.l0, l=params.l0, r=params.r0, rP=params.r0,
-        field=UrnField(params) if params.l0 < params.r0 else None,
-        env=env,
+        field=UrnField(params), env=env,
     )
 
 
-def coupled_step(state: CoupledState, rng: RngStream) -> tuple:
-    """One event of the coupled quadruple; returns an event record.
+# active clock groups by (lP == l, rP == r): a free outer walker runs its own
+# clock.  The order fixes which uniforms pick which group.
+_GROUPS = {
+    (True, True): ("l_group", "r_group"),
+    (True, False): ("l_group", "r_group", "rP"),
+    (False, True): ("l_group", "r_group", "lP"),
+    (False, False): ("l_group", "r_group", "lP", "rP"),
+}
 
-    Clock groups: the l pair (shared clock when coincident), the r pair,
-    and each free outer walker.  The mover group is uniform among the
-    active groups.  Returns (group, moved-positions snapshot).
+
+def coupled_step(state: CoupledState, rng: RngStream) -> str:
+    """One event of the coupled quadruple; returns the group that moved.
+
+    Clock groups: the l pair ("l_group", one clock shared when
+    coincident), the r pair ("r_group"), and each free outer walker
+    ("lP", "rP").  The mover group is uniform among the active groups.
     """
     if state.l >= state.r:
         raise SandwichViolationError(
@@ -124,12 +133,9 @@ def coupled_step(state: CoupledState, rng: RngStream) -> tuple:
         )
     l_coincident = state.lP == state.l
     r_coincident = state.rP == state.r
-    groups = ["l_group", "r_group"]
-    if not l_coincident:
-        groups.append("lP")
-    if not r_coincident:
-        groups.append("rP")
-    g = groups[int(rng.uniform() * len(groups)) % len(groups)]
+    groups = _GROUPS[l_coincident, r_coincident]
+    n = len(groups)
+    g = groups[int(rng.uniform() * n) % n]
 
     if g == "l_group":
         v = state.l
@@ -153,7 +159,7 @@ def coupled_step(state: CoupledState, rng: RngStream) -> tuple:
         state.rP = v + 1 if rng.uniform() < state.env.at(v).p_r_polya else v - 1
 
     state.check_sandwich()
-    return g, (state.lP, state.l, state.r, state.rP)
+    return g
 
 
 @dataclass
@@ -257,38 +263,31 @@ def marginal_check(
     fixed, and trials 0, 1, ... rerun their dynamics streams (seed, trial)
     in it.  Only free (non-coincident) steps are tallied, since coincident
     steps are resolved by the urn drawing rather than the limiting
-    fractions.
+    fractions.  Sites with fewer than ``min_visits`` tallied steps are
+    excluded; a check that tests no site fails.
     """
     env = Environment(params, RngStream(seed, 0, ENVIRONMENT))
     counts: dict[tuple[str, int], list[int]] = {}
 
-    for trial in range(trials):
+    for trial in range(trials if params.l0 < params.r0 else 0):
         trial_rng = RngStream(seed, trial)
-        if params.l0 == params.r0:
-            break
         state = init_coupled_state(params, env)
         for _ in range(max_events):
             if state.l >= state.r:
                 break
-            before = (state.lP, state.l, state.r, state.rP)
-            g, after = coupled_step(state, trial_rng)
-            if g == "lP":
-                key = ("lP", before[0])
-                c = counts.setdefault(key, [0, 0])
+            lP, rP = state.lP, state.rP
+            g = coupled_step(state, trial_rng)
+            if g == "lP" or g == "rP":
+                site = lP if g == "lP" else rP
+                c = counts.setdefault((g, site), [0, 0])
                 c[0] += 1
-                c[1] += int(after[0] == before[0] + 1)
-            elif g == "rP":
-                key = ("rP", before[3])
-                c = counts.setdefault(key, [0, 0])
-                c[0] += 1
-                c[1] += int(after[3] == before[3] + 1)
+                c[1] += getattr(state, g) == site + 1
 
-    checks = []
-    excluded = 0
     tested = [(k, v) for k, v in counts.items() if v[0] >= min_visits]
     excluded = len(counts) - len(tested)
     alpha = significance / max(len(tested), 1)
-    passed = True
+    checks = []
+    passed = bool(tested)
     for (walker, site), (visits, rights) in sorted(tested):
         se = env.at(site)
         p_right = se.p_l_polya if walker == "lP" else se.p_r_polya

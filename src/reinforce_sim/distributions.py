@@ -77,11 +77,6 @@ class RngStream:
         return np.concatenate((head, self.gen.random(n - k)))
 
 
-def make_stream(seed: int, trial: int = 0) -> RngStream:
-    """Create the dynamics stream of the given (seed, trial) pair."""
-    return RngStream(int(seed), int(trial))
-
-
 @dataclass(frozen=True)
 class BetaParams:
     """Beta shape parameters, or an explicit point mass at zero.

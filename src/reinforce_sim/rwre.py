@@ -92,8 +92,8 @@ class BDEnvironment:
     """Per-site right-jump probabilities: iid Beta draws plus overrides.
 
     Sites are sampled lazily from ``rng`` in the order they are first
-    visited, and memoized; ``overrides`` pins exact values (e.g.
-    reflecting boundaries with p = 1).
+    visited, and memoized; ``overrides`` pre-fills the memo with exact
+    values (e.g. reflecting boundaries with p = 1).
     """
 
     def __init__(
@@ -104,15 +104,12 @@ class BDEnvironment:
     ):
         self.sampler = sampler
         self._rng = rng
-        self.overrides = dict(overrides or {})
-        for v, pv in self.overrides.items():
+        self._sites: dict[int, float] = dict(overrides or {})
+        for v, pv in self._sites.items():
             if not 0.0 <= pv <= 1.0:
                 raise ValueError(f"override p({v})={pv} outside [0, 1]")
-        self._sites: dict[int, float] = {}
 
     def p(self, v: int) -> float:
-        if v in self.overrides:
-            return self.overrides[v]
         pv = self._sites.get(v)
         if pv is None:
             pv = float(sample_beta(self._rng, self.sampler))

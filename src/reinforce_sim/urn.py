@@ -43,11 +43,6 @@ class PolyaUrn:
     def total(self) -> float:
         return self.red + self.blue
 
-    def red_probability(self):
-        if self.total <= 0:
-            raise ValueError("cannot draw from an urn with zero total mass")
-        return self.red / self.total
-
 
 def polya_limit_law(urn: PolyaUrn) -> BetaParams:
     """Limit law of the red fraction: Beta(R0/D, B0/D)."""

@@ -1,26 +1,21 @@
-"""Two-particle dynamics driven by per-site chameleon urns, plus an exact
+"""Per-site chameleon urns of the two-particle dynamics, plus an exact
 small-horizon enumerator certifying agreement with the weight dynamics.
 
-The urn representation is valid strictly before the first meeting time;
-stepping a coincident pair is an error by design.  Enumeration keeps
-probabilities as exact fractions (floats are binary rationals, so any
-float a and delta enumerate exactly).
+The urn representation is valid strictly before the first meeting time.
+Its Monte Carlo walk is the inner pair of the coupled quadruple
+(``coupling.coupled_step``).  Enumeration keeps probabilities as exact
+fractions (floats are binary rationals, so any float a and delta
+enumerate exactly).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .direct import ModelParams, WeightMap, right_jump_probability
-from .distributions import RngStream
-from .urn import MagicUrn, NegativeMassError, Side, left_mass, magic_draw, reinforce
+from .urn import MagicUrn, Side, left_mass, reinforce
 
 MAX_ENUM_HORIZON = 8
-
-
-class DecoupledError(RuntimeError):
-    """The urn representation was used at or beyond the first meeting time."""
 
 
 class SmallAPolicyError(ValueError):
@@ -67,51 +62,8 @@ class UrnField:
     def urn_at(self, v: int) -> MagicUrn:
         urn = self._urns.get(v)
         if urn is None:
-            if self.params.l0 == self.params.r0:
-                raise DecoupledError("particles start coincident; the urn field is unused")
             urn = self._urns[v] = MagicUrn(*initial_masses(self.params, v))
         return urn
-
-
-def urn_process_step(
-    field: UrnField, l: int, r: int, rng: RngStream
-) -> tuple[int, int, tuple]:
-    """One jump of the urn-driven pair: uniform mover, urn-drawn direction.
-
-    Returns (l', r', (mover, from, to)).
-    """
-    if l >= r:
-        raise DecoupledError(
-            f"urn process stepped with l={l} >= r={r}; the representation "
-            "is only defined strictly before the first meeting"
-        )
-    mover = Side.LEFT if rng.uniform() < 0.5 else Side.RIGHT
-    v = l if mover is Side.LEFT else r
-    try:
-        direction, _ = magic_draw(field.urn_at(v), mover, rng)
-    except NegativeMassError as exc:
-        raise NegativeMassError(f"site {v} (a={field.params.a}): {exc}") from exc
-    to = v - 1 if direction is Side.LEFT else v + 1
-    if mover is Side.LEFT:
-        return to, r, (mover, v, to)
-    return l, to, (mover, v, to)
-
-
-def run_urn_process(params: ModelParams, rng: RngStream, max_events: int | None = None):
-    """Run the urn-driven pair until they meet or the budget runs out.
-
-    Returns (tau1 event index or None, events executed, final (l, r)).
-    """
-    budget = params.max_events if max_events is None else max_events
-    l, r = params.l0, params.r0
-    if l == r:
-        return 0, 0, (l, r)
-    field = UrnField(params)
-    for e in range(1, budget + 1):
-        l, r, _ = urn_process_step(field, l, r, rng)
-        if l == r:
-            return e, e, (l, r)
-    return None, budget, (l, r)
 
 
 @dataclass
@@ -125,16 +77,6 @@ class ExactDistribution:
     horizon: int
     params: ModelParams
     probs: dict[tuple, Fraction]
-
-    def total_mass(self) -> Fraction:
-        return sum(self.probs.values(), Fraction(0))
-
-    def to_json(self) -> str:
-        rows = [
-            {"traj": [[m, d] for m, d in traj], "prob_num": str(p.numerator), "prob_den": str(p.denominator)}
-            for traj, p in sorted(self.probs.items())
-        ]
-        return json.dumps(rows)
 
 
 def _enum_guard(horizon: int) -> None:

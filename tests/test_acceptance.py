@@ -18,7 +18,6 @@ from reinforce_sim.distributions import (
     RngStream,
     digamma,
     integrate_log_odds,
-    make_stream,
     sample_beta,
 )
 from reinforce_sim.rwre import Classification, criterion, difference_recurrence
@@ -64,7 +63,7 @@ def test_criterion_2_sandwich_invariant():
     for c, params in enumerate(PARAM_GRID):
         for t in range(runs_per_config):
             key = (2026, c * 10_000 + t)
-            res = run_coupling(params, budget, make_stream(*key),
+            res = run_coupling(params, budget, RngStream(*key),
                                Environment(params, RngStream(*key, ENVIRONMENT)))
             total += 1
             violations += res.violations
@@ -77,7 +76,7 @@ def test_criterion_3a_polya_limit_law():
     worst = 0.0
     for red, blue, d in ((1.0, 1.0, 2.0), (2.0, 1.0, 2.0), (1.0, 3.0, 1.0)):
         urn = PolyaUrn(red, blue, d=d)
-        xs = polya_fraction_samples(urn, 10_000, 10_000, make_stream(33, 0))
+        xs = polya_fraction_samples(urn, 10_000, 10_000, RngStream(33, 0))
         law = polya_limit_law(urn)
         ks = stats.kstest(xs, stats.beta(law.alpha, law.beta).cdf).statistic
         worst = max(worst, ks)
@@ -88,7 +87,7 @@ def test_criterion_3a_polya_limit_law():
 def test_criterion_3b_three_color_limit_law():
     worst = 0.0
     for urn in (MagicUrn(1.0, 2.0), MagicUrn(2.0, 3.0)):
-        xs = three_color_fraction_samples(urn, 10_000, 10_000, make_stream(39, 0))
+        xs = three_color_fraction_samples(urn, 10_000, 10_000, RngStream(39, 0))
         alphas = (urn.pure_red / 2, 0.5, urn.pure_blue / 2)
         total = sum(alphas)
         for i, a_i in enumerate(alphas):
@@ -105,7 +104,7 @@ def test_criterion_3c_environment_tables():
     for a in (1.0, 2.0):
         for delta in (0.0, 0.5):
             params = ModelParams(a=a, delta=delta, l0=0, r0=2)
-            rng = make_stream(13, 0)
+            rng = RngStream(13, 0)
             for v in (-1, 0, 1, 2, 3):  # one site per class
                 draws = np.array(
                     [
@@ -144,11 +143,11 @@ def test_criterion_4_transience_criteria():
     )
 
     p = BetaParams(2.0, 1.0)
-    xs = sample_beta(make_stream(112, 0), p, size=100_000)
+    xs = sample_beta(RngStream(112, 0), p, size=100_000)
     mc_err = abs(np.mean(np.log(xs / (1 - xs))) - criterion(p).log_odds_mean)
 
     p = BetaParams(2.5, 0.5)
-    xs = sample_beta(make_stream(102, 0), p, size=100_000)
+    xs = sample_beta(RngStream(102, 0), p, size=100_000)
     target = p.beta / (p.alpha - 1.0)
     inv_rel_err = abs(np.mean((1 - xs) / xs) - target) / target
 
@@ -178,7 +177,7 @@ def test_criterion_5_recurrence_trend_direct():
     for delta in (0.0, 0.5):
         params = ModelParams(a=1.0, delta=delta, l0=0, r0=2, max_events=budgets[-1])
         offset = 0 if delta == 0.0 else 500_000
-        streams = [make_stream(515, t + offset) for t in range(baselines.PILOT_TRIALS)]
+        streams = [RngStream(515, t + offset) for t in range(baselines.PILOT_TRIALS)]
         records = run_direct_batch(params, 2, streams, stop_after_meetings=1)
         taus = [rec.meeting_times[0] if rec.meeting_times else None for rec in records]
         fracs = [
@@ -213,13 +212,13 @@ def test_criterion_5_recurrence_trend_difference():
 
 def test_criterion_6_martingale_and_exchangeability():
     urn = PolyaUrn(1.0, 2.0, d=2.0)
-    rng = make_stream(32, 0)
+    rng = RngStream(32, 0)
     martingale_ok = True
     max_z = 0.0
     for n in (10, 100, 1000):
         xs = polya_fraction_samples(urn, n, 10_000, rng)
         se = xs.std(ddof=1) / np.sqrt(len(xs))
-        z = abs(xs.mean() - urn.red_probability()) / se
+        z = abs(xs.mean() - urn.red / urn.total) / se
         max_z = max(max_z, z)
         martingale_ok &= z < 3.0
 

@@ -228,6 +228,19 @@ class TestCouple:
         assert set(last) == {"trials", "significance", "excluded_sites", "passed", "checks"}
         assert last["passed"] is True
 
+    def test_marginal_check_of_no_site_fails(self, runner, tmp_path):
+        # 20 short runs: no free-walker site reaches the minimum visit count
+        out = tmp_path / "runs.jsonl"
+        result = runner.invoke(
+            main,
+            ["couple", "--trials", "20", "--events", "2000", "--seed", "7",
+             "--marginal-check", "--out", str(out)],
+        )
+        assert result.exit_code == 0
+        last = json.loads(out.read_text().strip().split("\n")[-1])
+        assert last["checks"] == [] and last["excluded_sites"] > 0
+        assert last["passed"] is False
+
 
 class TestCriterion:
     def test_grid_report(self, runner, tmp_path):
@@ -289,6 +302,15 @@ class TestPolya:
     def test_invalid_urn_is_usage_error(self, runner):
         result = runner.invoke(main, ["polya", "--red", "-1"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("flag", ["--red", "--blue"])
+    def test_zero_mass_is_usage_error(self, runner, tmp_path, flag):
+        out = tmp_path / "polya.json"
+        result = runner.invoke(main, ["polya", flag, "0", "--runs", "50", "--draws", "50",
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert "no Beta limit law" in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--runs", "0"), ("--draws", "-3"), ("--draws", "0")])
     def test_nonpositive_count_is_usage_error(self, runner, flag, value):

@@ -19,7 +19,7 @@ from reinforce_sim.coupling import (
     sample_site_environment,
 )
 from reinforce_sim.direct import ModelParams
-from reinforce_sim.distributions import ENVIRONMENT, RngStream, make_stream
+from reinforce_sim.distributions import ENVIRONMENT, RngStream
 from reinforce_sim.urn import MagicUrn, magic_limit_params
 from reinforce_sim.urn_process import SmallAPolicyError, initial_masses
 
@@ -76,7 +76,7 @@ class TestSiteDirichletParams:
 
 class TestSampleSiteEnvironment:
     def test_degenerate_components_exactly_zero(self):
-        rng = make_stream(81, 0)
+        rng = RngStream(81, 0)
         p = params_for()
         for _ in range(100):
             se = sample_site_environment(p, 0, rng)
@@ -88,7 +88,7 @@ class TestSampleSiteEnvironment:
     def test_marginal_laws_per_site_class(self):
         # p_l ~ Beta(B0/2, (R0+1)/2) and q_r ~ Beta(R0/2, (B0+1)/2)
         p = params_for(a=2.0, delta=0.5)
-        rng = make_stream(82, 0)
+        rng = RngStream(82, 0)
         n = 10_000
         for v in (-1, 0, 1, 2, 3):
             draws = np.array(
@@ -113,12 +113,12 @@ class TestSampleSiteEnvironment:
     def test_small_a_policy_enforced(self):
         # checked once, when the environment that samples the sites is built
         with pytest.raises(SmallAPolicyError):
-            Environment(params_for(a=0.5), make_stream(83, 0))
+            Environment(params_for(a=0.5), RngStream(83, 0))
 
 
 class TestEnvironment:
     def test_memoized_per_site(self):
-        env = Environment(params_for(), make_stream(84, 0))
+        env = Environment(params_for(), RngStream(84, 0))
         assert env.at(1) is env.at(1)
 
 
@@ -130,57 +130,58 @@ class TestCoupledStep:
 
     def test_step_past_meeting_rejected(self):
         state = init_coupled_state(params_for(), env_for(params_for(), 86, 0))
-        state.l = state.r = 1
-        with pytest.raises(SandwichViolationError):
-            coupled_step(state, make_stream(86, 1))
+        for l, r in ((1, 1), (2, 1)):  # met, crossed
+            state.l, state.r = l, r
+            with pytest.raises(SandwichViolationError):
+                coupled_step(state, RngStream(86, 1))
 
     def test_coincident_chameleon_moves_pair_together(self):
         # urn with only the chameleon marble: the coincident pair must
         # always jump together toward its side
         p = params_for(r0=4)
-        rng = make_stream(87, 0)
+        rng = RngStream(87, 0)
         for _ in range(300):
             state = init_coupled_state(p, env_for(p, 87, 1))
             set_urn(state, 0, MagicUrn(0.0, 0.0))
             set_urn(state, 4, MagicUrn(0.0, 0.0))
-            g, (lP, l, r, rP) = coupled_step(state, rng)
+            g = coupled_step(state, rng)
             if g == "l_group":
-                assert (lP, l) == (-1, -1)
+                assert (state.lP, state.l) == (-1, -1)
             elif g == "r_group":
-                assert (r, rP) == (5, 5)
+                assert (state.r, state.rP) == (5, 5)
 
     def test_coincident_family_blue_splits_pair(self):
         # overwhelming family-blue mass: l jumps right while its outer
         # walker, seeing a red-pool draw never, still goes left unless
         # the marble is pure blue
         p = params_for(r0=4)
-        rng = make_stream(88, 0)
+        rng = RngStream(88, 0)
         seen_split = False
         for _ in range(300):
             state = init_coupled_state(p, env_for(p, 88, 1))
             set_urn(state, 0, MagicUrn(0.0, 0.0, fam_blue=1e9))
-            g, (lP, l, r, rP) = coupled_step(state, rng)
-            if g == "l_group" and l == 1:
-                assert lP == -1  # family blue is not pure blue
+            g = coupled_step(state, rng)
+            if g == "l_group" and state.l == 1:
+                assert state.lP == -1  # family blue is not pure blue
                 seen_split = True
         assert seen_split
 
     def test_coincident_pure_blue_moves_pair_right(self):
         p = params_for(r0=4)
-        rng = make_stream(89, 0)
+        rng = RngStream(89, 0)
         seen = False
         for _ in range(300):
             state = init_coupled_state(p, env_for(p, 89, 1))
             set_urn(state, 0, MagicUrn(0.0, 1e9))
-            g, (lP, l, r, rP) = coupled_step(state, rng)
+            g = coupled_step(state, rng)
             if g == "l_group":
-                assert (lP, l) == (1, 1)
+                assert (state.lP, state.l) == (1, 1)
                 seen = True
         assert seen
 
     def test_free_walker_clock_groups(self):
         p = params_for(r0=4)
-        rng = make_stream(90, 0)
+        rng = RngStream(90, 0)
         state = init_coupled_state(p, env_for(p, 90, 1))
         state.lP = -3  # free both outer walkers
         state.rP = 7
@@ -188,8 +189,7 @@ class TestCoupledStep:
         for _ in range(200):
             if state.l >= state.r:
                 break
-            g, _ = coupled_step(state, rng)
-            groups.add(g)
+            groups.add(coupled_step(state, rng))
         assert {"l_group", "r_group"} <= groups
 
 
@@ -197,7 +197,7 @@ class TestRunCoupling:
     def test_no_violations_and_ordering_summary(self):
         p = params_for()
         for t in range(100):
-            res = run_coupling(p, 2000, make_stream(91, t), env_for(p, 91, t))
+            res = run_coupling(p, 2000, RngStream(91, t), env_for(p, 91, t))
             assert res.violations == 0
             assert res.max_gap >= 2
             if res.tau1_event is not None:
@@ -205,11 +205,11 @@ class TestRunCoupling:
 
     def test_coincident_start_summary(self):
         p = params_for(l0=1, r0=1)
-        res = run_coupling(p, 100, make_stream(92, 0), env_for(p, 92))
+        res = run_coupling(p, 100, RngStream(92, 0), env_for(p, 92))
         assert (res.violations, res.tau1_event, res.events_executed) == (0, 0, 0)
 
     def test_json_summary_schema(self):
-        res = run_coupling(params_for(), 500, make_stream(93, 0), env_for(params_for(), 93))
+        res = run_coupling(params_for(), 500, RngStream(93, 0), env_for(params_for(), 93))
         row = json.loads(res.to_json())
         assert set(row) == {
             "violations", "tau1_event", "max_rP_minus_lP", "events", "seed", "stream_id",
@@ -218,9 +218,9 @@ class TestRunCoupling:
 
     def test_shared_environment_reuse(self):
         p = params_for()
-        env = Environment(p, make_stream(94, 0))
-        r1 = run_coupling(p, 500, make_stream(94, 1), env)
-        r2 = run_coupling(p, 500, make_stream(94, 2), env)
+        env = Environment(p, RngStream(94, 0))
+        r1 = run_coupling(p, 500, RngStream(94, 1), env)
+        r2 = run_coupling(p, 500, RngStream(94, 2), env)
         assert r1.violations == r2.violations == 0
 
 
@@ -254,10 +254,10 @@ class TestMarginalCheck:
         # with a fixed environment and both outer walkers detached, their
         # per-trial right-jump frequencies should be uncorrelated
         p = params_for(r0=10)
-        env = Environment(p, make_stream(98, 0))
+        env = Environment(p, RngStream(98, 0))
         lex, rex = [], []
         for t in range(300):
-            rng = make_stream(98, 100 + t)
+            rng = RngStream(98, 100 + t)
             state = init_coupled_state(p, env)
             state.lP = -15
             state.rP = 25
@@ -265,14 +265,14 @@ class TestMarginalCheck:
             for _ in range(400):
                 if state.l >= state.r:
                     break
-                before = (state.lP, state.rP)
-                g, after = coupled_step(state, rng)
+                lP, rP = state.lP, state.rP
+                g = coupled_step(state, rng)
                 if g == "lP":
                     lc += 1
-                    lr += after[0] == before[0] + 1
+                    lr += state.lP == lP + 1
                 elif g == "rP":
                     rc += 1
-                    rr += after[3] == before[1] + 1
+                    rr += state.rP == rP + 1
             if lc >= 20 and rc >= 20:
                 lex.append(lr / lc)
                 rex.append(rr / rc)

@@ -18,7 +18,7 @@ from reinforce_sim.direct import (
     run_direct,
     run_direct_batch,
 )
-from reinforce_sim.distributions import HOLDING_TIMES, RngStream, make_stream
+from reinforce_sim.distributions import HOLDING_TIMES, RngStream
 
 
 def added_weight(w: WeightMap, lo: int, hi: int):
@@ -91,7 +91,7 @@ class TestJumpProbability:
 
 class TestDirectStep:
     def test_moves_one_particle_one_site(self):
-        rng = make_stream(51, 0)
+        rng = RngStream(51, 0)
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=5)
         positions = [0, 5]
         w = WeightMap(params.a)
@@ -102,7 +102,7 @@ class TestDirectStep:
         assert added_weight(w, -1, 7) == 1
 
     def test_mover_is_uniform(self):
-        rng = make_stream(52, 0)
+        rng = RngStream(52, 0)
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=100)
         n = 20_000
         moved_left = 0
@@ -114,7 +114,7 @@ class TestDirectStep:
 
     def test_large_a_first_jump_is_symmetric(self):
         # a -> infinity: reinforcement negligible, first jump ~ fair coin
-        rng = make_stream(53, 0)
+        rng = RngStream(53, 0)
         params = ModelParams(a=1e6, delta=0.0, l0=0, r0=0)
         n = 100_000
         rights = 0
@@ -126,19 +126,19 @@ class TestDirectStep:
 
 class TestRunDirect:
     def test_zero_budget_executes_nothing(self):
-        rec = run_direct(ModelParams(a=1.0, delta=0.0, l0=0, r0=2), 2, make_stream(54, 0))
+        rec = run_direct(ModelParams(a=1.0, delta=0.0, l0=0, r0=2), 2, RngStream(54, 0))
         assert rec.events == []
         assert rec.events_executed == 0
         assert rec.final_positions == [0, 2]
 
     def test_coincident_start_records_meeting_zero(self):
         params = ModelParams(a=1.0, delta=0.0, l0=1, r0=1, max_events=10)
-        rec = run_direct(params, 2, make_stream(55, 0))
+        rec = run_direct(params, 2, RngStream(55, 0))
         assert rec.meeting_times[0] == 0
 
     def test_event_log_replays_consistently(self):
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=500)
-        rec = run_direct(params, 2, make_stream(56, 0))
+        rec = run_direct(params, 2, RngStream(56, 0))
         positions = [0, 3]
         meetings = []
         for e, p, frm, to in rec.events:
@@ -152,7 +152,7 @@ class TestRunDirect:
 
     def test_weight_sum_conservation(self):
         params = ModelParams(a=1.5, delta=0.25, l0=0, r0=2, max_events=300)
-        rng = make_stream(57, 0)
+        rng = RngStream(57, 0)
         w = WeightMap(params.a)
         positions = [0, 2]
         for _ in range(300):
@@ -161,7 +161,7 @@ class TestRunDirect:
 
     def test_timestamps_increase(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=4, max_events=200)
-        rec = run_direct(params, 2, make_stream(58, 0))
+        rec = run_direct(params, 2, RngStream(58, 0))
         lines = rec.to_jsonl(RngStream(58, 0, HOLDING_TIMES)).splitlines()
         times = [json.loads(line)["t"] for line in lines]
         assert len(times) == 200 and times[0] > 0
@@ -170,24 +170,24 @@ class TestRunDirect:
 
     def test_stop_after_first_meeting(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=100_000)
-        rec = run_direct(params, 2, make_stream(59, 0), record_events=False,
+        rec = run_direct(params, 2, RngStream(59, 0), record_events=False,
                          stop_after_meetings=1)
         assert len(rec.meeting_times) == 1
         assert rec.events_executed == rec.meeting_times[0]
 
     def test_three_particles_supported(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=0, max_events=50)
-        rec = run_direct(params, 3, make_stream(60, 0), positions=[0, 2, 4])
+        rec = run_direct(params, 3, RngStream(60, 0), positions=[0, 2, 4])
         assert len(rec.final_positions) == 3
 
     def test_position_length_mismatch_rejected(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10)
         with pytest.raises(ValueError):
-            run_direct(params, 2, make_stream(61, 0), positions=[0])
+            run_direct(params, 2, RngStream(61, 0), positions=[0])
 
     def test_jsonl_schema(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=20)
-        rec = run_direct(params, 2, make_stream(62, 0))
+        rec = run_direct(params, 2, RngStream(62, 0))
         lines = rec.to_jsonl().strip().split("\n")
         assert len(lines) == 20
         row = json.loads(lines[0])
@@ -196,14 +196,14 @@ class TestRunDirect:
 
 def scalar_records(params, n, seed, trials, positions=None, stop=None):
     return [
-        run_direct(params, n, make_stream(seed, t), positions, record_events=False,
+        run_direct(params, n, RngStream(seed, t), positions, record_events=False,
                    stop_after_meetings=stop)
         for t in range(trials)
     ]
 
 
 def batch_records(params, n, seed, trials, positions=None, stop=None):
-    streams = [make_stream(seed, t) for t in range(trials)]
+    streams = [RngStream(seed, t) for t in range(trials)]
     return run_direct_batch(params, n, streams, positions, stop_after_meetings=stop)
 
 
@@ -238,7 +238,7 @@ class TestRunDirectBatch:
         monkeypatch.setattr(direct, "_CHUNK_UNIFORMS", 2)
         monkeypatch.setattr(direct, "_MIN_LOCKSTEP", 1)
         params = ModelParams(a=0.5, delta=0.9, l0=0, r0=0, max_events=3001)
-        logged = [run_direct(params, 1, make_stream(72, t)) for t in range(3)]
+        logged = [run_direct(params, 1, RngStream(72, t)) for t in range(3)]
         assert max(abs(to) for rec in logged for *_, to in rec.events) > 4
         expected = [dataclasses.replace(rec, events=[]) for rec in logged]
         assert batch_records(params, 1, 72, 3) == expected
@@ -285,9 +285,9 @@ class TestRunDirectBatch:
     def test_positions_validated_like_scalar(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10)
         with pytest.raises(ValueError):
-            run_direct_batch(params, 3, [make_stream(74, 0)])
+            run_direct_batch(params, 3, [RngStream(74, 0)])
         with pytest.raises(ValueError):
-            run_direct_batch(params, 2, [make_stream(74, 0)], positions=[0])
+            run_direct_batch(params, 2, [RngStream(74, 0)], positions=[0])
 
 
 class TestSingleParticleUrnEquivalence:
@@ -365,7 +365,7 @@ class TestMeetingStatistics:
     def _records(self, n, seed):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=2000)
         return [
-            run_direct(params, 2, make_stream(seed, t), record_events=False)
+            run_direct(params, 2, RngStream(seed, t), record_events=False)
             for t in range(n)
         ]
 
@@ -383,14 +383,14 @@ class TestMeetingStatistics:
 
     def test_coincident_starts_give_frequency_one(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=0, max_events=10)
-        recs = [run_direct(params, 2, make_stream(65, t)) for t in range(20)]
+        recs = [run_direct(params, 2, RngStream(65, t)) for t in range(20)]
         summary = meeting_statistics(recs)
         assert summary.frequencies[0] == 1.0
 
     def test_mixed_parameters_rejected(self):
         p1 = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10)
         p2 = ModelParams(a=2.0, delta=0.0, l0=0, r0=2, max_events=10)
-        recs = [run_direct(p1, 2, make_stream(66, 0)), run_direct(p2, 2, make_stream(66, 1))]
+        recs = [run_direct(p1, 2, RngStream(66, 0)), run_direct(p2, 2, RngStream(66, 1))]
         with pytest.raises(ValueError):
             meeting_statistics(recs)
 

@@ -15,7 +15,6 @@ from reinforce_sim.distributions import (
     RngStream,
     digamma,
     integrate_log_odds,
-    make_stream,
     sample_beta,
     sample_dirichlet,
 )
@@ -23,20 +22,20 @@ from reinforce_sim.distributions import (
 
 class TestRngStream:
     def test_same_key_same_draws(self):
-        a = make_stream(42, 0)
-        b = make_stream(42, 0)
+        a = RngStream(42, 0)
+        b = RngStream(42, 0)
         assert [a.uniform() for _ in range(100)] == [b.uniform() for _ in range(100)]
 
     def test_distinct_streams_differ(self):
-        a = make_stream(42, 0)
-        b = make_stream(42, 1)
+        a = RngStream(42, 0)
+        b = RngStream(42, 1)
         assert [a.uniform() for _ in range(8)] != [b.uniform() for _ in range(8)]
 
     def test_distinct_seeds_differ(self):
-        assert make_stream(1, 0).uniform() != make_stream(2, 0).uniform()
+        assert RngStream(1, 0).uniform() != RngStream(2, 0).uniform()
 
     def test_buffered_and_block_draws_in_range(self):
-        rng = make_stream(7, 3)
+        rng = RngStream(7, 3)
         xs = [rng.uniform() for _ in range(10_000)]
         assert all(0.0 <= x < 1.0 for x in xs)
         block = rng.uniforms(1000)
@@ -45,9 +44,9 @@ class TestRngStream:
 
     def test_uniforms_continue_the_uniform_sequence(self):
         # crosses buffer boundaries with the buffer partly drained
-        ref = make_stream(8, 1)
+        ref = RngStream(8, 1)
         expected = [ref.uniform() for _ in range(20_000)]
-        rng = make_stream(8, 1)
+        rng = RngStream(8, 1)
         got = []
         for k in (8000, 500, 0, 9000, 3):
             got.append(rng.uniform())
@@ -56,7 +55,7 @@ class TestRngStream:
         assert got == expected[:len(got)]
 
     def test_zero_seed_is_valid(self):
-        assert 0.0 <= make_stream(0, 0).uniform() < 1.0
+        assert 0.0 <= RngStream(0, 0).uniform() < 1.0
 
     def test_distinct_keys_give_distinct_streams(self):
         keys = [(trial, role) for trial in range(4)
@@ -76,7 +75,7 @@ class TestRngStream:
 class TestSampleBeta:
     @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (0.5, 0.5), (2.0, 2.0)])
     def test_symmetric_mean_is_half(self, alpha, beta):
-        rng = make_stream(11, 0)
+        rng = RngStream(11, 0)
         xs = sample_beta(rng, BetaParams(alpha, beta), size=100_000)
         assert abs(xs.mean() - 0.5) < 0.01
 
@@ -89,17 +88,17 @@ class TestSampleBeta:
             lambda x: x * dens_norm * x ** (alpha - 1) * (1 - x) ** (beta - 1), 0, 1
         )
         assert err < 1e-8
-        rng = make_stream(12, 0)
+        rng = RngStream(12, 0)
         xs = sample_beta(rng, BetaParams(alpha, beta), size=100_000)
         assert abs(xs.mean() - target) < 0.01
 
     def test_small_shapes_stay_in_unit_interval(self):
-        rng = make_stream(13, 0)
+        rng = RngStream(13, 0)
         xs = sample_beta(rng, BetaParams(0.05, 0.07), size=10_000)
         assert ((xs >= 0) & (xs <= 1)).all()
 
     def test_point_mass_marker_returns_exact_zero(self):
-        rng = make_stream(14, 0)
+        rng = RngStream(14, 0)
         p = BetaParams.degenerate_zero()
         assert sample_beta(rng, p) == 0.0
         assert (sample_beta(rng, p, size=50) == 0.0).all()
@@ -116,7 +115,7 @@ class TestSampleBeta:
 
 class TestSampleDirichlet:
     def test_components_sum_to_one_exactly(self):
-        rng = make_stream(21, 0)
+        rng = RngStream(21, 0)
         p = DirichletParams(0.5, 0.5, 1.5)
         for _ in range(2000):
             x, y, z = sample_dirichlet(rng, p)
@@ -124,13 +123,13 @@ class TestSampleDirichlet:
             assert x + y + z == 1.0
 
     def test_symmetric_mean(self):
-        rng = make_stream(22, 0)
+        rng = RngStream(22, 0)
         p = DirichletParams(0.5, 0.5, 0.5)
         xs = np.array([sample_dirichlet(rng, p) for _ in range(50_000)])
         assert np.abs(xs.mean(axis=0) - 1.0 / 3.0).max() < 0.01
 
     def test_mean_matches_weights(self):
-        rng = make_stream(23, 0)
+        rng = RngStream(23, 0)
         p = DirichletParams(0.5, 0.5, 1.0)
         xs = np.array([sample_dirichlet(rng, p) for _ in range(50_000)])
         assert np.abs(xs.mean(axis=0) - [0.25, 0.25, 0.5]).max() < 0.01
@@ -138,7 +137,7 @@ class TestSampleDirichlet:
     def test_marginals_are_beta(self):
         from scipy import stats
 
-        rng = make_stream(24, 0)
+        rng = RngStream(24, 0)
         p = DirichletParams(0.5, 0.5, 1.5)
         xs = np.array([sample_dirichlet(rng, p) for _ in range(10_000)])
         for i, alpha_i in enumerate((0.5, 0.5, 1.5)):
@@ -146,7 +145,7 @@ class TestSampleDirichlet:
             assert ks < 0.02
 
     def test_degenerate_markers_rejected(self):
-        rng = make_stream(25, 0)
+        rng = RngStream(25, 0)
         with pytest.raises(ValueError):
             sample_dirichlet(rng, DirichletParams(None, 0.5, 1.0))
 

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from reinforce_sim.distributions import BetaParams, make_stream
+from reinforce_sim.distributions import BetaParams, RngStream
 from reinforce_sim.rwre import (
     BDEnvironment,
     Classification,
@@ -57,7 +57,7 @@ class TestCriterion:
 
     def test_monte_carlo_log_odds_agreement(self):
         p = BetaParams(2.0, 1.0)
-        rng = make_stream(112, 0)
+        rng = RngStream(112, 0)
         from reinforce_sim.distributions import sample_beta
 
         xs = sample_beta(rng, p, size=100_000)
@@ -66,7 +66,7 @@ class TestCriterion:
 
     def test_monte_carlo_inverse_odds_agreement(self):
         p = BetaParams(2.5, 0.5)
-        rng = make_stream(102, 0)
+        rng = RngStream(102, 0)
         from reinforce_sim.distributions import sample_beta
 
         xs = sample_beta(rng, p, size=100_000)
@@ -83,16 +83,16 @@ class TestCriterion:
 
 class TestBDEnvironment:
     def test_overrides_win(self):
-        env = BDEnvironment(BetaParams(1.0, 1.0), make_stream(103, 1), overrides={0: 1.0})
+        env = BDEnvironment(BetaParams(1.0, 1.0), RngStream(103, 1), overrides={0: 1.0})
         assert env.p(0) == 1.0
         assert env.p(1) < 1.0
 
     def test_sampled_sites_memoized(self):
-        env = BDEnvironment(sampler=BetaParams(1.0, 1.0), rng=make_stream(103, 0))
+        env = BDEnvironment(sampler=BetaParams(1.0, 1.0), rng=RngStream(103, 0))
         assert env.p(4) == env.p(4)
 
     def test_validation(self):
-        rng = make_stream(104, 0)
+        rng = RngStream(104, 0)
         with pytest.raises(ValueError):
             BDEnvironment(BetaParams(1.0, 1.0), rng, overrides={0: -0.1})
         with pytest.raises(ValueError):
@@ -106,7 +106,7 @@ class TestSimulateBd:
             res = criterion(BetaParams(alpha, beta))
             finals = []
             for t in range(n_trials):
-                rng = make_stream(106, 1000 * int(alpha * 2) + t)
+                rng = RngStream(106, 1000 * int(alpha * 2) + t)
                 env = BDEnvironment(sampler=BetaParams(alpha, beta), rng=rng)
                 finals.append(simulate_bd(env, 0, n_events, rng))
             mean = np.mean(finals)
@@ -118,7 +118,7 @@ class TestSimulateBd:
     def test_balanced_environment_centered(self):
         finals = []
         for t in range(300):
-            rng = make_stream(107, t)
+            rng = RngStream(107, t)
             env = BDEnvironment(sampler=BetaParams(1.0, 1.0), rng=rng)
             finals.append(simulate_bd(env, 0, 400, rng))
         se = np.std(finals, ddof=1) / np.sqrt(len(finals))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from reinforce_sim.distributions import make_stream
+from reinforce_sim.distributions import RngStream
 from reinforce_sim.urn import (
     MagicUrn,
     NegativeMassError,
@@ -74,14 +74,10 @@ def reference_draw(urn: MagicUrn, present: Side, rng):
 
 
 class TestPolyaUrn:
-    def test_draw_probability(self):
-        assert PolyaUrn(1.0, 1.0).red_probability() == 0.5
-        assert PolyaUrn(2.0, 1.0).red_probability() == pytest.approx(2.0 / 3.0)
-
     def test_draw_reinforces_only_drawn_color(self):
         # after one drawing from (1, 1) with d = 2 the red fraction is 3/4
         # (red drawn) or 1/4 (blue drawn), never anything else
-        xs = polya_fraction_samples(PolyaUrn(1.0, 1.0, d=2.0), 1, 1000, make_stream(31, 0))
+        xs = polya_fraction_samples(PolyaUrn(1.0, 1.0, d=2.0), 1, 1000, RngStream(31, 0))
         assert set(xs.tolist()) == {0.25, 0.75}
 
     def test_invalid_masses_rejected(self):
@@ -89,8 +85,6 @@ class TestPolyaUrn:
             PolyaUrn(-1.0, 1.0)
         with pytest.raises(ValueError):
             PolyaUrn(1.0, 1.0, d=0.0)
-        with pytest.raises(ValueError):
-            PolyaUrn(0.0, 0.0).red_probability()
 
     def test_two_step_exchangeability_exact(self):
         # P(red, blue) == P(blue, red) for any masses, by exact fractions
@@ -133,7 +127,7 @@ class TestPolyaUrn:
     def test_fraction_martingale(self):
         # E[red fraction after n draws] = initial fraction, at several n
         urn = PolyaUrn(1.0, 2.0, d=2.0)
-        rng = make_stream(32, 0)
+        rng = RngStream(32, 0)
         for n in (10, 100, 1000):
             xs = polya_fraction_samples(urn, n, 10_000, rng)
             se = xs.std(ddof=1) / np.sqrt(len(xs))
@@ -142,7 +136,7 @@ class TestPolyaUrn:
     @pytest.mark.parametrize("red,blue,d", [(1.0, 1.0, 2.0), (2.0, 1.0, 2.0), (1.0, 3.0, 1.0)])
     def test_fraction_converges_to_beta(self, red, blue, d):
         urn = PolyaUrn(red, blue, d=d)
-        rng = make_stream(33, 0)
+        rng = RngStream(33, 0)
         xs = polya_fraction_samples(urn, 10_000, 10_000, rng)
         limit = polya_limit_law(urn)
         ks = stats.kstest(xs, stats.beta(limit.alpha, limit.beta).cdf).statistic
@@ -214,7 +208,7 @@ class TestOutcomeRules:
         assert astuple(right) == (1.0, 1.0, 1.0, 3.0)
 
     def test_total_grows_by_two_per_draw(self):
-        rng = make_stream(34, 0)
+        rng = RngStream(34, 0)
         urn = MagicUrn(1.0, 1.5)
         for k in range(1, 200):
             magic_draw(urn, Side.LEFT if k % 2 else Side.RIGHT, rng)
@@ -224,7 +218,7 @@ class TestOutcomeRules:
 class TestMagicDraw:
     def test_category_frequencies_match_masses(self):
         urn = MagicUrn(2.0, 1.5, fam_red=3.0, fam_blue=0.5)
-        rng = make_stream(35, 0)
+        rng = RngStream(35, 0)
         n = 100_000
         counts = dict.fromkeys(product(Side, (True, False)), 0)
         for _ in range(n):
@@ -240,7 +234,7 @@ class TestMagicDraw:
     def test_direction_matches_outcome(self):
         # the one mass that grows is the drawn marble's: pure or family, of
         # the jump direction's color (fields: pure red, pure blue, family red, family blue)
-        rng = make_stream(36, 0)
+        rng = RngStream(36, 0)
         urn = MagicUrn(1.0, 1.0)
         for k in range(500):
             present = Side.LEFT if k % 2 else Side.RIGHT
@@ -253,7 +247,7 @@ class TestMagicDraw:
         # fresh a < 1 urn visited by the wrong particle: effective red
         # mass is a - 1 < 0
         urn = MagicUrn(-0.5, 1.0)
-        rng = make_stream(37, 0)
+        rng = RngStream(37, 0)
         with pytest.raises(NegativeMassError):
             magic_draw(urn, Side.RIGHT, rng)
 
@@ -261,7 +255,7 @@ class TestMagicDraw:
         # the chameleon marble restores a valid direction law; the drawn
         # marble is then never attributed to the negative category
         urn = MagicUrn(-0.5, 1.0)
-        rng = make_stream(38, 0)
+        rng = RngStream(38, 0)
         n = 20_000
         lefts = 0
         for _ in range(n):
@@ -283,7 +277,7 @@ class TestMagicDraw:
     def test_matches_five_category_reference(self, pure_red, pure_blue, fam_red, fam_blue,
                                              present, seed):
         urn = MagicUrn(pure_red, pure_blue, fam_red, fam_blue)
-        ref_rng, rng = make_stream(seed, 0), make_stream(seed, 0)
+        ref_rng, rng = RngStream(seed, 0), RngStream(seed, 0)
         try:
             expected = reference_draw(urn, present, ref_rng)
         except ValueError:
@@ -292,7 +286,7 @@ class TestMagicDraw:
             return
         direction, pure = magic_draw(urn, present, rng)
         assert (direction, pure, urn) == expected
-        second = make_stream(seed, 0).uniforms(2)[1]
+        second = RngStream(seed, 0).uniforms(2)[1]
         assert rng.uniform() == second  # magic_draw consumed exactly one uniform
 
 
@@ -327,7 +321,7 @@ class TestLimitLaws:
 
     def test_three_color_fractions_converge_to_dirichlet(self):
         urn = MagicUrn(1.0, 2.0)
-        rng = make_stream(39, 0)
+        rng = RngStream(39, 0)
         xs = three_color_fraction_samples(urn, 10_000, 10_000, rng)
         assert xs.shape == (10_000, 3)
         np.testing.assert_allclose(xs.sum(axis=1), 1.0, atol=1e-12)
@@ -338,6 +332,6 @@ class TestLimitLaws:
             assert ks < 0.02
 
     def test_three_color_sampling_rejects_negative_pure(self):
-        rng = make_stream(40, 0)
+        rng = RngStream(40, 0)
         with pytest.raises(ValueError):
             three_color_fraction_samples(MagicUrn(-0.5, 1.0), 10, 10, rng)

@@ -1,30 +1,40 @@
-"""Urn-driven pair dynamics and the exact enumeration certificate."""
-import json
+"""Urn-driven pair dynamics and the exact enumeration certificate.
+
+The pair's Monte Carlo walk is the inner pair of the coupled quadruple.
+"""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reinforce_sim.coupling import (
+    Environment,
+    SandwichViolationError,
+    coupled_step,
+    init_coupled_state,
+    run_coupling,
+)
 from reinforce_sim.direct import ModelParams
-from reinforce_sim.distributions import make_stream
-from reinforce_sim.urn import MagicUrn, NegativeMassError, Side, left_mass
+from reinforce_sim.distributions import ENVIRONMENT, RngStream
+from reinforce_sim.urn import MagicUrn, NegativeMassError, Side, left_mass, magic_draw
 from reinforce_sim.urn_process import (
     MAX_ENUM_HORIZON,
-    DecoupledError,
     ExactDistribution,
     SmallAPolicyError,
     UrnField,
     enumerate_exact,
     initial_masses,
-    run_urn_process,
     tv_distance,
-    urn_process_step,
 )
 
 
 def params_for(a=1.0, delta=0.0, l0=0, r0=2, **kw):
     return ModelParams(a=a, delta=delta, l0=l0, r0=r0, **kw)
+
+
+def env_for(params, seed):
+    return Environment(params, RngStream(seed, 0, ENVIRONMENT))
 
 
 class TestInitialMasses:
@@ -71,10 +81,8 @@ class TestSmallAPolicy:
         # right particle on a fresh a<1 site of the left class
         p = params_for(a=0.5, l0=0, r0=1, allow_small_a=True)
         field = UrnField(p)
-        rng = make_stream(71, 0)
         with pytest.raises(NegativeMassError):
-            for _ in range(200):
-                urn_process_step(field, -2, -1, rng)
+            magic_draw(field.urn_at(-1), Side.RIGHT, RngStream(71, 0))
 
 
 class TestUrnField:
@@ -83,11 +91,6 @@ class TestUrnField:
         urn = field.urn_at(1)
         assert (urn.pure_red, urn.pure_blue) == (1.0, 1.0)
         assert field.urn_at(1) is urn
-
-    def test_coincident_start_is_decoupled(self):
-        field = UrnField(params_for(l0=1, r0=1))
-        with pytest.raises(DecoupledError):
-            field.urn_at(1)
 
 
 def jump_probabilities(urn: MagicUrn, present: Side):
@@ -98,7 +101,7 @@ def jump_probabilities(urn: MagicUrn, present: Side):
 
 class TestJumpProbabilities:
     def test_closed_forms_on_random_urns(self):
-        rng = make_stream(72, 0)
+        rng = RngStream(72, 0)
         for _ in range(50):
             urn = MagicUrn(
                 pure_red=rng.uniform() * 5,
@@ -127,39 +130,38 @@ class TestJumpProbabilities:
 
 class TestUrnProcessStep:
     def test_moves_exactly_one_particle(self):
-        field = UrnField(params_for(r0=4))
-        rng = make_stream(73, 0)
-        l, r, (mover, frm, to) = urn_process_step(field, 0, 4, rng)
-        assert abs(to - frm) == 1
-        if mover is Side.LEFT:
-            assert (l, r) == (to, 4) and frm == 0
+        # the coupled quadruple's inner pair is the urn-driven pair
+        p = params_for(r0=4)
+        state = init_coupled_state(p, env_for(p, 73))
+        g = coupled_step(state, RngStream(73, 0))
+        if g == "l_group":
+            assert state.l in (-1, 1) and state.r == 4
         else:
-            assert (l, r) == (0, to) and frm == 4
+            assert g == "r_group" and state.l == 0 and state.r in (3, 5)
 
     def test_meeting_or_crossing_is_an_error(self):
-        field = UrnField(params_for())
-        rng = make_stream(74, 0)
-        with pytest.raises(DecoupledError):
-            urn_process_step(field, 1, 1, rng)
-        with pytest.raises(DecoupledError):
-            urn_process_step(field, 2, 1, rng)
+        p = params_for()
+        state = init_coupled_state(p, env_for(p, 74))
+        rng = RngStream(74, 0)
+        for l, r in ((1, 1), (2, 1)):  # met, crossed
+            state.l, state.r = l, r
+            with pytest.raises(SandwichViolationError):
+                coupled_step(state, rng)
 
     def test_run_stops_at_first_meeting(self):
-        p = params_for(max_events=100_000)
-        tau, executed, (l, r) = run_urn_process(p, make_stream(75, 0))
-        assert tau == executed
-        assert l == r
+        p = params_for()
+        res = run_coupling(p, 100_000, RngStream(75, 0), env_for(p, 75))
+        assert res.tau1_event == res.events_executed
 
     def test_coincident_start_returns_zero(self):
-        p = params_for(l0=2, r0=2, max_events=100)
-        assert run_urn_process(p, make_stream(76, 0)) == (0, 0, (2, 2))
+        p = params_for(l0=2, r0=2)
+        res = run_coupling(p, 100, RngStream(76, 0), env_for(p, 76))
+        assert (res.tau1_event, res.events_executed) == (0, 0)
 
     def test_budget_exhaustion_returns_none(self):
-        p = params_for(max_events=1)
-        tau, executed, (l, r) = run_urn_process(p, make_stream(77, 0))
-        assert tau is None
-        assert executed == 1
-        assert r - l in (1, 3)
+        p = params_for()
+        res = run_coupling(p, 1, RngStream(77, 0), env_for(p, 77))
+        assert (res.tau1_event, res.events_executed) == (None, 1)
 
 
 class TestEnumeration:
@@ -177,7 +179,7 @@ class TestEnumeration:
     def test_total_mass_is_exactly_one(self):
         for model in ("direct", "urn"):
             d = enumerate_exact(model, params_for(a=1.5, delta=0.25), 4)
-            assert d.total_mass() == 1
+            assert sum(d.probs.values()) == 1
 
     def test_short_branches_end_at_meetings(self):
         d = enumerate_exact("direct", params_for(r0=2), 4)
@@ -208,16 +210,20 @@ class TestEnumeration:
         assert tv == 0.0
 
     def test_simulation_frequencies_match_enumeration(self):
-        # one-event empirical check tying the sampler to the enumerator
+        # one event of the coupled quadruple from its start, tying the
+        # sampler that `couple` runs to the enumerator: with both outer
+        # walkers on their partners each inner walker moves with
+        # probability 1/2 and draws from its urn
         p = params_for(a=2.0, delta=0.5)
         d = enumerate_exact("urn", p, 1)
-        rng = make_stream(78, 0)
+        env, rng = env_for(p, 78), RngStream(78, 0)
         n = 40_000
         counts = {}
         for _ in range(n):
-            field = UrnField(p)
-            _, _, (mover, frm, to) = urn_process_step(field, 0, 2, rng)
-            key = ((0 if mover is Side.LEFT else 1, 1 if to > frm else 0),)
+            state = init_coupled_state(p, env)
+            mover = ("l_group", "r_group").index(coupled_step(state, rng))
+            to = (state.l, state.r)[mover]
+            key = ((mover, int(to > (p.l0, p.r0)[mover])),)
             counts[key] = counts.get(key, 0) + 1
         for traj, prob in d.probs.items():
             f = counts.get(traj, 0) / n
@@ -238,12 +244,6 @@ class TestEnumeration:
         with pytest.raises(SmallAPolicyError):
             enumerate_exact("urn", params_for(a=0.5), 2)
 
-    def test_json_export_round_trips(self):
-        d = enumerate_exact("direct", params_for(), 2)
-        rows = json.loads(d.to_json())
-        total = sum(Fraction(int(r["prob_num"]), int(r["prob_den"])) for r in rows)
-        assert total == 1
-
     @settings(max_examples=20, deadline=None)
     @given(
         a=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
@@ -256,7 +256,7 @@ class TestEnumeration:
         d1 = enumerate_exact("direct", p, horizon)
         d2 = enumerate_exact("urn", p, horizon)
         assert tv_distance(d1, d2) == 0.0
-        assert d1.total_mass() == 1
+        assert sum(d1.probs.values()) == 1
 
 
 class TestWeightAgreement:
