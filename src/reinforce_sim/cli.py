@@ -26,7 +26,7 @@ from .rwre import criterion, difference_recurrence
 from .urn import (
     MagicUrn, PolyaUrn, polya_fraction_samples, polya_limit_law, three_color_fraction_samples,
 )
-from .urn_process import MAX_ENUM_HORIZON, SmallAPolicyError, enumerate_exact, tv_distance
+from .urn_process import SmallAPolicyError, enumerate_exact, tv_distance
 from .coupling import Environment, marginal_check, run_coupling
 
 TV_TOLERANCE = 1e-12
@@ -102,10 +102,7 @@ def main() -> None:
     """Reinforced-walk simulation and verification experiments."""
 
 
-_seed_option = click.option(
-    "--seed", type=int, default=0, envvar="REINFORCE_SIM_SEED",
-    help="Master seed (env REINFORCE_SIM_SEED is the fallback; default 0).",
-)
+_seed_option = click.option("--seed", type=int, default=0, help="Master seed (default 0).")
 _config_option = click.option(
     "--config", "config_path", type=click.Path(exists=True, dir_okay=False),
     is_eager=True, expose_value=False, callback=_load_config,
@@ -113,13 +110,22 @@ _config_option = click.option(
 )
 
 
+def _model_options(command):
+    """Declare the model parameters --a, --delta, --l0 and --r0, in that order."""
+    for option in reversed((
+        click.option("--a", type=float, default=1.0, help="Initial edge weight (default 1.0)."),
+        click.option("--delta", type=float, default=0.0, help="Rightward drift (default 0.0)."),
+        click.option("--l0", type=int, default=0),
+        click.option("--r0", type=int, default=2),
+    )):
+        command = option(command)
+    return command
+
+
 @main.command()
 @_config_option
 @click.option("--n", type=int, default=2, help="Number of particles (default 2).")
-@click.option("--a", type=float, default=1.0, help="Initial edge weight (default 1.0).")
-@click.option("--delta", type=float, default=0.0, help="Rightward drift (default 0.0).")
-@click.option("--l0", type=int, default=0)
-@click.option("--r0", type=int, default=2)
+@_model_options
 @click.option("--events", type=int, default=10000, help="Event budget per trial (default 10000).")
 @click.option("--trials", type=int, default=100, help="Number of trials (default 100).")
 @click.option("--stop-after-meetings", type=int, default=None,
@@ -158,10 +164,7 @@ def simulate(n, a, delta, l0, r0, events, trials,
 
 @main.command("urn-verify")
 @_config_option
-@click.option("--a", type=float, default=1.0)
-@click.option("--delta", type=float, default=0.0)
-@click.option("--l0", type=int, default=0)
-@click.option("--r0", type=int, default=2)
+@_model_options
 @click.option("--horizon", type=int, default=4, help="Enumeration depth (default 4).")
 @click.option("--allow-small-a", is_flag=True, help="Permit 0 < a < 1 for the urn model.")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
@@ -169,16 +172,11 @@ def simulate(n, a, delta, l0, r0, events, trials,
 def urn_verify(a, delta, l0, r0, horizon, allow_small_a, out_path) -> None:
     """Certify the urn representation against the weight dynamics by exact
     enumeration; fails (exit 1) if the distributions differ."""
-    if horizon < 0 or horizon > MAX_ENUM_HORIZON:
-        raise click.UsageError(
-            f"horizon {horizon} outside [0, {MAX_ENUM_HORIZON}] "
-            f"(full expansion would have ~{4 ** max(horizon, 0)} leaves)"
-        )
     params = _model_params(a, delta, l0, r0, 0, allow_small_a=allow_small_a)
     try:
         d_direct = enumerate_exact("direct", params, horizon)
         d_urn = enumerate_exact("urn", params, horizon)
-    except SmallAPolicyError as exc:
+    except ValueError as exc:  # horizon out of range, or a < 1 without the flag
         raise click.UsageError(str(exc)) from exc
     tv = tv_distance(d_direct, d_urn)
     ok = tv < TV_TOLERANCE
@@ -199,10 +197,7 @@ def urn_verify(a, delta, l0, r0, horizon, allow_small_a, out_path) -> None:
 
 @main.command()
 @_config_option
-@click.option("--a", type=float, default=1.0)
-@click.option("--delta", type=float, default=0.0)
-@click.option("--l0", type=int, default=0)
-@click.option("--r0", type=int, default=2)
+@_model_options
 @click.option("--events", type=int, default=10000, help="Event budget per run (default 10000).")
 @click.option("--trials", type=int, default=100, help="Number of coupled runs (default 100).")
 @click.option("--allow-small-a", is_flag=True)
@@ -213,14 +208,14 @@ def urn_verify(a, delta, l0, r0, horizon, allow_small_a, out_path) -> None:
               help="JSONL run summaries (default stdout).")
 def couple(a, delta, l0, r0, events, trials, allow_small_a,
            do_marginal_check, seed, out_path) -> None:
-    """Run the four-process coupled construction; any ordering violation
-    is a hard failure (exit 1)."""
+    """Run the four-process coupled construction; any ordering violation,
+    or a failed marginal check, is a hard failure (exit 1)."""
     if trials < 1:
         raise click.UsageError("--trials must be at least 1")
     params = _model_params(a, delta, l0, r0, events, allow_small_a=allow_small_a)
     try:
         results = [
-            run_coupling(params, events, RngStream(seed, trial),
+            run_coupling(params, RngStream(seed, trial),
                          Environment(params, RngStream(seed, trial, ENVIRONMENT)))
             for trial in range(trials)
         ]
@@ -232,13 +227,18 @@ def couple(a, delta, l0, r0, events, trials, allow_small_a,
     }
     lines = [json.dumps({"meta": _meta(resolved)}, sort_keys=True)]
     lines += [res.to_json() for res in results]
+    marginal_passed = True
     if do_marginal_check:
-        report = marginal_check(params, trials=min(trials, 200), max_events=events, seed=seed)
+        report = marginal_check(params, trials=min(trials, 200), seed=seed)
         lines.append(report.to_json())
+        marginal_passed = report.passed
     _write_text(out_path, "\n".join(lines) + "\n")
     violations = sum(res.violations for res in results)
     if violations:
         click.echo(f"ordering violations detected in {violations} run(s)", err=True)
+    if not marginal_passed:
+        click.echo("marginal check failed; its report is the last output line", err=True)
+    if violations or not marginal_passed:
         sys.exit(1)
 
 

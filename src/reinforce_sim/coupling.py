@@ -186,11 +186,9 @@ class CouplingRunResult:
         )
 
 
-def run_coupling(
-    params: ModelParams, max_events: int, rng: RngStream, env: Environment
-) -> CouplingRunResult:
+def run_coupling(params: ModelParams, rng: RngStream, env: Environment) -> CouplingRunResult:
     """Run the coupled quadruple on dynamics stream ``rng`` in environment
-    ``env`` until the inner pair meets or the budget ends.
+    ``env`` until the inner pair meets or ``params.max_events`` run out.
 
     The environment may be shared across runs (fixed-environment
     experiments) or sampled per run from its own stream.
@@ -203,7 +201,7 @@ def run_coupling(
     tau1 = None
     e = 0
     try:
-        for e in range(1, max_events + 1):
+        for e in range(1, params.max_events + 1):
             coupled_step(state, rng)
             gap = state.rP - state.lP
             if gap > max_gap:
@@ -252,7 +250,6 @@ class MarginalCheckReport:
 def marginal_check(
     params: ModelParams,
     trials: int,
-    max_events: int,
     seed: int,
     significance: float = 0.01,
     min_visits: int = 20,
@@ -261,10 +258,11 @@ def marginal_check(
 
     The environment of trial 0, stream (seed, 0, ENVIRONMENT), is held
     fixed, and trials 0, 1, ... rerun their dynamics streams (seed, trial)
-    in it.  Only free (non-coincident) steps are tallied, since coincident
-    steps are resolved by the urn drawing rather than the limiting
-    fractions.  Sites with fewer than ``min_visits`` tallied steps are
-    excluded; a check that tests no site fails.
+    in it for up to ``params.max_events`` events each.  Only free
+    (non-coincident) steps are tallied, since coincident steps are
+    resolved by the urn drawing rather than the limiting fractions.
+    Sites with fewer than ``min_visits`` tallied steps are excluded; a
+    check that tests no site fails.
     """
     env = Environment(params, RngStream(seed, 0, ENVIRONMENT))
     counts: dict[tuple[str, int], list[int]] = {}
@@ -272,7 +270,7 @@ def marginal_check(
     for trial in range(trials if params.l0 < params.r0 else 0):
         trial_rng = RngStream(seed, trial)
         state = init_coupled_state(params, env)
-        for _ in range(max_events):
+        for _ in range(params.max_events):
             if state.l >= state.r:
                 break
             lP, rP = state.lP, state.rP

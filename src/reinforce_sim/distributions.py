@@ -79,32 +79,15 @@ class RngStream:
 
 @dataclass(frozen=True)
 class BetaParams:
-    """Beta shape parameters, or an explicit point mass at zero.
-
-    The degenerate marker represents environment table rows whose
-    limiting fraction is exactly zero; it is never encoded as clamped
-    small shapes.
-    """
+    """Beta shape parameters, both finite and positive."""
 
     alpha: float
     beta: float
-    point_mass_at_zero: bool = False
 
     def __post_init__(self) -> None:
-        if self.point_mass_at_zero:
-            return
         for name, v in (("alpha", self.alpha), ("beta", self.beta)):
             if not np.isfinite(v) or v <= 0:
                 raise ValueError(f"BetaParams.{name} must be finite and > 0, got {v!r}")
-
-    @classmethod
-    def degenerate_zero(cls) -> "BetaParams":
-        return cls(0.0, 0.0, point_mass_at_zero=True)
-
-    def mean(self) -> float:
-        if self.point_mass_at_zero:
-            return 0.0
-        return self.alpha / (self.alpha + self.beta)
 
 
 @dataclass(frozen=True)
@@ -140,10 +123,7 @@ def sample_beta(rng: RngStream, p: BetaParams, size=None):
     """Draw from Beta(alpha, beta) via two gamma variates.
 
     The two-gamma route stays valid for shape parameters below 1.
-    Point-mass-marked parameters return exactly 0.
     """
-    if p.point_mass_at_zero:
-        return np.zeros(size) if size is not None else 0.0
     x = rng.gen.gamma(p.alpha, size=size)
     y = rng.gen.gamma(p.beta, size=size)
     if size is None:
@@ -194,8 +174,6 @@ def integrate_log_odds(p: BetaParams, abs_tol: float = 1e-8) -> float:
     which removes the endpoint singularities of the raw integrand.  The
     result must agree with digamma(alpha) - digamma(beta).
     """
-    if p.point_mass_at_zero:
-        raise ValueError("integrate_log_odds requires non-degenerate parameters")
     a1, a2 = p.alpha, p.beta
     n = a1 + a2
     c = 2.0 ** (3.0 - n) * np.exp(-special.betaln(a1, a2))

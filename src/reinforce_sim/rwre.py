@@ -46,7 +46,6 @@ class CriterionResult:
         return {
             "alpha": self.params.alpha,
             "beta": self.params.beta,
-            "degenerate": self.params.point_mass_at_zero,
             "log_odds_mean": self.log_odds_mean,
             "mu": self.mu,
             "mean_inverse_odds": self.mean_inverse_odds,
@@ -61,15 +60,6 @@ def criterion(p: BetaParams) -> CriterionResult:
     E[log(p/(1-p))] = digamma(alpha) - digamma(beta);
     E[(1-p)/p] = beta/(alpha-1) for alpha > 1, infinite otherwise.
     """
-    if p.point_mass_at_zero:
-        return CriterionResult(
-            params=p,
-            log_odds_mean=float("-inf"),
-            mu=float("inf"),
-            mean_inverse_odds=None,
-            classification=Classification.TRANSIENT_LEFT,
-            finite_mean_return=False,
-        )
     m = digamma(p.alpha) - digamma(p.beta)
     inv = p.beta / (p.alpha - 1.0) if p.alpha > 1.0 else None
     if m > _ZERO_TOL:
@@ -135,12 +125,6 @@ class RecurrenceCurve:
         ]
 
 
-def _regime_ok(p: BetaParams) -> bool:
-    if p.point_mass_at_zero:
-        return False
-    return criterion(p).mu > 0
-
-
 def difference_recurrence(
     p1: BetaParams,
     p2: BetaParams,
@@ -167,7 +151,7 @@ def difference_recurrence(
         raise ValueError("budgets must be positive")
     if trials <= 0:
         raise ValueError("trials must be positive")
-    regime_ok = _regime_ok(p1) and _regime_ok(p2)
+    regime_ok = criterion(p1).mu > 0 and criterion(p2).mu > 0
     if not regime_ok:
         warnings.warn(
             "environment parameters violate the mu > 0 hypothesis; the "

@@ -5,6 +5,8 @@ Each test prints one PASS/FAIL line; tolerances are fixed here and in
 pilot seed).  Run with ``pytest tests/test_acceptance.py -s`` to see the
 lines on success.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -60,10 +62,11 @@ def test_criterion_2_sandwich_invariant():
     runs_per_config = 850  # 850 x 12 = 10200 runs
     budget = 10_000
     total = violations = tau1_hits = 0
-    for c, params in enumerate(PARAM_GRID):
+    for c, grid_params in enumerate(PARAM_GRID):
+        params = replace(grid_params, max_events=budget)
         for t in range(runs_per_config):
             key = (2026, c * 10_000 + t)
-            res = run_coupling(params, budget, RngStream(*key),
+            res = run_coupling(params, RngStream(*key),
                                Environment(params, RngStream(*key, ENVIRONMENT)))
             total += 1
             violations += res.violations

@@ -147,13 +147,17 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "--trials" in result.output
 
-    def test_seed_envvar_fallback(self, runner, tmp_path):
+    def test_config_seed_is_not_overridden_by_the_environment(self, runner, tmp_path):
+        # the seed comes from the flag, else the config file, else 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 5}))
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["simulate", "--trials", "10", "--events", "200"]
-        r1 = runner.invoke(main, base + ["--out", str(out1)],
+        r1 = runner.invoke(main, base + ["--config", str(cfg), "--out", str(out1)],
                            env={"REINFORCE_SIM_SEED": "77"})
-        r2 = runner.invoke(main, base + ["--seed", "77", "--out", str(out2)])
+        r2 = runner.invoke(main, base + ["--seed", "5", "--out", str(out2)])
         assert r1.exit_code == r2.exit_code == 0
+        assert '"seed": 5' in read_csv(out1)
         assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -236,7 +240,8 @@ class TestCouple:
             ["couple", "--trials", "20", "--events", "2000", "--seed", "7",
              "--marginal-check", "--out", str(out)],
         )
-        assert result.exit_code == 0
+        assert result.exit_code == 1
+        assert "marginal check failed" in result.output
         last = json.loads(out.read_text().strip().split("\n")[-1])
         assert last["checks"] == [] and last["excluded_sites"] > 0
         assert last["passed"] is False
@@ -369,6 +374,8 @@ KEYED_STREAM_COMMANDS = {
     "simulate-timestamps": ["simulate", "--trials", "3", "--events", "20000", "--seed", "7",
                             "--timestamps", "--trajectory-out", "TRAJ"],
 }
+# 20 short runs leave the marginal check no site to test, so it fails
+KEYED_STREAM_EXIT_CODES = {"couple-marginal-check": 1}
 
 
 class TestStreamKeys:
@@ -381,7 +388,7 @@ class TestStreamKeys:
             out, traj = tmp_path / f"{block}.out", tmp_path / f"{block}.jsonl"
             args = [str(traj) if a == "TRAJ" else a for a in KEYED_STREAM_COMMANDS[name]]
             result = runner.invoke(main, args + ["--out", str(out)])
-            assert result.exit_code == 0
+            assert result.exit_code == KEYED_STREAM_EXIT_CODES.get(name, 0)
             outputs.add((out.read_bytes(), traj.read_bytes() if traj.exists() else b""))
         assert len(outputs) == 1
 

@@ -195,21 +195,22 @@ class TestCoupledStep:
 
 class TestRunCoupling:
     def test_no_violations_and_ordering_summary(self):
-        p = params_for()
+        p = params_for(max_events=2000)
         for t in range(100):
-            res = run_coupling(p, 2000, RngStream(91, t), env_for(p, 91, t))
+            res = run_coupling(p, RngStream(91, t), env_for(p, 91, t))
             assert res.violations == 0
             assert res.max_gap >= 2
             if res.tau1_event is not None:
                 assert res.tau1_event <= res.events_executed
 
     def test_coincident_start_summary(self):
-        p = params_for(l0=1, r0=1)
-        res = run_coupling(p, 100, RngStream(92, 0), env_for(p, 92))
+        p = params_for(l0=1, r0=1, max_events=100)
+        res = run_coupling(p, RngStream(92, 0), env_for(p, 92))
         assert (res.violations, res.tau1_event, res.events_executed) == (0, 0, 0)
 
     def test_json_summary_schema(self):
-        res = run_coupling(params_for(), 500, RngStream(93, 0), env_for(params_for(), 93))
+        p = params_for(max_events=500)
+        res = run_coupling(p, RngStream(93, 0), env_for(p, 93))
         row = json.loads(res.to_json())
         assert set(row) == {
             "violations", "tau1_event", "max_rP_minus_lP", "events", "seed", "stream_id",
@@ -217,17 +218,17 @@ class TestRunCoupling:
         assert row["violations"] == 0
 
     def test_shared_environment_reuse(self):
-        p = params_for()
+        p = params_for(max_events=500)
         env = Environment(p, RngStream(94, 0))
-        r1 = run_coupling(p, 500, RngStream(94, 1), env)
-        r2 = run_coupling(p, 500, RngStream(94, 2), env)
+        r1 = run_coupling(p, RngStream(94, 1), env)
+        r2 = run_coupling(p, RngStream(94, 2), env)
         assert r1.violations == r2.violations == 0
 
 
 class TestMarginalCheck:
     def test_free_walkers_follow_environment(self):
-        p = params_for()
-        report = marginal_check(p, trials=300, max_events=2000, seed=95)
+        p = params_for(max_events=2000)
+        report = marginal_check(p, trials=300, seed=95)
         assert report.passed
         assert report.trials == 300
         assert len(report.checks) > 0
@@ -238,15 +239,15 @@ class TestMarginalCheck:
     def test_degenerate_sites_are_exact(self):
         # a=1: site l0 has p_l frozen at 0, so a free left outer walker
         # there never jumps right
-        p = params_for()
-        report = marginal_check(p, trials=300, max_events=2000, seed=96)
+        p = params_for(max_events=2000)
+        report = marginal_check(p, trials=300, seed=96)
         for c in report.checks:
             if c.walker == "lP" and c.expected_right == 0.0:
                 assert c.right_jumps == 0
 
     def test_json_schema(self):
-        p = params_for()
-        report = marginal_check(p, trials=50, max_events=500, seed=97)
+        p = params_for(max_events=500)
+        report = marginal_check(p, trials=50, seed=97)
         data = json.loads(report.to_json())
         assert set(data) == {"trials", "significance", "excluded_sites", "passed", "checks"}
 

@@ -97,20 +97,10 @@ class TestSampleBeta:
         xs = sample_beta(rng, BetaParams(0.05, 0.07), size=10_000)
         assert ((xs >= 0) & (xs <= 1)).all()
 
-    def test_point_mass_marker_returns_exact_zero(self):
-        rng = RngStream(14, 0)
-        p = BetaParams.degenerate_zero()
-        assert sample_beta(rng, p) == 0.0
-        assert (sample_beta(rng, p, size=50) == 0.0).all()
-
     @pytest.mark.parametrize("alpha,beta", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (float("nan"), 1.0), (float("inf"), 1.0)])
     def test_invalid_shapes_rejected(self, alpha, beta):
         with pytest.raises(ValueError):
             BetaParams(alpha, beta)
-
-    def test_mean_method(self):
-        assert BetaParams(2.0, 6.0).mean() == 0.25
-        assert BetaParams.degenerate_zero().mean() == 0.0
 
 
 class TestSampleDirichlet:
@@ -213,10 +203,6 @@ class TestIntegrateLogOdds:
     def test_beta_2_1_value(self):
         # psi(2) - psi(1) = 1 exactly
         assert integrate_log_odds(BetaParams(2.0, 1.0)) == pytest.approx(1.0, abs=1e-8)
-
-    def test_rejects_point_mass(self):
-        with pytest.raises(ValueError):
-            integrate_log_odds(BetaParams.degenerate_zero())
 
     @settings(max_examples=30, deadline=None)
     @given(

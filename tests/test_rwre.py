@@ -49,12 +49,6 @@ class TestCriterion:
         assert criterion(BetaParams(3.0, 2.5)).finite_mean_return is False
         assert criterion(BetaParams(1.4, 0.5)).finite_mean_return is False
 
-    def test_point_mass_environment(self):
-        res = criterion(BetaParams.degenerate_zero())
-        assert res.classification is Classification.TRANSIENT_LEFT
-        assert res.mu == float("inf")
-        assert res.mean_inverse_odds is None
-
     def test_monte_carlo_log_odds_agreement(self):
         p = BetaParams(2.0, 1.0)
         rng = RngStream(112, 0)
@@ -154,41 +148,36 @@ class TestDifferenceRecurrence:
             difference_recurrence(p, p, [10], 0, 110)
 
     def test_deterministic_reduction_oracle(self):
-        # chain one frozen as the 0-1 oscillator (point mass at zero):
-        # an independent re-implementation of the reduced system must
-        # produce the same hit fractions from the same keyed streams
-        p1 = BetaParams.degenerate_zero()
-        p2 = BetaParams(0.5, 1.5)
+        # an independent re-implementation of both chains must produce the
+        # same hit fractions from the same keyed streams: a chain meets its
+        # sites in the order 1, 2, ..., so the k-th draw of its environment
+        # stream is site k's, and site 0 reflects
+        p = BetaParams(0.5, 1.5)
         budgets = [50, 200, 800]
         trials = 150
-        with pytest.warns(UserWarning):
-            curve = difference_recurrence(p1, p2, budgets, trials, 111)
+        curve = difference_recurrence(p, p, budgets, trials, 111)
 
-        from reinforce_sim.distributions import MIRROR_ENVIRONMENT, RngStream, sample_beta
+        from reinforce_sim.distributions import ENVIRONMENT, MIRROR_ENVIRONMENT, sample_beta
 
         firsts = []
         for trial in range(trials):
             rng = RngStream(111, trial)
-            # chain two meets its sites in the order 1, 2, ..., so the
-            # k-th draw of its environment stream is site k's
-            env_rng = RngStream(111, trial, MIRROR_ENVIRONMENT)
-            env2 = []
-            zr = zl = 0
+            env_rngs = (RngStream(111, trial, ENVIRONMENT),
+                        RngStream(111, trial, MIRROR_ENVIRONMENT))
+            envs = ([], [])
+            z = [0, 0]  # distances of chain one and chain two from the origin
             first = None
             for e in range(1, budgets[-1] + 1):
-                if rng.uniform() < 0.5:
-                    # oscillator: forced right from 0, forced left above
-                    u = rng.uniform()
-                    zr = zr + 1 if (zr == 0 or u < 0.0) else zr - 1
+                chain = 0 if rng.uniform() < 0.5 else 1
+                u = rng.uniform()
+                k = z[chain]
+                if k == 0:
+                    z[chain] = 1
                 else:
-                    u = rng.uniform()
-                    if zl == 0:
-                        zl = 1
-                    else:
-                        while len(env2) < zl:
-                            env2.append(sample_beta(env_rng, p2))
-                        zl = zl + 1 if u < env2[zl - 1] else zl - 1
-                if zr == 0 and zl == 0:
+                    while len(envs[chain]) < k:
+                        envs[chain].append(sample_beta(env_rngs[chain], p))
+                    z[chain] = k + 1 if u < envs[chain][k - 1] else k - 1
+                if z == [0, 0]:
                     first = e
                     break
             firsts.append(first)

@@ -149,18 +149,18 @@ class TestUrnProcessStep:
                 coupled_step(state, rng)
 
     def test_run_stops_at_first_meeting(self):
-        p = params_for()
-        res = run_coupling(p, 100_000, RngStream(75, 0), env_for(p, 75))
+        p = params_for(max_events=100_000)
+        res = run_coupling(p, RngStream(75, 0), env_for(p, 75))
         assert res.tau1_event == res.events_executed
 
     def test_coincident_start_returns_zero(self):
-        p = params_for(l0=2, r0=2)
-        res = run_coupling(p, 100, RngStream(76, 0), env_for(p, 76))
+        p = params_for(l0=2, r0=2, max_events=100)
+        res = run_coupling(p, RngStream(76, 0), env_for(p, 76))
         assert (res.tau1_event, res.events_executed) == (0, 0)
 
     def test_budget_exhaustion_returns_none(self):
-        p = params_for()
-        res = run_coupling(p, 1, RngStream(77, 0), env_for(p, 77))
+        p = params_for(max_events=1)
+        res = run_coupling(p, RngStream(77, 0), env_for(p, 77))
         assert (res.tau1_event, res.events_executed) == (None, 1)
 
 
