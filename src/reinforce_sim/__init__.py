@@ -6,12 +6,11 @@ __version__ = "0.2.2"
 
 from .direct import ModelParams, TrajectoryRecord, WeightMap, meeting_statistics, run_direct
 from .distributions import BetaParams, DirichletParams, RngStream
-from .rwre import BDEnvironment, Classification, CriterionResult, criterion
+from .rwre import Classification, CriterionResult, criterion
 from .urn import MagicUrn, PolyaUrn, Side
 from .urn_process import enumerate_exact, tv_distance
 
 __all__ = [
-    "BDEnvironment",
     "BetaParams",
     "Classification",
     "CriterionResult",

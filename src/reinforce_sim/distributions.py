@@ -6,7 +6,10 @@ et al., SC'11): a trial's dynamics stream by ``(seed, trial)``, anything
 else the trial samples (an environment, holding times) by ``(seed,
 trial, role)``.  Dynamics streams give only uniforms, so no output
 depends on how uniforms are buffered.  Distinct keys give statistically
-independent streams (numpy's SeedSequence guarantee).
+independent streams (numpy's SeedSequence guarantee).  A Philox stream is
+fixed by its two-word key, so :func:`stream_keys` derives the keys of a
+whole run in one pass and :meth:`RngStream.rekey` moves one generator
+from stream to stream.
 """
 from __future__ import annotations
 
@@ -23,6 +26,14 @@ _BUFFER_BLOCK = 1024
 ENVIRONMENT = 1  # a coupled run's quenched environment; rwre chain one's
 MIRROR_ENVIRONMENT = 2  # rwre chain two's (the mirrored half-line)
 HOLDING_TIMES = 3  # exponential holding times of a logged trajectory
+
+# numpy's SeedSequence hash (bit_generator.pyx): a pool of four uint32
+# words, mixed with these constants, then hashed out as the Philox key
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
+_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 
 
 class QuadratureError(RuntimeError):
@@ -76,6 +87,70 @@ class RngStream:
         self._pos += k
         return np.concatenate((head, self.gen.random(n - k)))
 
+    def rekey(self, trial: int, key) -> None:
+        """Turn this stream into stream ``(seed, trial, role)``, bit for bit.
+
+        ``key`` is that stream's row of :func:`stream_keys`.  The generator
+        is left as a freshly built one: Philox counter 0, empty buffers.
+        """
+        self.trial = trial
+        self.gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._buf = np.empty(0)
+        self._pos = 0
+
+
+def stream_keys(seed: int, trials: int, role: int | None = None) -> np.ndarray:
+    """Philox keys of the streams ``(seed, t, role)`` for t < ``trials``.
+
+    Row t of the ``(trials, 2)`` uint64 result equals
+    ``SeedSequence([seed & MASK64, t(, role)]).generate_state(2, uint64)``,
+    the key :class:`RngStream` builds its generator from; every trial's
+    SeedSequence hash runs at once, in uint32 arithmetic that wraps.
+    """
+    s = seed & _MASK64
+    # the entropy words: seed (one word, or two above 2**32), trial, role;
+    # SeedSequence pads a short pool with zeros
+    words = [np.uint32(s & 0xFFFFFFFF)] + ([np.uint32(s >> 32)] if s >> 32 else [])
+    words.append(np.arange(trials, dtype=np.uint32))
+    words += [] if role is None else [np.uint32(role)]
+    words += [np.uint32(0)] * (_POOL_SIZE - len(words))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    with np.errstate(over="ignore"):
+        pool = [hashmix(w) for w in words]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        hash_const = _INIT_B
+        out = []
+        for value in pool:
+            value = value ^ hash_const
+            hash_const = hash_const * _MULT_B
+            value = value * hash_const
+            out.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    # generate_state(2, uint64) views the four uint32 words little-endian
+    shift = np.uint64(32)
+    return np.stack((out[0] | out[1] << shift, out[2] | out[3] << shift), axis=1)
+
 
 @dataclass(frozen=True)
 class BetaParams:
@@ -119,18 +194,16 @@ class DirichletParams:
         return self.alpha_red is None or self.alpha_blue is None
 
 
-def sample_beta(rng: RngStream, p: BetaParams, size=None):
-    """Draw from Beta(alpha, beta) via two gamma variates.
+def sample_beta(rng: RngStream, p: BetaParams) -> float:
+    """One draw from Beta(alpha, beta) via two gamma variates.
 
     The two-gamma route stays valid for shape parameters below 1.
     """
-    x = rng.gen.gamma(p.alpha, size=size)
-    y = rng.gen.gamma(p.beta, size=size)
-    if size is None:
-        while x + y == 0.0:  # extreme-shape underflow guard
-            x = rng.gen.gamma(p.alpha)
-            y = rng.gen.gamma(p.beta)
-        return x / (x + y)
+    x = rng.gen.gamma(p.alpha)
+    y = rng.gen.gamma(p.beta)
+    while x + y == 0.0:  # extreme-shape underflow guard
+        x = rng.gen.gamma(p.alpha)
+        y = rng.gen.gamma(p.beta)
     return x / (x + y)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import (
-    ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, digamma, sample_beta,
+    ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, digamma, sample_beta, stream_keys,
 )
 
 
@@ -24,6 +24,10 @@ class Classification(Enum):
 
 
 _ZERO_TOL = 1e-12
+# Uniforms a trial reads at first; each later read doubles, up to the cap.
+# So a short trial (the median is 4 events) draws few it does not use, and a
+# long one makes few reads yet holds at most two chunks.
+_FIRST_CHUNK, _MAX_CHUNK = 16, 1024
 
 
 @dataclass(frozen=True)
@@ -78,35 +82,6 @@ def criterion(p: BetaParams) -> CriterionResult:
     )
 
 
-class BDEnvironment:
-    """Per-site right-jump probabilities: iid Beta draws plus overrides.
-
-    Sites are sampled lazily from ``rng`` in the order they are first
-    visited, and memoized; ``overrides`` pre-fills the memo with exact
-    values (e.g. reflecting boundaries with p = 1).
-    """
-
-    def __init__(
-        self,
-        sampler: BetaParams,
-        rng: RngStream,
-        overrides: dict[int, float] | None = None,
-    ):
-        self.sampler = sampler
-        self._rng = rng
-        self._sites: dict[int, float] = dict(overrides or {})
-        for v, pv in self._sites.items():
-            if not 0.0 <= pv <= 1.0:
-                raise ValueError(f"override p({v})={pv} outside [0, 1]")
-
-    def p(self, v: int) -> float:
-        pv = self._sites.get(v)
-        if pv is None:
-            pv = float(sample_beta(self._rng, self.sampler))
-            self._sites[v] = pv
-        return pv
-
-
 @dataclass
 class RecurrenceCurve:
     """Fraction of trials whose two-chain difference returned to zero by
@@ -125,6 +100,56 @@ class RecurrenceCurve:
         ]
 
 
+def first_returns(
+    p1: BetaParams, p2: BetaParams, max_budget: int, trials: int, seed: int
+) -> list[int | None]:
+    """Per trial, the first event (1, 2, ...) at which both chains of the
+    difference-recurrence experiment are back at 0, or None if that does
+    not happen within ``max_budget`` events.
+
+    Chain one lives on the nonnegative sites with forward probabilities
+    p1(i) (p1(0) = 1); chain two mirrors it on the nonpositive sites with
+    p2.  An event takes two uniforms: the chain pick, then the step.
+
+    Trial t moves on stream (seed, t); chain one's environment comes from
+    (seed, t, ENVIRONMENT), chain two's from (seed, t, MIRROR_ENVIRONMENT).
+    A chain reaches site i only after sites 1, ..., i - 1, so the draw of
+    site i does not depend on the path.  Three generators serve the whole
+    run: each is re-keyed to the trial's stream, an environment stream only
+    once its chain needs site 1's draw.
+    """
+    walk = RngStream(seed, 0)
+    env_streams = (RngStream(seed, 0, ENVIRONMENT), RngStream(seed, 0, MIRROR_ENVIRONMENT))
+    walk_keys = stream_keys(seed, trials)
+    env_keys = (stream_keys(seed, trials, ENVIRONMENT),
+                stream_keys(seed, trials, MIRROR_ENVIRONMENT))
+    params = (p1, p2)
+    firsts = []
+    for trial in range(trials):
+        walk.rekey(trial, walk_keys[trial])
+        envs = ([1.0], [1.0])  # site k's forward probability; site 0 reflects
+        z = [0, 0]  # distances of chain one and chain two from the origin
+        u, i, chunk = [], 0, _FIRST_CHUNK
+        first = None
+        for e in range(1, max_budget + 1):
+            while i + 1 >= len(u):
+                u = u[i:] + walk.uniforms(chunk).tolist()
+                i, chunk = 0, min(2 * chunk, _MAX_CHUNK)
+            c = 0 if u[i] < 0.5 else 1
+            k, env = z[c], envs[c]
+            if k == len(env):
+                if k == 1:
+                    env_streams[c].rekey(trial, env_keys[c][trial])
+                env.append(sample_beta(env_streams[c], params[c]))
+            z[c] = k + 1 if u[i + 1] < env[k] else k - 1
+            i += 2
+            if z[0] == 0 and z[1] == 0:
+                first = e
+                break
+        firsts.append(first)
+    return firsts
+
+
 def difference_recurrence(
     p1: BetaParams,
     p2: BetaParams,
@@ -133,18 +158,8 @@ def difference_recurrence(
     seed: int,
 ) -> RecurrenceCurve:
     """Monte Carlo return-probability curve for the difference of two
-    conditionally independent half-line chains.
-
-    Chain one lives on the nonnegative sites with forward probabilities
-    p1(i) (p1(0) = 1); chain two mirrors it on the nonpositive sites with
-    p2.  Per trial, the first event at which both chains are back at 0
-    simultaneously is recorded; the curve reports the fraction of trials
-    with a return by each budget.
-
-    Trial t moves on stream (seed, t); chain one's environment comes from
-    (seed, t, ENVIRONMENT), chain two's from (seed, t, MIRROR_ENVIRONMENT).
-    A chain reaches site i only after sites 1, ..., i - 1, so the draw of
-    site i does not depend on the path.
+    conditionally independent half-line chains (see :func:`first_returns`):
+    the fraction of trials whose chains are both back at 0 by each budget.
     """
     budgets = sorted(budgets)
     if not budgets or budgets[0] <= 0:
@@ -158,27 +173,10 @@ def difference_recurrence(
             "return probability has no guarantee in this regime",
             stacklevel=2,
         )
-    max_budget = budgets[-1]
-    first_returns = []
-    for trial in range(trials):
-        trial_rng = RngStream(seed, trial)
-        env1 = BDEnvironment(p1, RngStream(seed, trial, ENVIRONMENT), overrides={0: 1.0})
-        env2 = BDEnvironment(p2, RngStream(seed, trial, MIRROR_ENVIRONMENT), overrides={0: 1.0})
-        zr = 0  # distance of chain one from the origin (nonnegative)
-        zl = 0  # distance of chain two from the origin (nonnegative)
-        first = None
-        for e in range(1, max_budget + 1):
-            if trial_rng.uniform() < 0.5:
-                zr = zr + 1 if trial_rng.uniform() < env1.p(zr) else zr - 1
-            else:
-                zl = zl + 1 if trial_rng.uniform() < env2.p(zl) else zl - 1
-            if zr == 0 and zl == 0:
-                first = e
-                break
-        first_returns.append(first)
+    firsts = first_returns(p1, p2, budgets[-1], trials, seed)
     fractions, errs = [], []
     for b in budgets:
-        hits = sum(1 for f in first_returns if f is not None and f <= b)
+        hits = sum(1 for f in firsts if f is not None and f <= b)
         frac = hits / trials
         fractions.append(frac)
         errs.append((frac * (1 - frac) / trials) ** 0.5)

@@ -20,7 +20,6 @@ from reinforce_sim.distributions import (
     RngStream,
     digamma,
     integrate_log_odds,
-    sample_beta,
 )
 from reinforce_sim.rwre import Classification, criterion, difference_recurrence
 from reinforce_sim.urn import (
@@ -31,6 +30,8 @@ from reinforce_sim.urn import (
     three_color_fraction_samples,
 )
 from reinforce_sim.urn_process import enumerate_exact, initial_masses, tv_distance
+
+from oracles import beta_samples
 
 PARAM_GRID = [
     ModelParams(a=a, delta=d, l0=l0, r0=r0)
@@ -146,11 +147,11 @@ def test_criterion_4_transience_criteria():
     )
 
     p = BetaParams(2.0, 1.0)
-    xs = sample_beta(RngStream(112, 0), p, size=100_000)
+    xs = beta_samples(RngStream(112, 0), p, 100_000)
     mc_err = abs(np.mean(np.log(xs / (1 - xs))) - criterion(p).log_odds_mean)
 
     p = BetaParams(2.5, 0.5)
-    xs = sample_beta(RngStream(102, 0), p, size=100_000)
+    xs = beta_samples(RngStream(102, 0), p, 100_000)
     target = p.beta / (p.alpha - 1.0)
     inv_rel_err = abs(np.mean((1 - xs) / xs) - target) / target
 

@@ -17,7 +17,10 @@ from reinforce_sim.distributions import (
     integrate_log_odds,
     sample_beta,
     sample_dirichlet,
+    stream_keys,
 )
+
+from oracles import beta_samples
 
 
 class TestRngStream:
@@ -72,11 +75,54 @@ class TestRngStream:
             RngStream(5, 2, 0)
 
 
+class TestStreamKeys:
+    # seeds of one and two entropy words (-1 and 2**64 - 1 both mask to
+    # 2**64 - 1); with the trial and a role the entropy is 2 to 4 words
+    @pytest.mark.parametrize("seed", [0, 7, -1, 2**32 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("role", [None, ENVIRONMENT, MIRROR_ENVIRONMENT, HOLDING_TIMES])
+    def test_rows_equal_the_seed_sequence_keys(self, seed, role):
+        keys = stream_keys(seed, 3000, role)
+        assert keys.shape == (3000, 2) and keys.dtype == np.uint64
+        tail = [] if role is None else [role]
+        expected = np.array([
+            np.random.SeedSequence([seed & (2**64 - 1), t] + tail).generate_state(2, np.uint64)
+            for t in range(3000)
+        ])
+        assert (keys == expected).all()
+
+    def test_no_trials_no_keys(self):
+        assert stream_keys(5, 0).shape == (0, 2)
+
+    @pytest.mark.parametrize("role", [None, ENVIRONMENT, MIRROR_ENVIRONMENT])
+    def test_rekeyed_stream_equals_a_fresh_one(self, role):
+        p = BetaParams(0.5, 1.5)
+        stream = RngStream(9, 0, role)
+        keys = stream_keys(9, 40, role)
+        for trial in (3, 39, 0, 3):
+            # leave the stream mid-buffer and mid-Philox-block on another key
+            stream.uniform()
+            sample_beta(stream, p)
+            stream.rekey(trial, keys[trial])
+            fresh = RngStream(9, trial, role)
+            assert stream.trial == trial
+            assert stream.uniforms(7).tolist() == fresh.uniforms(7).tolist()
+            assert [sample_beta(stream, p) for _ in range(5)] == [
+                sample_beta(fresh, p) for _ in range(5)]
+            assert [stream.uniform() for _ in range(3)] == [fresh.uniform() for _ in range(3)]
+
+
 class TestSampleBeta:
+    def test_scalar_draws_are_the_two_gamma_ratio(self):
+        # the law tests below sample in blocks; one block of one is one draw
+        p = BetaParams(0.5, 1.5)
+        rng, twin = RngStream(10, 0), RngStream(10, 0)
+        assert [sample_beta(rng, p) for _ in range(50)] == [
+            beta_samples(twin, p, 1)[0] for _ in range(50)]
+
     @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (0.5, 0.5), (2.0, 2.0)])
     def test_symmetric_mean_is_half(self, alpha, beta):
         rng = RngStream(11, 0)
-        xs = sample_beta(rng, BetaParams(alpha, beta), size=100_000)
+        xs = beta_samples(rng, BetaParams(alpha, beta), 100_000)
         assert abs(xs.mean() - 0.5) < 0.01
 
     def test_mean_matches_density_integral(self):
@@ -89,12 +135,12 @@ class TestSampleBeta:
         )
         assert err < 1e-8
         rng = RngStream(12, 0)
-        xs = sample_beta(rng, BetaParams(alpha, beta), size=100_000)
+        xs = beta_samples(rng, BetaParams(alpha, beta), 100_000)
         assert abs(xs.mean() - target) < 0.01
 
     def test_small_shapes_stay_in_unit_interval(self):
-        rng = RngStream(13, 0)
-        xs = sample_beta(rng, BetaParams(0.05, 0.07), size=10_000)
+        rng, p = RngStream(13, 0), BetaParams(0.05, 0.07)
+        xs = np.array([sample_beta(rng, p) for _ in range(10_000)])
         assert ((xs >= 0) & (xs <= 1)).all()
 
     @pytest.mark.parametrize("alpha,beta", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (float("nan"), 1.0), (float("inf"), 1.0)])

@@ -2,13 +2,11 @@
 import numpy as np
 import pytest
 
+from reinforce_sim import rwre
 from reinforce_sim.distributions import BetaParams, RngStream
-from reinforce_sim.rwre import (
-    BDEnvironment,
-    Classification,
-    criterion,
-    difference_recurrence,
-)
+from reinforce_sim.rwre import Classification, criterion, difference_recurrence, first_returns
+
+from oracles import BDEnvironment, beta_samples, scalar_first_returns
 
 
 def simulate_bd(env: BDEnvironment, start: int, max_events: int, rng) -> int:
@@ -51,19 +49,13 @@ class TestCriterion:
 
     def test_monte_carlo_log_odds_agreement(self):
         p = BetaParams(2.0, 1.0)
-        rng = RngStream(112, 0)
-        from reinforce_sim.distributions import sample_beta
-
-        xs = sample_beta(rng, p, size=100_000)
+        xs = beta_samples(RngStream(112, 0), p, 100_000)
         mc = np.mean(np.log(xs / (1.0 - xs)))
         assert abs(mc - criterion(p).log_odds_mean) < 0.01
 
     def test_monte_carlo_inverse_odds_agreement(self):
         p = BetaParams(2.5, 0.5)
-        rng = RngStream(102, 0)
-        from reinforce_sim.distributions import sample_beta
-
-        xs = sample_beta(rng, p, size=100_000)
+        xs = beta_samples(RngStream(102, 0), p, 100_000)
         mc = np.mean((1.0 - xs) / xs)
         target = criterion(p).mean_inverse_odds
         assert target == pytest.approx(1.0 / 3.0)
@@ -146,6 +138,26 @@ class TestDifferenceRecurrence:
             difference_recurrence(p, p, [0], 10, 110)
         with pytest.raises(ValueError):
             difference_recurrence(p, p, [10], 0, 110)
+
+    # (p1, p2, trials): the pilot's environments, chain one outside the
+    # regime (mu < 0, it drifts away and many trials hit the budget), and
+    # two different environments
+    ORACLE_GRID = [
+        (BetaParams(0.5, 1.5), BetaParams(0.5, 1.5), 300),
+        (BetaParams(1.5, 0.5), BetaParams(0.5, 1.5), 40),
+        (BetaParams(1.0, 1.0), BetaParams(2.0, 5.0), 300),
+    ]
+
+    @pytest.mark.parametrize("p1,p2,trials", ORACLE_GRID, ids=["pilot", "outside", "mixed"])
+    def test_first_returns_equal_the_scalar_oracle(self, monkeypatch, p1, p2, trials):
+        # budgets below, at and above the first read of 16 uniforms (8
+        # events), and one long enough to reach the largest reads; the
+        # read sizes must not show in the result
+        for budget in (1, 2, 8, 9, 15, 16, 17, 10_000):
+            expected = scalar_first_returns(p1, p2, budget, trials, 113)
+            for first_chunk in (1, 16, 1024):
+                monkeypatch.setattr(rwre, "_FIRST_CHUNK", first_chunk)
+                assert first_returns(p1, p2, budget, trials, 113) == expected
 
     def test_deterministic_reduction_oracle(self):
         # an independent re-implementation of both chains must produce the
