@@ -2,10 +2,10 @@
 walks on the integer line, their marble-urn representation, the coupled
 random-environment sandwich, and birth-death recurrence criteria."""
 
-__version__ = "0.2.2"
+__version__ = "0.2.3"
 
 from .direct import ModelParams, TrajectoryRecord, WeightMap, meeting_statistics, run_direct
-from .distributions import BetaParams, DirichletParams, RngStream
+from .distributions import BetaParams, RngStream
 from .rwre import Classification, CriterionResult, criterion
 from .urn import MagicUrn, PolyaUrn, Side
 from .urn_process import enumerate_exact, tv_distance
@@ -14,7 +14,6 @@ __all__ = [
     "BetaParams",
     "Classification",
     "CriterionResult",
-    "DirichletParams",
     "MagicUrn",
     "ModelParams",
     "PolyaUrn",

@@ -20,12 +20,11 @@ from scipy import stats
 from . import __version__
 from .direct import ModelParams, meeting_statistics, run_direct, run_direct_batch
 from .distributions import (
-    ENVIRONMENT, HOLDING_TIMES, BetaParams, RngStream, digamma, integrate_log_odds,
+    ENVIRONMENT, HOLDING_TIMES, BetaParams, QuadratureError, RngStream, digamma,
+    integrate_log_odds, trial_streams,
 )
 from .rwre import criterion, difference_recurrence
-from .urn import (
-    MagicUrn, PolyaUrn, polya_fraction_samples, polya_limit_law, three_color_fraction_samples,
-)
+from .urn import PolyaUrn, polya_fraction_samples
 from .urn_process import SmallAPolicyError, enumerate_exact, tv_distance
 from .coupling import Environment, marginal_check, run_coupling
 
@@ -144,6 +143,8 @@ def simulate(n, a, delta, l0, r0, events, trials,
         raise click.UsageError("--n must be 1 or 2 (more walkers need explicit start positions)")
     if trials < 1:
         raise click.UsageError("--trials must be at least 1")
+    if stop_after_meetings is not None and stop_after_meetings < 1:
+        raise click.UsageError("--stop-after-meetings must be at least 1")
     params = _model_params(a, delta, l0, r0, events)
 
     streams = [RngStream(seed, trial) for trial in range(trials)]
@@ -151,6 +152,7 @@ def simulate(n, a, delta, l0, r0, events, trials,
     resolved = {
         "n": n, "a": a, "delta": delta, "l0": l0, "r0": r0,
         "events": events, "trials": trials, "seed": seed,
+        "stop_after_meetings": stop_after_meetings,
         "outside_recurrence_regime": params.outside_recurrence_regime,
     }
     notes = ["delta >= 1 is outside the proven recurrence regime"]
@@ -215,9 +217,9 @@ def couple(a, delta, l0, r0, events, trials, allow_small_a,
     params = _model_params(a, delta, l0, r0, events, allow_small_a=allow_small_a)
     try:
         results = [
-            run_coupling(params, RngStream(seed, trial),
-                         Environment(params, RngStream(seed, trial, ENVIRONMENT)))
-            for trial in range(trials)
+            run_coupling(params, rng, Environment(params, env_rng))
+            for rng, env_rng in zip(trial_streams(seed, trials),
+                                    trial_streams(seed, trials, ENVIRONMENT))
         ]
     except SmallAPolicyError as exc:
         raise click.UsageError(str(exc)) from exc
@@ -255,14 +257,14 @@ def criterion_cmd(pairs, out_path) -> None:
         raise click.UsageError("give at least one --pair ALPHA BETA (or pairs in --config)")
     rows = []
     for alpha, beta in grid:
-        try:
+        try:  # the quadrature error names the pair
             p = BetaParams(alpha, beta)
-        except ValueError as exc:
+            quadrature = integrate_log_odds(p)
+        except (ValueError, QuadratureError) as exc:
             raise click.UsageError(str(exc)) from exc
-        res = criterion(p)
-        row = res.to_dict()
+        row = criterion(p).to_dict()
         row["closed_form"] = digamma(alpha) - digamma(beta)
-        row["quadrature"] = integrate_log_odds(p)
+        row["quadrature"] = quadrature
         rows.append(row)
     report = {"meta": _meta({"pairs": [list(g) for g in grid]}), "results": rows}
     _write_text(out_path, json.dumps(report, sort_keys=True) + "\n")
@@ -287,11 +289,11 @@ def polya(red, blue, d, draws, runs, three_color, ks_threshold, seed, out_path) 
         if value < 1:
             raise click.UsageError(f"{name} must be at least 1")
     try:
-        urn = PolyaUrn(red, blue, d)
-        law = polya_limit_law(urn)
+        urn = PolyaUrn((red, blue), d)
+        law = BetaParams(*urn.limit_law())
     except ValueError as exc:
         raise click.UsageError(f"no Beta limit law for red={red}, blue={blue}, d={d}: {exc}") from exc
-    samples = polya_fraction_samples(urn, draws, runs, RngStream(seed, 0))
+    samples = polya_fraction_samples(urn, draws, runs, RngStream(seed, 0))[:, 0]
     ks = float(stats.kstest(samples, lambda x: stats.beta.cdf(x, law.alpha, law.beta)).statistic)
     resolved = {"red": red, "blue": blue, "d": d, "draws": draws, "runs": runs,
                 "seed": seed, "ks_threshold": ks_threshold, "three_color": three_color}
@@ -305,10 +307,12 @@ def polya(red, blue, d, draws, runs, three_color, ks_threshold, seed, out_path) 
     }
     failed = ks >= ks_threshold
     if three_color:
-        fracs = three_color_fraction_samples(MagicUrn(red, blue), draws, runs,
-                                             RngStream(seed, 1))
+        # the chameleon urn's pure red, family (the chameleon's unit mass)
+        # and pure blue marbles, each drawing adding two marbles
+        urn3 = PolyaUrn((red, 1.0, blue), 2.0)
+        fracs = polya_fraction_samples(urn3, draws, runs, RngStream(seed, 1))
         marginals = []
-        alphas = [red / 2.0, 0.5, blue / 2.0]
+        alphas = urn3.limit_law()
         total = sum(alphas)
         for i, name in enumerate(("pure_red", "family", "pure_blue")):
             a1, a2 = alphas[i], total - alphas[i]

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from scipy import stats
 
 from .direct import ModelParams
-from .distributions import ENVIRONMENT, BetaParams, RngStream, sample_beta, sample_dirichlet
-from .urn import MagicUrn, Side, magic_draw, magic_limit_params
+from .distributions import (
+    ENVIRONMENT, BetaParams, RngStream, sample_beta, sample_dirichlet, trial_streams,
+)
+from .urn import Side, magic_draw
 from .urn_process import UrnField, check_small_a_policy, initial_masses
 
 
@@ -47,22 +49,18 @@ class SiteEnvironment:
 
 
 def sample_site_environment(params: ModelParams, v: int, rng: RngStream) -> SiteEnvironment:
-    """One environment draw for site v from the Dirichlet limit law of the
-    site's initial urn.
-
-    Nonpositive initial masses become point-mass markers, matching the
-    degenerate environment table rows.
+    """One environment draw for site v from the limit law of its initial urn
+    (r, b), read as a Polya urn of pure red, family (the chameleon marble's
+    unit mass) and pure blue with step 2: Dirichlet(r/2, 1/2, b/2).  A mass
+    <= 0 fixes its fraction at 0, and the other one is Beta(m/2, 1/2).
     """
-    p = magic_limit_params(MagicUrn(*initial_masses(params, v)))
-    if p.alpha_red is not None and p.alpha_blue is not None:
-        q_r, _, p_l = sample_dirichlet(rng, p)
+    r, b = initial_masses(params, v)
+    if r > 0 and b > 0:
+        q_r, _, p_l = sample_dirichlet(rng, (r / 2, 0.5, b / 2))
         return SiteEnvironment(q_r, p_l)
-    if p.alpha_red is None and p.alpha_blue is None:
-        return SiteEnvironment(0.0, 0.0)
-    # one fraction frozen at 0; the other against the family aggregates to a Beta
-    if p.alpha_red is None:
-        return SiteEnvironment(0.0, sample_beta(rng, BetaParams(p.alpha_blue, p.alpha_family)))
-    return SiteEnvironment(sample_beta(rng, BetaParams(p.alpha_red, p.alpha_family)), 0.0)
+    if r <= 0:
+        return SiteEnvironment(0.0, sample_beta(rng, BetaParams(b / 2, 0.5)))
+    return SiteEnvironment(sample_beta(rng, BetaParams(r / 2, 0.5)), 0.0)
 
 
 class Environment:
@@ -267,8 +265,7 @@ def marginal_check(
     env = Environment(params, RngStream(seed, 0, ENVIRONMENT))
     counts: dict[tuple[str, int], list[int]] = {}
 
-    for trial in range(trials if params.l0 < params.r0 else 0):
-        trial_rng = RngStream(seed, trial)
+    for trial_rng in trial_streams(seed, trials if params.l0 < params.r0 else 0):
         state = init_coupled_state(params, env)
         for _ in range(params.max_events):
             if state.l >= state.r:

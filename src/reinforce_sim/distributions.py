@@ -152,6 +152,19 @@ def stream_keys(seed: int, trials: int, role: int | None = None) -> np.ndarray:
     return np.stack((out[0] | out[1] << shift, out[2] | out[3] << shift), axis=1)
 
 
+def trial_streams(seed: int, trials: int, role: int | None = None):
+    """Yield the streams ``(seed, t, role)`` for t < ``trials``, in order.
+
+    One generator serves them all, re-keyed from :func:`stream_keys`, so a
+    yielded stream is valid only until the next one is yielded.
+    """
+    keys = stream_keys(seed, trials, role)
+    rng = RngStream(seed, 0, role)
+    for trial in range(trials):
+        rng.rekey(trial, keys[trial])
+        yield rng
+
+
 @dataclass(frozen=True)
 class BetaParams:
     """Beta shape parameters, both finite and positive."""
@@ -163,35 +176,6 @@ class BetaParams:
         for name, v in (("alpha", self.alpha), ("beta", self.beta)):
             if not np.isfinite(v) or v <= 0:
                 raise ValueError(f"BetaParams.{name} must be finite and > 0, got {v!r}")
-
-
-@dataclass(frozen=True)
-class DirichletParams:
-    """Three-component Dirichlet parameters (red, family, blue).
-
-    ``None`` for the red or blue component marks that fraction as a
-    point mass at exactly zero (the remaining two components then form
-    a two-parameter aggregate).
-    """
-
-    alpha_red: float | None
-    alpha_family: float
-    alpha_blue: float | None
-
-    def __post_init__(self) -> None:
-        for name, v in (
-            ("alpha_red", self.alpha_red),
-            ("alpha_family", self.alpha_family),
-            ("alpha_blue", self.alpha_blue),
-        ):
-            if name != "alpha_family" and v is None:
-                continue
-            if not np.isfinite(v) or v <= 0:
-                raise ValueError(f"DirichletParams.{name} must be finite and > 0, got {v!r}")
-
-    @property
-    def degenerate(self) -> bool:
-        return self.alpha_red is None or self.alpha_blue is None
 
 
 def sample_beta(rng: RngStream, p: BetaParams) -> float:
@@ -207,17 +191,19 @@ def sample_beta(rng: RngStream, p: BetaParams) -> float:
     return x / (x + y)
 
 
-def sample_dirichlet(rng: RngStream, p: DirichletParams) -> tuple[float, float, float]:
-    """One draw on the 2-simplex; components sum to 1 exactly.
+def sample_dirichlet(
+    rng: RngStream, alphas: tuple[float, float, float]
+) -> tuple[float, float, float]:
+    """One Dirichlet(alphas) draw on the 2-simplex; components sum to 1 exactly.
 
-    Degenerate-marked parameters are rejected here; callers that need
-    point-mass components handle them explicitly.
+    Every shape must be finite and positive; a caller with a component
+    fixed at 0 draws the other two as a Beta.
     """
-    if p.degenerate:
-        raise ValueError("sample_dirichlet requires all three components > 0")
-    g1 = rng.gen.gamma(p.alpha_red)
-    g2 = rng.gen.gamma(p.alpha_family)
-    g3 = rng.gen.gamma(p.alpha_blue)
+    if not all(0 < a < np.inf for a in alphas):
+        raise ValueError(f"Dirichlet shapes must be finite and > 0, got {alphas!r}")
+    g1 = rng.gen.gamma(alphas[0])
+    g2 = rng.gen.gamma(alphas[1])
+    g3 = rng.gen.gamma(alphas[2])
     s = g1 + g2 + g3
     x = g1 / s
     z = g3 / s
@@ -261,8 +247,9 @@ def integrate_log_odds(p: BetaParams, abs_tol: float = 1e-8) -> float:
     value, err = integrate.quad(
         integrand, 0.0, np.inf, epsabs=abs_tol * 1e-4, epsrel=1e-11, limit=400
     )
-    if err > abs_tol:
+    if not (np.isfinite(value) and err <= abs_tol):  # a NaN error compares False
         raise QuadratureError(
-            f"log-odds quadrature for Beta({a1}, {a2}) reported error {err:.3e} > {abs_tol:.1e}"
+            f"log-odds quadrature for Beta({a1}, {a2}) gave {value!r} with "
+            f"error {err:.3e} (tolerance {abs_tol:.1e})"
         )
     return value

@@ -14,6 +14,7 @@ from enum import Enum
 
 from .distributions import (
     ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, digamma, sample_beta, stream_keys,
+    trial_streams,
 )
 
 
@@ -118,15 +119,12 @@ def first_returns(
     run: each is re-keyed to the trial's stream, an environment stream only
     once its chain needs site 1's draw.
     """
-    walk = RngStream(seed, 0)
     env_streams = (RngStream(seed, 0, ENVIRONMENT), RngStream(seed, 0, MIRROR_ENVIRONMENT))
-    walk_keys = stream_keys(seed, trials)
     env_keys = (stream_keys(seed, trials, ENVIRONMENT),
                 stream_keys(seed, trials, MIRROR_ENVIRONMENT))
     params = (p1, p2)
     firsts = []
-    for trial in range(trials):
-        walk.rekey(trial, walk_keys[trial])
+    for trial, walk in enumerate(trial_streams(seed, trials)):
         envs = ([1.0], [1.0])  # site k's forward probability; site 0 reflects
         z = [0, 0]  # distances of chain one and chain two from the origin
         u, i, chunk = [], 0, _FIRST_CHUNK

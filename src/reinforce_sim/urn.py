@@ -1,4 +1,4 @@
-"""Classic Polya urns and the chameleon-marble urn with its family split.
+"""The classic k-color Polya urn and the chameleon-marble urn with its family split.
 
 Masses are real numbers, not integer counts: the walk's edge weights
 include non-integer initial values, and the urn masses mirror them.
@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .distributions import BetaParams, DirichletParams, RngStream
+from .distributions import RngStream
 
 
 class Side(Enum):
@@ -27,26 +27,29 @@ class NegativeMassError(ValueError):
 
 @dataclass(frozen=True)
 class PolyaUrn:
-    """Two-color urn: draw proportionally to mass, add ``d`` of the drawn color."""
+    """Classic k-color urn: draw a color with probability proportional to
+    its mass, then add ``d`` of the drawn color.
 
-    red: float
-    blue: float
+    The color fractions converge to Dirichlet(masses / d) (Pemantle, "A
+    survey of random processes with reinforcement", Probab. Surveys 4,
+    2007); for two colors that is Beta(red / d, blue / d).
+    """
+
+    masses: tuple[float, ...]
     d: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.red < 0 or self.blue < 0:
-            raise ValueError(f"urn masses must be nonnegative, got {self.red}, {self.blue}")
+        if len(self.masses) < 2:
+            raise ValueError(f"an urn needs at least two colors, got {len(self.masses)}")
+        if any(m < 0 for m in self.masses):
+            raise ValueError(
+                f"urn masses must be nonnegative, got {', '.join(map(str, self.masses))}")
         if self.d <= 0:
             raise ValueError(f"reinforcement must be positive, got {self.d}")
 
-    @property
-    def total(self) -> float:
-        return self.red + self.blue
-
-
-def polya_limit_law(urn: PolyaUrn) -> BetaParams:
-    """Limit law of the red fraction: Beta(R0/D, B0/D)."""
-    return BetaParams(urn.red / urn.d, urn.blue / urn.d)
+    def limit_law(self) -> tuple[float, ...]:
+        """Parameters of the Dirichlet limit law of the color fractions."""
+        return tuple(m / self.d for m in self.masses)
 
 
 @dataclass(slots=True)
@@ -78,11 +81,6 @@ class MagicUrn:
     @property
     def blue_mass(self):
         return self.pure_blue + self.fam_blue
-
-    @property
-    def family_mass(self):
-        """Family marbles plus the chameleon marble itself."""
-        return self.fam_red + self.fam_blue + 1
 
     @property
     def total(self):
@@ -150,55 +148,21 @@ def magic_draw(urn: MagicUrn, present: Side, rng: RngStream) -> tuple[Side, bool
     return direction, pure
 
 
-def magic_limit_params(urn: MagicUrn) -> DirichletParams:
-    """Limit law of the (pure red, family, pure blue) fractions.
-
-    Nonpositive initial pure masses map to point-mass markers for the
-    corresponding component.
-    """
-    a_red = urn.pure_red / 2.0 if urn.pure_red > 0 else None
-    a_blue = urn.pure_blue / 2.0 if urn.pure_blue > 0 else None
-    return DirichletParams(a_red, 0.5, a_blue)
-
-
 def polya_fraction_samples(
     urn: PolyaUrn, n_draws: int, n_runs: int, rng: RngStream
 ) -> np.ndarray:
-    """Red fraction after ``n_draws`` drawings, for ``n_runs`` independent urns.
+    """Color fractions after ``n_draws`` drawings of ``n_runs`` independent
+    urns, as an (n_runs, k) array.
 
-    Vectorized across runs; one uniform per (draw, run).
+    Vectorized across runs; one uniform per (draw, run).  Only the k - 1
+    running sums of the masses are kept: a uniform below the sum up to a
+    color picks that color or an earlier one, so each sum it falls below
+    grows by ``d``.
     """
-    red = np.full(n_runs, float(urn.red))
     d = float(urn.d)
-    total = float(urn.total)  # deterministic: every drawing adds exactly d
+    cum = np.repeat(np.cumsum(urn.masses[:-1], dtype=float)[:, None], n_runs, axis=1)
+    total = float(sum(urn.masses))  # deterministic: every drawing adds exactly d
     for _ in range(n_draws):
-        red += d * (rng.gen.random(n_runs) * total < red)
+        cum += d * (rng.gen.random(n_runs) * total < cum)
         total += d
-    return red / total
-
-
-def three_color_fraction_samples(
-    urn: MagicUrn, n_draws: int, n_runs: int, rng: RngStream
-) -> np.ndarray:
-    """(pure red, family, pure blue) fractions after ``n_draws`` drawings.
-
-    Only the three-category masses matter for this law: family draws add
-    two family marbles regardless of their color, and the chameleon
-    marble always contributes unit mass to the family category.
-    Returns an (n_runs, 3) array.
-    """
-    if urn.pure_red < 0 or urn.pure_blue < 0:
-        raise ValueError("three-color sampling requires nonnegative pure masses")
-    m_red = np.full(n_runs, float(urn.pure_red))
-    m_fam = np.full(n_runs, float(urn.family_mass))
-    m_blue = np.full(n_runs, float(urn.pure_blue))
-    total = float(urn.total)  # deterministic: every drawing adds exactly 2
-    for _ in range(n_draws):
-        u = rng.gen.random(n_runs) * total
-        pick_red = u < m_red
-        pick_fam = ~pick_red & (u < m_red + m_fam)
-        m_red += 2.0 * pick_red
-        m_fam += 2.0 * pick_fam
-        m_blue += 2.0 * (~(pick_red | pick_fam))
-        total += 2.0
-    return np.column_stack((m_red, m_fam, m_blue)) / total
+    return (np.diff(cum, axis=0, prepend=0.0, append=total) / total).T

@@ -2,7 +2,8 @@
 
 They are the straightforward, slow forms of what the library does fast:
 the difference-recurrence experiment as a scalar loop over freshly built
-streams and a memoized environment, and Beta samples drawn in blocks.
+streams and a memoized environment, Beta samples drawn in blocks, and
+Polya urns run one run and one drawing at a time.
 """
 from __future__ import annotations
 
@@ -17,6 +18,33 @@ def beta_samples(rng: RngStream, p: BetaParams, size: int):
     x = rng.gen.gamma(p.alpha, size=size)
     y = rng.gen.gamma(p.beta, size=size)
     return x / (x + y)
+
+
+def polya_fractions(masses, d: float, draws: int, runs: int, rng: RngStream) -> list[list[float]]:
+    """Color fractions of ``runs`` k-color Polya urns after ``draws``
+    drawings, in Python floats, one run at a time.
+
+    Drawing j of run i reads uniform ``[j, i]`` of
+    ``rng.gen.random((draws, runs))``, scales it by the total mass and
+    picks the first color whose running mass sum exceeds it; that color
+    gains ``d``.
+    """
+    u = rng.gen.random((draws, runs)).tolist()
+    fractions = []
+    for i in range(runs):
+        m = [float(x) for x in masses]
+        total = sum(m)
+        for j in range(draws):
+            x, acc, pick = u[j][i] * total, 0.0, len(m) - 1
+            for c in range(len(m) - 1):
+                acc += m[c]
+                if x < acc:
+                    pick = c
+                    break
+            m[pick] += d
+            total += d
+        fractions.append([mass / total for mass in m])
+    return fractions
 
 
 class BDEnvironment:

@@ -22,13 +22,7 @@ from reinforce_sim.distributions import (
     integrate_log_odds,
 )
 from reinforce_sim.rwre import Classification, criterion, difference_recurrence
-from reinforce_sim.urn import (
-    MagicUrn,
-    PolyaUrn,
-    polya_fraction_samples,
-    polya_limit_law,
-    three_color_fraction_samples,
-)
+from reinforce_sim.urn import PolyaUrn, polya_fraction_samples
 from reinforce_sim.urn_process import enumerate_exact, initial_masses, tv_distance
 
 from oracles import beta_samples
@@ -79,10 +73,9 @@ def test_criterion_2_sandwich_invariant():
 def test_criterion_3a_polya_limit_law():
     worst = 0.0
     for red, blue, d in ((1.0, 1.0, 2.0), (2.0, 1.0, 2.0), (1.0, 3.0, 1.0)):
-        urn = PolyaUrn(red, blue, d=d)
-        xs = polya_fraction_samples(urn, 10_000, 10_000, RngStream(33, 0))
-        law = polya_limit_law(urn)
-        ks = stats.kstest(xs, stats.beta(law.alpha, law.beta).cdf).statistic
+        urn = PolyaUrn((red, blue), d=d)
+        xs = polya_fraction_samples(urn, 10_000, 10_000, RngStream(33, 0))[:, 0]
+        ks = stats.kstest(xs, stats.beta(*urn.limit_law()).cdf).statistic
         worst = max(worst, ks)
     report(3, "Polya fraction limit law (a)", worst < 0.02,
            f"max KS over three parameter sets = {worst:.4f}")
@@ -90,9 +83,12 @@ def test_criterion_3a_polya_limit_law():
 
 def test_criterion_3b_three_color_limit_law():
     worst = 0.0
-    for urn in (MagicUrn(1.0, 2.0), MagicUrn(2.0, 3.0)):
-        xs = three_color_fraction_samples(urn, 10_000, 10_000, RngStream(39, 0))
-        alphas = (urn.pure_red / 2, 0.5, urn.pure_blue / 2)
+    # the chameleon urn's pure red, family (unit mass) and pure blue
+    # marbles, each drawing adding two
+    for red, blue in ((1.0, 2.0), (2.0, 3.0)):
+        urn = PolyaUrn((red, 1.0, blue), d=2.0)
+        xs = polya_fraction_samples(urn, 10_000, 10_000, RngStream(39, 0))
+        alphas = urn.limit_law()
         total = sum(alphas)
         for i, a_i in enumerate(alphas):
             ks = stats.kstest(xs[:, i], stats.beta(a_i, total - a_i).cdf).statistic
@@ -215,14 +211,14 @@ def test_criterion_5_recurrence_trend_difference():
 
 
 def test_criterion_6_martingale_and_exchangeability():
-    urn = PolyaUrn(1.0, 2.0, d=2.0)
+    urn = PolyaUrn((1.0, 2.0), d=2.0)
     rng = RngStream(32, 0)
     martingale_ok = True
     max_z = 0.0
     for n in (10, 100, 1000):
-        xs = polya_fraction_samples(urn, n, 10_000, rng)
+        xs = polya_fraction_samples(urn, n, 10_000, rng)[:, 0]
         se = xs.std(ddof=1) / np.sqrt(len(xs))
-        z = abs(xs.mean() - urn.red / urn.total) / se
+        z = abs(xs.mean() - urn.masses[0] / sum(urn.masses)) / se
         max_z = max(max_z, z)
         martingale_ok &= z < 3.0
 

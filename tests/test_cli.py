@@ -8,8 +8,9 @@ from click.testing import CliRunner
 import reinforce_sim
 from reinforce_sim import distributions
 from reinforce_sim.cli import main
+from reinforce_sim.coupling import Environment, run_coupling
 from reinforce_sim.direct import ModelParams, meeting_statistics, run_direct
-from reinforce_sim.distributions import HOLDING_TIMES, RngStream
+from reinforce_sim.distributions import ENVIRONMENT, HOLDING_TIMES, RngStream
 
 
 @pytest.fixture()
@@ -96,6 +97,24 @@ class TestSimulate:
         assert read_csv(out).split("\r\n")[-len(rows) - 1:-1] == rows
         clock = RngStream(13, 0, HOLDING_TIMES) if timestamps else None
         assert traj.read_text() == records[0].to_jsonl(clock)
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_nonpositive_stop_after_meetings_is_usage_error(self, runner, tmp_path, value):
+        out = tmp_path / "m.csv"
+        result = runner.invoke(main, ["simulate", "--stop-after-meetings", value, "--trials", "3",
+                                      "--events", "100", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--stop-after-meetings must be at least 1" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stop", [None, 3])
+    def test_header_records_the_meeting_stop(self, runner, tmp_path, stop):
+        out = tmp_path / "m.csv"
+        args = ["simulate", "--trials", "4", "--events", "300", "--out", str(out)]
+        args += [] if stop is None else ["--stop-after-meetings", str(stop)]
+        assert runner.invoke(main, args).exit_code == 0
+        config = json.loads(read_csv(out).split("\r\n")[1].removeprefix("# config: "))
+        assert config["stop_after_meetings"] == stop
 
     def test_more_than_two_walkers_is_usage_error(self, runner):
         result = runner.invoke(main, ["simulate", "--n", "3"])
@@ -210,6 +229,21 @@ class TestCouple:
             assert row["violations"] == 0
             assert row["max_rP_minus_lP"] >= 2
 
+    @pytest.mark.parametrize("a,delta,r0", [(1.0, 0.0, 2), (2.0, 0.5, 3)])
+    def test_runs_equal_freshly_built_streams(self, runner, tmp_path, a, delta, r0):
+        out = tmp_path / "runs.jsonl"
+        result = runner.invoke(main, ["couple", "--a", str(a), "--delta", str(delta),
+                                      "--r0", str(r0), "--trials", "40", "--events", "3000",
+                                      "--seed", "21", "--out", str(out)])
+        assert result.exit_code == 0
+        params = ModelParams(a=a, delta=delta, l0=0, r0=r0, max_events=3000)
+        expected = [
+            run_coupling(params, RngStream(21, t),
+                         Environment(params, RngStream(21, t, ENVIRONMENT))).to_json()
+            for t in range(40)
+        ]
+        assert out.read_text().split("\n")[1:-1] == expected
+
     def test_coincident_start(self, runner, tmp_path):
         out = tmp_path / "runs.jsonl"
         result = runner.invoke(
@@ -261,6 +295,15 @@ class TestCriterion:
         assert rows[0]["classification"] == "transient_right"
         assert abs(rows[0]["closed_form"] - rows[0]["quadrature"]) < 1e-7
         assert rows[1]["classification"] == "recurrent"
+
+    def test_failed_quadrature_is_usage_error(self, runner, tmp_path):
+        out = tmp_path / "crit.json"
+        result = runner.invoke(main, ["criterion", "--pair", "2.0", "1.0", "--pair", "1000", "2000",
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert "Beta(1000.0, 2000.0)" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not out.exists()
 
     def test_empty_grid_is_usage_error(self, runner):
         result = runner.invoke(main, ["criterion"])

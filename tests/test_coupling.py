@@ -7,6 +7,7 @@ from scipy import stats
 
 from dataclasses import astuple
 
+from reinforce_sim import coupling
 from reinforce_sim.coupling import (
     CouplingRunResult,
     Environment,
@@ -19,8 +20,10 @@ from reinforce_sim.coupling import (
     sample_site_environment,
 )
 from reinforce_sim.direct import ModelParams
-from reinforce_sim.distributions import ENVIRONMENT, RngStream
-from reinforce_sim.urn import MagicUrn, magic_limit_params
+from reinforce_sim.distributions import (
+    ENVIRONMENT, BetaParams, RngStream, sample_beta, sample_dirichlet,
+)
+from reinforce_sim.urn import MagicUrn
 from reinforce_sim.urn_process import SmallAPolicyError, initial_masses
 
 
@@ -33,9 +36,21 @@ def env_for(params, seed, trial=0):
     return Environment(params, RngStream(seed, trial, ENVIRONMENT))
 
 
-def site_dirichlet_params(params, v):
-    """Dirichlet limit law of the initial urn at site v."""
-    return magic_limit_params(MagicUrn(*initial_masses(params, v)))
+def site_draw(params, v, seed):
+    """(q_r, p_l) of site v's environment, drawn from a fresh stream."""
+    se = sample_site_environment(params, v, RngStream(seed, 0))
+    return se.q_r_polya, se.p_l_polya
+
+
+def dirichlet_draw(alphas, seed):
+    """(pure red, pure blue) fractions of a Dirichlet(alphas) draw from the
+    same fresh stream."""
+    x, _, z = sample_dirichlet(RngStream(seed, 0), alphas)
+    return x, z
+
+
+def beta_draw(alpha, beta, seed):
+    return sample_beta(RngStream(seed, 0), BetaParams(alpha, beta))
 
 
 def set_urn(state, v, urn):
@@ -57,21 +72,31 @@ class TestSiteEnvironment:
 
 
 class TestSiteDirichletParams:
+    # a site draws Dirichlet(r/2, 1/2, b/2) of its initial masses (r, b)
     def test_interior_site_parameters(self):
-        p = site_dirichlet_params(params_for(), 1)
-        assert (p.alpha_red, p.alpha_family, p.alpha_blue) == (0.5, 0.5, 0.5)
+        assert initial_masses(params_for(), 1) == (1.0, 1.0)
+        for seed in range(20):
+            assert site_draw(params_for(), 1, seed) == dirichlet_draw((0.5, 0.5, 0.5), seed)
 
     def test_degenerate_rows_marked(self):
-        # a=1: pure red vanishes at and left of l0, pure blue at and
-        # right of r0
-        assert site_dirichlet_params(params_for(), 0).alpha_red is None
-        assert site_dirichlet_params(params_for(), -3).alpha_red is None
-        assert site_dirichlet_params(params_for(), 2).alpha_blue is None
-        assert site_dirichlet_params(params_for(), 5).alpha_blue is None
+        # a=1: pure red vanishes at and left of l0, pure blue at and right
+        # of r0; the other fraction against the family is Beta(m/2, 1/2)
+        p = params_for()
+        for seed in range(20):
+            for v in (0, -3):
+                r, b = initial_masses(p, v)
+                assert r == 0.0
+                assert site_draw(p, v, seed) == (0.0, beta_draw(b / 2, 0.5, seed))
+            for v in (2, 5):
+                r, b = initial_masses(p, v)
+                assert b == 0.0
+                assert site_draw(p, v, seed) == (beta_draw(r / 2, 0.5, seed), 0.0)
 
     def test_drift_shifts_blue_parameter(self):
-        p = site_dirichlet_params(params_for(a=2.0, delta=0.5), 1)
-        assert (p.alpha_red, p.alpha_family, p.alpha_blue) == (1.0, 0.5, 1.25)
+        p = params_for(a=2.0, delta=0.5)
+        assert initial_masses(p, 1) == (2.0, 2.5)
+        for seed in range(20):
+            assert site_draw(p, 1, seed) == dirichlet_draw((1.0, 0.5, 1.25), seed)
 
 
 class TestSampleSiteEnvironment:
@@ -244,6 +269,14 @@ class TestMarginalCheck:
         for c in report.checks:
             if c.walker == "lP" and c.expected_right == 0.0:
                 assert c.right_jumps == 0
+
+    @pytest.mark.parametrize("kw,seed", [({}, 95), ({"a": 2.0, "delta": 0.5, "r0": 3}, 96)])
+    def test_report_equals_freshly_built_streams(self, monkeypatch, kw, seed):
+        p = params_for(max_events=2000, **kw)
+        rekeyed = marginal_check(p, trials=200, seed=seed).to_json()
+        monkeypatch.setattr(coupling, "trial_streams", lambda s, trials, role=None: (
+            RngStream(s, t, role) for t in range(trials)))
+        assert marginal_check(p, trials=200, seed=seed).to_json() == rekeyed
 
     def test_json_schema(self):
         p = params_for(max_events=500)

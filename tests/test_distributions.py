@@ -10,7 +10,6 @@ from reinforce_sim.distributions import (
     HOLDING_TIMES,
     MIRROR_ENVIRONMENT,
     BetaParams,
-    DirichletParams,
     QuadratureError,
     RngStream,
     digamma,
@@ -18,6 +17,7 @@ from reinforce_sim.distributions import (
     sample_beta,
     sample_dirichlet,
     stream_keys,
+    trial_streams,
 )
 
 from oracles import beta_samples
@@ -110,6 +110,15 @@ class TestStreamKeys:
                 sample_beta(fresh, p) for _ in range(5)]
             assert [stream.uniform() for _ in range(3)] == [fresh.uniform() for _ in range(3)]
 
+    @pytest.mark.parametrize("role", [None, ENVIRONMENT])
+    def test_trial_streams_equal_fresh_ones(self, role):
+        for trial, stream in enumerate(trial_streams(11, 25, role)):
+            fresh = RngStream(11, trial, role)
+            assert (stream.seed, stream.trial, stream.role) == (11, trial, role)
+            assert [stream.uniform() for _ in range(3)] == [fresh.uniform() for _ in range(3)]
+            assert stream.gen.gamma(0.5) == fresh.gen.gamma(0.5)
+        assert trial == 24
+
 
 class TestSampleBeta:
     def test_scalar_draws_are_the_two_gamma_ratio(self):
@@ -152,7 +161,7 @@ class TestSampleBeta:
 class TestSampleDirichlet:
     def test_components_sum_to_one_exactly(self):
         rng = RngStream(21, 0)
-        p = DirichletParams(0.5, 0.5, 1.5)
+        p = (0.5, 0.5, 1.5)
         for _ in range(2000):
             x, y, z = sample_dirichlet(rng, p)
             assert x >= 0 and y >= 0 and z >= 0
@@ -160,13 +169,13 @@ class TestSampleDirichlet:
 
     def test_symmetric_mean(self):
         rng = RngStream(22, 0)
-        p = DirichletParams(0.5, 0.5, 0.5)
+        p = (0.5, 0.5, 0.5)
         xs = np.array([sample_dirichlet(rng, p) for _ in range(50_000)])
         assert np.abs(xs.mean(axis=0) - 1.0 / 3.0).max() < 0.01
 
     def test_mean_matches_weights(self):
         rng = RngStream(23, 0)
-        p = DirichletParams(0.5, 0.5, 1.0)
+        p = (0.5, 0.5, 1.0)
         xs = np.array([sample_dirichlet(rng, p) for _ in range(50_000)])
         assert np.abs(xs.mean(axis=0) - [0.25, 0.25, 0.5]).max() < 0.01
 
@@ -174,26 +183,28 @@ class TestSampleDirichlet:
         from scipy import stats
 
         rng = RngStream(24, 0)
-        p = DirichletParams(0.5, 0.5, 1.5)
+        p = (0.5, 0.5, 1.5)
         xs = np.array([sample_dirichlet(rng, p) for _ in range(10_000)])
         for i, alpha_i in enumerate((0.5, 0.5, 1.5)):
             ks = stats.kstest(xs[:, i], stats.beta(alpha_i, 2.5 - alpha_i).cdf).statistic
             assert ks < 0.02
 
     def test_degenerate_markers_rejected(self):
+        # a point-mass component (shape 0) is the caller's to handle
         rng = RngStream(25, 0)
+        with pytest.raises(ValueError, match="finite and > 0"):
+            sample_dirichlet(rng, (0.0, 0.5, 1.0))
         with pytest.raises(ValueError):
-            sample_dirichlet(rng, DirichletParams(None, 0.5, 1.0))
+            sample_dirichlet(rng, (1.0, 0.5, 0.0))
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            DirichletParams(0.5, 0.0, 0.5)
-        with pytest.raises(ValueError):
-            DirichletParams(-1.0, 0.5, 0.5)
-
-    def test_degenerate_flag(self):
-        assert DirichletParams(None, 0.5, 1.0).degenerate
-        assert not DirichletParams(1.0, 0.5, 1.0).degenerate
+        rng = RngStream(26, 0)
+        for alphas in ((0.5, 0.0, 0.5), (-1.0, 0.5, 0.5), (0.5, 0.5, -1e-300),
+                       (float("nan"), 0.5, 0.5), (0.5, float("inf"), 0.5)):
+            with pytest.raises(ValueError):
+                sample_dirichlet(rng, alphas)
+        # a rejected draw consumes no randomness
+        assert rng.gen.random() == RngStream(26, 0).gen.random()
 
 
 class TestDigamma:
@@ -264,3 +275,10 @@ class TestIntegrateLogOdds:
 def test_quadrature_error_is_raisable():
     with pytest.raises(QuadratureError):
         raise QuadratureError("synthetic")
+
+
+@pytest.mark.parametrize("alpha,beta", [(1000.0, 2000.0), (2000.0, 1000.0)])
+def test_nonfinite_quadrature_is_an_error(alpha, beta):
+    # the normalising constant is 0 * inf here, so the integrand is NaN
+    with pytest.raises(QuadratureError, match=rf"Beta\({alpha}, {beta}\)"):
+        integrate_log_odds(BetaParams(alpha, beta))

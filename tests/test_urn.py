@@ -17,12 +17,11 @@ from reinforce_sim.urn import (
     Side,
     left_mass,
     magic_draw,
-    magic_limit_params,
     polya_fraction_samples,
-    polya_limit_law,
     reinforce,
-    three_color_fraction_samples,
 )
+
+from oracles import polya_fractions
 
 
 class FixedUniforms:
@@ -77,14 +76,17 @@ class TestPolyaUrn:
     def test_draw_reinforces_only_drawn_color(self):
         # after one drawing from (1, 1) with d = 2 the red fraction is 3/4
         # (red drawn) or 1/4 (blue drawn), never anything else
-        xs = polya_fraction_samples(PolyaUrn(1.0, 1.0, d=2.0), 1, 1000, RngStream(31, 0))
-        assert set(xs.tolist()) == {0.25, 0.75}
+        xs = polya_fraction_samples(PolyaUrn((1.0, 1.0), d=2.0), 1, 1000, RngStream(31, 0))
+        assert set(xs[:, 0].tolist()) == {0.25, 0.75}
+        assert (xs.sum(axis=1) == 1.0).all()
 
     def test_invalid_masses_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative, got -1.0, 1.0"):
+            PolyaUrn((-1.0, 1.0))
         with pytest.raises(ValueError):
-            PolyaUrn(-1.0, 1.0)
+            PolyaUrn((1.0, 1.0), d=0.0)
         with pytest.raises(ValueError):
-            PolyaUrn(1.0, 1.0, d=0.0)
+            PolyaUrn((1.0,))
 
     def test_two_step_exchangeability_exact(self):
         # P(red, blue) == P(blue, red) for any masses, by exact fractions
@@ -119,28 +121,36 @@ class TestPolyaUrn:
             assert len(probs) == 1  # permutations of one composition agree
 
     def test_limit_law_parameters(self):
-        p = polya_limit_law(PolyaUrn(1.0, 2.0, d=2.0))
-        assert (p.alpha, p.beta) == (0.5, 1.0)
-        p = polya_limit_law(PolyaUrn(3.0, 3.0, d=1.0))
-        assert (p.alpha, p.beta) == (3.0, 3.0)
+        assert PolyaUrn((1.0, 2.0), d=2.0).limit_law() == (0.5, 1.0)
+        assert PolyaUrn((3.0, 3.0), d=1.0).limit_law() == (3.0, 3.0)
 
     def test_fraction_martingale(self):
         # E[red fraction after n draws] = initial fraction, at several n
-        urn = PolyaUrn(1.0, 2.0, d=2.0)
+        urn = PolyaUrn((1.0, 2.0), d=2.0)
         rng = RngStream(32, 0)
         for n in (10, 100, 1000):
-            xs = polya_fraction_samples(urn, n, 10_000, rng)
+            xs = polya_fraction_samples(urn, n, 10_000, rng)[:, 0]
             se = xs.std(ddof=1) / np.sqrt(len(xs))
             assert abs(xs.mean() - 1.0 / 3.0) < 3 * se + 1e-12
 
     @pytest.mark.parametrize("red,blue,d", [(1.0, 1.0, 2.0), (2.0, 1.0, 2.0), (1.0, 3.0, 1.0)])
     def test_fraction_converges_to_beta(self, red, blue, d):
-        urn = PolyaUrn(red, blue, d=d)
+        urn = PolyaUrn((red, blue), d=d)
         rng = RngStream(33, 0)
-        xs = polya_fraction_samples(urn, 10_000, 10_000, rng)
-        limit = polya_limit_law(urn)
-        ks = stats.kstest(xs, stats.beta(limit.alpha, limit.beta).cdf).statistic
+        xs = polya_fraction_samples(urn, 10_000, 10_000, rng)[:, 0]
+        ks = stats.kstest(xs, stats.beta(*urn.limit_law()).cdf).statistic
         assert ks < 0.02
+
+    @pytest.mark.parametrize("masses,d", [
+        ((1.0, 2.0), 2.0), ((0.5, 0.25), 0.75), ((0.0, 1.0), 1.0),
+        ((1.0, 1.0, 2.0), 2.0), ((2.0, 1.0, 3.0), 2.0), ((0.5, 1.0, 0.25), 2.0),
+        ((1.0, 0.5, 2.0, 0.25), 1.0),
+    ])
+    def test_fractions_equal_the_one_run_oracle(self, masses, d):
+        # dyadic masses keep every running sum exact, so the fractions
+        # agree bit for bit
+        xs = polya_fraction_samples(PolyaUrn(masses, d), 150, 200, RngStream(30, 0))
+        assert xs.tolist() == polya_fractions(masses, d, 150, 200, RngStream(30, 0))
 
 
 class TestMagicUrnMasses:
@@ -148,7 +158,6 @@ class TestMagicUrnMasses:
         urn = MagicUrn(1.0, 2.0, fam_red=4.0, fam_blue=6.0)
         assert urn.red_mass == 5.0
         assert urn.blue_mass == 8.0
-        assert urn.family_mass == 11.0
         assert urn.total == 14.0
 
     def test_chameleon_marble_counts_in_total(self):
@@ -309,29 +318,30 @@ class TestEffectiveEdgeWeights:
 
 
 class TestLimitLaws:
+    # the chameleon urn read as pure red, family (the chameleon marble's unit
+    # mass) and pure blue, each drawing adding two marbles
     def test_three_color_limit_parameters(self):
-        p = magic_limit_params(MagicUrn(1.0, 2.0))
-        assert (p.alpha_red, p.alpha_family, p.alpha_blue) == (0.5, 0.5, 1.0)
+        assert PolyaUrn((1.0, 1.0, 2.0), d=2.0).limit_law() == (0.5, 0.5, 1.0)
 
     def test_degenerate_components_marked(self):
-        p = magic_limit_params(MagicUrn(0.0, 2.0))
-        assert p.alpha_red is None and p.alpha_blue == 1.0
-        p = magic_limit_params(MagicUrn(-0.5, 0.0))
-        assert p.alpha_red is None and p.alpha_blue is None
+        # a color of mass 0 is never drawn: its fraction stays exactly 0
+        urn = PolyaUrn((0.0, 1.0, 2.0), d=2.0)
+        assert urn.limit_law() == (0.0, 0.5, 1.0)
+        xs = polya_fraction_samples(urn, 100, 1000, RngStream(40, 0))
+        assert (xs[:, 0] == 0.0).all() and (xs[:, 1:] > 0.0).all()
 
     def test_three_color_fractions_converge_to_dirichlet(self):
-        urn = MagicUrn(1.0, 2.0)
+        urn = PolyaUrn((1.0, 1.0, 2.0), d=2.0)
         rng = RngStream(39, 0)
-        xs = three_color_fraction_samples(urn, 10_000, 10_000, rng)
+        xs = polya_fraction_samples(urn, 10_000, 10_000, rng)
         assert xs.shape == (10_000, 3)
         np.testing.assert_allclose(xs.sum(axis=1), 1.0, atol=1e-12)
-        alphas = (0.5, 0.5, 1.0)
+        alphas = urn.limit_law()
         total = sum(alphas)
         for i, a_i in enumerate(alphas):
             ks = stats.kstest(xs[:, i], stats.beta(a_i, total - a_i).cdf).statistic
             assert ks < 0.02
 
     def test_three_color_sampling_rejects_negative_pure(self):
-        rng = RngStream(40, 0)
         with pytest.raises(ValueError):
-            three_color_fraction_samples(MagicUrn(-0.5, 1.0), 10, 10, rng)
+            PolyaUrn((-0.5, 1.0, 1.0), d=2.0)
