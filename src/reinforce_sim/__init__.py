@@ -2,7 +2,7 @@
 walks on the integer line, their marble-urn representation, the coupled
 random-environment sandwich, and birth-death recurrence criteria."""
 
-__version__ = "0.2.3"
+__version__ = "0.3.0"
 
 from .direct import ModelParams, TrajectoryRecord, WeightMap, meeting_statistics, run_direct
 from .distributions import BetaParams, RngStream

@@ -133,7 +133,7 @@ def coupled_step(state: CoupledState, rng: RngStream) -> str:
     r_coincident = state.rP == state.r
     groups = _GROUPS[l_coincident, r_coincident]
     n = len(groups)
-    g = groups[int(rng.uniform() * n) % n]
+    g = groups[int(rng.uniform() * n)]
 
     if g == "l_group":
         v = state.l

@@ -108,9 +108,7 @@ def direct_step(
     Mutates ``weights`` and ``positions``; returns (particle, from, to).
     """
     n = len(positions)
-    i = int(rng.uniform() * n)
-    if i == n:  # uniform() can return values arbitrarily close to 1
-        i = n - 1
+    i = int(rng.uniform() * n)  # < n: fl((1 - 2**-53) * n) < n below n = 2**53
     v = positions[i]
     if rng.uniform() < right_jump_probability(weights, v, params.delta):
         to = v + 1
@@ -294,7 +292,6 @@ def _advance(g: _Lockstep, params: ModelParams, limit: int | None) -> list[_Lock
         for j, stream in enumerate(g.streams):
             u[j] = stream.uniforms(2 * steps)
         mover = (u[:, 0::2] * n).astype(np.int64)
-        np.minimum(mover, n - 1, out=mover)  # uniform() can return values arbitrarily close to 1
         mover_idx = np.ascontiguousarray((mover + (np.arange(slots) * n)[:, None]).T)
         u_dir = np.ascontiguousarray(u[:, 1::2].T)
         landed = np.empty((steps, slots), dtype=np.int64)

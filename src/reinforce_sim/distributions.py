@@ -1,15 +1,14 @@
 """Seeded random streams and the beta / Dirichlet / digamma substrate.
 
 All randomness in the package flows through :class:`RngStream`, a
-counter-based Philox generator keyed in the style of Random123 (Salmon
-et al., SC'11): a trial's dynamics stream by ``(seed, trial)``, anything
-else the trial samples (an environment, holding times) by ``(seed,
-trial, role)``.  Dynamics streams give only uniforms, so no output
-depends on how uniforms are buffered.  Distinct keys give statistically
-independent streams (numpy's SeedSequence guarantee).  A Philox stream is
-fixed by its two-word key, so :func:`stream_keys` derives the keys of a
-whole run in one pass and :meth:`RngStream.rekey` moves one generator
-from stream to stream.
+counter-based Philox generator used in the style of Random123 (Salmon
+et al., SC'11): the seed fixes the Philox key, and the trial and role
+are counter words.  A trial's dynamics stream is ``(seed, trial)``;
+anything else the trial samples (an environment, holding times) comes
+from ``(seed, trial, role)``.  Dynamics streams give only uniforms, so
+no output depends on how uniforms are buffered.  Distinct counter words
+under one key give independent streams, so :meth:`RngStream.rekey` moves
+one generator from trial to trial by rewriting its counter.
 """
 from __future__ import annotations
 
@@ -21,19 +20,11 @@ from scipy import integrate, special
 _MASK64 = (1 << 64) - 1
 _BUFFER_BLOCK = 1024
 
-# Roles: SeedSequence([s, t, 0]) equals SeedSequence([s, t]), so role 0
-# would alias the dynamics stream and is not one.
+# Roles: counter word 3 of a stream; role 0 would alias the dynamics
+# stream and is not one.
 ENVIRONMENT = 1  # a coupled run's quenched environment; rwre chain one's
 MIRROR_ENVIRONMENT = 2  # rwre chain two's (the mirrored half-line)
 HOLDING_TIMES = 3  # exponential holding times of a logged trajectory
-
-# numpy's SeedSequence hash (bit_generator.pyx): a pool of four uint32
-# words, mixed with these constants, then hashed out as the Philox key
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
-_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = np.uint32(16)
 
 
 class QuadratureError(RuntimeError):
@@ -44,24 +35,29 @@ class QuadratureError(RuntimeError):
 class RngStream:
     """Deterministic random stream keyed by (seed, trial) or (seed, trial, role).
 
-    Backed by numpy's Philox4x64 bit generator seeded through the
-    ``SeedSequence`` of the key.  Uniform draws are buffered in blocks for
-    speed; consumption order is still fully deterministic.
+    Stream ``(s, t, role)`` is numpy's Philox4x64 generator
+    ``Philox(s & MASK64, counter=[0, 0, t & MASK64, role or 0])``: numpy
+    hashes only the seed, into the two-word key, and the role-less stream
+    of trial t is ``Philox(s).jumped(t)``.  Counter words 0 and 1 leave
+    each stream 2**128 blocks of draws.  Uniform draws are buffered in
+    blocks for speed; consumption order is still fully deterministic.
     """
 
     seed: int
     trial: int
     role: int | None = None
     gen: np.random.Generator = field(init=False, repr=False)
+    _key: np.ndarray = field(init=False, repr=False)
     _buf: np.ndarray = field(init=False, repr=False)
     _pos: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.role == 0:
             raise ValueError("role 0 aliases the dynamics stream; roles are nonzero")
-        key = [self.seed & _MASK64, self.trial & _MASK64]
-        key += [] if self.role is None else [self.role]
-        self.gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
+        bits = np.random.Philox(self.seed & _MASK64,
+                                counter=[0, 0, self.trial & _MASK64, self.role or 0])
+        self._key = bits.state["state"]["key"]  # the seed's; rekey keeps it
+        self.gen = np.random.Generator(bits)
         self._buf = np.empty(0)
         self._pos = 0
 
@@ -87,81 +83,31 @@ class RngStream:
         self._pos += k
         return np.concatenate((head, self.gen.random(n - k)))
 
-    def rekey(self, trial: int, key) -> None:
+    def rekey(self, trial: int) -> None:
         """Turn this stream into stream ``(seed, trial, role)``, bit for bit.
 
-        ``key`` is that stream's row of :func:`stream_keys`.  The generator
-        is left as a freshly built one: Philox counter 0, empty buffers.
+        Only the counter changes: words 0 and 1 return to 0, word 2 becomes
+        the trial, and the key stays the seed's.  The buffers are emptied,
+        so the generator is left as a freshly built one.
         """
         self.trial = trial
+        counter = [0, 0, trial & _MASK64, self.role or 0]
         self.gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": key},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+            "bit_generator": "Philox", "state": {"counter": counter, "key": self._key},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         self._buf = np.empty(0)
         self._pos = 0
-
-
-def stream_keys(seed: int, trials: int, role: int | None = None) -> np.ndarray:
-    """Philox keys of the streams ``(seed, t, role)`` for t < ``trials``.
-
-    Row t of the ``(trials, 2)`` uint64 result equals
-    ``SeedSequence([seed & MASK64, t(, role)]).generate_state(2, uint64)``,
-    the key :class:`RngStream` builds its generator from; every trial's
-    SeedSequence hash runs at once, in uint32 arithmetic that wraps.
-    """
-    s = seed & _MASK64
-    # the entropy words: seed (one word, or two above 2**32), trial, role;
-    # SeedSequence pads a short pool with zeros
-    words = [np.uint32(s & 0xFFFFFFFF)] + ([np.uint32(s >> 32)] if s >> 32 else [])
-    words.append(np.arange(trials, dtype=np.uint32))
-    words += [] if role is None else [np.uint32(role)]
-    words += [np.uint32(0)] * (_POOL_SIZE - len(words))
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A
-        value = value * hash_const
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> _XSHIFT)
-
-    with np.errstate(over="ignore"):
-        pool = [hashmix(w) for w in words]
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
-        hash_const = _INIT_B
-        out = []
-        for value in pool:
-            value = value ^ hash_const
-            hash_const = hash_const * _MULT_B
-            value = value * hash_const
-            out.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
-    # generate_state(2, uint64) views the four uint32 words little-endian
-    shift = np.uint64(32)
-    return np.stack((out[0] | out[1] << shift, out[2] | out[3] << shift), axis=1)
 
 
 def trial_streams(seed: int, trials: int, role: int | None = None):
     """Yield the streams ``(seed, t, role)`` for t < ``trials``, in order.
 
-    One generator serves them all, re-keyed from :func:`stream_keys`, so a
+    One generator serves them all, re-keyed to each trial's counter, so a
     yielded stream is valid only until the next one is yielded.
     """
-    keys = stream_keys(seed, trials, role)
     rng = RngStream(seed, 0, role)
     for trial in range(trials):
-        rng.rekey(trial, keys[trial])
+        rng.rekey(trial)
         yield rng
 
 
@@ -235,7 +181,11 @@ def integrate_log_odds(p: BetaParams, abs_tol: float = 1e-8) -> float:
     """
     a1, a2 = p.alpha, p.beta
     n = a1 + a2
-    c = 2.0 ** (3.0 - n) * np.exp(-special.betaln(a1, a2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = 2.0 ** (3.0 - n) * np.exp(-special.betaln(a1, a2))
+    if not np.isfinite(c):  # large shapes: 2**(3-n) underflows as exp(-betaln) overflows
+        raise QuadratureError(f"log-odds quadrature for Beta({a1}, {a2}): "
+                              f"the normalising constant is {float(c)}")
 
     def integrand(s: float) -> float:
         # s * sinh((a1-a2) s) * cosh(s)^-n, evaluated in log space to

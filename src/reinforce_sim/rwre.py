@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .distributions import (
-    ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, digamma, sample_beta, stream_keys,
-    trial_streams,
+    ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, digamma, sample_beta, trial_streams,
 )
 
 
@@ -116,12 +115,11 @@ def first_returns(
     (seed, t, ENVIRONMENT), chain two's from (seed, t, MIRROR_ENVIRONMENT).
     A chain reaches site i only after sites 1, ..., i - 1, so the draw of
     site i does not depend on the path.  Three generators serve the whole
-    run: each is re-keyed to the trial's stream, an environment stream only
-    once its chain needs site 1's draw.
+    run: each is re-keyed to the trial's stream (its Philox counter word 2
+    becomes the trial), an environment stream only once its chain needs
+    site 1's draw.
     """
     env_streams = (RngStream(seed, 0, ENVIRONMENT), RngStream(seed, 0, MIRROR_ENVIRONMENT))
-    env_keys = (stream_keys(seed, trials, ENVIRONMENT),
-                stream_keys(seed, trials, MIRROR_ENVIRONMENT))
     params = (p1, p2)
     firsts = []
     for trial, walk in enumerate(trial_streams(seed, trials)):
@@ -137,7 +135,7 @@ def first_returns(
             k, env = z[c], envs[c]
             if k == len(env):
                 if k == 1:
-                    env_streams[c].rekey(trial, env_keys[c][trial])
+                    env_streams[c].rekey(trial)
                 env.append(sample_beta(env_streams[c], params[c]))
             z[c] = k + 1 if u[i + 1] < env[k] else k - 1
             i += 2

@@ -3,13 +3,26 @@
 They are the straightforward, slow forms of what the library does fast:
 the difference-recurrence experiment as a scalar loop over freshly built
 streams and a memoized environment, Beta samples drawn in blocks, and
-Polya urns run one run and one drawing at a time.
+Polya urns run one run and one drawing at a time.  :class:`LargestUniform`
+is a stub stream for the edge of [0, 1).
 """
 from __future__ import annotations
+
+import numpy as np
 
 from reinforce_sim.distributions import (
     ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, sample_beta,
 )
+
+
+class LargestUniform:
+    """A stream whose every uniform is 1 - 2**-53, numpy's largest ``random()``."""
+
+    def uniform(self) -> float:
+        return np.nextafter(1.0, 0.0)
+
+    def uniforms(self, n: int) -> np.ndarray:
+        return np.full(n, np.nextafter(1.0, 0.0))
 
 
 def beta_samples(rng: RngStream, p: BetaParams, size: int):

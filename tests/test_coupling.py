@@ -26,6 +26,8 @@ from reinforce_sim.distributions import (
 from reinforce_sim.urn import MagicUrn
 from reinforce_sim.urn_process import SmallAPolicyError, initial_masses
 
+from oracles import LargestUniform
+
 
 def params_for(a=1.0, delta=0.0, l0=0, r0=2, **kw):
     return ModelParams(a=a, delta=delta, l0=l0, r0=r0, **kw)
@@ -203,6 +205,14 @@ class TestCoupledStep:
                 assert (state.lP, state.l) == (1, 1)
                 seen = True
         assert seen
+
+    @pytest.mark.parametrize("lP,rP", [(0, 4), (0, 7), (-3, 4), (-3, 7)])
+    def test_largest_uniform_picks_the_last_active_group(self, lP, rP):
+        p = params_for(r0=4)
+        state = init_coupled_state(p, env_for(p, 90, 1))
+        state.lP, state.rP = lP, rP
+        last = coupling._GROUPS[lP == 0, rP == 4][-1]
+        assert coupled_step(state, LargestUniform()) == last
 
     def test_free_walker_clock_groups(self):
         p = params_for(r0=4)

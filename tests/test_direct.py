@@ -20,6 +20,8 @@ from reinforce_sim.direct import (
 )
 from reinforce_sim.distributions import HOLDING_TIMES, RngStream
 
+from oracles import LargestUniform
+
 
 def added_weight(w: WeightMap, lo: int, hi: int):
     """Weight added by reinforcement to the edges [v, v+1], lo <= v < hi."""
@@ -111,6 +113,13 @@ class TestDirectStep:
             i, _, _ = direct_step(WeightMap(params.a), positions, params, rng)
             moved_left += i == 0
         assert abs(moved_left / n - 0.5) < 4 * np.sqrt(0.25 / n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_largest_uniform_moves_the_last_particle(self, n):
+        positions = list(range(0, 3 * n, 3))
+        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=0)
+        i, frm, to = direct_step(WeightMap(params.a), positions, params, LargestUniform())
+        assert (i, frm, to) == (n - 1, 3 * n - 3, 3 * n - 4)
 
     def test_large_a_first_jump_is_symmetric(self):
         # a -> infinity: reinforcement negligible, first jump ~ fair coin
@@ -231,6 +240,13 @@ class TestRunDirectBatch:
             monkeypatch.setattr(direct, "_CHUNK_UNIFORMS", chunk)
             monkeypatch.setattr(direct, "_BLOCK_TRIALS", block)
             assert batch_records(params, 2, 71, 24, stop=stop) == expected
+
+    def test_largest_uniforms_move_the_last_walker(self):
+        params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=40)
+        streams = [LargestUniform() for _ in range(direct._MIN_LOCKSTEP)]
+        recs = run_direct_batch(params, 2, streams)
+        assert recs[0].final_positions == [0, -37]
+        assert recs == [run_direct(params, 2, s, record_events=False) for s in streams]
 
     def test_window_growth(self, monkeypatch):
         # one-event chunks leave one site of slack, so every excursion past

@@ -1,4 +1,6 @@
 """Random streams, beta/Dirichlet sampling, and the log-odds quadrature."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from reinforce_sim.distributions import (
     integrate_log_odds,
     sample_beta,
     sample_dirichlet,
-    stream_keys,
     trial_streams,
 )
 
@@ -67,42 +68,42 @@ class TestRngStream:
         assert len(heads) == len(keys)
 
     def test_dynamics_stream_has_no_role(self):
-        # the dynamics key stays SeedSequence([seed, trial]), which keeps
-        # seeded simulate output; role 0 would alias it
-        ref = np.random.Generator(np.random.Philox(np.random.SeedSequence([5, 2])))
+        # the dynamics stream has counter word 3 = 0, so role 0 would alias it
+        ref = np.random.Generator(np.random.Philox(5, counter=[0, 0, 2, 0]))
         assert RngStream(5, 2).uniforms(8).tolist() == ref.random(8).tolist()
         with pytest.raises(ValueError, match="role 0"):
             RngStream(5, 2, 0)
 
 
 class TestStreamKeys:
-    # seeds of one and two entropy words (-1 and 2**64 - 1 both mask to
-    # 2**64 - 1); with the trial and a role the entropy is 2 to 4 words
-    @pytest.mark.parametrize("seed", [0, 7, -1, 2**32 + 5, 2**64 - 1])
-    @pytest.mark.parametrize("role", [None, ENVIRONMENT, MIRROR_ENVIRONMENT, HOLDING_TIMES])
-    def test_rows_equal_the_seed_sequence_keys(self, seed, role):
-        keys = stream_keys(seed, 3000, role)
-        assert keys.shape == (3000, 2) and keys.dtype == np.uint64
-        tail = [] if role is None else [role]
-        expected = np.array([
-            np.random.SeedSequence([seed & (2**64 - 1), t] + tail).generate_state(2, np.uint64)
-            for t in range(3000)
-        ])
-        assert (keys == expected).all()
-
-    def test_no_trials_no_keys(self):
-        assert stream_keys(5, 0).shape == (0, 2)
+    def test_stream_is_the_seed_key_at_the_trial_role_counter(self):
+        mask = 2**64 - 1
+        # -1 and 2**64 - 1 both mask to 2**64 - 1; trial 2**32 + 1 needs
+        # both halves of counter word 2
+        for seed in (0, 7, -1, 2**32 + 5, 2**64 - 1):
+            for trial in (0, 1, 2999, 2**32 + 1):
+                for role in (None, ENVIRONMENT, MIRROR_ENVIRONMENT, HOLDING_TIMES):
+                    ref = np.random.Philox(seed & mask, counter=[0, 0, trial & mask, role or 0])
+                    assert (RngStream(seed, trial, role).uniforms(9).tolist()
+                            == np.random.Generator(ref).random(9).tolist())
+                jumped = np.random.Philox(seed & mask).jumped(trial)
+                assert (RngStream(seed, trial).uniforms(9).tolist()
+                        == np.random.Generator(jumped).random(9).tolist())
+            # trial 0's dynamics stream keeps the bits of the 0.2 releases'
+            # SeedSequence([s, 0]) key
+            old_key = np.random.Philox(np.random.SeedSequence([seed & mask, 0]))
+            assert (RngStream(seed, 0).uniforms(9).tolist()
+                    == np.random.Generator(old_key).random(9).tolist())
 
     @pytest.mark.parametrize("role", [None, ENVIRONMENT, MIRROR_ENVIRONMENT])
     def test_rekeyed_stream_equals_a_fresh_one(self, role):
         p = BetaParams(0.5, 1.5)
         stream = RngStream(9, 0, role)
-        keys = stream_keys(9, 40, role)
         for trial in (3, 39, 0, 3):
-            # leave the stream mid-buffer and mid-Philox-block on another key
+            # leave the stream mid-buffer and mid-Philox-block on another counter
             stream.uniform()
             sample_beta(stream, p)
-            stream.rekey(trial, keys[trial])
+            stream.rekey(trial)
             fresh = RngStream(9, trial, role)
             assert stream.trial == trial
             assert stream.uniforms(7).tolist() == fresh.uniforms(7).tolist()
@@ -279,6 +280,8 @@ def test_quadrature_error_is_raisable():
 
 @pytest.mark.parametrize("alpha,beta", [(1000.0, 2000.0), (2000.0, 1000.0)])
 def test_nonfinite_quadrature_is_an_error(alpha, beta):
-    # the normalising constant is 0 * inf here, so the integrand is NaN
-    with pytest.raises(QuadratureError, match=rf"Beta\({alpha}, {beta}\)"):
+    # the normalising constant is 0 * inf here: an error before quad runs,
+    # with no numpy or scipy warning on the way
+    with warnings.catch_warnings(), pytest.raises(QuadratureError, match=rf"Beta\({alpha}, {beta}\)"):
+        warnings.simplefilter("error")
         integrate_log_odds(BetaParams(alpha, beta))
