@@ -20,8 +20,8 @@ from scipy import stats
 from . import __version__
 from .direct import ModelParams, meeting_statistics, run_direct, run_direct_batch
 from .distributions import (
-    ENVIRONMENT, HOLDING_TIMES, BetaParams, QuadratureError, RngStream, digamma,
-    integrate_log_odds, trial_streams,
+    ENVIRONMENT, HOLDING_TIMES, BetaParams, QuadratureError, RngStream, integrate_log_odds,
+    trial_streams,
 )
 from .rwre import criterion, difference_recurrence
 from .urn import PolyaUrn, polya_fraction_samples
@@ -31,8 +31,20 @@ from .coupling import Environment, marginal_check, run_coupling
 TV_TOLERANCE = 1e-12
 
 
-# options naming files; these and the on/off flags are not read from a config file
-_NOT_CONFIGURABLE = {"config_path", "out_path", "trajectory_out"}
+def _configurable(command: click.Command) -> list[click.Option]:
+    """The options a config file may set and a run records: all but the
+    on/off flags and the options naming files."""
+    return [
+        p for p in command.params
+        if isinstance(p, click.Option) and not p.is_flag and not isinstance(p.type, click.Path)
+    ]
+
+
+def _resolved(**derived) -> dict:
+    """The running command's configuration: the parsed value of each
+    configurable option, plus the ``derived`` entries."""
+    ctx = click.get_current_context()
+    return {p.name: ctx.params[p.name] for p in _configurable(ctx.command)} | derived
 
 
 def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
@@ -52,10 +64,7 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
             raise click.UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise click.UsageError("config file must contain a JSON object")
-    known = {
-        p.name for p in ctx.command.params
-        if isinstance(p, click.Option) and not p.is_flag and p.name not in _NOT_CONFIGURABLE
-    }
+    known = {p.name for p in _configurable(ctx.command)}
     unknown = sorted(set(cfg) - known)
     if unknown:
         raise click.UsageError(
@@ -107,6 +116,15 @@ _config_option = click.option(
     is_eager=True, expose_value=False, callback=_load_config,
     help="JSON config file keyed by option name; explicit flags override it.",
 )
+_events_option = click.option("--events", type=int, default=10000,
+                              help="Event budget per trial (default 10000).")
+_allow_small_a_option = click.option("--allow-small-a", is_flag=True,
+                                     help="Permit 0 < a < 1 for the urn model.")
+
+
+def _trials_option(default: int):
+    return click.option("--trials", type=click.IntRange(min=1), default=default,
+                        help=f"Number of trials (default {default}).")
 
 
 def _model_options(command):
@@ -123,11 +141,11 @@ def _model_options(command):
 
 @main.command()
 @_config_option
-@click.option("--n", type=int, default=2, help="Number of particles (default 2).")
+@click.option("--n", type=click.IntRange(1, 2), default=2, help="Number of particles (default 2).")
 @_model_options
-@click.option("--events", type=int, default=10000, help="Event budget per trial (default 10000).")
-@click.option("--trials", type=int, default=100, help="Number of trials (default 100).")
-@click.option("--stop-after-meetings", type=int, default=None,
+@_events_option
+@_trials_option(100)
+@click.option("--stop-after-meetings", type=click.IntRange(min=1), default=None,
               help="End each trial after this many meetings (hitting-time mode).")
 @click.option("--timestamps", is_flag=True,
               help="Give the --trajectory-out events exponential holding times.")
@@ -139,22 +157,11 @@ def _model_options(command):
 def simulate(n, a, delta, l0, r0, events, trials,
              stop_after_meetings, timestamps, seed, out_path, trajectory_out) -> None:
     """Run the direct weight-reinforced dynamics and report meeting statistics."""
-    if not 1 <= n <= 2:
-        raise click.UsageError("--n must be 1 or 2 (more walkers need explicit start positions)")
-    if trials < 1:
-        raise click.UsageError("--trials must be at least 1")
-    if stop_after_meetings is not None and stop_after_meetings < 1:
-        raise click.UsageError("--stop-after-meetings must be at least 1")
     params = _model_params(a, delta, l0, r0, events)
 
     streams = [RngStream(seed, trial) for trial in range(trials)]
     records = run_direct_batch(params, n, streams, stop_after_meetings=stop_after_meetings)
-    resolved = {
-        "n": n, "a": a, "delta": delta, "l0": l0, "r0": r0,
-        "events": events, "trials": trials, "seed": seed,
-        "stop_after_meetings": stop_after_meetings,
-        "outside_recurrence_regime": params.outside_recurrence_regime,
-    }
+    resolved = _resolved(outside_recurrence_regime=params.outside_recurrence_regime)
     notes = ["delta >= 1 is outside the proven recurrence regime"]
     _write_csv(out_path, resolved, notes if params.outside_recurrence_regime else [],
                ("k", "frequency", "stderr"), meeting_statistics(records).rows() if n > 1 else [])
@@ -168,7 +175,7 @@ def simulate(n, a, delta, l0, r0, events, trials,
 @_config_option
 @_model_options
 @click.option("--horizon", type=int, default=4, help="Enumeration depth (default 4).")
-@click.option("--allow-small-a", is_flag=True, help="Permit 0 < a < 1 for the urn model.")
+@_allow_small_a_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="JSON report path (default stdout summary only).")
 def urn_verify(a, delta, l0, r0, horizon, allow_small_a, out_path) -> None:
@@ -183,7 +190,7 @@ def urn_verify(a, delta, l0, r0, horizon, allow_small_a, out_path) -> None:
     tv = tv_distance(d_direct, d_urn)
     ok = tv < TV_TOLERANCE
     report = {
-        "meta": _meta({"a": a, "delta": delta, "l0": l0, "r0": r0, "horizon": horizon}),
+        "meta": _meta(_resolved()),
         "tv_distance": tv,
         "tolerance": TV_TOLERANCE,
         "trajectories_direct": len(d_direct.probs),
@@ -200,9 +207,9 @@ def urn_verify(a, delta, l0, r0, horizon, allow_small_a, out_path) -> None:
 @main.command()
 @_config_option
 @_model_options
-@click.option("--events", type=int, default=10000, help="Event budget per run (default 10000).")
-@click.option("--trials", type=int, default=100, help="Number of coupled runs (default 100).")
-@click.option("--allow-small-a", is_flag=True)
+@_events_option
+@_trials_option(100)
+@_allow_small_a_option
 @click.option("--marginal-check", "do_marginal_check", is_flag=True,
               help="Append a fixed-environment jump-frequency test report.")
 @_seed_option
@@ -212,9 +219,10 @@ def couple(a, delta, l0, r0, events, trials, allow_small_a,
            do_marginal_check, seed, out_path) -> None:
     """Run the four-process coupled construction; any ordering violation,
     or a failed marginal check, is a hard failure (exit 1)."""
-    if trials < 1:
-        raise click.UsageError("--trials must be at least 1")
     params = _model_params(a, delta, l0, r0, events, allow_small_a=allow_small_a)
+    if do_marginal_check and l0 == r0:
+        raise click.UsageError("--marginal-check needs l0 < r0: "
+                               "a coincident start has no free steps")
     try:
         results = [
             run_coupling(params, rng, Environment(params, env_rng))
@@ -223,11 +231,7 @@ def couple(a, delta, l0, r0, events, trials, allow_small_a,
         ]
     except SmallAPolicyError as exc:
         raise click.UsageError(str(exc)) from exc
-    resolved = {
-        "a": a, "delta": delta, "l0": l0, "r0": r0,
-        "events": events, "trials": trials, "seed": seed,
-    }
-    lines = [json.dumps({"meta": _meta(resolved)}, sort_keys=True)]
+    lines = [json.dumps({"meta": _meta(_resolved())}, sort_keys=True)]
     lines += [res.to_json() for res in results]
     marginal_passed = True
     if do_marginal_check:
@@ -263,11 +267,17 @@ def criterion_cmd(pairs, out_path) -> None:
         except (ValueError, QuadratureError) as exc:
             raise click.UsageError(str(exc)) from exc
         row = criterion(p).to_dict()
-        row["closed_form"] = digamma(alpha) - digamma(beta)
+        row["closed_form"] = row["log_odds_mean"]
         row["quadrature"] = quadrature
         rows.append(row)
-    report = {"meta": _meta({"pairs": [list(g) for g in grid]}), "results": rows}
+    report = {"meta": _meta(_resolved()), "results": rows}
     _write_text(out_path, json.dumps(report, sort_keys=True) + "\n")
+
+
+def _unit_interval(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    if not 0.0 < value <= 1.0:  # NaN compares False, so it is refused too
+        raise click.BadParameter(f"{value!r} is not in (0, 1].")
+    return value
 
 
 @main.command()
@@ -275,19 +285,19 @@ def criterion_cmd(pairs, out_path) -> None:
 @click.option("--red", type=float, default=1.0, help="Initial red mass (default 1.0).")
 @click.option("--blue", type=float, default=1.0, help="Initial blue mass (default 1.0).")
 @click.option("--d", type=float, default=1.0, help="Reinforcement per draw (default 1.0).")
-@click.option("--draws", type=int, default=10000, help="Drawings per run (default 10000).")
-@click.option("--runs", type=int, default=10000, help="Monte Carlo runs (default 10000).")
+@click.option("--draws", type=click.IntRange(min=1), default=10000,
+              help="Drawings per run (default 10000).")
+@click.option("--runs", type=click.IntRange(min=1), default=10000,
+              help="Monte Carlo runs (default 10000).")
 @click.option("--three-color", is_flag=True,
               help="Also test the (pure red, family, pure blue) marginals.")
-@click.option("--ks-threshold", type=float, default=0.02, help="Default 0.02.")
+@click.option("--ks-threshold", type=float, default=0.02, callback=_unit_interval,
+              help="Largest passing KS distance, in (0, 1] (default 0.02).")
 @_seed_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def polya(red, blue, d, draws, runs, three_color, ks_threshold, seed, out_path) -> None:
     """Monte Carlo check of the urn limit laws (KS against the Beta or
     Dirichlet-marginal targets); exit 1 if a KS distance exceeds the threshold."""
-    for name, value in (("--draws", draws), ("--runs", runs)):
-        if value < 1:
-            raise click.UsageError(f"{name} must be at least 1")
     try:
         urn = PolyaUrn((red, blue), d)
         law = BetaParams(*urn.limit_law())
@@ -295,10 +305,8 @@ def polya(red, blue, d, draws, runs, three_color, ks_threshold, seed, out_path) 
         raise click.UsageError(f"no Beta limit law for red={red}, blue={blue}, d={d}: {exc}") from exc
     samples = polya_fraction_samples(urn, draws, runs, RngStream(seed, 0))[:, 0]
     ks = float(stats.kstest(samples, lambda x: stats.beta.cdf(x, law.alpha, law.beta)).statistic)
-    resolved = {"red": red, "blue": blue, "d": d, "draws": draws, "runs": runs,
-                "seed": seed, "ks_threshold": ks_threshold, "three_color": three_color}
     report = {
-        "meta": _meta(resolved),
+        "meta": _meta(_resolved(three_color=three_color)),
         "two_color": {
             "target": {"alpha": law.alpha, "beta": law.beta},
             "ks_distance": ks,
@@ -334,7 +342,7 @@ def polya(red, blue, d, draws, runs, three_color, ks_threshold, seed, out_path) 
 @click.option("--beta2", type=float, default=1.5)
 @click.option("--budgets", type=str, default="100,1000,10000",
               help="Comma-separated event budgets (default 100,1000,10000).")
-@click.option("--trials", type=int, default=1000, help="Default 1000.")
+@_trials_option(1000)
 @_seed_option
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None,
               help="Curve CSV (default stdout).")
@@ -349,17 +357,13 @@ def rwre(alpha1, beta1, alpha2, beta2, budgets, trials, seed, out_path) -> None:
         raise click.UsageError(str(exc)) from exc
     if not budget_list or min(budget_list) < 1:
         raise click.UsageError("--budgets must be positive integers")
-    if trials < 1:
-        raise click.UsageError("--trials must be at least 1")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         curve = difference_recurrence(p1, p2, budget_list, trials, seed)
     for w in caught:
         click.echo(f"warning: {w.message}", err=True)
-    resolved = {"alpha1": alpha1, "beta1": beta1, "alpha2": alpha2, "beta2": beta2,
-                "budgets": budget_list, "trials": trials, "seed": seed,
-                "regime_ok": curve.regime_ok}
-    _write_csv(out_path, resolved, [], ("budget", "hit_fraction", "stderr"), curve.rows())
+    _write_csv(out_path, _resolved(budgets=budget_list, regime_ok=curve.regime_ok), [],
+               ("budget", "hit_fraction", "stderr"), curve.rows())
 
 
 if __name__ == "__main__":

@@ -21,6 +21,11 @@ from .distributions import (
 from .urn import Side, magic_draw
 from .urn_process import UrnField, check_small_a_policy, initial_masses
 
+# marginal check: family-wise level, split across the tested sites, and
+# the fewest free steps a site needs to be tested
+SIGNIFICANCE = 0.01
+MIN_VISITS = 20
+
 
 class SandwichViolationError(RuntimeError):
     """The pathwise ordering lP <= l <= r <= rP failed (must never happen)."""
@@ -228,7 +233,6 @@ class MarginalCheckReport:
     against the fixed environment, Bonferroni-corrected across sites."""
 
     trials: int
-    significance: float
     checks: list[SiteCheck]
     excluded_sites: int
     passed: bool
@@ -237,7 +241,7 @@ class MarginalCheckReport:
         return json.dumps(
             {
                 "trials": self.trials,
-                "significance": self.significance,
+                "significance": SIGNIFICANCE,
                 "excluded_sites": self.excluded_sites,
                 "passed": self.passed,
                 "checks": [vars(c) for c in self.checks],
@@ -245,13 +249,7 @@ class MarginalCheckReport:
         )
 
 
-def marginal_check(
-    params: ModelParams,
-    trials: int,
-    seed: int,
-    significance: float = 0.01,
-    min_visits: int = 20,
-) -> MarginalCheckReport:
+def marginal_check(params: ModelParams, trials: int, seed: int) -> MarginalCheckReport:
     """Verify the free outer walkers follow their per-site jump laws.
 
     The environment of trial 0, stream (seed, 0, ENVIRONMENT), is held
@@ -259,7 +257,7 @@ def marginal_check(
     in it for up to ``params.max_events`` events each.  Only free
     (non-coincident) steps are tallied, since coincident steps are
     resolved by the urn drawing rather than the limiting fractions.
-    Sites with fewer than ``min_visits`` tallied steps are excluded; a
+    Sites with fewer than ``MIN_VISITS`` tallied steps are excluded; a
     check that tests no site fails.
     """
     env = Environment(params, RngStream(seed, 0, ENVIRONMENT))
@@ -278,9 +276,9 @@ def marginal_check(
                 c[0] += 1
                 c[1] += getattr(state, g) == site + 1
 
-    tested = [(k, v) for k, v in counts.items() if v[0] >= min_visits]
+    tested = [(k, v) for k, v in counts.items() if v[0] >= MIN_VISITS]
     excluded = len(counts) - len(tested)
-    alpha = significance / max(len(tested), 1)
+    alpha = SIGNIFICANCE / max(len(tested), 1)
     checks = []
     passed = bool(tested)
     for (walker, site), (visits, rights) in sorted(tested):
@@ -295,10 +293,4 @@ def marginal_check(
         checks.append(SiteCheck(site, walker, visits, rights, p_right, pval))
         if pval < alpha:
             passed = False
-    return MarginalCheckReport(
-        trials=trials,
-        significance=significance,
-        checks=checks,
-        excluded_sites=excluded,
-        passed=passed,
-    )
+    return MarginalCheckReport(trials=trials, checks=checks, excluded_sites=excluded, passed=passed)

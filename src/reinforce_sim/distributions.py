@@ -19,6 +19,7 @@ from scipy import integrate, special
 
 _MASK64 = (1 << 64) - 1
 _BUFFER_BLOCK = 1024
+QUAD_ABS_TOL = 1e-8  # absolute error bound of integrate_log_odds
 
 # Roles: counter word 3 of a stream; role 0 would alias the dynamics
 # stream and is not one.
@@ -172,7 +173,7 @@ def digamma(x: float) -> float:
     return float(special.digamma(x))
 
 
-def integrate_log_odds(p: BetaParams, abs_tol: float = 1e-8) -> float:
+def integrate_log_odds(p: BetaParams) -> float:
     """E[log(p/(1-p))] for p ~ Beta(alpha, beta), by adaptive quadrature.
 
     Integrates in the substituted variable s with x/(1-x) = exp(2s),
@@ -195,11 +196,11 @@ def integrate_log_odds(p: BetaParams, abs_tol: float = 1e-8) -> float:
         return c * s * 0.5 * (np.exp(t - n * log_cosh) - np.exp(-t - n * log_cosh))
 
     value, err = integrate.quad(
-        integrand, 0.0, np.inf, epsabs=abs_tol * 1e-4, epsrel=1e-11, limit=400
+        integrand, 0.0, np.inf, epsabs=QUAD_ABS_TOL * 1e-4, epsrel=1e-11, limit=400
     )
-    if not (np.isfinite(value) and err <= abs_tol):  # a NaN error compares False
+    if not (np.isfinite(value) and err <= QUAD_ABS_TOL):  # a NaN error compares False
         raise QuadratureError(
             f"log-odds quadrature for Beta({a1}, {a2}) gave {value!r} with "
-            f"error {err:.3e} (tolerance {abs_tol:.1e})"
+            f"error {err:.3e} (tolerance {QUAD_ABS_TOL:.1e})"
         )
     return value

@@ -104,7 +104,8 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--stop-after-meetings", value, "--trials", "3",
                                       "--events", "100", "--out", str(out)])
         assert result.exit_code == 2
-        assert "--stop-after-meetings must be at least 1" in result.output
+        assert f"Invalid value for '--stop-after-meetings': {value} is not in the range x>=1" \
+            in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("stop", [None, 3])
@@ -280,6 +281,16 @@ class TestCouple:
         assert last["checks"] == [] and last["excluded_sites"] > 0
         assert last["passed"] is False
 
+    @pytest.mark.parametrize("start", ["0", "3"])
+    def test_marginal_check_of_coincident_start_is_usage_error(self, runner, tmp_path, start):
+        # coincident walkers take no free steps, so there is nothing to test
+        out = tmp_path / "runs.jsonl"
+        result = runner.invoke(main, ["couple", "--l0", start, "--r0", start, "--trials", "5",
+                                      "--marginal-check", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--marginal-check needs l0 < r0" in result.output
+        assert not out.exists()
+
 
 class TestCriterion:
     def test_grid_report(self, runner, tmp_path):
@@ -364,7 +375,37 @@ class TestPolya:
     def test_nonpositive_count_is_usage_error(self, runner, flag, value):
         result = runner.invoke(main, ["polya", flag, value])
         assert result.exit_code == 2
-        assert f"{flag} must be at least 1" in result.output
+        assert f"Invalid value for '{flag}': {value} is not in the range x>=1" in result.output
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-0.5", "1.5"])
+    def test_threshold_outside_the_unit_interval_is_usage_error(self, runner, tmp_path, value):
+        out = tmp_path / "polya.json"
+        result = runner.invoke(main, ["polya", "--ks-threshold", value, "--runs", "50",
+                                      "--draws", "50", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--ks-threshold'" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "0", "2"])
+    def test_config_threshold_outside_the_unit_interval_is_usage_error(self, runner, tmp_path,
+                                                                       value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"ks_threshold": {value}}}')
+        out = tmp_path / "polya.json"
+        result = runner.invoke(main, ["polya", "--config", str(cfg), "--runs", "50",
+                                      "--draws", "50", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "Invalid value for '--ks-threshold'" in result.output
+        assert not out.exists()
+
+    def test_threshold_of_one_passes_any_distance(self, runner, tmp_path):
+        out = tmp_path / "polya.json"
+        result = runner.invoke(main, ["polya", "--ks-threshold", "1", "--runs", "50",
+                                      "--draws", "50", "--three-color", "--out", str(out)])
+        assert result.exit_code == 0
+        report = json.loads(out.read_text())
+        assert report["meta"]["config"]["ks_threshold"] == 1.0
+        assert report["two_color"]["passed"] is True
 
 
 class TestRwre:
@@ -441,6 +482,75 @@ class TestStreamKeys:
         assert runner.invoke(main, args + ["--out", str(plain)]).exit_code == 0
         assert runner.invoke(main, args + ["--timestamps", "--out", str(stamped)]).exit_code == 0
         assert plain.read_bytes() == stamped.read_bytes()
+
+
+def recorded_config(command, path):
+    """The configuration a command recorded in its output file."""
+    lines = read_csv(path).splitlines()
+    if command in ("simulate", "rwre"):
+        return json.loads(lines[1].removeprefix("# config: "))
+    return json.loads(lines[0])["meta"]["config"]
+
+
+# each command's recorded configuration: every option a config file may
+# set, plus the derived entries
+RECORDED_KEYS = {
+    "simulate": ({"n", "a", "delta", "l0", "r0", "events", "trials", "stop_after_meetings",
+                  "seed"}, {"outside_recurrence_regime"}),
+    "urn-verify": ({"a", "delta", "l0", "r0", "horizon"}, set()),
+    "couple": ({"a", "delta", "l0", "r0", "events", "trials", "seed"}, set()),
+    "criterion": ({"pairs"}, set()),
+    "polya": ({"red", "blue", "d", "draws", "runs", "ks_threshold", "seed"}, {"three_color"}),
+    "rwre": ({"alpha1", "beta1", "alpha2", "beta2", "budgets", "trials", "seed"}, {"regime_ok"}),
+}
+SMALL_RUNS = {
+    "simulate": ["--trials", "3", "--events", "50"],
+    "urn-verify": ["--horizon", "2"],
+    "couple": ["--trials", "2", "--events", "50"],
+    "criterion": ["--pair", "2", "1"],
+    "polya": ["--draws", "20", "--runs", "20", "--ks-threshold", "1"],
+    "rwre": ["--budgets", "10", "--trials", "5"],
+}
+
+
+class TestRecordedConfig:
+    @pytest.mark.parametrize("command", sorted(RECORDED_KEYS))
+    def test_key_set(self, runner, tmp_path, command):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, *SMALL_RUNS[command], "--out", str(out)])
+        assert result.exit_code == 0
+        options, derived = RECORDED_KEYS[command]
+        assert set(recorded_config(command, out)) == options | derived
+
+    @pytest.mark.parametrize("command", sorted(RECORDED_KEYS))
+    def test_config_file_takes_exactly_the_options(self, runner, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        options, derived = RECORDED_KEYS[command]
+        for key in derived | {"out_path", "config_path"}:
+            cfg.write_text(json.dumps({key: 1}))
+            result = runner.invoke(main, [command, "--config", str(cfg)])
+            assert result.exit_code == 2
+            assert f"expected some of {', '.join(sorted(options))}" in result.output
+
+    @pytest.mark.parametrize("command,config,option", [
+        ("simulate", {"trials": 0}, "--trials"),
+        ("couple", {"trials": 0}, "--trials"),
+        ("rwre", {"trials": 0}, "--trials"),
+        ("simulate", {"n": 3}, "--n"),
+        ("simulate", {"n": 0}, "--n"),
+        ("simulate", {"stop_after_meetings": 0}, "--stop-after-meetings"),
+        ("polya", {"draws": 0}, "--draws"),
+        ("polya", {"runs": -1}, "--runs"),
+    ])
+    def test_config_count_out_of_range_is_usage_error(self, runner, tmp_path, command, config,
+                                                      option):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"Invalid value for '{option}'" in result.output
+        assert not out.exists()
 
 
 class TestTopLevel:
