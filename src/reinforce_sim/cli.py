@@ -15,7 +15,6 @@ import sys
 import warnings
 
 import click
-from scipy import stats
 
 from . import __version__
 from .direct import ModelParams, meeting_statistics, run_direct, run_direct_batch
@@ -298,6 +297,8 @@ def _unit_interval(ctx: click.Context, param: click.Parameter, value: float) -> 
 def polya(red, blue, d, draws, runs, three_color, ks_threshold, seed, out_path) -> None:
     """Monte Carlo check of the urn limit laws (KS against the Beta or
     Dirichlet-marginal targets); exit 1 if a KS distance exceeds the threshold."""
+    from scipy import stats  # scipy loads only where it is used
+
     try:
         urn = PolyaUrn((red, blue), d)
         law = BetaParams(*urn.limit_law())

@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from scipy import stats
-
 from .direct import ModelParams
 from .distributions import (
     ENVIRONMENT, BetaParams, RngStream, sample_beta, sample_dirichlet, trial_streams,
@@ -260,6 +258,8 @@ def marginal_check(params: ModelParams, trials: int, seed: int) -> MarginalCheck
     Sites with fewer than ``MIN_VISITS`` tallied steps are excluded; a
     check that tests no site fails.
     """
+    from scipy import stats  # scipy loads only where it is used
+
     env = Environment(params, RngStream(seed, 0, ENVIRONMENT))
     counts: dict[tuple[str, int], list[int]] = {}
 

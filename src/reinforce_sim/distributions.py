@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
 
 _MASK64 = (1 << 64) - 1
 _BUFFER_BLOCK = 1024
@@ -168,6 +167,8 @@ def sample_dirichlet(
 
 def digamma(x: float) -> float:
     """Digamma function psi(x) for x > 0."""
+    from scipy import special  # scipy loads only where it is used
+
     if not np.isfinite(x) or x <= 0:
         raise ValueError(f"digamma requires x > 0, got {x!r}")
     return float(special.digamma(x))
@@ -180,6 +181,8 @@ def integrate_log_odds(p: BetaParams) -> float:
     which removes the endpoint singularities of the raw integrand.  The
     result must agree with digamma(alpha) - digamma(beta).
     """
+    from scipy import integrate, special  # scipy loads only where it is used
+
     a1, a2 = p.alpha, p.beta
     n = a1 + a2
     with np.errstate(over="ignore", invalid="ignore"):

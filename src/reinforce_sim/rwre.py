@@ -156,13 +156,19 @@ def difference_recurrence(
     """Monte Carlo return-probability curve for the difference of two
     conditionally independent half-line chains (see :func:`first_returns`):
     the fraction of trials whose chains are both back at 0 by each budget.
+
+    ``regime_ok`` is the hypothesis mu > 0 for both environments, tested
+    as the sign beta > alpha: mu = digamma(beta) - digamma(alpha) and
+    digamma is strictly increasing on (0, inf).  The sign is exact where
+    the float digamma is not (it rounds mu to 0 when the shapes are one
+    ulp apart), and it needs no scipy.
     """
     budgets = sorted(budgets)
     if not budgets or budgets[0] <= 0:
         raise ValueError("budgets must be positive")
     if trials <= 0:
         raise ValueError("trials must be positive")
-    regime_ok = criterion(p1).mu > 0 and criterion(p2).mu > 0
+    regime_ok = p1.beta > p1.alpha and p2.beta > p2.alpha
     if not regime_ok:
         warnings.warn(
             "environment parameters violate the mu > 0 hypothesis; the "

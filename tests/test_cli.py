@@ -1,5 +1,8 @@
 """Command-line interface: exit codes, output formats, reproducibility."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -570,3 +573,46 @@ class TestTopLevel:
         assert result.exit_code == 0
         for name in ("simulate", "urn-verify", "couple", "criterion", "polya", "rwre"):
             assert name in result.output
+
+
+SCIPY_MODULES = ("scipy.stats", "scipy.integrate", "scipy.special")
+
+
+def scipy_modules_after(script: str) -> list[str]:
+    """The SCIPY_MODULES loaded once ``script`` has run in a fresh interpreter."""
+    src = str(Path(reinforce_sim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    script += ("\nimport json, sys\n"
+               f"print(json.dumps(sorted(m for m in sys.modules if m in {SCIPY_MODULES!r})))")
+    res = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def cli_script(commands: list[list[str]]) -> str:
+    """A script running each command through ``main``; a nonzero exit fails it."""
+    return "from reinforce_sim.cli import main\n" + "".join(
+        f"main({argv!r}, standalone_mode=False)\n" for argv in commands)
+
+
+class TestImportPath:
+    """Only polya, criterion and couple --marginal-check load scipy."""
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        assert scipy_modules_after("import reinforce_sim.cli") == []
+
+    def test_commands_without_scipy_load_none(self):
+        commands = [
+            ["rwre", "--trials", "20", "--budgets", "10,100"],
+            ["rwre", "--trials", "5", "--budgets", "10", "--alpha1", "2", "--beta1", "1"],
+            ["couple", "--trials", "5", "--events", "200"],
+            ["simulate", "--trials", "5", "--events", "200"],
+            ["urn-verify", "--horizon", "2"],
+        ]
+        assert scipy_modules_after(cli_script(commands)) == []
+
+    def test_criterion_loads_scipy(self):
+        # the guard above would pass vacuously if this probe saw no module
+        probe = cli_script([["criterion", "--pair", "1", "2"]])
+        assert "scipy.special" in scipy_modules_after(probe)

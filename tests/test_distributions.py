@@ -80,7 +80,7 @@ class TestStreamKeys:
         mask = 2**64 - 1
         # -1 and 2**64 - 1 both mask to 2**64 - 1; trial 2**32 + 1 needs
         # both halves of counter word 2
-        for seed in (0, 7, -1, 2**32 + 5, 2**64 - 1):
+        for seed in (0, 7, -1, 2**32 + 5, 2**64 - 1, 2**64 + 7, -(2**70) - 3):
             for trial in (0, 1, 2999, 2**32 + 1):
                 for role in (None, ENVIRONMENT, MIRROR_ENVIRONMENT, HOLDING_TIMES):
                     ref = np.random.Philox(seed & mask, counter=[0, 0, trial & mask, role or 0])

@@ -1,4 +1,6 @@
 """Birth-death chains in random environment: criteria and simulators."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,31 @@ class TestDifferenceRecurrence:
         with pytest.warns(UserWarning, match="mu > 0"):
             curve = difference_recurrence(p, p, [50], 20, 109)
         assert not curve.regime_ok
+
+    def test_regime_sign_matches_the_digamma_criterion(self):
+        # away from one-ulp gaps the sign beta > alpha and the float digamma
+        # agree; the grid's closest shapes are 1e-12 apart relatively
+        shapes = [0.05, 0.5, 1.0, 1.0 + 1e-12, 2.0, 7.0 * (1 - 1e-12), 7.0, 40.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            for p in (BetaParams(a, b) for a in shapes for b in shapes):
+                curve = difference_recurrence(p, p, [1], 1, 111)
+                assert curve.regime_ok == (criterion(p).mu > 0)
+            # regime_ok needs both chains in the regime
+            ok, bad = BetaParams(0.5, 2.0), BetaParams(2.0, 0.5)
+            assert not difference_recurrence(ok, bad, [1], 1, 111).regime_ok
+            assert not difference_recurrence(bad, ok, [1], 1, 111).regime_ok
+
+    def test_regime_sign_is_exact_at_one_ulp(self):
+        # at 7, 12.5 and 100 the float digamma rounds mu at beta one ulp
+        # above alpha to 0
+        for alpha in (0.5, 7.0, 12.5, 100.0):
+            above = BetaParams(alpha, np.nextafter(alpha, np.inf))
+            assert difference_recurrence(above, above, [1], 1, 112).regime_ok
+            for beta in (alpha, np.nextafter(alpha, 0)):
+                p = BetaParams(alpha, beta)
+                with pytest.warns(UserWarning, match="mu > 0"):
+                    assert not difference_recurrence(p, p, [1], 1, 112).regime_ok
 
     def test_invalid_inputs_rejected(self):
         p = BetaParams(0.5, 1.5)
