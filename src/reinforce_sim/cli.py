@@ -24,7 +24,7 @@ from .distributions import (
 )
 from .rwre import criterion, difference_recurrence
 from .urn import PolyaUrn, polya_fraction_samples
-from .urn_process import SmallAPolicyError, enumerate_exact, tv_distance
+from .urn_process import SmallAPolicyError, compare_exact
 from .coupling import Environment, marginal_check, run_coupling
 
 TV_TOLERANCE = 1e-12
@@ -158,7 +158,7 @@ def simulate(n, a, delta, l0, r0, events, trials,
     """Run the direct weight-reinforced dynamics and report meeting statistics."""
     params = _model_params(a, delta, l0, r0, events)
 
-    streams = [RngStream(seed, trial) for trial in range(trials)]
+    streams = (RngStream(seed, trial) for trial in range(trials))  # built as each block starts
     records = run_direct_batch(params, n, streams, stop_after_meetings=stop_after_meetings)
     resolved = _resolved(outside_recurrence_regime=params.outside_recurrence_regime)
     notes = ["delta >= 1 is outside the proven recurrence regime"]
@@ -182,18 +182,17 @@ def urn_verify(a, delta, l0, r0, horizon, allow_small_a, out_path) -> None:
     enumeration; fails (exit 1) if the distributions differ."""
     params = _model_params(a, delta, l0, r0, 0, allow_small_a=allow_small_a)
     try:
-        d_direct = enumerate_exact("direct", params, horizon)
-        d_urn = enumerate_exact("urn", params, horizon)
+        law = compare_exact(params, horizon)
     except ValueError as exc:  # horizon out of range, or a < 1 without the flag
         raise click.UsageError(str(exc)) from exc
-    tv = tv_distance(d_direct, d_urn)
+    tv = float(law.tv_distance)
     ok = tv < TV_TOLERANCE
     report = {
         "meta": _meta(_resolved()),
         "tv_distance": tv,
         "tolerance": TV_TOLERANCE,
-        "trajectories_direct": len(d_direct.probs),
-        "trajectories_urn": len(d_urn.probs),
+        "trajectories_direct": law.trajectories_direct,
+        "trajectories_urn": law.trajectories_urn,
         "equivalent": ok,
     }
     if out_path is not None:

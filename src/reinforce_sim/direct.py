@@ -8,7 +8,9 @@ from a stream of their own; every statement here is about the jump chain.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -210,7 +212,7 @@ class _Lockstep:
 def run_direct_batch(
     params: ModelParams,
     n_particles: int,
-    streams: list[RngStream],
+    streams: Iterable[RngStream],
     positions: list[int] | None = None,
     stop_after_meetings: int | None = None,
 ) -> list[TrajectoryRecord]:
@@ -220,36 +222,37 @@ def run_direct_batch(
     record_events=False, stop_after_meetings=...)`` would give for each
     stream ``s``, bit for bit.  A trial draws exactly two uniforms per
     event, so each chunk reads every trial's next uniforms in scalar
-    order.  Streams may end advanced past a trial's last event.
+    order.  ``streams``, any iterable of distinct streams, is read one
+    block of ``_BLOCK_TRIALS`` at a time, as the block starts, so a
+    generator of streams keeps at most two blocks of them alive.
+    Streams may end advanced past a trial's last event.
     """
     start = _start_positions(params, n_particles, positions)
-    streams = list(streams)
-    if len(streams) < _MIN_LOCKSTEP or max(start) - min(start) > _WINDOW_CELLS:
+    streams = iter(streams)
+    block = list(islice(streams, _BLOCK_TRIALS))
+    if len(block) < _MIN_LOCKSTEP or max(start) - min(start) > _WINDOW_CELLS:
         # (far-apart walkers would need a dense window spanning the gap)
         return [run_direct(params, n_particles, s, start, record_events=False,
-                           stop_after_meetings=stop_after_meetings) for s in streams]
-    records = [TrajectoryRecord(params=params, n_particles=n_particles) for _ in streams]
+                           stop_after_meetings=stop_after_meetings) for s in chain(block, streams)]
     coincident = n_particles > 1 and len(set(start)) == 1
-    if coincident:
-        for rec in records:
-            rec.meeting_times.append(0)
-        if stop_after_meetings is not None and stop_after_meetings <= 1:
-            for rec in records:
-                rec.final_positions = list(start)
-            return records
+    if coincident and stop_after_meetings is not None and stop_after_meetings <= 1:
+        return [TrajectoryRecord(params=params, n_particles=n_particles, meeting_times=[0],
+                                 final_positions=list(start)) for _ in chain(block, streams)]
     # the first meeting inside the run always ends a run with a limit <= 1
     limit = None if stop_after_meetings is None else max(stop_after_meetings, 1)
-    groups = []
-    for k in range(0, len(streams), _BLOCK_TRIALS):
-        block = streams[k:k + _BLOCK_TRIALS]
-        groups.append(_Lockstep(
-            records[k:k + _BLOCK_TRIALS], block,
-            np.tile(np.asarray(start, dtype=np.int64), (len(block), 1)),
+    records = []
+    while block:
+        block_records = [TrajectoryRecord(params=params, n_particles=n_particles,
+                                          meeting_times=[0] if coincident else [])
+                         for _ in block]
+        records += block_records
+        groups = [_Lockstep(
+            block_records, block, np.tile(np.asarray(start, dtype=np.int64), (len(block), 1)),
             np.full(len(block), int(coincident)), np.empty((len(block), 0)), min(start), 0,
-        ))
-    groups.reverse()
-    while groups:  # depth first, so split halves run before later blocks
-        groups.extend(reversed(_advance(groups.pop(), params, limit)))
+        )]
+        while groups:  # depth first, so split halves run before the next block
+            groups.extend(reversed(_advance(groups.pop(), params, limit)))
+        block = list(islice(streams, _BLOCK_TRIALS))
     return records
 
 

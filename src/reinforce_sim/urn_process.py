@@ -1,21 +1,28 @@
-"""Per-site chameleon urns of the two-particle dynamics, plus an exact
-small-horizon enumerator certifying agreement with the weight dynamics.
+"""Per-site chameleon urns of the two-particle dynamics, and their exact
+comparison with the weight dynamics.
 
 The urn representation is valid strictly before the first meeting time.
 Its Monte Carlo walk is the inner pair of the coupled quadruple
-(``coupling.coupled_step``).  Enumeration keeps probabilities as exact
-fractions (floats are binary rationals, so any float a and delta
-enumerate exactly).
+(``coupling.coupled_step``).  :func:`compare_exact` runs both models
+together, one breadth-first layer per event, merging the paths that reach
+the same joint state; it gives the trajectory TV distance and each
+model's law of the first meeting time.  Probabilities are exact fractions
+(floats are binary rationals, so any float a and delta enumerate
+exactly); the live states of a layer are bounded by ``MAX_LIVE_STATES``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .direct import ModelParams, WeightMap, right_jump_probability
 from .urn import MagicUrn, Side, left_mass, reinforce
 
-MAX_ENUM_HORIZON = 8
+# Joint states one layer of compare_exact may hold.  The states grow about
+# 1.8-fold per event.  At a=2, delta=0.5, gap 3, horizon 11 (8,094 states
+# in its last layer) runs in 2.1 s with a 56 MiB peak RSS on a 2-vCPU VM,
+# and refusing horizon 12 (14,124) or more takes about 2.6 s.
+MAX_LIVE_STATES = 10_000
 
 
 class SmallAPolicyError(ValueError):
@@ -66,108 +73,104 @@ class UrnField:
         return urn
 
 
-@dataclass
-class ExactDistribution:
-    """Exact probabilities of truncated (mover, direction) trajectories.
+@dataclass(frozen=True)
+class ExactComparison:
+    """The weight dynamics and the urn process compared exactly up to a horizon.
 
-    Keys are tuples of (mover, direction) pairs with 0=left, 1=right in
-    both slots; branches are truncated once the particles meet.
+    ``tv_distance`` is the total variation distance between the two laws
+    of (mover, direction) trajectories cut at the first meeting or the
+    horizon; ``trajectories_direct`` and ``trajectories_urn`` count the
+    trajectories of positive probability under each model.
+    ``meeting_direct[k]`` and ``meeting_urn[k]`` are P(tau1 = k), k <=
+    horizon, under each model; ``mass_direct`` and ``mass_urn`` are the
+    total probabilities absorbed, 1 when the kernels are probability laws.
     """
 
-    horizon: int
-    params: ModelParams
-    probs: dict[tuple, Fraction]
+    tv_distance: Fraction
+    trajectories_direct: int
+    trajectories_urn: int
+    meeting_direct: tuple[Fraction, ...]
+    meeting_urn: tuple[Fraction, ...]
+    mass_direct: Fraction
+    mass_urn: Fraction
 
 
-def _enum_guard(horizon: int) -> None:
+def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
+    """Both models' trajectory laws up to ``horizon`` events, in one
+    breadth-first pass over joint states.
+
+    A node gathers the paths that reach one joint state: the two sites,
+    the urns' family masses (each site's left and right jumps, so they fix
+    the edge weights too) and rho = q/p, the ratio of a path's urn
+    probability q to its direct probability p.  Both models are Markov in
+    their states, so a node's paths share their future, and each path's
+    share of the TV distance is |1 - rho| p.  A node carries its paths'
+    summed p (summed q when p = 0, rho = infinity, kept as ``None``) and
+    their number.  Children come from the one-step kernels the samplers
+    run, in exact arithmetic, skipping a model whose probability is
+    already 0; every urn draw is booked as family, since the law only
+    depends on the pooled masses.  A layer of more than
+    ``MAX_LIVE_STATES`` nodes raises ValueError.
+    """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    if horizon > MAX_ENUM_HORIZON:
-        raise ValueError(
-            f"horizon {horizon} too large for exact enumeration "
-            f"(~{4 ** horizon} leaves); maximum is {MAX_ENUM_HORIZON}"
-        )
-
-
-def enumerate_exact(model: str, params: ModelParams, horizon: int) -> ExactDistribution:
-    """Exhaustive trajectory distribution of the chosen model.
-
-    ``model`` is "direct" (weight dynamics) or "urn" (chameleon urns).
-    Both walk one recursion over (mover, direction) branches; each model
-    supplies the branches of one move from the one-step kernel its
-    samplers run, in exact arithmetic.  Branches are absorbed at the
-    first meeting; total mass is exactly 1.
-    """
-    _enum_guard(horizon)
-    if model == "direct":
-        state, branches = WeightMap(Fraction(params.a)), _direct_branches(params)
-    elif model == "urn":
-        check_small_a_policy(params)
-        state, branches = {}, _urn_branches(params)
-    else:
-        raise ValueError(f"unknown model {model!r}; expected 'direct' or 'urn'")
-    half = Fraction(1, 2)
-    probs: dict[tuple, Fraction] = {}
-
-    def recurse(state, l: int, r: int, depth: int, prob: Fraction, traj: tuple):
-        if l == r or depth == horizon:
-            probs[traj] = probs.get(traj, Fraction(0)) + prob
-            return
-        for mover in (0, 1):
-            v = l if mover == 0 else r
-            for direction, p_dir, after in branches(state, v, mover):
-                to = v + 1 if direction else v - 1
-                nl, nr = (to, r) if mover == 0 else (l, to)
-                recurse(after, nl, nr, depth + 1, prob * half * p_dir,
-                        traj + ((mover, direction),))
-
-    recurse(state, params.l0, params.r0, 0, Fraction(1), ())
-    return ExactDistribution(horizon=horizon, params=params, probs=probs)
-
-
-def _direct_branches(params: ModelParams):
-    """(direction, probability, weights after) of each possible jump from v."""
-    delta = Fraction(params.delta)
-
-    def branches(weights: WeightMap, v: int, mover: int):
-        p_right = right_jump_probability(weights, v, delta)
-        for direction, p_dir in ((0, 1 - p_right), (1, p_right)):
-            if p_dir:
-                after = weights.copy()
-                after.reinforce(v - 1 + direction)
-                yield direction, p_dir, after
-    return branches
-
-
-def _urn_branches(params: ModelParams):
-    """(direction, probability, urns after) of each possible draw at v.
-
-    The future law only depends on the pooled red/blue masses, so the two
-    new marbles are always booked as family marbles.
-    """
-    def branches(urns: dict, v: int, mover: int):
-        urn = urns.get(v)
-        if urn is None:
-            urn = MagicUrn(*initial_masses(params, v, Fraction))
-        total = urn.total
-        left = left_mass(urn, Side.LEFT if mover == 0 else Side.RIGHT)
-        for direction, side, mass in ((0, Side.LEFT, left), (1, Side.RIGHT, total - left)):
-            if mass:
-                drawn = replace(urn)
-                reinforce(drawn, side, False)
-                yield direction, mass / total, {**urns, v: drawn}
-    return branches
-
-
-def tv_distance(d1: ExactDistribution, d2: ExactDistribution) -> float:
-    """Total variation distance between two exact trajectory distributions."""
-    if d1.horizon != d2.horizon:
-        raise ValueError(f"horizon mismatch: {d1.horizon} != {d2.horizon}")
-    if d1.params != d2.params:
-        raise ValueError("parameter mismatch between distributions")
-    keys = set(d1.probs) | set(d2.probs)
-    tv = sum(
-        (abs(d1.probs.get(k, Fraction(0)) - d2.probs.get(k, Fraction(0))) for k in keys),
-        Fraction(0),
-    ) / 2
-    return float(tv)
+    check_small_a_policy(params)
+    delta, half = Fraction(params.delta), Fraction(1, 2)
+    tv = Fraction(0)
+    trajectories, masses = [0, 0], [Fraction(0), Fraction(0)]
+    meeting = ([Fraction(0)] * (horizon + 1), [Fraction(0)] * (horizon + 1))
+    # key -> [summed p (q when rho is None), paths, l, r, weights, urns, rho]
+    layer = {None: [Fraction(1), 1, params.l0, params.r0, WeightMap(Fraction(params.a)), {},
+                    Fraction(1)]}
+    for depth in range(horizon + 1):
+        children: dict = {}
+        for mass, paths, l, r, weights, urns, rho in layer.values():
+            if l == r or depth == horizon:
+                p, q = (0, mass) if rho is None else (mass, rho * mass)
+                trajectories[0] += paths if p else 0
+                trajectories[1] += paths if q else 0
+                masses[0] += p
+                masses[1] += q
+                tv += abs(p - q)
+                if l == r:
+                    meeting[0][depth] += p
+                    meeting[1][depth] += q
+                continue
+            for mover, v, present in ((0, l, Side.LEFT), (1, r, Side.RIGHT)):
+                urn = urns.get(v)
+                if urn is None:
+                    urn = MagicUrn(*initial_masses(params, v, Fraction))
+                p_right = 0 if rho is None else right_jump_probability(weights, v, delta)
+                q_left = 0 if rho == 0 else left_mass(urn, present) / urn.total
+                for right, side in ((0, Side.LEFT), (1, Side.RIGHT)):
+                    p = 0 if rho is None else (p_right if right else 1 - p_right)
+                    q = 0 if rho == 0 else (1 - q_left if right else q_left)
+                    if p:
+                        child_rho, child_mass = (rho if q == p else rho * q / p), mass * half * p
+                    elif q:
+                        child_rho, child_mass = None, mass * half * q * (1 if rho is None else rho)
+                    else:
+                        continue
+                    drawn = MagicUrn(urn.pure_red, urn.pure_blue, urn.fam_red, urn.fam_blue)
+                    reinforce(drawn, side, False)
+                    child_urns = {**urns, v: drawn}
+                    to = v + 1 if right else v - 1
+                    nl, nr = (to, r) if mover == 0 else (l, to)
+                    key = (nl, nr, child_rho, frozenset(
+                        (site, u.fam_red, u.fam_blue) for site, u in child_urns.items()))
+                    node = children.get(key)
+                    if node is not None:
+                        node[0] += child_mass
+                        node[1] += paths
+                    elif len(children) < MAX_LIVE_STATES:
+                        child_weights = weights.copy()
+                        child_weights.reinforce(v - 1 + right)
+                        children[key] = [child_mass, paths, nl, nr, child_weights, child_urns,
+                                         child_rho]
+                    else:
+                        raise ValueError(
+                            f"horizon {horizon} needs more than MAX_LIVE_STATES = "
+                            f"{MAX_LIVE_STATES} live joint states at depth {depth + 1}"
+                        )
+        layer = children
+    return ExactComparison(tv / 2, *trajectories, tuple(meeting[0]), tuple(meeting[1]), *masses)

@@ -3,16 +3,23 @@
 They are the straightforward, slow forms of what the library does fast:
 the difference-recurrence experiment as a scalar loop over freshly built
 streams and a memoized environment, Beta samples drawn in blocks, and
-Polya urns run one run and one drawing at a time.  :class:`LargestUniform`
-is a stub stream for the edge of [0, 1).
+Polya urns run one run and one drawing at a time, and both models of the
+two-particle dynamics enumerated one trajectory at a time.
+:class:`LargestUniform` is a stub stream for the edge of [0, 1).
 """
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+from fractions import Fraction
+
 import numpy as np
 
+from reinforce_sim import urn_process
+from reinforce_sim.direct import ModelParams, WeightMap
 from reinforce_sim.distributions import (
     ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, sample_beta,
 )
+from reinforce_sim.urn import MagicUrn, Side, reinforce
 
 
 class LargestUniform:
@@ -112,3 +119,98 @@ def scalar_first_returns(
                 break
         first_returns.append(first)
     return first_returns
+
+
+@dataclass
+class ExactDistribution:
+    """Exact probabilities of truncated (mover, direction) trajectories.
+
+    Keys are tuples of (mover, direction) pairs with 0=left, 1=right in
+    both slots; branches are truncated once the particles meet.
+    """
+
+    horizon: int
+    params: ModelParams
+    probs: dict[tuple, Fraction]
+
+
+def enumerate_exact(model: str, params: ModelParams, horizon: int) -> ExactDistribution:
+    """Trajectory law of the chosen model, one trajectory at a time.
+
+    ``model`` is "direct" (weight dynamics) or "urn" (chameleon urns).
+    Each move branches on mover and direction by the one-step kernel of
+    the model, looked up on ``reinforce_sim.urn_process`` at call time, so
+    a test that patches a kernel there perturbs this tree and
+    ``urn_process.compare_exact`` alike.  Zero-probability branches are
+    cut; the rest end at the first meeting or the horizon.
+    """
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    if model == "direct":
+        state, branches = WeightMap(Fraction(params.a)), _direct_branches(params)
+    elif model == "urn":
+        urn_process.check_small_a_policy(params)
+        state, branches = {}, _urn_branches(params)
+    else:
+        raise ValueError(f"unknown model {model!r}; expected 'direct' or 'urn'")
+    half = Fraction(1, 2)
+    probs: dict[tuple, Fraction] = {}
+
+    def recurse(state, l: int, r: int, depth: int, prob: Fraction, traj: tuple):
+        if l == r or depth == horizon:
+            probs[traj] = probs.get(traj, Fraction(0)) + prob
+            return
+        for mover in (0, 1):
+            v = l if mover == 0 else r
+            for direction, p_dir, after in branches(state, v, mover):
+                to = v + 1 if direction else v - 1
+                nl, nr = (to, r) if mover == 0 else (l, to)
+                recurse(after, nl, nr, depth + 1, prob * half * p_dir,
+                        traj + ((mover, direction),))
+
+    recurse(state, params.l0, params.r0, 0, Fraction(1), ())
+    return ExactDistribution(horizon=horizon, params=params, probs=probs)
+
+
+def _direct_branches(params: ModelParams):
+    """(direction, probability, weights after) of each possible jump from v."""
+    delta = Fraction(params.delta)
+
+    def branches(weights: WeightMap, v: int, mover: int):
+        p_right = urn_process.right_jump_probability(weights, v, delta)
+        for direction, p_dir in ((0, 1 - p_right), (1, p_right)):
+            if p_dir:
+                after = weights.copy()
+                after.reinforce(v - 1 + direction)
+                yield direction, p_dir, after
+    return branches
+
+
+def _urn_branches(params: ModelParams):
+    """(direction, probability, urns after) of each possible draw at v,
+    both new marbles booked as family marbles."""
+    def branches(urns: dict, v: int, mover: int):
+        urn = urns.get(v)
+        if urn is None:
+            urn = MagicUrn(*urn_process.initial_masses(params, v, Fraction))
+        total = urn.total
+        left = urn_process.left_mass(urn, Side.LEFT if mover == 0 else Side.RIGHT)
+        for direction, side, mass in ((0, Side.LEFT, left), (1, Side.RIGHT, total - left)):
+            if mass:
+                drawn = replace(urn)
+                reinforce(drawn, side, False)
+                yield direction, mass / total, {**urns, v: drawn}
+    return branches
+
+
+def tv_distance(d1: ExactDistribution, d2: ExactDistribution) -> Fraction:
+    """Exact total variation distance between two trajectory distributions."""
+    if d1.horizon != d2.horizon:
+        raise ValueError(f"horizon mismatch: {d1.horizon} != {d2.horizon}")
+    if d1.params != d2.params:
+        raise ValueError("parameter mismatch between distributions")
+    keys = set(d1.probs) | set(d2.probs)
+    return sum(
+        (abs(d1.probs.get(k, Fraction(0)) - d2.probs.get(k, Fraction(0))) for k in keys),
+        Fraction(0),
+    ) / 2

@@ -23,7 +23,7 @@ from reinforce_sim.distributions import (
 )
 from reinforce_sim.rwre import Classification, criterion, difference_recurrence
 from reinforce_sim.urn import PolyaUrn, polya_fraction_samples
-from reinforce_sim.urn_process import enumerate_exact, initial_masses, tv_distance
+from reinforce_sim.urn_process import compare_exact, initial_masses
 
 from oracles import beta_samples
 
@@ -45,9 +45,7 @@ def test_criterion_1_urn_equivalence():
     worst = 0.0
     for params in PARAM_GRID:
         for h in range(1, 6):
-            d1 = enumerate_exact("direct", params, h)
-            d2 = enumerate_exact("urn", params, h)
-            worst = max(worst, tv_distance(d1, d2))
+            worst = max(worst, float(compare_exact(params, h).tv_distance))
     report(1, "urn-representation equivalence", worst < 1e-12,
            f"max TV over grid x horizons 1..5 = {worst!r}")
 

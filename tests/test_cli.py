@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import reinforce_sim
-from reinforce_sim import distributions
+from reinforce_sim import distributions, urn_process
 from reinforce_sim.cli import main
 from reinforce_sim.coupling import Environment, run_coupling
 from reinforce_sim.direct import ModelParams, meeting_statistics, run_direct
@@ -197,10 +197,17 @@ class TestUrnVerify:
         assert report["tv_distance"] == 0.0
         assert report["trajectories_direct"] == report["trajectories_urn"]
 
-    def test_horizon_guard_is_usage_error(self, runner):
+    def test_horizon_guard_is_usage_error(self, runner, monkeypatch):
+        # a small bound keeps the refusal cheap; the default takes 11 layers
+        monkeypatch.setattr(urn_process, "MAX_LIVE_STATES", 100)
         result = runner.invoke(main, ["urn-verify", "--horizon", "20"])
         assert result.exit_code == 2
-        assert "leaves" in result.output
+        assert "MAX_LIVE_STATES = 100 live joint states" in result.output
+
+    def test_horizons_past_the_old_tree_cap_run(self, runner):
+        result = runner.invoke(main, ["urn-verify", "--r0", "1", "--horizon", "9"])
+        assert result.exit_code == 0
+        assert result.output == "TV(direct, urn) = 0.0 at horizon 9: OK\n"
 
     def test_small_a_needs_flag(self, runner):
         result = runner.invoke(main, ["urn-verify", "--a", "0.5"])

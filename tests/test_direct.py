@@ -2,6 +2,7 @@
 urn equivalence."""
 import dataclasses
 import json
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -293,6 +294,24 @@ class TestRunDirectBatch:
         assert got == scalar_records(params, 2, 73, 200, stop=1)
         assert sum(rec.events_executed < 512 for rec in got) > 100
         assert sum(rec.events_executed > 1024 for rec in got) > 0
+
+    @pytest.mark.parametrize("stop", [None, 1])
+    def test_streams_are_read_one_block_at_a_time(self, monkeypatch, stop):
+        monkeypatch.setattr(direct, "_BLOCK_TRIALS", 8)
+        params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=101)
+        alive, peak = set(), []
+
+        def streams():
+            for t in range(36):
+                stream = RngStream(77, t)
+                alive.add(t)
+                weakref.finalize(stream, alive.discard, t)
+                peak.append(len(alive))
+                yield stream
+
+        got = run_direct_batch(params, 2, streams(), stop_after_meetings=stop)
+        assert got == scalar_records(params, 2, 77, 36, stop=stop)
+        assert len(peak) == 36 and max(peak) <= 16  # the block running and the next
 
     def test_no_streams_no_records(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10)

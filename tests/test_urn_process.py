@@ -1,12 +1,18 @@
 """Urn-driven pair dynamics and the exact enumeration certificate.
 
 The pair's Monte Carlo walk is the inner pair of the coupled quadruple.
+The merged-state pass ``compare_exact`` is checked against the
+trajectory-tree oracle, and the Monte Carlo engines against its law of
+the first meeting time.
 """
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
+
+from reinforce_sim import urn_process
 
 from reinforce_sim.coupling import (
     Environment,
@@ -15,18 +21,17 @@ from reinforce_sim.coupling import (
     init_coupled_state,
     run_coupling,
 )
-from reinforce_sim.direct import ModelParams
-from reinforce_sim.distributions import ENVIRONMENT, RngStream
+from reinforce_sim.direct import ModelParams, right_jump_probability, run_direct, run_direct_batch
+from reinforce_sim.distributions import ENVIRONMENT, RngStream, trial_streams
 from reinforce_sim.urn import MagicUrn, NegativeMassError, Side, left_mass, magic_draw
 from reinforce_sim.urn_process import (
-    MAX_ENUM_HORIZON,
-    ExactDistribution,
     SmallAPolicyError,
     UrnField,
-    enumerate_exact,
+    compare_exact,
     initial_masses,
-    tv_distance,
 )
+
+from oracles import ExactDistribution, enumerate_exact, tv_distance
 
 
 def params_for(a=1.0, delta=0.0, l0=0, r0=2, **kw):
@@ -164,10 +169,47 @@ class TestUrnProcessStep:
         assert (res.tau1_event, res.events_executed) == (None, 1)
 
 
+def meeting_law(d: ExactDistribution) -> tuple[Fraction, ...]:
+    """P(tau1 = k), k <= horizon, summed over the tree's trajectories."""
+    law = [Fraction(0)] * (d.horizon + 1)
+    for traj, prob in d.probs.items():
+        l, r = d.params.l0, d.params.r0
+        for mover, direction in traj:
+            step = 1 if direction else -1
+            l, r = (l + step, r) if mover == 0 else (l, r + step)
+        if l == r:
+            law[len(traj)] += prob
+    return tuple(law)
+
+
+def assert_pass_matches_tree(p: ModelParams, h: int):
+    """compare_exact gives the trees' TV, trajectory counts, meeting laws
+    and total masses exactly; returns its result."""
+    d1, d2 = enumerate_exact("direct", p, h), enumerate_exact("urn", p, h)
+    c = compare_exact(p, h)
+    assert c.tv_distance == tv_distance(d1, d2)
+    assert (c.trajectories_direct, c.trajectories_urn) == (len(d1.probs), len(d2.probs))
+    assert (c.mass_direct, c.mass_urn) == (sum(d1.probs.values()), sum(d2.probs.values()))
+    assert (c.meeting_direct, c.meeting_urn) == (meeting_law(d1), meeting_law(d2))
+    return c
+
+
+def shifted_red(v0: int, shift: Fraction):
+    """initial_masses with the red mass of site v0 moved by ``shift``."""
+    def masses(params, v, num=float):
+        red, blue = initial_masses(params, v, num)
+        return (red + shift, blue) if v == v0 else (red, blue)
+    return masses
+
+
 class TestEnumeration:
     def test_horizon_zero_is_unit_mass_on_empty_trajectory(self):
         d = enumerate_exact("direct", params_for(), 0)
         assert d.probs == {(): Fraction(1)}
+        c = compare_exact(params_for(), 0)
+        assert (c.trajectories_direct, c.trajectories_urn) == (1, 1)
+        assert c.mass_direct == c.mass_urn == 1
+        assert c.meeting_direct == c.meeting_urn == (0,)
 
     def test_single_event_probabilities(self):
         # a=1, delta=0: either particle moves with probability 1/2, then
@@ -199,15 +241,52 @@ class TestEnumeration:
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     @pytest.mark.parametrize("l0,r0", [(0, 1), (0, 2), (0, 3)])
     def test_urn_matches_direct_exactly(self, a, delta, l0, r0):
+        # the criterion-1 grid: the merged pass against the trees, h <= 6
         p = params_for(a=a, delta=delta, l0=l0, r0=r0)
-        for h in range(1, 5):
-            tv = tv_distance(enumerate_exact("direct", p, h), enumerate_exact("urn", p, h))
-            assert tv == 0.0
+        for h in range(7):
+            c = assert_pass_matches_tree(p, h)
+            assert c.tv_distance == 0
+            assert c.meeting_direct == c.meeting_urn
+            assert c.mass_direct == c.mass_urn == 1
 
     def test_urn_matches_direct_for_small_a(self):
         p = params_for(a=0.5, delta=0.5, l0=0, r0=2, allow_small_a=True)
-        tv = tv_distance(enumerate_exact("direct", p, 4), enumerate_exact("urn", p, 4))
-        assert tv == 0.0
+        assert assert_pass_matches_tree(p, 4).tv_distance == 0
+
+    def test_benchmark_trajectory_counts(self):
+        c = compare_exact(params_for(a=2.0, delta=0.5, l0=0, r0=3), 7)
+        assert (c.tv_distance, c.trajectories_direct, c.trajectories_urn) == (0, 12904, 12904)
+        assert c.mass_direct == c.mass_urn == 1
+
+    @pytest.mark.parametrize("h", [3, 5, 6])
+    def test_perturbed_red_mass_gives_the_trees_tv(self, monkeypatch, h):
+        monkeypatch.setattr(urn_process, "initial_masses", shifted_red(0, Fraction(1, 2)))
+        c = assert_pass_matches_tree(params_for(a=2.0, delta=0.5, l0=0, r0=2), h)
+        assert c.tv_distance > 0
+        assert c.trajectories_direct == c.trajectories_urn
+        assert c.mass_direct == c.mass_urn == 1
+
+    @pytest.mark.parametrize("h", [3, 5])
+    def test_urn_kernel_with_a_blocked_jump(self, monkeypatch, h):
+        # red a - 1 = 1 at l0 becomes -1: the left particle never jumps
+        # left from l0 in the urn model, so those paths have q = 0 (rho = 0)
+        monkeypatch.setattr(urn_process, "initial_masses", shifted_red(0, Fraction(-2)))
+        c = assert_pass_matches_tree(params_for(a=2.0, delta=0.5, l0=0, r0=2), h)
+        assert c.tv_distance > 0
+        assert c.trajectories_urn < c.trajectories_direct
+        assert c.mass_direct == c.mass_urn == 1
+
+    @pytest.mark.parametrize("h", [3, 5])
+    def test_direct_kernel_with_a_blocked_jump(self, monkeypatch, h):
+        # no left jump from site 0 in the weight dynamics: those urn paths
+        # have p = 0 (rho = infinity) and carry their q mass
+        def blocked(weights, v, delta):
+            return Fraction(1) if v == 0 else right_jump_probability(weights, v, delta)
+        monkeypatch.setattr(urn_process, "right_jump_probability", blocked)
+        c = assert_pass_matches_tree(params_for(a=2.0, delta=0.5, l0=0, r0=2), h)
+        assert c.tv_distance > 0
+        assert c.trajectories_direct < c.trajectories_urn
+        assert c.mass_direct == c.mass_urn == 1
 
     def test_simulation_frequencies_match_enumeration(self):
         # one event of the coupled quadruple from its start, tying the
@@ -230,11 +309,13 @@ class TestEnumeration:
             pf = float(prob)
             assert abs(f - pf) < 4 * (pf * (1 - pf) / n) ** 0.5
 
-    def test_horizon_guard(self):
-        with pytest.raises(ValueError, match="leaves"):
-            enumerate_exact("direct", params_for(), MAX_ENUM_HORIZON + 1)
+    def test_horizon_guard(self, monkeypatch):
+        monkeypatch.setattr(urn_process, "MAX_LIVE_STATES", 100)
+        compare_exact(params_for(), 4)  # layers of 1, 4, 12, 26 and 63 states, then 120
+        with pytest.raises(ValueError, match="MAX_LIVE_STATES = 100 live joint states at depth 5"):
+            compare_exact(params_for(), 20)
         with pytest.raises(ValueError):
-            enumerate_exact("direct", params_for(), -1)
+            compare_exact(params_for(), -1)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
@@ -243,6 +324,8 @@ class TestEnumeration:
     def test_small_a_policy_applies_to_urn_enumeration(self):
         with pytest.raises(SmallAPolicyError):
             enumerate_exact("urn", params_for(a=0.5), 2)
+        with pytest.raises(SmallAPolicyError):
+            compare_exact(params_for(a=0.5), 2)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -253,10 +336,74 @@ class TestEnumeration:
     )
     def test_equivalence_property(self, a, delta, gap, horizon):
         p = params_for(a=a, delta=delta, l0=0, r0=gap)
-        d1 = enumerate_exact("direct", p, horizon)
-        d2 = enumerate_exact("urn", p, horizon)
-        assert tv_distance(d1, d2) == 0.0
-        assert sum(d1.probs.values()) == 1
+        c = assert_pass_matches_tree(p, horizon)
+        assert c.tv_distance == 0
+        assert c.mass_direct == c.mass_urn == 1  # so the trees' masses are 1 too
+
+
+# P(tau1 = k) of every Monte Carlo engine against compare_exact's law: gap
+# 2, so the particles can meet at even k only, and a count at an odd k
+# fails outright.  Each engine's test has family-wise level MEETING_ALPHA,
+# split (Bonferroni) over the cells tau1 = k and tau1 > horizon of
+# positive probability.  At gap 2 and a = 1 the law leans on reinforcement
+# from the second event on; at gap 1 most meetings come at k = 1, before
+# any edge is reinforced.
+MEETING_PARAMS = params_for(a=1.0, delta=0.0, l0=0, r0=2, max_events=10)
+MEETING_ALPHA = 0.01
+MEETING_TRIALS = 10_000
+
+
+def assert_meeting_law(taus: list, law: tuple) -> None:
+    """Binomial test of the counts of tau1 = k (None: no meeting by the
+    horizon) against the exact law."""
+    cells = {k: law[k] for k in range(len(law))}
+    cells[None] = 1 - sum(law)
+    tested = [k for k, prob in cells.items() if prob > 0]
+    counts = {k: taus.count(k) for k in cells}
+    assert sum(counts.values()) == len(taus)  # every tau lies in a cell
+    for k, prob in cells.items():
+        if prob == 0:
+            assert counts[k] == 0, f"tau1 = {k} has probability 0"
+            continue
+        pvalue = stats.binomtest(counts[k], len(taus), float(prob)).pvalue
+        assert pvalue >= MEETING_ALPHA / len(tested), (k, counts[k], float(prob), pvalue)
+
+
+class TestMeetingLaw:
+    @pytest.fixture(scope="class")
+    def law(self):
+        c = compare_exact(MEETING_PARAMS, MEETING_PARAMS.max_events)
+        assert c.meeting_direct == c.meeting_urn
+        return c.meeting_direct
+
+    def test_run_direct(self, law):
+        taus = []
+        for rng in trial_streams(1201, MEETING_TRIALS):
+            rec = run_direct(MEETING_PARAMS, 2, rng, record_events=False, stop_after_meetings=1)
+            taus.append(rec.meeting_times[0] if rec.meeting_times else None)
+        assert_meeting_law(taus, law)
+
+    def test_run_direct_batch(self, law):
+        streams = (RngStream(1202, t) for t in range(MEETING_TRIALS))
+        records = run_direct_batch(MEETING_PARAMS, 2, streams, stop_after_meetings=1)
+        assert_meeting_law([r.meeting_times[0] if r.meeting_times else None for r in records], law)
+
+    def test_coupled_inner_pair(self, law):
+        # tau1 counts the inner pair's moves only; free outer steps are
+        # not events of the urn process
+        taus = []
+        for rng, env_rng in zip(trial_streams(1203, MEETING_TRIALS),
+                                trial_streams(1203, MEETING_TRIALS, ENVIRONMENT)):
+            state = init_coupled_state(MEETING_PARAMS, Environment(MEETING_PARAMS, env_rng))
+            moves, tau = 0, None
+            while moves < MEETING_PARAMS.max_events:
+                if coupled_step(state, rng) in ("l_group", "r_group"):
+                    moves += 1
+                    if state.l == state.r:
+                        tau = moves
+                        break
+            taus.append(tau)
+        assert_meeting_law(taus, law)
 
 
 class TestWeightAgreement:
