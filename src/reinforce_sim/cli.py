@@ -23,7 +23,7 @@ from .distributions import (
     trial_streams,
 )
 from .rwre import criterion, difference_recurrence
-from .urn import PolyaUrn, polya_fraction_samples
+from .urn import NegativeMassError, PolyaUrn, polya_fraction_samples
 from .urn_process import SmallAPolicyError, compare_exact
 from .coupling import Environment, marginal_check, run_coupling
 
@@ -51,16 +51,17 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
 
     The option is eager, so this runs before the other options are read:
     a flag then overrides the file, which overrides the built-in default,
-    and click converts a file value with its flag's type (usage error on
-    failure).  Malformed JSON and unknown keys are usage errors too.
+    and click parses a file value as the text of its flag (usage error on
+    failure).  A file that is not UTF-8 JSON and unknown keys are usage
+    errors too.
     """
     if path is None:
         return
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:  # decoding, JSON syntax and the int digit limit raise ValueError
+        with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise click.UsageError(f"config file is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise click.UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise click.UsageError("config file must contain a JSON object")
     known = {p.name for p in _configurable(ctx.command)}
@@ -69,7 +70,12 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
         raise click.UsageError(
             f"unknown config key(s) {', '.join(unknown)}; expected some of {', '.join(sorted(known))}"
         )
-    ctx.default_map = {key: value for key, value in cfg.items() if value is not None}
+    ctx.default_map = {key: _flag_text(value) for key, value in cfg.items() if value is not None}
+
+
+def _flag_text(value):
+    """A config value as the text its flag would carry; lists (``--pair``) item by item."""
+    return [_flag_text(item) for item in value] if isinstance(value, list) else str(value)
 
 
 def _meta(config: dict) -> dict:
@@ -223,19 +229,21 @@ def couple(a, delta, l0, r0, events, trials, allow_small_a,
                                "a coincident start has no free steps")
     try:
         results = [
-            run_coupling(params, rng, Environment(params, env_rng))
+            run_coupling(rng, Environment(params, env_rng))
             for rng, env_rng in zip(trial_streams(seed, trials),
                                     trial_streams(seed, trials, ENVIRONMENT))
         ]
+        report = marginal_check(params, min(trials, 200), seed) if do_marginal_check else None
     except SmallAPolicyError as exc:
         raise click.UsageError(str(exc)) from exc
+    except NegativeMassError as exc:
+        click.echo(f"negative urn mass in a coupled run: {exc}", err=True)
+        sys.exit(1)
     lines = [json.dumps({"meta": _meta(_resolved())}, sort_keys=True)]
     lines += [res.to_json() for res in results]
-    marginal_passed = True
-    if do_marginal_check:
-        report = marginal_check(params, trials=min(trials, 200), seed=seed)
+    if report is not None:
         lines.append(report.to_json())
-        marginal_passed = report.passed
+    marginal_passed = report is None or report.passed
     _write_text(out_path, "\n".join(lines) + "\n")
     violations = sum(res.violations for res in results)
     if violations:

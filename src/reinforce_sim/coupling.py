@@ -16,8 +16,8 @@ from .direct import ModelParams
 from .distributions import (
     ENVIRONMENT, BetaParams, RngStream, sample_beta, sample_dirichlet, trial_streams,
 )
-from .urn import Side, magic_draw
-from .urn_process import UrnField, check_small_a_policy, initial_masses
+from .urn import MagicUrn, NegativeMassError, Side, magic_draw
+from .urn_process import check_small_a_policy, initial_masses
 
 # marginal check: family-wise level, split across the tested sites, and
 # the fewest free steps a site needs to be tested
@@ -29,86 +29,80 @@ class SandwichViolationError(RuntimeError):
     """The pathwise ordering lP <= l <= r <= rP failed (must never happen)."""
 
 
-@dataclass(frozen=True)
-class SiteEnvironment:
-    """Limiting pure-red and pure-blue fractions at one site.
-
-    Both come from one simplex draw, so q_r + p_l <= 1.  The left walker
-    jumps right with probability p_l, the right walker with 1 - q_r.
-    """
-
-    q_r_polya: float
-    p_l_polya: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.q_r_polya <= 1.0 and 0.0 <= self.p_l_polya <= 1.0):
-            raise ValueError(f"fractions must lie in [0,1]: {self}")
-        if self.q_r_polya + self.p_l_polya > 1.0 + 1e-12:
-            raise ValueError(f"fractions must sum to at most 1: {self}")
-
-    @property
-    def p_r_polya(self) -> float:
-        return 1.0 - self.q_r_polya
-
-
-def sample_site_environment(params: ModelParams, v: int, rng: RngStream) -> SiteEnvironment:
-    """One environment draw for site v from the limit law of its initial urn
-    (r, b), read as a Polya urn of pure red, family (the chameleon marble's
-    unit mass) and pure blue with step 2: Dirichlet(r/2, 1/2, b/2).  A mass
-    <= 0 fixes its fraction at 0, and the other one is Beta(m/2, 1/2).
-    """
+def sample_site_environment(params: ModelParams, v: int, rng: RngStream) -> tuple[float, float]:
+    """One environment draw (q_r, p_l) for site v, its limiting pure-red and
+    pure-blue fractions: the limit law of its initial urn (r, b) read as a
+    Polya urn of pure red, family (the chameleon marble's unit mass) and
+    pure blue with step 2, Dirichlet(r/2, 1/2, b/2).  A mass <= 0 fixes its
+    fraction at 0, and the other one is Beta(m/2, 1/2).  A draw off the
+    simplex raises ValueError."""
     r, b = initial_masses(params, v)
     if r > 0 and b > 0:
         q_r, _, p_l = sample_dirichlet(rng, (r / 2, 0.5, b / 2))
-        return SiteEnvironment(q_r, p_l)
-    if r <= 0:
-        return SiteEnvironment(0.0, sample_beta(rng, BetaParams(b / 2, 0.5)))
-    return SiteEnvironment(sample_beta(rng, BetaParams(r / 2, 0.5)), 0.0)
+    elif r <= 0:
+        q_r, p_l = 0.0, sample_beta(rng, BetaParams(b / 2, 0.5))
+    else:
+        q_r, p_l = sample_beta(rng, BetaParams(r / 2, 0.5)), 0.0
+    if not (0.0 <= q_r <= 1.0 and 0.0 <= p_l <= 1.0 and q_r + p_l <= 1.0 + 1e-12):
+        raise ValueError(f"site {v}: fractions q_r={q_r}, p_l={p_l} are off the simplex")
+    return q_r, p_l
 
 
 class Environment:
-    """Lazily sampled, memoized site -> SiteEnvironment table.
-
-    Sites are drawn from ``rng`` in the order they are first visited.
+    """Lazily sampled, memoized site -> (q_r, p_l) table, drawn from ``rng``
+    in the order sites are first visited, and the free outer steps it
+    drives: "lP" jumps right with probability p_l, "rP" with 1 - q_r.
+    ``free_steps[walker, v]`` tallies [steps, right jumps] over every run.
     """
 
     def __init__(self, params: ModelParams, rng: RngStream):
         check_small_a_policy(params)
         self.params = params
         self._rng = rng
-        self._sites: dict[int, SiteEnvironment] = {}
+        self._sites: dict[int, tuple[float, float]] = {}
+        self.free_steps: dict[tuple[str, int], list[int]] = {}
 
-    def at(self, v: int) -> SiteEnvironment:
+    def at(self, v: int) -> tuple[float, float]:
         env = self._sites.get(v)
         if env is None:
-            env = sample_site_environment(self.params, v, self._rng)
-            self._sites[v] = env
+            env = self._sites[v] = sample_site_environment(self.params, v, self._rng)
         return env
 
+    def right_rate(self, walker: str, v: int) -> float:
+        q_r, p_l = self.at(v)
+        return p_l if walker == "lP" else 1.0 - q_r
 
-@dataclass
+    def free_step(self, walker: str, v: int, u: float) -> int:
+        """The site free walker ``walker`` moves to from v on uniform u."""
+        to = v + 1 if u < self.right_rate(walker, v) else v - 1
+        tally = self.free_steps.setdefault((walker, v), [0, 0])
+        tally[0] += 1
+        tally[1] += to > v
+        return to
+
+
 class CoupledState:
-    """Positions of the four coupled processes plus their drivers."""
+    """Positions of the four coupled processes, from the start sites of
+    ``env.params``, with the run's urns and its environment."""
 
-    lP: int
-    l: int
-    r: int
-    rP: int
-    field: UrnField
-    env: Environment
+    def __init__(self, env: Environment):
+        self.lP = self.l = env.params.l0
+        self.r = self.rP = env.params.r0
+        self.env = env
+        self.urns: dict[int, MagicUrn] = {}
+
+    def urn_at(self, v: int) -> MagicUrn:
+        """Site v's urn, materialized from its initial masses on first use."""
+        urn = self.urns.get(v)
+        if urn is None:
+            urn = self.urns[v] = MagicUrn(*initial_masses(self.env.params, v))
+        return urn
 
     def check_sandwich(self) -> None:
         if not (self.lP <= self.l <= self.r <= self.rP):
             raise SandwichViolationError(
                 f"ordering violated: lP={self.lP}, l={self.l}, r={self.r}, rP={self.rP}"
             )
-
-
-def init_coupled_state(params: ModelParams, env: Environment) -> CoupledState:
-    return CoupledState(
-        lP=params.l0, l=params.l0, r=params.r0, rP=params.r0,
-        field=UrnField(params), env=env,
-    )
 
 
 # active clock groups by (lP == l, rP == r): a free outer walker runs its own
@@ -140,7 +134,7 @@ def coupled_step(state: CoupledState, rng: RngStream) -> str:
 
     if g == "l_group":
         v = state.l
-        direction, pure = magic_draw(state.field.urn_at(v), Side.LEFT, rng)
+        direction, pure = magic_draw(state.urn_at(v), Side.LEFT, rng)
         state.l = v - 1 if direction is Side.LEFT else v + 1
         if l_coincident:
             # red or chameleon marble: both jump left; the outer walker
@@ -148,16 +142,14 @@ def coupled_step(state: CoupledState, rng: RngStream) -> str:
             state.lP = v + 1 if pure and direction is Side.RIGHT else v - 1
     elif g == "r_group":
         v = state.r
-        direction, pure = magic_draw(state.field.urn_at(v), Side.RIGHT, rng)
+        direction, pure = magic_draw(state.urn_at(v), Side.RIGHT, rng)
         state.r = v + 1 if direction is Side.RIGHT else v - 1
         if r_coincident:
             state.rP = v - 1 if pure and direction is Side.LEFT else v + 1
     elif g == "lP":
-        v = state.lP
-        state.lP = v + 1 if rng.uniform() < state.env.at(v).p_l_polya else v - 1
+        state.lP = state.env.free_step(g, state.lP, rng.uniform())
     else:
-        v = state.rP
-        state.rP = v + 1 if rng.uniform() < state.env.at(v).p_r_polya else v - 1
+        state.rP = state.env.free_step(g, state.rP, rng.uniform())
 
     state.check_sandwich()
     return g
@@ -187,16 +179,17 @@ class CouplingRunResult:
         )
 
 
-def run_coupling(params: ModelParams, rng: RngStream, env: Environment) -> CouplingRunResult:
-    """Run the coupled quadruple on dynamics stream ``rng`` in environment
-    ``env`` until the inner pair meets or ``params.max_events`` run out.
-
-    The environment may be shared across runs (fixed-environment
-    experiments) or sampled per run from its own stream.
+def run_coupling(rng: RngStream, env: Environment) -> CouplingRunResult:
+    """Run the coupled quadruple of ``env.params`` on dynamics stream ``rng``
+    in environment ``env`` until the inner pair meets or ``max_events`` run
+    out.  The environment may be shared across runs (fixed-environment
+    experiments) or sampled per run from its own stream.  A
+    NegativeMassError is raised again naming the stream and the event.
     """
+    params = env.params
     if params.l0 == params.r0:
         return CouplingRunResult(0, 0, 0, 0, rng.seed, rng.trial)
-    state = init_coupled_state(params, env)
+    state = CoupledState(env)
     max_gap = state.rP - state.lP
     violations = 0
     tau1 = None
@@ -212,6 +205,8 @@ def run_coupling(params: ModelParams, rng: RngStream, env: Environment) -> Coupl
                 break
     except SandwichViolationError:
         violations = 1
+    except NegativeMassError as exc:
+        raise NegativeMassError(f"seed {rng.seed}, trial {rng.trial}, event {e}: {exc}") from exc
     return CouplingRunResult(violations, tau1, max_gap, e, rng.seed, rng.trial)
 
 
@@ -252,38 +247,24 @@ def marginal_check(params: ModelParams, trials: int, seed: int) -> MarginalCheck
 
     The environment of trial 0, stream (seed, 0, ENVIRONMENT), is held
     fixed, and trials 0, 1, ... rerun their dynamics streams (seed, trial)
-    in it for up to ``params.max_events`` events each.  Only free
-    (non-coincident) steps are tallied, since coincident steps are
+    in it through :func:`run_coupling`.  Only free (non-coincident) steps
+    are tallied (``Environment.free_steps``), since coincident steps are
     resolved by the urn drawing rather than the limiting fractions.
     Sites with fewer than ``MIN_VISITS`` tallied steps are excluded; a
-    check that tests no site fails.
+    check that tests no site, or in which a run breaks the sandwich
+    order, fails.
     """
     from scipy import stats  # scipy loads only where it is used
 
     env = Environment(params, RngStream(seed, 0, ENVIRONMENT))
-    counts: dict[tuple[str, int], list[int]] = {}
-
-    for trial_rng in trial_streams(seed, trials if params.l0 < params.r0 else 0):
-        state = init_coupled_state(params, env)
-        for _ in range(params.max_events):
-            if state.l >= state.r:
-                break
-            lP, rP = state.lP, state.rP
-            g = coupled_step(state, trial_rng)
-            if g == "lP" or g == "rP":
-                site = lP if g == "lP" else rP
-                c = counts.setdefault((g, site), [0, 0])
-                c[0] += 1
-                c[1] += getattr(state, g) == site + 1
-
-    tested = [(k, v) for k, v in counts.items() if v[0] >= MIN_VISITS]
-    excluded = len(counts) - len(tested)
+    violations = sum(run_coupling(rng, env).violations for rng in trial_streams(seed, trials))
+    tested = [(k, v) for k, v in env.free_steps.items() if v[0] >= MIN_VISITS]
+    excluded = len(env.free_steps) - len(tested)
     alpha = SIGNIFICANCE / max(len(tested), 1)
     checks = []
-    passed = bool(tested)
+    passed = bool(tested) and not violations
     for (walker, site), (visits, rights) in sorted(tested):
-        se = env.at(site)
-        p_right = se.p_l_polya if walker == "lP" else se.p_r_polya
+        p_right = env.right_rate(walker, site)
         if p_right in (0.0, 1.0):
             # degenerate rows: the frequency must be exact
             ok = rights == int(round(p_right * visits))

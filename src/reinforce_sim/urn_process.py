@@ -58,21 +58,6 @@ def check_small_a_policy(params: ModelParams) -> None:
         )
 
 
-class UrnField:
-    """Sparse site -> urn table, materialized lazily from the initial rows."""
-
-    def __init__(self, params: ModelParams):
-        check_small_a_policy(params)
-        self.params = params
-        self._urns: dict[int, MagicUrn] = {}
-
-    def urn_at(self, v: int) -> MagicUrn:
-        urn = self._urns.get(v)
-        if urn is None:
-            urn = self._urns[v] = MagicUrn(*initial_masses(self.params, v))
-        return urn
-
-
 @dataclass(frozen=True)
 class ExactComparison:
     """The weight dynamics and the urn process compared exactly up to a horizon.

@@ -3,8 +3,9 @@
 They are the straightforward, slow forms of what the library does fast:
 the difference-recurrence experiment as a scalar loop over freshly built
 streams and a memoized environment, Beta samples drawn in blocks, and
-Polya urns run one run and one drawing at a time, and both models of the
-two-particle dynamics enumerated one trajectory at a time.
+Polya urns run one run and one drawing at a time, both models of the
+two-particle dynamics enumerated one trajectory at a time, and the free
+outer steps of coupled runs tallied from the walkers' positions.
 :class:`LargestUniform` is a stub stream for the edge of [0, 1).
 """
 from __future__ import annotations
@@ -15,9 +16,10 @@ from fractions import Fraction
 import numpy as np
 
 from reinforce_sim import urn_process
+from reinforce_sim.coupling import CoupledState, Environment, coupled_step
 from reinforce_sim.direct import ModelParams, WeightMap
 from reinforce_sim.distributions import (
-    ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, sample_beta,
+    ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, sample_beta, trial_streams,
 )
 from reinforce_sim.urn import MagicUrn, Side, reinforce
 
@@ -214,3 +216,27 @@ def tv_distance(d1: ExactDistribution, d2: ExactDistribution) -> Fraction:
         (abs(d1.probs.get(k, Fraction(0)) - d2.probs.get(k, Fraction(0))) for k in keys),
         Fraction(0),
     ) / 2
+
+
+def free_step_tallies(params: ModelParams, seed: int, trials: int) -> dict:
+    """[steps, right jumps] per (free walker, site) over the coupled runs of
+    dynamics streams (seed, 0), (seed, 1), ... in the environment of trial
+    0, each run stepped until the inner pair meets or the budget runs out.
+    A step counts when the moving group is "lP" or "rP", at the walker's
+    site before it; it is a right jump when the walker lands one site up.
+    """
+    env = Environment(params, RngStream(seed, 0, ENVIRONMENT))
+    counts: dict[tuple[str, int], list[int]] = {}
+    for trial_rng in trial_streams(seed, trials if params.l0 < params.r0 else 0):
+        state = CoupledState(env)
+        for _ in range(params.max_events):
+            if state.l >= state.r:
+                break
+            lP, rP = state.lP, state.rP
+            g = coupled_step(state, trial_rng)
+            if g == "lP" or g == "rP":
+                site = lP if g == "lP" else rP
+                c = counts.setdefault((g, site), [0, 0])
+                c[0] += 1
+                c[1] += getattr(state, g) == site + 1
+    return counts

@@ -59,8 +59,7 @@ def test_criterion_2_sandwich_invariant():
         params = replace(grid_params, max_events=budget)
         for t in range(runs_per_config):
             key = (2026, c * 10_000 + t)
-            res = run_coupling(params, RngStream(*key),
-                               Environment(params, RngStream(*key, ENVIRONMENT)))
+            res = run_coupling(RngStream(*key), Environment(params, RngStream(*key, ENVIRONMENT)))
             total += 1
             violations += res.violations
             tau1_hits += res.tau1_event is not None
@@ -104,14 +103,7 @@ def test_criterion_3c_environment_tables():
             params = ModelParams(a=a, delta=delta, l0=0, r0=2)
             rng = RngStream(13, 0)
             for v in (-1, 0, 1, 2, 3):  # one site per class
-                draws = np.array(
-                    [
-                        (lambda se: (se.q_r_polya, se.p_l_polya))(
-                            sample_site_environment(params, v, rng)
-                        )
-                        for _ in range(n)
-                    ]
-                )
+                draws = np.array([sample_site_environment(params, v, rng) for _ in range(n)])
                 r0m, b0m = initial_masses(params, v)
                 for col, (alpha, beta) in (
                     (0, (r0m / 2, (b0m + 1) / 2)),

@@ -153,6 +153,15 @@ class TestSimulate:
         assert result.exit_code == 2
         assert "not valid JSON" in result.output
 
+    @pytest.mark.parametrize("text", [b'{"seed": "\xff"}', b'{"seed": 1' + b"0" * 5000 + b"}"],
+                             ids=["not-utf8", "5001-digits"])
+    def test_config_that_does_not_load_is_usage_error(self, runner, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text)
+        result = runner.invoke(main, ["simulate", "--config", str(cfg)])
+        assert result.exit_code == 2
+        assert "config file is not valid JSON" in result.output
+
     def test_config_values_take_the_flag_type(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trials": "5", "events": "100", "a": 1}))
@@ -249,11 +258,10 @@ class TestCouple:
         assert result.exit_code == 0
         params = ModelParams(a=a, delta=delta, l0=0, r0=r0, max_events=3000)
         expected = [
-            run_coupling(params, RngStream(21, t),
-                         Environment(params, RngStream(21, t, ENVIRONMENT))).to_json()
+            run_coupling(RngStream(21, t), Environment(params, RngStream(21, t, ENVIRONMENT)))
             for t in range(40)
         ]
-        assert out.read_text().split("\n")[1:-1] == expected
+        assert out.read_text().split("\n")[1:-1] == [res.to_json() for res in expected]
 
     def test_coincident_start(self, runner, tmp_path):
         out = tmp_path / "runs.jsonl"
@@ -290,6 +298,17 @@ class TestCouple:
         last = json.loads(out.read_text().strip().split("\n")[-1])
         assert last["checks"] == [] and last["excluded_sites"] > 0
         assert last["passed"] is False
+
+    def test_negative_urn_mass_exits_one(self, runner, tmp_path):
+        # a = 1e-17: a - 1 rounds to -1, so the urn at l0 has no mass left
+        out = tmp_path / "runs.jsonl"
+        result = runner.invoke(main, ["couple", "--a", "1e-17", "--allow-small-a", "--trials", "1",
+                                      "--events", "5", "--seed", "3", "--out", str(out)])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("negative urn mass in a coupled run: seed 3, trial 0, ")
+        assert "urn total mass 0.0 is not positive" in result.stderr
+        assert result.stderr.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("start", ["0", "3"])
     def test_marginal_check_of_coincident_start_is_usage_error(self, runner, tmp_path, start):
@@ -551,11 +570,17 @@ class TestRecordedConfig:
         ("simulate", {"stop_after_meetings": 0}, "--stop-after-meetings"),
         ("polya", {"draws": 0}, "--draws"),
         ("polya", {"runs": -1}, "--runs"),
+        # a config value parses as the text of its flag: no rounding,
+        # widening or overflow
+        ("simulate", {"trials": 1.5}, "--trials"),
+        ("couple", {"seed": 1e30}, "--seed"),
+        ("couple", {"a": True}, "--a"),
+        ("couple", '{"events": 1e400}', "--events"),
     ])
     def test_config_count_out_of_range_is_usage_error(self, runner, tmp_path, command, config,
                                                       option):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+        cfg.write_text(config if isinstance(config, str) else json.dumps(config))
         out = tmp_path / "out"
         result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
         assert result.exit_code == 2

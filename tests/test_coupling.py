@@ -9,24 +9,23 @@ from dataclasses import astuple
 
 from reinforce_sim import coupling
 from reinforce_sim.coupling import (
-    CouplingRunResult,
+    SIGNIFICANCE,
+    CoupledState,
     Environment,
     SandwichViolationError,
-    SiteEnvironment,
     coupled_step,
-    init_coupled_state,
     marginal_check,
     run_coupling,
     sample_site_environment,
 )
 from reinforce_sim.direct import ModelParams
 from reinforce_sim.distributions import (
-    ENVIRONMENT, BetaParams, RngStream, sample_beta, sample_dirichlet,
+    ENVIRONMENT, BetaParams, RngStream, sample_beta, sample_dirichlet, trial_streams,
 )
 from reinforce_sim.urn import MagicUrn
 from reinforce_sim.urn_process import SmallAPolicyError, initial_masses
 
-from oracles import LargestUniform
+from oracles import LargestUniform, free_step_tallies
 
 
 def params_for(a=1.0, delta=0.0, l0=0, r0=2, **kw):
@@ -40,8 +39,7 @@ def env_for(params, seed, trial=0):
 
 def site_draw(params, v, seed):
     """(q_r, p_l) of site v's environment, drawn from a fresh stream."""
-    se = sample_site_environment(params, v, RngStream(seed, 0))
-    return se.q_r_polya, se.p_l_polya
+    return sample_site_environment(params, v, RngStream(seed, 0))
 
 
 def dirichlet_draw(alphas, seed):
@@ -57,20 +55,32 @@ def beta_draw(alpha, beta, seed):
 
 def set_urn(state, v, urn):
     """Overwrite the masses of the urn at site v in place."""
-    target = state.field.urn_at(v)
+    target = state.urn_at(v)
     (target.pure_red, target.pure_blue, target.fam_red, target.fam_blue) = astuple(urn)
 
 
 class TestSiteEnvironment:
     def test_complement_rates(self):
-        se = SiteEnvironment(q_r_polya=0.25, p_l_polya=0.5)
-        assert se.p_r_polya == 0.75
+        # a free lP jumps right with probability p_l, a free rP with 1 - q_r
+        env = Environment(params_for(a=2.0, delta=0.5), RngStream(80, 0))
+        for v in range(-2, 5):
+            q_r, p_l = env.at(v)
+            assert 0.0 < q_r and 0.0 < p_l and q_r + p_l < 1.0
+            for walker, rate in (("lP", p_l), ("rP", 1.0 - q_r)):
+                assert env.right_rate(walker, v) == rate
+                assert env.free_step(walker, v, np.nextafter(rate, 0.0)) == v + 1
+                assert env.free_step(walker, v, rate) == v - 1
+                assert env.free_steps[walker, v] == [2, 1]
 
-    def test_simplex_constraint_enforced(self):
-        with pytest.raises(ValueError):
-            SiteEnvironment(q_r_polya=0.7, p_l_polya=0.7)
-        with pytest.raises(ValueError):
-            SiteEnvironment(q_r_polya=-0.1, p_l_polya=0.5)
+    def test_simplex_constraint_enforced(self, monkeypatch):
+        p = params_for()  # site 1 draws from the simplex, site 0 draws p_l alone
+        monkeypatch.setattr(coupling, "sample_dirichlet", lambda rng, alphas: (0.7, -0.4, 0.7))
+        with pytest.raises(ValueError, match="off the simplex"):
+            sample_site_environment(p, 1, RngStream(80, 0))
+        for p_l in (-0.1, 1.5):
+            monkeypatch.setattr(coupling, "sample_beta", lambda rng, law: p_l)
+            with pytest.raises(ValueError, match="off the simplex"):
+                sample_site_environment(p, 0, RngStream(80, 0))
 
 
 class TestSiteDirichletParams:
@@ -106,11 +116,11 @@ class TestSampleSiteEnvironment:
         rng = RngStream(81, 0)
         p = params_for()
         for _ in range(100):
-            se = sample_site_environment(p, 0, rng)
-            assert se.q_r_polya == 0.0
-            assert 0.0 < se.p_l_polya < 1.0
-            se = sample_site_environment(p, 2, rng)
-            assert se.p_l_polya == 0.0
+            q_r, p_l = sample_site_environment(p, 0, rng)
+            assert q_r == 0.0
+            assert 0.0 < p_l < 1.0
+            q_r, p_l = sample_site_environment(p, 2, rng)
+            assert p_l == 0.0
 
     def test_marginal_laws_per_site_class(self):
         # p_l ~ Beta(B0/2, (R0+1)/2) and q_r ~ Beta(R0/2, (B0+1)/2)
@@ -118,14 +128,7 @@ class TestSampleSiteEnvironment:
         rng = RngStream(82, 0)
         n = 10_000
         for v in (-1, 0, 1, 2, 3):
-            draws = np.array(
-                [
-                    (lambda se: (se.q_r_polya, se.p_l_polya))(
-                        sample_site_environment(p, v, rng)
-                    )
-                    for _ in range(n)
-                ]
-            )
+            draws = np.array([sample_site_environment(p, v, rng) for _ in range(n)])
             r0m, b0m = initial_masses(p, v)
             for col, (alpha, beta) in (
                 (0, (r0m / 2, (b0m + 1) / 2)),
@@ -151,12 +154,12 @@ class TestEnvironment:
 
 class TestCoupledStep:
     def test_initial_state_is_degenerate_sandwich(self):
-        state = init_coupled_state(params_for(), env_for(params_for(), 85, 0))
+        state = CoupledState(env_for(params_for(), 85, 0))
         assert (state.lP, state.l, state.r, state.rP) == (0, 0, 2, 2)
         state.check_sandwich()
 
     def test_step_past_meeting_rejected(self):
-        state = init_coupled_state(params_for(), env_for(params_for(), 86, 0))
+        state = CoupledState(env_for(params_for(), 86, 0))
         for l, r in ((1, 1), (2, 1)):  # met, crossed
             state.l, state.r = l, r
             with pytest.raises(SandwichViolationError):
@@ -168,7 +171,7 @@ class TestCoupledStep:
         p = params_for(r0=4)
         rng = RngStream(87, 0)
         for _ in range(300):
-            state = init_coupled_state(p, env_for(p, 87, 1))
+            state = CoupledState(env_for(p, 87, 1))
             set_urn(state, 0, MagicUrn(0.0, 0.0))
             set_urn(state, 4, MagicUrn(0.0, 0.0))
             g = coupled_step(state, rng)
@@ -185,7 +188,7 @@ class TestCoupledStep:
         rng = RngStream(88, 0)
         seen_split = False
         for _ in range(300):
-            state = init_coupled_state(p, env_for(p, 88, 1))
+            state = CoupledState(env_for(p, 88, 1))
             set_urn(state, 0, MagicUrn(0.0, 0.0, fam_blue=1e9))
             g = coupled_step(state, rng)
             if g == "l_group" and state.l == 1:
@@ -198,7 +201,7 @@ class TestCoupledStep:
         rng = RngStream(89, 0)
         seen = False
         for _ in range(300):
-            state = init_coupled_state(p, env_for(p, 89, 1))
+            state = CoupledState(env_for(p, 89, 1))
             set_urn(state, 0, MagicUrn(0.0, 1e9))
             g = coupled_step(state, rng)
             if g == "l_group":
@@ -209,7 +212,7 @@ class TestCoupledStep:
     @pytest.mark.parametrize("lP,rP", [(0, 4), (0, 7), (-3, 4), (-3, 7)])
     def test_largest_uniform_picks_the_last_active_group(self, lP, rP):
         p = params_for(r0=4)
-        state = init_coupled_state(p, env_for(p, 90, 1))
+        state = CoupledState(env_for(p, 90, 1))
         state.lP, state.rP = lP, rP
         last = coupling._GROUPS[lP == 0, rP == 4][-1]
         assert coupled_step(state, LargestUniform()) == last
@@ -217,7 +220,7 @@ class TestCoupledStep:
     def test_free_walker_clock_groups(self):
         p = params_for(r0=4)
         rng = RngStream(90, 0)
-        state = init_coupled_state(p, env_for(p, 90, 1))
+        state = CoupledState(env_for(p, 90, 1))
         state.lP = -3  # free both outer walkers
         state.rP = 7
         groups = set()
@@ -232,7 +235,7 @@ class TestRunCoupling:
     def test_no_violations_and_ordering_summary(self):
         p = params_for(max_events=2000)
         for t in range(100):
-            res = run_coupling(p, RngStream(91, t), env_for(p, 91, t))
+            res = run_coupling(RngStream(91, t), env_for(p, 91, t))
             assert res.violations == 0
             assert res.max_gap >= 2
             if res.tau1_event is not None:
@@ -240,12 +243,12 @@ class TestRunCoupling:
 
     def test_coincident_start_summary(self):
         p = params_for(l0=1, r0=1, max_events=100)
-        res = run_coupling(p, RngStream(92, 0), env_for(p, 92))
+        res = run_coupling(RngStream(92, 0), env_for(p, 92))
         assert (res.violations, res.tau1_event, res.events_executed) == (0, 0, 0)
 
     def test_json_summary_schema(self):
         p = params_for(max_events=500)
-        res = run_coupling(p, RngStream(93, 0), env_for(p, 93))
+        res = run_coupling(RngStream(93, 0), env_for(p, 93))
         row = json.loads(res.to_json())
         assert set(row) == {
             "violations", "tau1_event", "max_rP_minus_lP", "events", "seed", "stream_id",
@@ -255,9 +258,26 @@ class TestRunCoupling:
     def test_shared_environment_reuse(self):
         p = params_for(max_events=500)
         env = Environment(p, RngStream(94, 0))
-        r1 = run_coupling(p, RngStream(94, 1), env)
-        r2 = run_coupling(p, RngStream(94, 2), env)
+        r1 = run_coupling(RngStream(94, 1), env)
+        r2 = run_coupling(RngStream(94, 2), env)
         assert r1.violations == r2.violations == 0
+
+    def test_budget_and_start_sites_come_from_the_environment(self, monkeypatch):
+        p = params_for(l0=-2, r0=4, max_events=5)  # gap 6: no meeting within 5 events
+        starts, step = [], coupling.coupled_step
+
+        def recording(state, rng):
+            starts.append((state.lP, state.l, state.r, state.rP))
+            return step(state, rng)
+        monkeypatch.setattr(coupling, "coupled_step", recording)
+        res = run_coupling(RngStream(99, 0), env_for(p, 99))
+        assert starts[0] == (-2, -2, 4, 4) and len(starts) == 5
+        assert (res.violations, res.tau1_event, res.events_executed) == (0, None, 5)
+        assert res.max_gap >= 6
+
+
+# (model parameters, seed) of the fixed-environment checks
+MARGINAL_SETTINGS = [({}, 95), ({"a": 2.0, "delta": 0.5, "r0": 3}, 96)]
 
 
 class TestMarginalCheck:
@@ -280,13 +300,37 @@ class TestMarginalCheck:
             if c.walker == "lP" and c.expected_right == 0.0:
                 assert c.right_jumps == 0
 
-    @pytest.mark.parametrize("kw,seed", [({}, 95), ({"a": 2.0, "delta": 0.5, "r0": 3}, 96)])
+    @pytest.mark.parametrize("kw,seed", MARGINAL_SETTINGS)
     def test_report_equals_freshly_built_streams(self, monkeypatch, kw, seed):
         p = params_for(max_events=2000, **kw)
         rekeyed = marginal_check(p, trials=200, seed=seed).to_json()
         monkeypatch.setattr(coupling, "trial_streams", lambda s, trials, role=None: (
             RngStream(s, t, role) for t in range(trials)))
         assert marginal_check(p, trials=200, seed=seed).to_json() == rekeyed
+
+    @pytest.mark.parametrize("kw,seed", MARGINAL_SETTINGS)
+    def test_free_steps_equal_the_reference_tally(self, kw, seed):
+        p = params_for(max_events=2000, **kw)
+        env = env_for(p, seed)
+        for rng in trial_streams(seed, 200):
+            run_coupling(rng, env)
+        assert env.free_steps == free_step_tallies(p, seed, 200)
+
+    def test_a_violating_run_fails_the_check(self, monkeypatch):
+        # one run breaks the order midway; the other runs' tallies pass
+        # their tests, so only the violation can fail the check
+        calls, step = [], coupling.coupled_step
+
+        def breaks_once(state, rng):
+            calls.append(None)
+            if len(calls) == 5000:
+                raise SandwichViolationError("injected")
+            return step(state, rng)
+        monkeypatch.setattr(coupling, "coupled_step", breaks_once)
+        report = marginal_check(params_for(max_events=2000), trials=300, seed=95)
+        assert len(calls) > 5000 and report.checks
+        assert all(c.p_value >= SIGNIFICANCE / len(report.checks) for c in report.checks)
+        assert not report.passed
 
     def test_json_schema(self):
         p = params_for(max_events=500)
@@ -302,7 +346,7 @@ class TestMarginalCheck:
         lex, rex = [], []
         for t in range(300):
             rng = RngStream(98, 100 + t)
-            state = init_coupled_state(p, env)
+            state = CoupledState(env)
             state.lP = -15
             state.rP = 25
             lc = lr = rc = rr = 0

@@ -15,10 +15,10 @@ from scipy import stats
 from reinforce_sim import urn_process
 
 from reinforce_sim.coupling import (
+    CoupledState,
     Environment,
     SandwichViolationError,
     coupled_step,
-    init_coupled_state,
     run_coupling,
 )
 from reinforce_sim.direct import ModelParams, right_jump_probability, run_direct, run_direct_batch
@@ -26,7 +26,6 @@ from reinforce_sim.distributions import ENVIRONMENT, RngStream, trial_streams
 from reinforce_sim.urn import MagicUrn, NegativeMassError, Side, left_mass, magic_draw
 from reinforce_sim.urn_process import (
     SmallAPolicyError,
-    UrnField,
     compare_exact,
     initial_masses,
 )
@@ -75,27 +74,20 @@ class TestInitialMasses:
 
 class TestSmallAPolicy:
     def test_small_a_rejected_by_default(self):
+        # the environment checks it, once for all the runs it serves
         with pytest.raises(SmallAPolicyError):
-            UrnField(params_for(a=0.5))
+            env_for(params_for(a=0.5), 71)
 
     def test_small_a_allowed_with_flag(self):
-        field = UrnField(params_for(a=0.5, allow_small_a=True))
-        assert field.urn_at(0).pure_red == -0.5
+        p = params_for(a=0.5, allow_small_a=True)
+        assert CoupledState(env_for(p, 71)).urn_at(0).pure_red == -0.5
 
     def test_small_a_hard_error_on_negative_effective_mass(self):
         # right particle on a fresh a<1 site of the left class
         p = params_for(a=0.5, l0=0, r0=1, allow_small_a=True)
-        field = UrnField(p)
+        state = CoupledState(env_for(p, 71))
         with pytest.raises(NegativeMassError):
-            magic_draw(field.urn_at(-1), Side.RIGHT, RngStream(71, 0))
-
-
-class TestUrnField:
-    def test_lazy_materialization(self):
-        field = UrnField(params_for())
-        urn = field.urn_at(1)
-        assert (urn.pure_red, urn.pure_blue) == (1.0, 1.0)
-        assert field.urn_at(1) is urn
+            magic_draw(state.urn_at(-1), Side.RIGHT, RngStream(71, 0))
 
 
 def jump_probabilities(urn: MagicUrn, present: Side):
@@ -134,10 +126,17 @@ class TestJumpProbabilities:
 
 
 class TestUrnProcessStep:
+    def test_urns_materialize_lazily(self):
+        state = CoupledState(env_for(params_for(), 72))
+        assert state.urns == {}
+        urn = state.urn_at(1)
+        assert (urn.pure_red, urn.pure_blue) == (1.0, 1.0)
+        assert state.urn_at(1) is urn and list(state.urns) == [1]
+
     def test_moves_exactly_one_particle(self):
         # the coupled quadruple's inner pair is the urn-driven pair
         p = params_for(r0=4)
-        state = init_coupled_state(p, env_for(p, 73))
+        state = CoupledState(env_for(p, 73))
         g = coupled_step(state, RngStream(73, 0))
         if g == "l_group":
             assert state.l in (-1, 1) and state.r == 4
@@ -146,7 +145,7 @@ class TestUrnProcessStep:
 
     def test_meeting_or_crossing_is_an_error(self):
         p = params_for()
-        state = init_coupled_state(p, env_for(p, 74))
+        state = CoupledState(env_for(p, 74))
         rng = RngStream(74, 0)
         for l, r in ((1, 1), (2, 1)):  # met, crossed
             state.l, state.r = l, r
@@ -155,17 +154,17 @@ class TestUrnProcessStep:
 
     def test_run_stops_at_first_meeting(self):
         p = params_for(max_events=100_000)
-        res = run_coupling(p, RngStream(75, 0), env_for(p, 75))
+        res = run_coupling(RngStream(75, 0), env_for(p, 75))
         assert res.tau1_event == res.events_executed
 
     def test_coincident_start_returns_zero(self):
         p = params_for(l0=2, r0=2, max_events=100)
-        res = run_coupling(p, RngStream(76, 0), env_for(p, 76))
+        res = run_coupling(RngStream(76, 0), env_for(p, 76))
         assert (res.tau1_event, res.events_executed) == (0, 0)
 
     def test_budget_exhaustion_returns_none(self):
         p = params_for(max_events=1)
-        res = run_coupling(p, RngStream(77, 0), env_for(p, 77))
+        res = run_coupling(RngStream(77, 0), env_for(p, 77))
         assert (res.tau1_event, res.events_executed) == (None, 1)
 
 
@@ -299,7 +298,7 @@ class TestEnumeration:
         n = 40_000
         counts = {}
         for _ in range(n):
-            state = init_coupled_state(p, env)
+            state = CoupledState(env)
             mover = ("l_group", "r_group").index(coupled_step(state, rng))
             to = (state.l, state.r)[mover]
             key = ((mover, int(to > (p.l0, p.r0)[mover])),)
@@ -394,7 +393,7 @@ class TestMeetingLaw:
         taus = []
         for rng, env_rng in zip(trial_streams(1203, MEETING_TRIALS),
                                 trial_streams(1203, MEETING_TRIALS, ENVIRONMENT)):
-            state = init_coupled_state(MEETING_PARAMS, Environment(MEETING_PARAMS, env_rng))
+            state = CoupledState(Environment(MEETING_PARAMS, env_rng))
             moves, tau = 0, None
             while moves < MEETING_PARAMS.max_events:
                 if coupled_step(state, rng) in ("l_group", "r_group"):
