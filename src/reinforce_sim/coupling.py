@@ -19,10 +19,12 @@ from .distributions import (
 from .urn import MagicUrn, NegativeMassError, Side, magic_draw
 from .urn_process import check_small_a_policy, initial_masses
 
-# marginal check: family-wise level, split across the tested sites, and
-# the fewest free steps a site needs to be tested
+# marginal check: family-wise level, split across the tested sites, the
+# fewest free steps a site needs to be tested, and the most trials that
+# `couple --marginal-check` runs
 SIGNIFICANCE = 0.01
 MIN_VISITS = 20
+MARGINAL_TRIALS = 200
 
 
 class SandwichViolationError(RuntimeError):

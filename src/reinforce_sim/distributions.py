@@ -12,6 +12,7 @@ one generator from trial to trial by rewriting its counter.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,8 +179,10 @@ def integrate_log_odds(p: BetaParams) -> float:
     """E[log(p/(1-p))] for p ~ Beta(alpha, beta), by adaptive quadrature.
 
     Integrates in the substituted variable s with x/(1-x) = exp(2s),
-    which removes the endpoint singularities of the raw integrand.  The
-    result must agree with digamma(alpha) - digamma(beta).
+    which removes the endpoint singularities of the raw integrand.  Raises
+    :class:`QuadratureError` in place of scipy's ``IntegrationWarning``, or
+    if quad's error or its distance to digamma(alpha) - digamma(beta) is
+    more than ``QUAD_ABS_TOL``.
     """
     from scipy import integrate, special  # scipy loads only where it is used
 
@@ -198,12 +201,18 @@ def integrate_log_odds(p: BetaParams) -> float:
         t = (a1 - a2) * s
         return c * s * 0.5 * (np.exp(t - n * log_cosh) - np.exp(-t - n * log_cosh))
 
-    value, err = integrate.quad(
-        integrand, 0.0, np.inf, epsabs=QUAD_ABS_TOL * 1e-4, epsrel=1e-11, limit=400
-    )
-    if not (np.isfinite(value) and err <= QUAD_ABS_TOL):  # a NaN error compares False
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            value, err = integrate.quad(integrand, 0.0, np.inf,
+                                        epsabs=QUAD_ABS_TOL * 1e-4, epsrel=1e-11, limit=400)
+        except integrate.IntegrationWarning as exc:
+            raise QuadratureError(f"log-odds quadrature for Beta({a1}, {a2}) failed: "
+                                  + " ".join(str(exc).split())) from exc
+    closed = digamma(a1) - digamma(a2)
+    if not (err <= QUAD_ABS_TOL and abs(value - closed) <= QUAD_ABS_TOL):  # NaN compares False
         raise QuadratureError(
-            f"log-odds quadrature for Beta({a1}, {a2}) gave {value!r} with "
-            f"error {err:.3e} (tolerance {QUAD_ABS_TOL:.1e})"
+            f"log-odds quadrature for Beta({a1}, {a2}) gave {value!r} with error {err:.3e}, "
+            f"against the closed form {closed!r} (tolerance {QUAD_ABS_TOL:.1e})"
         )
     return value

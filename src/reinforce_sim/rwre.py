@@ -8,7 +8,6 @@ mu = E[log((1-p)/p)] > 0.  Results carry both orientations explicitly.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -23,7 +22,6 @@ class Classification(Enum):
     RECURRENT = "recurrent"
 
 
-_ZERO_TOL = 1e-12
 # Uniforms a trial reads at first; each later read doubles, up to the cap.
 # So a short trial (the median is 4 events) draws few it does not use, and a
 # long one makes few reads yet holds at most two chunks.
@@ -58,6 +56,17 @@ class CriterionResult:
         }
 
 
+def classify(p: BetaParams) -> Classification:
+    """The class of an iid Beta environment, by the sign of alpha - beta: the
+    sign of E[log(p/(1-p))] = digamma(alpha) - digamma(beta), as digamma
+    increases strictly, and exact where that float difference rounds to 0."""
+    if p.alpha > p.beta:
+        return Classification.TRANSIENT_RIGHT
+    if p.alpha < p.beta:
+        return Classification.TRANSIENT_LEFT
+    return Classification.RECURRENT
+
+
 def criterion(p: BetaParams) -> CriterionResult:
     """Evaluate the transience and expected-return-time criteria.
 
@@ -66,18 +75,12 @@ def criterion(p: BetaParams) -> CriterionResult:
     """
     m = digamma(p.alpha) - digamma(p.beta)
     inv = p.beta / (p.alpha - 1.0) if p.alpha > 1.0 else None
-    if m > _ZERO_TOL:
-        cls = Classification.TRANSIENT_RIGHT
-    elif m < -_ZERO_TOL:
-        cls = Classification.TRANSIENT_LEFT
-    else:
-        cls = Classification.RECURRENT
     return CriterionResult(
         params=p,
         log_odds_mean=m,
         mu=-m,
         mean_inverse_odds=inv,
-        classification=cls,
+        classification=classify(p),
         finite_mean_return=inv is not None and inv < 1.0,
     )
 
@@ -157,24 +160,16 @@ def difference_recurrence(
     conditionally independent half-line chains (see :func:`first_returns`):
     the fraction of trials whose chains are both back at 0 by each budget.
 
-    ``regime_ok`` is the hypothesis mu > 0 for both environments, tested
-    as the sign beta > alpha: mu = digamma(beta) - digamma(alpha) and
-    digamma is strictly increasing on (0, inf).  The sign is exact where
-    the float digamma is not (it rounds mu to 0 when the shapes are one
-    ulp apart), and it needs no scipy.
+    ``regime_ok``, the hypothesis mu > 0 for both environments (both
+    :func:`classify` as transient to the left), is the only report of the
+    regime: outside it the curve is computed all the same.
     """
     budgets = sorted(budgets)
     if not budgets or budgets[0] <= 0:
         raise ValueError("budgets must be positive")
     if trials <= 0:
         raise ValueError("trials must be positive")
-    regime_ok = p1.beta > p1.alpha and p2.beta > p2.alpha
-    if not regime_ok:
-        warnings.warn(
-            "environment parameters violate the mu > 0 hypothesis; the "
-            "return probability has no guarantee in this regime",
-            stacklevel=2,
-        )
+    regime_ok = all(classify(p) is Classification.TRANSIENT_LEFT for p in (p1, p2))
     firsts = first_returns(p1, p2, budgets[-1], trials, seed)
     fractions, errs = [], []
     for b in budgets:

@@ -3,15 +3,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import reinforce_sim
-from reinforce_sim import distributions, urn_process
+from reinforce_sim import cli, distributions, rwre, urn_process
 from reinforce_sim.cli import main
-from reinforce_sim.coupling import Environment, run_coupling
+from reinforce_sim.coupling import MARGINAL_TRIALS, Environment, run_coupling
 from reinforce_sim.direct import ModelParams, meeting_statistics, run_direct
 from reinforce_sim.distributions import ENVIRONMENT, HOLDING_TIMES, RngStream
 
@@ -45,6 +47,17 @@ class TestSimulate:
         k, freq, stderr = data_rows[0].split(",")
         assert k == "1"
         assert 0.0 <= float(freq) <= 1.0
+
+    def test_one_particle_runs_no_batch(self, runner, tmp_path, monkeypatch):
+        # a lone particle never meets, so its CSV has no rows to run trials for
+        def no_batch(*args, **kwargs):
+            raise AssertionError("run_direct_batch called for one particle")
+        monkeypatch.setattr(cli, "run_direct_batch", no_batch)
+        out = tmp_path / "meetings.csv"
+        result = runner.invoke(main, ["simulate", "--n", "1", "--trials", "200",
+                                      "--events", "100000", "--out", str(out)])
+        assert result.exit_code == 0
+        assert read_csv(out).split("\r\n")[-2:] == ["k,frequency,stderr", ""]
 
     def test_rerun_is_byte_identical(self, runner, tmp_path):
         args = ["simulate", "--trials", "10", "--events", "300", "--seed", "3"]
@@ -205,6 +218,21 @@ class TestUrnVerify:
         assert report["equivalent"] is True
         assert report["tv_distance"] == 0.0
         assert report["trajectories_direct"] == report["trajectories_urn"]
+        assert "tolerance" not in report
+
+    def test_any_exact_difference_is_a_mismatch(self, runner, tmp_path, monkeypatch):
+        # a kernel off by 1e-30 gives a TV far below any float tolerance;
+        # the verdict reads the exact distance, so it still fails
+        exact = urn_process.right_jump_probability
+        monkeypatch.setattr(urn_process, "right_jump_probability",
+                            lambda *args: exact(*args) + Fraction(1, 10**30))
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["urn-verify", "--horizon", "3", "--out", str(out)])
+        assert result.exit_code == 1
+        assert "MISMATCH" in result.output
+        report = json.loads(out.read_text())
+        assert report["equivalent"] is False
+        assert 0.0 < report["tv_distance"] < 1e-20
 
     def test_horizon_guard_is_usage_error(self, runner, monkeypatch):
         # a small bound keeps the refusal cheap; the default takes 11 layers
@@ -285,6 +313,15 @@ class TestCouple:
         assert set(last) == {"trials", "significance", "excluded_sites", "passed", "checks"}
         assert last["passed"] is True
 
+    def test_marginal_check_runs_at_most_the_trial_cap(self, runner, tmp_path, monkeypatch):
+        result = runner.invoke(main, ["couple", "--help"])
+        assert f"first min(trials, {MARGINAL_TRIALS}) trials" in " ".join(result.output.split())
+        monkeypatch.setattr(cli, "MARGINAL_TRIALS", 3)
+        out = tmp_path / "runs.jsonl"
+        runner.invoke(main, ["couple", "--trials", "5", "--events", "200", "--marginal-check",
+                             "--out", str(out)])
+        assert json.loads(out.read_text().splitlines()[-1])["trials"] == 3
+
     def test_marginal_check_of_no_site_fails(self, runner, tmp_path):
         # 20 short runs: no free-walker site reaches the minimum visit count
         out = tmp_path / "runs.jsonl"
@@ -345,6 +382,38 @@ class TestCriterion:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert not out.exists()
 
+    def test_near_ties_are_transient(self, runner):
+        result = runner.invoke(main, ["criterion", "--pair", "1", "1.0000000000001",
+                                      "--pair", "1.0000000000001", "1"])
+        assert result.exit_code == 0
+        rows = json.loads(result.output)["results"]
+        assert [r["classification"] for r in rows] == ["transient_left", "transient_right"]
+
+    # (300, 800): quad returns 0.0 with a zero error estimate; (1e-8, 0.1)
+    # and (1e-5, 1): quad warns that it did not converge
+    @pytest.mark.parametrize("pair", [("300", "800"), ("1e-8", "0.1"), ("1e-5", "1")])
+    def test_wrong_quadrature_is_usage_error(self, runner, pair):
+        result = runner.invoke(main, ["criterion", "--pair", *pair])
+        assert result.exit_code == 2
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"Error: log-odds quadrature for Beta({float(pair[0])}, ")
+
+    @pytest.mark.parametrize("warning_flags", [[], ["-W", "error"]])
+    def test_quadrature_warning_is_one_usage_error_line(self, warning_flags):
+        # scipy's IntegrationWarning neither leaks to stderr nor, under
+        # -W error, escapes as a traceback
+        res = subprocess.run(
+            [sys.executable, *warning_flags, "-m", "reinforce_sim.cli",
+             "criterion", "--pair", "1e-5", "1"],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1].startswith(
+            "Error: log-odds quadrature for Beta(1e-05, 1.0) failed: The algorithm does not")
+        assert "Warning" not in res.stderr and "Traceback" not in res.stderr
+
     def test_empty_grid_is_usage_error(self, runner):
         result = runner.invoke(main, ["criterion"])
         assert result.exit_code == 2
@@ -386,6 +455,19 @@ class TestPolya:
              "--ks-threshold", "1e-6", "--out", str(tmp_path / "x.json")],
         )
         assert result.exit_code == 1
+
+    def test_exit_status_reads_every_passed_flag(self, runner, tmp_path):
+        # a threshold just above each KS distance in turn: the run fails
+        # until every one of the four checks passes
+        args = ["polya", "--red", "1", "--blue", "2", "--draws", "200", "--runs", "200",
+                "--seed", "3", "--three-color", "--out", str(tmp_path / "polya.json")]
+        runner.invoke(main, args + ["--ks-threshold", "1"])
+        report = json.loads((tmp_path / "polya.json").read_text())
+        checks = [report["two_color"], *report["three_color"]]
+        distances = sorted(check["ks_distance"] for check in checks)
+        for d in distances:
+            result = runner.invoke(main, args + ["--ks-threshold", repr(d + 1e-12)])
+            assert result.exit_code == (0 if d == distances[-1] else 1)
 
     def test_invalid_urn_is_usage_error(self, runner):
         result = runner.invoke(main, ["polya", "--red", "-1"])
@@ -446,6 +528,7 @@ class TestRwre:
              "--out", str(out)],
         )
         assert result.exit_code == 0
+        assert result.stderr == ""  # inside the regime
         lines = read_csv(out).split("\r\n")
         assert "budget,hit_fraction,stderr" in lines
         rows = [l for l in lines if l and l[0].isdigit()]
@@ -460,7 +543,19 @@ class TestRwre:
              "--trials", "20", "--out", str(tmp_path / "c.csv")],
         )
         assert result.exit_code == 0
-        assert "mu > 0" in result.output
+        assert result.stderr == ("warning: environment parameters violate the mu > 0 hypothesis; "
+                                 "the return probability has no guarantee in this regime\n")
+
+    def test_warning_inside_the_run_propagates(self, runner, monkeypatch):
+        def warning_first_returns(*args):
+            warnings.warn("synthetic", RuntimeWarning)
+            return []
+        monkeypatch.setattr(rwre, "first_returns", warning_first_returns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["rwre", "--trials", "5", "--budgets", "10"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, RuntimeWarning)
 
     def test_nonpositive_budget_is_usage_error(self, runner):
         result = runner.invoke(main, ["rwre", "--budgets", "0"])
@@ -610,11 +705,16 @@ class TestTopLevel:
 SCIPY_MODULES = ("scipy.stats", "scipy.integrate", "scipy.special")
 
 
-def scipy_modules_after(script: str) -> list[str]:
-    """The SCIPY_MODULES loaded once ``script`` has run in a fresh interpreter."""
+def src_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's package."""
     src = str(Path(reinforce_sim.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def scipy_modules_after(script: str) -> list[str]:
+    """The SCIPY_MODULES loaded once ``script`` has run in a fresh interpreter."""
+    env = src_env()
     script += ("\nimport json, sys\n"
                f"print(json.dumps(sorted(m for m in sys.modules if m in {SCIPY_MODULES!r})))")
     res = subprocess.run([sys.executable, "-c", script], env=env,

@@ -278,6 +278,23 @@ def test_quadrature_error_is_raisable():
         raise QuadratureError("synthetic")
 
 
+def test_quadrature_off_the_closed_form_is_an_error():
+    # quad returns 0.0 with a zero error estimate, against psi(300) - psi(800) = -0.98
+    with pytest.raises(QuadratureError, match=r"Beta\(300.0, 800.0\) gave 0.0 .* -0.98"):
+        integrate_log_odds(BetaParams(300.0, 800.0))
+
+
+@pytest.mark.parametrize("alpha,beta", [(1e-8, 0.1), (1e-5, 1.0)])
+def test_quadrature_warning_is_an_error(alpha, beta):
+    # scipy's IntegrationWarning becomes the error, whatever the warning
+    # filters, and is not shown
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(QuadratureError, match=rf"Beta\({alpha}, {beta}\) failed"):
+            integrate_log_odds(BetaParams(alpha, beta))
+    assert caught == []
+
+
 @pytest.mark.parametrize("alpha,beta", [(1000.0, 2000.0), (2000.0, 1000.0)])
 def test_nonfinite_quadrature_is_an_error(alpha, beta):
     # the normalising constant is 0 * inf here: an error before quad runs,

@@ -38,6 +38,18 @@ class TestCriterion:
         assert res.classification is Classification.TRANSIENT_LEFT
         assert res.mu == pytest.approx(1.0, abs=1e-12)
 
+    def test_classification_is_the_exact_order_of_the_shapes(self):
+        # the float digamma difference rounds to 0 when the shapes are one
+        # ulp apart; the order of the shapes does not
+        for alpha in (0.5, 1.0, 7.0, 12.5, 100.0):
+            for beta, cls in ((np.nextafter(alpha, np.inf), Classification.TRANSIENT_LEFT),
+                              (alpha, Classification.RECURRENT),
+                              (np.nextafter(alpha, 0), Classification.TRANSIENT_RIGHT)):
+                assert criterion(BetaParams(alpha, beta)).classification is cls
+        near = 1.0000000000001
+        assert criterion(BetaParams(1.0, near)).classification is Classification.TRANSIENT_LEFT
+        assert criterion(BetaParams(near, 1.0)).classification is Classification.TRANSIENT_RIGHT
+
     def test_infinite_inverse_odds_marked_none(self):
         res = criterion(BetaParams(1.0, 0.5))
         assert res.mean_inverse_odds is None
@@ -126,9 +138,10 @@ class TestDifferenceRecurrence:
         assert len(curve.stderrs) == 3
         assert curve.rows()[0]["budget"] == 100
 
-    def test_outside_regime_warns(self):
+    def test_outside_regime_is_reported_by_regime_ok(self):
         p = BetaParams(2.0, 1.0)  # mu < 0
-        with pytest.warns(UserWarning, match="mu > 0"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             curve = difference_recurrence(p, p, [50], 20, 109)
         assert not curve.regime_ok
 
@@ -136,25 +149,24 @@ class TestDifferenceRecurrence:
         # away from one-ulp gaps the sign beta > alpha and the float digamma
         # agree; the grid's closest shapes are 1e-12 apart relatively
         shapes = [0.05, 0.5, 1.0, 1.0 + 1e-12, 2.0, 7.0 * (1 - 1e-12), 7.0, 40.0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            for p in (BetaParams(a, b) for a in shapes for b in shapes):
-                curve = difference_recurrence(p, p, [1], 1, 111)
-                assert curve.regime_ok == (criterion(p).mu > 0)
-            # regime_ok needs both chains in the regime
-            ok, bad = BetaParams(0.5, 2.0), BetaParams(2.0, 0.5)
-            assert not difference_recurrence(ok, bad, [1], 1, 111).regime_ok
-            assert not difference_recurrence(bad, ok, [1], 1, 111).regime_ok
+        for p in (BetaParams(a, b) for a in shapes for b in shapes):
+            curve = difference_recurrence(p, p, [1], 1, 111)
+            assert curve.regime_ok == (criterion(p).mu > 0)
+        # regime_ok needs both chains in the regime
+        ok, bad = BetaParams(0.5, 2.0), BetaParams(2.0, 0.5)
+        assert not difference_recurrence(ok, bad, [1], 1, 111).regime_ok
+        assert not difference_recurrence(bad, ok, [1], 1, 111).regime_ok
 
     def test_regime_sign_is_exact_at_one_ulp(self):
         # at 7, 12.5 and 100 the float digamma rounds mu at beta one ulp
         # above alpha to 0
-        for alpha in (0.5, 7.0, 12.5, 100.0):
-            above = BetaParams(alpha, np.nextafter(alpha, np.inf))
-            assert difference_recurrence(above, above, [1], 1, 112).regime_ok
-            for beta in (alpha, np.nextafter(alpha, 0)):
-                p = BetaParams(alpha, beta)
-                with pytest.warns(UserWarning, match="mu > 0"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for alpha in (0.5, 7.0, 12.5, 100.0):
+                above = BetaParams(alpha, np.nextafter(alpha, np.inf))
+                assert difference_recurrence(above, above, [1], 1, 112).regime_ok
+                for beta in (alpha, np.nextafter(alpha, 0)):
+                    p = BetaParams(alpha, beta)
                     assert not difference_recurrence(p, p, [1], 1, 112).regime_ok
 
     def test_invalid_inputs_rejected(self):
