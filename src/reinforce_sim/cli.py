@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 invariant falsified at runtime, 2 usage error.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -191,8 +192,13 @@ def urn_verify(a, delta, l0, r0, horizon, allow_small_a, out_path) -> None:
         law = compare_exact(params, horizon)
     except ValueError as exc:  # horizon out of range, or a < 1 without the flag
         raise click.UsageError(str(exc)) from exc
-    tv = float(law.tv_distance)
-    ok = law.tv_distance == 0
+    tv, ok = float(law.tv_distance), law.tv_distance == 0
+    shown = repr(tv)
+    if tv == 0 and not ok:  # a nonzero distance below the smallest double
+        from decimal import Decimal
+
+        shown = f"{Decimal(law.tv_distance.numerator) / law.tv_distance.denominator:.6e}"
+        tv = math.ulp(0.0)
     report = {
         "meta": _meta(_resolved()),
         "tv_distance": tv,
@@ -202,7 +208,7 @@ def urn_verify(a, delta, l0, r0, horizon, allow_small_a, out_path) -> None:
     }
     if out_path is not None:
         _write_text(out_path, json.dumps(report, sort_keys=True) + "\n")
-    click.echo(f"TV(direct, urn) = {tv!r} at horizon {horizon}: {'OK' if ok else 'MISMATCH'}")
+    click.echo(f"TV(direct, urn) = {shown} at horizon {horizon}: {'OK' if ok else 'MISMATCH'}")
     if not ok:
         sys.exit(1)
 

@@ -188,20 +188,20 @@ def integrate_log_odds(p: BetaParams) -> float:
 
     a1, a2 = p.alpha, p.beta
     n = a1 + a2
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = 2.0 ** (3.0 - n) * np.exp(-special.betaln(a1, a2))
-    if not np.isfinite(c):  # large shapes: 2**(3-n) underflows as exp(-betaln) overflows
-        raise QuadratureError(f"log-odds quadrature for Beta({a1}, {a2}): "
-                              f"the normalising constant is {float(c)}")
+    # log of the normalising constant 2**(3-n) / B(a1, a2): in linear space
+    # its two factors underflow and overflow once a1 + a2 passes ~1075
+    log_c = (3.0 - n) * np.log(2.0) - special.betaln(a1, a2)
 
     def integrand(s: float) -> float:
-        # s * sinh((a1-a2) s) * cosh(s)^-n, evaluated in log space to
-        # avoid overflow of the two factors for large s
+        # c * s * sinh((a1-a2) s) * cosh(s)^-n, evaluated in log space to
+        # avoid overflow of the factors for large s or large shapes
         log_cosh = abs(s) + np.log1p(np.exp(-2.0 * abs(s))) - np.log(2.0)
-        t = (a1 - a2) * s
-        return c * s * 0.5 * (np.exp(t - n * log_cosh) - np.exp(-t - n * log_cosh))
+        t, log_rest = (a1 - a2) * s, log_c - n * log_cosh
+        return s * 0.5 * (np.exp(log_rest + t) - np.exp(log_rest - t))
 
-    with warnings.catch_warnings():
+    # a nonfinite integrand (shapes near the float limit) shows in the
+    # check below, not as numpy's overflow warnings
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
             value, err = integrate.quad(integrand, 0.0, np.inf,

@@ -6,22 +6,24 @@ Its Monte Carlo walk is the inner pair of the coupled quadruple
 (``coupling.coupled_step``).  :func:`compare_exact` runs both models
 together, one breadth-first layer per event, merging the paths that reach
 the same joint state; it gives the trajectory TV distance and each
-model's law of the first meeting time.  Probabilities are exact fractions
-(floats are binary rationals, so any float a and delta enumerate
-exactly); the live states of a layer are bounded by ``MAX_LIVE_STATES``.
+model's law of the first meeting time.  Probabilities are exact
+rationals (floats are binary rationals, so any float a and delta
+enumerate exactly), carried as reduced pairs of ints; the live states of
+a layer are bounded by ``MAX_LIVE_STATES``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .direct import ModelParams, WeightMap, right_jump_probability
 from .urn import MagicUrn, Side, left_mass, reinforce
 
 # Joint states one layer of compare_exact may hold.  The states grow about
 # 1.8-fold per event.  At a=2, delta=0.5, gap 3, horizon 11 (8,094 states
-# in its last layer) runs in 2.1 s with a 56 MiB peak RSS on a 2-vCPU VM,
-# and refusing horizon 12 (14,124) or more takes about 2.6 s.
+# in its last layer) runs in 0.4 s with a 51 MiB peak RSS on a 2-vCPU VM,
+# and refusing horizon 12 (14,124) or more takes about 0.5 s.
 MAX_LIVE_STATES = 10_000
 
 
@@ -85,77 +87,126 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
     breadth-first pass over joint states.
 
     A node gathers the paths that reach one joint state: the two sites,
-    the urns' family masses (each site's left and right jumps, so they fix
-    the edge weights too) and rho = q/p, the ratio of a path's urn
+    each visited site's left and right jumps (they fix the urns' family
+    masses and the edge weights) and rho = q/p, the ratio of a path's urn
     probability q to its direct probability p.  Both models are Markov in
     their states, so a node's paths share their future, and each path's
     share of the TV distance is |1 - rho| p.  A node carries its paths'
     summed p (summed q when p = 0, rho = infinity, kept as ``None``) and
     their number.  Children come from the one-step kernels the samplers
-    run, in exact arithmetic, skipping a model whose probability is
-    already 0; every urn draw is booked as family, since the law only
-    depends on the pooled masses.  A layer of more than
-    ``MAX_LIVE_STATES`` nodes raises ValueError.
+    run, skipping a model whose probability is already 0; every urn draw
+    is booked as family, since the law only depends on the pooled masses.
+    A layer of more than ``MAX_LIVE_STATES`` nodes raises ValueError.
+
+    Every probability is a reduced (numerator, denominator) pair of ints,
+    so rho is canonical in the merge key; the result is converted to
+    ``Fraction`` once at the end.  Each kernel value is computed once per
+    pass, in ``Fraction``s, and memoised: ``right_jump_probability`` on
+    the site and the traversals of its two edges, ``left_mass`` /
+    ``total`` on the site, the present particle and the site's jumps.  A
+    miss rebuilds the kernel's input with the samplers' own updates
+    (``WeightMap.reinforce``, ``reinforce``).  The memo is sound only
+    because these kernels read nothing but that input.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     check_small_a_policy(params)
-    delta, half = Fraction(params.delta), Fraction(1, 2)
-    tv = Fraction(0)
-    trajectories, masses = [0, 0], [Fraction(0), Fraction(0)]
-    meeting = ([Fraction(0)] * (horizon + 1), [Fraction(0)] * (horizon + 1))
-    # key -> [summed p (q when rho is None), paths, l, r, weights, urns, rho]
-    layer = {None: [Fraction(1), 1, params.l0, params.r0, WeightMap(Fraction(params.a)), {},
-                    Fraction(1)]}
+    a, delta = Fraction(params.a), Fraction(params.delta)
+    right_memo: dict = {}
+    left_memo: dict = {}
+
+    def p_right(v, left_edge, right_edge):  # traversals of [v-1, v] and [v, v+1]
+        key = (v, left_edge, right_edge)
+        value = right_memo.get(key)
+        if value is None:
+            weights = WeightMap(a)
+            for edge, traversals in ((v - 1, left_edge), (v, right_edge)):
+                for _ in range(traversals):
+                    weights.reinforce(edge)
+            value = right_jump_probability(weights, v, delta).as_integer_ratio()
+            right_memo[key] = value
+        return value
+
+    def q_left(v, present, site_jumps):  # site_jumps: (left, right) jumps from v
+        key = (v, present, site_jumps)
+        value = left_memo.get(key)
+        if value is None:
+            urn = MagicUrn(*initial_masses(params, v, Fraction))
+            for side, n in zip((Side.LEFT, Side.RIGHT), site_jumps):
+                for _ in range(n):
+                    reinforce(urn, side, False)
+            value = (left_mass(urn, present) / urn.total).as_integer_ratio()
+            left_memo[key] = value
+        return value
+
+    tv, masses = (0, 1), [(0, 1), (0, 1)]
+    trajectories = [0, 0]
+    meeting = ([(0, 1)] * (horizon + 1), [(0, 1)] * (horizon + 1))
+    # key -> [summed p (q when rho is None) as (num, den), paths, l, r,
+    #         {site: (left jumps, right jumps)}, rho as (num, den) or None]
+    layer = {None: [(1, 1), 1, params.l0, params.r0, {}, (1, 1)]}
     for depth in range(horizon + 1):
         children: dict = {}
-        for mass, paths, l, r, weights, urns, rho in layer.values():
+        for mass, paths, l, r, jumps, rho in layer.values():
+            mn, md = mass
             if l == r or depth == horizon:
-                p, q = (0, mass) if rho is None else (mass, rho * mass)
-                trajectories[0] += paths if p else 0
-                trajectories[1] += paths if q else 0
-                masses[0] += p
-                masses[1] += q
-                tv += abs(p - q)
+                p, q = ((0, 1), mass) if rho is None else (mass, _reduced(rho[0] * mn, rho[1] * md))
+                trajectories[0] += paths if p[0] else 0
+                trajectories[1] += paths if q[0] else 0
+                masses[0], masses[1] = _add(masses[0], p), _add(masses[1], q)
+                tv = _add(tv, (abs(p[0] * q[1] - q[0] * p[1]), p[1] * q[1]))
                 if l == r:
-                    meeting[0][depth] += p
-                    meeting[1][depth] += q
+                    meeting[0][depth] = _add(meeting[0][depth], p)
+                    meeting[1][depth] = _add(meeting[1][depth], q)
                 continue
             for mover, v, present in ((0, l, Side.LEFT), (1, r, Side.RIGHT)):
-                urn = urns.get(v)
-                if urn is None:
-                    urn = MagicUrn(*initial_masses(params, v, Fraction))
-                p_right = 0 if rho is None else right_jump_probability(weights, v, delta)
-                q_left = 0 if rho == 0 else left_mass(urn, present) / urn.total
-                for right, side in ((0, Side.LEFT), (1, Side.RIGHT)):
-                    p = 0 if rho is None else (p_right if right else 1 - p_right)
-                    q = 0 if rho == 0 else (1 - q_left if right else q_left)
+                site_jumps = jumps.get(v, (0, 0))
+                if rho is not None:
+                    # an edge's traversals: right jumps from its left end
+                    # and left jumps from its right end
+                    pn, pd = p_right(v, jumps.get(v - 1, (0, 0))[1] + site_jumps[0],
+                                     site_jumps[1] + jumps.get(v + 1, (0, 0))[0])
+                if rho != (0, 1):
+                    qn, qd = q_left(v, present, site_jumps)
+                for right in (0, 1):
+                    p = 0 if rho is None else (pn if right else pd - pn)
+                    q = 0 if rho == (0, 1) else (qd - qn if right else qn)
                     if p:
-                        child_rho, child_mass = (rho if q == p else rho * q / p), mass * half * p
+                        child_rho = (rho if q * pd == p * qd else  # q = p: no gcd
+                                     _reduced(rho[0] * q * pd, rho[1] * qd * p))
+                        child_mass = _reduced(mn * p, md * 2 * pd)
                     elif q:
-                        child_rho, child_mass = None, mass * half * q * (1 if rho is None else rho)
+                        rn, rd = rho or (1, 1)  # a rho = None node's mass is already q
+                        child_rho, child_mass = None, _reduced(mn * q * rn, md * 2 * qd * rd)
                     else:
                         continue
-                    drawn = MagicUrn(urn.pure_red, urn.pure_blue, urn.fam_red, urn.fam_blue)
-                    reinforce(drawn, side, False)
-                    child_urns = {**urns, v: drawn}
+                    lj, rj = site_jumps
+                    child_jumps = {**jumps, v: (lj, rj + 1) if right else (lj + 1, rj)}
                     to = v + 1 if right else v - 1
                     nl, nr = (to, r) if mover == 0 else (l, to)
-                    key = (nl, nr, child_rho, frozenset(
-                        (site, u.fam_red, u.fam_blue) for site, u in child_urns.items()))
+                    key = (nl, nr, child_rho, frozenset(child_jumps.items()))
                     node = children.get(key)
                     if node is not None:
-                        node[0] += child_mass
+                        node[0] = _add(node[0], child_mass)
                         node[1] += paths
                     elif len(children) < MAX_LIVE_STATES:
-                        child_weights = weights.copy()
-                        child_weights.reinforce(v - 1 + right)
-                        children[key] = [child_mass, paths, nl, nr, child_weights, child_urns,
-                                         child_rho]
+                        children[key] = [child_mass, paths, nl, nr, child_jumps, child_rho]
                     else:
                         raise ValueError(
                             f"horizon {horizon} needs more than MAX_LIVE_STATES = "
                             f"{MAX_LIVE_STATES} live joint states at depth {depth + 1}"
                         )
         layer = children
-    return ExactComparison(tv / 2, *trajectories, tuple(meeting[0]), tuple(meeting[1]), *masses)
+    return ExactComparison(Fraction(*tv) / 2, *trajectories,
+                           tuple(Fraction(*m) for m in meeting[0]),
+                           tuple(Fraction(*m) for m in meeting[1]),
+                           *(Fraction(*m) for m in masses))
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return _reduced(x[0] * y[1] + y[0] * x[1], x[1] * y[1])

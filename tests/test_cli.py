@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, reproducibility."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -234,6 +235,21 @@ class TestUrnVerify:
         assert report["equivalent"] is False
         assert 0.0 < report["tv_distance"] < 1e-20
 
+    def test_distance_below_the_smallest_double_is_not_shown_as_zero(self, runner, tmp_path,
+                                                                      monkeypatch):
+        # float() of this distance underflows: the line shows the exact
+        # value and the JSON the smallest positive double
+        exact = urn_process.right_jump_probability
+        monkeypatch.setattr(urn_process, "right_jump_probability",
+                            lambda *args: exact(*args) + Fraction(1, 10**400))
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["urn-verify", "--horizon", "3", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.output == "TV(direct, urn) = 1.395833e-400 at horizon 3: MISMATCH\n"
+        report = json.loads(out.read_text())
+        assert report["equivalent"] is False
+        assert report["tv_distance"] == math.ulp(0.0)
+
     def test_horizon_guard_is_usage_error(self, runner, monkeypatch):
         # a small bound keeps the refusal cheap; the default takes 11 layers
         monkeypatch.setattr(urn_process, "MAX_LIVE_STATES", 100)
@@ -375,10 +391,10 @@ class TestCriterion:
 
     def test_failed_quadrature_is_usage_error(self, runner, tmp_path):
         out = tmp_path / "crit.json"
-        result = runner.invoke(main, ["criterion", "--pair", "2.0", "1.0", "--pair", "1000", "2000",
-                                      "--out", str(out)])
+        result = runner.invoke(main, ["criterion", "--pair", "2.0", "1.0",
+                                      "--pair", "100000", "200000", "--out", str(out)])
         assert result.exit_code == 2
-        assert "Beta(1000.0, 2000.0)" in result.output
+        assert "Beta(100000.0, 200000.0)" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert not out.exists()
 
@@ -389,15 +405,24 @@ class TestCriterion:
         rows = json.loads(result.output)["results"]
         assert [r["classification"] for r in rows] == ["transient_left", "transient_right"]
 
-    # (300, 800): quad returns 0.0 with a zero error estimate; (1e-8, 0.1)
+    # (1e5, 2e5): quad returns 0.0 with a zero error estimate; (1e-8, 0.1)
     # and (1e-5, 1): quad warns that it did not converge
-    @pytest.mark.parametrize("pair", [("300", "800"), ("1e-8", "0.1"), ("1e-5", "1")])
+    @pytest.mark.parametrize("pair", [("1e5", "2e5"), ("1e-8", "0.1"), ("1e-5", "1")])
     def test_wrong_quadrature_is_usage_error(self, runner, pair):
         result = runner.invoke(main, ["criterion", "--pair", *pair])
         assert result.exit_code == 2
         errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
         assert len(errors) == 1
         assert errors[0].startswith(f"Error: log-odds quadrature for Beta({float(pair[0])}, ")
+
+    def test_large_shapes_pass_the_closed_form_check(self, runner):
+        pairs = [("540", "540"), ("530", "545"), ("1000", "2000"), ("300", "800")]
+        args = [word for pair in pairs for word in ("--pair", *pair)]
+        result = runner.invoke(main, ["criterion", *args])
+        assert result.exit_code == 0
+        rows = json.loads(result.output)["results"]
+        assert [(r["alpha"], r["beta"]) for r in rows] == [tuple(map(float, p)) for p in pairs]
+        assert all(abs(r["closed_form"] - r["quadrature"]) <= 1e-8 for r in rows)
 
     @pytest.mark.parametrize("warning_flags", [[], ["-W", "error"]])
     def test_quadrature_warning_is_one_usage_error_line(self, warning_flags):

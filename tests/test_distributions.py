@@ -1,4 +1,5 @@
 """Random streams, beta/Dirichlet sampling, and the log-odds quadrature."""
+import re
 import warnings
 
 import numpy as np
@@ -279,9 +280,20 @@ def test_quadrature_error_is_raisable():
 
 
 def test_quadrature_off_the_closed_form_is_an_error():
-    # quad returns 0.0 with a zero error estimate, against psi(300) - psi(800) = -0.98
-    with pytest.raises(QuadratureError, match=r"Beta\(300.0, 800.0\) gave 0.0 .* -0.98"):
-        integrate_log_odds(BetaParams(300.0, 800.0))
+    # the integrand's peak, of width ~1e-3, is missed: quad returns 0.0
+    # with a zero error estimate, against psi(1e5) - psi(2e5) = -0.69
+    with pytest.raises(QuadratureError, match=r"Beta\(100000.0, 200000.0\) gave 0.0 .* -0.69"):
+        integrate_log_odds(BetaParams(1e5, 2e5))
+
+
+@pytest.mark.parametrize("alpha,beta", [(540.0, 540.0), (530.0, 545.0), (1000.0, 2000.0),
+                                        (300.0, 800.0)])
+def test_large_shapes_match_the_closed_form(alpha, beta):
+    # 2**(3 - n) / B(alpha, beta) is out of float range here; its log is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = integrate_log_odds(BetaParams(alpha, beta))
+    assert got == pytest.approx(digamma(alpha) - digamma(beta), abs=1e-8)
 
 
 @pytest.mark.parametrize("alpha,beta", [(1e-8, 0.1), (1e-5, 1.0)])
@@ -295,10 +307,12 @@ def test_quadrature_warning_is_an_error(alpha, beta):
     assert caught == []
 
 
-@pytest.mark.parametrize("alpha,beta", [(1000.0, 2000.0), (2000.0, 1000.0)])
+@pytest.mark.parametrize("alpha,beta", [(1e20, 1.0), (1.0, 1e20)])
 def test_nonfinite_quadrature_is_an_error(alpha, beta):
-    # the normalising constant is 0 * inf here: an error before quad runs,
-    # with no numpy or scipy warning on the way
-    with warnings.catch_warnings(), pytest.raises(QuadratureError, match=rf"Beta\({alpha}, {beta}\)"):
+    # the integrand overflows and quad returns an infinite value: the
+    # closed-form check refuses it, with no numpy or scipy warning on the way
+    sign = "" if alpha > beta else "-"
+    with warnings.catch_warnings(), pytest.raises(
+            QuadratureError, match=re.escape(f"Beta({alpha}, {beta}) gave {sign}inf")):
         warnings.simplefilter("error")
         integrate_log_odds(BetaParams(alpha, beta))

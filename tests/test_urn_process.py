@@ -287,6 +287,33 @@ class TestEnumeration:
         assert c.trajectories_direct < c.trajectories_urn
         assert c.mass_direct == c.mass_urn == 1
 
+    @pytest.mark.parametrize("r0", [1, 2, 3])
+    def test_binary_rational_parameters_match_the_trees(self, r0):
+        # 1.1 and 0.3 are binary rationals with 2**-52-scale denominators,
+        # so the pass's integer pairs grow large
+        p = params_for(a=1.1, delta=0.3, l0=0, r0=r0)
+        for h in range(5):
+            c = assert_pass_matches_tree(p, h)
+            assert c.tv_distance == 0
+            assert c.mass_direct == c.mass_urn == 1
+
+    def test_fields_are_fractions(self):
+        c = compare_exact(params_for(a=1.1, delta=0.3, l0=0, r0=2), 4)
+        fractions = [c.tv_distance, c.mass_direct, c.mass_urn, *c.meeting_direct, *c.meeting_urn]
+        assert all(type(x) is Fraction for x in fractions)
+        assert type(c.trajectories_direct) is type(c.trajectories_urn) is int
+
+    def test_default_bound_at_the_benchmark_parameters(self):
+        # horizon 11 fits in MAX_LIVE_STATES = 10,000 (8,094 states in its
+        # last layer); horizon 12 needs 14,124 at depth 12
+        p = params_for(a=2.0, delta=0.5, l0=0, r0=3)
+        c = compare_exact(p, 11)
+        assert c.tv_distance == 0
+        assert c.mass_direct == c.mass_urn == 1
+        with pytest.raises(ValueError,
+                           match="MAX_LIVE_STATES = 10000 live joint states at depth 12"):
+            compare_exact(p, 12)
+
     def test_simulation_frequencies_match_enumeration(self):
         # one event of the coupled quadruple from its start, tying the
         # sampler that `couple` runs to the enumerator: with both outer
