@@ -52,18 +52,15 @@ class WeightMap:
 
     __slots__ = ("a", "_w")
 
-    def __init__(self, a, weights=None):
+    def __init__(self, a):
         self.a = a
-        self._w = dict(weights) if weights else {}
+        self._w = {}
 
     def weight(self, v: int):
         return self._w.get(v, self.a)
 
     def reinforce(self, v: int) -> None:
         self._w[v] = self._w.get(v, self.a) + 1
-
-    def copy(self) -> "WeightMap":
-        return WeightMap(self.a, self._w)
 
 
 def right_jump_probability(weights: WeightMap, v: int, delta):
@@ -225,7 +222,9 @@ def run_direct_batch(
     order.  ``streams``, any iterable of distinct streams, is read one
     block of ``_BLOCK_TRIALS`` at a time, as the block starts, so a
     generator of streams keeps at most two blocks of them alive.
-    Streams may end advanced past a trial's last event.
+    A trial that reaches its meeting limit draws no uniforms after the
+    chunk in which it retires, so its stream may end advanced past its
+    last event by at most one chunk.
     """
     start = _start_positions(params, n_particles, positions)
     streams = iter(streams)
@@ -260,22 +259,18 @@ def _advance(g: _Lockstep, params: ModelParams, limit: int | None) -> list[_Lock
     """Step group ``g`` until its trials end.
 
     Returns ``[]`` once they have, or the two halves still to run when its
-    weight window would outgrow ``_WINDOW_CELLS``.
+    weight window would outgrow ``_WINDOW_CELLS``.  A trial that reaches
+    its meeting limit leaves the group at the end of that chunk.
     """
     n = g.pos.shape[1]
     delta = params.delta
-    alive = np.ones(len(g.records), dtype=bool)
-    while g.events < params.max_events and alive.any():
+    while g.events < params.max_events and g.records:
         steps = min(max(_CHUNK_UNIFORMS // 2, 1), params.max_events - g.events)
         # a walker moves at most `steps` sites per chunk and touches the
         # edges on both sides of it
         lo, hi = int(g.pos.min()) - steps - 1, int(g.pos.max()) + steps
-        width = g.weights.shape[1]
+        slots, width = len(g.records), g.weights.shape[1]
         if lo < g.offset or hi >= g.offset + width:
-            if not alive.all():  # retired slots, still stepping, never grow the window
-                g, alive = g.take(np.flatnonzero(alive)), alive[alive]
-                continue
-            slots = len(g.records)
             # grow by at least the old width on each side a walker may
             # leave, so copying costs O(1) amortised per site
             pad = max(width, steps)
@@ -286,7 +281,7 @@ def _advance(g: _Lockstep, params: ModelParams, limit: int | None) -> list[_Lock
             grown = np.full((slots, new_hi - new_lo), float(params.a))
             grown[:, g.offset - new_lo:g.offset - new_lo + width] = g.weights
             g.offset, g.weights = new_lo, grown
-        slots, width = len(g.records), g.weights.shape[1]
+            width = grown.shape[1]
         flat_w = g.weights.reshape(-1)
         pos = g.pos.reshape(-1)  # walker i of slot j sits at pos[j * n + i]
         row = np.arange(slots) * width - g.offset  # flat index of edge [v, v+1], minus v
@@ -319,29 +314,26 @@ def _advance(g: _Lockstep, params: ModelParams, limit: int | None) -> list[_Lock
                 np.equal(g.pos.min(axis=1), g.pos.max(axis=1), out=met[s])
 
         if n > 1:
-            if limit is not None:
-                met &= alive
+            if limit is not None:  # a trial retiring in this chunk steps on, unrecorded
                 met &= g.counts + np.cumsum(met, axis=0) <= limit
             for j in np.flatnonzero(met.any(axis=0)).tolist():
                 at_step = np.flatnonzero(met[:, j])
                 g.records[j].meeting_times.extend((g.events + 1 + at_step).tolist())
         if limit is not None:
-            # a retired slot steps on, unrecorded, until it is compacted away
             g.counts += met.sum(axis=0)
-            done = np.flatnonzero(alive & (g.counts >= limit))
+            done = g.counts >= limit
             last_step = steps - 1 - np.argmax(met[::-1, done], axis=0)
-            for j, s in zip(done.tolist(), last_step.tolist()):
+            for j, s in zip(np.flatnonzero(done).tolist(), last_step.tolist()):
                 rec = g.records[j]
                 rec.events_executed = g.events + 1 + s
                 rec.final_positions = [int(landed[s, j])] * n  # all walkers met there
-            alive[done] = False
+            if done.any():
+                g = g.take(np.flatnonzero(~done))
         g.events += steps
-        if 2 * np.count_nonzero(alive) < slots:
-            g, alive = g.take(np.flatnonzero(alive)), alive[alive]
 
-    for j in np.flatnonzero(alive).tolist():
-        g.records[j].events_executed = g.events
-        g.records[j].final_positions = g.pos[j].tolist()
+    for rec, final in zip(g.records, g.pos.tolist()):
+        rec.events_executed = g.events
+        rec.final_positions = final
     return []
 
 

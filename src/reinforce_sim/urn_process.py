@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 from .direct import ModelParams, WeightMap, right_jump_probability
@@ -86,111 +87,98 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
     """Both models' trajectory laws up to ``horizon`` events, in one
     breadth-first pass over joint states.
 
-    A node gathers the paths that reach one joint state: the two sites,
-    each visited site's left and right jumps (they fix the urns' family
-    masses and the edge weights) and rho = q/p, the ratio of a path's urn
-    probability q to its direct probability p.  Both models are Markov in
-    their states, so a node's paths share their future, and each path's
-    share of the TV distance is |1 - rho| p.  A node carries its paths'
-    summed p (summed q when p = 0, rho = infinity, kept as ``None``) and
-    their number.  Children come from the one-step kernels the samplers
-    run, skipping a model whose probability is already 0; every urn draw
-    is booked as family, since the law only depends on the pooled masses.
-    A layer of more than ``MAX_LIVE_STATES`` nodes raises ValueError.
+    A node gathers the paths that reach one joint state with one ratio of
+    urn to direct probability.  The state is the two sites and each
+    visited site's left and right jumps (they fix the urns' family masses
+    and the edge weights); the ratio is a reduced pair (A, B) of
+    nonnegative ints, never both 0, and the node's paths have summed
+    direct probability t*B and urn probability t*A.  B = 0 marks paths
+    the weight dynamics cannot take, A = 0 paths the urns cannot take.
+    Both models are Markov in their states, so a node's paths share their
+    future, and the node's share of the TV distance is t*|B - A|.
+    Children come from the one-step kernels the samplers run, skipping a
+    model whose probability is already 0; every urn draw is booked as
+    family, since the law only depends on the pooled masses.  A layer of
+    more than ``MAX_LIVE_STATES`` nodes raises ValueError.
 
-    Every probability is a reduced (numerator, denominator) pair of ints,
-    so rho is canonical in the merge key; the result is converted to
-    ``Fraction`` once at the end.  Each kernel value is computed once per
-    pass, in ``Fraction``s, and memoised: ``right_jump_probability`` on
-    the site and the traversals of its two edges, ``left_mass`` /
-    ``total`` on the site, the present particle and the site's jumps.  A
-    miss rebuilds the kernel's input with the samplers' own updates
-    (``WeightMap.reinforce``, ``reinforce``).  The memo is sound only
-    because these kernels read nothing but that input.
+    Every probability is a reduced (numerator, denominator) pair of ints;
+    the result is converted to ``Fraction`` once at the end.  Each kernel
+    value is computed once per pass, in ``Fraction``s, and cached:
+    ``right_jump_probability`` on the site and the traversals of its two
+    edges, ``left_mass`` / ``total`` on the site, the present particle
+    and the site's jumps.  A miss rebuilds the kernel's input with the
+    samplers' own updates (``WeightMap.reinforce``, ``reinforce``).  The
+    cache is sound only because these kernels read nothing but that input.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     check_small_a_policy(params)
     a, delta = Fraction(params.a), Fraction(params.delta)
-    right_memo: dict = {}
-    left_memo: dict = {}
 
+    @cache
     def p_right(v, left_edge, right_edge):  # traversals of [v-1, v] and [v, v+1]
-        key = (v, left_edge, right_edge)
-        value = right_memo.get(key)
-        if value is None:
-            weights = WeightMap(a)
-            for edge, traversals in ((v - 1, left_edge), (v, right_edge)):
-                for _ in range(traversals):
-                    weights.reinforce(edge)
-            value = right_jump_probability(weights, v, delta).as_integer_ratio()
-            right_memo[key] = value
-        return value
+        weights = WeightMap(a)
+        for edge, traversals in ((v - 1, left_edge), (v, right_edge)):
+            for _ in range(traversals):
+                weights.reinforce(edge)
+        return right_jump_probability(weights, v, delta).as_integer_ratio()
 
+    @cache
     def q_left(v, present, site_jumps):  # site_jumps: (left, right) jumps from v
-        key = (v, present, site_jumps)
-        value = left_memo.get(key)
-        if value is None:
-            urn = MagicUrn(*initial_masses(params, v, Fraction))
-            for side, n in zip((Side.LEFT, Side.RIGHT), site_jumps):
-                for _ in range(n):
-                    reinforce(urn, side, False)
-            value = (left_mass(urn, present) / urn.total).as_integer_ratio()
-            left_memo[key] = value
-        return value
+        urn = MagicUrn(*initial_masses(params, v, Fraction))
+        for side, n in zip((Side.LEFT, Side.RIGHT), site_jumps):
+            for _ in range(n):
+                reinforce(urn, side, False)
+        return (left_mass(urn, present) / urn.total).as_integer_ratio()
 
     tv, masses = (0, 1), [(0, 1), (0, 1)]
     trajectories = [0, 0]
     meeting = ([(0, 1)] * (horizon + 1), [(0, 1)] * (horizon + 1))
-    # key -> [summed p (q when rho is None) as (num, den), paths, l, r,
-    #         {site: (left jumps, right jumps)}, rho as (num, den) or None]
+    # key -> [t as (num, den), paths, l, r, {site: (left jumps, right jumps)}, (A, B)]
     layer = {None: [(1, 1), 1, params.l0, params.r0, {}, (1, 1)]}
     for depth in range(horizon + 1):
         children: dict = {}
-        for mass, paths, l, r, jumps, rho in layer.values():
-            mn, md = mass
+        for (tn, td), paths, l, r, jumps, (A, B) in layer.values():
             if l == r or depth == horizon:
-                p, q = ((0, 1), mass) if rho is None else (mass, _reduced(rho[0] * mn, rho[1] * md))
-                trajectories[0] += paths if p[0] else 0
-                trajectories[1] += paths if q[0] else 0
+                p, q = (tn * B, td), (tn * A, td)
+                trajectories[0] += paths if B else 0
+                trajectories[1] += paths if A else 0
                 masses[0], masses[1] = _add(masses[0], p), _add(masses[1], q)
-                tv = _add(tv, (abs(p[0] * q[1] - q[0] * p[1]), p[1] * q[1]))
+                tv = _add(tv, (tn * abs(B - A), td))
                 if l == r:
                     meeting[0][depth] = _add(meeting[0][depth], p)
                     meeting[1][depth] = _add(meeting[1][depth], q)
                 continue
             for mover, v, present in ((0, l, Side.LEFT), (1, r, Side.RIGHT)):
                 site_jumps = jumps.get(v, (0, 0))
-                if rho is not None:
-                    # an edge's traversals: right jumps from its left end
-                    # and left jumps from its right end
-                    pn, pd = p_right(v, jumps.get(v - 1, (0, 0))[1] + site_jumps[0],
-                                     site_jumps[1] + jumps.get(v + 1, (0, 0))[0])
-                if rho != (0, 1):
-                    qn, qd = q_left(v, present, site_jumps)
+                # an edge's traversals: right jumps from its left end
+                # and left jumps from its right end
+                pn, pd = p_right(v, jumps.get(v - 1, (0, 0))[1] + site_jumps[0],
+                                 site_jumps[1] + jumps.get(v + 1, (0, 0))[0]) if B else (0, 1)
+                qn, qd = q_left(v, present, site_jumps) if A else (0, 1)
                 for right in (0, 1):
-                    p = 0 if rho is None else (pn if right else pd - pn)
-                    q = 0 if rho == (0, 1) else (qd - qn if right else qn)
-                    if p:
-                        child_rho = (rho if q * pd == p * qd else  # q = p: no gcd
-                                     _reduced(rho[0] * q * pd, rho[1] * qd * p))
-                        child_mass = _reduced(mn * p, md * 2 * pd)
-                    elif q:
-                        rn, rd = rho or (1, 1)  # a rho = None node's mass is already q
-                        child_rho, child_mass = None, _reduced(mn * q * rn, md * 2 * qd * rd)
+                    ps, qs = (pn, qd - qn) if right else (pd - pn, qn)
+                    if qs * pd == ps * qd:  # equal steps keep the ratio: no gcd
+                        if not ps:
+                            continue
+                        ratio, t = (A, B), _reduced(tn * ps, td * 2 * pd)
                     else:
-                        continue
+                        x, y = A * qs * pd, B * ps * qd
+                        if not (x or y):
+                            continue
+                        g = gcd(x, y)
+                        ratio, t = (x // g, y // g), _reduced(tn * g, td * 2 * pd * qd)
                     lj, rj = site_jumps
                     child_jumps = {**jumps, v: (lj, rj + 1) if right else (lj + 1, rj)}
                     to = v + 1 if right else v - 1
                     nl, nr = (to, r) if mover == 0 else (l, to)
-                    key = (nl, nr, child_rho, frozenset(child_jumps.items()))
+                    key = (nl, nr, ratio, frozenset(child_jumps.items()))
                     node = children.get(key)
                     if node is not None:
-                        node[0] = _add(node[0], child_mass)
+                        node[0] = _add(node[0], t)
                         node[1] += paths
                     elif len(children) < MAX_LIVE_STATES:
-                        children[key] = [child_mass, paths, nl, nr, child_jumps, child_rho]
+                        children[key] = [t, paths, nl, nr, child_jumps, ratio]
                     else:
                         raise ValueError(
                             f"horizon {horizon} needs more than MAX_LIVE_STATES = "

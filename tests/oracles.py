@@ -149,7 +149,7 @@ def enumerate_exact(model: str, params: ModelParams, horizon: int) -> ExactDistr
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if model == "direct":
-        state, branches = WeightMap(Fraction(params.a)), _direct_branches(params)
+        state, branches = (), _direct_branches(params)
     elif model == "urn":
         urn_process.check_small_a_policy(params)
         state, branches = {}, _urn_branches(params)
@@ -175,16 +175,18 @@ def enumerate_exact(model: str, params: ModelParams, horizon: int) -> ExactDistr
 
 
 def _direct_branches(params: ModelParams):
-    """(direction, probability, weights after) of each possible jump from v."""
-    delta = Fraction(params.delta)
+    """(direction, probability, traversed edges after) of each possible
+    jump from v; the weights are rebuilt from the traversed edges."""
+    a, delta = Fraction(params.a), Fraction(params.delta)
 
-    def branches(weights: WeightMap, v: int, mover: int):
+    def branches(traversed: tuple, v: int, mover: int):
+        weights = WeightMap(a)
+        for edge in traversed:
+            weights.reinforce(edge)
         p_right = urn_process.right_jump_probability(weights, v, delta)
         for direction, p_dir in ((0, 1 - p_right), (1, p_right)):
             if p_dir:
-                after = weights.copy()
-                after.reinforce(v - 1 + direction)
-                yield direction, p_dir, after
+                yield direction, p_dir, traversed + (v - 1 + direction,)
     return branches
 
 

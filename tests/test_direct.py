@@ -67,14 +67,6 @@ class TestWeightMap:
         assert w.weight(3) == 3.0
         assert w.weight(2) == 1.0
 
-    def test_copy_is_independent(self):
-        w = WeightMap(1.0)
-        w.reinforce(0)
-        c = w.copy()
-        c.reinforce(0)
-        assert w.weight(0) == 2.0
-        assert c.weight(0) == 3.0
-
 
 class TestJumpProbability:
     def test_fresh_site_no_drift(self):
@@ -212,6 +204,17 @@ def scalar_records(params, n, seed, trials, positions=None, stop=None):
     ]
 
 
+class CountingStream:
+    """A stream that counts the uniforms drawn through ``uniforms``."""
+
+    def __init__(self, stream: RngStream):
+        self.stream, self.drawn = stream, 0
+
+    def uniforms(self, n: int) -> np.ndarray:
+        self.drawn += n
+        return self.stream.uniforms(n)
+
+
 def batch_records(params, n, seed, trials, positions=None, stop=None):
     streams = [RngStream(seed, t) for t in range(trials)]
     return run_direct_batch(params, n, streams, positions, stop_after_meetings=stop)
@@ -294,6 +297,23 @@ class TestRunDirectBatch:
         assert got == scalar_records(params, 2, 73, 200, stop=1)
         assert sum(rec.events_executed < 512 for rec in got) > 100
         assert sum(rec.events_executed > 1024 for rec in got) > 0
+
+    @pytest.mark.parametrize("stop", [1, 2])
+    def test_retired_trials_read_no_further_uniforms(self, monkeypatch, stop):
+        # eight-event chunks at gap 3: fewer than half the trials retire in
+        # the first chunk, and each must stop drawing at the end of the
+        # chunk in which it retires
+        monkeypatch.setattr(direct, "_CHUNK_UNIFORMS", 16)
+        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=3, max_events=403)
+        streams = [CountingStream(RngStream(78, t)) for t in range(64)]
+        got = run_direct_batch(params, 2, streams, stop_after_meetings=stop)
+        assert got == scalar_records(params, 2, 78, 64, stop=stop)
+        retired = [len(rec.meeting_times) == stop for rec in got]
+        assert 0 < sum(done and rec.events_executed <= 8 for rec, done in zip(got, retired)) < 32
+        assert sum(retired) < 64
+        for rec, stream, done in zip(got, streams, retired):
+            events = -(-rec.events_executed // 8) * 8 if done else params.max_events
+            assert stream.drawn == 2 * min(events, params.max_events)
 
     @pytest.mark.parametrize("stop", [None, 1])
     def test_streams_are_read_one_block_at_a_time(self, monkeypatch, stop):

@@ -5,6 +5,7 @@ The merged-state pass ``compare_exact`` is checked against the
 trajectory-tree oracle, and the Monte Carlo engines against its law of
 the first meeting time.
 """
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -286,6 +287,63 @@ class TestEnumeration:
         assert c.tv_distance > 0
         assert c.trajectories_direct < c.trajectories_urn
         assert c.mass_direct == c.mass_urn == 1
+
+    @pytest.mark.parametrize("v0", [-1, 1, 2])  # l0 - 1, l0 + 1, r0
+    @pytest.mark.parametrize("kernel", ["red + 1/2", "blocked urn", "blocked direct"])
+    def test_patched_kernels_at_other_sites_give_the_trees_tv(self, monkeypatch, kernel, v0):
+        # the three patched kernels above, moved off l0: the ratio of urn to
+        # direct probability changes at several depths, and a blocked jump
+        # leaves paths that only one model can take
+        if kernel == "blocked direct":
+            def blocked(weights, v, delta):
+                return Fraction(1) if v == v0 else right_jump_probability(weights, v, delta)
+            monkeypatch.setattr(urn_process, "right_jump_probability", blocked)
+        else:
+            shift = Fraction(1, 2) if kernel == "red + 1/2" else Fraction(-2)
+            monkeypatch.setattr(urn_process, "initial_masses", shifted_red(v0, shift))
+        for h in (3, 5, 6):
+            c = assert_pass_matches_tree(params_for(a=2.0, delta=0.5, l0=0, r0=2), h)
+            assert c.tv_distance > 0
+            assert c.mass_direct == c.mass_urn == 1
+            if kernel == "red + 1/2":
+                assert c.trajectories_direct == c.trajectories_urn
+            elif kernel == "blocked urn":
+                assert c.trajectories_urn < c.trajectories_direct
+            else:
+                assert c.trajectories_direct < c.trajectories_urn
+
+    def test_each_kernel_key_is_computed_once_per_pass(self, monkeypatch):
+        # count the kernels' inputs by the pass's cache keys: the site and
+        # its two edge weights; the site (as initial_masses sees it), the
+        # site's jumps and the present particle
+        calls, sites = Counter(), []
+
+        def counted_right(weights, v, delta):
+            calls["right", v, weights.weight(v - 1), weights.weight(v)] += 1
+            return right_jump_probability(weights, v, delta)
+
+        def counted_masses(params, v, num=float):
+            sites.append(v)
+            return initial_masses(params, v, num)
+
+        def counted_left(urn, present):
+            calls["left", sites[-1], urn.fam_red, urn.fam_blue, present] += 1
+            return left_mass(urn, present)
+
+        monkeypatch.setattr(urn_process, "right_jump_probability", counted_right)
+        monkeypatch.setattr(urn_process, "initial_masses", counted_masses)
+        monkeypatch.setattr(urn_process, "left_mass", counted_left)
+        p = params_for(a=2.0, delta=0.5, l0=0, r0=3)
+        keys = []
+        for _ in range(2):  # the cache lives inside one pass
+            calls.clear()
+            c = compare_exact(p, 7)
+            assert (c.tv_distance, c.trajectories_direct) == (0, 12904)
+            assert set(calls.values()) == {1}
+            keys.append(set(calls))
+        assert keys[0] == keys[1]
+        assert len([k for k in keys[0] if k[0] == "right"]) > 50
+        assert len([k for k in keys[0] if k[0] == "left"]) > 50
 
     @pytest.mark.parametrize("r0", [1, 2, 3])
     def test_binary_rational_parameters_match_the_trees(self, r0):
