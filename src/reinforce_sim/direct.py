@@ -72,17 +72,19 @@ def right_jump_probability(weights: WeightMap, v: int, delta):
 
 @dataclass
 class TrajectoryRecord:
-    """Event log of one run plus the meeting times of the tracked particles.
+    """Event log of one run plus the meeting count of the tracked particles.
 
-    ``events`` holds (event index, particle id, from, to);
-    ``meeting_times`` holds event indices at which all particles coincide
-    (0 is recorded when they start coincident).
+    ``events`` holds (event index, particle id, from, to); ``meetings``
+    counts the events after which all particles coincide, plus one when
+    they start coincident.  The k-th meeting time is ``events_executed``
+    of the same run under ``stop_after_meetings=k``, when that run has
+    ``meetings == k``.
     """
 
     params: ModelParams
     n_particles: int
     events: list = field(default_factory=list)
-    meeting_times: list = field(default_factory=list)
+    meetings: int = 0
     final_positions: list = field(default_factory=list)
     events_executed: int = 0
 
@@ -141,7 +143,7 @@ def run_direct(
     record_events: bool = True,
     stop_after_meetings: int | None = None,
 ) -> TrajectoryRecord:
-    """Run up to ``params.max_events`` jumps and record meetings.
+    """Run up to ``params.max_events`` jumps and count meetings.
 
     ``stop_after_meetings=k`` ends the run once the k-th meeting is seen,
     which keeps hitting-time experiments cheap.
@@ -151,8 +153,8 @@ def run_direct(
     weights = WeightMap(params.a)
 
     if n_particles > 1 and len(set(positions)) == 1:
-        record.meeting_times.append(0)
-        if stop_after_meetings is not None and len(record.meeting_times) >= stop_after_meetings:
+        record.meetings = 1
+        if stop_after_meetings is not None and record.meetings >= stop_after_meetings:
             record.final_positions = positions
             return record
 
@@ -162,8 +164,8 @@ def run_direct(
             record.events.append((e, i, frm, to))
         record.events_executed = e
         if n_particles > 1 and min(positions) == max(positions):
-            record.meeting_times.append(e)
-            if stop_after_meetings is not None and len(record.meeting_times) >= stop_after_meetings:
+            record.meetings += 1
+            if stop_after_meetings is not None and record.meetings >= stop_after_meetings:
                 break
     record.final_positions = positions
     return record
@@ -192,7 +194,7 @@ class _Lockstep:
     records: list
     streams: list
     pos: np.ndarray  # pos[j, i] is the site of walker i in slot j
-    counts: np.ndarray  # meetings recorded per slot
+    counts: np.ndarray  # meetings counted per slot
     weights: np.ndarray  # weights[j, v - offset] of edge [v, v+1]; untouched edges weigh a
     offset: int
     events: int  # events every slot has executed
@@ -235,14 +237,13 @@ def run_direct_batch(
                            stop_after_meetings=stop_after_meetings) for s in chain(block, streams)]
     coincident = n_particles > 1 and len(set(start)) == 1
     if coincident and stop_after_meetings is not None and stop_after_meetings <= 1:
-        return [TrajectoryRecord(params=params, n_particles=n_particles, meeting_times=[0],
+        return [TrajectoryRecord(params=params, n_particles=n_particles, meetings=1,
                                  final_positions=list(start)) for _ in chain(block, streams)]
     # the first meeting inside the run always ends a run with a limit <= 1
     limit = None if stop_after_meetings is None else max(stop_after_meetings, 1)
     records = []
     while block:
-        block_records = [TrajectoryRecord(params=params, n_particles=n_particles,
-                                          meeting_times=[0] if coincident else [])
+        block_records = [TrajectoryRecord(params=params, n_particles=n_particles)
                          for _ in block]
         records += block_records
         groups = [_Lockstep(
@@ -313,47 +314,31 @@ def _advance(g: _Lockstep, params: ModelParams, limit: int | None) -> list[_Lock
             elif n > 2:
                 np.equal(g.pos.min(axis=1), g.pos.max(axis=1), out=met[s])
 
-        if n > 1:
-            if limit is not None:  # a trial retiring in this chunk steps on, unrecorded
-                met &= g.counts + np.cumsum(met, axis=0) <= limit
-            for j in np.flatnonzero(met.any(axis=0)).tolist():
-                at_step = np.flatnonzero(met[:, j])
-                g.records[j].meeting_times.extend((g.events + 1 + at_step).tolist())
+        if limit is not None:  # a trial retiring in this chunk steps on, uncounted
+            met &= g.counts + np.cumsum(met, axis=0) <= limit
+        g.counts += met.sum(axis=0)
         if limit is not None:
-            g.counts += met.sum(axis=0)
             done = g.counts >= limit
             last_step = steps - 1 - np.argmax(met[::-1, done], axis=0)
             for j, s in zip(np.flatnonzero(done).tolist(), last_step.tolist()):
                 rec = g.records[j]
+                rec.meetings = limit
                 rec.events_executed = g.events + 1 + s
                 rec.final_positions = [int(landed[s, j])] * n  # all walkers met there
             if done.any():
                 g = g.take(np.flatnonzero(~done))
         g.events += steps
 
-    for rec, final in zip(g.records, g.pos.tolist()):
+    for rec, final, meetings in zip(g.records, g.pos.tolist(), g.counts.tolist()):
+        rec.meetings = meetings
         rec.events_executed = g.events
         rec.final_positions = final
     return []
 
 
-@dataclass
-class MeetingSummary:
-    """Per-k meeting frequencies over a batch of runs with shared parameters."""
-
-    n_trials: int
-    frequencies: list[float]  # frequencies[k-1] = fraction of trials with >= k meetings
-    stderrs: list[float]
-
-    def rows(self):
-        return [
-            {"k": k + 1, "frequency": f, "stderr": s}
-            for k, (f, s) in enumerate(zip(self.frequencies, self.stderrs))
-        ]
-
-
-def meeting_statistics(records: list[TrajectoryRecord]) -> MeetingSummary:
-    """Summarize meeting counts; rejects runs with mismatched parameters."""
+def meeting_statistics(records: list[TrajectoryRecord]) -> list[dict]:
+    """CSV rows of P(N >= k), with its standard error, for k = 1 up to the
+    largest meeting count N; rejects runs with mismatched parameters."""
     if not records:
         raise ValueError("no records given")
     ref = (records[0].params, records[0].n_particles)
@@ -361,9 +346,9 @@ def meeting_statistics(records: list[TrajectoryRecord]) -> MeetingSummary:
         if (rec.params, rec.n_particles) != ref:
             raise ValueError("meeting_statistics requires records with identical parameters")
     n = len(records)
-    lengths = [len(r.meeting_times) for r in records]
+    counts = [r.meetings for r in records]
     # hits[k-1] = trials with >= k meetings
-    hits = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:].tolist()
+    hits = np.cumsum(np.bincount(counts)[::-1])[::-1][1:].tolist()
     freqs = [h / n for h in hits]
-    errs = [(f * (1 - f) / n) ** 0.5 for f in freqs]
-    return MeetingSummary(n_trials=n, frequencies=freqs, stderrs=errs)
+    return [{"k": k, "frequency": f, "stderr": (f * (1 - f) / n) ** 0.5}
+            for k, f in enumerate(freqs, 1)]

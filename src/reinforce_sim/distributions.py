@@ -199,13 +199,19 @@ def integrate_log_odds(p: BetaParams) -> float:
         t, log_rest = (a1 - a2) * s, log_c - n * log_cosh
         return s * 0.5 * (np.exp(log_rest + t) - np.exp(log_rest - t))
 
+    # the integrand peaks near s = |log(a1/a2)| / 2 with width about
+    # 1/sqrt(n): quad on [0, inf) alone never samples it at large shapes
+    peak = 0.5 * abs(np.log(a1) - np.log(a2))
+    split = peak + 10.0 / np.sqrt(n)
+    tol = {"epsabs": QUAD_ABS_TOL * 1e-4, "epsrel": 1e-11, "limit": 400}
     # a nonfinite integrand (shapes near the float limit) shows in the
     # check below, not as numpy's overflow warnings
     with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
         warnings.simplefilter("error", integrate.IntegrationWarning)
         try:
-            value, err = integrate.quad(integrand, 0.0, np.inf,
-                                        epsabs=QUAD_ABS_TOL * 1e-4, epsrel=1e-11, limit=400)
+            head, head_err = integrate.quad(integrand, 0.0, split, points=[peak], **tol)
+            tail, tail_err = integrate.quad(integrand, split, np.inf, **tol)
+            value, err = head + tail, head_err + tail_err
         except integrate.IntegrationWarning as exc:
             raise QuadratureError(f"log-odds quadrature for Beta({a1}, {a2}) failed: "
                                   + " ".join(str(exc).split())) from exc

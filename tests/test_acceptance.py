@@ -167,7 +167,7 @@ def test_criterion_5_recurrence_trend_direct():
         offset = 0 if delta == 0.0 else 500_000
         streams = [RngStream(515, t + offset) for t in range(baselines.PILOT_TRIALS)]
         records = run_direct_batch(params, 2, streams, stop_after_meetings=1)
-        taus = [rec.meeting_times[0] if rec.meeting_times else None for rec in records]
+        taus = [rec.events_executed if rec.meetings else None for rec in records]
         fracs = [
             sum(1 for tau in taus if tau is not None and tau <= b) / len(taus)
             for b in budgets

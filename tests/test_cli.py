@@ -110,7 +110,7 @@ class TestSimulate:
         records = [run_direct(params, 2, RngStream(13, t), stop_after_meetings=3)
                    for t in range(6)]
         rows = [f"{r['k']},{r['frequency']!r},{r['stderr']!r}"
-                for r in meeting_statistics(records).rows()]
+                for r in meeting_statistics(records)]
         assert read_csv(out).split("\r\n")[-len(rows) - 1:-1] == rows
         clock = RngStream(13, 0, HOLDING_TIMES) if timestamps else None
         assert traj.read_text() == records[0].to_jsonl(clock)
@@ -392,9 +392,9 @@ class TestCriterion:
     def test_failed_quadrature_is_usage_error(self, runner, tmp_path):
         out = tmp_path / "crit.json"
         result = runner.invoke(main, ["criterion", "--pair", "2.0", "1.0",
-                                      "--pair", "100000", "200000", "--out", str(out)])
+                                      "--pair", "100000000", "300000000", "--out", str(out)])
         assert result.exit_code == 2
-        assert "Beta(100000.0, 200000.0)" in result.output
+        assert "Beta(100000000.0, 300000000.0)" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert not out.exists()
 
@@ -405,9 +405,10 @@ class TestCriterion:
         rows = json.loads(result.output)["results"]
         assert [r["classification"] for r in rows] == ["transient_left", "transient_right"]
 
-    # (1e5, 2e5): quad returns 0.0 with a zero error estimate; (1e-8, 0.1)
-    # and (1e-5, 1): quad warns that it did not converge
-    @pytest.mark.parametrize("pair", [("1e5", "2e5"), ("1e-8", "0.1"), ("1e-5", "1")])
+    # (1e8, 3e8): quad converges to -0.55 against the closed form -1.10;
+    # (1e-8, 0.1): quad warns that it did not converge; (1e-5, 1): quad is
+    # 8e-8 off the closed form -99999.99998
+    @pytest.mark.parametrize("pair", [("1e8", "3e8"), ("1e-8", "0.1"), ("1e-5", "1")])
     def test_wrong_quadrature_is_usage_error(self, runner, pair):
         result = runner.invoke(main, ["criterion", "--pair", *pair])
         assert result.exit_code == 2
@@ -416,7 +417,8 @@ class TestCriterion:
         assert errors[0].startswith(f"Error: log-odds quadrature for Beta({float(pair[0])}, ")
 
     def test_large_shapes_pass_the_closed_form_check(self, runner):
-        pairs = [("540", "540"), ("530", "545"), ("1000", "2000"), ("300", "800")]
+        pairs = [("540", "540"), ("530", "545"), ("1000", "2000"), ("300", "800"),
+                 ("1e5", "2e5")]
         args = [word for pair in pairs for word in ("--pair", *pair)]
         result = runner.invoke(main, ["criterion", *args])
         assert result.exit_code == 0
@@ -430,13 +432,13 @@ class TestCriterion:
         # -W error, escapes as a traceback
         res = subprocess.run(
             [sys.executable, *warning_flags, "-m", "reinforce_sim.cli",
-             "criterion", "--pair", "1e-5", "1"],
+             "criterion", "--pair", "1e-6", "1"],
             env=src_env(), capture_output=True, text=True, timeout=120,
         )
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.splitlines()[-1].startswith(
-            "Error: log-odds quadrature for Beta(1e-05, 1.0) failed: The algorithm does not")
+            "Error: log-odds quadrature for Beta(1e-06, 1.0) failed: The algorithm does not")
         assert "Warning" not in res.stderr and "Traceback" not in res.stderr
 
     def test_empty_grid_is_usage_error(self, runner):

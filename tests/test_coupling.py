@@ -1,5 +1,6 @@
 """Coupled quadruple: sandwich ordering, environment law, marginal checks."""
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from reinforce_sim.direct import ModelParams
 from reinforce_sim.distributions import (
     ENVIRONMENT, BetaParams, RngStream, sample_beta, sample_dirichlet, trial_streams,
 )
-from reinforce_sim.urn import MagicUrn
+from reinforce_sim.urn import MagicUrn, Side
 from reinforce_sim.urn_process import SmallAPolicyError, initial_masses
 
 from oracles import LargestUniform, free_step_tallies
@@ -51,6 +52,16 @@ def dirichlet_draw(alphas, seed):
 
 def beta_draw(alpha, beta, seed):
     return sample_beta(RngStream(seed, 0), BetaParams(alpha, beta))
+
+
+class PickGroup:
+    """A stream whose every uniform picks clock group k of n."""
+
+    def __init__(self, k, n):
+        self.u = (k + 0.5) / n
+
+    def uniform(self):
+        return self.u
 
 
 def set_urn(state, v, urn):
@@ -216,6 +227,39 @@ class TestCoupledStep:
         state.lP, state.rP = lP, rP
         last = coupling._GROUPS[lP == 0, rP == 4][-1]
         assert coupled_step(state, LargestUniform()) == last
+
+    def test_every_transition_keeps_the_order(self, monkeypatch):
+        # The sandwich order by induction, for every seed, budget and
+        # parameter.  An event moves one clock group: one walker by one
+        # site, or a coincident outer/inner pair, whose gap goes from 0 to
+        # 0 or 2.  So a nonzero gap moves by at most 1, and whether
+        # lP <= l <= r <= rP holds after an event depends only on the gaps
+        # l - lP, r - l and rP - r, each capped at 2 (an inner gap of 0 is
+        # the meeting, where a run stops).  From every capped triple, each
+        # active group is driven with every outcome of its draw: the four
+        # (direction, pure) results of magic_draw, a free step either way.
+        outcome = {}
+        monkeypatch.setattr(coupling, "magic_draw", lambda urn, side, rng: outcome["draw"])
+        monkeypatch.setattr(Environment, "free_step",
+                            lambda self, walker, v, u: v + outcome["step"])
+        draws = [(side, pure) for side in Side for pure in (False, True)]
+        env = env_for(params_for(), 91)
+        for gaps in product((0, 1, 2), (1, 2), (0, 1, 2)):
+            free = {"lP": gaps[0] > 0, "rP": gaps[2] > 0}
+            active = {"l_group", "r_group"} | {w for w, is_free in free.items() if is_free}
+            moved = set()
+            for k, draw, step in product(range(len(active)), draws, (-1, 1)):
+                outcome.update(draw=draw, step=step)
+                state = CoupledState(env)
+                state.lP = 0
+                state.l = gaps[0]
+                state.r = state.l + gaps[1]
+                state.rP = state.r + gaps[2]
+                moved.add(coupled_step(state, PickGroup(k, len(active))))
+                after = (state.l - state.lP, state.r - state.l, state.rP - state.r)
+                assert min(after) >= 0, (gaps, draw, step)
+                assert all(g == 0 or abs(a - g) <= 1 for g, a in zip(gaps, after))
+            assert moved == active
 
     def test_free_walker_clock_groups(self):
         p = params_for(r0=4)

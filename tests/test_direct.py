@@ -2,6 +2,7 @@
 urn equivalence."""
 import dataclasses
 import json
+import tracemalloc
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -135,22 +136,32 @@ class TestRunDirect:
 
     def test_coincident_start_records_meeting_zero(self):
         params = ModelParams(a=1.0, delta=0.0, l0=1, r0=1, max_events=10)
-        rec = run_direct(params, 2, RngStream(55, 0))
-        assert rec.meeting_times[0] == 0
+        assert run_direct(params, 2, RngStream(55, 0)).meetings >= 1
+        first = run_direct(params, 2, RngStream(55, 0), stop_after_meetings=1)
+        assert (first.meetings, first.events_executed, first.events) == (1, 0, [])
 
     def test_event_log_replays_consistently(self):
-        params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=500)
-        rec = run_direct(params, 2, RngStream(56, 0))
-        positions = [0, 3]
-        meetings = []
-        for e, p, frm, to in rec.events:
-            assert positions[p] == frm
-            assert abs(to - frm) == 1
-            positions[p] = to
-            if positions[0] == positions[1]:
-                meetings.append(e)
-        assert positions == rec.final_positions
-        assert meetings == rec.meeting_times
+        # the first start never meets within the budget, the second does
+        met = 0
+        for delta, r0 in ((0.5, 3), (0.0, 1)):
+            params = ModelParams(a=1.0, delta=delta, l0=0, r0=r0, max_events=500)
+            rec = run_direct(params, 2, RngStream(56, 0))
+            positions = [0, r0]
+            meetings = []
+            for e, p, frm, to in rec.events:
+                assert positions[p] == frm
+                assert abs(to - frm) == 1
+                positions[p] = to
+                if positions[0] == positions[1]:
+                    meetings.append(e)
+            assert positions == rec.final_positions
+            assert len(meetings) == rec.meetings
+            for k, e in enumerate(meetings, 1):  # the k-th meeting time
+                kth = run_direct(params, 2, RngStream(56, 0), record_events=False,
+                                 stop_after_meetings=k)
+                assert (kth.meetings, kth.events_executed) == (k, e)
+            met += len(meetings)
+        assert met > 1
 
     def test_weight_sum_conservation(self):
         params = ModelParams(a=1.5, delta=0.25, l0=0, r0=2, max_events=300)
@@ -174,8 +185,13 @@ class TestRunDirect:
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=100_000)
         rec = run_direct(params, 2, RngStream(59, 0), record_events=False,
                          stop_after_meetings=1)
-        assert len(rec.meeting_times) == 1
-        assert rec.events_executed == rec.meeting_times[0]
+        assert rec.meetings == 1
+        logged = run_direct(params, 2, RngStream(59, 0), stop_after_meetings=1)
+        positions = [0, 2]
+        for e, p, frm, to in logged.events:  # the walkers meet first at the last event
+            positions[p] = to
+            assert (positions[0] == positions[1]) == (e == rec.events_executed)
+        assert logged.events[-1][0] == rec.events_executed
 
     def test_three_particles_supported(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=0, max_events=50)
@@ -232,7 +248,7 @@ class TestRunDirectBatch:
             positions = [l0, r0, l0 + 1]
         for budget in (1, 515):  # one chunk is 512 events
             params = ModelParams(a=a, delta=delta, l0=l0, r0=r0, max_events=budget)
-            for stop in (None, 1, 3):
+            for stop in (None, 1, 2, 3):
                 assert batch_records(params, n, 70, 8, positions, stop) == \
                     scalar_records(params, n, 70, 8, positions, stop)
 
@@ -287,6 +303,20 @@ class TestRunDirectBatch:
             assert any(slots == 1 for slots, _ in sizes)
             assert all(slots == 1 or cells <= 200 for slots, cells in sizes)
 
+    def test_records_hold_one_meeting_count_each(self):
+        # walkers started side by side meet thousands of times in 2e4
+        # events; what the records keep must not grow with the meetings
+        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=1, max_events=20_000)
+        streams = [RngStream(79, t) for t in range(64)]
+        tracemalloc.start()
+        try:
+            records = run_direct_batch(params, 2, streams)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(rec.meetings for rec in records) > 64 * 1000
+        assert held < 1 << 20
+
     def test_far_apart_walkers_run_without_a_dense_window(self):
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=10**12, max_events=50)
         assert batch_records(params, 2, 76, 8) == scalar_records(params, 2, 76, 8)
@@ -308,7 +338,7 @@ class TestRunDirectBatch:
         streams = [CountingStream(RngStream(78, t)) for t in range(64)]
         got = run_direct_batch(params, 2, streams, stop_after_meetings=stop)
         assert got == scalar_records(params, 2, 78, 64, stop=stop)
-        retired = [len(rec.meeting_times) == stop for rec in got]
+        retired = [rec.meetings == stop for rec in got]
         assert 0 < sum(done and rec.events_executed <= 8 for rec, done in zip(got, retired)) < 32
         assert sum(retired) < 64
         for rec, stream, done in zip(got, streams, retired):
@@ -425,22 +455,19 @@ class TestMeetingStatistics:
         ]
 
     def test_frequencies_nonincreasing_in_k(self):
-        summary = meeting_statistics(self._records(200, 63))
-        assert all(
-            f1 >= f2 for f1, f2 in zip(summary.frequencies, summary.frequencies[1:])
-        )
-        assert all(0.0 <= f <= 1.0 for f in summary.frequencies)
+        freqs = [row["frequency"] for row in meeting_statistics(self._records(200, 63))]
+        assert all(f1 >= f2 for f1, f2 in zip(freqs, freqs[1:]))
+        assert all(0.0 <= f <= 1.0 for f in freqs)
 
     def test_rows_schema(self):
-        rows = meeting_statistics(self._records(50, 64)).rows()
+        rows = meeting_statistics(self._records(50, 64))
         assert rows[0]["k"] == 1
         assert set(rows[0]) == {"k", "frequency", "stderr"}
 
     def test_coincident_starts_give_frequency_one(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=0, max_events=10)
         recs = [run_direct(params, 2, RngStream(65, t)) for t in range(20)]
-        summary = meeting_statistics(recs)
-        assert summary.frequencies[0] == 1.0
+        assert meeting_statistics(recs)[0]["frequency"] == 1.0
 
     def test_mixed_parameters_rejected(self):
         p1 = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10)
@@ -451,13 +478,13 @@ class TestMeetingStatistics:
 
     def test_matches_quadratic_reference(self):
         records = self._records(40, 67)
-        summary = meeting_statistics(records)
-        max_k = max(len(r.meeting_times) for r in records)
-        for k in range(1, max_k + 1):
-            have = [r.meeting_times for r in records if len(r.meeting_times) >= k]
-            f = len(have) / len(records)
-            assert summary.frequencies[k - 1] == f
-            assert summary.stderrs[k - 1] == (f * (1 - f) / len(records)) ** 0.5
+        rows = meeting_statistics(records)
+        max_k = max(r.meetings for r in records)
+        assert [row["k"] for row in rows] == list(range(1, max_k + 1))
+        for k, row in enumerate(rows, 1):
+            f = sum(r.meetings >= k for r in records) / len(records)
+            assert row["frequency"] == f
+            assert row["stderr"] == (f * (1 - f) / len(records)) ** 0.5
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

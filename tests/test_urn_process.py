@@ -464,13 +464,13 @@ class TestMeetingLaw:
         taus = []
         for rng in trial_streams(1201, MEETING_TRIALS):
             rec = run_direct(MEETING_PARAMS, 2, rng, record_events=False, stop_after_meetings=1)
-            taus.append(rec.meeting_times[0] if rec.meeting_times else None)
+            taus.append(rec.events_executed if rec.meetings else None)
         assert_meeting_law(taus, law)
 
     def test_run_direct_batch(self, law):
         streams = (RngStream(1202, t) for t in range(MEETING_TRIALS))
         records = run_direct_batch(MEETING_PARAMS, 2, streams, stop_after_meetings=1)
-        assert_meeting_law([r.meeting_times[0] if r.meeting_times else None for r in records], law)
+        assert_meeting_law([r.events_executed if r.meetings else None for r in records], law)
 
     def test_coupled_inner_pair(self, law):
         # tau1 counts the inner pair's moves only; free outer steps are
