@@ -25,7 +25,9 @@ from .distributions import (
 from .rwre import criterion, difference_recurrence
 from .urn import NegativeMassError, PolyaUrn, polya_fraction_samples
 from .urn_process import SmallAPolicyError, compare_exact
-from .coupling import MARGINAL_TRIALS, Environment, marginal_check, run_coupling
+from .coupling import (
+    MARGINAL_TRIALS, Environment, marginal_check, replay_record, run_coupling,
+)
 
 
 def _configurable(command: click.Command) -> list[click.Option]:
@@ -253,6 +255,10 @@ def couple(a, delta, l0, r0, events, trials, allow_small_a,
     marginal_passed = report is None or report.passed
     _write_text(out_path, "\n".join(lines) + "\n")
     violations = sum(res.violations for res in results)
+    for res in results:
+        if res.violations:
+            where = replay_record(res.seed, res.stream_id, res.events_executed, res.positions)
+            click.echo(f"ordering violated: {where}", err=True)
     if violations:
         click.echo(f"ordering violations detected in {violations} run(s)", err=True)
     if not marginal_passed:

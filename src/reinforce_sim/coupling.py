@@ -6,6 +6,12 @@ pure-blue fraction) comes from a single Dirichlet draw on the simplex.
 The outer walkers move by those fractions when free; when an outer
 walker sits on its inner partner they share one departure clock and the
 inner urn drawing decides both moves.
+
+An event is ``coupled_step(state, u_group, u_draw)``: one uniform picks
+the clock group, the other drives its urn draw or free step.
+:func:`run_coupling` reads its stream in doubling chunks and hands each
+event its next two, so a run's result is that of reading the stream one
+uniform at a time.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ from .direct import ModelParams
 from .distributions import (
     ENVIRONMENT, BetaParams, RngStream, sample_beta, sample_dirichlet, trial_streams,
 )
-from .urn import MagicUrn, NegativeMassError, Side, magic_draw
+from .urn import MagicUrn, NegativeMassError, magic_draw
 from .urn_process import check_small_a_policy, initial_masses
 
 # marginal check: family-wise level, split across the tested sites, the
@@ -87,6 +93,8 @@ class CoupledState:
     """Positions of the four coupled processes, from the start sites of
     ``env.params``, with the run's urns and its environment."""
 
+    __slots__ = ("lP", "l", "r", "rP", "env", "urns")
+
     def __init__(self, env: Environment):
         self.lP = self.l = env.params.l0
         self.r = self.rP = env.params.r0
@@ -100,66 +108,67 @@ class CoupledState:
             urn = self.urns[v] = MagicUrn(*initial_masses(self.env.params, v))
         return urn
 
-    def check_sandwich(self) -> None:
-        if not (self.lP <= self.l <= self.r <= self.rP):
-            raise SandwichViolationError(
-                f"ordering violated: lP={self.lP}, l={self.l}, r={self.r}, rP={self.rP}"
-            )
+    def positions(self) -> tuple[int, int, int, int]:
+        return self.lP, self.l, self.r, self.rP
 
 
-# active clock groups by (lP == l, rP == r): a free outer walker runs its own
-# clock.  The order fixes which uniforms pick which group.
-_GROUPS = {
-    (True, True): ("l_group", "r_group"),
-    (True, False): ("l_group", "r_group", "rP"),
-    (False, True): ("l_group", "r_group", "lP"),
-    (False, False): ("l_group", "r_group", "lP", "rP"),
-}
-
-
-def coupled_step(state: CoupledState, rng: RngStream) -> str:
-    """One event of the coupled quadruple; returns the group that moved.
+def coupled_step(state: CoupledState, u_group: float, u_draw: float) -> str:
+    """One event of the coupled quadruple on its two uniforms; returns the
+    group that moved.
 
     Clock groups: the l pair ("l_group", one clock shared when
     coincident), the r pair ("r_group"), and each free outer walker
-    ("lP", "rP").  The mover group is uniform among the active groups.
+    ("lP", "rP").  The mover is group ``int(u_group * n)`` of the n
+    active groups, in that order.  ``u_draw`` is the inner walker's urn
+    draw, or the free outer walker's step.  An event that breaks the order
+    lP <= l <= r <= rP raises SandwichViolationError, with the state left
+    at the positions that break it.
     """
-    if state.l >= state.r:
+    lP, l, r, rP = state.lP, state.l, state.r, state.rP
+    if l >= r:
         raise SandwichViolationError(
-            f"coupled_step called at or past the meeting time (l={state.l}, r={state.r})"
+            f"coupled_step called at or past the meeting time (l={l}, r={r})"
         )
-    l_coincident = state.lP == state.l
-    r_coincident = state.rP == state.r
-    groups = _GROUPS[l_coincident, r_coincident]
-    n = len(groups)
-    g = groups[int(rng.uniform() * n)]
-
-    if g == "l_group":
-        v = state.l
-        direction, pure = magic_draw(state.urn_at(v), Side.LEFT, rng)
-        state.l = v - 1 if direction is Side.LEFT else v + 1
-        if l_coincident:
+    l_free, r_free = lP != l, rP != r
+    k = int(u_group * (2 + l_free + r_free))
+    if k == 0:
+        g = "l_group"
+        try:  # a site's urn materializes at its first draw
+            urn = state.urns[l]
+        except KeyError:
+            urn = state.urn_at(l)
+        right, pure = magic_draw(urn, True, u_draw)
+        if not l_free:
             # red or chameleon marble: both jump left; the outer walker
             # follows a right jump only on a pure blue marble
-            state.lP = v + 1 if pure and direction is Side.RIGHT else v - 1
-    elif g == "r_group":
-        v = state.r
-        direction, pure = magic_draw(state.urn_at(v), Side.RIGHT, rng)
-        state.r = v + 1 if direction is Side.RIGHT else v - 1
-        if r_coincident:
-            state.rP = v - 1 if pure and direction is Side.LEFT else v + 1
-    elif g == "lP":
-        state.lP = state.env.free_step(g, state.lP, rng.uniform())
+            lP = state.lP = l + 1 if pure and right else l - 1
+        l = state.l = l + 1 if right else l - 1
+    elif k == 1:
+        g = "r_group"
+        try:
+            urn = state.urns[r]
+        except KeyError:
+            urn = state.urn_at(r)
+        right, pure = magic_draw(urn, False, u_draw)
+        if not r_free:
+            rP = state.rP = r - 1 if pure and not right else r + 1
+        r = state.r = r + 1 if right else r - 1
+    elif k == 2 and l_free:
+        g = "lP"
+        lP = state.lP = state.env.free_step(g, lP, u_draw)
     else:
-        state.rP = state.env.free_step(g, state.rP, rng.uniform())
-
-    state.check_sandwich()
+        g = "rP"
+        rP = state.rP = state.env.free_step(g, rP, u_draw)
+    if not lP <= l <= r <= rP:
+        raise SandwichViolationError(f"ordering violated: lP={lP}, l={l}, r={r}, rP={rP}")
     return g
 
 
 @dataclass
 class CouplingRunResult:
-    """Summary of one coupled run."""
+    """Summary of one coupled run.  ``positions`` is (lP, l, r, rP) where
+    the run stopped; with the seed, the stream and the event count it is
+    the run's replay record, and it is not part of the JSON summary."""
 
     violations: int
     tau1_event: int | None
@@ -167,6 +176,7 @@ class CouplingRunResult:
     events_executed: int
     seed: int
     stream_id: int  # trial of the dynamics stream (seed, trial)
+    positions: tuple[int, int, int, int]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -181,24 +191,46 @@ class CouplingRunResult:
         )
 
 
+def replay_record(seed: int, trial: int, event: int, positions: tuple[int, ...]) -> str:
+    """Where a run stopped: its dynamics stream, the event, and (lP, l, r, rP)."""
+    lP, l, r, rP = positions
+    return f"seed {seed}, trial {trial}, event {event} at lP={lP}, l={l}, r={r}, rP={rP}"
+
+
+# Uniforms a run reads at first; each later read doubles, up to the cap.  So
+# a run that meets early draws few it does not use, and a long one makes few
+# reads yet holds at most two chunks.
+_FIRST_CHUNK, _MAX_CHUNK = 16, 1024
+
+
 def run_coupling(rng: RngStream, env: Environment) -> CouplingRunResult:
     """Run the coupled quadruple of ``env.params`` on dynamics stream ``rng``
     in environment ``env`` until the inner pair meets or ``max_events`` run
     out.  The environment may be shared across runs (fixed-environment
-    experiments) or sampled per run from its own stream.  A
-    NegativeMassError is raised again naming the stream and the event.
+    experiments) or sampled per run from its own stream.
+
+    The stream is read in chunks, but every event takes its next two
+    uniforms in order, so no result depends on the chunk sizes.  A
+    SandwichViolationError ends the run with ``violations`` 1 at the
+    positions it left; a NegativeMassError is raised again naming the
+    stream, the event and the positions before it.
     """
     params = env.params
-    if params.l0 == params.r0:
-        return CouplingRunResult(0, 0, 0, 0, rng.seed, rng.trial)
     state = CoupledState(env)
+    if params.l0 == params.r0:
+        return CouplingRunResult(0, 0, 0, 0, rng.seed, rng.trial, state.positions())
     max_gap = state.rP - state.lP
     violations = 0
     tau1 = None
     e = 0
+    u, i, chunk = [], 0, _FIRST_CHUNK
     try:
         for e in range(1, params.max_events + 1):
-            coupled_step(state, rng)
+            while i + 1 >= len(u):
+                u = u[i:] + rng.uniforms(chunk).tolist()
+                i, chunk = 0, min(2 * chunk, _MAX_CHUNK)
+            coupled_step(state, u[i], u[i + 1])
+            i += 2
             gap = state.rP - state.lP
             if gap > max_gap:
                 max_gap = gap
@@ -208,8 +240,9 @@ def run_coupling(rng: RngStream, env: Environment) -> CouplingRunResult:
     except SandwichViolationError:
         violations = 1
     except NegativeMassError as exc:
-        raise NegativeMassError(f"seed {rng.seed}, trial {rng.trial}, event {e}: {exc}") from exc
-    return CouplingRunResult(violations, tau1, max_gap, e, rng.seed, rng.trial)
+        where = replay_record(rng.seed, rng.trial, e, state.positions())
+        raise NegativeMassError(f"{where}: {exc}") from exc
+    return CouplingRunResult(violations, tau1, max_gap, e, rng.seed, rng.trial, state.positions())
 
 
 @dataclass

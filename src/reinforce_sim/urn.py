@@ -9,16 +9,10 @@ present at the site (red for the left particle, blue for the right).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .distributions import RngStream
-
-
-class Side(Enum):
-    LEFT = "left"
-    RIGHT = "right"
 
 
 class NegativeMassError(ValueError):
@@ -74,78 +68,64 @@ class MagicUrn:
             raise ValueError("family masses must be nonnegative")
 
     @property
-    def red_mass(self):
-        """Red marbles excluding the chameleon marble."""
-        return self.pure_red + self.fam_red
-
-    @property
-    def blue_mass(self):
-        return self.pure_blue + self.fam_blue
-
-    @property
     def total(self):
-        """Total drawn-from mass, chameleon marble included."""
+        """Total drawn-from mass, chameleon marble included (``magic_draw``
+        sums the same fields in the same order)."""
         return self.pure_red + self.pure_blue + self.fam_red + self.fam_blue + 1
 
 
-def left_mass(urn: MagicUrn, present: Side):
+def left_mass(urn: MagicUrn, left_present: bool):
     """Mass of the marbles that send the present particle left: the red
     marbles, plus the chameleon marble when the left particle is present.
 
     The rest of ``urn.total`` sends it right.  Raises NegativeMassError
     when either direction's mass is negative (only possible for a < 1).
     """
-    red, blue = urn.red_mass, urn.blue_mass
-    if present is Side.LEFT:
+    red = urn.pure_red + urn.fam_red
+    blue = urn.pure_blue + urn.fam_blue
+    if left_present:
         red += 1
     else:
         blue += 1
     if red < 0 or blue < 0:
         raise NegativeMassError(
             f"effective masses went negative (red={red}, blue={blue}) "
-            f"with {present.value} particle present; urn={urn}"
+            f"with {'left' if left_present else 'right'} particle present; urn={urn}"
         )
     return red
 
 
-def reinforce(urn: MagicUrn, direction: Side, pure: bool) -> None:
-    """Add two marbles of the drawn color: pure after a pure marble, family
-    after a family marble or the chameleon marble."""
-    if direction is Side.LEFT:
-        if pure:
-            urn.pure_red += 2
-        else:
-            urn.fam_red += 2
-    elif pure:
-        urn.pure_blue += 2
-    else:
-        urn.fam_blue += 2
+def magic_draw(urn: MagicUrn, left_present: bool, u: float) -> tuple[bool, bool]:
+    """One drawing on uniform ``u`` with the given particle present; adds
+    two marbles of the drawn class to ``urn`` in place and returns (whether
+    the jump goes right, whether the marble was pure).
 
-
-def magic_draw(urn: MagicUrn, present: Side, rng: RngStream) -> tuple[Side, bool]:
-    """One drawing with the given particle present; reinforces ``urn`` in
-    place and returns (jump direction, whether the marble was pure).
-
-    One uniform picks the direction pool by mass (``left_mass`` against
-    the rest), and within the pool the marble is pure when that uniform
-    falls below the pool's pure mass.  A negative pure mass (a < 1) makes
-    the pure/family split ill-defined; the draw then goes to the pool's
-    family marbles, which leaves the walk's law alone (it only depends on
-    the pooled masses).
+    ``u`` picks the direction pool by mass (``left_mass`` against the
+    rest), and within the pool the marble is pure when ``u`` falls below
+    the pool's pure mass; a family marble or the chameleon marble adds two
+    family marbles.  A negative pure mass (a < 1) makes the pure/family
+    split ill-defined; the draw then goes to the pool's family marbles,
+    which leaves the walk's law alone (it only depends on the pooled
+    masses).  The fields are read directly: this runs once per event of
+    every coupled run.
     """
-    left = left_mass(urn, present)
-    total = urn.total
+    left = left_mass(urn, left_present)
+    pure_red, pure_blue = urn.pure_red, urn.pure_blue
+    total = pure_red + pure_blue + urn.fam_red + urn.fam_blue + 1
     if total <= 0:
         raise NegativeMassError(f"urn total mass {total} is not positive; urn={urn}")
-    u = rng.uniform() * total
-    if u < left:
-        direction, pure_mass = Side.LEFT, urn.pure_red
-    else:
-        u -= left
-        direction, pure_mass = Side.RIGHT, urn.pure_blue
-    pure = u < pure_mass  # never for a negative pure mass: u >= 0
-    reinforce(urn, direction, pure)
-    return direction, pure
+    x = u * total
+    if x < left:
+        if x < pure_red:  # never for a negative pure mass: x >= 0
+            urn.pure_red = pure_red + 2
+            return False, True
+        urn.fam_red += 2
+        return False, False
+    if x - left < pure_blue:
+        urn.pure_blue = pure_blue + 2
+        return True, True
+    urn.fam_blue += 2
+    return True, False
 
 
 def polya_fraction_samples(

@@ -19,7 +19,7 @@ from functools import cache
 from math import gcd
 
 from .direct import ModelParams, WeightMap, right_jump_probability
-from .urn import MagicUrn, Side, left_mass, reinforce
+from .urn import MagicUrn, left_mass
 
 # Joint states one layer of compare_exact may hold.  The states grow about
 # 1.8-fold per event.  At a=2, delta=0.5, gap 3, horizon 11 (8,094 states
@@ -106,8 +106,9 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
     value is computed once per pass, in ``Fraction``s, and cached:
     ``right_jump_probability`` on the site and the traversals of its two
     edges, ``left_mass`` / ``total`` on the site, the present particle
-    and the site's jumps.  A miss rebuilds the kernel's input with the
-    samplers' own updates (``WeightMap.reinforce``, ``reinforce``).  The
+    and the site's jumps.  A miss rebuilds the kernel's input: the edge
+    weights with the sampler's own update (``WeightMap.reinforce``), the
+    urn with two family marbles per jump, as ``magic_draw`` adds them.  The
     cache is sound only because these kernels read nothing but that input.
     """
     if horizon < 0:
@@ -124,12 +125,9 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
         return right_jump_probability(weights, v, delta).as_integer_ratio()
 
     @cache
-    def q_left(v, present, site_jumps):  # site_jumps: (left, right) jumps from v
-        urn = MagicUrn(*initial_masses(params, v, Fraction))
-        for side, n in zip((Side.LEFT, Side.RIGHT), site_jumps):
-            for _ in range(n):
-                reinforce(urn, side, False)
-        return (left_mass(urn, present) / urn.total).as_integer_ratio()
+    def q_left(v, left_present, site_jumps):  # site_jumps: (left, right) jumps from v
+        urn = MagicUrn(*initial_masses(params, v, Fraction), *(2 * n for n in site_jumps))
+        return (left_mass(urn, left_present) / urn.total).as_integer_ratio()
 
     tv, masses = (0, 1), [(0, 1), (0, 1)]
     trajectories = [0, 0]
@@ -149,13 +147,13 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
                     meeting[0][depth] = _add(meeting[0][depth], p)
                     meeting[1][depth] = _add(meeting[1][depth], q)
                 continue
-            for mover, v, present in ((0, l, Side.LEFT), (1, r, Side.RIGHT)):
+            for mover, v, left_present in ((0, l, True), (1, r, False)):
                 site_jumps = jumps.get(v, (0, 0))
                 # an edge's traversals: right jumps from its left end
                 # and left jumps from its right end
                 pn, pd = p_right(v, jumps.get(v - 1, (0, 0))[1] + site_jumps[0],
                                  site_jumps[1] + jumps.get(v + 1, (0, 0))[0]) if B else (0, 1)
-                qn, qd = q_left(v, present, site_jumps) if A else (0, 1)
+                qn, qd = q_left(v, left_present, site_jumps) if A else (0, 1)
                 for right in (0, 1):
                     ps, qs = (pn, qd - qn) if right else (pd - pn, qn)
                     if qs * pd == ps * qd:  # equal steps keep the ratio: no gcd

@@ -4,8 +4,9 @@ They are the straightforward, slow forms of what the library does fast:
 the difference-recurrence experiment as a scalar loop over freshly built
 streams and a memoized environment, Beta samples drawn in blocks, and
 Polya urns run one run and one drawing at a time, both models of the
-two-particle dynamics enumerated one trajectory at a time, and the free
-outer steps of coupled runs tallied from the walkers' positions.
+two-particle dynamics enumerated one trajectory at a time, the free
+outer steps of coupled runs tallied from the walkers' positions, and the
+coupled run drawing one uniform at a time from its stream.
 :class:`LargestUniform` is a stub stream for the edge of [0, 1).
 """
 from __future__ import annotations
@@ -16,12 +17,15 @@ from fractions import Fraction
 import numpy as np
 
 from reinforce_sim import urn_process
-from reinforce_sim.coupling import CoupledState, Environment, coupled_step
+from reinforce_sim.coupling import (
+    CoupledState, CouplingRunResult, Environment, SandwichViolationError, coupled_step,
+    replay_record,
+)
 from reinforce_sim.direct import ModelParams, WeightMap
 from reinforce_sim.distributions import (
     ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, sample_beta, trial_streams,
 )
-from reinforce_sim.urn import MagicUrn, Side, reinforce
+from reinforce_sim.urn import MagicUrn, NegativeMassError, left_mass
 
 
 class LargestUniform:
@@ -198,11 +202,11 @@ def _urn_branches(params: ModelParams):
         if urn is None:
             urn = MagicUrn(*urn_process.initial_masses(params, v, Fraction))
         total = urn.total
-        left = urn_process.left_mass(urn, Side.LEFT if mover == 0 else Side.RIGHT)
-        for direction, side, mass in ((0, Side.LEFT, left), (1, Side.RIGHT, total - left)):
+        left = urn_process.left_mass(urn, mover == 0)
+        for direction, mass in ((0, left), (1, total - left)):
             if mass:
-                drawn = replace(urn)
-                reinforce(drawn, side, False)
+                drawn = (replace(urn, fam_blue=urn.fam_blue + 2) if direction
+                         else replace(urn, fam_red=urn.fam_red + 2))
                 yield direction, mass / total, {**urns, v: drawn}
     return branches
 
@@ -235,10 +239,101 @@ def free_step_tallies(params: ModelParams, seed: int, trials: int) -> dict:
             if state.l >= state.r:
                 break
             lP, rP = state.lP, state.rP
-            g = coupled_step(state, trial_rng)
+            g = stream_step(state, trial_rng)
             if g == "lP" or g == "rP":
                 site = lP if g == "lP" else rP
                 c = counts.setdefault((g, site), [0, 0])
                 c[0] += 1
                 c[1] += getattr(state, g) == site + 1
     return counts
+
+
+def stream_step(state: CoupledState, rng) -> str:
+    """``coupled_step`` on the next two uniforms of ``rng``: the group's, then the draw's."""
+    return coupled_step(state, rng.uniform(), rng.uniform())
+
+
+def scalar_coupled_step(state: CoupledState, rng: RngStream) -> str:
+    """One event of the coupled quadruple, reading each uniform from
+    ``rng`` when it needs it: the first picks the group from a table of
+    the active ones, the second drives the inner group's urn draw (through
+    ``left_mass`` and the urn's ``total``) or the free outer step.  The
+    order is checked after the event.
+    """
+    if state.l >= state.r:
+        raise SandwichViolationError("scalar_coupled_step called at or past the meeting time")
+    l_coincident = state.lP == state.l
+    r_coincident = state.rP == state.r
+    groups = _SCALAR_GROUPS[l_coincident, r_coincident]
+    g = groups[int(rng.uniform() * len(groups))]
+    if g == "l_group":
+        v = state.l
+        right, pure = _scalar_draw(state.urn_at(v), True, rng)
+        state.l = v + 1 if right else v - 1
+        if l_coincident:
+            state.lP = v + 1 if pure and right else v - 1
+    elif g == "r_group":
+        v = state.r
+        right, pure = _scalar_draw(state.urn_at(v), False, rng)
+        state.r = v + 1 if right else v - 1
+        if r_coincident:
+            state.rP = v - 1 if pure and not right else v + 1
+    elif g == "lP":
+        state.lP = state.env.free_step(g, state.lP, rng.uniform())
+    else:
+        state.rP = state.env.free_step(g, state.rP, rng.uniform())
+    if not (state.lP <= state.l <= state.r <= state.rP):
+        raise SandwichViolationError(f"ordering violated at {state.positions()}")
+    return g
+
+
+# active clock groups by (lP == l, rP == r), in the order the uniform picks them
+_SCALAR_GROUPS = {
+    (True, True): ("l_group", "r_group"),
+    (True, False): ("l_group", "r_group", "rP"),
+    (False, True): ("l_group", "r_group", "lP"),
+    (False, False): ("l_group", "r_group", "lP", "rP"),
+}
+
+
+def _scalar_draw(urn: MagicUrn, left_present: bool, rng: RngStream) -> tuple[bool, bool]:
+    """(right, pure) of one urn drawing on the next uniform of ``rng``, and
+    two marbles added to the drawn class."""
+    left = left_mass(urn, left_present)
+    total = urn.total
+    if total <= 0:
+        raise NegativeMassError(f"urn total mass {total} is not positive; urn={urn}")
+    u = rng.uniform() * total
+    if u < left:
+        right, pure_mass = False, urn.pure_red
+    else:
+        u -= left
+        right, pure_mass = True, urn.pure_blue
+    pure = u < pure_mass
+    drawn = ("pure_" if pure else "fam_") + ("blue" if right else "red")
+    setattr(urn, drawn, getattr(urn, drawn) + 2)
+    return right, pure
+
+
+def scalar_run_coupling(rng: RngStream, env: Environment) -> CouplingRunResult:
+    """``coupling.run_coupling`` stepping :func:`scalar_coupled_step`, one
+    uniform at a time from ``rng``."""
+    params = env.params
+    state = CoupledState(env)
+    if params.l0 == params.r0:
+        return CouplingRunResult(0, 0, 0, 0, rng.seed, rng.trial, state.positions())
+    max_gap = state.rP - state.lP
+    violations, tau1, e = 0, None, 0
+    try:
+        for e in range(1, params.max_events + 1):
+            scalar_coupled_step(state, rng)
+            max_gap = max(max_gap, state.rP - state.lP)
+            if state.l == state.r:
+                tau1 = e
+                break
+    except SandwichViolationError:
+        violations = 1
+    except NegativeMassError as exc:
+        where = replay_record(rng.seed, rng.trial, e, state.positions())
+        raise NegativeMassError(f"{where}: {exc}") from exc
+    return CouplingRunResult(violations, tau1, max_gap, e, rng.seed, rng.trial, state.positions())

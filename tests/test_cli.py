@@ -12,9 +12,11 @@ import pytest
 from click.testing import CliRunner
 
 import reinforce_sim
-from reinforce_sim import cli, distributions, rwre, urn_process
+from reinforce_sim import cli, coupling, distributions, rwre, urn_process
 from reinforce_sim.cli import main
-from reinforce_sim.coupling import MARGINAL_TRIALS, Environment, run_coupling
+from reinforce_sim.coupling import (
+    MARGINAL_TRIALS, Environment, SandwichViolationError, run_coupling,
+)
 from reinforce_sim.direct import ModelParams, meeting_statistics, run_direct
 from reinforce_sim.distributions import ENVIRONMENT, HOLDING_TIMES, RngStream
 
@@ -307,6 +309,37 @@ class TestCouple:
         ]
         assert out.read_text().split("\n")[1:-1] == [res.to_json() for res in expected]
 
+    def test_violating_run_writes_a_replay_record(self, runner, tmp_path, monkeypatch):
+        # the 100th event over all runs breaks the order before it moves:
+        # its run's summary says only violations 1, and stderr names its
+        # stream, the event and the positions the event started from
+        calls, step = [], coupling.coupled_step
+
+        def breaks_once(state, u_group, u_draw):
+            calls.append(None)
+            if len(calls) == 100:
+                raise SandwichViolationError("injected")
+            return step(state, u_group, u_draw)
+        monkeypatch.setattr(coupling, "coupled_step", breaks_once)
+        out = tmp_path / "runs.jsonl"
+        result = runner.invoke(main, ["couple", "--trials", "20", "--events", "50",
+                                      "--seed", "5", "--out", str(out)])
+        assert result.exit_code == 1
+        rows = [json.loads(line) for line in out.read_text().split("\n")[1:-1]]
+        bad = [row for row in rows if row["violations"]]
+        assert len(rows) == 20 and len(bad) == 1
+        t, e = bad[0]["stream_id"], bad[0]["events"]
+        monkeypatch.undo()
+        # replay: the same run cut before event e stands where the record says
+        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=e - 1)
+        before = run_coupling(RngStream(5, t), Environment(params, RngStream(5, t, ENVIRONMENT)))
+        assert before.tau1_event is None
+        where = "lP={}, l={}, r={}, rP={}".format(*before.positions)
+        assert result.stderr.splitlines() == [
+            f"ordering violated: seed 5, trial {t}, event {e} at {where}",
+            "ordering violations detected in 1 run(s)",
+        ]
+
     def test_coincident_start(self, runner, tmp_path):
         out = tmp_path / "runs.jsonl"
         result = runner.invoke(
@@ -360,6 +393,7 @@ class TestCouple:
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("negative urn mass in a coupled run: seed 3, trial 0, ")
         assert "urn total mass 0.0 is not positive" in result.stderr
+        assert ", event " in result.stderr and " at lP=0, l=0, r=" in result.stderr
         assert result.stderr.count("\n") == 1
         assert not out.exists()
 

@@ -16,6 +16,7 @@ from reinforce_sim.coupling import (
     SandwichViolationError,
     coupled_step,
     marginal_check,
+    replay_record,
     run_coupling,
     sample_site_environment,
 )
@@ -23,10 +24,10 @@ from reinforce_sim.direct import ModelParams
 from reinforce_sim.distributions import (
     ENVIRONMENT, BetaParams, RngStream, sample_beta, sample_dirichlet, trial_streams,
 )
-from reinforce_sim.urn import MagicUrn, Side
+from reinforce_sim.urn import MagicUrn, NegativeMassError
 from reinforce_sim.urn_process import SmallAPolicyError, initial_masses
 
-from oracles import LargestUniform, free_step_tallies
+from oracles import LargestUniform, free_step_tallies, scalar_run_coupling, stream_step
 
 
 def params_for(a=1.0, delta=0.0, l0=0, r0=2, **kw):
@@ -52,16 +53,6 @@ def dirichlet_draw(alphas, seed):
 
 def beta_draw(alpha, beta, seed):
     return sample_beta(RngStream(seed, 0), BetaParams(alpha, beta))
-
-
-class PickGroup:
-    """A stream whose every uniform picks clock group k of n."""
-
-    def __init__(self, k, n):
-        self.u = (k + 0.5) / n
-
-    def uniform(self):
-        return self.u
 
 
 def set_urn(state, v, urn):
@@ -167,14 +158,14 @@ class TestCoupledStep:
     def test_initial_state_is_degenerate_sandwich(self):
         state = CoupledState(env_for(params_for(), 85, 0))
         assert (state.lP, state.l, state.r, state.rP) == (0, 0, 2, 2)
-        state.check_sandwich()
+        assert state.lP <= state.l <= state.r <= state.rP
 
     def test_step_past_meeting_rejected(self):
         state = CoupledState(env_for(params_for(), 86, 0))
         for l, r in ((1, 1), (2, 1)):  # met, crossed
             state.l, state.r = l, r
             with pytest.raises(SandwichViolationError):
-                coupled_step(state, RngStream(86, 1))
+                stream_step(state, RngStream(86, 1))
 
     def test_coincident_chameleon_moves_pair_together(self):
         # urn with only the chameleon marble: the coincident pair must
@@ -185,7 +176,7 @@ class TestCoupledStep:
             state = CoupledState(env_for(p, 87, 1))
             set_urn(state, 0, MagicUrn(0.0, 0.0))
             set_urn(state, 4, MagicUrn(0.0, 0.0))
-            g = coupled_step(state, rng)
+            g = stream_step(state, rng)
             if g == "l_group":
                 assert (state.lP, state.l) == (-1, -1)
             elif g == "r_group":
@@ -201,7 +192,7 @@ class TestCoupledStep:
         for _ in range(300):
             state = CoupledState(env_for(p, 88, 1))
             set_urn(state, 0, MagicUrn(0.0, 0.0, fam_blue=1e9))
-            g = coupled_step(state, rng)
+            g = stream_step(state, rng)
             if g == "l_group" and state.l == 1:
                 assert state.lP == -1  # family blue is not pure blue
                 seen_split = True
@@ -214,7 +205,7 @@ class TestCoupledStep:
         for _ in range(300):
             state = CoupledState(env_for(p, 89, 1))
             set_urn(state, 0, MagicUrn(0.0, 1e9))
-            g = coupled_step(state, rng)
+            g = stream_step(state, rng)
             if g == "l_group":
                 assert (state.lP, state.l) == (1, 1)
                 seen = True
@@ -225,8 +216,8 @@ class TestCoupledStep:
         p = params_for(r0=4)
         state = CoupledState(env_for(p, 90, 1))
         state.lP, state.rP = lP, rP
-        last = coupling._GROUPS[lP == 0, rP == 4][-1]
-        assert coupled_step(state, LargestUniform()) == last
+        active = ["l_group", "r_group"] + ["lP"] * (lP != 0) + ["rP"] * (rP != 4)
+        assert stream_step(state, LargestUniform()) == active[-1]
 
     def test_every_transition_keeps_the_order(self, monkeypatch):
         # The sandwich order by induction, for every seed, budget and
@@ -236,13 +227,14 @@ class TestCoupledStep:
         # lP <= l <= r <= rP holds after an event depends only on the gaps
         # l - lP, r - l and rP - r, each capped at 2 (an inner gap of 0 is
         # the meeting, where a run stops).  From every capped triple, each
-        # active group is driven with every outcome of its draw: the four
-        # (direction, pure) results of magic_draw, a free step either way.
+        # active group, picked by its u_group, is driven with every outcome
+        # of its draw: the four (right, pure) results of magic_draw, a free
+        # step either way.
         outcome = {}
-        monkeypatch.setattr(coupling, "magic_draw", lambda urn, side, rng: outcome["draw"])
+        monkeypatch.setattr(coupling, "magic_draw", lambda urn, left_present, u: outcome["draw"])
         monkeypatch.setattr(Environment, "free_step",
                             lambda self, walker, v, u: v + outcome["step"])
-        draws = [(side, pure) for side in Side for pure in (False, True)]
+        draws = list(product((False, True), (False, True)))
         env = env_for(params_for(), 91)
         for gaps in product((0, 1, 2), (1, 2), (0, 1, 2)):
             free = {"lP": gaps[0] > 0, "rP": gaps[2] > 0}
@@ -255,7 +247,7 @@ class TestCoupledStep:
                 state.l = gaps[0]
                 state.r = state.l + gaps[1]
                 state.rP = state.r + gaps[2]
-                moved.add(coupled_step(state, PickGroup(k, len(active))))
+                moved.add(coupled_step(state, (k + 0.5) / len(active), 0.5))
                 after = (state.l - state.lP, state.r - state.l, state.rP - state.r)
                 assert min(after) >= 0, (gaps, draw, step)
                 assert all(g == 0 or abs(a - g) <= 1 for g, a in zip(gaps, after))
@@ -271,7 +263,7 @@ class TestCoupledStep:
         for _ in range(200):
             if state.l >= state.r:
                 break
-            groups.add(coupled_step(state, rng))
+            groups.add(stream_step(state, rng))
         assert {"l_group", "r_group"} <= groups
 
 
@@ -310,14 +302,92 @@ class TestRunCoupling:
         p = params_for(l0=-2, r0=4, max_events=5)  # gap 6: no meeting within 5 events
         starts, step = [], coupling.coupled_step
 
-        def recording(state, rng):
+        def recording(state, u_group, u_draw):
             starts.append((state.lP, state.l, state.r, state.rP))
-            return step(state, rng)
+            return step(state, u_group, u_draw)
         monkeypatch.setattr(coupling, "coupled_step", recording)
         res = run_coupling(RngStream(99, 0), env_for(p, 99))
         assert starts[0] == (-2, -2, 4, 4) and len(starts) == 5
         assert (res.violations, res.tau1_event, res.events_executed) == (0, None, 5)
         assert res.max_gap >= 6
+
+
+def coupled_runs(run, p, seed, runs, shared):
+    """Results of ``run`` on dynamics streams (seed, t), t < ``runs``, in
+    the environment of trial 0 (``shared``) or each run's own, with each
+    environment's materialised sites in draw order and its free-step tally."""
+    envs = [env_for(p, seed)] if shared else [env_for(p, seed, t) for t in range(runs)]
+    results = [run(RngStream(seed, t), envs[0 if shared else t]) for t in range(runs)]
+    return results, [(list(env._sites.items()), env.free_steps) for env in envs]
+
+
+# (a, allow_small_a) of the bit-level comparisons with the scalar oracle
+ORACLE_A = [(1.0, False), (2.0, False), (0.5, True), (0.75, True)]
+
+
+class TestScalarOracle:
+    """run_coupling against the kernel that reads one uniform at a time:
+    the same results, environments and tallies, bit for bit.  The law of
+    the inner pair is TestMeetingLaw's to check; this pins the bits."""
+
+    @pytest.mark.parametrize("a,small", ORACLE_A)
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_runs_equal_the_scalar_oracle(self, a, small, delta):
+        met = cut = 0
+        for gap in range(4):
+            p = params_for(a=a, delta=delta, r0=gap, allow_small_a=small, max_events=60)
+            for shared in (False, True):
+                got = coupled_runs(run_coupling, p, 101 + gap, 50, shared)
+                assert got == coupled_runs(scalar_run_coupling, p, 101 + gap, 50, shared)
+                met += sum(res.tau1_event is not None for res in got[0])
+                cut += sum(res.tau1_event is None for res in got[0])
+        assert met > 100 and cut > 20  # the budget cuts some runs short
+
+    def test_negative_mass_at_the_same_event(self):
+        # a = 1e-17: a - 1 rounds to -1, so the urn at l0 has total mass 0
+        p = params_for(a=1e-17, allow_small_a=True, max_events=50)
+        for t in range(20):
+            errors = []
+            for run in (run_coupling, scalar_run_coupling):
+                with pytest.raises(NegativeMassError) as exc:
+                    run(RngStream(102, t), env_for(p, 102, t))
+                errors.append(str(exc.value))
+            assert errors[0] == errors[1]
+            assert errors[0].startswith(f"seed 102, trial {t}, event ")
+            assert " at lP=0, l=0, r=" in errors[0]
+
+    @pytest.mark.parametrize("chunks", [(2, 2), (4096, 4096)])
+    def test_results_do_not_depend_on_the_chunk_sizes(self, monkeypatch, chunks):
+        p = params_for(a=2.0, delta=0.5, r0=3, max_events=3000)
+        expected = coupled_runs(run_coupling, p, 103, 40, False)
+        # a run past 504 events reads the capped chunks at the default sizes
+        assert max(res.events_executed for res in expected[0]) > 504
+        monkeypatch.setattr(coupling, "_FIRST_CHUNK", chunks[0])
+        monkeypatch.setattr(coupling, "_MAX_CHUNK", chunks[1])
+        assert coupled_runs(run_coupling, p, 103, 40, False) == expected
+
+    def test_a_violation_keeps_its_replay_record(self, monkeypatch):
+        # the 50th event breaks the order after moving: the result holds
+        # the positions it left, and the run stops there
+        step = coupling.coupled_step
+        calls = []
+
+        def moves_then_breaks(state, u_group, u_draw):
+            calls.append(None)
+            g = step(state, u_group, u_draw)
+            if len(calls) == 50:
+                state.lP = state.l + 1
+                raise SandwichViolationError("injected")
+            return g
+        monkeypatch.setattr(coupling, "coupled_step", moves_then_breaks)
+        p = params_for(l0=-3, r0=5, max_events=1000)
+        res = run_coupling(RngStream(104, 0), env_for(p, 104))
+        assert (res.violations, res.tau1_event, res.events_executed) == (1, None, 50)
+        lP, l, r, rP = res.positions
+        assert lP == l + 1 and l < r <= rP
+        assert replay_record(res.seed, res.stream_id, res.events_executed, res.positions) == (
+            f"seed 104, trial 0, event 50 at lP={lP}, l={l}, r={r}, rP={rP}")
+        assert "positions" not in json.loads(res.to_json())
 
 
 # (model parameters, seed) of the fixed-environment checks
@@ -365,11 +435,11 @@ class TestMarginalCheck:
         # their tests, so only the violation can fail the check
         calls, step = [], coupling.coupled_step
 
-        def breaks_once(state, rng):
+        def breaks_once(state, u_group, u_draw):
             calls.append(None)
             if len(calls) == 5000:
                 raise SandwichViolationError("injected")
-            return step(state, rng)
+            return step(state, u_group, u_draw)
         monkeypatch.setattr(coupling, "coupled_step", breaks_once)
         report = marginal_check(params_for(max_events=2000), trials=300, seed=95)
         assert len(calls) > 5000 and report.checks
@@ -398,7 +468,7 @@ class TestMarginalCheck:
                 if state.l >= state.r:
                     break
                 lP, rP = state.lP, state.rP
-                g = coupled_step(state, rng)
+                g = stream_step(state, rng)
                 if g == "lP":
                     lc += 1
                     lr += state.lP == lP + 1

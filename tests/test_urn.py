@@ -14,28 +14,16 @@ from reinforce_sim.urn import (
     MagicUrn,
     NegativeMassError,
     PolyaUrn,
-    Side,
     left_mass,
     magic_draw,
     polya_fraction_samples,
-    reinforce,
 )
 
 from oracles import polya_fractions
 
 
-class FixedUniforms:
-    """Stream stand-in that returns the given uniforms in order."""
-
-    def __init__(self, *values):
-        self.values = list(values)
-
-    def uniform(self):
-        return self.values.pop(0)
-
-
-def reference_draw(urn: MagicUrn, present: Side, rng):
-    """Five-category reference drawing: (direction, pure, masses after).
+def reference_draw(urn: MagicUrn, left_present: bool, rng):
+    """Five-category reference drawing: (right, pure, masses after).
 
     Picks a color pool by mass, then a category in the pool in proportion
     to its mass; a pool holding a negative pure mass (a < 1) reattributes
@@ -44,17 +32,17 @@ def reference_draw(urn: MagicUrn, present: Side, rng):
     chameleon = ("magic", 1)
     red = [("pure_red", urn.pure_red), ("fam_red", urn.fam_red)]
     blue = [("pure_blue", urn.pure_blue), ("fam_blue", urn.fam_blue)]
-    (red if present is Side.LEFT else blue).append(chameleon)
-    eff_red = urn.pure_red + urn.fam_red + (1 if present is Side.LEFT else 0)
-    eff_blue = urn.pure_blue + urn.fam_blue + (1 if present is Side.RIGHT else 0)
+    (red if left_present else blue).append(chameleon)
+    eff_red = urn.pure_red + urn.fam_red + (1 if left_present else 0)
+    eff_blue = urn.pure_blue + urn.fam_blue + (0 if left_present else 1)
     total = urn.pure_red + urn.pure_blue + urn.fam_red + urn.fam_blue + 1
     if eff_red < 0 or eff_blue < 0 or total <= 0:
         raise ValueError("no valid direction law")
     u = rng.uniform() * total
     if u < eff_red:
-        direction, pool = Side.LEFT, red
+        right, pool = False, red
     else:
-        direction, pool = Side.RIGHT, blue
+        right, pool = True, blue
         u -= eff_red
     if any(mass < 0 for _, mass in pool):
         pool = [(name, mass) for name, mass in pool if mass > 0]
@@ -66,10 +54,10 @@ def reference_draw(urn: MagicUrn, present: Side, rng):
             drawn = name
             break
     if drawn == "magic":  # the chameleon's two new marbles join its color's family
-        drawn = "fam_red" if present is Side.LEFT else "fam_blue"
+        drawn = "fam_red" if left_present else "fam_blue"
     after = replace(urn)
     setattr(after, drawn, getattr(after, drawn) + 2)
-    return direction, drawn.startswith("pure"), after
+    return right, drawn.startswith("pure"), after
 
 
 class TestPolyaUrn:
@@ -155,9 +143,11 @@ class TestPolyaUrn:
 
 class TestMagicUrnMasses:
     def test_mass_accessors(self):
+        # the red marbles send the right particle left; the blue ones and
+        # the chameleon send it right
         urn = MagicUrn(1.0, 2.0, fam_red=4.0, fam_blue=6.0)
-        assert urn.red_mass == 5.0
-        assert urn.blue_mass == 8.0
+        assert left_mass(urn, False) == 5.0
+        assert urn.total - left_mass(urn, True) == 8.0
         assert urn.total == 14.0
 
     def test_chameleon_marble_counts_in_total(self):
@@ -170,7 +160,7 @@ class TestMagicUrnMasses:
     def test_negative_pure_mass_allowed_at_init(self):
         # a < 1 initializations carry pure_red = a - 1 < 0
         urn = MagicUrn(-0.5, 1.0)
-        assert urn.red_mass == -0.5
+        assert urn.pure_red + urn.fam_red == -0.5
 
 
 # MagicUrn(1, 1, 1, 1) has total mass 5, laid out as pure red, family red,
@@ -179,48 +169,52 @@ class TestMagicUrnMasses:
 UNIT_URN = MagicUrn(1.0, 1.0, 1.0, 1.0)
 
 
-def draw_at(u: float, present: Side):
+def draw_at(u: float, left_present: bool):
+    """(right, pure, urn after) of one drawing from UNIT_URN on uniform u."""
     urn = replace(UNIT_URN)
-    direction, pure = magic_draw(urn, present, FixedUniforms(u))
-    return direction, pure, urn
+    right, pure = magic_draw(urn, left_present, u)
+    return right, pure, urn
 
 
 class TestOutcomeRules:
     def test_direction_fixed_colors(self):
-        # pure red, family red, pure blue, family blue, with either particle present
-        slots = {Side.LEFT: (0.1, 0.3, 0.7, 0.9), Side.RIGHT: (0.1, 0.3, 0.5, 0.7)}
-        for present, (pure_red, fam_red, pure_blue, fam_blue) in slots.items():
-            assert draw_at(pure_red, present)[:2] == (Side.LEFT, True)
-            assert draw_at(fam_red, present)[:2] == (Side.LEFT, False)
-            assert draw_at(pure_blue, present)[:2] == (Side.RIGHT, True)
-            assert draw_at(fam_blue, present)[:2] == (Side.RIGHT, False)
+        # pure red, family red, pure blue, family blue, with either particle
+        # present; a draw is (right, pure)
+        slots = {True: (0.1, 0.3, 0.7, 0.9), False: (0.1, 0.3, 0.5, 0.7)}
+        for left_present, (pure_red, fam_red, pure_blue, fam_blue) in slots.items():
+            assert draw_at(pure_red, left_present)[:2] == (False, True)
+            assert draw_at(fam_red, left_present)[:2] == (False, False)
+            assert draw_at(pure_blue, left_present)[:2] == (True, True)
+            assert draw_at(fam_blue, left_present)[:2] == (True, False)
         # a uniform on a boundary (5 * 0.2 == 1.0) belongs to the next marble
-        assert draw_at(0.2, Side.LEFT)[:2] == (Side.LEFT, False)
+        assert draw_at(0.2, True)[:2] == (False, False)
 
     def test_chameleon_direction_tracks_present_particle(self):
-        assert draw_at(0.5, Side.LEFT)[:2] == (Side.LEFT, False)
-        assert draw_at(0.9, Side.RIGHT)[:2] == (Side.RIGHT, False)
+        assert draw_at(0.5, True)[:2] == (False, False)
+        assert draw_at(0.9, False)[:2] == (True, False)
 
     def test_updates_add_two_to_drawn_category(self):
-        for direction, pure, field in ((Side.LEFT, True, 0), (Side.RIGHT, True, 1),
-                                       (Side.LEFT, False, 2), (Side.RIGHT, False, 3)):
+        # MagicUrn(1, 2, 0, 3) with the left particle present lays out pure
+        # red, the chameleon (red), pure blue and family blue on [0, 7)
+        for x, right, pure, field in ((0.5, False, True, 0), (3.0, True, True, 1),
+                                      (1.5, False, False, 2), (5.5, True, False, 3)):
             urn = MagicUrn(1.0, 2.0, fam_red=0.0, fam_blue=3.0)
             before = astuple(urn)
-            reinforce(urn, direction, pure)
+            assert magic_draw(urn, True, x / 7) == (right, pure)
             grown = [after - b for after, b in zip(astuple(urn), before)]
             assert grown == [2.0 if i == field else 0.0 for i in range(4)]
 
     def test_chameleon_update_joins_family_with_current_color(self):
-        _, _, left = draw_at(0.5, Side.LEFT)
+        _, _, left = draw_at(0.5, True)
         assert astuple(left) == (1.0, 1.0, 3.0, 1.0)
-        _, _, right = draw_at(0.9, Side.RIGHT)
+        _, _, right = draw_at(0.9, False)
         assert astuple(right) == (1.0, 1.0, 1.0, 3.0)
 
     def test_total_grows_by_two_per_draw(self):
         rng = RngStream(34, 0)
         urn = MagicUrn(1.0, 1.5)
         for k in range(1, 200):
-            magic_draw(urn, Side.LEFT if k % 2 else Side.RIGHT, rng)
+            magic_draw(urn, k % 2 == 1, rng.uniform())
             assert urn.total == pytest.approx(3.5 + 2 * k)
 
 
@@ -229,12 +223,13 @@ class TestMagicDraw:
         urn = MagicUrn(2.0, 1.5, fam_red=3.0, fam_blue=0.5)
         rng = RngStream(35, 0)
         n = 100_000
-        counts = dict.fromkeys(product(Side, (True, False)), 0)
+        counts = dict.fromkeys(product((False, True), (True, False)), 0)
         for _ in range(n):
-            counts[magic_draw(replace(urn), Side.LEFT, rng)] += 1
-        # the chameleon marble is red (a family-like draw) with the left particle present
-        masses = {(Side.LEFT, True): urn.pure_red, (Side.LEFT, False): urn.fam_red + 1,
-                  (Side.RIGHT, True): urn.pure_blue, (Side.RIGHT, False): urn.fam_blue}
+            counts[magic_draw(replace(urn), True, rng.uniform())] += 1
+        # the chameleon marble is red (a family-like draw) with the left
+        # particle present; keys are (right, pure)
+        masses = {(False, True): urn.pure_red, (False, False): urn.fam_red + 1,
+                  (True, True): urn.pure_blue, (True, False): urn.fam_blue}
         for key, mass in masses.items():
             p = mass / urn.total
             se = np.sqrt(p * (1 - p) / n)
@@ -246,11 +241,10 @@ class TestMagicDraw:
         rng = RngStream(36, 0)
         urn = MagicUrn(1.0, 1.0)
         for k in range(500):
-            present = Side.LEFT if k % 2 else Side.RIGHT
             before = astuple(urn)
-            direction, pure = magic_draw(urn, present, rng)
+            right, pure = magic_draw(urn, k % 2 == 1, rng.uniform())
             grown = [i for i, (x, y) in enumerate(zip(astuple(urn), before)) if x != y]
-            assert grown == [(0 if pure else 2) + (direction is Side.RIGHT)]
+            assert grown == [(0 if pure else 2) + right]
 
     def test_negative_effective_mass_is_hard_error(self):
         # fresh a < 1 urn visited by the wrong particle: effective red
@@ -258,7 +252,7 @@ class TestMagicDraw:
         urn = MagicUrn(-0.5, 1.0)
         rng = RngStream(37, 0)
         with pytest.raises(NegativeMassError):
-            magic_draw(urn, Side.RIGHT, rng)
+            magic_draw(urn, False, rng.uniform())
 
     def test_negative_pure_mass_with_compensating_chameleon(self):
         # the chameleon marble restores a valid direction law; the drawn
@@ -268,10 +262,10 @@ class TestMagicDraw:
         n = 20_000
         lefts = 0
         for _ in range(n):
-            direction, pure = magic_draw(replace(urn), Side.LEFT, rng)
-            assert not (pure and direction is Side.LEFT)
-            lefts += direction is Side.LEFT
-        p_left = (urn.red_mass + 1) / urn.total  # 0.5 / 1.5
+            right, pure = magic_draw(replace(urn), True, rng.uniform())
+            assert not (pure and not right)
+            lefts += not right
+        p_left = (urn.pure_red + urn.fam_red + 1) / urn.total  # 0.5 / 1.5
         assert abs(lefts / n - p_left) < 4 * np.sqrt(p_left * (1 - p_left) / n)
 
     @settings(max_examples=300, deadline=None)
@@ -280,41 +274,41 @@ class TestMagicDraw:
         pure_blue=st.sampled_from([-0.5, 0.0, 1.0]) | st.floats(-0.99, 8.0),
         fam_red=st.sampled_from([0.0, 0.5, 2.0]) | st.floats(0.0, 8.0),
         fam_blue=st.sampled_from([0.0, 0.5, 2.0]) | st.floats(0.0, 8.0),
-        present=st.sampled_from(Side),
+        left_present=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_five_category_reference(self, pure_red, pure_blue, fam_red, fam_blue,
-                                             present, seed):
+                                             left_present, seed):
+        # the reference reads the draw's uniform, and a second one only
+        # where a negative pure mass makes the split of its pool moot
         urn = MagicUrn(pure_red, pure_blue, fam_red, fam_blue)
-        ref_rng, rng = RngStream(seed, 0), RngStream(seed, 0)
+        u = RngStream(seed, 0).uniform()
         try:
-            expected = reference_draw(urn, present, ref_rng)
+            expected = reference_draw(urn, left_present, RngStream(seed, 0))
         except ValueError:
             with pytest.raises(NegativeMassError):
-                magic_draw(urn, present, rng)
+                magic_draw(urn, left_present, u)
             return
-        direction, pure = magic_draw(urn, present, rng)
-        assert (direction, pure, urn) == expected
-        second = RngStream(seed, 0).uniforms(2)[1]
-        assert rng.uniform() == second  # magic_draw consumed exactly one uniform
+        right, pure = magic_draw(urn, left_present, u)
+        assert (right, pure, urn) == expected
 
 
-def edge_weights(urn: MagicUrn, present: Side):
+def edge_weights(urn: MagicUrn, left_present: bool):
     """Edge weights ([v-1,v], [v,v+1]) the present particle sees at the urn."""
-    left = left_mass(urn, present)
+    left = left_mass(urn, left_present)
     return left, urn.total - left
 
 
 class TestEffectiveEdgeWeights:
     def test_chameleon_side_depends_on_present(self):
         urn = MagicUrn(1.0, 2.0, fam_red=4.0, fam_blue=0.0)
-        assert edge_weights(urn, Side.LEFT) == (6.0, 2.0)
-        assert edge_weights(urn, Side.RIGHT) == (5.0, 3.0)
+        assert edge_weights(urn, True) == (6.0, 2.0)
+        assert edge_weights(urn, False) == (5.0, 3.0)
 
     def test_fresh_inner_urn_matches_initial_edge_weights(self):
         # a=1, delta=0 interior site: both edges at weight 1
-        assert edge_weights(MagicUrn(0.0, 1.0), Side.LEFT) == (1.0, 1.0)
-        assert edge_weights(MagicUrn(1.0, 0.0), Side.RIGHT) == (1.0, 1.0)
+        assert edge_weights(MagicUrn(0.0, 1.0), True) == (1.0, 1.0)
+        assert edge_weights(MagicUrn(1.0, 0.0), False) == (1.0, 1.0)
 
 
 class TestLimitLaws:

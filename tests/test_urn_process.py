@@ -19,19 +19,18 @@ from reinforce_sim.coupling import (
     CoupledState,
     Environment,
     SandwichViolationError,
-    coupled_step,
     run_coupling,
 )
 from reinforce_sim.direct import ModelParams, right_jump_probability, run_direct, run_direct_batch
 from reinforce_sim.distributions import ENVIRONMENT, RngStream, trial_streams
-from reinforce_sim.urn import MagicUrn, NegativeMassError, Side, left_mass, magic_draw
+from reinforce_sim.urn import MagicUrn, NegativeMassError, left_mass, magic_draw
 from reinforce_sim.urn_process import (
     SmallAPolicyError,
     compare_exact,
     initial_masses,
 )
 
-from oracles import ExactDistribution, enumerate_exact, tv_distance
+from oracles import ExactDistribution, enumerate_exact, stream_step, tv_distance
 
 
 def params_for(a=1.0, delta=0.0, l0=0, r0=2, **kw):
@@ -88,12 +87,12 @@ class TestSmallAPolicy:
         p = params_for(a=0.5, l0=0, r0=1, allow_small_a=True)
         state = CoupledState(env_for(p, 71))
         with pytest.raises(NegativeMassError):
-            magic_draw(state.urn_at(-1), Side.RIGHT, RngStream(71, 0))
+            magic_draw(state.urn_at(-1), False, RngStream(71, 0).uniform())
 
 
-def jump_probabilities(urn: MagicUrn, present: Side):
+def jump_probabilities(urn: MagicUrn, left_present: bool):
     """(left, right) jump probabilities of the present particle."""
-    left = left_mass(urn, present)
+    left = left_mass(urn, left_present)
     return left / urn.total, (urn.total - left) / urn.total
 
 
@@ -107,12 +106,12 @@ class TestJumpProbabilities:
                 fam_red=rng.uniform() * 5,
                 fam_blue=rng.uniform() * 5,
             )
-            r = urn.red_mass
-            b = urn.blue_mass
-            pl, pr = jump_probabilities(urn, Side.LEFT)
+            r = urn.pure_red + urn.fam_red
+            b = urn.pure_blue + urn.fam_blue
+            pl, pr = jump_probabilities(urn, True)
             assert pl == pytest.approx((r + 1) / (r + b + 1))
             assert pr == pytest.approx(b / (r + b + 1))
-            ql, qr = jump_probabilities(urn, Side.RIGHT)
+            ql, qr = jump_probabilities(urn, False)
             assert ql == pytest.approx(r / (r + b + 1))
             assert qr == pytest.approx((b + 1) / (r + b + 1))
             assert pl + pr == pytest.approx(1.0)
@@ -121,9 +120,9 @@ class TestJumpProbabilities:
         # a=1, delta=0: both particles start with symmetric jumps
         p = params_for()
         left_urn = MagicUrn(*initial_masses(p, 0))
-        assert jump_probabilities(left_urn, Side.LEFT) == (0.5, 0.5)
+        assert jump_probabilities(left_urn, True) == (0.5, 0.5)
         right_urn = MagicUrn(*initial_masses(p, 2))
-        assert jump_probabilities(right_urn, Side.RIGHT) == (0.5, 0.5)
+        assert jump_probabilities(right_urn, False) == (0.5, 0.5)
 
 
 class TestUrnProcessStep:
@@ -138,7 +137,7 @@ class TestUrnProcessStep:
         # the coupled quadruple's inner pair is the urn-driven pair
         p = params_for(r0=4)
         state = CoupledState(env_for(p, 73))
-        g = coupled_step(state, RngStream(73, 0))
+        g = stream_step(state, RngStream(73, 0))
         if g == "l_group":
             assert state.l in (-1, 1) and state.r == 4
         else:
@@ -151,7 +150,7 @@ class TestUrnProcessStep:
         for l, r in ((1, 1), (2, 1)):  # met, crossed
             state.l, state.r = l, r
             with pytest.raises(SandwichViolationError):
-                coupled_step(state, rng)
+                stream_step(state, rng)
 
     def test_run_stops_at_first_meeting(self):
         p = params_for(max_events=100_000)
@@ -384,7 +383,7 @@ class TestEnumeration:
         counts = {}
         for _ in range(n):
             state = CoupledState(env)
-            mover = ("l_group", "r_group").index(coupled_step(state, rng))
+            mover = ("l_group", "r_group").index(stream_step(state, rng))
             to = (state.l, state.r)[mover]
             key = ((mover, int(to > (p.l0, p.r0)[mover])),)
             counts[key] = counts.get(key, 0) + 1
@@ -481,7 +480,7 @@ class TestMeetingLaw:
             state = CoupledState(Environment(MEETING_PARAMS, env_rng))
             moves, tau = 0, None
             while moves < MEETING_PARAMS.max_events:
-                if coupled_step(state, rng) in ("l_group", "r_group"):
+                if stream_step(state, rng) in ("l_group", "r_group"):
                     moves += 1
                     if state.l == state.r:
                         tau = moves
@@ -501,12 +500,12 @@ class TestWeightAgreement:
         def rec(urns, weights, l, r, depth):
             if l == r or depth == 0:
                 return
-            for mover_idx, present in ((0, Side.LEFT), (1, Side.RIGHT)):
+            for mover_idx, left_present in ((0, True), (1, False)):
                 v = l if mover_idx == 0 else r
                 urn = urns.get(v) or MagicUrn(*initial_masses(p, v, Fraction))
                 wl = weights.get(v - 1, a)
                 wr = weights.get(v, a) + delta
-                eff_l = left_mass(urn, present)
+                eff_l = left_mass(urn, left_present)
                 eff_r = urn.total - eff_l
                 assert eff_l == wl
                 assert eff_r == wr
