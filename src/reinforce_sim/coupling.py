@@ -7,11 +7,11 @@ The outer walkers move by those fractions when free; when an outer
 walker sits on its inner partner they share one departure clock and the
 inner urn drawing decides both moves.
 
-An event is ``coupled_step(state, u_group, u_draw)``: one uniform picks
-the clock group, the other drives its urn draw or free step.
-:func:`run_coupling` reads its stream in doubling chunks and hands each
-event its next two, so a run's result is that of reading the stream one
-uniform at a time.
+An event takes two uniforms: one picks the clock group, the other drives
+its urn draw or free step.  :func:`coupled_events` runs the events of one
+chunk of uniforms in a single loop, and :func:`run_coupling` hands it the
+stream's chunks in order, so a run's result is that of reading the stream
+one uniform at a time.
 """
 from __future__ import annotations
 
@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from .direct import ModelParams
 from .distributions import (
     ENVIRONMENT, BetaParams, RngStream, sample_beta, sample_dirichlet, trial_streams,
+    uniform_chunks,
 )
-from .urn import MagicUrn, NegativeMassError, magic_draw
+from .urn import MagicUrn, NegativeMassError
 from .urn_process import check_small_a_policy, initial_masses
 
 # marginal check: family-wise level, split across the tested sites, the
@@ -91,13 +92,16 @@ class Environment:
 
 class CoupledState:
     """Positions of the four coupled processes, from the start sites of
-    ``env.params``, with the run's urns and its environment."""
+    ``env.params``, with the run's urns and its environment, the largest
+    rP - lP so far and the events run."""
 
-    __slots__ = ("lP", "l", "r", "rP", "env", "urns")
+    __slots__ = ("lP", "l", "r", "rP", "env", "urns", "max_gap", "events")
 
     def __init__(self, env: Environment):
         self.lP = self.l = env.params.l0
         self.r = self.rP = env.params.r0
+        self.max_gap = self.rP - self.lP
+        self.events = 0
         self.env = env
         self.urns: dict[int, MagicUrn] = {}
 
@@ -112,56 +116,101 @@ class CoupledState:
         return self.lP, self.l, self.r, self.rP
 
 
-def coupled_step(state: CoupledState, u_group: float, u_draw: float) -> str:
-    """One event of the coupled quadruple on its two uniforms; returns the
-    group that moved.
+def coupled_events(state: CoupledState, u: list[float]) -> bool:
+    """Run one event of the coupled quadruple on each consecutive pair
+    (u_group, u_draw) of ``u``, up to the meeting; returns whether the
+    inner pair met.
 
-    Clock groups: the l pair ("l_group", one clock shared when
-    coincident), the r pair ("r_group"), and each free outer walker
-    ("lP", "rP").  The mover is group ``int(u_group * n)`` of the n
-    active groups, in that order.  ``u_draw`` is the inner walker's urn
-    draw, or the free outer walker's step.  An event that breaks the order
-    lP <= l <= r <= rP raises SandwichViolationError, with the state left
-    at the positions that break it.
+    Clock groups: the l pair (one clock shared when coincident), the r
+    pair, and each free outer walker (lP, then rP).  The mover is group
+    ``int(u_group * n)`` of the n active groups, read by comparing
+    ``u_group * n`` with 1, 2 and 3.  ``u_draw`` drives the free walker's
+    ``Environment.free_step``, or the inner walker's urn draw: the
+    direction pool by mass (the red marbles, plus the chameleon marble when
+    the left particle is present, against the rest), then a pure marble
+    when ``u_draw * total`` falls below the pool's pure mass, else two
+    family marbles.  A negative pure mass (a < 1) sends the draw to the
+    family marbles, which leaves the walk's law alone (it depends only on
+    the pooled masses).
+
+    The positions, ``max_gap`` and ``events`` run in locals and are
+    written back to ``state`` on return or raise.  A negative direction
+    mass or a total mass <= 0 raises NegativeMassError at the positions
+    before the event; an event that breaks lP <= l <= r <= rP raises
+    SandwichViolationError at the positions it left.  ``events`` counts
+    the failing event.
     """
     lP, l, r, rP = state.lP, state.l, state.r, state.rP
     if l >= r:
         raise SandwichViolationError(
-            f"coupled_step called at or past the meeting time (l={l}, r={r})"
+            f"coupled_events called at or past the meeting time (l={l}, r={r})"
         )
-    l_free, r_free = lP != l, rP != r
-    k = int(u_group * (2 + l_free + r_free))
-    if k == 0:
-        g = "l_group"
-        try:  # a site's urn materializes at its first draw
-            urn = state.urns[l]
-        except KeyError:
-            urn = state.urn_at(l)
-        right, pure = magic_draw(urn, True, u_draw)
-        if not l_free:
-            # red or chameleon marble: both jump left; the outer walker
-            # follows a right jump only on a pure blue marble
-            lP = state.lP = l + 1 if pure and right else l - 1
-        l = state.l = l + 1 if right else l - 1
-    elif k == 1:
-        g = "r_group"
-        try:
-            urn = state.urns[r]
-        except KeyError:
-            urn = state.urn_at(r)
-        right, pure = magic_draw(urn, False, u_draw)
-        if not r_free:
-            rP = state.rP = r - 1 if pure and not right else r + 1
-        r = state.r = r + 1 if right else r - 1
-    elif k == 2 and l_free:
-        g = "lP"
-        lP = state.lP = state.env.free_step(g, lP, u_draw)
-    else:
-        g = "rP"
-        rP = state.rP = state.env.free_step(g, rP, u_draw)
-    if not lP <= l <= r <= rP:
-        raise SandwichViolationError(f"ordering violated: lP={lP}, l={l}, r={r}, rP={rP}")
-    return g
+    urns, free_step = state.urns, state.env.free_step
+    max_gap, e = state.max_gap, state.events
+    pairs = iter(u)
+    try:
+        for u_group, u_draw in zip(pairs, pairs):
+            e += 1
+            l_free = lP != l
+            x = u_group * (2 + l_free + (rP != r))
+            if x < 2:
+                left_present = x < 1
+                v = l if left_present else r
+                urn = urns.get(v)
+                if urn is None:  # a site's urn materializes at its first draw
+                    urn = state.urn_at(v)
+                pure_red, pure_blue = urn.pure_red, urn.pure_blue
+                fam_red, fam_blue = urn.fam_red, urn.fam_blue
+                # the chameleon marble is red when the left particle is present
+                red = pure_red + fam_red + left_present
+                blue = pure_blue + fam_blue + (not left_present)
+                if red < 0 or blue < 0:
+                    raise NegativeMassError(
+                        f"effective masses went negative (red={red}, blue={blue}) with "
+                        f"{'left' if left_present else 'right'} particle present; urn={urn}"
+                    )
+                total = pure_red + pure_blue + fam_red + fam_blue + 1
+                if total <= 0:
+                    raise NegativeMassError(f"urn total mass {total} is not positive; urn={urn}")
+                x = u_draw * total
+                if x < red:
+                    right = False
+                    pure = x < pure_red  # never for a negative pure mass: x >= 0
+                    if pure:
+                        urn.pure_red = pure_red + 2
+                    else:
+                        urn.fam_red = fam_red + 2
+                else:
+                    right = True
+                    pure = x - red < pure_blue
+                    if pure:
+                        urn.pure_blue = pure_blue + 2
+                    else:
+                        urn.fam_blue = fam_blue + 2
+                if left_present:
+                    if not l_free:
+                        # red or chameleon marble: both jump left; the outer
+                        # walker follows a right jump only on a pure blue marble
+                        lP = l + 1 if pure and right else l - 1
+                    l = l + 1 if right else l - 1
+                else:
+                    if rP == r:
+                        rP = r - 1 if pure and not right else r + 1
+                    r = r + 1 if right else r - 1
+            elif x < 3 and l_free:
+                lP = free_step("lP", lP, u_draw)
+            else:
+                rP = free_step("rP", rP, u_draw)
+            if not lP <= l <= r <= rP:
+                raise SandwichViolationError(f"ordering violated: lP={lP}, l={l}, r={r}, rP={rP}")
+            if rP - lP > max_gap:
+                max_gap = rP - lP
+            if l == r:
+                return True
+        return False
+    finally:
+        state.lP, state.l, state.r, state.rP = lP, l, r, rP
+        state.max_gap, state.events = max_gap, e
 
 
 @dataclass
@@ -197,20 +246,15 @@ def replay_record(seed: int, trial: int, event: int, positions: tuple[int, ...])
     return f"seed {seed}, trial {trial}, event {event} at lP={lP}, l={l}, r={r}, rP={rP}"
 
 
-# Uniforms a run reads at first; each later read doubles, up to the cap.  So
-# a run that meets early draws few it does not use, and a long one makes few
-# reads yet holds at most two chunks.
-_FIRST_CHUNK, _MAX_CHUNK = 16, 1024
-
-
 def run_coupling(rng: RngStream, env: Environment) -> CouplingRunResult:
     """Run the coupled quadruple of ``env.params`` on dynamics stream ``rng``
     in environment ``env`` until the inner pair meets or ``max_events`` run
     out.  The environment may be shared across runs (fixed-environment
     experiments) or sampled per run from its own stream.
 
-    The stream is read in chunks, but every event takes its next two
-    uniforms in order, so no result depends on the chunk sizes.  A
+    The stream is read in chunks (:func:`uniform_chunks`), each one call of
+    :func:`coupled_events`, and every event takes its next two uniforms in
+    order, so no result depends on the chunk sizes.  A
     SandwichViolationError ends the run with ``violations`` 1 at the
     positions it left; a NegativeMassError is raised again naming the
     stream, the event and the positions before it.
@@ -219,30 +263,20 @@ def run_coupling(rng: RngStream, env: Environment) -> CouplingRunResult:
     state = CoupledState(env)
     if params.l0 == params.r0:
         return CouplingRunResult(0, 0, 0, 0, rng.seed, rng.trial, state.positions())
-    max_gap = state.rP - state.lP
     violations = 0
     tau1 = None
-    e = 0
-    u, i, chunk = [], 0, _FIRST_CHUNK
     try:
-        for e in range(1, params.max_events + 1):
-            while i + 1 >= len(u):
-                u = u[i:] + rng.uniforms(chunk).tolist()
-                i, chunk = 0, min(2 * chunk, _MAX_CHUNK)
-            coupled_step(state, u[i], u[i + 1])
-            i += 2
-            gap = state.rP - state.lP
-            if gap > max_gap:
-                max_gap = gap
-            if state.l == state.r:
-                tau1 = e
+        for u in uniform_chunks(rng, params.max_events):
+            if coupled_events(state, u):
+                tau1 = state.events
                 break
     except SandwichViolationError:
         violations = 1
     except NegativeMassError as exc:
-        where = replay_record(rng.seed, rng.trial, e, state.positions())
+        where = replay_record(rng.seed, rng.trial, state.events, state.positions())
         raise NegativeMassError(f"{where}: {exc}") from exc
-    return CouplingRunResult(violations, tau1, max_gap, e, rng.seed, rng.trial, state.positions())
+    return CouplingRunResult(violations, tau1, state.max_gap, state.events, rng.seed, rng.trial,
+                             state.positions())
 
 
 @dataclass

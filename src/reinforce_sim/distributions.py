@@ -100,6 +100,27 @@ class RngStream:
         self._pos = 0
 
 
+# Events the first chunk of uniform_chunks covers; each later chunk doubles,
+# up to the cap.  So a run that stops early draws few uniforms it does not
+# use, and a long one makes few reads yet holds one chunk at a time.
+_FIRST_CHUNK, _MAX_CHUNK = 8, 512
+
+
+def uniform_chunks(rng: RngStream, events: int):
+    """Yield the next ``2 * events`` uniforms of ``rng`` as lists of
+    ``2 * k``, two per event: k is 8 at first and doubles up to 512, and
+    the last list stops at the budget.  Concatenated, the lists are the
+    :meth:`RngStream.uniform` sequence, so no result read from them depends
+    on the chunk sizes.
+    """
+    k = _FIRST_CHUNK
+    while events > 0:
+        k = min(k, events)
+        yield rng.uniforms(2 * k).tolist()
+        events -= k
+        k = min(2 * k, _MAX_CHUNK)
+
+
 def trial_streams(seed: int, trials: int, role: int | None = None):
     """Yield the streams ``(seed, t, role)`` for t < ``trials``, in order.
 

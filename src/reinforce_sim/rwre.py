@@ -13,6 +13,7 @@ from enum import Enum
 
 from .distributions import (
     ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, digamma, sample_beta, trial_streams,
+    uniform_chunks,
 )
 
 
@@ -20,12 +21,6 @@ class Classification(Enum):
     TRANSIENT_RIGHT = "transient_right"
     TRANSIENT_LEFT = "transient_left"
     RECURRENT = "recurrent"
-
-
-# Uniforms a trial reads at first; each later read doubles, up to the cap.
-# So a short trial (the median is 4 events) draws few it does not use, and a
-# long one makes few reads yet holds at most two chunks.
-_FIRST_CHUNK, _MAX_CHUNK = 16, 1024
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,8 @@ def first_returns(
 
     Chain one lives on the nonnegative sites with forward probabilities
     p1(i) (p1(0) = 1); chain two mirrors it on the nonpositive sites with
-    p2.  An event takes two uniforms: the chain pick, then the step.
+    p2.  An event takes two uniforms: the chain pick, then the step; they
+    are read in chunks (:func:`uniform_chunks`), walked pair by pair.
 
     Trial t moves on stream (seed, t); chain one's environment comes from
     (seed, t, ENVIRONMENT), chain two's from (seed, t, MIRROR_ENVIRONMENT).
@@ -128,22 +124,23 @@ def first_returns(
     for trial, walk in enumerate(trial_streams(seed, trials)):
         envs = ([1.0], [1.0])  # site k's forward probability; site 0 reflects
         z = [0, 0]  # distances of chain one and chain two from the origin
-        u, i, chunk = [], 0, _FIRST_CHUNK
+        e = 0
         first = None
-        for e in range(1, max_budget + 1):
-            while i + 1 >= len(u):
-                u = u[i:] + walk.uniforms(chunk).tolist()
-                i, chunk = 0, min(2 * chunk, _MAX_CHUNK)
-            c = 0 if u[i] < 0.5 else 1
-            k, env = z[c], envs[c]
-            if k == len(env):
-                if k == 1:
-                    env_streams[c].rekey(trial)
-                env.append(sample_beta(env_streams[c], params[c]))
-            z[c] = k + 1 if u[i + 1] < env[k] else k - 1
-            i += 2
-            if z[0] == 0 and z[1] == 0:
-                first = e
+        for u in uniform_chunks(walk, max_budget):
+            pairs = iter(u)
+            for u_chain, u_step in zip(pairs, pairs):
+                e += 1
+                c = 0 if u_chain < 0.5 else 1
+                k, env = z[c], envs[c]
+                if k == len(env):
+                    if k == 1:
+                        env_streams[c].rekey(trial)
+                    env.append(sample_beta(env_streams[c], params[c]))
+                z[c] = k + 1 if u_step < env[k] else k - 1
+                if z[0] == 0 and z[1] == 0:
+                    first = e
+                    break
+            if first is not None:
                 break
         firsts.append(first)
     return firsts

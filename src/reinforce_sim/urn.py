@@ -69,8 +69,8 @@ class MagicUrn:
 
     @property
     def total(self):
-        """Total drawn-from mass, chameleon marble included (``magic_draw``
-        sums the same fields in the same order)."""
+        """Total drawn-from mass, chameleon marble included
+        (``coupling.coupled_events`` sums the same fields in the same order)."""
         return self.pure_red + self.pure_blue + self.fam_red + self.fam_blue + 1
 
 
@@ -93,39 +93,6 @@ def left_mass(urn: MagicUrn, left_present: bool):
             f"with {'left' if left_present else 'right'} particle present; urn={urn}"
         )
     return red
-
-
-def magic_draw(urn: MagicUrn, left_present: bool, u: float) -> tuple[bool, bool]:
-    """One drawing on uniform ``u`` with the given particle present; adds
-    two marbles of the drawn class to ``urn`` in place and returns (whether
-    the jump goes right, whether the marble was pure).
-
-    ``u`` picks the direction pool by mass (``left_mass`` against the
-    rest), and within the pool the marble is pure when ``u`` falls below
-    the pool's pure mass; a family marble or the chameleon marble adds two
-    family marbles.  A negative pure mass (a < 1) makes the pure/family
-    split ill-defined; the draw then goes to the pool's family marbles,
-    which leaves the walk's law alone (it only depends on the pooled
-    masses).  The fields are read directly: this runs once per event of
-    every coupled run.
-    """
-    left = left_mass(urn, left_present)
-    pure_red, pure_blue = urn.pure_red, urn.pure_blue
-    total = pure_red + pure_blue + urn.fam_red + urn.fam_blue + 1
-    if total <= 0:
-        raise NegativeMassError(f"urn total mass {total} is not positive; urn={urn}")
-    x = u * total
-    if x < left:
-        if x < pure_red:  # never for a negative pure mass: x >= 0
-            urn.pure_red = pure_red + 2
-            return False, True
-        urn.fam_red += 2
-        return False, False
-    if x - left < pure_blue:
-        urn.pure_blue = pure_blue + 2
-        return True, True
-    urn.fam_blue += 2
-    return True, False
 
 
 def polya_fraction_samples(

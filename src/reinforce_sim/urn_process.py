@@ -3,7 +3,7 @@ comparison with the weight dynamics.
 
 The urn representation is valid strictly before the first meeting time.
 Its Monte Carlo walk is the inner pair of the coupled quadruple
-(``coupling.coupled_step``).  :func:`compare_exact` runs both models
+(``coupling.coupled_events``).  :func:`compare_exact` runs both models
 together, one breadth-first layer per event, merging the paths that reach
 the same joint state; it gives the trajectory TV distance and each
 model's law of the first meeting time.  Probabilities are exact
@@ -108,7 +108,7 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
     edges, ``left_mass`` / ``total`` on the site, the present particle
     and the site's jumps.  A miss rebuilds the kernel's input: the edge
     weights with the sampler's own update (``WeightMap.reinforce``), the
-    urn with two family marbles per jump, as ``magic_draw`` adds them.  The
+    urn with two family marbles per jump, as ``coupled_events`` adds them.  The
     cache is sound only because these kernels read nothing but that input.
     """
     if horizon < 0:

@@ -5,8 +5,10 @@ the difference-recurrence experiment as a scalar loop over freshly built
 streams and a memoized environment, Beta samples drawn in blocks, and
 Polya urns run one run and one drawing at a time, both models of the
 two-particle dynamics enumerated one trajectory at a time, the free
-outer steps of coupled runs tallied from the walkers' positions, and the
-coupled run drawing one uniform at a time from its stream.
+outer steps of coupled runs tallied from the walkers' positions, the
+chameleon urn's draw as a function, and the coupled run drawing one
+uniform at a time from its stream.  :func:`out_of_order_free_step` breaks
+a coupled run's order through a real path.
 :class:`LargestUniform` is a stub stream for the edge of [0, 1).
 """
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from reinforce_sim import urn_process
 from reinforce_sim.coupling import (
-    CoupledState, CouplingRunResult, Environment, SandwichViolationError, coupled_step,
+    CoupledState, CouplingRunResult, Environment, SandwichViolationError, coupled_events,
     replay_record,
 )
 from reinforce_sim.direct import ModelParams, WeightMap
@@ -249,8 +251,71 @@ def free_step_tallies(params: ModelParams, seed: int, trials: int) -> dict:
 
 
 def stream_step(state: CoupledState, rng) -> str:
-    """``coupled_step`` on the next two uniforms of ``rng``: the group's, then the draw's."""
-    return coupled_step(state, rng.uniform(), rng.uniform())
+    """One event on the next two uniforms of ``rng``: the group's, then the draw's."""
+    return one_event(state, rng.uniform(), rng.uniform())
+
+
+def one_event(state: CoupledState, u_group: float, u_draw: float) -> str:
+    """``coupled_events`` on one pair of uniforms; returns the group that
+    moved, named by the position that changed: "l_group" if l moved, else
+    "r_group" if r moved, else "lP" or "rP"."""
+    before = state.positions()
+    coupled_events(state, [u_group, u_draw])
+    lP, l, r, rP = (a != b for a, b in zip(state.positions(), before))
+    return "l_group" if l else "r_group" if r else "lP" if lP else "rP"
+
+
+# farther than any coupled run in the tests walks from its start
+FAR = 10**6
+
+
+def out_of_order_free_step(n: int, calls: list):
+    """An ``Environment.free_step`` to patch in: every call appends
+    (walker, site) to ``calls`` and tallies its step, and the ``n``-th
+    moves the walker ``FAR`` past its inner partner (lP up, rP down), so
+    that the coupled kernel's own order check fires."""
+    step = Environment.free_step
+
+    def free_step(env: Environment, walker: str, v: int, u: float) -> int:
+        calls.append((walker, v))
+        to = step(env, walker, v, u)
+        if len(calls) != n:
+            return to
+        return v + FAR if walker == "lP" else v - FAR
+    return free_step
+
+
+def magic_draw(urn: MagicUrn, left_present: bool, u: float) -> tuple[bool, bool]:
+    """One drawing on uniform ``u`` with the given particle present, the
+    rule ``coupling.coupled_events`` runs inline: adds two marbles of the
+    drawn class to ``urn`` in place and returns (whether the jump goes
+    right, whether the marble was pure).
+
+    ``u`` picks the direction pool by mass (``left_mass`` against the
+    rest), and within the pool the marble is pure when ``u`` falls below
+    the pool's pure mass; a family marble or the chameleon marble adds two
+    family marbles.  A negative pure mass (a < 1) makes the pure/family
+    split ill-defined; the draw then goes to the pool's family marbles,
+    which leaves the walk's law alone (it only depends on the pooled
+    masses).
+    """
+    left = left_mass(urn, left_present)
+    pure_red, pure_blue = urn.pure_red, urn.pure_blue
+    total = pure_red + pure_blue + urn.fam_red + urn.fam_blue + 1
+    if total <= 0:
+        raise NegativeMassError(f"urn total mass {total} is not positive; urn={urn}")
+    x = u * total
+    if x < left:
+        if x < pure_red:  # never for a negative pure mass: x >= 0
+            urn.pure_red = pure_red + 2
+            return False, True
+        urn.fam_red += 2
+        return False, False
+    if x - left < pure_blue:
+        urn.pure_blue = pure_blue + 2
+        return True, True
+    urn.fam_blue += 2
+    return True, False
 
 
 def scalar_coupled_step(state: CoupledState, rng: RngStream) -> str:

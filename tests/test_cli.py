@@ -12,13 +12,13 @@ import pytest
 from click.testing import CliRunner
 
 import reinforce_sim
-from reinforce_sim import cli, coupling, distributions, rwre, urn_process
+from reinforce_sim import cli, distributions, rwre, urn_process
 from reinforce_sim.cli import main
-from reinforce_sim.coupling import (
-    MARGINAL_TRIALS, Environment, SandwichViolationError, run_coupling,
-)
+from reinforce_sim.coupling import MARGINAL_TRIALS, Environment, run_coupling
 from reinforce_sim.direct import ModelParams, meeting_statistics, run_direct
 from reinforce_sim.distributions import ENVIRONMENT, HOLDING_TIMES, RngStream
+
+from oracles import FAR, out_of_order_free_step
 
 
 @pytest.fixture()
@@ -310,31 +310,31 @@ class TestCouple:
         assert out.read_text().split("\n")[1:-1] == [res.to_json() for res in expected]
 
     def test_violating_run_writes_a_replay_record(self, runner, tmp_path, monkeypatch):
-        # the 100th event over all runs breaks the order before it moves:
+        # the 5th free step over all runs (8 in all) jumps past its inner partner:
         # its run's summary says only violations 1, and stderr names its
-        # stream, the event and the positions the event started from
-        calls, step = [], coupling.coupled_step
-
-        def breaks_once(state, u_group, u_draw):
-            calls.append(None)
-            if len(calls) == 100:
-                raise SandwichViolationError("injected")
-            return step(state, u_group, u_draw)
-        monkeypatch.setattr(coupling, "coupled_step", breaks_once)
+        # stream, the event and the positions the event left
+        calls = []
+        monkeypatch.setattr(Environment, "free_step", out_of_order_free_step(5, calls))
         out = tmp_path / "runs.jsonl"
         result = runner.invoke(main, ["couple", "--trials", "20", "--events", "50",
                                       "--seed", "5", "--out", str(out)])
         assert result.exit_code == 1
         rows = [json.loads(line) for line in out.read_text().split("\n")[1:-1]]
         bad = [row for row in rows if row["violations"]]
-        assert len(rows) == 20 and len(bad) == 1
+        assert len(rows) == 20 and len(bad) == 1 and len(calls) >= 5
         t, e = bad[0]["stream_id"], bad[0]["events"]
+        walker, v = calls[4]
         monkeypatch.undo()
-        # replay: the same run cut before event e stands where the record says
+        # replay: the same run cut before event e stands where the event
+        # started, and the event moved only the broken walker
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=e - 1)
         before = run_coupling(RngStream(5, t), Environment(params, RngStream(5, t, ENVIRONMENT)))
         assert before.tau1_event is None
-        where = "lP={}, l={}, r={}, rP={}".format(*before.positions)
+        after = list(before.positions)
+        i = 0 if walker == "lP" else 3
+        assert after[i] == v
+        after[i] = v + FAR if walker == "lP" else v - FAR
+        where = "lP={}, l={}, r={}, rP={}".format(*after)
         assert result.stderr.splitlines() == [
             f"ordering violated: seed 5, trial {t}, event {e} at {where}",
             "ordering violations detected in 1 run(s)",

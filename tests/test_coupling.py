@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
-from reinforce_sim import coupling
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reinforce_sim import coupling, distributions
 from reinforce_sim.coupling import (
     SIGNIFICANCE,
     CoupledState,
     Environment,
     SandwichViolationError,
-    coupled_step,
+    coupled_events,
     marginal_check,
     replay_record,
     run_coupling,
@@ -27,7 +30,10 @@ from reinforce_sim.distributions import (
 from reinforce_sim.urn import MagicUrn, NegativeMassError
 from reinforce_sim.urn_process import SmallAPolicyError, initial_masses
 
-from oracles import LargestUniform, free_step_tallies, scalar_run_coupling, stream_step
+from oracles import (
+    FAR, LargestUniform, free_step_tallies, magic_draw, one_event, out_of_order_free_step,
+    scalar_run_coupling, stream_step,
+)
 
 
 def params_for(a=1.0, delta=0.0, l0=0, r0=2, **kw):
@@ -154,6 +160,30 @@ class TestEnvironment:
         assert env.at(1) is env.at(1)
 
 
+def class_midpoints(group, start, env, urn):
+    """u_draw at the midpoint of each outcome's interval: the four marble
+    classes of an inner group's draw from ``urn`` (pure red, red family,
+    pure blue, blue family), or a free walker's right and left steps."""
+    if group in ("lP", "rP"):
+        rate = env.right_rate(group, start[0 if group == "lP" else 3])
+        assert 0.0 < rate < 1.0
+        return rate / 2, (1.0 + rate) / 2
+    red = urn.pure_red + urn.fam_red + (group == "l_group")
+    bounds = (0.0, urn.pure_red, red, red + urn.pure_blue, urn.total)
+    return [(lo + hi) / 2 / urn.total for lo, hi in zip(bounds, bounds[1:])]
+
+
+def drawn_class(state, group, start, urn):
+    """(right, pure) of the marble an inner group's event drew, read from
+    the mass that grew; a free walker's step, -1 or 1."""
+    if group in ("lP", "rP"):
+        return getattr(state, group) - start[0 if group == "lP" else 3]
+    v = start[1 if group == "l_group" else 2]
+    grown = [after - before for after, before in zip(astuple(state.urns[v]), astuple(urn))]
+    field = grown.index(2.0)  # pure red, pure blue, family red, family blue
+    return field % 2 == 1, field < 2
+
+
 class TestCoupledStep:
     def test_initial_state_is_degenerate_sandwich(self):
         state = CoupledState(env_for(params_for(), 85, 0))
@@ -219,7 +249,7 @@ class TestCoupledStep:
         active = ["l_group", "r_group"] + ["lP"] * (lP != 0) + ["rP"] * (rP != 4)
         assert stream_step(state, LargestUniform()) == active[-1]
 
-    def test_every_transition_keeps_the_order(self, monkeypatch):
+    def test_every_transition_keeps_the_order(self):
         # The sandwich order by induction, for every seed, budget and
         # parameter.  An event moves one clock group: one walker by one
         # site, or a coincident outer/inner pair, whose gap goes from 0 to
@@ -227,31 +257,29 @@ class TestCoupledStep:
         # lP <= l <= r <= rP holds after an event depends only on the gaps
         # l - lP, r - l and rP - r, each capped at 2 (an inner gap of 0 is
         # the meeting, where a run stops).  From every capped triple, each
-        # active group, picked by its u_group, is driven with every outcome
-        # of its draw: the four (right, pure) results of magic_draw, a free
-        # step either way.
-        outcome = {}
-        monkeypatch.setattr(coupling, "magic_draw", lambda urn, left_present, u: outcome["draw"])
-        monkeypatch.setattr(Environment, "free_step",
-                            lambda self, walker, v, u: v + outcome["step"])
-        draws = list(product((False, True), (False, True)))
-        env = env_for(params_for(), 91)
+        # active group, picked by its u_group, is driven through the real
+        # kernel with every outcome of its draw: u_draw at the midpoint of
+        # each class of urns in which all four (pure/family x red/blue)
+        # have mass, or a free step either way.
+        env = env_for(params_for(a=2.0, delta=0.5), 91)
+        urn = MagicUrn(1.0, 1.0, 1.0, 1.0)
+        draws = set(product((False, True), (False, True)))
         for gaps in product((0, 1, 2), (1, 2), (0, 1, 2)):
-            free = {"lP": gaps[0] > 0, "rP": gaps[2] > 0}
-            active = {"l_group", "r_group"} | {w for w, is_free in free.items() if is_free}
-            moved = set()
-            for k, draw, step in product(range(len(active)), draws, (-1, 1)):
-                outcome.update(draw=draw, step=step)
-                state = CoupledState(env)
-                state.lP = 0
-                state.l = gaps[0]
-                state.r = state.l + gaps[1]
-                state.rP = state.r + gaps[2]
-                moved.add(coupled_step(state, (k + 0.5) / len(active), 0.5))
-                after = (state.l - state.lP, state.r - state.l, state.rP - state.r)
-                assert min(after) >= 0, (gaps, draw, step)
-                assert all(g == 0 or abs(a - g) <= 1 for g, a in zip(gaps, after))
-            assert moved == active
+            start = (0, gaps[0], gaps[0] + gaps[1], sum(gaps))
+            active = ["l_group", "r_group"] + ["lP"] * (gaps[0] > 0) + ["rP"] * (gaps[2] > 0)
+            for k, group in enumerate(active):
+                outcomes = set()
+                for u_draw in class_midpoints(group, start, env, urn):
+                    state = CoupledState(env)
+                    state.lP, state.l, state.r, state.rP = start
+                    for v in start[1:3]:
+                        set_urn(state, v, urn)
+                    assert one_event(state, (k + 0.5) / len(active), u_draw) == group
+                    outcomes.add(drawn_class(state, group, start, urn))
+                    after = (state.l - state.lP, state.r - state.l, state.rP - state.r)
+                    assert min(after) >= 0, (gaps, group, u_draw)
+                    assert all(g == 0 or abs(a - g) <= 1 for g, a in zip(gaps, after))
+                assert outcomes == (draws if group.endswith("group") else {-1, 1})
 
     def test_free_walker_clock_groups(self):
         p = params_for(r0=4)
@@ -300,16 +328,29 @@ class TestRunCoupling:
 
     def test_budget_and_start_sites_come_from_the_environment(self, monkeypatch):
         p = params_for(l0=-2, r0=4, max_events=5)  # gap 6: no meeting within 5 events
-        starts, step = [], coupling.coupled_step
+        calls, kernel = [], coupling.coupled_events
 
-        def recording(state, u_group, u_draw):
-            starts.append((state.lP, state.l, state.r, state.rP))
-            return step(state, u_group, u_draw)
-        monkeypatch.setattr(coupling, "coupled_step", recording)
+        def recording(state, u):
+            calls.append((state.positions(), len(u)))
+            return kernel(state, u)
+        monkeypatch.setattr(coupling, "coupled_events", recording)
         res = run_coupling(RngStream(99, 0), env_for(p, 99))
-        assert starts[0] == (-2, -2, 4, 4) and len(starts) == 5
+        assert calls == [((-2, -2, 4, 4), 10)]  # one chunk, cut at the budget
         assert (res.violations, res.tau1_event, res.events_executed) == (0, None, 5)
         assert res.max_gap >= 6
+
+    def test_a_call_at_the_meeting_is_rejected(self):
+        # a run that meets within a chunk stops there and leaves the rest;
+        # a further call on the met state raises
+        p = params_for(r0=1)
+        for t in range(50):
+            state = CoupledState(env_for(p, 100, t))
+            u = RngStream(100, t).uniforms(2000).tolist()
+            if coupled_events(state, u):
+                break
+        assert state.l == state.r and 0 < state.events < 1000
+        with pytest.raises(SandwichViolationError, match="at or past the meeting"):
+            coupled_events(state, u)
 
 
 def coupled_runs(run, p, seed, runs, shared):
@@ -356,38 +397,76 @@ class TestScalarOracle:
             assert errors[0].startswith(f"seed 102, trial {t}, event ")
             assert " at lP=0, l=0, r=" in errors[0]
 
-    @pytest.mark.parametrize("chunks", [(2, 2), (4096, 4096)])
+    @pytest.mark.parametrize("chunks", [(1, 1), (2048, 2048)])
     def test_results_do_not_depend_on_the_chunk_sizes(self, monkeypatch, chunks):
+        # chunk sizes in events: one event per chunk, and one chunk per run
         p = params_for(a=2.0, delta=0.5, r0=3, max_events=3000)
         expected = coupled_runs(run_coupling, p, 103, 40, False)
         # a run past 504 events reads the capped chunks at the default sizes
         assert max(res.events_executed for res in expected[0]) > 504
-        monkeypatch.setattr(coupling, "_FIRST_CHUNK", chunks[0])
-        monkeypatch.setattr(coupling, "_MAX_CHUNK", chunks[1])
+        monkeypatch.setattr(distributions, "_FIRST_CHUNK", chunks[0])
+        monkeypatch.setattr(distributions, "_MAX_CHUNK", chunks[1])
         assert coupled_runs(run_coupling, p, 103, 40, False) == expected
 
     def test_a_violation_keeps_its_replay_record(self, monkeypatch):
-        # the 50th event breaks the order after moving: the result holds
-        # the positions it left, and the run stops there
-        step = coupling.coupled_step
+        # the 2nd free step jumps past its inner partner: the kernel's
+        # order check ends the run at the positions the event left, and the
+        # event's gap does not count in max_gap
         calls = []
-
-        def moves_then_breaks(state, u_group, u_draw):
-            calls.append(None)
-            g = step(state, u_group, u_draw)
-            if len(calls) == 50:
-                state.lP = state.l + 1
-                raise SandwichViolationError("injected")
-            return g
-        monkeypatch.setattr(coupling, "coupled_step", moves_then_breaks)
+        monkeypatch.setattr(Environment, "free_step", out_of_order_free_step(2, calls))
         p = params_for(l0=-3, r0=5, max_events=1000)
         res = run_coupling(RngStream(104, 0), env_for(p, 104))
-        assert (res.violations, res.tau1_event, res.events_executed) == (1, None, 50)
-        lP, l, r, rP = res.positions
-        assert lP == l + 1 and l < r <= rP
-        assert replay_record(res.seed, res.stream_id, res.events_executed, res.positions) == (
-            f"seed 104, trial 0, event 50 at lP={lP}, l={l}, r={r}, rP={rP}")
+        assert (res.violations, res.tau1_event, len(calls)) == (1, None, 2)
+        walker, v = calls[-1]
+        monkeypatch.undo()
+        e = res.events_executed
+        before = run_coupling(RngStream(104, 0), env_for(replace(p, max_events=e - 1), 104))
+        after = list(before.positions)
+        i = 0 if walker == "lP" else 3
+        assert after[i] == v
+        after[i] = v + FAR if walker == "lP" else v - FAR
+        assert res.positions == tuple(after) and res.max_gap == before.max_gap
+        assert replay_record(res.seed, res.stream_id, e, res.positions) == (
+            "seed 104, trial 0, event {} at lP={}, l={}, r={}, rP={}".format(e, *after))
         assert "positions" not in json.loads(res.to_json())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pure_red=st.sampled_from([-0.5, 0.0, 1.0]) | st.floats(-0.99, 8.0),
+        pure_blue=st.sampled_from([-0.5, 0.0, 1.0]) | st.floats(-0.99, 8.0),
+        fam_red=st.sampled_from([0.0, 0.5, 2.0]) | st.floats(0.0, 8.0),
+        fam_blue=st.sampled_from([0.0, 0.5, 2.0]) | st.floats(0.0, 8.0),
+        left_present=st.booleans(),
+        coincident=st.booleans(),
+        u_draw=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_inner_draws_follow_magic_draw(self, pure_red, pure_blue, fam_red, fam_blue,
+                                           left_present, coincident, u_draw):
+        # the kernel's inline draw is the oracle's: the same urn after, the
+        # same moves for the drawn (right, pure), the same errors
+        urn = MagicUrn(pure_red, pure_blue, fam_red, fam_blue)
+        state = CoupledState(env_for(params_for(l0=-1, r0=1), 105))
+        state.lP, state.rP = (-1, 1) if coincident else (-2, 2)
+        v = -1 if left_present else 1
+        set_urn(state, v, urn)
+        u_group = (0.5 if left_present else 1.5) / (2 if coincident else 4)
+        try:
+            right, pure = magic_draw(urn, left_present, u_draw)
+        except NegativeMassError as exc:
+            with pytest.raises(NegativeMassError) as got:
+                one_event(state, u_group, u_draw)
+            assert str(got.value) == str(exc)
+            assert state.positions() == ((-1, -1, 1, 1) if coincident else (-2, -1, 1, 2))
+            return
+        one_event(state, u_group, u_draw)
+        assert state.urns[v] == urn
+        to = v + 1 if right else v - 1
+        if left_present:
+            lP = (v + 1 if pure and right else v - 1) if coincident else -2
+            assert (state.lP, state.l) == (lP, to)
+        else:
+            rP = (v - 1 if pure and not right else v + 1) if coincident else 2
+            assert (state.r, state.rP) == (to, rP)
 
 
 # (model parameters, seed) of the fixed-environment checks
@@ -433,16 +512,10 @@ class TestMarginalCheck:
     def test_a_violating_run_fails_the_check(self, monkeypatch):
         # one run breaks the order midway; the other runs' tallies pass
         # their tests, so only the violation can fail the check
-        calls, step = [], coupling.coupled_step
-
-        def breaks_once(state, u_group, u_draw):
-            calls.append(None)
-            if len(calls) == 5000:
-                raise SandwichViolationError("injected")
-            return step(state, u_group, u_draw)
-        monkeypatch.setattr(coupling, "coupled_step", breaks_once)
+        calls = []
+        monkeypatch.setattr(Environment, "free_step", out_of_order_free_step(400, calls))
         report = marginal_check(params_for(max_events=2000), trials=300, seed=95)
-        assert len(calls) > 5000 and report.checks
+        assert len(calls) > 400 and report.checks  # 826 free steps in all
         assert all(c.p_value >= SIGNIFICANCE / len(report.checks) for c in report.checks)
         assert not report.passed
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from reinforce_sim import rwre
+from reinforce_sim import distributions
 from reinforce_sim.distributions import BetaParams, RngStream
 from reinforce_sim.rwre import Classification, criterion, difference_recurrence, first_returns
 
@@ -189,13 +189,14 @@ class TestDifferenceRecurrence:
 
     @pytest.mark.parametrize("p1,p2,trials", ORACLE_GRID, ids=["pilot", "outside", "mixed"])
     def test_first_returns_equal_the_scalar_oracle(self, monkeypatch, p1, p2, trials):
-        # budgets below, at and above the first read of 16 uniforms (8
-        # events), and one long enough to reach the largest reads; the
-        # read sizes must not show in the result
+        # budgets below, at and above the first chunk of 8 events, and one
+        # long enough to reach the largest chunks; 1-event chunks, the
+        # default and one chunk of the largest size must not show in the
+        # result
         for budget in (1, 2, 8, 9, 15, 16, 17, 10_000):
             expected = scalar_first_returns(p1, p2, budget, trials, 113)
-            for first_chunk in (1, 16, 1024):
-                monkeypatch.setattr(rwre, "_FIRST_CHUNK", first_chunk)
+            for first_chunk in (1, 8, 512):
+                monkeypatch.setattr(distributions, "_FIRST_CHUNK", first_chunk)
                 assert first_returns(p1, p2, budget, trials, 113) == expected
 
     def test_deterministic_reduction_oracle(self):

@@ -15,11 +15,10 @@ from reinforce_sim.urn import (
     NegativeMassError,
     PolyaUrn,
     left_mass,
-    magic_draw,
     polya_fraction_samples,
 )
 
-from oracles import polya_fractions
+from oracles import magic_draw, polya_fractions
 
 
 def reference_draw(urn: MagicUrn, left_present: bool, rng):

@@ -23,14 +23,14 @@ from reinforce_sim.coupling import (
 )
 from reinforce_sim.direct import ModelParams, right_jump_probability, run_direct, run_direct_batch
 from reinforce_sim.distributions import ENVIRONMENT, RngStream, trial_streams
-from reinforce_sim.urn import MagicUrn, NegativeMassError, left_mass, magic_draw
+from reinforce_sim.urn import MagicUrn, NegativeMassError, left_mass
 from reinforce_sim.urn_process import (
     SmallAPolicyError,
     compare_exact,
     initial_masses,
 )
 
-from oracles import ExactDistribution, enumerate_exact, stream_step, tv_distance
+from oracles import ExactDistribution, enumerate_exact, one_event, stream_step, tv_distance
 
 
 def params_for(a=1.0, delta=0.0, l0=0, r0=2, **kw):
@@ -86,8 +86,9 @@ class TestSmallAPolicy:
         # right particle on a fresh a<1 site of the left class
         p = params_for(a=0.5, l0=0, r0=1, allow_small_a=True)
         state = CoupledState(env_for(p, 71))
+        state.lP, state.l, state.r, state.rP = -2, -2, -1, -1
         with pytest.raises(NegativeMassError):
-            magic_draw(state.urn_at(-1), False, RngStream(71, 0).uniform())
+            one_event(state, 0.75, RngStream(71, 0).uniform())  # the r group draws
 
 
 def jump_probabilities(urn: MagicUrn, left_present: bool):
@@ -554,3 +555,29 @@ class TestTvDistance:
         d3 = enumerate_exact("direct", params_for(a=2.0), 2)
         with pytest.raises(ValueError):
             tv_distance(d1, d3)
+
+
+class TestUrnCertificate:
+    @pytest.mark.parametrize("gap", [1, 2, 3])
+    def test_equivalence_for_every_a_and_delta_at_horizon_9(self, gap):
+        """TV = 0 at horizon 9 on a in {1, 2, 3} x delta in {0, 1/2, 1}
+        certifies the urn representation at that horizon for every a >= 1
+        and delta >= 0, and every start pair with this gap.
+
+        Premise: both kernels stay ratios of forms of degree <= 1 in
+        (a, delta) (``initial_masses``, ``WeightMap``,
+        ``right_jump_probability``, ``left_mass / total``) and never branch
+        on the values of a or delta; their kernels then lie in (0, 1), so
+        the joint states reached do not depend on (a, delta).  The
+        cross-multiplied difference of the two kernels at a reached state is
+        then a polynomial of degree <= 2 in a and <= 2 in delta, and one
+        that vanishes on a 3 x 3 grid vanishes identically (Alon,
+        "Combinatorial Nullstellensatz", CPC 8, 1999, Lemma 2.1).
+        ``initial_masses`` reads only v - l0 and v - r0, so one gap covers
+        every start pair with it.  A kernel change that breaks the premise
+        must say so here; small a, where a mass can go negative, is outside
+        the argument.
+        """
+        for a in (1.0, 2.0, 3.0):
+            for delta in (0.0, 0.5, 1.0):
+                assert compare_exact(params_for(a=a, delta=delta, r0=gap), 9).tv_distance == 0
