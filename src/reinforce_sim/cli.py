@@ -188,7 +188,8 @@ def simulate(n, a, delta, l0, r0, events, trials,
               help="JSON report path (default stdout summary only).")
 def urn_verify(a, delta, l0, r0, horizon, allow_small_a, out_path) -> None:
     """Certify the urn representation against the weight dynamics by exact
-    enumeration; fails (exit 1) if the distributions differ."""
+    enumeration; fails (exit 1) if the distributions differ, naming on
+    stderr the first step at which the two kernels differ."""
     params = _model_params(a, delta, l0, r0, 0, allow_small_a=allow_small_a)
     try:
         law = compare_exact(params, horizon)
@@ -211,7 +212,8 @@ def urn_verify(a, delta, l0, r0, horizon, allow_small_a, out_path) -> None:
     if out_path is not None:
         _write_text(out_path, json.dumps(report, sort_keys=True) + "\n")
     click.echo(f"TV(direct, urn) = {shown} at horizon {horizon}: {'OK' if ok else 'MISMATCH'}")
-    if not ok:
+    if not ok:  # a distance > 0 needs a step at which the kernels differ
+        click.echo(f"first kernel difference: {law.first_difference}", err=True)
         sys.exit(1)
 
 

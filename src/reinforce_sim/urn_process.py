@@ -5,27 +5,36 @@ The urn representation is valid strictly before the first meeting time.
 Its Monte Carlo walk is the inner pair of the coupled quadruple
 (``coupling.coupled_events``).  :func:`compare_exact` runs both models
 together, one breadth-first layer per event, merging the paths that reach
-the same joint state; it gives the trajectory TV distance and each
-model's law of the first meeting time.  Probabilities are exact
-rationals (floats are binary rationals, so any float a and delta
-enumerate exactly), carried as reduced pairs of ints; the live states of
-a layer are bounded by ``MAX_LIVE_STATES``.
+the same joint state; it gives the trajectory TV distance, each model's
+law of the first meeting time and the first step at which the two
+kernels differ.  A node is keyed by the two sites, its ratio of urn to
+direct probability and a flat tuple of the jumps from each site of a
+window around the starts, which grows with the depth reached, never with
+the gap; the nodes a layer absorbs are summed once per layer.
+Probabilities are exact rationals (floats are binary rationals, so any
+float a and delta enumerate exactly), carried as reduced pairs of ints;
+the live states of a layer are bounded by ``MAX_LIVE_STATES``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
+from typing import NamedTuple
 
 from .direct import ModelParams, WeightMap, right_jump_probability
 from .urn import MagicUrn, left_mass
 
 # Joint states one layer of compare_exact may hold.  The states grow about
 # 1.8-fold per event.  At a=2, delta=0.5, gap 3, horizon 11 (8,094 states
-# in its last layer) runs in 0.4 s with a 51 MiB peak RSS on a 2-vCPU VM,
-# and refusing horizon 12 (14,124) or more takes about 0.5 s.
+# in its last layer) runs in 0.16-0.22 s with a 39 MiB peak RSS on a 2-vCPU
+# VM, and refusing horizon 12 (14,124) or more takes 0.25-0.33 s.
 MAX_LIVE_STATES = 10_000
+
+# Radius of compare_exact's first site window, so that a huge horizon
+# costs nothing until a pass gets that deep.
+_FIRST_RADIUS = 16
 
 
 class SmallAPolicyError(ValueError):
@@ -61,6 +70,29 @@ def check_small_a_policy(params: ModelParams) -> None:
         )
 
 
+class KernelDifference(NamedTuple):
+    """A step at which the two models' kernels differ: after ``depth``
+    events, at sites ``l`` and ``r``, walker ``mover`` (0 left, 1 right)
+    jumps right or left from its site, whose (left, right) jumps are
+    ``site_jumps``, with probability ``p_direct`` and ``p_urn``."""
+
+    depth: int
+    l: int
+    r: int
+    mover: int
+    right: bool
+    site_jumps: tuple[int, int]
+    p_direct: Fraction
+    p_urn: Fraction
+
+    def __str__(self) -> str:
+        walker, v = ("left", self.l) if self.mover == 0 else ("right", self.r)
+        return (f"depth {self.depth} at l={self.l}, r={self.r}: the {walker} walker's "
+                f"{'right' if self.right else 'left'} jump from {v} (site jumps left "
+                f"{self.site_jumps[0]}, right {self.site_jumps[1]}) has probability "
+                f"{self.p_direct} (direct) and {self.p_urn} (urn)")
+
+
 @dataclass(frozen=True)
 class ExactComparison:
     """The weight dynamics and the urn process compared exactly up to a horizon.
@@ -72,6 +104,8 @@ class ExactComparison:
     ``meeting_direct[k]`` and ``meeting_urn[k]`` are P(tau1 = k), k <=
     horizon, under each model; ``mass_direct`` and ``mass_urn`` are the
     total probabilities absorbed, 1 when the kernels are probability laws.
+    ``first_difference`` is the first (so lowest-depth) step at which the
+    kernels differ, None if they agree at every state the pass reached.
     """
 
     tv_distance: Fraction
@@ -81,6 +115,7 @@ class ExactComparison:
     meeting_urn: tuple[Fraction, ...]
     mass_direct: Fraction
     mass_urn: Fraction
+    first_difference: KernelDifference | None
 
 
 def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
@@ -101,20 +136,33 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
     family, since the law only depends on the pooled masses.  A layer of
     more than ``MAX_LIVE_STATES`` nodes raises ValueError.
 
-    Every probability is a reduced (numerator, denominator) pair of ints;
-    the result is converted to ``Fraction`` once at the end.  Each kernel
-    value is computed once per pass, in ``Fraction``s, and cached:
-    ``right_jump_probability`` on the site and the traversals of its two
-    edges, ``left_mass`` / ``total`` on the site, the present particle
-    and the site's jumps.  A miss rebuilds the kernel's input: the edge
-    weights with the sampler's own update (``WeightMap.reinforce``), the
-    urn with two family marbles per jump, as ``coupled_events`` adds them.  The
-    cache is sound only because these kernels read nothing but that input.
+    A node's key is ``(l, r, (A, B), jumps)``, ``jumps`` a flat tuple of
+    each window site's left and right jumps; a child replaces one entry.
+    The window (``_window``) is the sites within a radius of l0 or r0:
+    the horizon, or ``_FIRST_RADIUS`` doubled whenever the pass gets that
+    deep.  Before that depth a mover is strictly inside it, so its edges'
+    traversals are in the window too.
+
+    Every probability is a reduced (numerator, denominator) pair of ints,
+    and the nodes a layer absorbs are summed once, over the lcm of their
+    denominators; the result is converted to ``Fraction`` once at the
+    end.  Each kernel value is computed once per pass, in
+    ``Fraction``s, and cached: ``right_jump_probability`` on the site and
+    the traversals of its two edges, ``left_mass`` / ``total`` on the
+    site, the present particle and the site's jumps.  A miss rebuilds the
+    kernel's input: the edge weights with the sampler's own update
+    (``WeightMap.reinforce``), the urn with two family marbles per jump,
+    as ``coupled_events`` adds them.  The cache is sound only because
+    these kernels read nothing but that input.
+
+    ``first_difference`` is the first step, in the pass's order, at which
+    the kernels differ; it is built only where steps differ.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     check_small_a_policy(params)
     a, delta = Fraction(params.a), Fraction(params.delta)
+    l0, r0 = params.l0, params.r0
 
     @cache
     def p_right(v, left_edge, right_edge):  # traversals of [v-1, v] and [v, v+1]
@@ -125,35 +173,42 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
         return right_jump_probability(weights, v, delta).as_integer_ratio()
 
     @cache
-    def q_left(v, left_present, site_jumps):  # site_jumps: (left, right) jumps from v
-        urn = MagicUrn(*initial_masses(params, v, Fraction), *(2 * n for n in site_jumps))
+    def q_left(v, left_present, lj, rj):  # lj, rj: left and right jumps from v
+        urn = MagicUrn(*initial_masses(params, v, Fraction), 2 * lj, 2 * rj)
         return (left_mass(urn, left_present) / urn.total).as_integer_ratio()
 
+    radius = min(horizon, _FIRST_RADIUS)
+    base, blocks = window = _window(l0, r0, radius)
     tv, masses = (0, 1), [(0, 1), (0, 1)]
     trajectories = [0, 0]
     meeting = ([(0, 1)] * (horizon + 1), [(0, 1)] * (horizon + 1))
-    # key -> [t as (num, den), paths, l, r, {site: (left jumps, right jumps)}, (A, B)]
-    layer = {None: [(1, 1), 1, params.l0, params.r0, {}, (1, 1)]}
+    first = None
+    # (l, r, (A, B), jumps) -> [t as (num, den), paths]
+    layer = {(l0, r0, (1, 1), (0,) * (2 * sum(n for *_, n in blocks))): [(1, 1), 1]}
     for depth in range(horizon + 1):
+        if not layer:  # every path has met
+            break
+        if depth == radius < horizon:  # a move from here may read a site past the window
+            radius = min(2 * radius, horizon)
+            narrow, window = window, _window(l0, r0, radius)
+            base = window[0]
+            layer = {(l, r, ratio, _relaid(jumps, narrow, window)): node
+                     for (l, r, ratio, jumps), node in layer.items()}
         children: dict = {}
-        for (tn, td), paths, l, r, jumps, (A, B) in layer.values():
+        absorbed = []  # (t num, t den, A, B, met) of the nodes this layer ends
+        for (l, r, (A, B), jumps), ((tn, td), paths) in layer.items():
             if l == r or depth == horizon:
-                p, q = (tn * B, td), (tn * A, td)
+                absorbed.append((tn, td, A, B, l == r))
                 trajectories[0] += paths if B else 0
                 trajectories[1] += paths if A else 0
-                masses[0], masses[1] = _add(masses[0], p), _add(masses[1], q)
-                tv = _add(tv, (tn * abs(B - A), td))
-                if l == r:
-                    meeting[0][depth] = _add(meeting[0][depth], p)
-                    meeting[1][depth] = _add(meeting[1][depth], q)
                 continue
             for mover, v, left_present in ((0, l, True), (1, r, False)):
-                site_jumps = jumps.get(v, (0, 0))
+                i = 2 * (v - base[mover])
+                lj, rj = jumps[i], jumps[i + 1]
                 # an edge's traversals: right jumps from its left end
                 # and left jumps from its right end
-                pn, pd = p_right(v, jumps.get(v - 1, (0, 0))[1] + site_jumps[0],
-                                 site_jumps[1] + jumps.get(v + 1, (0, 0))[0]) if B else (0, 1)
-                qn, qd = q_left(v, left_present, site_jumps) if A else (0, 1)
+                pn, pd = p_right(v, jumps[i - 1] + lj, rj + jumps[i + 2]) if B else (0, 1)
+                qn, qd = q_left(v, left_present, lj, rj) if A else (0, 1)
                 for right in (0, 1):
                     ps, qs = (pn, qd - qn) if right else (pd - pn, qn)
                     if qs * pd == ps * qd:  # equal steps keep the ratio: no gcd
@@ -161,32 +216,72 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
                             continue
                         ratio, t = (A, B), _reduced(tn * ps, td * 2 * pd)
                     else:
+                        if first is None:
+                            first = KernelDifference(depth, l, r, mover, bool(right), (lj, rj),
+                                                     Fraction(ps, pd), Fraction(qs, qd))
                         x, y = A * qs * pd, B * ps * qd
                         if not (x or y):
                             continue
                         g = gcd(x, y)
                         ratio, t = (x // g, y // g), _reduced(tn * g, td * 2 * pd * qd)
-                    lj, rj = site_jumps
-                    child_jumps = {**jumps, v: (lj, rj + 1) if right else (lj + 1, rj)}
+                    k = i + right
+                    child = jumps[:k] + (jumps[k] + 1,) + jumps[k + 1:]
                     to = v + 1 if right else v - 1
-                    nl, nr = (to, r) if mover == 0 else (l, to)
-                    key = (nl, nr, ratio, frozenset(child_jumps.items()))
+                    key = (to, r, ratio, child) if mover == 0 else (l, to, ratio, child)
                     node = children.get(key)
                     if node is not None:
                         node[0] = _add(node[0], t)
                         node[1] += paths
                     elif len(children) < MAX_LIVE_STATES:
-                        children[key] = [t, paths, nl, nr, child_jumps, ratio]
+                        children[key] = [t, paths]
                     else:
                         raise ValueError(
                             f"horizon {horizon} needs more than MAX_LIVE_STATES = "
                             f"{MAX_LIVE_STATES} live joint states at depth {depth + 1}"
                         )
+        # numerators over den of the direct and urn masses, of t*|B - A|
+        # and of the met nodes' direct and urn masses
+        den = lcm(*(td for _, td, *_ in absorbed))
+        p_mass = q_mass = tv_mass = p_met = q_met = 0
+        for tn, td, A, B, met in absorbed:
+            w = tn * (den // td)
+            p_mass += w * B
+            q_mass += w * A
+            tv_mass += w * abs(B - A)
+            if met:
+                p_met += w * B
+                q_met += w * A
+        masses = [_add(masses[0], (p_mass, den)), _add(masses[1], (q_mass, den))]
+        tv = _add(tv, (tv_mass, den))
+        meeting[0][depth] = _reduced(p_met, den)
+        meeting[1][depth] = _reduced(q_met, den)
         layer = children
     return ExactComparison(Fraction(*tv) / 2, *trajectories,
                            tuple(Fraction(*m) for m in meeting[0]),
                            tuple(Fraction(*m) for m in meeting[1]),
-                           *(Fraction(*m) for m in masses))
+                           *(Fraction(*m) for m in masses), first)
+
+
+def _window(l0: int, r0: int, radius: int):
+    """The sites within ``radius`` of l0 or r0 as (base, blocks): site v of
+    mover m is number v - base[m]; a block (first site, mover, sites) is
+    one range, one for both walkers when theirs overlap or touch."""
+    if r0 - l0 <= 2 * radius + 1:
+        return (l0 - radius, l0 - radius), ((l0 - radius, 0, r0 - l0 + 2 * radius + 1),)
+    n = 2 * radius + 1
+    return (l0 - radius, r0 - radius - n), ((l0 - radius, 0, n), (r0 - radius, 1, n))
+
+
+def _relaid(jumps: tuple, narrow, wide) -> tuple:
+    """``jumps`` over window ``narrow``, laid out over the window ``wide``
+    that holds it; the sites new to it have no jumps."""
+    (base, blocks), k = wide, 0
+    out = [0] * (2 * sum(n for *_, n in blocks))
+    for site, mover, n in narrow[1]:
+        i = 2 * (site - base[mover])
+        out[i:i + 2 * n] = jumps[k:k + 2 * n]
+        k += 2 * n
+    return tuple(out)
 
 
 def _reduced(num: int, den: int) -> tuple[int, int]:

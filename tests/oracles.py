@@ -4,7 +4,9 @@ They are the straightforward, slow forms of what the library does fast:
 the difference-recurrence experiment as a scalar loop over freshly built
 streams and a memoized environment, Beta samples drawn in blocks, and
 Polya urns run one run and one drawing at a time, both models of the
-two-particle dynamics enumerated one trajectory at a time, the free
+two-particle dynamics enumerated one trajectory at a time (and walked
+breadth first to the first step at which their kernels differ), two
+patched kernels for those enumerations to tell apart, the free
 outer steps of coupled runs tallied from the walkers' positions, the
 chameleon urn's draw as a function, and the coupled run drawing one
 uniform at a time from its stream.  :func:`out_of_order_free_step` breaks
@@ -23,11 +25,12 @@ from reinforce_sim.coupling import (
     CoupledState, CouplingRunResult, Environment, SandwichViolationError, coupled_events,
     replay_record,
 )
-from reinforce_sim.direct import ModelParams, WeightMap
+from reinforce_sim.direct import ModelParams, WeightMap, right_jump_probability
 from reinforce_sim.distributions import (
     ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, sample_beta, trial_streams,
 )
 from reinforce_sim.urn import MagicUrn, NegativeMassError, left_mass
+from reinforce_sim.urn_process import initial_masses
 
 
 class LargestUniform:
@@ -211,6 +214,53 @@ def _urn_branches(params: ModelParams):
                          else replace(urn, fam_red=urn.fam_red + 2))
                 yield direction, mass / total, {**urns, v: drawn}
     return branches
+
+
+def first_kernel_difference(params: ModelParams, horizon: int):
+    """The first step, breadth first over the trajectory tree (movers and
+    directions in ``compare_exact``'s order), at which the two models'
+    kernels differ, as ``(depth, l, r, mover, right, site jumps, direct
+    probability, urn probability)``; None if they agree up to the horizon.
+    Until that step both trees hold the same paths, so one walk serves."""
+    direct, urn = _direct_branches(params), _urn_branches(params)
+    layer = [((), {}, params.l0, params.r0)]
+    for depth in range(horizon):
+        children = []
+        for traversed, urns, l, r in layer:
+            if l == r:
+                continue
+            for mover in (0, 1):
+                v = (l, r)[mover]
+                p = {right: (prob, after) for right, prob, after in direct(traversed, v, mover)}
+                q = {right: (prob, after) for right, prob, after in urn(urns, v, mover)}
+                for right in (0, 1):
+                    (p_step, traversed_after), (q_step, urns_after) = (
+                        p.get(right, (0, None)), q.get(right, (0, None)))
+                    if p_step != q_step:
+                        drawn = urns.get(v, MagicUrn(0, 0))
+                        jumps = (drawn.fam_red / 2, drawn.fam_blue / 2)
+                        return depth, l, r, mover, bool(right), jumps, p_step, q_step
+                    if p_step:
+                        to = v + 1 if right else v - 1
+                        nl, nr = (to, r) if mover == 0 else (l, to)
+                        children.append((traversed_after, urns_after, nl, nr))
+        layer = children
+    return None
+
+
+def shifted_red(v0: int, shift: Fraction):
+    """initial_masses with the red mass of site v0 moved by ``shift``."""
+    def masses(params, v, num=float):
+        red, blue = initial_masses(params, v, num)
+        return (red + shift, blue) if v == v0 else (red, blue)
+    return masses
+
+
+def blocked_right(v0: int):
+    """right_jump_probability with every jump from site v0 to the right."""
+    def probability(weights, v, delta):
+        return Fraction(1) if v == v0 else right_jump_probability(weights, v, delta)
+    return probability
 
 
 def tv_distance(d1: ExactDistribution, d2: ExactDistribution) -> Fraction:

@@ -53,11 +53,15 @@ def test_criterion_2_sandwich_invariant():
     runs_per_config = 850  # 850 x 12 = 10200 runs
     budget = 10_000
     total = violations = tau1_hits = 0
+    # one dynamics and one environment generator, re-keyed to each run's
+    # streams (2026, c * 10_000 + t), as `couple` does
+    rng, env_rng = RngStream(2026, 0), RngStream(2026, 0, ENVIRONMENT)
     for c, grid_params in enumerate(PARAM_GRID):
         params = replace(grid_params, max_events=budget)
         for t in range(runs_per_config):
-            key = (2026, c * 10_000 + t)
-            res = run_coupling(RngStream(*key), Environment(params, RngStream(*key, ENVIRONMENT)))
+            rng.rekey(c * 10_000 + t)
+            env_rng.rekey(c * 10_000 + t)
+            res = run_coupling(rng, Environment(params, env_rng))
             total += 1
             violations += res.violations
             tau1_hits += res.tau1_event is not None

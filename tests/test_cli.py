@@ -18,7 +18,7 @@ from reinforce_sim.coupling import MARGINAL_TRIALS, Environment, run_coupling
 from reinforce_sim.direct import ModelParams, meeting_statistics, run_direct
 from reinforce_sim.distributions import ENVIRONMENT, HOLDING_TIMES, RngStream
 
-from oracles import FAR, out_of_order_free_step
+from oracles import FAR, blocked_right, out_of_order_free_step, shifted_red
 
 
 @pytest.fixture()
@@ -247,10 +247,35 @@ class TestUrnVerify:
         out = tmp_path / "report.json"
         result = runner.invoke(main, ["urn-verify", "--horizon", "3", "--out", str(out)])
         assert result.exit_code == 1
-        assert result.output == "TV(direct, urn) = 1.395833e-400 at horizon 3: MISMATCH\n"
+        assert result.stdout == "TV(direct, urn) = 1.395833e-400 at horizon 3: MISMATCH\n"
         report = json.loads(out.read_text())
         assert report["equivalent"] is False
         assert report["tv_distance"] == math.ulp(0.0)
+
+    @pytest.mark.parametrize("kernel", ["red + 1/2", "blocked direct"])
+    def test_mismatch_writes_a_replay_record(self, runner, tmp_path, monkeypatch, kernel):
+        # stdout and --out are those of any mismatch; stderr names the first
+        # step at which the kernels differ: the left walker's left jump from
+        # l0 = 0, before any event, where a = 1 and delta = 0 give both edges
+        # weight 1 and the urn red mass 0 and blue mass 1
+        if kernel == "red + 1/2":
+            monkeypatch.setattr(urn_process, "initial_masses", shifted_red(0, Fraction(1, 2)))
+            probabilities = "1/2 (direct) and 3/5 (urn)"
+        else:
+            monkeypatch.setattr(urn_process, "right_jump_probability", blocked_right(0))
+            probabilities = "0 (direct) and 1/2 (urn)"
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["urn-verify", "--horizon", "3", "--out", str(out)])
+        assert result.exit_code == 1
+        tv = urn_process.compare_exact(ModelParams(a=1.0, delta=0.0, l0=0, r0=2), 3).tv_distance
+        assert result.stdout == f"TV(direct, urn) = {float(tv)!r} at horizon 3: MISMATCH\n"
+        assert result.stderr == (
+            "first kernel difference: depth 0 at l=0, r=2: the left walker's left jump "
+            f"from 0 (site jumps left 0, right 0) has probability {probabilities}\n")
+        report = json.loads(out.read_text())
+        assert sorted(report) == ["equivalent", "meta", "trajectories_direct",
+                                  "trajectories_urn", "tv_distance"]
+        assert report["equivalent"] is False and report["tv_distance"] == float(tv)
 
     def test_horizon_guard_is_usage_error(self, runner, monkeypatch):
         # a small bound keeps the refusal cheap; the default takes 11 layers

@@ -5,6 +5,7 @@ The merged-state pass ``compare_exact`` is checked against the
 trajectory-tree oracle, and the Monte Carlo engines against its law of
 the first meeting time.
 """
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -25,12 +26,22 @@ from reinforce_sim.direct import ModelParams, right_jump_probability, run_direct
 from reinforce_sim.distributions import ENVIRONMENT, RngStream, trial_streams
 from reinforce_sim.urn import MagicUrn, NegativeMassError, left_mass
 from reinforce_sim.urn_process import (
+    KernelDifference,
     SmallAPolicyError,
     compare_exact,
     initial_masses,
 )
 
-from oracles import ExactDistribution, enumerate_exact, one_event, stream_step, tv_distance
+from oracles import (
+    ExactDistribution,
+    blocked_right,
+    enumerate_exact,
+    first_kernel_difference,
+    one_event,
+    shifted_red,
+    stream_step,
+    tv_distance,
+)
 
 
 def params_for(a=1.0, delta=0.0, l0=0, r0=2, **kw):
@@ -194,12 +205,15 @@ def assert_pass_matches_tree(p: ModelParams, h: int):
     return c
 
 
-def shifted_red(v0: int, shift: Fraction):
-    """initial_masses with the red mass of site v0 moved by ``shift``."""
-    def masses(params, v, num=float):
-        red, blue = initial_masses(params, v, num)
-        return (red + shift, blue) if v == v0 else (red, blue)
-    return masses
+def patch_kernel(monkeypatch, kernel: str, v0: int) -> None:
+    """Perturb one model's kernel at site v0: the urn's red mass by 1/2
+    ("red + 1/2") or by -2, so its left jump is blocked ("blocked urn"), or
+    the weight dynamics' left jump ("blocked direct")."""
+    if kernel == "blocked direct":
+        monkeypatch.setattr(urn_process, "right_jump_probability", blocked_right(v0))
+    else:
+        shift = Fraction(1, 2) if kernel == "red + 1/2" else Fraction(-2)
+        monkeypatch.setattr(urn_process, "initial_masses", shifted_red(v0, shift))
 
 
 class TestEnumeration:
@@ -257,6 +271,77 @@ class TestEnumeration:
         c = compare_exact(params_for(a=2.0, delta=0.5, l0=0, r0=3), 7)
         assert (c.tv_distance, c.trajectories_direct, c.trajectories_urn) == (0, 12904, 12904)
         assert c.mass_direct == c.mass_urn == 1
+        assert c.first_difference is None
+
+    @pytest.mark.parametrize("l0,r0", [(-4, -1), (5, 9), (-2, 2)])
+    def test_starts_off_the_origin_match_the_trees(self, l0, r0):
+        # the window of sites moves with the starts; at gap 4 its two
+        # ranges are apart at h = 1 and one range from h = 2 on
+        p = params_for(a=2.0, delta=0.5, l0=l0, r0=r0)
+        for h in range(7):
+            c = assert_pass_matches_tree(p, h)
+            assert c.tv_distance == 0
+            assert c.mass_direct == c.mass_urn == 1
+
+    @pytest.mark.parametrize("first_radius", [1, 3])
+    def test_results_do_not_depend_on_the_first_window(self, monkeypatch, first_radius):
+        # a pass that gets deeper than the first radius widens its window,
+        # at gap 4 from two ranges to one; results and first differences
+        # are those of a window of the horizon's radius
+        cases = [(params_for(a=2.0, delta=0.5, l0=l0, r0=r0), h)
+                 for l0, r0 in ((0, 0), (0, 1), (5, 9), (0, 10**6)) for h in range(8)]
+        patched = params_for(a=2.0, delta=0.5, l0=0, r0=2)
+        expected = [compare_exact(p, h) for p, h in cases]
+        with monkeypatch.context() as m:
+            patch_kernel(m, "blocked direct", -2)
+            expected_patched = compare_exact(patched, 6)
+            assert expected_patched.first_difference.depth == 2
+        monkeypatch.setattr(urn_process, "_FIRST_RADIUS", first_radius)
+        assert [compare_exact(p, h) for p, h in cases] == expected
+        patch_kernel(monkeypatch, "blocked direct", -2)
+        assert compare_exact(patched, 6) == expected_patched
+
+    def test_far_apart_walkers_never_meet(self):
+        # the window is two ranges of 2h + 1 sites: the walkers 10**6
+        # apart move independently, so every one of the 4**h trajectories
+        # survives in both models
+        c = assert_pass_matches_tree(params_for(a=2.0, delta=0.5, l0=0, r0=10**6), 6)
+        assert c.trajectories_direct == c.trajectories_urn == 4**6
+        assert c.tv_distance == 0
+        assert not any(c.meeting_direct) and not any(c.meeting_urn)
+
+    def test_keys_do_not_grow_with_the_gap(self):
+        # a key holds the window's 2 * (4h + 2) ints; one that spanned the
+        # gap would hold 2 * 10**6 of them, 16 MB, in each of its 5 nodes
+        tracemalloc.start()
+        try:
+            compare_exact(params_for(l0=0, r0=10**6), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_first_difference_of_a_shifted_red_mass(self, monkeypatch):
+        # a = 2, delta = 1/2: at l0 the weights are 2 and 5/2, so the
+        # direct left jump has probability 4/9; the urn's red mass a - 1
+        # becomes 3/2 against blue 5/2, and the left walker's chameleon
+        # marble is red, so its left jump has probability 5/2 / 5 = 1/2
+        patch_kernel(monkeypatch, "red + 1/2", 0)
+        c = compare_exact(params_for(a=2.0, delta=0.5, l0=0, r0=2), 5)
+        assert c.first_difference == KernelDifference(
+            depth=0, l=0, r=2, mover=0, right=False, site_jumps=(0, 0),
+            p_direct=Fraction(4, 9), p_urn=Fraction(1, 2))
+
+    @pytest.mark.parametrize("v0", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("kernel", ["red + 1/2", "blocked urn", "blocked direct"])
+    def test_first_difference_is_the_trees_first(self, monkeypatch, kernel, v0):
+        # off l0 and r0 the first difference comes at depth 1, at the node
+        # the pass builds first among those with a walker at v0
+        patch_kernel(monkeypatch, kernel, v0)
+        p = params_for(a=2.0, delta=0.5, l0=0, r0=2)
+        first = compare_exact(p, 5).first_difference
+        assert tuple(first) == first_kernel_difference(p, 5)
+        assert first.depth == (0 if v0 in (0, 2) else 1)
 
     @pytest.mark.parametrize("h", [3, 5, 6])
     def test_perturbed_red_mass_gives_the_trees_tv(self, monkeypatch, h):
@@ -280,9 +365,7 @@ class TestEnumeration:
     def test_direct_kernel_with_a_blocked_jump(self, monkeypatch, h):
         # no left jump from site 0 in the weight dynamics: those urn paths
         # have p = 0 (rho = infinity) and carry their q mass
-        def blocked(weights, v, delta):
-            return Fraction(1) if v == 0 else right_jump_probability(weights, v, delta)
-        monkeypatch.setattr(urn_process, "right_jump_probability", blocked)
+        monkeypatch.setattr(urn_process, "right_jump_probability", blocked_right(0))
         c = assert_pass_matches_tree(params_for(a=2.0, delta=0.5, l0=0, r0=2), h)
         assert c.tv_distance > 0
         assert c.trajectories_direct < c.trajectories_urn
@@ -294,13 +377,7 @@ class TestEnumeration:
         # the three patched kernels above, moved off l0: the ratio of urn to
         # direct probability changes at several depths, and a blocked jump
         # leaves paths that only one model can take
-        if kernel == "blocked direct":
-            def blocked(weights, v, delta):
-                return Fraction(1) if v == v0 else right_jump_probability(weights, v, delta)
-            monkeypatch.setattr(urn_process, "right_jump_probability", blocked)
-        else:
-            shift = Fraction(1, 2) if kernel == "red + 1/2" else Fraction(-2)
-            monkeypatch.setattr(urn_process, "initial_masses", shifted_red(v0, shift))
+        patch_kernel(monkeypatch, kernel, v0)
         for h in (3, 5, 6):
             c = assert_pass_matches_tree(params_for(a=2.0, delta=0.5, l0=0, r0=2), h)
             assert c.tv_distance > 0
@@ -398,8 +475,19 @@ class TestEnumeration:
         compare_exact(params_for(), 4)  # layers of 1, 4, 12, 26 and 63 states, then 120
         with pytest.raises(ValueError, match="MAX_LIVE_STATES = 100 live joint states at depth 5"):
             compare_exact(params_for(), 20)
+        # the window grows with the depth reached, not with the horizon
+        with pytest.raises(ValueError, match="horizon 1000000 needs more than MAX_LIVE_STATES "
+                                             "= 100 live joint states at depth 5"):
+            compare_exact(params_for(), 10**6)
         with pytest.raises(ValueError):
             compare_exact(params_for(), -1)
+
+    def test_horizon_guard_far_apart(self, monkeypatch):
+        monkeypatch.setattr(urn_process, "MAX_LIVE_STATES", 100)
+        far = params_for(l0=0, r0=10**6)
+        compare_exact(far, 4)  # layers of 1, 4, 12, 32 and 78 states, then 180
+        with pytest.raises(ValueError, match="MAX_LIVE_STATES = 100 live joint states at depth 5"):
+            compare_exact(far, 20)
 
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
