@@ -167,7 +167,7 @@ def simulate(n, a, delta, l0, r0, events, trials,
     rows = []  # a lone particle never meets, so its statistics have no rows
     if n > 1:
         streams = (RngStream(seed, trial) for trial in range(trials))  # built as each block starts
-        records = run_direct_batch(params, n, streams, stop_after_meetings=stop_after_meetings)
+        records = run_direct_batch(params, streams, stop_after_meetings=stop_after_meetings)
         rows = meeting_statistics(records)
     resolved = _resolved(outside_recurrence_regime=params.outside_recurrence_regime)
     notes = ["delta >= 1 is outside the proven recurrence regime"]

@@ -1,4 +1,5 @@
-"""Ground-truth weight dynamics: n-particle linearly reinforced walks on Z.
+"""Ground-truth weight dynamics: one or two linearly reinforced walks on Z
+that share their edge weights.
 
 Each particle carries an independent rate-1 exponential clock, so the
 embedded jump chain picks the next mover uniformly among the particles.
@@ -14,7 +15,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .distributions import RngStream
+from .distributions import RngStream, uniform_chunks
 
 
 @dataclass(frozen=True)
@@ -101,73 +102,59 @@ class TrajectoryRecord:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def direct_step(
-    weights: WeightMap, positions: list[int], params: ModelParams, rng: RngStream
-) -> tuple[int, int, int]:
-    """Execute one jump: uniform mover, weight-proportional direction.
-
-    Mutates ``weights`` and ``positions``; returns (particle, from, to).
-    """
-    n = len(positions)
-    i = int(rng.uniform() * n)  # < n: fl((1 - 2**-53) * n) < n below n = 2**53
-    v = positions[i]
-    if rng.uniform() < right_jump_probability(weights, v, params.delta):
-        to = v + 1
-        weights.reinforce(v)
-    else:
-        to = v - 1
-        weights.reinforce(v - 1)
-    positions[i] = to
-    return i, v, to
-
-
-def _start_positions(
-    params: ModelParams, n_particles: int, positions: list[int] | None
-) -> list[int]:
-    if n_particles < 1:
-        raise ValueError("need at least one particle")
-    if positions is None:
-        if n_particles > 2:
-            raise ValueError("for n_particles > 2, pass explicit start positions")
-        positions = [params.l0, params.r0][:n_particles]
-    if len(positions) != n_particles:
-        raise ValueError("positions length must equal n_particles")
-    return list(positions)
-
-
 def run_direct(
     params: ModelParams,
     n_particles: int,
     rng: RngStream,
-    positions: list[int] | None = None,
     record_events: bool = True,
     stop_after_meetings: int | None = None,
 ) -> TrajectoryRecord:
-    """Run up to ``params.max_events`` jumps and count meetings.
+    """Run up to ``params.max_events`` jumps of one walker from ``l0``, or
+    of two from ``l0`` and ``r0``, and count meetings.
 
-    ``stop_after_meetings=k`` ends the run once the k-th meeting is seen,
-    which keeps hitting-time experiments cheap.
+    Event e reads the uniform pair (u, u') at 2e - 2 of ``rng``, in chunks
+    (:func:`uniform_chunks`): walker ``int(u * n)`` moves, to the right when
+    u' < (W[v,v+1] + delta) / (W[v-1,v] + W[v,v+1] + delta), and the edge it
+    crosses gains 1.  ``stop_after_meetings=k`` ends the run once the k-th
+    meeting is seen, which keeps hitting-time experiments cheap.
     """
-    positions = _start_positions(params, n_particles, positions)
-    record = TrajectoryRecord(params=params, n_particles=n_particles)
-    weights = WeightMap(params.a)
-
-    if n_particles > 1 and len(set(positions)) == 1:
-        record.meetings = 1
-        if stop_after_meetings is not None and record.meetings >= stop_after_meetings:
-            record.final_positions = positions
-            return record
-
-    for e in range(1, params.max_events + 1):
-        i, frm, to = direct_step(weights, positions, params, rng)
-        if record_events:
-            record.events.append((e, i, frm, to))
-        record.events_executed = e
-        if n_particles > 1 and min(positions) == max(positions):
-            record.meetings += 1
-            if stop_after_meetings is not None and record.meetings >= stop_after_meetings:
-                break
-    record.final_positions = positions
+    if n_particles not in (1, 2):
+        raise ValueError(f"n_particles must be 1 or 2, got {n_particles!r}")
+    a, delta, n = params.a, params.delta, n_particles
+    pos = [params.l0, params.r0][:n]
+    record = TrajectoryRecord(params=params, n_particles=n, final_positions=pos)
+    meetings = int(n == 2 and pos[0] == pos[1])
+    # the first meeting ends a run with any limit <= 1
+    limit = float("inf") if stop_after_meetings is None else max(stop_after_meetings, 1)
+    if meetings >= limit:
+        record.meetings = meetings
+        return record
+    w = {}  # weight of edge [v, v+1], once touched; untouched edges weigh a
+    events = record.events
+    e = 0
+    for u in uniform_chunks(rng, params.max_events):
+        pairs = iter(u)
+        for u_mover, u_dir in zip(pairs, pairs):
+            e += 1
+            i = int(u_mover * n)  # < n: fl((1 - 2**-53) * n) < n
+            v = pos[i]
+            wl = w.get(v - 1, a)
+            wr = w.get(v, a)
+            if u_dir < (wr + delta) / (wl + wr + delta):
+                w[v] = wr + 1
+                pos[i] = v + 1
+            else:
+                w[v - 1] = wl + 1
+                pos[i] = v - 1
+            if record_events:
+                events.append((e, i, v, pos[i]))
+            if n == 2 and pos[0] == pos[1]:
+                meetings += 1
+                if meetings >= limit:
+                    break
+        if meetings >= limit:
+            break
+    record.meetings, record.events_executed = meetings, e
     return record
 
 
@@ -182,9 +169,11 @@ _BLOCK_TRIALS = 1024
 # this many, so a block holds O(this x log2(block)) weights whatever the
 # budget.  A single trial's window grows freely: one float per edge it spans.
 _WINDOW_CELLS = 1 << 22
-# A lockstep step costs about as much as five scalar events (2-vCPU VM), so
-# runs of fewer trials than this use the scalar engine.
-_MIN_LOCKSTEP = 6
+# Runs of fewer trials than this use the scalar engine.  At a = 1, gap 2 and
+# 10**4 events a scalar event costs 0.56-0.85 us, and a lockstep
+# trial-event 0.81-1.1 us at 16 trials, 0.72-0.83 at 20, 0.54-0.69 at 24
+# and 0.34-0.57 at 32-40 (2-vCPU VM, three rounds).
+_MIN_LOCKSTEP = 24
 
 
 @dataclass
@@ -210,45 +199,39 @@ class _Lockstep:
 
 def run_direct_batch(
     params: ModelParams,
-    n_particles: int,
     streams: Iterable[RngStream],
-    positions: list[int] | None = None,
     stop_after_meetings: int | None = None,
 ) -> list[TrajectoryRecord]:
-    """Run one trial per stream in lockstep, without event logs.
+    """Run one two-walker trial per stream in lockstep, without event logs.
 
-    Returns the records ``run_direct(params, n_particles, s, positions,
-    record_events=False, stop_after_meetings=...)`` would give for each
-    stream ``s``, bit for bit.  A trial draws exactly two uniforms per
-    event, so each chunk reads every trial's next uniforms in scalar
-    order.  ``streams``, any iterable of distinct streams, is read one
-    block of ``_BLOCK_TRIALS`` at a time, as the block starts, so a
-    generator of streams keeps at most two blocks of them alive.
-    A trial that reaches its meeting limit draws no uniforms after the
-    chunk in which it retires, so its stream may end advanced past its
-    last event by at most one chunk.
+    Returns the records ``run_direct(params, 2, s, record_events=False,
+    stop_after_meetings=...)`` would give for each stream ``s``, bit for
+    bit.  A trial draws exactly two uniforms per event, so each chunk
+    reads every trial's next uniforms in scalar order.  ``streams``, any
+    iterable of distinct streams, is read one block of ``_BLOCK_TRIALS``
+    at a time, as the block starts, so a generator of streams keeps at
+    most two blocks of them alive.  A trial that reaches its meeting limit
+    draws no uniforms after the chunk in which it retires, so its stream
+    may end advanced past its last event by at most one chunk.
     """
-    start = _start_positions(params, n_particles, positions)
+    l0, r0 = params.l0, params.r0
     streams = iter(streams)
     block = list(islice(streams, _BLOCK_TRIALS))
-    if len(block) < _MIN_LOCKSTEP or max(start) - min(start) > _WINDOW_CELLS:
-        # (far-apart walkers would need a dense window spanning the gap)
-        return [run_direct(params, n_particles, s, start, record_events=False,
-                           stop_after_meetings=stop_after_meetings) for s in chain(block, streams)]
-    coincident = n_particles > 1 and len(set(start)) == 1
-    if coincident and stop_after_meetings is not None and stop_after_meetings <= 1:
-        return [TrajectoryRecord(params=params, n_particles=n_particles, meetings=1,
-                                 final_positions=list(start)) for _ in chain(block, streams)]
     # the first meeting inside the run always ends a run with a limit <= 1
     limit = None if stop_after_meetings is None else max(stop_after_meetings, 1)
+    if (len(block) < _MIN_LOCKSTEP or r0 - l0 > _WINDOW_CELLS
+            or (l0 == r0 and limit == 1)):
+        # far-apart walkers would need a dense window spanning the gap, and
+        # a coincident start under a limit of 1 ends before its first event
+        return [run_direct(params, 2, s, record_events=False,
+                           stop_after_meetings=stop_after_meetings) for s in chain(block, streams)]
     records = []
     while block:
-        block_records = [TrajectoryRecord(params=params, n_particles=n_particles)
-                         for _ in block]
+        block_records = [TrajectoryRecord(params=params, n_particles=2) for _ in block]
         records += block_records
         groups = [_Lockstep(
-            block_records, block, np.tile(np.asarray(start, dtype=np.int64), (len(block), 1)),
-            np.full(len(block), int(coincident)), np.empty((len(block), 0)), min(start), 0,
+            block_records, block, np.tile(np.array([l0, r0], dtype=np.int64), (len(block), 1)),
+            np.full(len(block), int(l0 == r0)), np.empty((len(block), 0)), l0, 0,
         )]
         while groups:  # depth first, so split halves run before the next block
             groups.extend(reversed(_advance(groups.pop(), params, limit)))
@@ -263,7 +246,6 @@ def _advance(g: _Lockstep, params: ModelParams, limit: int | None) -> list[_Lock
     weight window would outgrow ``_WINDOW_CELLS``.  A trial that reaches
     its meeting limit leaves the group at the end of that chunk.
     """
-    n = g.pos.shape[1]
     delta = params.delta
     while g.events < params.max_events and g.records:
         steps = min(max(_CHUNK_UNIFORMS // 2, 1), params.max_events - g.events)
@@ -284,18 +266,18 @@ def _advance(g: _Lockstep, params: ModelParams, limit: int | None) -> list[_Lock
             g.offset, g.weights = new_lo, grown
             width = grown.shape[1]
         flat_w = g.weights.reshape(-1)
-        pos = g.pos.reshape(-1)  # walker i of slot j sits at pos[j * n + i]
+        pos = g.pos.reshape(-1)  # walker i of slot j sits at pos[2 * j + i]
         row = np.arange(slots) * width - g.offset  # flat index of edge [v, v+1], minus v
 
         u = np.empty((slots, 2 * steps))
         for j, stream in enumerate(g.streams):
             u[j] = stream.uniforms(2 * steps)
-        mover = (u[:, 0::2] * n).astype(np.int64)
-        mover_idx = np.ascontiguousarray((mover + (np.arange(slots) * n)[:, None]).T)
+        mover = (u[:, 0::2] * 2).astype(np.int64)
+        mover_idx = np.ascontiguousarray((mover + (np.arange(slots) * 2)[:, None]).T)
         u_dir = np.ascontiguousarray(u[:, 1::2].T)
         landed = np.empty((steps, slots), dtype=np.int64)
         met = np.zeros((steps, slots), dtype=bool)
-        left_walker, right_walker = pos[0::n], pos[n - 1::n]
+        left_walker, right_walker = pos[0::2], pos[1::2]
         for s in range(steps):
             i = mover_idx[s]
             wr_i = row + pos.take(i)
@@ -309,10 +291,7 @@ def _advance(g: _Lockstep, params: ModelParams, limit: int | None) -> list[_Lock
             np.subtract(edge, row, out=new)
             new += right
             pos.put(i, new)
-            if n == 2:
-                np.equal(left_walker, right_walker, out=met[s])
-            elif n > 2:
-                np.equal(g.pos.min(axis=1), g.pos.max(axis=1), out=met[s])
+            np.equal(left_walker, right_walker, out=met[s])
 
         if limit is not None:  # a trial retiring in this chunk steps on, uncounted
             met &= g.counts + np.cumsum(met, axis=0) <= limit
@@ -324,7 +303,7 @@ def _advance(g: _Lockstep, params: ModelParams, limit: int | None) -> list[_Lock
                 rec = g.records[j]
                 rec.meetings = limit
                 rec.events_executed = g.events + 1 + s
-                rec.final_positions = [int(landed[s, j])] * n  # all walkers met there
+                rec.final_positions = [int(landed[s, j])] * 2  # the walkers met there
             if done.any():
                 g = g.take(np.flatnonzero(~done))
         g.events += steps

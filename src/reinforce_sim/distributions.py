@@ -6,9 +6,10 @@ et al., SC'11): the seed fixes the Philox key, and the trial and role
 are counter words.  A trial's dynamics stream is ``(seed, trial)``;
 anything else the trial samples (an environment, holding times) comes
 from ``(seed, trial, role)``.  Dynamics streams give only uniforms, so
-no output depends on how uniforms are buffered.  Distinct counter words
-under one key give independent streams, so :meth:`RngStream.rekey` moves
-one generator from trial to trial by rewriting its counter.
+no output depends on how many uniforms are read at a time.  Distinct
+counter words under one key give independent streams, so
+:meth:`RngStream.rekey` moves one generator from trial to trial by
+rewriting its counter.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_BUFFER_BLOCK = 1024
 QUAD_ABS_TOL = 1e-8  # absolute error bound of integrate_log_odds
 
 # Roles: counter word 3 of a stream; role 0 would alias the dynamics
@@ -40,8 +40,7 @@ class RngStream:
     ``Philox(s & MASK64, counter=[0, 0, t & MASK64, role or 0])``: numpy
     hashes only the seed, into the two-word key, and the role-less stream
     of trial t is ``Philox(s).jumped(t)``.  Counter words 0 and 1 leave
-    each stream 2**128 blocks of draws.  Uniform draws are buffered in
-    blocks for speed; consumption order is still fully deterministic.
+    each stream 2**128 blocks of draws.
     """
 
     seed: int
@@ -49,8 +48,6 @@ class RngStream:
     role: int | None = None
     gen: np.random.Generator = field(init=False, repr=False)
     _key: np.ndarray = field(init=False, repr=False)
-    _buf: np.ndarray = field(init=False, repr=False)
-    _pos: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.role == 0:
@@ -59,45 +56,23 @@ class RngStream:
                                 counter=[0, 0, self.trial & _MASK64, self.role or 0])
         self._key = bits.state["state"]["key"]  # the seed's; rekey keeps it
         self.gen = np.random.Generator(bits)
-        self._buf = np.empty(0)
-        self._pos = 0
-
-    def uniform(self) -> float:
-        """Next uniform draw on [0, 1)."""
-        if self._pos >= self._buf.shape[0]:
-            self._buf = self.gen.random(_BUFFER_BLOCK)
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
 
     def uniforms(self, n: int) -> np.ndarray:
-        """The next ``n`` draws of the :meth:`uniform` sequence, as an array.
-
-        The buffered block is drained first, so mixing the two methods
-        never reorders draws.
-        """
-        k = min(n, self._buf.shape[0] - self._pos)
-        if k <= 0:
-            return self.gen.random(n)
-        head = self._buf[self._pos:self._pos + k]
-        self._pos += k
-        return np.concatenate((head, self.gen.random(n - k)))
+        """The next ``n`` uniform draws on [0, 1), as an array."""
+        return self.gen.random(n)
 
     def rekey(self, trial: int) -> None:
         """Turn this stream into stream ``(seed, trial, role)``, bit for bit.
 
         Only the counter changes: words 0 and 1 return to 0, word 2 becomes
-        the trial, and the key stays the seed's.  The buffers are emptied,
-        so the generator is left as a freshly built one.
+        the trial, and the key stays the seed's, so the generator is left as
+        a freshly built one.
         """
         self.trial = trial
         counter = [0, 0, trial & _MASK64, self.role or 0]
         self.gen.bit_generator.state = {
             "bit_generator": "Philox", "state": {"counter": counter, "key": self._key},
             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        self._buf = np.empty(0)
-        self._pos = 0
 
 
 # Events the first chunk of uniform_chunks covers; each later chunk doubles,
@@ -110,8 +85,8 @@ def uniform_chunks(rng: RngStream, events: int):
     """Yield the next ``2 * events`` uniforms of ``rng`` as lists of
     ``2 * k``, two per event: k is 8 at first and doubles up to 512, and
     the last list stops at the budget.  Concatenated, the lists are the
-    :meth:`RngStream.uniform` sequence, so no result read from them depends
-    on the chunk sizes.
+    stream's uniform sequence, so no result read from them depends on the
+    chunk sizes.
     """
     k = _FIRST_CHUNK
     while events > 0:

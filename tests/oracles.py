@@ -1,8 +1,10 @@
 """Reference implementations that the tests compare the library against.
 
 They are the straightforward, slow forms of what the library does fast:
-the difference-recurrence experiment as a scalar loop over freshly built
-streams and a memoized environment, Beta samples drawn in blocks, and
+the direct dynamics one jump at a time (:func:`direct_step`, the
+bit-level reference of ``run_direct``, reads each uniform as it needs
+it), the difference-recurrence experiment as a scalar loop over freshly
+built streams and a memoized environment, Beta samples drawn in blocks, and
 Polya urns run one run and one drawing at a time, both models of the
 two-particle dynamics enumerated one trajectory at a time (and walked
 breadth first to the first step at which their kernels differ), two
@@ -25,7 +27,9 @@ from reinforce_sim.coupling import (
     CoupledState, CouplingRunResult, Environment, SandwichViolationError, coupled_events,
     replay_record,
 )
-from reinforce_sim.direct import ModelParams, WeightMap, right_jump_probability
+from reinforce_sim.direct import (
+    ModelParams, TrajectoryRecord, WeightMap, right_jump_probability,
+)
 from reinforce_sim.distributions import (
     ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, sample_beta, trial_streams,
 )
@@ -34,13 +38,58 @@ from reinforce_sim.urn_process import initial_masses
 
 
 class LargestUniform:
-    """A stream whose every uniform is 1 - 2**-53, numpy's largest ``random()``."""
+    """A stream whose every uniform is 1 - 2**-53, numpy's largest ``random()``;
+    it is its own ``gen``."""
 
-    def uniform(self) -> float:
-        return np.nextafter(1.0, 0.0)
+    @property
+    def gen(self):
+        return self
+
+    def random(self, n: int | None = None):
+        u = np.nextafter(1.0, 0.0)
+        return u if n is None else np.full(n, u)
 
     def uniforms(self, n: int) -> np.ndarray:
-        return np.full(n, np.nextafter(1.0, 0.0))
+        return self.random(n)
+
+
+def direct_step(
+    weights: WeightMap, positions: list[int], params: ModelParams, rng
+) -> tuple[int, int, int]:
+    """One jump of the direct dynamics on the next two uniforms of ``rng``,
+    read one at a time: a uniform mover, then a weight-proportional
+    direction.  Mutates ``weights`` and ``positions``; returns (particle,
+    from, to)."""
+    i = int(rng.gen.random() * len(positions))
+    v = positions[i]
+    if rng.gen.random() < right_jump_probability(weights, v, params.delta):
+        to = v + 1
+        weights.reinforce(v)
+    else:
+        to = v - 1
+        weights.reinforce(v - 1)
+    positions[i] = to
+    return i, v, to
+
+
+def stepped_run_direct(
+    params: ModelParams, n: int, rng, stop: int | None = None
+) -> TrajectoryRecord:
+    """``direct.run_direct`` with its event log, one :func:`direct_step` per event."""
+    positions = [params.l0, params.r0][:n]
+    rec = TrajectoryRecord(params=params, n_particles=n, final_positions=positions)
+    weights = WeightMap(params.a)
+    rec.meetings = int(n == 2 and params.l0 == params.r0)
+    if rec.meetings and stop is not None and rec.meetings >= stop:
+        return rec
+    for e in range(1, params.max_events + 1):
+        rec.events.append((e, *direct_step(weights, positions, params, rng)))
+        rec.events_executed = e
+        if n == 2 and positions[0] == positions[1]:
+            rec.meetings += 1
+            if stop is not None and rec.meetings >= stop:
+                break
+    return rec
 
 
 def beta_samples(rng: RngStream, p: BetaParams, size: int):
@@ -121,10 +170,10 @@ def scalar_first_returns(
         zl = 0  # distance of chain two from the origin (nonnegative)
         first = None
         for e in range(1, max_budget + 1):
-            if trial_rng.uniform() < 0.5:
-                zr = zr + 1 if trial_rng.uniform() < env1.p(zr) else zr - 1
+            if trial_rng.gen.random() < 0.5:
+                zr = zr + 1 if trial_rng.gen.random() < env1.p(zr) else zr - 1
             else:
-                zl = zl + 1 if trial_rng.uniform() < env2.p(zl) else zl - 1
+                zl = zl + 1 if trial_rng.gen.random() < env2.p(zl) else zl - 1
             if zr == 0 and zl == 0:
                 first = e
                 break
@@ -302,7 +351,7 @@ def free_step_tallies(params: ModelParams, seed: int, trials: int) -> dict:
 
 def stream_step(state: CoupledState, rng) -> str:
     """One event on the next two uniforms of ``rng``: the group's, then the draw's."""
-    return one_event(state, rng.uniform(), rng.uniform())
+    return one_event(state, rng.gen.random(), rng.gen.random())
 
 
 def one_event(state: CoupledState, u_group: float, u_draw: float) -> str:
@@ -380,7 +429,7 @@ def scalar_coupled_step(state: CoupledState, rng: RngStream) -> str:
     l_coincident = state.lP == state.l
     r_coincident = state.rP == state.r
     groups = _SCALAR_GROUPS[l_coincident, r_coincident]
-    g = groups[int(rng.uniform() * len(groups))]
+    g = groups[int(rng.gen.random() * len(groups))]
     if g == "l_group":
         v = state.l
         right, pure = _scalar_draw(state.urn_at(v), True, rng)
@@ -394,9 +443,9 @@ def scalar_coupled_step(state: CoupledState, rng: RngStream) -> str:
         if r_coincident:
             state.rP = v - 1 if pure and not right else v + 1
     elif g == "lP":
-        state.lP = state.env.free_step(g, state.lP, rng.uniform())
+        state.lP = state.env.free_step(g, state.lP, rng.gen.random())
     else:
-        state.rP = state.env.free_step(g, state.rP, rng.uniform())
+        state.rP = state.env.free_step(g, state.rP, rng.gen.random())
     if not (state.lP <= state.l <= state.r <= state.rP):
         raise SandwichViolationError(f"ordering violated at {state.positions()}")
     return g
@@ -418,7 +467,7 @@ def _scalar_draw(urn: MagicUrn, left_present: bool, rng: RngStream) -> tuple[boo
     total = urn.total
     if total <= 0:
         raise NegativeMassError(f"urn total mass {total} is not positive; urn={urn}")
-    u = rng.uniform() * total
+    u = rng.gen.random() * total
     if u < left:
         right, pure_mass = False, urn.pure_red
     else:

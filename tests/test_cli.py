@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import reinforce_sim
-from reinforce_sim import cli, distributions, rwre, urn_process
+from reinforce_sim import cli, direct, distributions, rwre, urn_process
 from reinforce_sim.cli import main
 from reinforce_sim.coupling import MARGINAL_TRIALS, Environment, run_coupling
 from reinforce_sim.direct import ModelParams, meeting_statistics, run_direct
@@ -674,12 +674,14 @@ KEYED_STREAM_EXIT_CODES = {"couple-marginal-check": 1}
 
 class TestStreamKeys:
     @pytest.mark.parametrize("name", sorted(KEYED_STREAM_COMMANDS))
-    def test_output_does_not_depend_on_the_buffer_block(self, runner, tmp_path, monkeypatch,
-                                                         name):
+    def test_output_does_not_depend_on_the_chunk_sizes(self, runner, tmp_path, monkeypatch, name):
         outputs = set()
-        for block in (8192, 4096, 1000):
-            monkeypatch.setattr(distributions, "_BUFFER_BLOCK", block)
-            out, traj = tmp_path / f"{block}.out", tmp_path / f"{block}.jsonl"
+        # (first and largest uniform_chunks chunk in events, lockstep chunk in uniforms)
+        for first, largest, lockstep in ((8, 512, 1024), (1, 1, 2), (3, 700, 4096)):
+            monkeypatch.setattr(distributions, "_FIRST_CHUNK", first)
+            monkeypatch.setattr(distributions, "_MAX_CHUNK", largest)
+            monkeypatch.setattr(direct, "_CHUNK_UNIFORMS", lockstep)
+            out, traj = tmp_path / f"{first}.out", tmp_path / f"{first}.jsonl"
             args = [str(traj) if a == "TRAJ" else a for a in KEYED_STREAM_COMMANDS[name]]
             result = runner.invoke(main, args + ["--out", str(out)])
             assert result.exit_code == KEYED_STREAM_EXIT_CODES.get(name, 0)

@@ -14,7 +14,6 @@ from reinforce_sim import direct
 from reinforce_sim.direct import (
     ModelParams,
     WeightMap,
-    direct_step,
     meeting_statistics,
     right_jump_probability,
     run_direct,
@@ -22,7 +21,7 @@ from reinforce_sim.direct import (
 )
 from reinforce_sim.distributions import HOLDING_TIMES, RngStream
 
-from oracles import LargestUniform
+from oracles import LargestUniform, direct_step, stepped_run_direct
 
 
 def added_weight(w: WeightMap, lo: int, hi: int):
@@ -193,15 +192,29 @@ class TestRunDirect:
             assert (positions[0] == positions[1]) == (e == rec.events_executed)
         assert logged.events[-1][0] == rec.events_executed
 
-    def test_three_particles_supported(self):
-        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=0, max_events=50)
-        rec = run_direct(params, 3, RngStream(60, 0), positions=[0, 2, 4])
-        assert len(rec.final_positions) == 3
-
-    def test_position_length_mismatch_rejected(self):
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_one_or_two_particles_only(self, n):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10)
-        with pytest.raises(ValueError):
-            run_direct(params, 2, RngStream(61, 0), positions=[0])
+        with pytest.raises(ValueError, match="1 or 2"):
+            run_direct(params, n, RngStream(60, 0))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.5])
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 5.0])
+    @pytest.mark.parametrize("l0,r0", [(0, 0), (0, 1), (-2, 5)])
+    def test_matches_the_stepped_oracle(self, n, a, delta, l0, r0):
+        # budgets end inside and at the edges of the 8-, 16-, ... 512-event chunks
+        for budget in (1, 8, 9, 1100):
+            params = ModelParams(a=a, delta=delta, l0=l0, r0=r0, max_events=budget)
+            for stop in (None, 1, 3):
+                assert run_direct(params, n, RngStream(61, budget), stop_after_meetings=stop) \
+                    == stepped_run_direct(params, n, RngStream(61, budget), stop)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_largest_uniforms_match_the_stepped_oracle(self, n):
+        params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=40)
+        assert run_direct(params, n, LargestUniform()) == \
+            stepped_run_direct(params, n, LargestUniform())
 
     def test_jsonl_schema(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=20)
@@ -212,10 +225,9 @@ class TestRunDirect:
         assert set(row) == {"e", "t", "p", "from", "to"}
 
 
-def scalar_records(params, n, seed, trials, positions=None, stop=None):
+def scalar_records(params, seed, trials, stop=None):
     return [
-        run_direct(params, n, RngStream(seed, t), positions, record_events=False,
-                   stop_after_meetings=stop)
+        run_direct(params, 2, RngStream(seed, t), record_events=False, stop_after_meetings=stop)
         for t in range(trials)
     ]
 
@@ -231,40 +243,53 @@ class CountingStream:
         return self.stream.uniforms(n)
 
 
-def batch_records(params, n, seed, trials, positions=None, stop=None):
+def batch_records(params, seed, trials, stop=None):
     streams = [RngStream(seed, t) for t in range(trials)]
-    return run_direct_batch(params, n, streams, positions, stop_after_meetings=stop)
+    return run_direct_batch(params, streams, stop_after_meetings=stop)
 
 
 class TestRunDirectBatch:
     """The lockstep engine must reproduce the scalar records bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def lockstep_for_any_trial_count(self, monkeypatch):
+        monkeypatch.setattr(direct, "_MIN_LOCKSTEP", 1)
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.5])
     @pytest.mark.parametrize("delta", [0.0, 0.5, 0.9])
     @pytest.mark.parametrize("l0,r0", [(0, 0), (0, 1), (-2, 5)])
     @pytest.mark.parametrize("n,positions", [(1, None), (2, None), (3, "explicit")])
     def test_matches_scalar_on_grid(self, a, delta, l0, r0, n, positions):
-        if positions == "explicit":
-            positions = [l0, r0, l0 + 1]
+        """Two walkers: the batch records equal the scalar ones.  One walker,
+        which only the scalar engine runs: its records equal the stepped
+        oracle's.  Three walkers (``positions`` named their starts while
+        the engines took them): the scalar engine rejects them."""
         for budget in (1, 515):  # one chunk is 512 events
             params = ModelParams(a=a, delta=delta, l0=l0, r0=r0, max_events=budget)
-            for stop in (None, 1, 2, 3):
-                assert batch_records(params, n, 70, 8, positions, stop) == \
-                    scalar_records(params, n, 70, 8, positions, stop)
+            if n == 3:
+                with pytest.raises(ValueError, match="1 or 2"):
+                    run_direct(params, n, RngStream(70, 0))
+            elif n == 1:  # a lone walker never meets, so no stop applies
+                assert [run_direct(params, 1, RngStream(70, t)) for t in range(8)] == \
+                    [stepped_run_direct(params, 1, RngStream(70, t)) for t in range(8)]
+            else:
+                for stop in (None, 1, 2, 3):
+                    assert batch_records(params, 70, 8, stop) == \
+                        scalar_records(params, 70, 8, stop)
 
     @pytest.mark.parametrize("stop", [None, 1, 3])
     def test_output_does_not_depend_on_chunk_or_block_size(self, monkeypatch, stop):
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=401)
-        expected = scalar_records(params, 2, 71, 24, stop=stop)
+        expected = scalar_records(params, 71, 24, stop=stop)
         for chunk, block in ((2, 24), (7, 8), (64, 6)):
             monkeypatch.setattr(direct, "_CHUNK_UNIFORMS", chunk)
             monkeypatch.setattr(direct, "_BLOCK_TRIALS", block)
-            assert batch_records(params, 2, 71, 24, stop=stop) == expected
+            assert batch_records(params, 71, 24, stop=stop) == expected
 
     def test_largest_uniforms_move_the_last_walker(self):
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=40)
-        streams = [LargestUniform() for _ in range(direct._MIN_LOCKSTEP)]
-        recs = run_direct_batch(params, 2, streams)
+        streams = [LargestUniform() for _ in range(6)]
+        recs = run_direct_batch(params, streams)
         assert recs[0].final_positions == [0, -37]
         assert recs == [run_direct(params, 2, s, record_events=False) for s in streams]
 
@@ -272,12 +297,11 @@ class TestRunDirectBatch:
         # one-event chunks leave one site of slack, so every excursion past
         # the start grows the weight window
         monkeypatch.setattr(direct, "_CHUNK_UNIFORMS", 2)
-        monkeypatch.setattr(direct, "_MIN_LOCKSTEP", 1)
         params = ModelParams(a=0.5, delta=0.9, l0=0, r0=0, max_events=3001)
-        logged = [run_direct(params, 1, RngStream(72, t)) for t in range(3)]
+        logged = [run_direct(params, 2, RngStream(72, t)) for t in range(3)]
         assert max(abs(to) for rec in logged for *_, to in rec.events) > 4
         expected = [dataclasses.replace(rec, events=[]) for rec in logged]
-        assert batch_records(params, 1, 72, 3) == expected
+        assert batch_records(params, 72, 3) == expected
 
     @pytest.mark.parametrize("stop", [None, 2])
     def test_drifting_walkers_split_groups_under_the_window_cap(self, monkeypatch, stop):
@@ -295,8 +319,8 @@ class TestRunDirectBatch:
 
         monkeypatch.setattr(direct, "_advance", spy)
         params = ModelParams(a=1.0, delta=5.0, l0=0, r0=3, max_events=2003)
-        expected = scalar_records(params, 2, 75, 16, stop=stop)
-        assert batch_records(params, 2, 75, 16, stop=stop) == expected
+        expected = scalar_records(params, 75, 16, stop=stop)
+        assert batch_records(params, 75, 16, stop=stop) == expected
         assert max(max(rec.final_positions) for rec in expected) > 200
         assert len(sizes) > 1  # one block, so every further group is a half
         if stop is None:  # without retirements the group spied on is the one grown
@@ -309,18 +333,18 @@ class TestRunDirectBatch:
         # Pickling serialises everything they reach: 64 count records take
         # about 3 KB, lists of their 288,578 meeting times about 870 KB
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=1, max_events=20_000)
-        records = run_direct_batch(params, 2, [RngStream(79, t) for t in range(64)])
+        records = run_direct_batch(params, [RngStream(79, t) for t in range(64)])
         assert sum(rec.meetings for rec in records) > 64 * 1000
         assert len(pickle.dumps(records)) < 1 << 14
 
     def test_far_apart_walkers_run_without_a_dense_window(self):
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=10**12, max_events=50)
-        assert batch_records(params, 2, 76, 8) == scalar_records(params, 2, 76, 8)
+        assert batch_records(params, 76, 8) == scalar_records(params, 76, 8)
 
     def test_retired_trials_are_compacted(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=1, max_events=3000)
-        got = batch_records(params, 2, 73, 200, stop=1)
-        assert got == scalar_records(params, 2, 73, 200, stop=1)
+        got = batch_records(params, 73, 200, stop=1)
+        assert got == scalar_records(params, 73, 200, stop=1)
         assert sum(rec.events_executed < 512 for rec in got) > 100
         assert sum(rec.events_executed > 1024 for rec in got) > 0
 
@@ -332,8 +356,8 @@ class TestRunDirectBatch:
         monkeypatch.setattr(direct, "_CHUNK_UNIFORMS", 16)
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=3, max_events=403)
         streams = [CountingStream(RngStream(78, t)) for t in range(64)]
-        got = run_direct_batch(params, 2, streams, stop_after_meetings=stop)
-        assert got == scalar_records(params, 2, 78, 64, stop=stop)
+        got = run_direct_batch(params, streams, stop_after_meetings=stop)
+        assert got == scalar_records(params, 78, 64, stop=stop)
         retired = [rec.meetings == stop for rec in got]
         assert 0 < sum(done and rec.events_executed <= 8 for rec, done in zip(got, retired)) < 32
         assert sum(retired) < 64
@@ -355,20 +379,14 @@ class TestRunDirectBatch:
                 peak.append(len(alive))
                 yield stream
 
-        got = run_direct_batch(params, 2, streams(), stop_after_meetings=stop)
-        assert got == scalar_records(params, 2, 77, 36, stop=stop)
+        got = run_direct_batch(params, streams(), stop_after_meetings=stop)
+        assert got == scalar_records(params, 77, 36, stop=stop)
         assert len(peak) == 36 and max(peak) <= 16  # the block running and the next
 
     def test_no_streams_no_records(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10)
-        assert run_direct_batch(params, 2, []) == []
+        assert run_direct_batch(params, []) == []
 
-    def test_positions_validated_like_scalar(self):
-        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10)
-        with pytest.raises(ValueError):
-            run_direct_batch(params, 3, [RngStream(74, 0)])
-        with pytest.raises(ValueError):
-            run_direct_batch(params, 2, [RngStream(74, 0)], positions=[0])
 
 
 class TestSingleParticleUrnEquivalence:

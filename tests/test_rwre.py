@@ -15,7 +15,7 @@ def simulate_bd(env: BDEnvironment, start: int, max_events: int, rng) -> int:
     """Final position of an embedded-chain birth-death walk in ``env``."""
     pos = start
     for _ in range(max_events):
-        pos = pos + 1 if rng.uniform() < env.p(pos) else pos - 1
+        pos = pos + 1 if rng.gen.random() < env.p(pos) else pos - 1
     return pos
 
 
@@ -220,8 +220,8 @@ class TestDifferenceRecurrence:
             z = [0, 0]  # distances of chain one and chain two from the origin
             first = None
             for e in range(1, budgets[-1] + 1):
-                chain = 0 if rng.uniform() < 0.5 else 1
-                u = rng.uniform()
+                chain = 0 if rng.gen.random() < 0.5 else 1
+                u = rng.gen.random()
                 k = z[chain]
                 if k == 0:
                     z[chain] = 1

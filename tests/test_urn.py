@@ -37,7 +37,7 @@ def reference_draw(urn: MagicUrn, left_present: bool, rng):
     total = urn.pure_red + urn.pure_blue + urn.fam_red + urn.fam_blue + 1
     if eff_red < 0 or eff_blue < 0 or total <= 0:
         raise ValueError("no valid direction law")
-    u = rng.uniform() * total
+    u = rng.gen.random() * total
     if u < eff_red:
         right, pool = False, red
     else:
@@ -45,7 +45,7 @@ def reference_draw(urn: MagicUrn, left_present: bool, rng):
         u -= eff_red
     if any(mass < 0 for _, mass in pool):
         pool = [(name, mass) for name, mass in pool if mass > 0]
-        u = rng.uniform() * sum(mass for _, mass in pool)
+        u = rng.gen.random() * sum(mass for _, mass in pool)
     drawn, acc = pool[-1][0], 0
     for name, mass in pool[:-1]:
         acc += mass
@@ -213,7 +213,7 @@ class TestOutcomeRules:
         rng = RngStream(34, 0)
         urn = MagicUrn(1.0, 1.5)
         for k in range(1, 200):
-            magic_draw(urn, k % 2 == 1, rng.uniform())
+            magic_draw(urn, k % 2 == 1, rng.gen.random())
             assert urn.total == pytest.approx(3.5 + 2 * k)
 
 
@@ -224,7 +224,7 @@ class TestMagicDraw:
         n = 100_000
         counts = dict.fromkeys(product((False, True), (True, False)), 0)
         for _ in range(n):
-            counts[magic_draw(replace(urn), True, rng.uniform())] += 1
+            counts[magic_draw(replace(urn), True, rng.gen.random())] += 1
         # the chameleon marble is red (a family-like draw) with the left
         # particle present; keys are (right, pure)
         masses = {(False, True): urn.pure_red, (False, False): urn.fam_red + 1,
@@ -241,7 +241,7 @@ class TestMagicDraw:
         urn = MagicUrn(1.0, 1.0)
         for k in range(500):
             before = astuple(urn)
-            right, pure = magic_draw(urn, k % 2 == 1, rng.uniform())
+            right, pure = magic_draw(urn, k % 2 == 1, rng.gen.random())
             grown = [i for i, (x, y) in enumerate(zip(astuple(urn), before)) if x != y]
             assert grown == [(0 if pure else 2) + right]
 
@@ -251,7 +251,7 @@ class TestMagicDraw:
         urn = MagicUrn(-0.5, 1.0)
         rng = RngStream(37, 0)
         with pytest.raises(NegativeMassError):
-            magic_draw(urn, False, rng.uniform())
+            magic_draw(urn, False, rng.gen.random())
 
     def test_negative_pure_mass_with_compensating_chameleon(self):
         # the chameleon marble restores a valid direction law; the drawn
@@ -261,7 +261,7 @@ class TestMagicDraw:
         n = 20_000
         lefts = 0
         for _ in range(n):
-            right, pure = magic_draw(replace(urn), True, rng.uniform())
+            right, pure = magic_draw(replace(urn), True, rng.gen.random())
             assert not (pure and not right)
             lefts += not right
         p_left = (urn.pure_red + urn.fam_red + 1) / urn.total  # 0.5 / 1.5
@@ -281,7 +281,7 @@ class TestMagicDraw:
         # the reference reads the draw's uniform, and a second one only
         # where a negative pure mass makes the split of its pool moot
         urn = MagicUrn(pure_red, pure_blue, fam_red, fam_blue)
-        u = RngStream(seed, 0).uniform()
+        u = RngStream(seed, 0).gen.random()
         try:
             expected = reference_draw(urn, left_present, RngStream(seed, 0))
         except ValueError:

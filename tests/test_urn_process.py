@@ -99,7 +99,7 @@ class TestSmallAPolicy:
         state = CoupledState(env_for(p, 71))
         state.lP, state.l, state.r, state.rP = -2, -2, -1, -1
         with pytest.raises(NegativeMassError):
-            one_event(state, 0.75, RngStream(71, 0).uniform())  # the r group draws
+            one_event(state, 0.75, RngStream(71, 0).gen.random())  # the r group draws
 
 
 def jump_probabilities(urn: MagicUrn, left_present: bool):
@@ -113,10 +113,10 @@ class TestJumpProbabilities:
         rng = RngStream(72, 0)
         for _ in range(50):
             urn = MagicUrn(
-                pure_red=rng.uniform() * 5,
-                pure_blue=rng.uniform() * 5,
-                fam_red=rng.uniform() * 5,
-                fam_blue=rng.uniform() * 5,
+                pure_red=rng.gen.random() * 5,
+                pure_blue=rng.gen.random() * 5,
+                fam_red=rng.gen.random() * 5,
+                fam_blue=rng.gen.random() * 5,
             )
             r = urn.pure_red + urn.fam_red
             b = urn.pure_blue + urn.fam_blue
@@ -557,7 +557,7 @@ class TestMeetingLaw:
 
     def test_run_direct_batch(self, law):
         streams = (RngStream(1202, t) for t in range(MEETING_TRIALS))
-        records = run_direct_batch(MEETING_PARAMS, 2, streams, stop_after_meetings=1)
+        records = run_direct_batch(MEETING_PARAMS, streams, stop_after_meetings=1)
         assert_meeting_law([r.events_executed if r.meetings else None for r in records], law)
 
     def test_coupled_inner_pair(self, law):
