@@ -164,19 +164,21 @@ def simulate(n, a, delta, l0, r0, events, trials,
     """Run the direct weight-reinforced dynamics and report meeting statistics."""
     params = _model_params(a, delta, l0, r0, events)
 
+    # trial 0 runs once, with its event log when there is a log to write
+    logged = [] if trajectory_out is None else [
+        run_direct(params, n, RngStream(seed, 0), stop_after_meetings=stop_after_meetings)]
     rows = []  # a lone particle never meets, so its statistics have no rows
-    if n > 1:
-        streams = (RngStream(seed, trial) for trial in range(trials))  # built as each block starts
+    if n > 1:  # streams built as each block starts
+        streams = (RngStream(seed, trial) for trial in range(len(logged), trials))
         records = run_direct_batch(params, streams, stop_after_meetings=stop_after_meetings)
-        rows = meeting_statistics(records)
+        rows = meeting_statistics(logged + records)
     resolved = _resolved(outside_recurrence_regime=params.outside_recurrence_regime)
     notes = ["delta >= 1 is outside the proven recurrence regime"]
     _write_csv(out_path, resolved, notes if params.outside_recurrence_regime else [],
                ("k", "frequency", "stderr"), rows)
-    if trajectory_out is not None:
-        first = run_direct(params, n, RngStream(seed, 0), stop_after_meetings=stop_after_meetings)
+    if logged:
         clock = RngStream(seed, 0, HOLDING_TIMES) if timestamps else None
-        _write_text(trajectory_out, first.to_jsonl(clock))
+        _write_text(trajectory_out, logged[0].to_jsonl(clock))
 
 
 @main.command("urn-verify")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -120,41 +120,44 @@ def run_direct(
     """
     if n_particles not in (1, 2):
         raise ValueError(f"n_particles must be 1 or 2, got {n_particles!r}")
-    a, delta, n = params.a, params.delta, n_particles
-    pos = [params.l0, params.r0][:n]
-    record = TrajectoryRecord(params=params, n_particles=n, final_positions=pos)
-    meetings = int(n == 2 and pos[0] == pos[1])
+    pos = [params.l0, params.r0][:n_particles]
     # the first meeting ends a run with any limit <= 1
     limit = float("inf") if stop_after_meetings is None else max(stop_after_meetings, 1)
-    if meetings >= limit:
-        record.meetings = meetings
-        return record
-    w = {}  # weight of edge [v, v+1], once touched; untouched edges weigh a
+    return _finish(TrajectoryRecord(params=params, n_particles=n_particles), rng, pos,
+                   int(n_particles == 2 and pos[0] == pos[1]), 0, {}, limit, record_events)
+
+
+def _finish(record: TrajectoryRecord, rng: RngStream, pos: list, meetings: int, e: int,
+            w: dict, limit: float, record_events: bool = False) -> TrajectoryRecord:
+    """Fill in ``record``, running its trial on from event ``e`` (walkers at
+    ``pos``, ``meetings`` met, ``w[v]`` the weight of edge [v, v+1] if not
+    ``a``) to ``limit`` meetings or the budget, on ``rng`` from uniform 2e."""
+    a, delta, n = record.params.a, record.params.delta, len(pos)
     events = record.events
-    e = 0
-    for u in uniform_chunks(rng, params.max_events):
-        pairs = iter(u)
-        for u_mover, u_dir in zip(pairs, pairs):
-            e += 1
-            i = int(u_mover * n)  # < n: fl((1 - 2**-53) * n) < n
-            v = pos[i]
-            wl = w.get(v - 1, a)
-            wr = w.get(v, a)
-            if u_dir < (wr + delta) / (wl + wr + delta):
-                w[v] = wr + 1
-                pos[i] = v + 1
-            else:
-                w[v - 1] = wl + 1
-                pos[i] = v - 1
-            if record_events:
-                events.append((e, i, v, pos[i]))
-            if n == 2 and pos[0] == pos[1]:
-                meetings += 1
-                if meetings >= limit:
-                    break
-        if meetings >= limit:
-            break
-    record.meetings, record.events_executed = meetings, e
+    if meetings < limit:
+        for u in uniform_chunks(rng, record.params.max_events - e):
+            pairs = iter(u)
+            for u_mover, u_dir in zip(pairs, pairs):
+                e += 1
+                i = int(u_mover * n)  # < n: fl((1 - 2**-53) * n) < n
+                v = pos[i]
+                wl = w.get(v - 1, a)
+                wr = w.get(v, a)
+                if u_dir < (wr + delta) / (wl + wr + delta):
+                    w[v] = wr + 1
+                    pos[i] = v + 1
+                else:
+                    w[v - 1] = wl + 1
+                    pos[i] = v - 1
+                if record_events:
+                    events.append((e, i, v, pos[i]))
+                if n == 2 and pos[0] == pos[1]:
+                    meetings += 1
+                    if meetings >= limit:
+                        break
+            if meetings >= limit:
+                break
+    record.meetings, record.events_executed, record.final_positions = meetings, e, pos
     return record
 
 
@@ -167,12 +170,14 @@ _BLOCK_TRIALS = 1024
 # group whose window would outgrow this splits in half and runs the halves
 # one after the other.  Each of the at most log2(block) halvings parks half
 # this many, so a block holds O(this x log2(block)) weights whatever the
-# budget.  A single trial's window grows freely: one float per edge it spans.
+# budget.
 _WINDOW_CELLS = 1 << 22
-# Runs of fewer trials than this use the scalar engine.  At a = 1, gap 2 and
-# 10**4 events a scalar event costs 0.56-0.85 us, and a lockstep
-# trial-event 0.81-1.1 us at 16 trials, 0.72-0.83 at 20, 0.54-0.69 at 24
-# and 0.34-0.57 at 32-40 (2-vCPU VM, three rounds).
+# A group steps in lockstep while at least this many of its trials are live
+# (below their meeting limit); at any chunk boundary with fewer, the rest
+# finish on the scalar loop.  At a = 1, gap 2 and 10**4 events a scalar
+# event costs 0.56-0.85 us, and a lockstep trial-event 0.81-1.1 us at 16
+# trials, 0.72-0.83 at 20, 0.54-0.69 at 24 and 0.34-0.57 at 32-40 (2-vCPU
+# VM, three rounds); a lockstep step of one or two live trials costs 15-25 us.
 _MIN_LOCKSTEP = 24
 
 
@@ -182,9 +187,11 @@ class _Lockstep:
 
     records: list
     streams: list
-    pos: np.ndarray  # pos[j, i] is the site of walker i in slot j
+    # sites count from l0: pos[j, i] is the site of walker i in slot j, less
+    # l0, and weights[j, v - offset] the weight of edge [l0 + v, l0 + v + 1]
+    pos: np.ndarray
     counts: np.ndarray  # meetings counted per slot
-    weights: np.ndarray  # weights[j, v - offset] of edge [v, v+1]; untouched edges weigh a
+    weights: np.ndarray  # untouched edges weigh a
     offset: int
     events: int  # events every slot has executed
 
@@ -202,52 +209,46 @@ def run_direct_batch(
     streams: Iterable[RngStream],
     stop_after_meetings: int | None = None,
 ) -> list[TrajectoryRecord]:
-    """Run one two-walker trial per stream in lockstep, without event logs.
+    """Run one two-walker trial per stream, without event logs.
 
     Returns the records ``run_direct(params, 2, s, record_events=False,
     stop_after_meetings=...)`` would give for each stream ``s``, bit for
-    bit.  A trial draws exactly two uniforms per event, so each chunk
-    reads every trial's next uniforms in scalar order.  ``streams``, any
-    iterable of distinct streams, is read one block of ``_BLOCK_TRIALS``
-    at a time, as the block starts, so a generator of streams keeps at
-    most two blocks of them alive.  A trial that reaches its meeting limit
-    draws no uniforms after the chunk in which it retires, so its stream
-    may end advanced past its last event by at most one chunk.
+    bit.  A block's trials step in lockstep while at least ``_MIN_LOCKSTEP``
+    are live, then finish on ``run_direct``'s loop; either engine reads
+    two uniforms per event, in scalar order.  ``streams``, any iterable of
+    distinct streams, is read one block of ``_BLOCK_TRIALS`` at a time, as
+    the block starts, so a generator keeps at most two blocks of them
+    alive.  A trial that retires in lockstep draws no uniforms after that
+    chunk, so its stream may end at most one chunk past its last event.
     """
     l0, r0 = params.l0, params.r0
-    streams = iter(streams)
-    block = list(islice(streams, _BLOCK_TRIALS))
     # the first meeting inside the run always ends a run with a limit <= 1
-    limit = None if stop_after_meetings is None else max(stop_after_meetings, 1)
-    if (len(block) < _MIN_LOCKSTEP or r0 - l0 > _WINDOW_CELLS
-            or (l0 == r0 and limit == 1)):
-        # far-apart walkers would need a dense window spanning the gap, and
-        # a coincident start under a limit of 1 ends before its first event
+    limit = float("inf") if stop_after_meetings is None else max(stop_after_meetings, 1)
+    if r0 - l0 > _WINDOW_CELLS:  # far-apart walkers would need a dense window spanning the gap
         return [run_direct(params, 2, s, record_events=False,
-                           stop_after_meetings=stop_after_meetings) for s in chain(block, streams)]
-    records = []
-    while block:
+                           stop_after_meetings=stop_after_meetings) for s in streams]
+    streams, records = iter(streams), []
+    while block := list(islice(streams, _BLOCK_TRIALS)):
         block_records = [TrajectoryRecord(params=params, n_particles=2) for _ in block]
         records += block_records
-        groups = [_Lockstep(
-            block_records, block, np.tile(np.array([l0, r0], dtype=np.int64), (len(block), 1)),
-            np.full(len(block), int(l0 == r0)), np.empty((len(block), 0)), l0, 0,
-        )]
+        # sites count from l0, so they fit in int64 wherever the walkers start
+        groups = [_Lockstep(block_records, block, np.tile([0, r0 - l0], (len(block), 1)),
+                            np.full(len(block), int(l0 == r0)), np.empty((len(block), 0)), 0, 0)]
         while groups:  # depth first, so split halves run before the next block
             groups.extend(reversed(_advance(groups.pop(), params, limit)))
-        block = list(islice(streams, _BLOCK_TRIALS))
     return records
 
 
-def _advance(g: _Lockstep, params: ModelParams, limit: int | None) -> list[_Lockstep]:
-    """Step group ``g`` until its trials end.
+def _advance(g: _Lockstep, params: ModelParams, limit: float) -> list[_Lockstep]:
+    """Step group ``g`` in lockstep while at least ``_MIN_LOCKSTEP`` of its
+    trials are live, then run each trial left to its end on ``_finish``.
 
-    Returns ``[]`` once they have, or the two halves still to run when its
-    weight window would outgrow ``_WINDOW_CELLS``.  A trial that reaches
-    its meeting limit leaves the group at the end of that chunk.
+    Returns ``[]`` once they have ended, or the two halves still to run
+    when its weight window would outgrow ``_WINDOW_CELLS``.  A trial that
+    reaches its meeting limit leaves the group at the end of that chunk.
     """
-    delta = params.delta
-    while g.events < params.max_events and g.records:
+    a, delta, l0 = params.a, params.delta, params.l0
+    while g.events < params.max_events and np.count_nonzero(g.counts < limit) >= _MIN_LOCKSTEP:
         steps = min(max(_CHUNK_UNIFORMS // 2, 1), params.max_events - g.events)
         # a walker moves at most `steps` sites per chunk and touches the
         # edges on both sides of it
@@ -261,7 +262,7 @@ def _advance(g: _Lockstep, params: ModelParams, limit: int | None) -> list[_Lock
             new_hi = hi + 1 + pad if hi >= g.offset + width else g.offset + width
             if slots > 1 and slots * (new_hi - new_lo) > _WINDOW_CELLS:
                 return [g.take(half) for half in np.array_split(np.arange(slots), 2)]
-            grown = np.full((slots, new_hi - new_lo), float(params.a))
+            grown = np.full((slots, new_hi - new_lo), float(a))
             grown[:, g.offset - new_lo:g.offset - new_lo + width] = g.weights
             g.offset, g.weights = new_lo, grown
             width = grown.shape[1]
@@ -293,25 +294,24 @@ def _advance(g: _Lockstep, params: ModelParams, limit: int | None) -> list[_Lock
             pos.put(i, new)
             np.equal(left_walker, right_walker, out=met[s])
 
-        if limit is not None:  # a trial retiring in this chunk steps on, uncounted
-            met &= g.counts + np.cumsum(met, axis=0) <= limit
-        g.counts += met.sum(axis=0)
-        if limit is not None:
-            done = g.counts >= limit
-            last_step = steps - 1 - np.argmax(met[::-1, done], axis=0)
+        before, g.counts = g.counts, g.counts + met.sum(axis=0)
+        done = g.counts >= limit
+        if done.any():  # a trial retires at its limit-th meeting, though it stepped on
+            last_step = np.argmax(before[done] + np.cumsum(met[:, done], axis=0) >= limit, axis=0)
             for j, s in zip(np.flatnonzero(done).tolist(), last_step.tolist()):
-                rec = g.records[j]
-                rec.meetings = limit
-                rec.events_executed = g.events + 1 + s
-                rec.final_positions = [int(landed[s, j])] * 2  # the walkers met there
-            if done.any():
-                g = g.take(np.flatnonzero(~done))
+                _finish(g.records[j], g.streams[j], [l0 + int(landed[s, j])] * 2,  # where they met
+                        limit, g.events + 1 + s, {}, limit)
+            g = g.take(np.flatnonzero(~done))
         g.events += steps
 
-    for rec, final, meetings in zip(g.records, g.pos.tolist(), g.counts.tolist()):
-        rec.meetings = meetings
-        rec.events_executed = g.events
-        rec.final_positions = final
+    # the scalar loop runs on from the chunk boundary reached, with the
+    # weights of the edges touched (one of weight a may go missing); a
+    # spent budget needs no weights
+    spent = g.events == params.max_events
+    for j, (sites, meetings) in enumerate(zip(g.pos.tolist(), g.counts.tolist())):
+        w = {} if spent else {l0 + g.offset + k: x
+                              for k, x in enumerate(g.weights[j].tolist()) if x != a}
+        _finish(g.records[j], g.streams[j], [l0 + v for v in sites], meetings, g.events, w, limit)
     return []
 
 

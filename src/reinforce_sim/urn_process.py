@@ -9,8 +9,8 @@ the same joint state; it gives the trajectory TV distance, each model's
 law of the first meeting time and the first step at which the two
 kernels differ.  A node is keyed by the two sites, its ratio of urn to
 direct probability and a flat tuple of the jumps from each site of a
-window around the starts, which grows with the depth reached, never with
-the gap; the nodes a layer absorbs are summed once per layer.
+window around the starts, sized once by the horizon, never by the gap;
+the nodes a layer absorbs are summed once per layer.
 Probabilities are exact rationals (floats are binary rationals, so any
 float a and delta enumerate exactly), carried as reduced pairs of ints;
 the live states of a layer are bounded by ``MAX_LIVE_STATES``.
@@ -32,9 +32,13 @@ from .urn import MagicUrn, left_mass
 # VM, and refusing horizon 12 (14,124) or more takes 0.25-0.33 s.
 MAX_LIVE_STATES = 10_000
 
-# Radius of compare_exact's first site window, so that a huge horizon
-# costs nothing until a pass gets that deep.
-_FIRST_RADIUS = 16
+# Largest radius of compare_exact's site window, so that a huge horizon
+# costs nothing.  MAX_LIVE_STATES refuses every pass before it gets this
+# deep: compare_exact(p, 40) refuses at depth 13 at gap 1, 12 at gaps 2
+# and 3 and 11 at gaps 5 and 8, for a in {1, 2, 1e6} and delta in
+# {0, 0.5, 1e6} (no step has probability 0 and the kernels agree, so the
+# layers depend only on the gap).
+_WINDOW_RADIUS = 16
 
 
 class SmallAPolicyError(ValueError):
@@ -139,9 +143,10 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
     A node's key is ``(l, r, (A, B), jumps)``, ``jumps`` a flat tuple of
     each window site's left and right jumps; a child replaces one entry.
     The window (``_window``) is the sites within a radius of l0 or r0:
-    the horizon, or ``_FIRST_RADIUS`` doubled whenever the pass gets that
-    deep.  Before that depth a mover is strictly inside it, so its edges'
-    traversals are in the window too.
+    the horizon or ``_WINDOW_RADIUS``, whichever is smaller.  Before that
+    depth a mover is strictly inside it, so its edges' traversals are in
+    the window too; a pass that gets that deep before the horizon raises
+    ValueError (``MAX_LIVE_STATES`` refuses such a pass first).
 
     Every probability is a reduced (numerator, denominator) pair of ints,
     and the nodes a layer absorbs are summed once, over the lcm of their
@@ -177,8 +182,8 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
         urn = MagicUrn(*initial_masses(params, v, Fraction), 2 * lj, 2 * rj)
         return (left_mass(urn, left_present) / urn.total).as_integer_ratio()
 
-    radius = min(horizon, _FIRST_RADIUS)
-    base, blocks = window = _window(l0, r0, radius)
+    radius = min(horizon, _WINDOW_RADIUS)
+    base, blocks = _window(l0, r0, radius)
     tv, masses = (0, 1), [(0, 1), (0, 1)]
     trajectories = [0, 0]
     meeting = ([(0, 1)] * (horizon + 1), [(0, 1)] * (horizon + 1))
@@ -189,11 +194,8 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
         if not layer:  # every path has met
             break
         if depth == radius < horizon:  # a move from here may read a site past the window
-            radius = min(2 * radius, horizon)
-            narrow, window = window, _window(l0, r0, radius)
-            base = window[0]
-            layer = {(l, r, ratio, _relaid(jumps, narrow, window)): node
-                     for (l, r, ratio, jumps), node in layer.items()}
+            raise ValueError(f"horizon {horizon} needs a site window of radius more than "
+                             f"{_WINDOW_RADIUS} at depth {depth}")
         children: dict = {}
         absorbed = []  # (t num, t den, A, B, met) of the nodes this layer ends
         for (l, r, (A, B), jumps), ((tn, td), paths) in layer.items():
@@ -270,18 +272,6 @@ def _window(l0: int, r0: int, radius: int):
         return (l0 - radius, l0 - radius), ((l0 - radius, 0, r0 - l0 + 2 * radius + 1),)
     n = 2 * radius + 1
     return (l0 - radius, r0 - radius - n), ((l0 - radius, 0, n), (r0 - radius, 1, n))
-
-
-def _relaid(jumps: tuple, narrow, wide) -> tuple:
-    """``jumps`` over window ``narrow``, laid out over the window ``wide``
-    that holds it; the sites new to it have no jumps."""
-    (base, blocks), k = wide, 0
-    out = [0] * (2 * sum(n for *_, n in blocks))
-    for site, mover, n in narrow[1]:
-        i = 2 * (site - base[mover])
-        out[i:i + 2 * n] = jumps[k:k + 2 * n]
-        k += 2 * n
-    return tuple(out)
 
 
 def _reduced(num: int, den: int) -> tuple[int, int]:

@@ -117,6 +117,44 @@ class TestSimulate:
         clock = RngStream(13, 0, HOLDING_TIMES) if timestamps else None
         assert traj.read_text() == records[0].to_jsonl(clock)
 
+    @pytest.mark.parametrize("trials", [1, 40])
+    def test_trial_zero_runs_once_with_its_log(self, runner, tmp_path, monkeypatch, trials):
+        built = []
+
+        class SpyStream(RngStream):
+            def __post_init__(self):
+                built.append((self.seed, self.trial, self.role))
+                super().__post_init__()
+
+        monkeypatch.setattr(cli, "RngStream", SpyStream)
+        traj = tmp_path / "traj.jsonl"
+        result = runner.invoke(main, ["simulate", "--trials", str(trials), "--events", "700",
+                                      "--seed", "13", "--stop-after-meetings", "3",
+                                      "--trajectory-out", str(traj)])
+        assert result.exit_code == 0
+        assert built.count((13, 0, None)) == 1
+        assert sorted(built) == [(13, t, None) for t in range(trials)]
+        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=700)
+        records = [run_direct(params, 2, RngStream(13, t), stop_after_meetings=3)
+                   for t in range(trials)]
+        rows = [f"{r['k']},{r['frequency']!r},{r['stderr']!r}"
+                for r in meeting_statistics(records)]
+        assert result.stdout.split("\n")[-len(rows) - 1:-1] == rows
+        assert traj.read_text() == records[0].to_jsonl()
+
+    def test_starts_beyond_int64(self, runner):
+        # 30 trials step in lockstep, with sites counted from l0
+        l0 = 10**22
+        result = runner.invoke(main, ["simulate", "--l0", str(l0), "--r0", str(l0 + 2),
+                                      "--trials", "30", "--events", "50", "--seed", "3"])
+        assert result.exit_code == 0, result.output
+        params = ModelParams(a=1.0, delta=0.0, l0=l0, r0=l0 + 2, max_events=50)
+        records = [run_direct(params, 2, RngStream(3, t), record_events=False)
+                   for t in range(30)]
+        rows = [f"{r['k']},{r['frequency']!r},{r['stderr']!r}"
+                for r in meeting_statistics(records)]
+        assert result.stdout.split("\n")[-len(rows) - 1:-1] == rows
+
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_nonpositive_stop_after_meetings_is_usage_error(self, runner, tmp_path, value):
         out = tmp_path / "m.csv"

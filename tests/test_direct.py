@@ -388,6 +388,54 @@ class TestRunDirectBatch:
         assert run_direct_batch(params, []) == []
 
 
+class TestLockstepHandoff:
+    """With the real ``_MIN_LOCKSTEP``, a group steps in lockstep while
+    enough of its trials are live and the rest finish on the scalar loop;
+    the records are ``run_direct``'s either way."""
+
+    @pytest.mark.parametrize("a", [1.0, 2.0**60])  # at 2**60, a + 1 == a
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    @pytest.mark.parametrize("stop", [1, 3, 1000])
+    @pytest.mark.parametrize("trials", [40, 100, 1000])
+    def test_matches_scalar_across_the_handoff(self, a, delta, stop, trials):
+        # a lockstep chunk of 512 events and a partial second
+        params = ModelParams(a=a, delta=delta, l0=0, r0=2, max_events=600)
+        assert batch_records(params, 80, trials, stop) == scalar_records(params, 80, trials, stop)
+
+    def test_the_scalar_loop_resumes_mid_run(self, monkeypatch):
+        resumed = []
+        finish = direct._finish
+
+        def spy(record, rng, pos, meetings, e, w, limit, record_events=False):
+            if meetings < limit and e < record.params.max_events:
+                resumed.append((e, len(w)))
+            return finish(record, rng, pos, meetings, e, w, limit, record_events)
+
+        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=5000)
+        expected = scalar_records(params, 81, 40, stop=1)
+        monkeypatch.setattr(direct, "_finish", spy)
+        assert batch_records(params, 81, 40, stop=1) == expected
+        assert resumed and all(e > 0 and touched > 0 for e, touched in resumed)
+        assert len(resumed) < direct._MIN_LOCKSTEP
+
+    def test_coincident_starts_stopping_at_the_first_meeting_draw_nothing(self):
+        params = ModelParams(a=1.0, delta=0.0, l0=4, r0=4, max_events=100)
+        streams = [CountingStream(RngStream(82, t)) for t in range(30)]
+        got = run_direct_batch(params, streams, stop_after_meetings=1)
+        assert [(rec.meetings, rec.events_executed, rec.final_positions) for rec in got] == \
+            [(1, 0, [4, 4])] * 30
+        assert got == scalar_records(params, 82, 30, stop=1)
+        assert not any(stream.drawn for stream in streams)
+
+    @pytest.mark.parametrize("stop", [None, 2])
+    def test_starts_beyond_int64(self, stop):
+        # sites are kept relative to l0 in lockstep, so 30 trials step
+        # together from 10**22 and hand over at its true sites
+        params = ModelParams(a=1.0, delta=0.5, l0=10**22, r0=10**22 + 2, max_events=1100)
+        got = batch_records(params, 83, 30, stop)
+        assert got == scalar_records(params, 83, 30, stop)
+        assert all(min(rec.final_positions) > 10**22 - 1100 for rec in got)
+
 
 class TestSingleParticleUrnEquivalence:
     """A single reinforced walker admits its own per-site urn picture:

@@ -283,23 +283,26 @@ class TestEnumeration:
             assert c.tv_distance == 0
             assert c.mass_direct == c.mass_urn == 1
 
-    @pytest.mark.parametrize("first_radius", [1, 3])
-    def test_results_do_not_depend_on_the_first_window(self, monkeypatch, first_radius):
-        # a pass that gets deeper than the first radius widens its window,
-        # at gap 4 from two ranges to one; results and first differences
-        # are those of a window of the horizon's radius
+    @pytest.mark.parametrize("radius", [1, 3])
+    def test_a_pass_past_the_window_is_refused(self, monkeypatch, radius):
+        # under a window of a smaller radius than the horizon, a pass that
+        # gets as deep as the radius is refused; a shallower horizon gives
+        # the results of the full window, and so does a pass whose paths
+        # have all met before that depth
         cases = [(params_for(a=2.0, delta=0.5, l0=l0, r0=r0), h)
-                 for l0, r0 in ((0, 0), (0, 1), (5, 9), (0, 10**6)) for h in range(8)]
-        patched = params_for(a=2.0, delta=0.5, l0=0, r0=2)
+                 for l0, r0 in ((0, 1), (5, 9), (0, 10**6)) for h in range(8)]
+        coincident = params_for(a=2.0, delta=0.5, l0=3, r0=3)
         expected = [compare_exact(p, h) for p, h in cases]
-        with monkeypatch.context() as m:
-            patch_kernel(m, "blocked direct", -2)
-            expected_patched = compare_exact(patched, 6)
-            assert expected_patched.first_difference.depth == 2
-        monkeypatch.setattr(urn_process, "_FIRST_RADIUS", first_radius)
-        assert [compare_exact(p, h) for p, h in cases] == expected
-        patch_kernel(monkeypatch, "blocked direct", -2)
-        assert compare_exact(patched, 6) == expected_patched
+        expected_coincident = compare_exact(coincident, 7)
+        monkeypatch.setattr(urn_process, "_WINDOW_RADIUS", radius)
+        for (p, h), c in zip(cases, expected):
+            if h <= radius:
+                assert compare_exact(p, h) == c
+            else:
+                with pytest.raises(ValueError, match=f"horizon {h} needs a site window of "
+                                                     f"radius more than {radius} at depth {radius}"):
+                    compare_exact(p, h)
+        assert compare_exact(coincident, 7) == expected_coincident
 
     def test_far_apart_walkers_never_meet(self):
         # the window is two ranges of 2h + 1 sites: the walkers 10**6
