@@ -52,8 +52,8 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     The option is eager, so this runs before the other options are read:
     a flag then overrides the file, which overrides the built-in default,
     and click parses a file value as the text of its flag (usage error on
-    failure).  A file that is not UTF-8 JSON and unknown keys are usage
-    errors too.
+    failure).  A file that is not UTF-8 JSON, unknown keys and values not
+    shaped as their flags (:func:`_flag_text`) are usage errors too.
     """
     if path is None:
         return
@@ -64,18 +64,33 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
         raise click.UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise click.UsageError("config file must contain a JSON object")
-    known = {p.name for p in _configurable(ctx.command)}
-    unknown = sorted(set(cfg) - known)
+    known = {p.name: p for p in _configurable(ctx.command)}
+    unknown = sorted(set(cfg) - set(known))
     if unknown:
         raise click.UsageError(
             f"unknown config key(s) {', '.join(unknown)}; expected some of {', '.join(sorted(known))}"
         )
-    ctx.default_map = {key: _flag_text(value) for key, value in cfg.items() if value is not None}
+    ctx.default_map = {key: _flag_text(key, known[key], value)
+                       for key, value in cfg.items() if value is not None}
 
 
-def _flag_text(value):
-    """A config value as the text its flag would carry; lists (``--pair``) item by item."""
-    return [_flag_text(item) for item in value] if isinstance(value, list) else str(value)
+def _flag_text(key: str, option: click.Option, value):
+    """A config value as the text its flag would carry: a list of items for
+    a ``multiple`` option, an item of ``nargs`` > 1 values a list of them
+    (``--pair``), else one value.  Any other shape is a usage error."""
+    def item(value, nargs):
+        if nargs == 1 and not isinstance(value, (list, dict)):
+            return str(value)
+        if nargs > 1 and isinstance(value, list):
+            return [item(x, 1) for x in value]
+        shape = "one value" if nargs == 1 else f"lists of {nargs} values"
+        raise click.UsageError(f"config key {key} takes {shape}, not {json.dumps(value)}")
+
+    if not option.multiple:
+        return item(value, option.nargs)
+    if not isinstance(value, list):
+        raise click.UsageError(f"config key {key} takes a list, not {json.dumps(value)}")
+    return [item(x, option.nargs) for x in value]
 
 
 def _meta(config: dict) -> dict:

@@ -267,7 +267,7 @@ def run_coupling(rng: RngStream, env: Environment) -> CouplingRunResult:
     tau1 = None
     try:
         for u in uniform_chunks(rng, params.max_events):
-            if coupled_events(state, u):
+            if coupled_events(state, u.tolist()):
                 tau1 = state.events
                 break
     except SandwichViolationError:

@@ -8,13 +8,13 @@ from a stream of their own; every statement here is about the jump chain.
 """
 from __future__ import annotations
 
-import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
+from . import distributions
 from .distributions import RngStream, uniform_chunks
 
 
@@ -91,15 +91,15 @@ class TrajectoryRecord:
 
     def to_jsonl(self, clock: RngStream | None = None) -> str:
         """One JSON line per event; its time "t" sums the Exp(n) holding
-        times drawn from ``clock`` up to the event, or is null."""
-        times = [None] * len(self.events)
+        times drawn from ``clock`` up to the event, or is null.  The lines
+        are ``json.dumps`` of each event's dict, byte for byte: ints print
+        alike, and a finite float's ``repr`` is its JSON text."""
+        times = ["null"] * len(self.events)
         if clock is not None:
             holds = clock.gen.exponential(1.0 / self.n_particles, size=len(self.events))
-            times = np.cumsum(holds).tolist()
-        lines = []
-        for (e, p, frm, to), t in zip(self.events, times):
-            lines.append(json.dumps({"e": e, "t": t, "p": p, "from": frm, "to": to}))
-        return "\n".join(lines) + ("\n" if lines else "")
+            times = map(repr, np.cumsum(holds).tolist())
+        return "".join(f'{{"e": {e}, "t": {t}, "p": {p}, "from": {frm}, "to": {to}}}\n'
+                       for (e, p, frm, to), t in zip(self.events, times))
 
 
 def run_direct(
@@ -123,52 +123,51 @@ def run_direct(
     pos = [params.l0, params.r0][:n_particles]
     # the first meeting ends a run with any limit <= 1
     limit = float("inf") if stop_after_meetings is None else max(stop_after_meetings, 1)
-    return _finish(TrajectoryRecord(params=params, n_particles=n_particles), rng, pos,
+    return _finish(TrajectoryRecord(params=params, n_particles=n_particles),
+                   uniform_chunks(rng, params.max_events), pos,
                    int(n_particles == 2 and pos[0] == pos[1]), 0, {}, limit, record_events)
 
 
-def _finish(record: TrajectoryRecord, rng: RngStream, pos: list, meetings: int, e: int,
-            w: dict, limit: float, record_events: bool = False) -> TrajectoryRecord:
+def _finish(record: TrajectoryRecord, chunks: Iterator[np.ndarray], pos: list, meetings: int,
+            e: int, w: dict, limit: float, record_events: bool = False) -> TrajectoryRecord:
     """Fill in ``record``, running its trial on from event ``e`` (walkers at
     ``pos``, ``meetings`` met, ``w[v]`` the weight of edge [v, v+1] if not
-    ``a``) to ``limit`` meetings or the budget, on ``rng`` from uniform 2e."""
+    ``a``) to ``limit`` meetings or the budget, continuing ``chunks``, the
+    trial's :func:`uniform_chunks` iterator, which was read up to event e."""
     a, delta, n = record.params.a, record.params.delta, len(pos)
     events = record.events
     if meetings < limit:
-        for u in uniform_chunks(rng, record.params.max_events - e):
-            pairs = iter(u)
-            for u_mover, u_dir in zip(pairs, pairs):
-                e += 1
-                i = int(u_mover * n)  # < n: fl((1 - 2**-53) * n) < n
-                v = pos[i]
-                wl = w.get(v - 1, a)
-                wr = w.get(v, a)
-                if u_dir < (wr + delta) / (wl + wr + delta):
-                    w[v] = wr + 1
-                    pos[i] = v + 1
-                else:
-                    w[v - 1] = wl + 1
-                    pos[i] = v - 1
-                if record_events:
-                    events.append((e, i, v, pos[i]))
-                if n == 2 and pos[0] == pos[1]:
-                    meetings += 1
-                    if meetings >= limit:
-                        break
-            if meetings >= limit:
-                break
+        pairs = chain.from_iterable(u.tolist() for u in chunks)  # reads a chunk as it needs it
+        for u_mover, u_dir in zip(pairs, pairs):
+            e += 1
+            i = int(u_mover * n)  # < n: fl((1 - 2**-53) * n) < n
+            v = pos[i]
+            wl = w.get(v - 1, a)
+            wr = w.get(v, a)
+            if u_dir < (wr + delta) / (wl + wr + delta):
+                w[v] = wr + 1
+                pos[i] = v + 1
+            else:
+                w[v - 1] = wl + 1
+                pos[i] = v - 1
+            if record_events:
+                events.append((e, i, v, pos[i]))
+            if n == 2 and pos[0] == pos[1]:
+                meetings += 1
+                if meetings >= limit:
+                    break
     record.meetings, record.events_executed, record.final_positions = meetings, e, pos
     return record
 
 
-# Uniforms read from each trial's stream per chunk of the batch engine, and
-# trials a lockstep group starts with: its draw arrays stay O(block x chunk)
+# Trials a lockstep group starts with, one chunk iterator each: a chunk's
+# draw array holds at most block x 2 x distributions._MAX_CHUNK uniforms
 # whatever the event budget.
-_CHUNK_UNIFORMS = 1024
 _BLOCK_TRIALS = 1024
 # Edge weights a group of several trials may hold (32 MB of float64).  A
-# group whose window would outgrow this splits in half and runs the halves
-# one after the other.  Each of the at most log2(block) halvings parks half
+# group whose window would outgrow this runs its two halves in turn, each
+# from a copy of its state, and drops its own window; a lone trial finishes
+# on the scalar loop.  Each of the at most log2(block) halvings parks half
 # this many, so a block holds O(this x log2(block)) weights whatever the
 # budget.
 _WINDOW_CELLS = 1 << 22
@@ -183,10 +182,10 @@ _MIN_LOCKSTEP = 24
 
 @dataclass
 class _Lockstep:
-    """Trials stepped together: slot j runs ``records[j]`` on ``streams[j]``."""
+    """Trials stepped together: slot j runs ``records[j]`` on its chunk iterator ``chunks[j]``."""
 
     records: list
-    streams: list
+    chunks: list
     # sites count from l0: pos[j, i] is the site of walker i in slot j, less
     # l0, and weights[j, v - offset] the weight of edge [l0 + v, l0 + v + 1]
     pos: np.ndarray
@@ -199,7 +198,7 @@ class _Lockstep:
         """A new group of the given slots, with copies of their state."""
         keep = slots.tolist()
         return _Lockstep(
-            [self.records[j] for j in keep], [self.streams[j] for j in keep],
+            [self.records[j] for j in keep], [self.chunks[j] for j in keep],
             self.pos[slots], self.counts[slots], self.weights[slots], self.offset, self.events,
         )
 
@@ -213,96 +212,70 @@ def run_direct_batch(
 
     Returns the records ``run_direct(params, 2, s, record_events=False,
     stop_after_meetings=...)`` would give for each stream ``s``, bit for
-    bit.  A block's trials step in lockstep while at least ``_MIN_LOCKSTEP``
-    are live, then finish on ``run_direct``'s loop; either engine reads
-    two uniforms per event, in scalar order.  ``streams``, any iterable of
-    distinct streams, is read one block of ``_BLOCK_TRIALS`` at a time, as
-    the block starts, so a generator keeps at most two blocks of them
-    alive.  A trial that retires in lockstep draws no uniforms after that
-    chunk, so its stream may end at most one chunk past its last event.
+    bit.  ``streams``, any iterable of distinct streams, is read one block
+    of ``_BLOCK_TRIALS`` at a time, as the block starts, so a generator
+    keeps at most two blocks of them alive.  A trial is its record and one
+    :func:`uniform_chunks` iterator over its stream, which lockstep reads
+    and ``run_direct``'s loop continues: a trial draws up to the end of the
+    schedule chunk that holds its last event, whichever engine ran it.
     """
     l0, r0 = params.l0, params.r0
     # the first meeting inside the run always ends a run with a limit <= 1
     limit = float("inf") if stop_after_meetings is None else max(stop_after_meetings, 1)
-    if r0 - l0 > _WINDOW_CELLS:  # far-apart walkers would need a dense window spanning the gap
-        return [run_direct(params, 2, s, record_events=False,
-                           stop_after_meetings=stop_after_meetings) for s in streams]
     streams, records = iter(streams), []
-    while block := list(islice(streams, _BLOCK_TRIALS)):
-        block_records = [TrajectoryRecord(params=params, n_particles=2) for _ in block]
-        records += block_records
-        # sites count from l0, so they fit in int64 wherever the walkers start
-        groups = [_Lockstep(block_records, block, np.tile([0, r0 - l0], (len(block), 1)),
-                            np.full(len(block), int(l0 == r0)), np.empty((len(block), 0)), 0, 0)]
-        while groups:  # depth first, so split halves run before the next block
-            groups.extend(reversed(_advance(groups.pop(), params, limit)))
+    while chunks := [uniform_chunks(s, params.max_events) for s in islice(streams, _BLOCK_TRIALS)]:
+        block = [TrajectoryRecord(params=params, n_particles=2) for _ in chunks]
+        records += block
+        # sites count from l0, as Python ints until a window spans them (then
+        # they fit in int64), so any start and any gap fits
+        _advance(_Lockstep(block, chunks, np.array([[0, r0 - l0]] * len(block), dtype=object),
+                           np.full(len(block), int(l0 == r0)), np.empty((len(block), 0)), 0, 0),
+                 params, limit)
     return records
 
 
-def _advance(g: _Lockstep, params: ModelParams, limit: float) -> list[_Lockstep]:
-    """Step group ``g`` in lockstep while at least ``_MIN_LOCKSTEP`` of its
-    trials are live, then run each trial left to its end on ``_finish``.
-
-    Returns ``[]`` once they have ended, or the two halves still to run
-    when its weight window would outgrow ``_WINDOW_CELLS``.  A trial that
-    reaches its meeting limit leaves the group at the end of that chunk.
-    """
+def _advance(g: _Lockstep, params: ModelParams, limit: float) -> None:
+    """Run group ``g`` to its end: in lockstep while ``_MIN_LOCKSTEP`` of its
+    trials are live (a trial leaves at the end of the chunk in which it
+    meets its limit), then each one left on ``_finish``.  A window that would
+    outgrow ``_WINDOW_CELLS`` runs its halves in turn, or a lone trial on ``_finish``."""
     a, delta, l0 = params.a, params.delta, params.l0
     while g.events < params.max_events and np.count_nonzero(g.counts < limit) >= _MIN_LOCKSTEP:
-        steps = min(max(_CHUNK_UNIFORMS // 2, 1), params.max_events - g.events)
-        # a walker moves at most `steps` sites per chunk and touches the
-        # edges on both sides of it
-        lo, hi = int(g.pos.min()) - steps - 1, int(g.pos.max()) + steps
-        slots, width = len(g.records), g.weights.shape[1]
+        # a walker moves at most one site per event, at most the schedule's
+        # largest chunk of events per chunk, and touches the edges on both
+        # sides of it
+        reach = min(distributions._MAX_CHUNK, params.max_events - g.events)
+        lo, hi = int(g.pos.min()) - reach - 1, int(g.pos.max()) + reach
+        slots, width = g.weights.shape
         if lo < g.offset or hi >= g.offset + width:
             # grow by at least the old width on each side a walker may
             # leave, so copying costs O(1) amortised per site
-            pad = max(width, steps)
+            pad = max(width, reach)
             new_lo = lo - pad if lo < g.offset else g.offset
             new_hi = hi + 1 + pad if hi >= g.offset + width else g.offset + width
-            if slots > 1 and slots * (new_hi - new_lo) > _WINDOW_CELLS:
-                return [g.take(half) for half in np.array_split(np.arange(slots), 2)]
-            grown = np.full((slots, new_hi - new_lo), float(a))
-            grown[:, g.offset - new_lo:g.offset - new_lo + width] = g.weights
-            g.offset, g.weights = new_lo, grown
-            width = grown.shape[1]
-        flat_w = g.weights.reshape(-1)
-        pos = g.pos.reshape(-1)  # walker i of slot j sits at pos[2 * j + i]
-        row = np.arange(slots) * width - g.offset  # flat index of edge [v, v+1], minus v
-
-        u = np.empty((slots, 2 * steps))
-        for j, stream in enumerate(g.streams):
-            u[j] = stream.uniforms(2 * steps)
-        mover = (u[:, 0::2] * 2).astype(np.int64)
-        mover_idx = np.ascontiguousarray((mover + (np.arange(slots) * 2)[:, None]).T)
-        u_dir = np.ascontiguousarray(u[:, 1::2].T)
-        landed = np.empty((steps, slots), dtype=np.int64)
-        met = np.zeros((steps, slots), dtype=bool)
-        left_walker, right_walker = pos[0::2], pos[1::2]
-        for s in range(steps):
-            i = mover_idx[s]
-            wr_i = row + pos.take(i)
-            edge = wr_i - 1
-            wl = flat_w.take(edge)
-            wr = flat_w.take(wr_i)
-            right = u_dir[s] < (wr + delta) / (wl + wr + delta)
-            edge += right  # the traversed edge
-            flat_w[edge] += 1.0
-            new = landed[s]
-            np.subtract(edge, row, out=new)
-            new += right
-            pos.put(i, new)
-            np.equal(left_walker, right_walker, out=met[s])
-
+            if slots * (new_hi - new_lo) > _WINDOW_CELLS:
+                if slots == 1:  # a lone trial finishes on the scalar loop
+                    break
+                halves = [g.take(half) for half in np.array_split(np.arange(slots), 2)]
+                g.weights = np.empty((slots, 0))  # the halves hold copies of what they need
+                while halves:  # popped, so a half that has run holds no window
+                    _advance(halves.pop(), params, limit)
+                return
+            g.weights = np.pad(g.weights, [(0, 0), (g.offset - new_lo, new_hi - g.offset - width)],
+                               constant_values=a)
+            g.offset, g.pos = new_lo, g.pos.astype(np.int64)
+        # the chunk's arrays live in _step's frame, so none stay parked here
+        # while the halves of this group run
+        landed, met = _step(g, np.array([next(chunk) for chunk in g.chunks]), delta)
         before, g.counts = g.counts, g.counts + met.sum(axis=0)
         done = g.counts >= limit
         if done.any():  # a trial retires at its limit-th meeting, though it stepped on
             last_step = np.argmax(before[done] + np.cumsum(met[:, done], axis=0) >= limit, axis=0)
             for j, s in zip(np.flatnonzero(done).tolist(), last_step.tolist()):
-                _finish(g.records[j], g.streams[j], [l0 + int(landed[s, j])] * 2,  # where they met
+                _finish(g.records[j], g.chunks[j], [l0 + int(landed[s, j])] * 2,  # where they met
                         limit, g.events + 1 + s, {}, limit)
             g = g.take(np.flatnonzero(~done))
-        g.events += steps
+        g.events += len(met)
 
     # the scalar loop runs on from the chunk boundary reached, with the
     # weights of the edges touched (one of weight a may go missing); a
@@ -311,8 +284,38 @@ def _advance(g: _Lockstep, params: ModelParams, limit: float) -> list[_Lockstep]
     for j, (sites, meetings) in enumerate(zip(g.pos.tolist(), g.counts.tolist())):
         w = {} if spent else {l0 + g.offset + k: x
                               for k, x in enumerate(g.weights[j].tolist()) if x != a}
-        _finish(g.records[j], g.streams[j], [l0 + v for v in sites], meetings, g.events, w, limit)
-    return []
+        _finish(g.records[j], g.chunks[j], [l0 + v for v in sites], meetings, g.events, w, limit)
+
+
+def _step(g: _Lockstep, u: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Run chunk ``u`` (row j: slot j's next uniforms) on every slot of ``g``;
+    per event and slot, return the mover's new site less l0, and if the walkers met."""
+    slots, width = g.weights.shape
+    flat_w = g.weights.reshape(-1)
+    pos = g.pos.reshape(-1)  # walker i of slot j sits at pos[2 * j + i]
+    row = np.arange(slots) * width - g.offset  # flat index of edge [v, v+1], minus v
+    steps = u.shape[1] // 2
+    mover = (u[:, 0::2] * 2).astype(np.int64)
+    mover_idx = np.ascontiguousarray((mover + (np.arange(slots) * 2)[:, None]).T)
+    u_dir = np.ascontiguousarray(u[:, 1::2].T)
+    landed = np.empty((steps, slots), dtype=np.int64)
+    met = np.zeros((steps, slots), dtype=bool)
+    left_walker, right_walker = pos[0::2], pos[1::2]
+    for s in range(steps):
+        i = mover_idx[s]
+        wr_i = row + pos.take(i)
+        edge = wr_i - 1
+        wl = flat_w.take(edge)
+        wr = flat_w.take(wr_i)
+        right = u_dir[s] < (wr + delta) / (wl + wr + delta)
+        edge += right  # the traversed edge
+        flat_w[edge] += 1.0
+        new = landed[s]
+        np.subtract(edge, row, out=new)
+        new += right
+        pos.put(i, new)
+        np.equal(left_walker, right_walker, out=met[s])
+    return landed, met
 
 
 def meeting_statistics(records: list[TrajectoryRecord]) -> list[dict]:

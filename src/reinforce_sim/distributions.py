@@ -77,21 +77,23 @@ class RngStream:
 
 # Events the first chunk of uniform_chunks covers; each later chunk doubles,
 # up to the cap.  So a run that stops early draws few uniforms it does not
-# use, and a long one makes few reads yet holds one chunk at a time.
+# use, and a long one makes few reads yet holds one chunk at a time.  These
+# are the only chunk sizes: every engine reads its streams through
+# uniform_chunks, and the lockstep engine sizes its weight window by the cap.
 _FIRST_CHUNK, _MAX_CHUNK = 8, 512
 
 
 def uniform_chunks(rng: RngStream, events: int):
-    """Yield the next ``2 * events`` uniforms of ``rng`` as lists of
+    """Yield the next ``2 * events`` uniforms of ``rng`` as arrays of
     ``2 * k``, two per event: k is 8 at first and doubles up to 512, and
-    the last list stops at the budget.  Concatenated, the lists are the
-    stream's uniform sequence, so no result read from them depends on the
-    chunk sizes.
+    the last array stops at the budget.  Concatenated, they are the stream's
+    uniform sequence, so no result read from them depends on the chunk
+    sizes, and a reader may stop and hand the iterator to one that goes on.
     """
     k = _FIRST_CHUNK
     while events > 0:
         k = min(k, events)
-        yield rng.uniforms(2 * k).tolist()
+        yield rng.uniforms(2 * k)
         events -= k
         k = min(2 * k, _MAX_CHUNK)
 

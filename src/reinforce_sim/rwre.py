@@ -127,7 +127,7 @@ def first_returns(
         e = 0
         first = None
         for u in uniform_chunks(walk, max_budget):
-            pairs = iter(u)
+            pairs = iter(u.tolist())
             for u_chain, u_step in zip(pairs, pairs):
                 e += 1
                 c = 0 if u_chain < 0.5 else 1

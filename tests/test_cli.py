@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import reinforce_sim
-from reinforce_sim import cli, direct, distributions, rwre, urn_process
+from reinforce_sim import cli, distributions, rwre, urn_process
 from reinforce_sim.cli import main
 from reinforce_sim.coupling import MARGINAL_TRIALS, Environment, run_coupling
 from reinforce_sim.direct import ModelParams, meeting_statistics, run_direct
@@ -714,11 +714,10 @@ class TestStreamKeys:
     @pytest.mark.parametrize("name", sorted(KEYED_STREAM_COMMANDS))
     def test_output_does_not_depend_on_the_chunk_sizes(self, runner, tmp_path, monkeypatch, name):
         outputs = set()
-        # (first and largest uniform_chunks chunk in events, lockstep chunk in uniforms)
-        for first, largest, lockstep in ((8, 512, 1024), (1, 1, 2), (3, 700, 4096)):
+        # first and largest uniform_chunks chunk, in events: every engine's chunks
+        for first, largest in ((8, 512), (1, 1), (3, 700)):
             monkeypatch.setattr(distributions, "_FIRST_CHUNK", first)
             monkeypatch.setattr(distributions, "_MAX_CHUNK", largest)
-            monkeypatch.setattr(direct, "_CHUNK_UNIFORMS", lockstep)
             out, traj = tmp_path / f"{first}.out", tmp_path / f"{first}.jsonl"
             args = [str(traj) if a == "TRAJ" else a for a in KEYED_STREAM_COMMANDS[name]]
             result = runner.invoke(main, args + ["--out", str(out)])
@@ -807,6 +806,38 @@ class TestRecordedConfig:
         assert result.exit_code == 2
         assert f"Invalid value for '{option}'" in result.output
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("command,config", [
+        ("simulate", {"a": [1]}),
+        ("simulate", {"a": {"x": 1}}),
+        ("polya", {"ks_threshold": [0.1]}),
+        ("criterion", {"pairs": "12"}),
+        ("criterion", {"pairs": ["12"]}),
+        ("criterion", {"pairs": ["1.5"]}),
+        ("criterion", {"pairs": [[1, [2]]]}),
+        ("rwre", {"budgets": [100, 1000]}),
+    ])
+    def test_config_value_not_shaped_as_its_flag_is_usage_error(self, runner, tmp_path,
+                                                                command, config):
+        # a list only for a repeatable option, and a list per --pair
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2
+        assert f"config key {next(iter(config))} takes " in result.output
+        assert not out.exists()
+
+    def test_config_pairs_take_the_flag_text(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pairs": [[1, 2], ["2.5", 3]]}))
+        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+        r1 = runner.invoke(main, ["criterion", "--config", str(cfg), "--out", str(out1)])
+        r2 = runner.invoke(main, ["criterion", "--pair", "1", "2", "--pair", "2.5", "3",
+                                  "--out", str(out2)])
+        assert r1.exit_code == r2.exit_code == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 class TestTopLevel:

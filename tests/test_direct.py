@@ -10,7 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from reinforce_sim import direct
+from reinforce_sim import direct, distributions
 from reinforce_sim.direct import (
     ModelParams,
     WeightMap,
@@ -224,6 +224,21 @@ class TestRunDirect:
         row = json.loads(lines[0])
         assert set(row) == {"e", "t", "p", "from", "to"}
 
+    @pytest.mark.parametrize("n,l0", [(2, 0), (2, -10**22), (1, 10**22)])
+    @pytest.mark.parametrize("timestamps", [False, True])
+    def test_jsonl_lines_are_json_dumps(self, n, l0, timestamps):
+        for budget in (0, 1, 3000):
+            params = ModelParams(a=1.0, delta=0.5, l0=l0, r0=l0 + 2, max_events=budget)
+            rec = run_direct(params, n, RngStream(63, budget))
+            times = [None] * budget
+            if timestamps:
+                clock = RngStream(63, budget, HOLDING_TIMES)
+                times = np.cumsum(clock.gen.exponential(1.0 / n, size=budget)).tolist()
+            expected = "".join(json.dumps({"e": e, "t": t, "p": p, "from": frm, "to": to}) + "\n"
+                               for (e, p, frm, to), t in zip(rec.events, times))
+            clock = RngStream(63, budget, HOLDING_TIMES) if timestamps else None
+            assert rec.to_jsonl(clock) == expected
+
 
 def scalar_records(params, seed, trials, stop=None):
     return [
@@ -241,6 +256,25 @@ class CountingStream:
     def uniforms(self, n: int) -> np.ndarray:
         self.drawn += n
         return self.stream.uniforms(n)
+
+
+def patch_chunks(monkeypatch, first, largest):
+    """Make every chunk schedule start at ``first`` events and double up to ``largest``."""
+    monkeypatch.setattr(distributions, "_FIRST_CHUNK", first)
+    monkeypatch.setattr(distributions, "_MAX_CHUNK", largest)
+
+
+def spy_on_groups(monkeypatch):
+    """A list that gets (slots, weight cells) of each lockstep group once it has run."""
+    sizes = []
+    advance = direct._advance
+
+    def spy(g, params, limit):
+        advance(g, params, limit)
+        sizes.append((len(g.records), g.weights.size))
+
+    monkeypatch.setattr(direct, "_advance", spy)
+    return sizes
 
 
 def batch_records(params, seed, trials, stop=None):
@@ -281,8 +315,8 @@ class TestRunDirectBatch:
     def test_output_does_not_depend_on_chunk_or_block_size(self, monkeypatch, stop):
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=401)
         expected = scalar_records(params, 71, 24, stop=stop)
-        for chunk, block in ((2, 24), (7, 8), (64, 6)):
-            monkeypatch.setattr(direct, "_CHUNK_UNIFORMS", chunk)
+        for chunks, block in (((1, 1), 24), ((3, 3), 8), ((2, 32), 6)):
+            patch_chunks(monkeypatch, *chunks)
             monkeypatch.setattr(direct, "_BLOCK_TRIALS", block)
             assert batch_records(params, 71, 24, stop=stop) == expected
 
@@ -296,7 +330,7 @@ class TestRunDirectBatch:
     def test_window_growth(self, monkeypatch):
         # one-event chunks leave one site of slack, so every excursion past
         # the start grows the weight window
-        monkeypatch.setattr(direct, "_CHUNK_UNIFORMS", 2)
+        patch_chunks(monkeypatch, 1, 1)
         params = ModelParams(a=0.5, delta=0.9, l0=0, r0=0, max_events=3001)
         logged = [run_direct(params, 2, RngStream(72, t)) for t in range(3)]
         assert max(abs(to) for rec in logged for *_, to in rec.events) > 4
@@ -307,17 +341,9 @@ class TestRunDirectBatch:
     def test_drifting_walkers_split_groups_under_the_window_cap(self, monkeypatch, stop):
         # at delta >= 1 walkers drift almost linearly, so a 200-cell cap
         # splits the 16-trial group into halves, down to single trials
-        monkeypatch.setattr(direct, "_CHUNK_UNIFORMS", 8)
+        patch_chunks(monkeypatch, 4, 4)
         monkeypatch.setattr(direct, "_WINDOW_CELLS", 200)
-        sizes = []
-        advance = direct._advance
-
-        def spy(g, params, limit):
-            halves = advance(g, params, limit)
-            sizes.append((len(g.records), g.weights.size))
-            return halves
-
-        monkeypatch.setattr(direct, "_advance", spy)
+        sizes = spy_on_groups(monkeypatch)
         params = ModelParams(a=1.0, delta=5.0, l0=0, r0=3, max_events=2003)
         expected = scalar_records(params, 75, 16, stop=stop)
         assert batch_records(params, 75, 16, stop=stop) == expected
@@ -326,6 +352,27 @@ class TestRunDirectBatch:
         if stop is None:  # without retirements the group spied on is the one grown
             assert any(slots == 1 for slots, _ in sizes)
             assert all(slots == 1 or cells <= 200 for slots, cells in sizes)
+
+    def test_groups_that_split_or_ended_hold_no_window(self, monkeypatch):
+        # while a half runs, the group that split and the halves that have
+        # run keep no weights; only the half still to run holds its copy
+        patch_chunks(monkeypatch, 4, 4)
+        monkeypatch.setattr(direct, "_WINDOW_CELLS", 200)
+        running, ended, held = [], [], []
+        advance = direct._advance
+
+        def spy(g, params, limit):
+            alive = running + [group for ref in ended if (group := ref()) is not None]
+            held.append(sum(group.weights.size for group in alive))
+            running.append(g)
+            advance(g, params, limit)
+            running.pop()
+            ended.append(weakref.ref(g))
+
+        monkeypatch.setattr(direct, "_advance", spy)
+        params = ModelParams(a=1.0, delta=5.0, l0=0, r0=3, max_events=2003)
+        assert batch_records(params, 75, 16) == scalar_records(params, 75, 16)
+        assert len(held) > 8 and not any(held)
 
     def test_records_hold_one_meeting_count_each(self):
         # walkers started side by side meet thousands of times in 2e4
@@ -337,8 +384,10 @@ class TestRunDirectBatch:
         assert sum(rec.meetings for rec in records) > 64 * 1000
         assert len(pickle.dumps(records)) < 1 << 14
 
-    def test_far_apart_walkers_run_without_a_dense_window(self):
-        params = ModelParams(a=1.0, delta=0.5, l0=0, r0=10**12, max_events=50)
+    @pytest.mark.parametrize("gap", [10**12, 2**63 + 1])
+    def test_far_apart_walkers_run_without_a_dense_window(self, gap):
+        # each group halves down to lone trials, which finish on the scalar loop
+        params = ModelParams(a=1.0, delta=0.5, l0=0, r0=gap, max_events=50)
         assert batch_records(params, 76, 8) == scalar_records(params, 76, 8)
 
     def test_retired_trials_are_compacted(self):
@@ -353,7 +402,7 @@ class TestRunDirectBatch:
         # eight-event chunks at gap 3: fewer than half the trials retire in
         # the first chunk, and each must stop drawing at the end of the
         # chunk in which it retires
-        monkeypatch.setattr(direct, "_CHUNK_UNIFORMS", 16)
+        patch_chunks(monkeypatch, 8, 8)
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=3, max_events=403)
         streams = [CountingStream(RngStream(78, t)) for t in range(64)]
         got = run_direct_batch(params, streams, stop_after_meetings=stop)
@@ -426,6 +475,38 @@ class TestLockstepHandoff:
             [(1, 0, [4, 4])] * 30
         assert got == scalar_records(params, 82, 30, stop=1)
         assert not any(stream.drawn for stream in streams)
+
+    @pytest.mark.parametrize("trials,gap", [(100, 10**12), (300, direct._WINDOW_CELLS + 1),
+                                            (50, 2**63 + 1), (50, 10**22)])
+    def test_far_apart_starts_split_until_no_group_holds_weights(self, monkeypatch, trials, gap):
+        # no window of 24 or more trials spans the gap, so each group halves
+        # until its trials are too few for lockstep and finish on the scalar loop
+        params = ModelParams(a=1.0, delta=0.5, l0=0, r0=gap, max_events=300)
+        expected = scalar_records(params, 84, trials)
+        sizes = spy_on_groups(monkeypatch)
+        assert batch_records(params, 84, trials) == expected
+        assert len(sizes) > 1 and all(cells == 0 for _, cells in sizes)
+        assert min(slots for slots, _ in sizes) < direct._MIN_LOCKSTEP
+
+    @pytest.mark.parametrize("stop", [None, 1, 3, 1000])
+    @pytest.mark.parametrize("trials", [3, 40, 100])
+    def test_one_iterator_per_trial_from_start_to_end(self, stop, trials):
+        # each stream is read up to the end of the schedule chunk that holds
+        # the trial's last event, whichever engine ran that event
+        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=700)
+        streams = [CountingStream(RngStream(85, t)) for t in range(trials)]
+        got = run_direct_batch(params, streams, stop_after_meetings=stop)
+        assert got == scalar_records(params, 85, trials, stop)
+        ends = [0]  # 0, 8, 24, 56, ..., 504, 1016 under the real schedule
+        k = distributions._FIRST_CHUNK
+        while ends[-1] < params.max_events:
+            ends.append(ends[-1] + k)
+            k = min(2 * k, distributions._MAX_CHUNK)
+        for rec, stream in zip(got, streams):
+            end = min(e for e in ends if e >= rec.events_executed)
+            assert stream.drawn == 2 * min(end, params.max_events)
+        if stop is None:
+            assert all(stream.drawn == 2 * params.max_events for stream in streams)
 
     @pytest.mark.parametrize("stop", [None, 2])
     def test_starts_beyond_int64(self, stop):

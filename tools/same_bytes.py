@@ -1,0 +1,100 @@
+"""Check that this tree's CLI writes the same bytes as another checkout's.
+
+Run from the root of a checkout: ``python3 tools/same_bytes.py OTHER_TREE``.
+
+Each command of ``COMMANDS`` runs twice as ``python -m reinforce_sim.cli``,
+once on this tree's ``src`` and once on OTHER_TREE's, each run in a fresh
+temporary directory holding only the command's input files.  The exit
+code, standard output, standard error and the bytes of every file in the
+directory afterwards must be equal.  One line per command says ``same`` or
+what differs; the exit code is 1 on any difference.  The whole list takes
+about 20 seconds on a 2-vCPU VM.
+"""
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TRAJ = ["--trajectory-out", "traj.jsonl"]
+CONFIG = '{"trials": 60, "events": 1500, "r0": 3, "delta": 0.25, "stop_after_meetings": 2}'
+
+# (name, CLI arguments, input files written into the run's directory)
+COMMANDS = [
+    ("simulate-fixed", ["simulate", "--n", "2", "--a", "1", "--delta", "0", "--l0", "0", "--r0",
+                        "2", "--events", "10000", "--trials", "40", "--seed", "1"], {}),
+    *((f"simulate-{trials}-stop-{stop}",
+       ["simulate", "--trials", str(trials), "--events", "3000", "--stop-after-meetings",
+        str(stop), "--seed", "5", "--out", "meetings.csv"], {})
+      for trials in (40, 100, 1000) for stop in (1, 3, 1000)),
+    ("simulate-coincident-stop-1", ["simulate", "--l0", "4", "--r0", "4", "--trials", "30",
+                                    "--events", "100", "--stop-after-meetings", "1"], {}),
+    ("simulate-delta-5", ["simulate", "--delta", "5", "--trials", "64", "--events", "5000"], {}),
+    ("simulate-far-apart", ["simulate", "--r0", "1000000000000", "--trials", "50",
+                            "--events", "500"], {}),
+    ("simulate-one-walker", ["simulate", "--n", "1", "--trials", "3", "--events", "2000", *TRAJ],
+     {}),
+    ("simulate-timestamps", ["simulate", "--trials", "40", "--events", "2000", "--timestamps",
+                             *TRAJ, "--out", "meetings.csv"], {}),
+    ("simulate-small-a", ["simulate", "--a", "0.5", "--trials", "40", "--events", "2000"], {}),
+    ("couple", ["couple", "--trials", "50", "--events", "2000", "--seed", "3"], {}),
+    ("couple-marginal-check", ["couple", "--trials", "20", "--events", "2000", "--seed", "7",
+                               "--marginal-check", "--out", "couple.json"], {}),
+    ("couple-small-a", ["couple", "--a", "0.5", "--allow-small-a", "--r0", "3", "--trials", "20",
+                        "--events", "2000", "--seed", "7"], {}),
+    ("couple-coincident", ["couple", "--l0", "2", "--r0", "2", "--trials", "10"], {}),
+    ("rwre", ["rwre", "--budgets", "100,500", "--trials", "100", "--seed", "7"], {}),
+    ("rwre-asymmetric", ["rwre", "--alpha1", "3", "--beta1", "1", "--alpha2", "2", "--beta2", "1",
+                         "--budgets", "50,200,1000", "--trials", "200", "--out", "rwre.csv"], {}),
+    ("urn-verify-h7", ["urn-verify", "--horizon", "7"], {}),
+    ("criterion", ["criterion", "--pair", "1", "2", "--pair", "3", "2"], {}),
+    ("polya", ["polya", "--draws", "200", "--runs", "200", "--ks-threshold", "0.1", "--seed",
+               "3"], {}),
+    ("simulate-config", ["simulate", "--config", "cfg.json", "--seed", "9"],
+     {"cfg.json": CONFIG}),
+]
+
+
+def run(src: Path, args: list[str], inputs: dict[str, str]) -> dict[str, bytes | int]:
+    """Run the CLI on package source ``src`` in a fresh directory: its exit
+    code, stdout, stderr and every file the directory then holds."""
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in inputs.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        done = subprocess.run([sys.executable, "-m", "reinforce_sim.cli", *args], cwd=tmp,
+                              env=env, capture_output=True, check=False)
+        files = {f"file {p.name}": p.read_bytes() for p in sorted(Path(tmp).iterdir())}
+    return {"exit code": done.returncode, "stdout": done.stdout, "stderr": done.stderr} | files
+
+
+def differences(this_src: Path, other_src: Path, args: list[str],
+                inputs: dict[str, str]) -> list[str]:
+    """What differs between the two trees' runs of one command."""
+    mine, theirs = run(this_src, args, inputs), run(other_src, args, inputs)
+    return [key for key in sorted(mine.keys() | theirs.keys()) if mine.get(key) != theirs.get(key)]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/same_bytes.py OTHER_TREE", file=sys.stderr)
+        return 2
+    this_src = Path(__file__).resolve().parent.parent / "src"
+    other_src = Path(argv[0]) / "src"
+    if not (other_src / "reinforce_sim").is_dir():
+        print(f"no src/reinforce_sim under {argv[0]}", file=sys.stderr)
+        return 2
+    differ = 0
+    for name, args, inputs in COMMANDS:
+        found = differences(this_src, other_src, args, inputs)
+        differ += bool(found)
+        print(f"{'DIFF' if found else 'same'}  {name}" + (f": {', '.join(found)}" if found else ""),
+              flush=True)
+    print(f"{differ} of {len(COMMANDS)} commands differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
