@@ -174,10 +174,12 @@ _WINDOW_CELLS = 1 << 22
 # A group steps in lockstep while at least this many of its trials are live
 # (below their meeting limit); at any chunk boundary with fewer, the rest
 # finish on the scalar loop.  At a = 1, gap 2 and 10**4 events a scalar
-# event costs 0.56-0.85 us, and a lockstep trial-event 0.81-1.1 us at 16
-# trials, 0.72-0.83 at 20, 0.54-0.69 at 24 and 0.34-0.57 at 32-40 (2-vCPU
-# VM, three rounds); a lockstep step of one or two live trials costs 15-25 us.
-_MIN_LOCKSTEP = 24
+# event costs 0.76-0.85 us, and a lockstep trial-event 0.74-0.92 us at 16
+# trials, 0.61-0.67 at 20, 0.52-0.56 at 24, 0.40-0.42 at 32 and 0.34-0.37
+# at 40 (2-vCPU VM, three rounds of three); a lockstep step of one or two
+# live trials costs 5-10 us, plus the chunk's fixed cost.  No output
+# depends on this value, only the time taken.
+_MIN_LOCKSTEP = 20
 
 
 @dataclass
@@ -289,32 +291,38 @@ def _advance(g: _Lockstep, params: ModelParams, limit: float) -> None:
 
 def _step(g: _Lockstep, u: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Run chunk ``u`` (row j: slot j's next uniforms) on every slot of ``g``;
-    per event and slot, return the mover's new site less l0, and if the walkers met."""
+    per event and slot, return the mover's new site less l0, and if the walkers met.
+    A walker is the flat index of its right edge in the weight buffer, and
+    each numpy call of the event loop takes array operands only (delta as a
+    per-slot array): a Python scalar operand costs more per call."""
     slots, width = g.weights.shape
     flat_w = g.weights.reshape(-1)
-    pos = g.pos.reshape(-1)  # walker i of slot j sits at pos[2 * j + i]
     row = np.arange(slots) * width - g.offset  # flat index of edge [v, v+1], minus v
+    at = (g.pos + row[:, None]).reshape(-1)  # walker i of slot j: right edge at[2 * j + i]
     steps = u.shape[1] // 2
     mover = (u[:, 0::2] * 2).astype(np.int64)
     mover_idx = np.ascontiguousarray((mover + (np.arange(slots) * 2)[:, None]).T)
     u_dir = np.ascontiguousarray(u[:, 1::2].T)
+    d, one, one_w = np.full(slots, float(delta)), np.ones(slots, np.int64), np.ones(slots)
     landed = np.empty((steps, slots), dtype=np.int64)
     met = np.zeros((steps, slots), dtype=bool)
-    left_walker, right_walker = pos[0::2], pos[1::2]
-    for s in range(steps):
-        i = mover_idx[s]
-        wr_i = row + pos.take(i)
-        edge = wr_i - 1
+    left_walker, right_walker = at[0::2], at[1::2]
+    for i, u_s, new, met_s in zip(mover_idx, u_dir, landed, met):
+        wr_i = at.take(i)
+        edge = wr_i - one
         wl = flat_w.take(edge)
         wr = flat_w.take(wr_i)
-        right = u_dir[s] < (wr + delta) / (wl + wr + delta)
+        # (wr + delta) / ((wl + wr) + delta), the oracle's order: another order
+        # moves last bits that no test sees.  At delta = 0 the adds go, exactly,
+        # as x + 0.0 == x for every weight
+        right = u_s < (wr / (wl + wr) if delta == 0 else (wr + d) / ((wl + wr) + d))
         edge += right  # the traversed edge
-        flat_w[edge] += 1.0
-        new = landed[s]
-        np.subtract(edge, row, out=new)
-        new += right
-        pos.put(i, new)
-        np.equal(left_walker, right_walker, out=met[s])
+        flat_w[edge] += one_w
+        np.add(edge, right, out=new)  # the mover's new right edge
+        at.put(i, new)
+        np.equal(left_walker, right_walker, out=met_s)
+    landed -= row
+    np.subtract(at.reshape(slots, 2), row[:, None], out=g.pos)
     return landed, met
 
 

@@ -47,14 +47,16 @@ class RngStream:
     trial: int
     role: int | None = None
     gen: np.random.Generator = field(init=False, repr=False)
-    _key: np.ndarray = field(init=False, repr=False)
+    _key: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.role == 0:
             raise ValueError("role 0 aliases the dynamics stream; roles are nonzero")
         bits = np.random.Philox(self.seed & _MASK64,
                                 counter=[0, 0, self.trial & _MASK64, self.role or 0])
-        self._key = bits.state["state"]["key"]  # the seed's; rekey keeps it
+        # the seed's, as Python ints (the state setter reads them faster
+        # than an array); rekey keeps it
+        self._key = bits.state["state"]["key"].tolist()
         self.gen = np.random.Generator(bits)
 
     def uniforms(self, n: int) -> np.ndarray:

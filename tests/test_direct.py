@@ -440,6 +440,37 @@ class TestRunDirectBatch:
         assert run_direct_batch(params, []) == []
 
 
+class TestStep:
+    """``direct._step``, the lockstep kernel, per event and slot against
+    :func:`direct_step`, which reads each slot's uniforms one at a time."""
+
+    @pytest.mark.parametrize("delta", [0.0, 0.7])  # both arms of the delta test
+    def test_matches_the_stepped_oracle(self, delta):
+        a, steps, offset, width = 0.3, 60, -70, 150  # edges [-70, 80) hold every site reached
+        starts = [(0, 2), (-3, -3), (5, 1), (-1, 4)]  # sites less l0; slot 1 starts met
+        params = ModelParams(a=a, delta=delta, l0=0, r0=0)
+        maps = [WeightMap(a) for _ in starts]
+        rng = np.random.default_rng(11)
+        for w, _ in product(maps, range(2)):  # weights a, a + 1 or a + 2, as reinforced
+            for v in np.flatnonzero(rng.random(width) < 0.5).tolist():
+                w.reinforce(offset + v)
+        g = direct._Lockstep(
+            [None] * len(starts), [None] * len(starts), np.array(starts, dtype=np.int64),
+            np.zeros(len(starts), dtype=np.int64),
+            np.array([[w.weight(offset + k) for k in range(width)] for w in maps]), offset, 0)
+        u = np.array([RngStream(11, j).uniforms(2 * steps) for j in range(len(starts))])
+        landed, met = direct._step(g, u, delta)
+        assert landed.shape == met.shape == (steps, len(starts))
+        for j, (w, start) in enumerate(zip(maps, starts)):
+            positions, stream = list(start), RngStream(11, j)
+            for s in range(steps):
+                to = direct_step(w, positions, params, stream)[2]
+                assert (landed[s, j], met[s, j]) == (to, positions[0] == positions[1])
+            assert g.pos[j].tolist() == positions
+            assert g.weights[j].tolist() == [w.weight(offset + k) for k in range(width)]
+        assert met.any() and not met.all()
+
+
 class TestLockstepHandoff:
     """With the real ``_MIN_LOCKSTEP``, a group steps in lockstep while
     enough of its trials are live and the rest finish on the scalar loop;
@@ -482,7 +513,7 @@ class TestLockstepHandoff:
     @pytest.mark.parametrize("trials,gap", [(100, 10**12), (300, direct._WINDOW_CELLS + 1),
                                             (50, 2**63 + 1), (50, 10**22)])
     def test_far_apart_starts_split_until_no_group_holds_weights(self, monkeypatch, trials, gap):
-        # no window of 24 or more trials spans the gap, so each group halves
+        # no window of _MIN_LOCKSTEP or more trials spans the gap, so each group halves
         # until its trials are too few for lockstep and finish on the scalar loop
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=gap, max_events=300)
         expected = scalar_records(params, 84, trials)
