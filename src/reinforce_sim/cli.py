@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import islice
 
 import click
 
@@ -183,8 +184,8 @@ def simulate(n, a, delta, l0, r0, events, trials,
     logged = [] if trajectory_out is None else [
         run_direct(params, n, RngStream(seed, 0), stop_after_meetings=stop_after_meetings)]
     rows = []  # a lone particle never meets, so its statistics have no rows
-    if n > 1:  # streams built as each block starts
-        streams = (RngStream(seed, trial) for trial in range(len(logged), trials))
+    if n > 1:  # one generator, re-keyed as each trial starts
+        streams = islice(trial_streams(seed, trials), len(logged), None)
         records = run_direct_batch(params, streams, stop_after_meetings=stop_after_meetings)
         rows = meeting_statistics(logged + records)
     resolved = _resolved(outside_recurrence_regime=params.outside_recurrence_regime)

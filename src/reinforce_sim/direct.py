@@ -5,16 +5,23 @@ Each particle carries an independent rate-1 exponential clock, so the
 embedded jump chain picks the next mover uniformly among the particles.
 Continuous timestamps are optional decoration, Exp(n) holding times
 from a stream of their own; every statement here is about the jump chain.
+The event loop is C (``direct_kernel.c``), built with the system compiler
+on the first run and cached under ``__pycache__``; Python runs trials one
+after another, feeds the loop each chunk of uniforms and grows the weight
+windows it runs in.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+import ctypes
+import os
+import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
-from . import distributions
 from .distributions import RngStream, uniform_chunks
 
 
@@ -120,89 +127,7 @@ def run_direct(
     """
     if n_particles not in (1, 2):
         raise ValueError(f"n_particles must be 1 or 2, got {n_particles!r}")
-    pos = [params.l0, params.r0][:n_particles]
-    # the first meeting ends a run with any limit <= 1
-    limit = float("inf") if stop_after_meetings is None else max(stop_after_meetings, 1)
-    return _finish(TrajectoryRecord(params=params, n_particles=n_particles),
-                   uniform_chunks(rng, params.max_events), pos,
-                   int(n_particles == 2 and pos[0] == pos[1]), 0, {}, limit, record_events)
-
-
-def _finish(record: TrajectoryRecord, chunks: Iterator[np.ndarray], pos: list, meetings: int,
-            e: int, w: dict, limit: float, record_events: bool = False) -> TrajectoryRecord:
-    """Fill in ``record``, running its trial on from event ``e`` (walkers at
-    ``pos``, ``meetings`` met, ``w[v]`` the weight of edge [v, v+1] if not
-    ``a``) to ``limit`` meetings or the budget, continuing ``chunks``, the
-    trial's :func:`uniform_chunks` iterator, which was read up to event e."""
-    a, delta, n = record.params.a, record.params.delta, len(pos)
-    events = record.events
-    if meetings < limit:
-        pairs = chain.from_iterable(u.tolist() for u in chunks)  # reads a chunk as it needs it
-        for u_mover, u_dir in zip(pairs, pairs):
-            e += 1
-            i = int(u_mover * n)  # < n: fl((1 - 2**-53) * n) < n
-            v = pos[i]
-            wl = w.get(v - 1, a)
-            wr = w.get(v, a)
-            if u_dir < (wr + delta) / (wl + wr + delta):
-                w[v] = wr + 1
-                pos[i] = v + 1
-            else:
-                w[v - 1] = wl + 1
-                pos[i] = v - 1
-            if record_events:
-                events.append((e, i, v, pos[i]))
-            if n == 2 and pos[0] == pos[1]:
-                meetings += 1
-                if meetings >= limit:
-                    break
-    record.meetings, record.events_executed, record.final_positions = meetings, e, pos
-    return record
-
-
-# Trials a lockstep group starts with, one chunk iterator each: a chunk's
-# draw array holds at most block x 2 x distributions._MAX_CHUNK uniforms
-# whatever the event budget.
-_BLOCK_TRIALS = 1024
-# Edge weights a group of several trials may hold (32 MB of float64).  A
-# group whose window would outgrow this runs its two halves in turn, each
-# from a copy of its state, and drops its own window; a lone trial finishes
-# on the scalar loop.  Each of the at most log2(block) halvings parks half
-# this many, so a block holds O(this x log2(block)) weights whatever the
-# budget.
-_WINDOW_CELLS = 1 << 22
-# A group steps in lockstep while at least this many of its trials are live
-# (below their meeting limit); at any chunk boundary with fewer, the rest
-# finish on the scalar loop.  At a = 1, gap 2 and 10**4 events a scalar
-# event costs 0.76-0.85 us, and a lockstep trial-event 0.74-0.92 us at 16
-# trials, 0.61-0.67 at 20, 0.52-0.56 at 24, 0.40-0.42 at 32 and 0.34-0.37
-# at 40 (2-vCPU VM, three rounds of three); a lockstep step of one or two
-# live trials costs 5-10 us, plus the chunk's fixed cost.  No output
-# depends on this value, only the time taken.
-_MIN_LOCKSTEP = 20
-
-
-@dataclass
-class _Lockstep:
-    """Trials stepped together: slot j runs ``records[j]`` on its chunk iterator ``chunks[j]``."""
-
-    records: list
-    chunks: list
-    # sites count from l0: pos[j, i] is the site of walker i in slot j, less
-    # l0, and weights[j, v - offset] the weight of edge [l0 + v, l0 + v + 1]
-    pos: np.ndarray
-    counts: np.ndarray  # meetings counted per slot
-    weights: np.ndarray  # untouched edges weigh a
-    offset: int
-    events: int  # events every slot has executed
-
-    def take(self, slots: np.ndarray) -> "_Lockstep":
-        """A new group of the given slots, with copies of their state."""
-        keep = slots.tolist()
-        return _Lockstep(
-            [self.records[j] for j in keep], [self.chunks[j] for j in keep],
-            self.pos[slots], self.counts[slots], self.weights[slots], self.offset, self.events,
-        )
+    return next(_Engine(params, n_particles, stop_after_meetings).run([rng], record_events))
 
 
 def run_direct_batch(
@@ -214,116 +139,171 @@ def run_direct_batch(
 
     Returns the records ``run_direct(params, 2, s, record_events=False,
     stop_after_meetings=...)`` would give for each stream ``s``, bit for
-    bit.  ``streams``, any iterable of distinct streams, is read one block
-    of ``_BLOCK_TRIALS`` at a time, as the block starts, so a generator
-    keeps at most two blocks of them alive.  A trial is its record and one
-    :func:`uniform_chunks` iterator over its stream, which lockstep reads
-    and ``run_direct``'s loop continues: a trial draws up to the end of the
-    schedule chunk that holds its last event, whichever engine ran it.
+    bit.  Each trial runs to its end before the next stream is read, so
+    ``streams`` may yield one stream re-keyed from trial to trial, as
+    :func:`distributions.trial_streams` does.  A trial draws up to the end
+    of the schedule chunk that holds its last event.
     """
-    l0, r0 = params.l0, params.r0
-    # the first meeting inside the run always ends a run with a limit <= 1
-    limit = float("inf") if stop_after_meetings is None else max(stop_after_meetings, 1)
-    streams, records = iter(streams), []
-    while chunks := [uniform_chunks(s, params.max_events) for s in islice(streams, _BLOCK_TRIALS)]:
-        block = [TrajectoryRecord(params=params, n_particles=2) for _ in chunks]
-        records += block
-        # sites count from l0, as Python ints until a window spans them (then
-        # they fit in int64), so any start and any gap fits
-        _advance(_Lockstep(block, chunks, np.array([[0, r0 - l0]] * len(block), dtype=object),
-                           np.full(len(block), int(l0 == r0)), np.empty((len(block), 0)), 0, 0),
-                 params, limit)
-    return records
+    return list(_Engine(params, 2, stop_after_meetings).run(streams))
 
 
-def _advance(g: _Lockstep, params: ModelParams, limit: float) -> None:
-    """Run group ``g`` to its end: in lockstep while ``_MIN_LOCKSTEP`` of its
-    trials are live (a trial leaves at the end of the chunk in which it
-    meets its limit), then each one left on ``_finish``.  A window that would
-    outgrow ``_WINDOW_CELLS`` runs its halves in turn, or a lone trial on ``_finish``."""
-    a, delta, l0 = params.a, params.delta, params.l0
-    while g.events < params.max_events and np.count_nonzero(g.counts < limit) >= _MIN_LOCKSTEP:
-        # a walker moves at most one site per event, at most the schedule's
-        # largest chunk of events per chunk, and touches the edges on both
-        # sides of it
-        reach = min(distributions._MAX_CHUNK, params.max_events - g.events)
-        lo, hi = int(g.pos.min()) - reach - 1, int(g.pos.max()) + reach
-        slots, width = g.weights.shape
-        if lo < g.offset or hi >= g.offset + width:
-            # grow by at least the old width on each side a walker may
-            # leave, so copying costs O(1) amortised per site
-            pad = max(width, reach)
-            new_lo = lo - pad if lo < g.offset else g.offset
-            new_hi = hi + 1 + pad if hi >= g.offset + width else g.offset + width
-            if slots * (new_hi - new_lo) > _WINDOW_CELLS:
-                if slots == 1:  # a lone trial finishes on the scalar loop
-                    break
-                halves = [g.take(half) for half in np.array_split(np.arange(slots), 2)]
-                g.weights = np.empty((slots, 0))  # the halves hold copies of what they need
-                while halves:  # popped, so a half that has run holds no window
-                    _advance(halves.pop(), params, limit)
-                return
-            g.weights = np.pad(g.weights, [(0, 0), (g.offset - new_lo, new_hi - g.offset - width)],
-                               constant_values=a)
-            g.offset, g.pos = new_lo, g.pos.astype(np.int64)
-        # the chunk's arrays live in _step's frame, so none stay parked here
-        # while the halves of this group run
-        landed, met = _step(g, np.array([next(chunk) for chunk in g.chunks]), delta)
-        before, g.counts = g.counts, g.counts + met.sum(axis=0)
-        done = g.counts >= limit
-        if done.any():  # a trial retires at its limit-th meeting, though it stepped on
-            last_step = np.argmax(before[done] + np.cumsum(met[:, done], axis=0) >= limit, axis=0)
-            for j, s in zip(np.flatnonzero(done).tolist(), last_step.tolist()):
-                _finish(g.records[j], g.chunks[j], [l0 + int(landed[s, j])] * 2,  # where they met
-                        limit, g.events + 1 + s, {}, limit)
-            g = g.take(np.flatnonzero(~done))
-        g.events += len(met)
-
-    # the scalar loop runs on from the chunk boundary reached, with the
-    # weights of the edges touched (one of weight a may go missing); a
-    # spent budget needs no weights
-    spent = g.events == params.max_events
-    for j, (sites, meetings) in enumerate(zip(g.pos.tolist(), g.counts.tolist())):
-        w = {} if spent else {l0 + g.offset + k: x
-                              for k, x in enumerate(g.weights[j].tolist()) if x != a}
-        _finish(g.records[j], g.chunks[j], [l0 + v for v in sites], meetings, g.events, w, limit)
+# A walker's first window holds the edges within this many sites of its
+# start, and two walkers whose windows would touch share one.  A window
+# that its walker would leave doubles on that side, so a trial holds weight
+# cells in proportion to the sites its walkers visit, never to their gap.
+_FIRST_REACH = 32
+_MAX_INT64 = 2**63 - 1
 
 
-def _step(g: _Lockstep, u: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Run chunk ``u`` (row j: slot j's next uniforms) on every slot of ``g``;
-    per event and slot, return the mover's new site less l0, and if the walkers met.
-    A walker is the flat index of its right edge in the weight buffer, and
-    each numpy call of the event loop takes array operands only (delta as a
-    per-slot array): a Python scalar operand costs more per call."""
-    slots, width = g.weights.shape
-    flat_w = g.weights.reshape(-1)
-    row = np.arange(slots) * width - g.offset  # flat index of edge [v, v+1], minus v
-    at = (g.pos + row[:, None]).reshape(-1)  # walker i of slot j: right edge at[2 * j + i]
-    steps = u.shape[1] // 2
-    mover = (u[:, 0::2] * 2).astype(np.int64)
-    mover_idx = np.ascontiguousarray((mover + (np.arange(slots) * 2)[:, None]).T)
-    u_dir = np.ascontiguousarray(u[:, 1::2].T)
-    d, one, one_w = np.full(slots, float(delta)), np.ones(slots, np.int64), np.ones(slots)
-    landed = np.empty((steps, slots), dtype=np.int64)
-    met = np.zeros((steps, slots), dtype=bool)
-    left_walker, right_walker = at[0::2], at[1::2]
-    for i, u_s, new, met_s in zip(mover_idx, u_dir, landed, met):
-        wr_i = at.take(i)
-        edge = wr_i - one
-        wl = flat_w.take(edge)
-        wr = flat_w.take(wr_i)
-        # (wr + delta) / ((wl + wr) + delta), the oracle's order: another order
-        # moves last bits that no test sees.  At delta = 0 the adds go, exactly,
-        # as x + 0.0 == x for every weight
-        right = u_s < (wr / (wl + wr) if delta == 0 else (wr + d) / ((wl + wr) + d))
-        edge += right  # the traversed edge
-        flat_w[edge] += one_w
-        np.add(edge, right, out=new)  # the mover's new right edge
-        at.put(i, new)
-        np.equal(left_walker, right_walker, out=met_s)
-    landed -= row
-    np.subtract(at.reshape(slots, 2), row[:, None], out=g.pos)
-    return landed, met
+class _Trial(ctypes.Structure):
+    """``struct trial`` of ``direct_kernel.c``: walker i stands at index
+    ``at[i]`` of its window, the ``width[i]`` edge weights at ``w[i]``."""
+
+    _fields_ = [("w", ctypes.c_void_p * 2), ("width", ctypes.c_int64 * 2),
+                ("at", ctypes.c_int64 * 2), ("meetings", ctypes.c_int64)]
+
+
+class _Engine:
+    """Trials of one parameter set, run one after another by the compiled
+    event loop: one C call per chunk of a trial's :func:`uniform_chunks`
+    iterator, and one more after each growth of a weight window."""
+
+    def __init__(self, params: ModelParams, n: int, stop_after_meetings: int | None):
+        self.params, self.n, self.a, self.kernel = params, n, float(params.a), _kernel()
+        # the first meeting ends a run with any limit <= 1; INT64_MAX never comes
+        self.limit = _MAX_INT64 if stop_after_meetings is None else \
+            min(max(stop_after_meetings, 1), _MAX_INT64)
+        # every trial starts from these windows, refilled with a; sites count
+        # from l0, as Python ints, so any start and any gap fits
+        starts = [0, params.r0 - params.l0][:n]
+        t = _Trial(meetings=int(n == 2 and starts[0] == starts[1]))
+        self.lo, self.windows = starts[:], [np.empty(0) for _ in starts]
+        for i, v in enumerate(starts):
+            self._cover(t, self.lo, self.windows, i, v - _FIRST_REACH, v + _FIRST_REACH)
+        self.first = bytes(t)
+
+    def run(self, streams: Iterable[RngStream], record_events: bool = False):
+        """Yield the record of one trial per stream, each run to its end
+        before the next stream is read."""
+        p, n, limit, kernel = self.params, self.n, self.limit, self.kernel
+        delta, codes, log = float(p.delta), None, None
+        for rng in streams:
+            record = TrajectoryRecord(params=p, n_particles=n)
+            t, lo, windows = _Trial.from_buffer_copy(self.first), self.lo[:], self.windows[:]
+            for w in windows:
+                w.fill(self.a)
+            trial, e = ctypes.byref(t), 0
+            if t.meetings < limit:
+                for u in uniform_chunks(rng, p.max_events):
+                    k, done = len(u) // 2, 0
+                    # ctypes views of the chunk's first uniform and log code, in
+                    # place: the kernel reads u as contiguous float64s
+                    first = ctypes.c_double.from_buffer(np.ascontiguousarray(u, float))
+                    if record_events:
+                        codes = np.empty(k, np.int8)
+                        log, sites = ctypes.c_int8.from_buffer(codes), self._sites(t, lo)
+                    while (done := kernel(trial, first, done, k, n, delta, limit, log)) < k \
+                            and t.meetings < limit:  # stopped at the edge of a window
+                        self._grow(t, lo, windows)
+                    if record_events:
+                        _decode(record.events, e, sites, codes[:done])
+                    e += done
+                    if t.meetings >= limit:
+                        break
+            record.meetings, record.events_executed = t.meetings, e
+            record.final_positions = self._sites(t, lo)
+            yield record
+
+    def _sites(self, t: _Trial, lo: list) -> list:
+        """The walkers' sites."""
+        return [self.params.l0 + v + x for v, x in zip(lo, t.at)]
+
+    def _grow(self, t: _Trial, lo: list, windows: list) -> None:
+        """Double the window of each walker that stands at its edge, on that side."""
+        for i in range(self.n):
+            if t.at[i] < 1:
+                self._cover(t, lo, windows, i, lo[i] - t.width[i], lo[i])
+            elif t.at[i] >= t.width[i]:
+                self._cover(t, lo, windows, i, lo[i], lo[i] + 2 * t.width[i])
+
+    def _cover(self, t: _Trial, lo: list, windows: list, i: int, new_lo: int, new_hi: int):
+        """Widen walker ``i``'s window to the edges [new_lo, new_hi) too
+        (sites less l0), and to the other walker's window if the two would
+        then touch.  ``lo[i]`` is the site of the first edge of ``windows[i]``.
+        A walker stays on the sites of its window's edges, so walkers in
+        windows that do not touch cannot meet."""
+        new_lo, new_hi = min(new_lo, lo[i]), max(new_hi, lo[i] + len(windows[i]))
+        share = [j for j in range(self.n) if windows[j] is windows[i]
+                 or new_lo <= lo[j] + len(windows[j]) and lo[j] <= new_hi]
+        new_lo = min([new_lo] + [lo[j] for j in share])
+        new_hi = max([new_hi] + [lo[j] + len(windows[j]) for j in share])
+        w = np.full(new_hi - new_lo, self.a)
+        for j in share:
+            w[lo[j] - new_lo:][:len(windows[j])] = windows[j]
+        for j in share:
+            t.at[j] += lo[j] - new_lo
+            lo[j], windows[j] = new_lo, w
+            t.w[j], t.width[j] = w.ctypes.data, len(w)
+
+
+def _decode(events: list, e: int, sites: list, codes: np.ndarray) -> None:
+    """Append the events after event ``e`` to ``events`` as (event, walker,
+    from, to), from their kernel log codes and the walkers' ``sites`` before
+    them; a code is 2 x walker, plus 1 for a jump to the right."""
+    for code in codes.tolist():
+        i, e = code >> 1, e + 1
+        v = sites[i]
+        sites[i] = v + 2 * (code & 1) - 1
+        events.append((e, i, v, sites[i]))
+
+
+# The kernel's source and the command that builds it; the library is cached
+# under a hash of all three, so a library built from other text is never loaded.
+_SOURCE = Path(__file__).with_name("direct_kernel.c")
+_CC = "cc"
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+@cache
+def _kernel():
+    """``run_events`` of ``direct_kernel.c``, built on the first direct run."""
+    run_events = _library(Path(__file__).with_name("__pycache__")).run_events
+    run_events.argtypes = [ctypes.POINTER(_Trial), ctypes.POINTER(ctypes.c_double),
+                           ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
+                           ctypes.c_int64, ctypes.POINTER(ctypes.c_int8)]
+    run_events.restype = ctypes.c_int64
+    return run_events
+
+
+def _library(cache_dir: Path) -> ctypes.CDLL:
+    """The kernel library, loaded from ``cache_dir`` or built into it: built
+    to a temporary file there and renamed into place, or, if ``cache_dir``
+    cannot be written, built in a temporary directory removed once loaded."""
+    import hashlib
+    import subprocess
+
+    source, command = _SOURCE.read_bytes(), [_CC, *_CFLAGS]
+    key = hashlib.sha256(repr(command).encode() + b"\0" + source).hexdigest()[:16]
+    path = cache_dir / f"direct_kernel-{key}.so"
+    if not path.exists():
+        try:
+            cache_dir.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
+        except OSError:
+            with tempfile.TemporaryDirectory() as private:
+                return _library(Path(private))
+        os.close(fd)
+        argv = [*command, "-x", "c", "-", "-o", tmp]  # the source text that was hashed
+        try:
+            done = subprocess.run(argv, input=source, capture_output=True, check=False)
+            if done.returncode:
+                raise RuntimeError(
+                    f"building the direct kernel failed: {' '.join(argv)} exited with "
+                    f"{done.returncode}: {done.stderr.decode(errors='replace').strip()}")
+            os.replace(tmp, path)
+        finally:
+            Path(tmp).unlink(missing_ok=True)
+    return ctypes.CDLL(str(path))
 
 
 def meeting_statistics(records: list[TrajectoryRecord]) -> list[dict]:

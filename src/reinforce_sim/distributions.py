@@ -81,7 +81,7 @@ class RngStream:
 # up to the cap.  So a run that stops early draws few uniforms it does not
 # use, and a long one makes few reads yet holds one chunk at a time.  These
 # are the only chunk sizes: every engine reads its streams through
-# uniform_chunks, and the lockstep engine sizes its weight window by the cap.
+# uniform_chunks.
 _FIRST_CHUNK, _MAX_CHUNK = 8, 512
 
 

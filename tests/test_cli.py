@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import reinforce_sim
-from reinforce_sim import cli, distributions, rwre, urn_process
+from reinforce_sim import cli, direct, distributions, rwre, urn_process
 from reinforce_sim.cli import main
 from reinforce_sim.coupling import MARGINAL_TRIALS, Environment, run_coupling
 from reinforce_sim.direct import ModelParams, meeting_statistics, run_direct
@@ -119,14 +119,14 @@ class TestSimulate:
 
     @pytest.mark.parametrize("trials", [1, 40])
     def test_trial_zero_runs_once_with_its_log(self, runner, tmp_path, monkeypatch, trials):
-        built = []
+        built = []  # the stream key of each trial run, as its run starts
+        chunks = direct.uniform_chunks
 
-        class SpyStream(RngStream):
-            def __post_init__(self):
-                built.append((self.seed, self.trial, self.role))
-                super().__post_init__()
+        def spy(rng, events):
+            built.append((rng.seed, rng.trial, rng.role))
+            return chunks(rng, events)
 
-        monkeypatch.setattr(cli, "RngStream", SpyStream)
+        monkeypatch.setattr(direct, "uniform_chunks", spy)
         traj = tmp_path / "traj.jsonl"
         result = runner.invoke(main, ["simulate", "--trials", str(trials), "--events", "700",
                                       "--seed", "13", "--stop-after-meetings", "3",
@@ -143,7 +143,7 @@ class TestSimulate:
         assert traj.read_text() == records[0].to_jsonl()
 
     def test_starts_beyond_int64(self, runner):
-        # 30 trials step in lockstep, with sites counted from l0
+        # sites count from l0, so 30 trials start at 10**22
         l0 = 10**22
         result = runner.invoke(main, ["simulate", "--l0", str(l0), "--r0", str(l0 + 2),
                                       "--trials", "30", "--events", "50", "--seed", "3"])
@@ -886,10 +886,18 @@ def cli_script(commands: list[list[str]]) -> str:
 
 
 class TestImportPath:
-    """Only polya, criterion and couple --marginal-check load scipy."""
+    """Only polya, criterion and couple --marginal-check load scipy, and an
+    import builds and loads no kernel library."""
 
     def test_importing_the_cli_loads_no_scipy(self):
         assert scipy_modules_after("import reinforce_sim.cli") == []
+
+    def test_importing_the_cli_builds_and_loads_no_kernel(self):
+        script = ("import reinforce_sim.cli\n"
+                  "print(reinforce_sim.direct._kernel.cache_info().currsize)")
+        res = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert res.stdout.split() == ["0"]
 
     def test_commands_without_scipy_load_none(self):
         commands = [

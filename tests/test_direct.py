@@ -3,9 +3,8 @@ urn equivalence."""
 import dataclasses
 import json
 import pickle
-import weakref
 from fractions import Fraction
-from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from reinforce_sim.direct import (
     run_direct,
     run_direct_batch,
 )
-from reinforce_sim.distributions import HOLDING_TIMES, RngStream
+from reinforce_sim.distributions import HOLDING_TIMES, RngStream, trial_streams
 
 from oracles import LargestUniform, direct_step, stepped_run_direct
 
@@ -247,6 +246,12 @@ def scalar_records(params, seed, trials, stop=None):
     ]
 
 
+def stepped_records(params, seed, trials, stop=None):
+    """The stepped oracle's records of two-walker trials, without their event logs."""
+    return [dataclasses.replace(stepped_run_direct(params, 2, RngStream(seed, t), stop), events=[])
+            for t in range(trials)]
+
+
 class CountingStream:
     """A stream that counts the uniforms drawn through ``uniforms``."""
 
@@ -264,17 +269,18 @@ def patch_chunks(monkeypatch, first, largest):
     monkeypatch.setattr(distributions, "_MAX_CHUNK", largest)
 
 
-def spy_on_groups(monkeypatch):
-    """A list that gets (slots, weight cells) of each lockstep group once it has run."""
-    sizes = []
-    advance = direct._advance
+def spy_on_windows(monkeypatch):
+    """A list that gets (edges, shared) of each window the engine gives a
+    walker of a two-walker trial: its width, and whether both walkers hold it."""
+    windows = []
+    cover = direct._Engine._cover
 
-    def spy(g, params, limit):
-        advance(g, params, limit)
-        sizes.append((len(g.records), g.weights.size))
+    def spy(engine, t, lo, held, i, *bounds):
+        cover(engine, t, lo, held, i, *bounds)
+        windows.append((t.width[i], held[0] is held[1]))
 
-    monkeypatch.setattr(direct, "_advance", spy)
-    return sizes
+    monkeypatch.setattr(direct._Engine, "_cover", spy)
+    return windows
 
 
 def batch_records(params, seed, trials, stop=None):
@@ -283,11 +289,8 @@ def batch_records(params, seed, trials, stop=None):
 
 
 class TestRunDirectBatch:
-    """The lockstep engine must reproduce the scalar records bit for bit."""
-
-    @pytest.fixture(autouse=True)
-    def lockstep_for_any_trial_count(self, monkeypatch):
-        monkeypatch.setattr(direct, "_MIN_LOCKSTEP", 1)
+    """``run_direct_batch`` must give ``run_direct``'s records bit for bit:
+    a trial's record does not depend on the trials run before it."""
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.5])
     @pytest.mark.parametrize("delta", [0.0, 0.5, 0.9])
@@ -295,9 +298,9 @@ class TestRunDirectBatch:
     @pytest.mark.parametrize("n,positions", [(1, None), (2, None), (3, "explicit")])
     def test_matches_scalar_on_grid(self, a, delta, l0, r0, n, positions):
         """Two walkers: the batch records equal the scalar ones.  One walker,
-        which only the scalar engine runs: its records equal the stepped
+        which only ``run_direct`` runs: its records equal the stepped
         oracle's.  Three walkers (``positions`` named their starts while
-        the engines took them): the scalar engine rejects them."""
+        the engines took them): ``run_direct`` rejects them."""
         for budget in (1, 515):  # one chunk is 512 events
             params = ModelParams(a=a, delta=delta, l0=l0, r0=r0, max_events=budget)
             if n == 3:
@@ -313,11 +316,11 @@ class TestRunDirectBatch:
 
     @pytest.mark.parametrize("stop", [None, 1, 3])
     def test_output_does_not_depend_on_chunk_or_block_size(self, monkeypatch, stop):
+        # the chunk schedule only: trials no longer run in blocks
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=401)
         expected = scalar_records(params, 71, 24, stop=stop)
-        for chunks, block in (((1, 1), 24), ((3, 3), 8), ((2, 32), 6)):
+        for chunks in ((1, 1), (3, 3), (2, 32)):
             patch_chunks(monkeypatch, *chunks)
-            monkeypatch.setattr(direct, "_BLOCK_TRIALS", block)
             assert batch_records(params, 71, 24, stop=stop) == expected
 
     def test_largest_uniforms_move_the_last_walker(self):
@@ -328,51 +331,14 @@ class TestRunDirectBatch:
         assert recs == [run_direct(params, 2, s, record_events=False) for s in streams]
 
     def test_window_growth(self, monkeypatch):
-        # one-event chunks leave one site of slack, so every excursion past
-        # the start grows the weight window
-        patch_chunks(monkeypatch, 1, 1)
+        # first windows of two edges, so every excursion past the start
+        # grows a window
+        monkeypatch.setattr(direct, "_FIRST_REACH", 1)
         params = ModelParams(a=0.5, delta=0.9, l0=0, r0=0, max_events=3001)
-        logged = [run_direct(params, 2, RngStream(72, t)) for t in range(3)]
+        logged = [stepped_run_direct(params, 2, RngStream(72, t)) for t in range(3)]
         assert max(abs(to) for rec in logged for *_, to in rec.events) > 4
         expected = [dataclasses.replace(rec, events=[]) for rec in logged]
         assert batch_records(params, 72, 3) == expected
-
-    @pytest.mark.parametrize("stop", [None, 2])
-    def test_drifting_walkers_split_groups_under_the_window_cap(self, monkeypatch, stop):
-        # at delta >= 1 walkers drift almost linearly, so a 200-cell cap
-        # splits the 16-trial group into halves, down to single trials
-        patch_chunks(monkeypatch, 4, 4)
-        monkeypatch.setattr(direct, "_WINDOW_CELLS", 200)
-        sizes = spy_on_groups(monkeypatch)
-        params = ModelParams(a=1.0, delta=5.0, l0=0, r0=3, max_events=2003)
-        expected = scalar_records(params, 75, 16, stop=stop)
-        assert batch_records(params, 75, 16, stop=stop) == expected
-        assert max(max(rec.final_positions) for rec in expected) > 200
-        assert len(sizes) > 1  # one block, so every further group is a half
-        if stop is None:  # without retirements the group spied on is the one grown
-            assert any(slots == 1 for slots, _ in sizes)
-            assert all(slots == 1 or cells <= 200 for slots, cells in sizes)
-
-    def test_groups_that_split_or_ended_hold_no_window(self, monkeypatch):
-        # while a half runs, the group that split and the halves that have
-        # run keep no weights; only the half still to run holds its copy
-        patch_chunks(monkeypatch, 4, 4)
-        monkeypatch.setattr(direct, "_WINDOW_CELLS", 200)
-        running, ended, held = [], [], []
-        advance = direct._advance
-
-        def spy(g, params, limit):
-            alive = running + [group for ref in ended if (group := ref()) is not None]
-            held.append(sum(group.weights.size for group in alive))
-            running.append(g)
-            advance(g, params, limit)
-            running.pop()
-            ended.append(weakref.ref(g))
-
-        monkeypatch.setattr(direct, "_advance", spy)
-        params = ModelParams(a=1.0, delta=5.0, l0=0, r0=3, max_events=2003)
-        assert batch_records(params, 75, 16) == scalar_records(params, 75, 16)
-        assert len(held) > 8 and not any(held)
 
     def test_records_hold_one_meeting_count_each(self):
         # walkers started side by side meet thousands of times in 2e4
@@ -385,13 +351,13 @@ class TestRunDirectBatch:
         assert len(pickle.dumps(records)) < 1 << 14
 
     def test_far_apart_walkers_run_without_a_dense_window(self):
-        # each group halves down to lone trials, which finish on the scalar loop
+        # a window over the gap would take 8 TB
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=10**12, max_events=50)
-        assert batch_records(params, 76, 8) == scalar_records(params, 76, 8)
+        assert batch_records(params, 76, 8) == stepped_records(params, 76, 8)
 
     def test_far_apart_walkers_beyond_int64_run_without_a_dense_window(self):
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=2**63 + 1, max_events=50)
-        assert batch_records(params, 76, 8) == scalar_records(params, 76, 8)
+        assert batch_records(params, 76, 8) == stepped_records(params, 76, 8)
 
     def test_retired_trials_are_compacted(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=1, max_events=3000)
@@ -402,9 +368,8 @@ class TestRunDirectBatch:
 
     @pytest.mark.parametrize("stop", [1, 2])
     def test_retired_trials_read_no_further_uniforms(self, monkeypatch, stop):
-        # eight-event chunks at gap 3: fewer than half the trials retire in
-        # the first chunk, and each must stop drawing at the end of the
-        # chunk in which it retires
+        # eight-event chunks at gap 3: each trial that meets its limit must
+        # stop drawing at the end of the chunk in which it does
         patch_chunks(monkeypatch, 8, 8)
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=3, max_events=403)
         streams = [CountingStream(RngStream(78, t)) for t in range(64)]
@@ -418,88 +383,103 @@ class TestRunDirectBatch:
             assert stream.drawn == 2 * min(events, params.max_events)
 
     @pytest.mark.parametrize("stop", [None, 1])
-    def test_streams_are_read_one_block_at_a_time(self, monkeypatch, stop):
-        monkeypatch.setattr(direct, "_BLOCK_TRIALS", 8)
-        params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=101)
-        alive, peak = set(), []
-
-        def streams():
-            for t in range(36):
-                stream = RngStream(77, t)
-                alive.add(t)
-                weakref.finalize(stream, alive.discard, t)
-                peak.append(len(alive))
-                yield stream
-
-        got = run_direct_batch(params, streams(), stop_after_meetings=stop)
+    def test_one_generator_re_keyed_per_trial(self, stop):
+        # each trial ends before the next stream is read, so one re-keyed
+        # generator serves them all
+        params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=1101)
+        got = run_direct_batch(params, trial_streams(77, 36), stop_after_meetings=stop)
         assert got == scalar_records(params, 77, 36, stop=stop)
-        assert len(peak) == 36 and max(peak) <= 16  # the block running and the next
+        assert got[:4] == stepped_records(params, 77, 4, stop=stop)
 
     def test_no_streams_no_records(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10)
         assert run_direct_batch(params, []) == []
 
 
-class TestStep:
-    """``direct._step``, the lockstep kernel, per event and slot against
-    :func:`direct_step`, which reads each slot's uniforms one at a time."""
+class TestEngine:
+    """The compiled event loop against the stepped oracle, event by event,
+    and how its library is built and cached."""
 
-    @pytest.mark.parametrize("delta", [0.0, 0.7])  # both arms of the delta test
-    def test_matches_the_stepped_oracle(self, delta):
-        a, steps, offset, width = 0.3, 60, -70, 150  # edges [-70, 80) hold every site reached
-        starts = [(0, 2), (-3, -3), (5, 1), (-1, 4)]  # sites less l0; slot 1 starts met
-        params = ModelParams(a=a, delta=delta, l0=0, r0=0)
-        maps = [WeightMap(a) for _ in starts]
-        rng = np.random.default_rng(11)
-        for w, _ in product(maps, range(2)):  # weights a, a + 1 or a + 2, as reinforced
-            for v in np.flatnonzero(rng.random(width) < 0.5).tolist():
-                w.reinforce(offset + v)
-        g = direct._Lockstep(
-            [None] * len(starts), [None] * len(starts), np.array(starts, dtype=np.int64),
-            np.zeros(len(starts), dtype=np.int64),
-            np.array([[w.weight(offset + k) for k in range(width)] for w in maps]), offset, 0)
-        u = np.array([RngStream(11, j).uniforms(2 * steps) for j in range(len(starts))])
-        landed, met = direct._step(g, u, delta)
-        assert landed.shape == met.shape == (steps, len(starts))
-        for j, (w, start) in enumerate(zip(maps, starts)):
-            positions, stream = list(start), RngStream(11, j)
-            for s in range(steps):
-                to = direct_step(w, positions, params, stream)[2]
-                assert (landed[s, j], met[s, j]) == (to, positions[0] == positions[1])
-            assert g.pos[j].tolist() == positions
-            assert g.weights[j].tolist() == [w.weight(offset + k) for k in range(width)]
-        assert met.any() and not met.all()
+    @pytest.mark.parametrize("a", [0.3, 1.0, 2.7])
+    @pytest.mark.parametrize("delta", [0.0, 0.37, 5.0])
+    @pytest.mark.parametrize("n,gap", [(1, 0), (2, 0), (2, 1), (2, 2), (2, 3), (2, 9)])
+    def test_matches_the_stepped_oracle_as_windows_grow(self, monkeypatch, a, delta, n, gap):
+        # first windows of two edges: each walker's grows as it leaves its
+        # start, and walkers more than two sites apart start in windows of
+        # their own
+        monkeypatch.setattr(direct, "_FIRST_REACH", 1)
+        for budget in (7, 8, 9, 600):  # around the ends of the 8- and 16-event chunks
+            params = ModelParams(a=a, delta=delta, l0=-1, r0=gap - 1, max_events=budget)
+            for stop in (None, 1, 3):
+                oracle = stepped_run_direct(params, n, RngStream(90, budget), stop)
+                assert run_direct(params, n, RngStream(90, budget),
+                                  stop_after_meetings=stop) == oracle
+                if n == 2:
+                    assert run_direct_batch(params, [RngStream(90, budget)], stop) == \
+                        [dataclasses.replace(oracle, events=[])]
+
+    def test_windows_apart_merge_before_the_walkers_meet(self, monkeypatch):
+        monkeypatch.setattr(direct, "_FIRST_REACH", 2)
+        windows = spy_on_windows(monkeypatch)
+        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=12, max_events=3000)
+        got = [run_direct(params, 2, RngStream(91, t)) for t in range(4)]
+        assert got == [stepped_run_direct(params, 2, RngStream(91, t)) for t in range(4)]
+        assert not windows[0][1] and any(shared for _, shared in windows)
+        assert sum(rec.meetings for rec in got) > 0
+
+    def test_a_library_built_from_other_source_is_never_loaded(self, monkeypatch, tmp_path):
+        cache = tmp_path / "cache"
+        other = tmp_path / "other.c"  # a kernel that adds 2 per traversal
+        other.write_text(direct._SOURCE.read_text().replace("+= 1.0", "+= 2.0"))
+        source = direct._SOURCE
+        monkeypatch.setattr(direct, "_SOURCE", other)
+        built = direct._library(cache)._name
+        monkeypatch.setattr(direct, "_SOURCE", source)
+        loaded = direct._library(cache)._name
+        assert loaded != built
+        assert sorted(p.name for p in cache.iterdir()) == sorted(Path(x).name
+                                                                 for x in (built, loaded))
+        assert direct._library(cache)._name == loaded  # a second load builds nothing
+
+    def test_an_unwritable_cache_builds_in_a_temporary_directory(self, tmp_path):
+        blocked = tmp_path / "file"
+        blocked.write_text("")
+        library = direct._library(blocked / "cache")  # no directory can be made in a file
+        assert not Path(library._name).exists()  # removed once loaded
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    @pytest.mark.parametrize("compiler,text,stderr", [
+        ("false", None, ""), ("cc", "#error a broken kernel\n", "a broken kernel")])
+    def test_a_failed_build_names_the_command_and_its_stderr(self, monkeypatch, tmp_path,
+                                                             compiler, text, stderr):
+        monkeypatch.setattr(direct, "_CC", compiler)
+        if text is not None:
+            broken = tmp_path / "broken.c"
+            broken.write_text(text)
+            monkeypatch.setattr(direct, "_SOURCE", broken)
+        cache = tmp_path / "cache"
+        command = " ".join([compiler, *direct._CFLAGS])
+        with pytest.raises(RuntimeError, match=f"{command} -x c - -o .* exited with 1") as err:
+            direct._library(cache)
+        assert stderr in str(err.value)
+        assert list(cache.iterdir()) == []  # no library and no temporary file left
 
 
 class TestLockstepHandoff:
-    """With the real ``_MIN_LOCKSTEP``, a group steps in lockstep while
-    enough of its trials are live and the rest finish on the scalar loop;
-    the records are ``run_direct``'s either way."""
+    """Cases first written for the hand-off from the old lockstep engine to
+    its scalar loop, kept for what they still check on the one compiled
+    engine: the records across trial counts and stops, the uniforms each
+    trial reads, and starts far apart or beyond int64."""
 
     @pytest.mark.parametrize("a", [1.0, 2.0**60])  # at 2**60, a + 1 == a
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     @pytest.mark.parametrize("stop", [1, 3, 1000])
     @pytest.mark.parametrize("trials", [40, 100, 1000])
     def test_matches_scalar_across_the_handoff(self, a, delta, stop, trials):
-        # a lockstep chunk of 512 events and a partial second
         params = ModelParams(a=a, delta=delta, l0=0, r0=2, max_events=600)
-        assert batch_records(params, 80, trials, stop) == scalar_records(params, 80, trials, stop)
-
-    def test_the_scalar_loop_resumes_mid_run(self, monkeypatch):
-        resumed = []
-        finish = direct._finish
-
-        def spy(record, rng, pos, meetings, e, w, limit, record_events=False):
-            if meetings < limit and e < record.params.max_events:
-                resumed.append((e, len(w)))
-            return finish(record, rng, pos, meetings, e, w, limit, record_events)
-
-        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=5000)
-        expected = scalar_records(params, 81, 40, stop=1)
-        monkeypatch.setattr(direct, "_finish", spy)
-        assert batch_records(params, 81, 40, stop=1) == expected
-        assert resumed and all(e > 0 and touched > 0 for e, touched in resumed)
-        assert len(resumed) < direct._MIN_LOCKSTEP
+        got = batch_records(params, 80, trials, stop)
+        assert got == scalar_records(params, 80, trials, stop)
+        assert got[:3] == stepped_records(params, 80, 3, stop)
 
     def test_coincident_starts_stopping_at_the_first_meeting_draw_nothing(self):
         params = ModelParams(a=1.0, delta=0.0, l0=4, r0=4, max_events=100)
@@ -510,23 +490,24 @@ class TestLockstepHandoff:
         assert got == scalar_records(params, 82, 30, stop=1)
         assert not any(stream.drawn for stream in streams)
 
-    @pytest.mark.parametrize("trials,gap", [(100, 10**12), (300, direct._WINDOW_CELLS + 1),
+    @pytest.mark.parametrize("trials,gap", [(100, 10**12), (300, 2**22 + 1),
                                             (50, 2**63 + 1), (50, 10**22)])
     def test_far_apart_starts_split_until_no_group_holds_weights(self, monkeypatch, trials, gap):
-        # no window of _MIN_LOCKSTEP or more trials spans the gap, so each group halves
-        # until its trials are too few for lockstep and finish on the scalar loop
+        # each walker keeps a window of its own, and none spans the gap
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=gap, max_events=300)
-        expected = scalar_records(params, 84, trials)
-        sizes = spy_on_groups(monkeypatch)
-        assert batch_records(params, 84, trials) == expected
-        assert len(sizes) > 1 and all(cells == 0 for _, cells in sizes)
-        assert min(slots for slots, _ in sizes) < direct._MIN_LOCKSTEP
+        expected = stepped_records(params, 84, 5)
+        windows = spy_on_windows(monkeypatch)
+        got = batch_records(params, 84, trials)
+        assert got[:5] == expected and got == scalar_records(params, 84, trials)
+        assert windows and not any(shared for _, shared in windows)
+        bound = 4 * (params.max_events + 2 * direct._FIRST_REACH)
+        assert max(width for width, _ in windows) <= bound
 
     @pytest.mark.parametrize("stop", [None, 1, 3, 1000])
     @pytest.mark.parametrize("trials", [3, 40, 100])
     def test_one_iterator_per_trial_from_start_to_end(self, stop, trials):
         # each stream is read up to the end of the schedule chunk that holds
-        # the trial's last event, whichever engine ran that event
+        # the trial's last event
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=700)
         streams = [CountingStream(RngStream(85, t)) for t in range(trials)]
         got = run_direct_batch(params, streams, stop_after_meetings=stop)
@@ -544,11 +525,11 @@ class TestLockstepHandoff:
 
     @pytest.mark.parametrize("stop", [None, 2])
     def test_starts_beyond_int64(self, stop):
-        # sites are kept relative to l0 in lockstep, so 30 trials step
-        # together from 10**22 and hand over at its true sites
+        # sites count from l0, so 30 trials run from 10**22 and end at
+        # their true sites
         params = ModelParams(a=1.0, delta=0.5, l0=10**22, r0=10**22 + 2, max_events=1100)
         got = batch_records(params, 83, 30, stop)
-        assert got == scalar_records(params, 83, 30, stop)
+        assert got == stepped_records(params, 83, 30, stop)
         assert all(min(rec.final_positions) > 10**22 - 1100 for rec in got)
 
 
