@@ -6,9 +6,11 @@ embedded jump chain picks the next mover uniformly among the particles.
 Continuous timestamps are optional decoration, Exp(n) holding times
 from a stream of their own; every statement here is about the jump chain.
 The event loop is C (``direct_kernel.c``), built with the system compiler
-on the first run and cached under ``__pycache__``; Python runs trials one
-after another, feeds the loop each chunk of uniforms and grows the weight
-windows it runs in.
+on the first run and cached under ``__pycache__``.  It draws each event's
+two uniforms from the trial's own numpy generator, through numpy's C
+interface to it, so a trial reads exactly two uniforms per event it runs.
+Python runs trials one after another and grows the weight windows the
+loop runs in.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .distributions import RngStream, uniform_chunks
+from .distributions import RngStream
 
 
 @dataclass(frozen=True)
@@ -119,11 +121,12 @@ def run_direct(
     """Run up to ``params.max_events`` jumps of one walker from ``l0``, or
     of two from ``l0`` and ``r0``, and count meetings.
 
-    Event e reads the uniform pair (u, u') at 2e - 2 of ``rng``, in chunks
-    (:func:`uniform_chunks`): walker ``int(u * n)`` moves, to the right when
+    Event e reads the uniform pair (u, u') at 2e - 2 of ``rng``: walker
+    ``int(u * n)`` moves, to the right when
     u' < (W[v,v+1] + delta) / (W[v-1,v] + W[v,v+1] + delta), and the edge it
-    crosses gains 1.  ``stop_after_meetings=k`` ends the run once the k-th
-    meeting is seen, which keeps hitting-time experiments cheap.
+    crosses gains 1.  The run draws exactly ``2 * events_executed``
+    uniforms from ``rng``.  ``stop_after_meetings=k`` ends the run once the
+    k-th meeting is seen, which keeps hitting-time experiments cheap.
     """
     if n_particles not in (1, 2):
         raise ValueError(f"n_particles must be 1 or 2, got {n_particles!r}")
@@ -141,8 +144,8 @@ def run_direct_batch(
     stop_after_meetings=...)`` would give for each stream ``s``, bit for
     bit.  Each trial runs to its end before the next stream is read, so
     ``streams`` may yield one stream re-keyed from trial to trial, as
-    :func:`distributions.trial_streams` does.  A trial draws up to the end
-    of the schedule chunk that holds its last event.
+    :func:`distributions.trial_streams` does.  A trial draws exactly two
+    uniforms per event it runs.
     """
     return list(_Engine(params, 2, stop_after_meetings).run(streams))
 
@@ -153,6 +156,9 @@ def run_direct_batch(
 # cells in proportion to the sites its walkers visit, never to their gap.
 _FIRST_REACH = 32
 _MAX_INT64 = 2**63 - 1
+# Events a logged trial runs per kernel call; their log codes are decoded
+# after each call, so the buffer does not grow with the budget.
+_LOG_EVENTS = 1 << 16
 
 
 class _Trial(ctypes.Structure):
@@ -165,8 +171,8 @@ class _Trial(ctypes.Structure):
 
 class _Engine:
     """Trials of one parameter set, run one after another by the compiled
-    event loop: one C call per chunk of a trial's :func:`uniform_chunks`
-    iterator, and one more after each growth of a weight window."""
+    event loop: one C call per trial, one more after each growth of a
+    weight window, and one per ``_LOG_EVENTS`` events of a logged trial."""
 
     def __init__(self, params: ModelParams, n: int, stop_after_meetings: int | None):
         self.params, self.n, self.a, self.kernel = params, n, float(params.a), _kernel()
@@ -186,30 +192,22 @@ class _Engine:
         """Yield the record of one trial per stream, each run to its end
         before the next stream is read."""
         p, n, limit, kernel = self.params, self.n, self.limit, self.kernel
-        delta, codes, log = float(p.delta), None, None
+        delta, budget = float(p.delta), p.max_events
+        log = (ctypes.c_int8 * _LOG_EVENTS)() if record_events else None
+        step = _LOG_EVENTS if record_events else _MAX_INT64
         for rng in streams:
             record = TrajectoryRecord(params=p, n_particles=n)
             t, lo, windows = _Trial.from_buffer_copy(self.first), self.lo[:], self.windows[:]
             for w in windows:
                 w.fill(self.a)
-            trial, e = ctypes.byref(t), 0
-            if t.meetings < limit:
-                for u in uniform_chunks(rng, p.max_events):
-                    k, done = len(u) // 2, 0
-                    # ctypes views of the chunk's first uniform and log code, in
-                    # place: the kernel reads u as contiguous float64s
-                    first = ctypes.c_double.from_buffer(np.ascontiguousarray(u, float))
-                    if record_events:
-                        codes = np.empty(k, np.int8)
-                        log, sites = ctypes.c_int8.from_buffer(codes), self._sites(t, lo)
-                    while (done := kernel(trial, first, done, k, n, delta, limit, log)) < k \
-                            and t.meetings < limit:  # stopped at the edge of a window
-                        self._grow(t, lo, windows)
-                    if record_events:
-                        _decode(record.events, e, sites, codes[:done])
-                    e += done
-                    if t.meetings >= limit:
-                        break
+            trial, bits, e = ctypes.byref(t), rng.gen.bit_generator.ctypes.bit_generator, 0
+            sites = self._sites(t, lo) if record_events else None  # moved by _decode
+            while e < budget and t.meetings < limit:
+                self._grow(t, lo, windows)  # the walkers at a window's edge
+                done = kernel(trial, bits, min(budget - e, step), n, delta, limit, log)
+                if record_events:
+                    _decode(record.events, e, sites, log[:done])
+                e += done
             record.meetings, record.events_executed = t.meetings, e
             record.final_positions = self._sites(t, lo)
             yield record
@@ -246,11 +244,11 @@ class _Engine:
             t.w[j], t.width[j] = w.ctypes.data, len(w)
 
 
-def _decode(events: list, e: int, sites: list, codes: np.ndarray) -> None:
+def _decode(events: list, e: int, sites: list, codes: list) -> None:
     """Append the events after event ``e`` to ``events`` as (event, walker,
-    from, to), from their kernel log codes and the walkers' ``sites`` before
-    them; a code is 2 x walker, plus 1 for a jump to the right."""
-    for code in codes.tolist():
+    from, to), from their log codes (2 x walker, plus 1 for a right jump),
+    moving the walkers' ``sites`` from before the events to after them."""
+    for code in codes:
         i, e = code >> 1, e + 1
         v = sites[i]
         sites[i] = v + 2 * (code & 1) - 1
@@ -261,16 +259,17 @@ def _decode(events: list, e: int, sites: list, codes: np.ndarray) -> None:
 # under a hash of all three, so a library built from other text is never loaded.
 _SOURCE = Path(__file__).with_name("direct_kernel.c")
 _CC = "cc"
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+# numpy's include directory holds numpy/random/bitgen.h
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", f"-I{np.get_include()}")
 
 
 @cache
 def _kernel():
     """``run_events`` of ``direct_kernel.c``, built on the first direct run."""
     run_events = _library(Path(__file__).with_name("__pycache__")).run_events
-    run_events.argtypes = [ctypes.POINTER(_Trial), ctypes.POINTER(ctypes.c_double),
-                           ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
-                           ctypes.c_int64, ctypes.POINTER(ctypes.c_int8)]
+    run_events.argtypes = [ctypes.POINTER(_Trial), ctypes.c_void_p, ctypes.c_int64,
+                           ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
+                           ctypes.POINTER(ctypes.c_int8)]
     run_events.restype = ctypes.c_int64
     return run_events
 

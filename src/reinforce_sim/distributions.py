@@ -52,8 +52,9 @@ class RngStream:
     def __post_init__(self) -> None:
         if self.role == 0:
             raise ValueError("role 0 aliases the dynamics stream; roles are nonzero")
-        bits = np.random.Philox(self.seed & _MASK64,
-                                counter=[0, 0, self.trial & _MASK64, self.role or 0])
+        # an array, as a list holding a word >= 2**63 would pass through float64
+        counter = np.array([0, 0, self.trial & _MASK64, self.role or 0], dtype=np.uint64)
+        bits = np.random.Philox(self.seed & _MASK64, counter=counter)
         # the seed's, as Python ints (the state setter reads them faster
         # than an array); rekey keeps it
         self._key = bits.state["state"]["key"].tolist()
@@ -79,9 +80,10 @@ class RngStream:
 
 # Events the first chunk of uniform_chunks covers; each later chunk doubles,
 # up to the cap.  So a run that stops early draws few uniforms it does not
-# use, and a long one makes few reads yet holds one chunk at a time.  These
-# are the only chunk sizes: every engine reads its streams through
-# uniform_chunks.
+# use, and a long one makes few reads yet holds one chunk at a time.  The
+# Python loops of run_coupling and rwre.first_returns read their streams
+# through uniform_chunks; the direct engine's C loop draws from the
+# stream's generator itself, two uniforms per event.
 _FIRST_CHUNK, _MAX_CHUNK = 8, 512
 
 

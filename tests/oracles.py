@@ -13,12 +13,15 @@ outer steps of coupled runs tallied from the walkers' positions, the
 chameleon urn's draw as a function, and the coupled run drawing one
 uniform at a time from its stream.  :func:`out_of_order_free_step` breaks
 a coupled run's order through a real path.
-:class:`LargestUniform` is a stub stream for the edge of [0, 1).
+:class:`LargestUniform` is a stub stream for the edge of [0, 1), down to
+the C interface of a numpy bit generator.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,17 +40,34 @@ from reinforce_sim.urn import MagicUrn, NegativeMassError, left_mass
 from reinforce_sim.urn_process import initial_masses
 
 
-class LargestUniform:
-    """A stream whose every uniform is 1 - 2**-53, numpy's largest ``random()``;
-    it is its own ``gen``."""
+# 1 - 2**-53, numpy's largest ``random()``
+LARGEST = float(np.nextafter(1.0, 0.0))
+_NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+_next_largest = _NEXT_DOUBLE(lambda state: LARGEST)
 
-    @property
-    def gen(self):
-        return self
+
+class _BitGen(ctypes.Structure):
+    """numpy's ``bitgen_t``, as ``numpy/random/bitgen.h`` declares it."""
+
+    _fields_ = [("state", ctypes.c_void_p), ("next_uint64", ctypes.c_void_p),
+                ("next_uint32", ctypes.c_void_p), ("next_double", _NEXT_DOUBLE),
+                ("next_raw", ctypes.c_void_p)]
+
+
+class LargestUniform:
+    """A stream whose every uniform is :data:`LARGEST`, read through
+    ``gen.random`` or, by a compiled loop, through the ``bitgen_t`` at
+    ``gen.bit_generator.ctypes.bit_generator``, whose ``next_double``
+    returns it (its other functions are NULL).  It is its own ``gen`` and
+    ``bit_generator``."""
+
+    def __init__(self):
+        self.gen = self.bit_generator = self
+        self._bitgen = _BitGen(next_double=_next_largest)
+        self.ctypes = SimpleNamespace(bit_generator=ctypes.addressof(self._bitgen))
 
     def random(self, n: int | None = None):
-        u = np.nextafter(1.0, 0.0)
-        return u if n is None else np.full(n, u)
+        return LARGEST if n is None else np.full(n, LARGEST)
 
     def uniforms(self, n: int) -> np.ndarray:
         return self.random(n)

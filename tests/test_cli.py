@@ -18,7 +18,7 @@ from reinforce_sim.coupling import MARGINAL_TRIALS, Environment, run_coupling
 from reinforce_sim.direct import ModelParams, meeting_statistics, run_direct
 from reinforce_sim.distributions import ENVIRONMENT, HOLDING_TIMES, RngStream
 
-from oracles import FAR, blocked_right, out_of_order_free_step, shifted_red
+from oracles import FAR, blocked_right, out_of_order_free_step, shifted_red, stepped_run_direct
 
 
 @pytest.fixture()
@@ -119,14 +119,16 @@ class TestSimulate:
 
     @pytest.mark.parametrize("trials", [1, 40])
     def test_trial_zero_runs_once_with_its_log(self, runner, tmp_path, monkeypatch, trials):
-        built = []  # the stream key of each trial run, as its run starts
-        chunks = direct.uniform_chunks
+        built = []  # the stream key of each trial run, as the engine receives it
+        run = direct._Engine.run
 
-        def spy(rng, events):
-            built.append((rng.seed, rng.trial, rng.role))
-            return chunks(rng, events)
+        def keys(streams):
+            for rng in streams:
+                built.append((rng.seed, rng.trial, rng.role))
+                yield rng
 
-        monkeypatch.setattr(direct, "uniform_chunks", spy)
+        monkeypatch.setattr(direct._Engine, "run",
+                            lambda engine, streams, *args: run(engine, keys(streams), *args))
         traj = tmp_path / "traj.jsonl"
         result = runner.invoke(main, ["simulate", "--trials", str(trials), "--events", "700",
                                       "--seed", "13", "--stop-after-meetings", "3",
@@ -154,6 +156,25 @@ class TestSimulate:
         rows = [f"{r['k']},{r['frequency']!r},{r['stderr']!r}"
                 for r in meeting_statistics(records)]
         assert result.stdout.split("\n")[-len(rows) - 1:-1] == rows
+
+    def test_zero_budget_writes_an_empty_log(self, runner, tmp_path):
+        traj = tmp_path / "traj.jsonl"
+        result = runner.invoke(main, ["simulate", "--events", "0", "--seed", "4",
+                                      "--trajectory-out", str(traj)])
+        assert result.exit_code == 0, result.output
+        assert traj.read_bytes() == b""
+        assert result.stdout.endswith("\nk,frequency,stderr\n")  # no trial met
+
+    def test_a_logged_trial_holds_nothing_sized_by_its_budget(self, runner, tmp_path):
+        # every trial stops at its first meeting; a log buffer sized by the
+        # budget of 10**12 events would take about a terabyte
+        traj = tmp_path / "traj.jsonl"
+        result = runner.invoke(main, ["simulate", "--events", str(10**12), "--trials", "20",
+                                      "--stop-after-meetings", "1", "--trajectory-out", str(traj)])
+        assert result.exit_code == 0, result.output
+        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10**12)
+        assert traj.read_text() == stepped_run_direct(params, 2, RngStream(0, 0), 1).to_jsonl()
+        assert result.stdout.endswith("\nk,frequency,stderr\n1,1.0,0.0\n")
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_nonpositive_stop_after_meetings_is_usage_error(self, runner, tmp_path, value):
@@ -714,10 +735,12 @@ class TestStreamKeys:
     @pytest.mark.parametrize("name", sorted(KEYED_STREAM_COMMANDS))
     def test_output_does_not_depend_on_the_chunk_sizes(self, runner, tmp_path, monkeypatch, name):
         outputs = set()
-        # first and largest uniform_chunks chunk, in events: every engine's chunks
+        # first and largest uniform_chunks chunk, in events, which the coupled
+        # and rwre loops read, and the direct engine's logged events per call
         for first, largest in ((8, 512), (1, 1), (3, 700)):
             monkeypatch.setattr(distributions, "_FIRST_CHUNK", first)
             monkeypatch.setattr(distributions, "_MAX_CHUNK", largest)
+            monkeypatch.setattr(direct, "_LOG_EVENTS", largest)
             out, traj = tmp_path / f"{first}.out", tmp_path / f"{first}.jsonl"
             args = [str(traj) if a == "TRAJ" else a for a in KEYED_STREAM_COMMANDS[name]]
             result = runner.invoke(main, args + ["--out", str(out)])

@@ -3,13 +3,14 @@ urn equivalence."""
 import dataclasses
 import json
 import pickle
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reinforce_sim import direct, distributions
+from reinforce_sim import direct
 from reinforce_sim.direct import (
     ModelParams,
     WeightMap,
@@ -202,7 +203,7 @@ class TestRunDirect:
     @pytest.mark.parametrize("delta", [0.0, 0.5, 5.0])
     @pytest.mark.parametrize("l0,r0", [(0, 0), (0, 1), (-2, 5)])
     def test_matches_the_stepped_oracle(self, n, a, delta, l0, r0):
-        # budgets end inside and at the edges of the 8-, 16-, ... 512-event chunks
+        # budgets within the first windows' reach and past it
         for budget in (1, 8, 9, 1100):
             params = ModelParams(a=a, delta=delta, l0=l0, r0=r0, max_events=budget)
             for stop in (None, 1, 3):
@@ -252,21 +253,20 @@ def stepped_records(params, seed, trials, stop=None):
             for t in range(trials)]
 
 
-class CountingStream:
-    """A stream that counts the uniforms drawn through ``uniforms``."""
-
-    def __init__(self, stream: RngStream):
-        self.stream, self.drawn = stream, 0
-
-    def uniforms(self, n: int) -> np.ndarray:
-        self.drawn += n
-        return self.stream.uniforms(n)
+def generator_state(rng: RngStream) -> tuple:
+    """The state of ``rng``'s bit generator, as comparable values."""
+    state = rng.gen.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"],
+            state["uinteger"])
 
 
-def patch_chunks(monkeypatch, first, largest):
-    """Make every chunk schedule start at ``first`` events and double up to ``largest``."""
-    monkeypatch.setattr(distributions, "_FIRST_CHUNK", first)
-    monkeypatch.setattr(distributions, "_MAX_CHUNK", largest)
+def drew_exactly(rng: RngStream, uniforms: int) -> bool:
+    """Whether ``rng``'s generator stands where a fresh stream of its key
+    stands after ``uniforms`` draws."""
+    fresh = RngStream(rng.seed, rng.trial, rng.role)
+    fresh.uniforms(uniforms)
+    return generator_state(rng) == generator_state(fresh)
 
 
 def spy_on_windows(monkeypatch):
@@ -301,7 +301,7 @@ class TestRunDirectBatch:
         which only ``run_direct`` runs: its records equal the stepped
         oracle's.  Three walkers (``positions`` named their starts while
         the engines took them): ``run_direct`` rejects them."""
-        for budget in (1, 515):  # one chunk is 512 events
+        for budget in (1, 515):
             params = ModelParams(a=a, delta=delta, l0=l0, r0=r0, max_events=budget)
             if n == 3:
                 with pytest.raises(ValueError, match="1 or 2"):
@@ -315,12 +315,13 @@ class TestRunDirectBatch:
                         scalar_records(params, 70, 8, stop)
 
     @pytest.mark.parametrize("stop", [None, 1, 3])
-    def test_output_does_not_depend_on_chunk_or_block_size(self, monkeypatch, stop):
-        # the chunk schedule only: trials no longer run in blocks
+    def test_output_does_not_depend_on_the_first_window_reach(self, monkeypatch, stop):
+        # first windows of 2, 4 and 10 edges against the default 64: at gap 3
+        # the walkers' windows start apart at reach 1 and shared at 2 and 5
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=401)
         expected = scalar_records(params, 71, 24, stop=stop)
-        for chunks in ((1, 1), (3, 3), (2, 32)):
-            patch_chunks(monkeypatch, *chunks)
+        for reach in (1, 2, 5):
+            monkeypatch.setattr(direct, "_FIRST_REACH", reach)
             assert batch_records(params, 71, 24, stop=stop) == expected
 
     def test_largest_uniforms_move_the_last_walker(self):
@@ -359,7 +360,7 @@ class TestRunDirectBatch:
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=2**63 + 1, max_events=50)
         assert batch_records(params, 76, 8) == stepped_records(params, 76, 8)
 
-    def test_retired_trials_are_compacted(self):
+    def test_trials_of_mixed_lengths_match_scalar(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=1, max_events=3000)
         got = batch_records(params, 73, 200, stop=1)
         assert got == scalar_records(params, 73, 200, stop=1)
@@ -367,20 +368,18 @@ class TestRunDirectBatch:
         assert sum(rec.events_executed > 1024 for rec in got) > 0
 
     @pytest.mark.parametrize("stop", [1, 2])
-    def test_retired_trials_read_no_further_uniforms(self, monkeypatch, stop):
-        # eight-event chunks at gap 3: each trial that meets its limit must
-        # stop drawing at the end of the chunk in which it does
-        patch_chunks(monkeypatch, 8, 8)
+    def test_retired_trials_read_no_further_uniforms(self, stop):
+        # gap 3: each trial that meets its limit stops drawing at the event
+        # in which it does, some within eight events
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=3, max_events=403)
-        streams = [CountingStream(RngStream(78, t)) for t in range(64)]
+        streams = [RngStream(78, t) for t in range(64)]
         got = run_direct_batch(params, streams, stop_after_meetings=stop)
         assert got == scalar_records(params, 78, 64, stop=stop)
         retired = [rec.meetings == stop for rec in got]
         assert 0 < sum(done and rec.events_executed <= 8 for rec, done in zip(got, retired)) < 32
         assert sum(retired) < 64
-        for rec, stream, done in zip(got, streams, retired):
-            events = -(-rec.events_executed // 8) * 8 if done else params.max_events
-            assert stream.drawn == 2 * min(events, params.max_events)
+        assert all(drew_exactly(stream, 2 * rec.events_executed)
+                   for rec, stream in zip(got, streams))
 
     @pytest.mark.parametrize("stop", [None, 1])
     def test_one_generator_re_keyed_per_trial(self, stop):
@@ -395,6 +394,20 @@ class TestRunDirectBatch:
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10)
         assert run_direct_batch(params, []) == []
 
+    @pytest.mark.parametrize("gap", [0, 2])
+    @pytest.mark.parametrize("stop", [None, 1])
+    def test_zero_budget_runs_and_draws_nothing(self, gap, stop):
+        params = ModelParams(a=1.0, delta=0.5, l0=-1, r0=gap - 1, max_events=0)
+        streams = [RngStream(74, t) for t in range(3)]
+        got = run_direct_batch(params, streams, stop_after_meetings=stop)
+        assert [(rec.meetings, rec.events_executed, rec.final_positions) for rec in got] == \
+            [(int(gap == 0), 0, [-1, gap - 1])] * 3
+        logged = [run_direct(params, n, RngStream(74, 0), stop_after_meetings=stop)
+                  for n in (1, 2)]
+        assert logged == [stepped_run_direct(params, n, RngStream(74, 0), stop) for n in (1, 2)]
+        assert all(rec.events == [] for rec in logged)
+        assert all(drew_exactly(stream, 0) for stream in streams)
+
 
 class TestEngine:
     """The compiled event loop against the stepped oracle, event by event,
@@ -408,7 +421,7 @@ class TestEngine:
         # start, and walkers more than two sites apart start in windows of
         # their own
         monkeypatch.setattr(direct, "_FIRST_REACH", 1)
-        for budget in (7, 8, 9, 600):  # around the ends of the 8- and 16-event chunks
+        for budget in (7, 8, 9, 600):
             params = ModelParams(a=a, delta=delta, l0=-1, r0=gap - 1, max_events=budget)
             for stop in (None, 1, 3):
                 oracle = stepped_run_direct(params, n, RngStream(90, budget), stop)
@@ -417,6 +430,21 @@ class TestEngine:
                 if n == 2:
                     assert run_direct_batch(params, [RngStream(90, budget)], stop) == \
                         [dataclasses.replace(oracle, events=[])]
+
+    @pytest.mark.parametrize("log_events", [1, 7, None])
+    def test_logs_longer_than_the_log_buffer_match_the_stepped_oracle(self, monkeypatch,
+                                                                      log_events):
+        # a logged trial runs one kernel call per _LOG_EVENTS events and
+        # decodes each call's codes; None keeps the real buffer
+        if log_events is not None:
+            monkeypatch.setattr(direct, "_LOG_EVENTS", log_events)
+        budget = 3 * direct._LOG_EVENTS + 2 if log_events else direct._LOG_EVENTS + 5
+        params = ModelParams(a=0.3, delta=0.37, l0=0, r0=1, max_events=max(budget, 600))
+        for n, stop in ((1, None), (2, None), (2, 3)):
+            rng = RngStream(92, n)
+            got = run_direct(params, n, rng, stop_after_meetings=stop)
+            assert got == stepped_run_direct(params, n, RngStream(92, n), stop)
+            assert drew_exactly(rng, 2 * got.events_executed)
 
     def test_windows_apart_merge_before_the_walkers_meet(self, monkeypatch):
         monkeypatch.setattr(direct, "_FIRST_REACH", 2)
@@ -459,7 +487,8 @@ class TestEngine:
             monkeypatch.setattr(direct, "_SOURCE", broken)
         cache = tmp_path / "cache"
         command = " ".join([compiler, *direct._CFLAGS])
-        with pytest.raises(RuntimeError, match=f"{command} -x c - -o .* exited with 1") as err:
+        with pytest.raises(RuntimeError,
+                           match=f"{re.escape(command)} -x c - -o .* exited with 1") as err:
             direct._library(cache)
         assert stderr in str(err.value)
         assert list(cache.iterdir()) == []  # no library and no temporary file left
@@ -483,12 +512,12 @@ class TestLockstepHandoff:
 
     def test_coincident_starts_stopping_at_the_first_meeting_draw_nothing(self):
         params = ModelParams(a=1.0, delta=0.0, l0=4, r0=4, max_events=100)
-        streams = [CountingStream(RngStream(82, t)) for t in range(30)]
+        streams = [RngStream(82, t) for t in range(30)]
         got = run_direct_batch(params, streams, stop_after_meetings=1)
         assert [(rec.meetings, rec.events_executed, rec.final_positions) for rec in got] == \
             [(1, 0, [4, 4])] * 30
         assert got == scalar_records(params, 82, 30, stop=1)
-        assert not any(stream.drawn for stream in streams)
+        assert all(drew_exactly(stream, 0) for stream in streams)
 
     @pytest.mark.parametrize("trials,gap", [(100, 10**12), (300, 2**22 + 1),
                                             (50, 2**63 + 1), (50, 10**22)])
@@ -506,22 +535,16 @@ class TestLockstepHandoff:
     @pytest.mark.parametrize("stop", [None, 1, 3, 1000])
     @pytest.mark.parametrize("trials", [3, 40, 100])
     def test_one_iterator_per_trial_from_start_to_end(self, stop, trials):
-        # each stream is read up to the end of the schedule chunk that holds
-        # the trial's last event
+        # each stream is read from its start, two uniforms per event the
+        # trial runs, and no further
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=700)
-        streams = [CountingStream(RngStream(85, t)) for t in range(trials)]
+        streams = [RngStream(85, t) for t in range(trials)]
         got = run_direct_batch(params, streams, stop_after_meetings=stop)
         assert got == scalar_records(params, 85, trials, stop)
-        ends = [0]  # 0, 8, 24, 56, ..., 504, 1016 under the real schedule
-        k = distributions._FIRST_CHUNK
-        while ends[-1] < params.max_events:
-            ends.append(ends[-1] + k)
-            k = min(2 * k, distributions._MAX_CHUNK)
-        for rec, stream in zip(got, streams):
-            end = min(e for e in ends if e >= rec.events_executed)
-            assert stream.drawn == 2 * min(end, params.max_events)
+        assert all(drew_exactly(stream, 2 * rec.events_executed)
+                   for rec, stream in zip(got, streams))
         if stop is None:
-            assert all(stream.drawn == 2 * params.max_events for stream in streams)
+            assert all(rec.events_executed == params.max_events for rec in got)
 
     @pytest.mark.parametrize("stop", [None, 2])
     def test_starts_beyond_int64(self, stop):

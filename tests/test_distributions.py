@@ -97,7 +97,7 @@ class TestStreamKeys:
     def test_rekeyed_stream_equals_a_fresh_one(self, role):
         p = BetaParams(0.5, 1.5)
         stream = RngStream(9, 0, role)
-        for trial in (3, 39, 0, 3):
+        for trial in (3, 39, 0, 3, 2**63 + 1, 2**64 - 1):
             # leave the stream mid-Philox-block on another counter
             stream.gen.random()
             sample_beta(stream, p)

@@ -7,12 +7,14 @@ once on this tree's ``src`` and once on OTHER_TREE's, each run in a fresh
 temporary directory holding only the command's input files.  The exit
 code, standard output, standard error and the bytes of every file in the
 directory afterwards must be equal.  One line per command says ``same`` or
-what differs; the exit code is 1 on any difference.  The 28 commands cover
+what differs; the exit code is 1 on any difference.  The 31 commands cover
 every subcommand; the direct engine runs at delta = 0, at dyadic a and
 delta, and at a non-dyadic pair, once without a log
 (``simulate-general-delta``) and once with a timed log of trials long
 enough to grow their weight windows (``simulate-general-delta-logged``).
-The whole list takes about 20 seconds on a 2-vCPU VM.
+Logged runs also cover a budget of 0, a trial longer than the engine's
+log buffer of 2**16 events, and a budget of 10**12 events cut short by
+the first meeting.  The whole list takes about 25 seconds on a 2-vCPU VM.
 """
 from __future__ import annotations
 
@@ -47,6 +49,11 @@ COMMANDS = [
                                 "--events", "3000", "--seed", "9"], {}),
     ("simulate-general-delta-logged", ["simulate", "--a", "0.3", "--delta", "0.7", "--trials",
                                        "5", "--events", "20000", "--timestamps", *TRAJ], {}),
+    ("simulate-logged-past-log-buffer", ["simulate", "--delta", "0.5", "--trials", "2",
+                                         "--events", "70000", *TRAJ], {}),
+    ("simulate-zero-budget-logged", ["simulate", "--events", "0", *TRAJ], {}),
+    ("simulate-stopped-huge-budget-logged", ["simulate", "--events", "1000000000000",
+                                             "--stop-after-meetings", "1", *TRAJ], {}),
     ("couple", ["couple", "--trials", "50", "--events", "2000", "--seed", "3"], {}),
     ("couple-marginal-check", ["couple", "--trials", "20", "--events", "2000", "--seed", "7",
                                "--marginal-check", "--out", "couple.json"], {}),
