@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 import click
 
@@ -187,7 +187,7 @@ def simulate(n, a, delta, l0, r0, events, trials,
     if n > 1:  # one generator, re-keyed as each trial starts
         streams = islice(trial_streams(seed, trials), len(logged), None)
         records = run_direct_batch(params, streams, stop_after_meetings=stop_after_meetings)
-        rows = meeting_statistics(logged + records)
+        rows = meeting_statistics([rec.meetings for rec in chain(logged, records)])
     resolved = _resolved(outside_recurrence_regime=params.outside_recurrence_regime)
     notes = ["delta >= 1 is outside the proven recurrence regime"]
     _write_csv(out_path, resolved, notes if params.outside_recurrence_regime else [],

@@ -17,10 +17,11 @@ from __future__ import annotations
 import ctypes
 import os
 import tempfile
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,23 +81,21 @@ def right_jump_probability(weights: WeightMap, v: int, delta):
     return (wr + delta) / (wl + wr + delta)
 
 
-@dataclass
-class TrajectoryRecord:
-    """Event log of one run plus the meeting count of the tracked particles.
+class TrajectoryRecord(NamedTuple):
+    """What one trial produced: its meeting count, the events it ran, the
+    walkers' final sites and, for a logged trial, its event log.
 
-    ``events`` holds (event index, particle id, from, to); ``meetings``
-    counts the events after which all particles coincide, plus one when
-    they start coincident.  The k-th meeting time is ``events_executed``
-    of the same run under ``stop_after_meetings=k``, when that run has
-    ``meetings == k``.
+    ``meetings`` counts the events after which all walkers coincide, plus
+    one when they start coincident.  The k-th meeting time is
+    ``events_executed`` of the same run under ``stop_after_meetings=k``,
+    when that run has ``meetings == k``.  ``events`` holds (event index,
+    walker, from, to), and is empty for a trial run without its log.
     """
 
-    params: ModelParams
-    n_particles: int
-    events: list = field(default_factory=list)
-    meetings: int = 0
-    final_positions: list = field(default_factory=list)
-    events_executed: int = 0
+    meetings: int
+    events_executed: int
+    final_positions: list
+    events: list | tuple = ()
 
     def to_jsonl(self, clock: RngStream | None = None) -> str:
         """One JSON line per event; its time "t" sums the Exp(n) holding
@@ -105,7 +104,7 @@ class TrajectoryRecord:
         alike, and a finite float's ``repr`` is its JSON text."""
         times = ["null"] * len(self.events)
         if clock is not None:
-            holds = clock.gen.exponential(1.0 / self.n_particles, size=len(self.events))
+            holds = clock.gen.exponential(1.0 / len(self.final_positions), size=len(self.events))
             times = map(repr, np.cumsum(holds).tolist())
         return "".join(f'{{"e": {e}, "t": {t}, "p": {p}, "from": {frm}, "to": {to}}}\n'
                        for (e, p, frm, to), t in zip(self.events, times))
@@ -115,11 +114,10 @@ def run_direct(
     params: ModelParams,
     n_particles: int,
     rng: RngStream,
-    record_events: bool = True,
     stop_after_meetings: int | None = None,
 ) -> TrajectoryRecord:
     """Run up to ``params.max_events`` jumps of one walker from ``l0``, or
-    of two from ``l0`` and ``r0``, and count meetings.
+    of two from ``l0`` and ``r0``, count meetings and log every event.
 
     Event e reads the uniform pair (u, u') at 2e - 2 of ``rng``: walker
     ``int(u * n)`` moves, to the right when
@@ -130,24 +128,24 @@ def run_direct(
     """
     if n_particles not in (1, 2):
         raise ValueError(f"n_particles must be 1 or 2, got {n_particles!r}")
-    return next(_Engine(params, n_particles, stop_after_meetings).run([rng], record_events))
+    return next(_Engine(params, n_particles, stop_after_meetings).run([rng], []))
 
 
 def run_direct_batch(
     params: ModelParams,
     streams: Iterable[RngStream],
     stop_after_meetings: int | None = None,
-) -> list[TrajectoryRecord]:
+) -> Iterator[TrajectoryRecord]:
     """Run one two-walker trial per stream, without event logs.
 
-    Returns the records ``run_direct(params, 2, s, record_events=False,
-    stop_after_meetings=...)`` would give for each stream ``s``, bit for
-    bit.  Each trial runs to its end before the next stream is read, so
-    ``streams`` may yield one stream re-keyed from trial to trial, as
-    :func:`distributions.trial_streams` does.  A trial draws exactly two
-    uniforms per event it runs.
+    Yields, for each stream ``s``, the record of ``run_direct(params, 2,
+    s, stop_after_meetings=...)`` bit for bit, with ``events`` left
+    empty.  A trial's record is yielded when the trial ends, before the
+    next stream is read, so ``streams`` may yield one stream re-keyed
+    from trial to trial, as :func:`distributions.trial_streams` does.  A
+    trial draws exactly two uniforms per event it runs.
     """
-    return list(_Engine(params, 2, stop_after_meetings).run(streams))
+    return _Engine(params, 2, stop_after_meetings).run(streams)
 
 
 # A walker's first window holds the edges within this many sites of its
@@ -188,29 +186,28 @@ class _Engine:
             self._cover(t, self.lo, self.windows, i, v - _FIRST_REACH, v + _FIRST_REACH)
         self.first = bytes(t)
 
-    def run(self, streams: Iterable[RngStream], record_events: bool = False):
-        """Yield the record of one trial per stream, each run to its end
-        before the next stream is read."""
-        p, n, limit, kernel = self.params, self.n, self.limit, self.kernel
-        delta, budget = float(p.delta), p.max_events
-        log = (ctypes.c_int8 * _LOG_EVENTS)() if record_events else None
-        step = _LOG_EVENTS if record_events else _MAX_INT64
+    def run(self, streams: Iterable[RngStream], events: list | None = None):
+        """Yield the record of one trial per stream, each when its trial
+        ends and before the next stream is read.  Given ``events``, each
+        trial appends its event log to that list, which its record holds."""
+        n, limit, kernel = self.n, self.limit, self.kernel
+        delta, budget = float(self.params.delta), self.params.max_events
+        logged = events is not None
+        log = (ctypes.c_int8 * _LOG_EVENTS)() if logged else None
+        step = _LOG_EVENTS if logged else _MAX_INT64
         for rng in streams:
-            record = TrajectoryRecord(params=p, n_particles=n)
             t, lo, windows = _Trial.from_buffer_copy(self.first), self.lo[:], self.windows[:]
             for w in windows:
                 w.fill(self.a)
             trial, bits, e = ctypes.byref(t), rng.gen.bit_generator.ctypes.bit_generator, 0
-            sites = self._sites(t, lo) if record_events else None  # moved by _decode
+            sites = self._sites(t, lo) if logged else None  # moved by _decode
             while e < budget and t.meetings < limit:
                 self._grow(t, lo, windows)  # the walkers at a window's edge
                 done = kernel(trial, bits, min(budget - e, step), n, delta, limit, log)
-                if record_events:
-                    _decode(record.events, e, sites, log[:done])
+                if logged:
+                    _decode(events, e, sites, log[:done])
                 e += done
-            record.meetings, record.events_executed = t.meetings, e
-            record.final_positions = self._sites(t, lo)
-            yield record
+            yield TrajectoryRecord(t.meetings, e, self._sites(t, lo), events if logged else ())
 
     def _sites(self, t: _Trial, lo: list) -> list:
         """The walkers' sites."""
@@ -305,17 +302,12 @@ def _library(cache_dir: Path) -> ctypes.CDLL:
     return ctypes.CDLL(str(path))
 
 
-def meeting_statistics(records: list[TrajectoryRecord]) -> list[dict]:
+def meeting_statistics(counts: list[int]) -> list[dict]:
     """CSV rows of P(N >= k), with its standard error, for k = 1 up to the
-    largest meeting count N; rejects runs with mismatched parameters."""
-    if not records:
-        raise ValueError("no records given")
-    ref = (records[0].params, records[0].n_particles)
-    for rec in records:
-        if (rec.params, rec.n_particles) != ref:
-            raise ValueError("meeting_statistics requires records with identical parameters")
-    n = len(records)
-    counts = [r.meetings for r in records]
+    largest of the trials' meeting counts N."""
+    if not counts:
+        raise ValueError("no meeting counts given")
+    n = len(counts)
     # hits[k-1] = trials with >= k meetings
     hits = np.cumsum(np.bincount(counts)[::-1])[::-1][1:].tolist()
     freqs = [h / n for h in hits]

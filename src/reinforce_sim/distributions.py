@@ -39,8 +39,8 @@ class RngStream:
     Stream ``(s, t, role)`` is numpy's Philox4x64 generator
     ``Philox(s & MASK64, counter=[0, 0, t & MASK64, role or 0])``: numpy
     hashes only the seed, into the two-word key, and the role-less stream
-    of trial t is ``Philox(s).jumped(t)``.  Counter words 0 and 1 leave
-    each stream 2**128 blocks of draws.
+    of trial t < 2**64 is ``Philox(s).jumped(t)``.  Counter words 0 and 1
+    leave each stream 2**128 blocks of draws.
     """
 
     seed: int
@@ -52,13 +52,12 @@ class RngStream:
     def __post_init__(self) -> None:
         if self.role == 0:
             raise ValueError("role 0 aliases the dynamics stream; roles are nonzero")
-        # an array, as a list holding a word >= 2**63 would pass through float64
-        counter = np.array([0, 0, self.trial & _MASK64, self.role or 0], dtype=np.uint64)
-        bits = np.random.Philox(self.seed & _MASK64, counter=counter)
+        bits = np.random.Philox(self.seed & _MASK64)
         # the seed's, as Python ints (the state setter reads them faster
-        # than an array); rekey keeps it
+        # than an array); rekey keeps it and sets the counter
         self._key = bits.state["state"]["key"].tolist()
         self.gen = np.random.Generator(bits)
+        self.rekey(self.trial)
 
     def uniforms(self, n: int) -> np.ndarray:
         """The next ``n`` uniform draws on [0, 1), as an array."""

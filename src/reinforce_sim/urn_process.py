@@ -155,9 +155,9 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
     ``Fraction``s, and cached: ``right_jump_probability`` on the site and
     the traversals of its two edges, ``left_mass`` / ``total`` on the
     site, the present particle and the site's jumps.  A miss rebuilds the
-    kernel's input: the edge weights with the sampler's own update
-    (``WeightMap.reinforce``), the urn with two family marbles per jump,
-    as ``coupled_events`` adds them.  The cache is sound only because
+    kernel's input: the edge weights by ``WeightMap.reinforce`` (the
+    update of the direct engine's stepped test reference) and the urn
+    with two family marbles per jump, as ``coupled_events`` adds them.  The cache is sound only because
     these kernels read nothing but that input.
 
     ``first_difference`` is the first step, in the pass's order, at which

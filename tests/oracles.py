@@ -96,20 +96,14 @@ def stepped_run_direct(
     params: ModelParams, n: int, rng, stop: int | None = None
 ) -> TrajectoryRecord:
     """``direct.run_direct`` with its event log, one :func:`direct_step` per event."""
-    positions = [params.l0, params.r0][:n]
-    rec = TrajectoryRecord(params=params, n_particles=n, final_positions=positions)
-    weights = WeightMap(params.a)
-    rec.meetings = int(n == 2 and params.l0 == params.r0)
-    if rec.meetings and stop is not None and rec.meetings >= stop:
-        return rec
+    positions, events, weights = [params.l0, params.r0][:n], [], WeightMap(params.a)
+    meetings = int(n == 2 and params.l0 == params.r0)
     for e in range(1, params.max_events + 1):
-        rec.events.append((e, *direct_step(weights, positions, params, rng)))
-        rec.events_executed = e
-        if n == 2 and positions[0] == positions[1]:
-            rec.meetings += 1
-            if stop is not None and rec.meetings >= stop:
-                break
-    return rec
+        if stop is not None and meetings >= stop:
+            break
+        events.append((e, *direct_step(weights, positions, params, rng)))
+        meetings += n == 2 and positions[0] == positions[1]
+    return TrajectoryRecord(meetings, len(events), positions, events)
 
 
 def beta_samples(rng: RngStream, p: BetaParams, size: int):

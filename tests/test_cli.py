@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -112,7 +113,7 @@ class TestSimulate:
         records = [run_direct(params, 2, RngStream(13, t), stop_after_meetings=3)
                    for t in range(6)]
         rows = [f"{r['k']},{r['frequency']!r},{r['stderr']!r}"
-                for r in meeting_statistics(records)]
+                for r in meeting_statistics([rec.meetings for rec in records])]
         assert read_csv(out).split("\r\n")[-len(rows) - 1:-1] == rows
         clock = RngStream(13, 0, HOLDING_TIMES) if timestamps else None
         assert traj.read_text() == records[0].to_jsonl(clock)
@@ -140,7 +141,7 @@ class TestSimulate:
         records = [run_direct(params, 2, RngStream(13, t), stop_after_meetings=3)
                    for t in range(trials)]
         rows = [f"{r['k']},{r['frequency']!r},{r['stderr']!r}"
-                for r in meeting_statistics(records)]
+                for r in meeting_statistics([rec.meetings for rec in records])]
         assert result.stdout.split("\n")[-len(rows) - 1:-1] == rows
         assert traj.read_text() == records[0].to_jsonl()
 
@@ -151,10 +152,9 @@ class TestSimulate:
                                       "--trials", "30", "--events", "50", "--seed", "3"])
         assert result.exit_code == 0, result.output
         params = ModelParams(a=1.0, delta=0.0, l0=l0, r0=l0 + 2, max_events=50)
-        records = [run_direct(params, 2, RngStream(3, t), record_events=False)
-                   for t in range(30)]
+        records = [run_direct(params, 2, RngStream(3, t)) for t in range(30)]
         rows = [f"{r['k']},{r['frequency']!r},{r['stderr']!r}"
-                for r in meeting_statistics(records)]
+                for r in meeting_statistics([rec.meetings for rec in records])]
         assert result.stdout.split("\n")[-len(rows) - 1:-1] == rows
 
     def test_zero_budget_writes_an_empty_log(self, runner, tmp_path):
@@ -175,6 +175,20 @@ class TestSimulate:
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10**12)
         assert traj.read_text() == stepped_run_direct(params, 2, RngStream(0, 0), 1).to_jsonl()
         assert result.stdout.endswith("\nk,frequency,stderr\n1,1.0,0.0\n")
+
+    def test_memory_does_not_grow_with_the_trials(self, runner):
+        # simulate keeps one meeting count per trial; a record per trial
+        # (about 0.3 KB each) would take about 3 MiB at 10,000 trials
+        assert runner.invoke(main, ["simulate", "--trials", "2", "--events", "10"]).exit_code == 0
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["simulate", "--trials", "10000", "--events", "10",
+                                          "--seed", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_nonpositive_stop_after_meetings_is_usage_error(self, runner, tmp_path, value):

@@ -1,6 +1,5 @@
 """Weight dynamics: single steps, runs, meetings, and the single-particle
 urn equivalence."""
-import dataclasses
 import json
 import pickle
 import re
@@ -156,8 +155,7 @@ class TestRunDirect:
             assert positions == rec.final_positions
             assert len(meetings) == rec.meetings
             for k, e in enumerate(meetings, 1):  # the k-th meeting time
-                kth = run_direct(params, 2, RngStream(56, 0), record_events=False,
-                                 stop_after_meetings=k)
+                kth = run_direct(params, 2, RngStream(56, 0), stop_after_meetings=k)
                 assert (kth.meetings, kth.events_executed) == (k, e)
             met += len(meetings)
         assert met > 1
@@ -182,8 +180,7 @@ class TestRunDirect:
 
     def test_stop_after_first_meeting(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=100_000)
-        rec = run_direct(params, 2, RngStream(59, 0), record_events=False,
-                         stop_after_meetings=1)
+        rec = run_direct(params, 2, RngStream(59, 0), stop_after_meetings=1)
         assert rec.meetings == 1
         logged = run_direct(params, 2, RngStream(59, 0), stop_after_meetings=1)
         positions = [0, 2]
@@ -240,16 +237,20 @@ class TestRunDirect:
             assert rec.to_jsonl(clock) == expected
 
 
+def unlogged(rec):
+    """``rec`` without its event log, as ``run_direct_batch`` yields it."""
+    return rec._replace(events=())
+
+
 def scalar_records(params, seed, trials, stop=None):
-    return [
-        run_direct(params, 2, RngStream(seed, t), record_events=False, stop_after_meetings=stop)
-        for t in range(trials)
-    ]
+    """``run_direct``'s records of two-walker trials, without their event logs."""
+    return [unlogged(run_direct(params, 2, RngStream(seed, t), stop_after_meetings=stop))
+            for t in range(trials)]
 
 
 def stepped_records(params, seed, trials, stop=None):
     """The stepped oracle's records of two-walker trials, without their event logs."""
-    return [dataclasses.replace(stepped_run_direct(params, 2, RngStream(seed, t), stop), events=[])
+    return [unlogged(stepped_run_direct(params, 2, RngStream(seed, t), stop))
             for t in range(trials)]
 
 
@@ -285,7 +286,7 @@ def spy_on_windows(monkeypatch):
 
 def batch_records(params, seed, trials, stop=None):
     streams = [RngStream(seed, t) for t in range(trials)]
-    return run_direct_batch(params, streams, stop_after_meetings=stop)
+    return list(run_direct_batch(params, streams, stop_after_meetings=stop))
 
 
 class TestRunDirectBatch:
@@ -327,9 +328,9 @@ class TestRunDirectBatch:
     def test_largest_uniforms_move_the_last_walker(self):
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=40)
         streams = [LargestUniform() for _ in range(6)]
-        recs = run_direct_batch(params, streams)
+        recs = list(run_direct_batch(params, streams))
         assert recs[0].final_positions == [0, -37]
-        assert recs == [run_direct(params, 2, s, record_events=False) for s in streams]
+        assert recs == [unlogged(run_direct(params, 2, s)) for s in streams]
 
     def test_window_growth(self, monkeypatch):
         # first windows of two edges, so every excursion past the start
@@ -338,7 +339,7 @@ class TestRunDirectBatch:
         params = ModelParams(a=0.5, delta=0.9, l0=0, r0=0, max_events=3001)
         logged = [stepped_run_direct(params, 2, RngStream(72, t)) for t in range(3)]
         assert max(abs(to) for rec in logged for *_, to in rec.events) > 4
-        expected = [dataclasses.replace(rec, events=[]) for rec in logged]
+        expected = [unlogged(rec) for rec in logged]
         assert batch_records(params, 72, 3) == expected
 
     def test_records_hold_one_meeting_count_each(self):
@@ -347,7 +348,7 @@ class TestRunDirectBatch:
         # Pickling serialises everything they reach: 64 count records take
         # about 3 KB, lists of their 288,578 meeting times about 870 KB
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=1, max_events=20_000)
-        records = run_direct_batch(params, [RngStream(79, t) for t in range(64)])
+        records = list(run_direct_batch(params, [RngStream(79, t) for t in range(64)]))
         assert sum(rec.meetings for rec in records) > 64 * 1000
         assert len(pickle.dumps(records)) < 1 << 14
 
@@ -373,7 +374,7 @@ class TestRunDirectBatch:
         # in which it does, some within eight events
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=3, max_events=403)
         streams = [RngStream(78, t) for t in range(64)]
-        got = run_direct_batch(params, streams, stop_after_meetings=stop)
+        got = list(run_direct_batch(params, streams, stop_after_meetings=stop))
         assert got == scalar_records(params, 78, 64, stop=stop)
         retired = [rec.meetings == stop for rec in got]
         assert 0 < sum(done and rec.events_executed <= 8 for rec, done in zip(got, retired)) < 32
@@ -386,20 +387,34 @@ class TestRunDirectBatch:
         # each trial ends before the next stream is read, so one re-keyed
         # generator serves them all
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=1101)
-        got = run_direct_batch(params, trial_streams(77, 36), stop_after_meetings=stop)
+        got = list(run_direct_batch(params, trial_streams(77, 36), stop_after_meetings=stop))
         assert got == scalar_records(params, 77, 36, stop=stop)
         assert got[:4] == stepped_records(params, 77, 4, stop=stop)
 
+    def test_each_record_is_yielded_before_the_next_stream_is_read(self):
+        params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=300)
+        seen = []
+
+        def streams():
+            for t in range(4):
+                seen.append(("stream", t))
+                yield RngStream(86, t)
+
+        for rec in run_direct_batch(params, streams(), stop_after_meetings=1):
+            seen.append(rec)
+        expected = scalar_records(params, 86, 4, stop=1)
+        assert seen == [x for t in range(4) for x in (("stream", t), expected[t])]
+
     def test_no_streams_no_records(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10)
-        assert run_direct_batch(params, []) == []
+        assert list(run_direct_batch(params, [])) == []
 
     @pytest.mark.parametrize("gap", [0, 2])
     @pytest.mark.parametrize("stop", [None, 1])
     def test_zero_budget_runs_and_draws_nothing(self, gap, stop):
         params = ModelParams(a=1.0, delta=0.5, l0=-1, r0=gap - 1, max_events=0)
         streams = [RngStream(74, t) for t in range(3)]
-        got = run_direct_batch(params, streams, stop_after_meetings=stop)
+        got = list(run_direct_batch(params, streams, stop_after_meetings=stop))
         assert [(rec.meetings, rec.events_executed, rec.final_positions) for rec in got] == \
             [(int(gap == 0), 0, [-1, gap - 1])] * 3
         logged = [run_direct(params, n, RngStream(74, 0), stop_after_meetings=stop)
@@ -428,8 +443,8 @@ class TestEngine:
                 assert run_direct(params, n, RngStream(90, budget),
                                   stop_after_meetings=stop) == oracle
                 if n == 2:
-                    assert run_direct_batch(params, [RngStream(90, budget)], stop) == \
-                        [dataclasses.replace(oracle, events=[])]
+                    assert list(run_direct_batch(params, [RngStream(90, budget)], stop)) == \
+                        [unlogged(oracle)]
 
     @pytest.mark.parametrize("log_events", [1, 7, None])
     def test_logs_longer_than_the_log_buffer_match_the_stepped_oracle(self, monkeypatch,
@@ -513,7 +528,7 @@ class TestLockstepHandoff:
     def test_coincident_starts_stopping_at_the_first_meeting_draw_nothing(self):
         params = ModelParams(a=1.0, delta=0.0, l0=4, r0=4, max_events=100)
         streams = [RngStream(82, t) for t in range(30)]
-        got = run_direct_batch(params, streams, stop_after_meetings=1)
+        got = list(run_direct_batch(params, streams, stop_after_meetings=1))
         assert [(rec.meetings, rec.events_executed, rec.final_positions) for rec in got] == \
             [(1, 0, [4, 4])] * 30
         assert got == scalar_records(params, 82, 30, stop=1)
@@ -539,7 +554,7 @@ class TestLockstepHandoff:
         # trial runs, and no further
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=700)
         streams = [RngStream(85, t) for t in range(trials)]
-        got = run_direct_batch(params, streams, stop_after_meetings=stop)
+        got = list(run_direct_batch(params, streams, stop_after_meetings=stop))
         assert got == scalar_records(params, 85, trials, stop)
         assert all(drew_exactly(stream, 2 * rec.events_executed)
                    for rec, stream in zip(got, streams))
@@ -627,45 +642,38 @@ class TestSingleParticleUrnEquivalence:
         assert sum(d1.values()) == 1
 
 
+def meeting_counts(params, seed, trials):
+    """The meeting counts of ``trials`` two-walker trials."""
+    streams = (RngStream(seed, t) for t in range(trials))
+    return [rec.meetings for rec in run_direct_batch(params, streams)]
+
+
 class TestMeetingStatistics:
-    def _records(self, n, seed):
-        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=2000)
-        return [
-            run_direct(params, 2, RngStream(seed, t), record_events=False)
-            for t in range(n)
-        ]
+    def _counts(self, n, seed):
+        return meeting_counts(ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=2000), seed, n)
 
     def test_frequencies_nonincreasing_in_k(self):
-        freqs = [row["frequency"] for row in meeting_statistics(self._records(200, 63))]
+        freqs = [row["frequency"] for row in meeting_statistics(self._counts(200, 63))]
         assert all(f1 >= f2 for f1, f2 in zip(freqs, freqs[1:]))
         assert all(0.0 <= f <= 1.0 for f in freqs)
 
     def test_rows_schema(self):
-        rows = meeting_statistics(self._records(50, 64))
+        rows = meeting_statistics(self._counts(50, 64))
         assert rows[0]["k"] == 1
         assert set(rows[0]) == {"k", "frequency", "stderr"}
 
     def test_coincident_starts_give_frequency_one(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=0, max_events=10)
-        recs = [run_direct(params, 2, RngStream(65, t)) for t in range(20)]
-        assert meeting_statistics(recs)[0]["frequency"] == 1.0
-
-    def test_mixed_parameters_rejected(self):
-        p1 = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10)
-        p2 = ModelParams(a=2.0, delta=0.0, l0=0, r0=2, max_events=10)
-        recs = [run_direct(p1, 2, RngStream(66, 0)), run_direct(p2, 2, RngStream(66, 1))]
-        with pytest.raises(ValueError):
-            meeting_statistics(recs)
+        assert meeting_statistics(meeting_counts(params, 65, 20))[0]["frequency"] == 1.0
 
     def test_matches_quadratic_reference(self):
-        records = self._records(40, 67)
-        rows = meeting_statistics(records)
-        max_k = max(r.meetings for r in records)
-        assert [row["k"] for row in rows] == list(range(1, max_k + 1))
+        counts = self._counts(40, 67)
+        rows = meeting_statistics(counts)
+        assert [row["k"] for row in rows] == list(range(1, max(counts) + 1))
         for k, row in enumerate(rows, 1):
-            f = sum(r.meetings >= k for r in records) / len(records)
+            f = sum(c >= k for c in counts) / len(counts)
             assert row["frequency"] == f
-            assert row["stderr"] == (f * (1 - f) / len(records)) ** 0.5
+            assert row["stderr"] == (f * (1 - f) / len(counts)) ** 0.5
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

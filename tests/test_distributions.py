@@ -1,6 +1,7 @@
 """Random streams, beta/Dirichlet sampling, and the log-odds quadrature."""
 import re
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -95,19 +96,31 @@ class TestStreamKeys:
 
     @pytest.mark.parametrize("role", [None, ENVIRONMENT, MIRROR_ENVIRONMENT])
     def test_rekeyed_stream_equals_a_fresh_one(self, role):
-        p = BetaParams(0.5, 1.5)
-        stream = RngStream(9, 0, role)
-        for trial in (3, 39, 0, 3, 2**63 + 1, 2**64 - 1):
-            # leave the stream mid-Philox-block on another counter
-            stream.gen.random()
-            sample_beta(stream, p)
-            stream.rekey(trial)
-            fresh = RngStream(9, trial, role)
-            assert stream.trial == trial
-            assert stream.uniforms(7).tolist() == fresh.uniforms(7).tolist()
-            assert [sample_beta(stream, p) for _ in range(5)] == [
-                sample_beta(fresh, p) for _ in range(5)]
-            assert [stream.gen.random() for _ in range(3)] == [fresh.gen.random() for _ in range(3)]
+        # the references are numpy's own generators: the counter set as an
+        # array, and for a dynamics stream Philox(s).jumped(t) too, below
+        # 2**64 (a jump past it carries into counter word 3)
+        mask, p = 2**64 - 1, BetaParams(0.5, 1.5)
+
+        def draws(rng):
+            return (rng.gen.random(7).tolist(), [sample_beta(rng, p) for _ in range(5)],
+                    [rng.gen.random() for _ in range(3)])
+
+        for seed in (0, 7, 2**70 + 3, -5):
+            stream = RngStream(seed, 0, role)
+            for trial in (3, 39, 0, 3, 2**63 + 1, 2**64 - 1, 2**64 + 2):
+                # leave the stream mid-Philox-block on another counter
+                stream.gen.random()
+                sample_beta(stream, p)
+                stream.rekey(trial)
+                assert stream.trial == trial
+                counter = np.array([0, 0, trial & mask, role or 0], dtype=np.uint64)
+                refs = [np.random.Philox(seed & mask, counter=counter)]
+                if role is None and trial <= mask:
+                    refs.append(np.random.Philox(seed & mask).jumped(trial))
+                got = draws(stream)
+                assert draws(RngStream(seed, trial, role)) == got
+                assert all(draws(SimpleNamespace(gen=np.random.Generator(bits))) == got
+                           for bits in refs)
 
     @pytest.mark.parametrize("role", [None, ENVIRONMENT])
     def test_trial_streams_equal_fresh_ones(self, role):

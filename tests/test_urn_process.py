@@ -554,7 +554,7 @@ class TestMeetingLaw:
     def test_run_direct(self, law):
         taus = []
         for rng in trial_streams(1201, MEETING_TRIALS):
-            rec = run_direct(MEETING_PARAMS, 2, rng, record_events=False, stop_after_meetings=1)
+            rec = run_direct(MEETING_PARAMS, 2, rng, stop_after_meetings=1)
             taus.append(rec.events_executed if rec.meetings else None)
         assert_meeting_law(taus, law)
 

@@ -7,14 +7,18 @@ once on this tree's ``src`` and once on OTHER_TREE's, each run in a fresh
 temporary directory holding only the command's input files.  The exit
 code, standard output, standard error and the bytes of every file in the
 directory afterwards must be equal.  One line per command says ``same`` or
-what differs; the exit code is 1 on any difference.  The 31 commands cover
+what differs; the exit code is 1 on any difference.  The 36 commands cover
 every subcommand; the direct engine runs at delta = 0, at dyadic a and
 delta, and at a non-dyadic pair, once without a log
 (``simulate-general-delta``) and once with a timed log of trials long
 enough to grow their weight windows (``simulate-general-delta-logged``).
 Logged runs also cover a budget of 0, a trial longer than the engine's
 log buffer of 2**16 events, and a budget of 10**12 events cut short by
-the first meeting.  The whole list takes about 25 seconds on a 2-vCPU VM.
+the first meeting; 20,000 short trials and a lone walker with neither a
+log nor rows cover the meeting counts.  ``urn-verify`` also runs below
+a = 1, ``polya`` with its three-color urn, and ``criterion`` on a pair
+whose quadrature fails (exit 2).  The whole list takes about 25 seconds
+on a 2-vCPU VM.
 """
 from __future__ import annotations
 
@@ -42,6 +46,10 @@ COMMANDS = [
                             "--events", "500"], {}),
     ("simulate-one-walker", ["simulate", "--n", "1", "--trials", "3", "--events", "2000", *TRAJ],
      {}),
+    ("simulate-one-walker-no-log", ["simulate", "--n", "1", "--trials", "3", "--events", "10"],
+     {}),
+    ("simulate-many-short-trials", ["simulate", "--trials", "20000", "--events", "10", "--seed",
+                                    "1"], {}),
     ("simulate-timestamps", ["simulate", "--trials", "40", "--events", "2000", "--timestamps",
                              *TRAJ, "--out", "meetings.csv"], {}),
     ("simulate-small-a", ["simulate", "--a", "0.5", "--trials", "40", "--events", "2000"], {}),
@@ -64,9 +72,13 @@ COMMANDS = [
     ("rwre-asymmetric", ["rwre", "--alpha1", "3", "--beta1", "1", "--alpha2", "2", "--beta2", "1",
                          "--budgets", "50,200,1000", "--trials", "200", "--out", "rwre.csv"], {}),
     ("urn-verify-h7", ["urn-verify", "--horizon", "7"], {}),
+    ("urn-verify-small-a", ["urn-verify", "--a", "0.5", "--allow-small-a", "--horizon", "5"], {}),
     ("criterion", ["criterion", "--pair", "1", "2", "--pair", "3", "2"], {}),
+    ("criterion-huge-shapes", ["criterion", "--pair", "1e8", "3e8"], {}),
     ("polya", ["polya", "--draws", "200", "--runs", "200", "--ks-threshold", "0.1", "--seed",
                "3"], {}),
+    ("polya-three-color", ["polya", "--draws", "200", "--runs", "200", "--ks-threshold", "0.1",
+                           "--three-color", "--seed", "3"], {}),
     ("simulate-config", ["simulate", "--config", "cfg.json", "--seed", "9"],
      {"cfg.json": CONFIG}),
 ]
