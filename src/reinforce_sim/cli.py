@@ -108,11 +108,22 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _write_csv(path: str | None, config: dict, notes: list[str], columns: tuple, rows) -> None:
     """CRLF CSV: version and config header lines, ``# note:`` lines, the
-    column row, then the ``repr`` of each row dict's cells."""
+    column row, then the ``repr`` of each row dict's three cells: a label,
+    a fraction and its standard error."""
     lines = [f"# reinforce-sim v{__version__}", f"# config: {json.dumps(config, sort_keys=True)}"]
     lines += [f"# note: {note}" for note in notes]
     lines.append(",".join(columns))
-    lines += [",".join(repr(row[c]) for c in columns) for row in rows]
+    # few distinct (fraction, error) pairs fill many rows, so each is
+    # formatted once; both are nonnegative floats, whose equal values have
+    # equal reprs
+    label, fraction, error = columns
+    tails = {}
+    for row in rows:
+        key = row[fraction], row[error]
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = f"{key[0]!r},{key[1]!r}"
+        lines.append(f"{row[label]!r},{tail}")
     _write_text(path, "".join(line + "\r\n" for line in lines))
 
 

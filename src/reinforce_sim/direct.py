@@ -10,7 +10,7 @@ on the first run and cached under ``__pycache__``.  It draws each event's
 two uniforms from the trial's own numpy generator, through numpy's C
 interface to it, so a trial reads exactly two uniforms per event it runs.
 Python runs trials one after another and grows the weight windows the
-loop runs in.
+loop runs in.  The same library holds ``rwre``'s first-return loop.
 """
 from __future__ import annotations
 
@@ -173,7 +173,8 @@ class _Engine:
     weight window, and one per ``_LOG_EVENTS`` events of a logged trial."""
 
     def __init__(self, params: ModelParams, n: int, stop_after_meetings: int | None):
-        self.params, self.n, self.a, self.kernel = params, n, float(params.a), _kernel()
+        self.params, self.n, self.a = params, n, float(params.a)
+        self.kernel = _kernels().run_events
         # the first meeting ends a run with any limit <= 1; INT64_MAX never comes
         self.limit = _MAX_INT64 if stop_after_meetings is None else \
             min(max(stop_after_meetings, 1), _MAX_INT64)
@@ -252,23 +253,30 @@ def _decode(events: list, e: int, sites: list, codes: list) -> None:
         events.append((e, i, v, sites[i]))
 
 
-# The kernel's source and the command that builds it; the library is cached
-# under a hash of all three, so a library built from other text is never loaded.
+# The kernels' source and the command that builds them; the library is cached
+# under a hash of all of it, so a library built from other text is never loaded.
 _SOURCE = Path(__file__).with_name("direct_kernel.c")
 _CC = "cc"
 # numpy's include directory holds numpy/random/bitgen.h
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", f"-I{np.get_include()}")
+# numpy's libnpyrandom holds random_standard_gamma, the draw of Generator.gamma
+_LDFLAGS = (f"-L{Path(np.__file__).parent / 'random' / 'lib'}", "-lnpyrandom", "-lm")
 
 
 @cache
-def _kernel():
-    """``run_events`` of ``direct_kernel.c``, built on the first direct run."""
-    run_events = _library(Path(__file__).with_name("__pycache__")).run_events
-    run_events.argtypes = [ctypes.POINTER(_Trial), ctypes.c_void_p, ctypes.c_int64,
-                           ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
-                           ctypes.POINTER(ctypes.c_int8)]
-    run_events.restype = ctypes.c_int64
-    return run_events
+def _kernels() -> ctypes.CDLL:
+    """The library of ``direct_kernel.c`` with ``run_events`` and
+    ``first_return`` typed, built or loaded on the first direct or rwre
+    run, never at import."""
+    library = _library(Path(__file__).with_name("__pycache__"))
+    library.run_events.argtypes = [ctypes.POINTER(_Trial), ctypes.c_void_p, ctypes.c_int64,
+                                   ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
+                                   ctypes.POINTER(ctypes.c_int8)]
+    library.run_events.restype = ctypes.c_int64
+    library.first_return.argtypes = [*[ctypes.c_void_p] * 3, *[ctypes.c_double] * 4,
+                                     ctypes.c_int64, ctypes.POINTER(ctypes.c_int64)]
+    library.first_return.restype = ctypes.c_int64
+    return library
 
 
 def _library(cache_dir: Path) -> ctypes.CDLL:
@@ -278,7 +286,7 @@ def _library(cache_dir: Path) -> ctypes.CDLL:
     import hashlib
     import subprocess
 
-    source, command = _SOURCE.read_bytes(), [_CC, *_CFLAGS]
+    source, command = _SOURCE.read_bytes(), [_CC, *_CFLAGS, *_LDFLAGS]
     key = hashlib.sha256(repr(command).encode() + b"\0" + source).hexdigest()[:16]
     path = cache_dir / f"direct_kernel-{key}.so"
     if not path.exists():
@@ -289,12 +297,13 @@ def _library(cache_dir: Path) -> ctypes.CDLL:
             with tempfile.TemporaryDirectory() as private:
                 return _library(Path(private))
         os.close(fd)
-        argv = [*command, "-x", "c", "-", "-o", tmp]  # the source text that was hashed
+        # the source text that was hashed; the libraries follow it, as the linker reads in order
+        argv = [_CC, *_CFLAGS, "-x", "c", "-", "-o", tmp, *_LDFLAGS]
         try:
             done = subprocess.run(argv, input=source, capture_output=True, check=False)
             if done.returncode:
                 raise RuntimeError(
-                    f"building the direct kernel failed: {' '.join(argv)} exited with "
+                    f"building the kernel library failed: {' '.join(argv)} exited with "
                     f"{done.returncode}: {done.stderr.decode(errors='replace').strip()}")
             os.replace(tmp, path)
         finally:

@@ -79,9 +79,9 @@ class RngStream:
 
 # Events the first chunk of uniform_chunks covers; each later chunk doubles,
 # up to the cap.  So a run that stops early draws few uniforms it does not
-# use, and a long one makes few reads yet holds one chunk at a time.  The
-# Python loops of run_coupling and rwre.first_returns read their streams
-# through uniform_chunks; the direct engine's C loop draws from the
+# use, and a long one makes few reads yet holds one chunk at a time.  Only
+# run_coupling's Python loop reads its stream through uniform_chunks; the
+# C loops of the direct engine and of rwre.first_returns draw from the
 # stream's generator itself, two uniforms per event.
 _FIRST_CHUNK, _MAX_CHUNK = 8, 512
 

@@ -1,6 +1,9 @@
 """Birth-death chains in random environment: transience/return-time
 criteria in closed form, plus a simulator for the two-chain difference
-recurrence experiment.
+recurrence experiment, whose trials run in C: one call of the compiled
+``first_return`` (``direct_kernel.c``) per trial, drawing the walk's
+uniforms and the environments' Betas through numpy's C interface to the
+trial's generators.
 
 Sign conventions: transience to the right is governed by
 E[log(p/(1-p))] > 0, while the difference-recurrence hypothesis uses
@@ -11,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .distributions import (
-    ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, digamma, sample_beta, trial_streams,
-    uniform_chunks,
-)
+from .direct import _MAX_INT64, _kernels
+from .distributions import ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, digamma
 
 
 class Classification(Enum):
@@ -107,42 +108,32 @@ def first_returns(
 
     Chain one lives on the nonnegative sites with forward probabilities
     p1(i) (p1(0) = 1); chain two mirrors it on the nonpositive sites with
-    p2.  An event takes two uniforms: the chain pick, then the step; they
-    are read in chunks (:func:`uniform_chunks`), walked pair by pair.
+    p2.  An event takes two uniforms: the chain pick, then the step.
 
     Trial t moves on stream (seed, t); chain one's environment comes from
     (seed, t, ENVIRONMENT), chain two's from (seed, t, MIRROR_ENVIRONMENT).
     A chain reaches site i only after sites 1, ..., i - 1, so the draw of
     site i does not depend on the path.  Three generators serve the whole
-    run: each is re-keyed to the trial's stream (its Philox counter word 2
-    becomes the trial), an environment stream only once its chain needs
-    site 1's draw.
+    run, each re-keyed to the trial's stream (its Philox counter word 2
+    becomes the trial) before the trial starts; a stream the trial does
+    not read leaves no trace.  The trial itself is one call of the
+    compiled ``first_return``, which reads the three generators in place.
+    A budget past int64 runs as 2**63 - 1 events, which no trial reaches.
     """
-    env_streams = (RngStream(seed, 0, ENVIRONMENT), RngStream(seed, 0, MIRROR_ENVIRONMENT))
-    params = (p1, p2)
+    first_return = _kernels().first_return
+    streams = (RngStream(seed, 0), RngStream(seed, 0, ENVIRONMENT),
+               RngStream(seed, 0, MIRROR_ENVIRONMENT))
+    bits = [s.gen.bit_generator.ctypes.bit_generator for s in streams]
+    shapes = (float(p1.alpha), float(p1.beta), float(p2.alpha), float(p2.beta))
+    budget = min(max_budget, _MAX_INT64)
     firsts = []
-    for trial, walk in enumerate(trial_streams(seed, trials)):
-        envs = ([1.0], [1.0])  # site k's forward probability; site 0 reflects
-        z = [0, 0]  # distances of chain one and chain two from the origin
-        e = 0
-        first = None
-        for u in uniform_chunks(walk, max_budget):
-            pairs = iter(u.tolist())
-            for u_chain, u_step in zip(pairs, pairs):
-                e += 1
-                c = 0 if u_chain < 0.5 else 1
-                k, env = z[c], envs[c]
-                if k == len(env):
-                    if k == 1:
-                        env_streams[c].rekey(trial)
-                    env.append(sample_beta(env_streams[c], params[c]))
-                z[c] = k + 1 if u_step < env[k] else k - 1
-                if z[0] == 0 and z[1] == 0:
-                    first = e
-                    break
-            if first is not None:
-                break
-        firsts.append(first)
+    for trial in range(trials):
+        for s in streams:
+            s.rekey(trial)
+        first = first_return(*bits, *shapes, budget, None)
+        if first < 0:
+            raise MemoryError("rwre.first_returns: no memory for a chain's sites")
+        firsts.append(first or None)
     return firsts
 
 

@@ -171,10 +171,12 @@ class BDEnvironment:
 
 
 def scalar_first_returns(
-    p1: BetaParams, p2: BetaParams, max_budget: int, trials: int, seed: int
+    p1: BetaParams, p2: BetaParams, max_budget: int, trials: int, seed: int,
+    sites: list | None = None,
 ) -> list[int | None]:
     """``rwre.first_returns`` as one uniform at a time on three freshly
-    built streams per trial."""
+    built streams per trial.  Given ``sites``, each trial appends to it the
+    number of sites that chain one and chain two drew."""
     first_returns = []
     for trial in range(trials):
         trial_rng = RngStream(seed, trial)
@@ -192,6 +194,8 @@ def scalar_first_returns(
                 first = e
                 break
         first_returns.append(first)
+        if sites is not None:
+            sites.append((len(env1._sites) - 1, len(env2._sites) - 1))  # less site 0
     return first_returns
 
 

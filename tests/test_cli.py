@@ -930,11 +930,17 @@ class TestImportPath:
         assert scipy_modules_after("import reinforce_sim.cli") == []
 
     def test_importing_the_cli_builds_and_loads_no_kernel(self):
-        script = ("import reinforce_sim.cli\n"
-                  "print(reinforce_sim.direct._kernel.cache_info().currsize)")
+        # neither the direct engine's run_events nor rwre's first_return:
+        # no compiler runs and no library is loaded
+        script = ("import ctypes, subprocess\n"
+                  "seen, load, run = [], ctypes.CDLL, subprocess.run\n"
+                  "ctypes.CDLL = lambda *a, **k: seen.append(a) or load(*a, **k)\n"
+                  "subprocess.run = lambda *a, **k: seen.append(a) or run(*a, **k)\n"
+                  "import reinforce_sim.cli\n"
+                  "print(reinforce_sim.direct._kernels.cache_info().currsize, len(seen))")
         res = subprocess.run([sys.executable, "-c", script], env=src_env(),
                              capture_output=True, text=True, timeout=120, check=True)
-        assert res.stdout.split() == ["0"]
+        assert res.stdout.split() == ["0", "0"]
 
     def test_commands_without_scipy_load_none(self):
         commands = [

@@ -1,11 +1,15 @@
 """Birth-death chains in random environment: criteria and simulators."""
+import ctypes
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from reinforce_sim import distributions
-from reinforce_sim.distributions import BetaParams, RngStream
+from reinforce_sim import direct
+from reinforce_sim.distributions import (
+    ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, sample_beta,
+)
 from reinforce_sim.rwre import Classification, criterion, difference_recurrence, first_returns
 
 from oracles import BDEnvironment, beta_samples, scalar_first_returns
@@ -179,25 +183,48 @@ class TestDifferenceRecurrence:
             difference_recurrence(p, p, [10], 0, 110)
 
     # (p1, p2, trials): the pilot's environments, chain one outside the
-    # regime (mu < 0, it drifts away and many trials hit the budget), and
-    # two different environments
+    # regime (mu < 0, it drifts away and many trials hit the budget), two
+    # different environments, and shapes so small that about a fifth of the
+    # Beta draws take the x + y == 0 retry
     ORACLE_GRID = [
         (BetaParams(0.5, 1.5), BetaParams(0.5, 1.5), 300),
         (BetaParams(1.5, 0.5), BetaParams(0.5, 1.5), 40),
         (BetaParams(1.0, 1.0), BetaParams(2.0, 5.0), 300),
+        (BetaParams(1e-3, 1e-3), BetaParams(1e-3, 2e-3), 60),
     ]
 
-    @pytest.mark.parametrize("p1,p2,trials", ORACLE_GRID, ids=["pilot", "outside", "mixed"])
-    def test_first_returns_equal_the_scalar_oracle(self, monkeypatch, p1, p2, trials):
-        # budgets below, at and above the first chunk of 8 events, and one
-        # long enough to reach the largest chunks; 1-event chunks, the
-        # default and one chunk of the largest size must not show in the
-        # result
+    @pytest.mark.parametrize("p1,p2,trials", ORACLE_GRID,
+                             ids=["pilot", "outside", "mixed", "tiny-shapes"])
+    def test_first_returns_equal_the_scalar_oracle(self, p1, p2, trials):
         for budget in (1, 2, 8, 9, 15, 16, 17, 10_000):
             expected = scalar_first_returns(p1, p2, budget, trials, 113)
-            for first_chunk in (1, 8, 512):
-                monkeypatch.setattr(distributions, "_FIRST_CHUNK", first_chunk)
-                assert first_returns(p1, p2, budget, trials, 113) == expected
+            assert first_returns(p1, p2, budget, trials, 113) == expected
+
+    def test_tiny_shapes_take_the_retry(self):
+        # the case above reaches the retry: both gamma draws underflow to 0
+        rng = RngStream(113, 0, ENVIRONMENT)
+        x, y = rng.gen.gamma(1e-3, size=10_000), rng.gen.gamma(1e-3, size=10_000)
+        assert 0.1 < np.mean(x + y == 0) < 0.3
+
+    def test_each_chain_draws_the_oracles_sites_past_its_first_array(self):
+        # the outside case reaches over a thousand sites on chain one, so its
+        # array of site probabilities doubles several times
+        p1, p2, trials = self.ORACLE_GRID[1]
+        first_sites = int(re.search(r"#define FIRST_SITES (\d+)",
+                                    direct._SOURCE.read_text()).group(1))
+        expected = []
+        firsts = scalar_first_returns(p1, p2, 10_000, trials, 113, expected)
+        got = kernel_sites(p1, p2, 10_000, trials, 113)
+        assert got == list(zip(firsts, expected))
+        assert max(one for one, _ in expected) > 8 * first_sites
+
+    @pytest.mark.parametrize("budget", [2**63 - 1, 2**63, 2**64 + 5])
+    def test_budgets_past_int64_run_every_trial_to_its_return(self, budget):
+        # chains that return fast: every trial returns, none is cut
+        p = BetaParams(1.0, 30.0)
+        got = first_returns(p, p, budget, 200, 114)
+        assert got == scalar_first_returns(p, p, budget, 200, 114)
+        assert None not in got
 
     def test_deterministic_reduction_oracle(self):
         # an independent re-implementation of both chains must produce the
@@ -208,8 +235,6 @@ class TestDifferenceRecurrence:
         budgets = [50, 200, 800]
         trials = 150
         curve = difference_recurrence(p, p, budgets, trials, 111)
-
-        from reinforce_sim.distributions import ENVIRONMENT, MIRROR_ENVIRONMENT, sample_beta
 
         firsts = []
         for trial in range(trials):
@@ -236,3 +261,16 @@ class TestDifferenceRecurrence:
         for b, frac in zip(curve.budgets, curve.hit_fractions):
             mine = sum(1 for f in firsts if f is not None and f <= b) / trials
             assert frac == mine
+
+
+def kernel_sites(p1: BetaParams, p2: BetaParams, budget: int, trials: int, seed: int) -> list:
+    """Per trial, the compiled ``first_return``'s result (None for 0) and
+    the number of sites each chain drew, on freshly built streams."""
+    first_return, sites, got = direct._kernels().first_return, (ctypes.c_int64 * 2)(), []
+    for t in range(trials):
+        streams = [RngStream(seed, t), RngStream(seed, t, ENVIRONMENT),
+                   RngStream(seed, t, MIRROR_ENVIRONMENT)]
+        first = first_return(*(s.gen.bit_generator.ctypes.bit_generator for s in streams),
+                             p1.alpha, p1.beta, p2.alpha, p2.beta, budget, sites)
+        got.append((first or None, tuple(sites)))
+    return got

@@ -7,7 +7,7 @@ once on this tree's ``src`` and once on OTHER_TREE's, each run in a fresh
 temporary directory holding only the command's input files.  The exit
 code, standard output, standard error and the bytes of every file in the
 directory afterwards must be equal.  One line per command says ``same`` or
-what differs; the exit code is 1 on any difference.  The 36 commands cover
+what differs; the exit code is 1 on any difference.  The 40 commands cover
 every subcommand; the direct engine runs at delta = 0, at dyadic a and
 delta, and at a non-dyadic pair, once without a log
 (``simulate-general-delta``) and once with a timed log of trials long
@@ -15,7 +15,10 @@ enough to grow their weight windows (``simulate-general-delta-logged``).
 Logged runs also cover a budget of 0, a trial longer than the engine's
 log buffer of 2**16 events, and a budget of 10**12 events cut short by
 the first meeting; 20,000 short trials and a lone walker with neither a
-log nor rows cover the meeting counts.  ``urn-verify`` also runs below
+log nor rows cover the meeting counts.  ``rwre`` runs its compiled loop
+at shapes of 0.001, whose Beta draws often retry, at a budget of 1, at a
+budget past int64 on chains that always return, and outside the regime,
+where many trials are cut at the budget.  ``urn-verify`` also runs below
 a = 1, ``polya`` with its three-color urn, and ``criterion`` on a pair
 whose quadrature fails (exit 2).  The whole list takes about 25 seconds
 on a 2-vCPU VM.
@@ -71,6 +74,14 @@ COMMANDS = [
     ("rwre", ["rwre", "--budgets", "100,500", "--trials", "100", "--seed", "7"], {}),
     ("rwre-asymmetric", ["rwre", "--alpha1", "3", "--beta1", "1", "--alpha2", "2", "--beta2", "1",
                          "--budgets", "50,200,1000", "--trials", "200", "--out", "rwre.csv"], {}),
+    ("rwre-tiny-shapes", ["rwre", "--alpha1", "0.001", "--beta1", "0.001", "--budgets",
+                          "10,1000", "--trials", "200", "--seed", "3"], {}),
+    ("rwre-budget-1", ["rwre", "--budgets", "1", "--trials", "50"], {}),
+    ("rwre-budget-past-int64", ["rwre", "--alpha1", "1", "--beta1", "30", "--alpha2", "1",
+                                "--beta2", "30", "--budgets", "5,18446744073709551621",
+                                "--trials", "200"], {}),
+    ("rwre-outside-cut", ["rwre", "--alpha1", "2", "--beta1", "0.5", "--alpha2", "2",
+                          "--beta2", "0.5", "--budgets", "100,10000", "--trials", "100"], {}),
     ("urn-verify-h7", ["urn-verify", "--horizon", "7"], {}),
     ("urn-verify-small-a", ["urn-verify", "--a", "0.5", "--allow-small-a", "--horizon", "5"], {}),
     ("criterion", ["criterion", "--pair", "1", "2", "--pair", "3", "2"], {}),
