@@ -10,7 +10,8 @@ on the first run and cached under ``__pycache__``.  It draws each event's
 two uniforms from the trial's own numpy generator, through numpy's C
 interface to it, so a trial reads exactly two uniforms per event it runs.
 Python runs trials one after another and grows the weight windows the
-loop runs in.  The same library holds ``rwre``'s first-return loop.
+loop runs in.  The same library holds ``rwre``'s first-return loop and
+the C twin of ``RngStream`` that keys its trials' streams.
 """
 from __future__ import annotations
 
@@ -266,23 +267,26 @@ _LDFLAGS = (f"-L{Path(np.__file__).parent / 'random' / 'lib'}", "-lnpyrandom", "
 @cache
 def _kernels() -> ctypes.CDLL:
     """The library of ``direct_kernel.c`` with ``run_events`` and
-    ``first_return`` typed, built or loaded on the first direct or rwre
+    ``first_returns`` typed, built or loaded on the first direct or rwre
     run, never at import."""
     library = _library(Path(__file__).with_name("__pycache__"))
     library.run_events.argtypes = [ctypes.POINTER(_Trial), ctypes.c_void_p, ctypes.c_int64,
                                    ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
                                    ctypes.POINTER(ctypes.c_int8)]
     library.run_events.restype = ctypes.c_int64
-    library.first_return.argtypes = [*[ctypes.c_void_p] * 3, *[ctypes.c_double] * 4,
-                                     ctypes.c_int64, ctypes.POINTER(ctypes.c_int64)]
-    library.first_return.restype = ctypes.c_int64
+    library.first_returns.argtypes = [*[ctypes.c_uint64] * 3, ctypes.c_int64,
+                                      *[ctypes.c_uint64] * 2, *[ctypes.c_double] * 4,
+                                      ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
+    library.first_returns.restype = ctypes.c_int64
     return library
 
 
 def _library(cache_dir: Path) -> ctypes.CDLL:
     """The kernel library, loaded from ``cache_dir`` or built into it: built
     to a temporary file there and renamed into place, or, if ``cache_dir``
-    cannot be written, built in a temporary directory removed once loaded."""
+    cannot be written, built in a temporary directory removed once loaded.
+    A library built into ``cache_dir`` replaces those built there under
+    other hashes, which are removed as far as they can be."""
     import hashlib
     import subprocess
 
@@ -308,6 +312,12 @@ def _library(cache_dir: Path) -> ctypes.CDLL:
             os.replace(tmp, path)
         finally:
             Path(tmp).unlink(missing_ok=True)
+        for stale in cache_dir.glob("direct_kernel-" + "[0-9a-f]" * 16 + ".so"):
+            if stale != path:
+                try:
+                    stale.unlink()
+                except OSError:
+                    pass
     return ctypes.CDLL(str(path))
 
 

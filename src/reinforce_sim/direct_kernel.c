@@ -1,7 +1,8 @@
-/* The compiled loops, one trial per call: the direct dynamics' event loop
- * run_events and rwre's first_return.  reinforce_sim.direct builds this file
- * into one shared library, linked with numpy's libnpyrandom, and both
- * modules call it through ctypes. */
+/* The compiled loops: the direct dynamics' event loop run_events, one trial
+ * per call, and rwre's first_returns, a range of trials per call on Philox
+ * streams it keys itself.  reinforce_sim.direct builds this file into one
+ * shared library, linked with numpy's libnpyrandom, and both modules call it
+ * through ctypes. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <numpy/random/bitgen.h>
@@ -9,6 +10,74 @@
 /* numpy's standard gamma draw, the one Generator.gamma makes; declared here
  * because numpy/random/distributions.h includes Python.h. */
 double random_standard_gamma(bitgen_t *bitgen_state, double shape);
+
+/* A Philox4x64-10 stream, numpy's Philox bit for bit (Salmon et al., SC'11):
+ * the two key words are numpy's hash of the seed, and each block of four
+ * words is the ten-round cipher of the counter, which goes up by one, with
+ * the carry, before the block is made.  The words are served in order, and
+ * next_uint32 serves each word's low half, then keeps its high half for the
+ * next call, as numpy does. */
+struct philox {
+    uint64_t counter[4], key[2], buffer[4];
+    int buffer_pos, has_uint32;
+    uint32_t uinteger;
+};
+
+uint64_t philox_next64(void *state)
+{
+    struct philox *s = state;
+    if (s->buffer_pos < 4)
+        return s->buffer[s->buffer_pos++];
+    for (int i = 0; i < 4 && ++s->counter[i] == 0; i++)
+        ;
+    uint64_t x[4] = {s->counter[0], s->counter[1], s->counter[2], s->counter[3]};
+    uint64_t k0 = s->key[0], k1 = s->key[1];
+    for (int round = 0; round < 10; round++) {
+        if (round) {
+            k0 += 0x9E3779B97F4A7C15ULL;
+            k1 += 0xBB67AE8584CAA73BULL;
+        }
+        unsigned __int128 p0 = (unsigned __int128)0xD2E7470EE14C6C93ULL * x[0];
+        unsigned __int128 p1 = (unsigned __int128)0xCA5A826395121157ULL * x[2];
+        uint64_t y[4] = {(uint64_t)(p1 >> 64) ^ x[1] ^ k0, (uint64_t)p1,
+                         (uint64_t)(p0 >> 64) ^ x[3] ^ k1, (uint64_t)p0};
+        for (int i = 0; i < 4; i++)
+            x[i] = y[i];
+    }
+    for (int i = 0; i < 4; i++)
+        s->buffer[i] = x[i];
+    s->buffer_pos = 1;
+    return x[0];
+}
+
+uint32_t philox_next32(void *state)
+{
+    struct philox *s = state;
+    if (s->has_uint32) {
+        s->has_uint32 = 0;
+        return s->uinteger;
+    }
+    uint64_t next = philox_next64(s);
+    s->has_uint32 = 1;
+    s->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+/* A uniform on [0, 1) from the top 53 bits of the next word, as numpy makes it. */
+double philox_next_double(void *state)
+{
+    return (double)(philox_next64(state) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* Make s stream (seed, trial, role) of distributions.RngStream, a fresh one:
+ * the counter [0, 0, trial, role], under the seed's key words, with nothing
+ * buffered; and make bits read it. */
+static void philox_key(struct philox *s, bitgen_t *bits, const uint64_t key[2], uint64_t trial,
+                       uint64_t role)
+{
+    *s = (struct philox){{0, 0, trial, role}, {key[0], key[1]}, {0, 0, 0, 0}, 4, 0, 0};
+    *bits = (bitgen_t){s, philox_next64, philox_next32, philox_next_double, philox_next64};
+}
 
 /* Walker i stands at index at[i] of its window w[i], the index of the edge
  * on its right; the window holds width[i] edge weights.  Two walkers share
@@ -71,19 +140,15 @@ static double beta_draw(bitgen_t *rng, double alpha, double beta)
  * if the first is >= 0.5, chain one otherwise, and it steps right if the
  * second is below its site's forward probability.  Chain c draws site k's
  * probability from env[c], Beta(alpha[c], beta[c]), on its first visit to
- * site k >= 1; site 0 reflects.  sites[c], if sites is not NULL, gets the
+ * site k >= 1, into p[c][k], an array of cap[c] doubles that it doubles
+ * when full; site 0 reflects.  sites[c], if sites is not NULL, gets the
  * number of sites chain c drew. */
-int64_t first_return(bitgen_t *walk, bitgen_t *env1, bitgen_t *env2, double alpha1,
-                     double beta1, double alpha2, double beta2, int64_t budget, int64_t *sites)
+static int64_t first_return(bitgen_t *walk, bitgen_t *env[2], const double alpha[2],
+                            const double beta[2], int64_t budget, double *p[2], int64_t cap[2],
+                            int64_t *sites)
 {
-    bitgen_t *env[2] = {env1, env2};
-    double alpha[2] = {alpha1, alpha2}, beta[2] = {beta1, beta2};
-    double *p[2] = {malloc(FIRST_SITES * sizeof(double)), malloc(FIRST_SITES * sizeof(double))};
-    int64_t n[2] = {1, 1}, cap[2] = {FIRST_SITES, FIRST_SITES}, z[2] = {0, 0}, first = 0;
-    if (!p[0] || !p[1])
-        first = -1;
-    else
-        p[0][0] = p[1][0] = 1.0;  /* p[c][k]: site k's forward probability */
+    int64_t n[2] = {1, 1}, z[2] = {0, 0}, first = 0;
+    p[0][0] = p[1][0] = 1.0;  /* p[c][k]: site k's forward probability */
     for (int64_t e = 1; e <= budget && !first; e++) {
         int c = walk->next_double(walk->state) >= 0.5;
         double u = walk->next_double(walk->state);
@@ -91,10 +156,8 @@ int64_t first_return(bitgen_t *walk, bitgen_t *env1, bitgen_t *env2, double alph
         if (k == n[c]) {
             if (n[c] == cap[c]) {
                 double *q = realloc(p[c], 2 * cap[c] * sizeof(double));
-                if (!q) {
-                    first = -1;
-                    break;
-                }
+                if (!q)
+                    return -1;
                 p[c] = q;
                 cap[c] *= 2;
             }
@@ -108,7 +171,35 @@ int64_t first_return(bitgen_t *walk, bitgen_t *env1, bitgen_t *env2, double alph
         sites[0] = n[0] - 1;
         sites[1] = n[1] - 1;
     }
+    return first;
+}
+
+/* Trials t0, t0 + 1, ..., t0 + n - 1 (mod 2**64) of rwre.first_returns under
+ * the seed's key words: trial t's walk is stream (seed, t), and chain c's
+ * environment is stream (seed, t, role[c]), each keyed here as
+ * distributions.RngStream keys it.  first[i] gets trial t0 + i's first
+ * return, 0 for none within budget events; sites[2 i] and sites[2 i + 1],
+ * if sites is not NULL, get the number of sites its chains drew.  Returns
+ * 0, or -1 if memory runs out. */
+int64_t first_returns(uint64_t key0, uint64_t key1, uint64_t t0, int64_t n, uint64_t role1,
+                      uint64_t role2, double alpha1, double beta1, double alpha2, double beta2,
+                      int64_t budget, int64_t *first, int64_t *sites)
+{
+    const uint64_t key[2] = {key0, key1}, role[3] = {0, role1, role2};
+    const double alpha[2] = {alpha1, alpha2}, beta[2] = {beta1, beta2};
+    double *p[2] = {malloc(FIRST_SITES * sizeof(double)), malloc(FIRST_SITES * sizeof(double))};
+    int64_t cap[2] = {FIRST_SITES, FIRST_SITES}, done = p[0] && p[1] ? 0 : -1;
+    struct philox s[3];
+    bitgen_t bits[3], *env[2] = {&bits[1], &bits[2]};
+    for (int64_t i = 0; i < n && !done; i++) {
+        for (int j = 0; j < 3; j++)
+            philox_key(&s[j], &bits[j], key, t0 + (uint64_t)i, role[j]);
+        first[i] = first_return(&bits[0], env, alpha, beta, budget, p, cap,
+                                sites ? sites + 2 * i : NULL);
+        if (first[i] < 0)
+            done = -1;
+    }
     free(p[0]);
     free(p[1]);
-    return first;
+    return done;
 }

@@ -10,6 +10,12 @@ no output depends on how many uniforms are read at a time.  Distinct
 counter words under one key give independent streams, so
 :meth:`RngStream.rekey` moves one generator from trial to trial by
 rewriting its counter.
+
+``direct_kernel.c`` holds the C twin of :class:`RngStream`, ``struct
+philox``: numpy's Philox4x64-10 bit for bit, keyed with the seed's two
+key words (:attr:`RngStream.key`, numpy's hash of the seed, computed once
+in Python) and the counter ``[0, 0, trial, role]``.  ``rwre``'s trials
+key their streams in it, so a run of trials takes one kernel call.
 """
 from __future__ import annotations
 
@@ -40,22 +46,23 @@ class RngStream:
     ``Philox(s & MASK64, counter=[0, 0, t & MASK64, role or 0])``: numpy
     hashes only the seed, into the two-word key, and the role-less stream
     of trial t < 2**64 is ``Philox(s).jumped(t)``.  Counter words 0 and 1
-    leave each stream 2**128 blocks of draws.
+    leave each stream 2**128 blocks of draws.  ``key`` holds the seed's
+    two Philox key words, as Python ints: every stream of the seed has them.
     """
 
     seed: int
     trial: int
     role: int | None = None
     gen: np.random.Generator = field(init=False, repr=False)
-    _key: list = field(init=False, repr=False)
+    key: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.role == 0:
             raise ValueError("role 0 aliases the dynamics stream; roles are nonzero")
         bits = np.random.Philox(self.seed & _MASK64)
-        # the seed's, as Python ints (the state setter reads them faster
-        # than an array); rekey keeps it and sets the counter
-        self._key = bits.state["state"]["key"].tolist()
+        # Python ints, which the state setter reads faster than an array;
+        # rekey keeps the key and sets the counter
+        self.key = bits.state["state"]["key"].tolist()
         self.gen = np.random.Generator(bits)
         self.rekey(self.trial)
 
@@ -73,7 +80,7 @@ class RngStream:
         self.trial = trial
         counter = [0, 0, trial & _MASK64, self.role or 0]
         self.gen.bit_generator.state = {
-            "bit_generator": "Philox", "state": {"counter": counter, "key": self._key},
+            "bit_generator": "Philox", "state": {"counter": counter, "key": self.key},
             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
@@ -81,8 +88,8 @@ class RngStream:
 # up to the cap.  So a run that stops early draws few uniforms it does not
 # use, and a long one makes few reads yet holds one chunk at a time.  Only
 # run_coupling's Python loop reads its stream through uniform_chunks; the
-# C loops of the direct engine and of rwre.first_returns draw from the
-# stream's generator itself, two uniforms per event.
+# direct engine's C loop draws from the stream's generator itself, and
+# rwre.first_returns' from the C twin of its streams, two uniforms per event.
 _FIRST_CHUNK, _MAX_CHUNK = 8, 512
 
 

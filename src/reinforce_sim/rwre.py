@@ -1,9 +1,10 @@
 """Birth-death chains in random environment: transience/return-time
 criteria in closed form, plus a simulator for the two-chain difference
 recurrence experiment, whose trials run in C: one call of the compiled
-``first_return`` (``direct_kernel.c``) per trial, drawing the walk's
-uniforms and the environments' Betas through numpy's C interface to the
-trial's generators.
+``first_returns`` (``direct_kernel.c``) runs them all, keying each
+trial's three Philox streams itself, bit for bit as
+:class:`~reinforce_sim.distributions.RngStream` keys them, and drawing the
+environments' Betas through numpy's C gamma draw.
 
 Sign conventions: transience to the right is governed by
 E[log(p/(1-p))] > 0, while the difference-recurrence hypothesis uses
@@ -13,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .direct import _MAX_INT64, _kernels
 from .distributions import ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, digamma
@@ -113,27 +116,27 @@ def first_returns(
     Trial t moves on stream (seed, t); chain one's environment comes from
     (seed, t, ENVIRONMENT), chain two's from (seed, t, MIRROR_ENVIRONMENT).
     A chain reaches site i only after sites 1, ..., i - 1, so the draw of
-    site i does not depend on the path.  Three generators serve the whole
-    run, each re-keyed to the trial's stream (its Philox counter word 2
-    becomes the trial) before the trial starts; a stream the trial does
-    not read leaves no trace.  The trial itself is one call of the
-    compiled ``first_return``, which reads the three generators in place.
-    A budget past int64 runs as 2**63 - 1 events, which no trial reaches.
+    site i does not depend on the path.  All trials run in one call of the
+    compiled ``first_returns``, which keys each trial's three streams
+    itself from the seed's key words (:attr:`RngStream.key`) and writes the
+    first returns to one int64 array, 0 for none; this list holds them as
+    Python ints.  A budget past int64 runs as 2**63 - 1 events, which no
+    trial reaches.
     """
-    first_return = _kernels().first_return
-    streams = (RngStream(seed, 0), RngStream(seed, 0, ENVIRONMENT),
-               RngStream(seed, 0, MIRROR_ENVIRONMENT))
-    bits = [s.gen.bit_generator.ctypes.bit_generator for s in streams]
+    firsts = _first_return_array(p1, p2, max_budget, trials, seed)
+    return [first or None for first in firsts.tolist()]
+
+
+def _first_return_array(
+    p1: BetaParams, p2: BetaParams, max_budget: int, trials: int, seed: int
+) -> np.ndarray:
+    """:func:`first_returns` as the int64 array the kernel writes, 0 for none."""
+    firsts = np.empty(trials, np.int64)
     shapes = (float(p1.alpha), float(p1.beta), float(p2.alpha), float(p2.beta))
-    budget = min(max_budget, _MAX_INT64)
-    firsts = []
-    for trial in range(trials):
-        for s in streams:
-            s.rekey(trial)
-        first = first_return(*bits, *shapes, budget, None)
-        if first < 0:
-            raise MemoryError("rwre.first_returns: no memory for a chain's sites")
-        firsts.append(first or None)
+    if _kernels().first_returns(*RngStream(seed, 0).key, 0, trials, ENVIRONMENT,
+                                MIRROR_ENVIRONMENT, *shapes, min(max_budget, _MAX_INT64),
+                                firsts.ctypes.data, None):
+        raise MemoryError("rwre.first_returns: no memory for a chain's sites")
     return firsts
 
 
@@ -158,10 +161,12 @@ def difference_recurrence(
     if trials <= 0:
         raise ValueError("trials must be positive")
     regime_ok = all(classify(p) is Classification.TRANSIENT_LEFT for p in (p1, p2))
-    firsts = first_returns(p1, p2, budgets[-1], trials, seed)
+    firsts = _first_return_array(p1, p2, budgets[-1], trials, seed)
+    # a trial counts at each budget from the first one that reaches its first
+    # return; no first return passes int64, so clamped budgets count alike
+    at = np.searchsorted([min(b, _MAX_INT64) for b in budgets], firsts[firsts > 0])
     fractions, errs = [], []
-    for b in budgets:
-        hits = sum(1 for f in firsts if f is not None and f <= b)
+    for hits in np.cumsum(np.bincount(at, minlength=len(budgets))).tolist():
         frac = hits / trials
         fractions.append(frac)
         errs.append((frac * (1 - frac) / trials) ** 0.5)

@@ -709,7 +709,7 @@ class TestRwre:
         def warning_first_returns(*args):
             warnings.warn("synthetic", RuntimeWarning)
             return []
-        monkeypatch.setattr(rwre, "first_returns", warning_first_returns)
+        monkeypatch.setattr(rwre, "_first_return_array", warning_first_returns)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = runner.invoke(main, ["rwre", "--trials", "5", "--budgets", "10"])

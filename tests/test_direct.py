@@ -480,9 +480,24 @@ class TestEngine:
         monkeypatch.setattr(direct, "_SOURCE", source)
         loaded = direct._library(cache)._name
         assert loaded != built
-        assert sorted(p.name for p in cache.iterdir()) == sorted(Path(x).name
-                                                                 for x in (built, loaded))
+        # the new build removed the one from the other source
+        assert [p.name for p in cache.iterdir()] == [Path(loaded).name]
         assert direct._library(cache)._name == loaded  # a second load builds nothing
+
+    def test_a_build_removes_only_libraries_of_other_hashes(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "direct_kernel-0123456789abcdef.so").write_bytes(b"an old library")
+        # a directory cannot be unlinked: the OSError is ignored
+        (cache / "direct_kernel-fedcba9876543210.so").mkdir()
+        # a concurrent build's temporary file, and names of other forms
+        kept = ["tmpa1b2c3d4.so", "direct_kernel-0123.so", "direct_kernel-0123456789ABCDEF.so",
+                "direct_kernel-0123456789abcdef.so.bak"]
+        for name in kept:
+            (cache / name).write_bytes(b"")
+        loaded = Path(direct._library(cache)._name).name
+        assert sorted(p.name for p in cache.iterdir()) == sorted(
+            [loaded, "direct_kernel-fedcba9876543210.so", *kept])
 
     def test_an_unwritable_cache_builds_in_a_temporary_directory(self, tmp_path):
         blocked = tmp_path / "file"
@@ -549,7 +564,7 @@ class TestLockstepHandoff:
 
     @pytest.mark.parametrize("stop", [None, 1, 3, 1000])
     @pytest.mark.parametrize("trials", [3, 40, 100])
-    def test_one_iterator_per_trial_from_start_to_end(self, stop, trials):
+    def test_each_trial_draws_two_uniforms_per_event(self, stop, trials):
         # each stream is read from its start, two uniforms per event the
         # trial runs, and no further
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=700)

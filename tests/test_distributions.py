@@ -1,4 +1,5 @@
 """Random streams, beta/Dirichlet sampling, and the log-odds quadrature."""
+import ctypes
 import re
 import warnings
 from types import SimpleNamespace
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from reinforce_sim import direct
 from reinforce_sim.distributions import (
     ENVIRONMENT,
     HOLDING_TIMES,
@@ -130,6 +132,105 @@ class TestStreamKeys:
             assert [stream.gen.random() for _ in range(3)] == [fresh.gen.random() for _ in range(3)]
             assert stream.gen.gamma(0.5) == fresh.gen.gamma(0.5)
         assert trial == 24
+
+
+class _Philox(ctypes.Structure):
+    """``struct philox`` of ``direct_kernel.c``, the C twin of RngStream."""
+
+    _fields_ = [("counter", ctypes.c_uint64 * 4), ("key", ctypes.c_uint64 * 2),
+                ("buffer", ctypes.c_uint64 * 4), ("buffer_pos", ctypes.c_int),
+                ("has_uint32", ctypes.c_int), ("uinteger", ctypes.c_uint32)]
+
+
+class _BitGen(ctypes.Structure):
+    """numpy's ``bitgen_t``: a state and four callbacks that read it."""
+
+    _fields_ = [("state", ctypes.c_void_p), ("next_uint64", ctypes.c_void_p),
+                ("next_uint32", ctypes.c_void_p), ("next_double", ctypes.c_void_p),
+                ("next_raw", ctypes.c_void_p)]
+
+
+class TestPhiloxTwin:
+    """The kernel library's Philox streams, driven through their exported
+    ``bitgen_t`` callbacks, against numpy's Philox at the same key and
+    counter, word for word."""
+
+    MASK = 2**64 - 1
+    NEXT = {"uint64": ctypes.c_uint64, "uint32": ctypes.c_uint32, "double": ctypes.c_double}
+    CALLBACKS = {"uint64": "philox_next64", "uint32": "philox_next32",
+                 "double": "philox_next_double"}
+
+    def twin(self, key, counter):
+        """A fresh C stream (nothing buffered) and a draw function over it."""
+        library, state = direct._kernels(), _Philox(counter=(ctypes.c_uint64 * 4)(*counter),
+                                                     key=(ctypes.c_uint64 * 2)(*key), buffer_pos=4)
+        calls = {kind: ctypes.CFUNCTYPE(ret, ctypes.c_void_p)((self.CALLBACKS[kind], library))
+                 for kind, ret in self.NEXT.items()}
+        return state, lambda kind: calls[kind](ctypes.addressof(state))
+
+    @staticmethod
+    def numpy_philox(key, counter):
+        """numpy's Philox at ``key`` and ``counter``, both given as uint64
+        arrays (numpy reads a list of large ints as floats)."""
+        return np.random.Philox(key=np.array(key, np.uint64),
+                                counter=np.array(counter, np.uint64))
+
+    @staticmethod
+    def numpy_draw(bits):
+        """A draw function over numpy's own callbacks of ``bits``."""
+        calls = {"uint64": bits.ctypes.next_uint64, "uint32": bits.ctypes.next_uint32,
+                 "double": bits.ctypes.next_double}
+        return lambda kind: calls[kind](bits.ctypes.state)
+
+    @staticmethod
+    def kinds(n, seed):
+        """``n`` callback names in a fixed order that mixes all three."""
+        return [("uint64", "uint32", "double")[k]
+                for k in np.random.default_rng(seed).integers(0, 3, n).tolist()]
+
+    @pytest.mark.parametrize("words", [(0, 0), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1),
+                                       (2**64 - 3, 2**64 - 1)],
+                             ids=["fresh", "carry-word-0", "carry-word-1", "carry-later"])
+    def test_interleaved_draws_equal_numpys(self, words):
+        # blocks from a counter at 2**64 - 1 in word 0 carry into word 1,
+        # and from 2**64 - 1 in both into word 2
+        key = RngStream(29, 0).key
+        for trial, role in ((0, 0), (5, ENVIRONMENT), (2**64 - 1, MIRROR_ENVIRONMENT)):
+            counter = [*words, trial, role]
+            _, mine = self.twin(key, counter)
+            theirs = self.numpy_draw(self.numpy_philox(key, counter))
+            order = self.kinds(400, trial)
+            assert [mine(kind) for kind in order] == [theirs(kind) for kind in order]
+
+    def test_a_bitgen_of_the_twin_draws_numpys_gammas(self):
+        library = direct._kernels()
+        gamma = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p, ctypes.c_double)(
+            ("random_standard_gamma", library))
+        key = RngStream(-3, 0).key
+        for shape in (1e-3, 0.5, 30.0):
+            counter = [0, 0, 7, ENVIRONMENT]
+            state, mine = self.twin(key, counter)
+            bits = _BitGen(ctypes.addressof(state), *(
+                ctypes.cast(getattr(library, self.CALLBACKS[kind]), ctypes.c_void_p)
+                for kind in ("uint64", "uint32", "double", "uint64")))
+            ref = self.numpy_philox(key, counter)
+            expected = np.random.Generator(ref).standard_gamma(shape, 500).tolist()
+            assert [gamma(ctypes.addressof(bits), shape) for _ in range(500)] == expected
+            theirs = self.numpy_draw(ref)  # the two streams stand at the same word
+            order = self.kinds(20, 1)
+            assert [mine(kind) for kind in order] == [theirs(kind) for kind in order]
+
+    @pytest.mark.parametrize("seed", [0, 7, -3, -(2**70) - 3, 2**64 + 5, 2**70 + 5])
+    def test_keyed_at_the_streams_key_and_counter_it_is_the_stream(self, seed):
+        # RngStream masks the seed and the trial to 64 bits; its key words
+        # are numpy's hash of the masked seed
+        assert RngStream(seed, 0).key == \
+            np.random.Philox(seed & self.MASK).state["state"]["key"].tolist()
+        for trial in (0, 3, 2**64 - 1, 2**64 + 2):
+            for role in (None, ENVIRONMENT, MIRROR_ENVIRONMENT):
+                stream = RngStream(seed, trial, role)
+                _, mine = self.twin(stream.key, [0, 0, trial & self.MASK, role or 0])
+                assert [mine("double") for _ in range(9)] == stream.uniforms(9).tolist()
 
 
 class TestSampleBeta:

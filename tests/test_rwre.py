@@ -1,5 +1,4 @@
 """Birth-death chains in random environment: criteria and simulators."""
-import ctypes
 import re
 import warnings
 
@@ -226,6 +225,16 @@ class TestDifferenceRecurrence:
         assert got == scalar_first_returns(p, p, budget, 200, 114)
         assert None not in got
 
+    def test_trials_past_2_64_wrap_to_trial_0(self):
+        # the kernel's trial t0 + i is counter word 2, taken mod 2**64 as
+        # RngStream masks it
+        p = BetaParams(0.5, 1.5)
+        wrapped, head = np.empty(4, np.int64), np.empty(3, np.int64)
+        assert kernel_first_returns(p, p, 10_000, 115, 2**64 - 1, wrapped) == 0
+        assert kernel_first_returns(p, p, 10_000, 115, 0, head) == 0
+        assert wrapped[1:].tolist() == head.tolist()
+        assert [f or None for f in head.tolist()] == scalar_first_returns(p, p, 10_000, 3, 115)
+
     def test_deterministic_reduction_oracle(self):
         # an independent re-implementation of both chains must produce the
         # same hit fractions from the same keyed streams: a chain meets its
@@ -264,13 +273,18 @@ class TestDifferenceRecurrence:
 
 
 def kernel_sites(p1: BetaParams, p2: BetaParams, budget: int, trials: int, seed: int) -> list:
-    """Per trial, the compiled ``first_return``'s result (None for 0) and
-    the number of sites each chain drew, on freshly built streams."""
-    first_return, sites, got = direct._kernels().first_return, (ctypes.c_int64 * 2)(), []
-    for t in range(trials):
-        streams = [RngStream(seed, t), RngStream(seed, t, ENVIRONMENT),
-                   RngStream(seed, t, MIRROR_ENVIRONMENT)]
-        first = first_return(*(s.gen.bit_generator.ctypes.bit_generator for s in streams),
-                             p1.alpha, p1.beta, p2.alpha, p2.beta, budget, sites)
-        got.append((first or None, tuple(sites)))
-    return got
+    """Per trial, the compiled ``first_returns``' result (None for 0) and
+    the number of sites each chain drew."""
+    firsts, sites = np.empty(trials, np.int64), np.empty((trials, 2), np.int64)
+    assert kernel_first_returns(p1, p2, budget, seed, 0, firsts, sites) == 0
+    return [(first or None, tuple(drew)) for first, drew in zip(firsts.tolist(), sites.tolist())]
+
+
+def kernel_first_returns(p1: BetaParams, p2: BetaParams, budget: int, seed: int, t0: int,
+                         firsts: np.ndarray, sites: np.ndarray | None = None) -> int:
+    """The compiled ``first_returns`` on trials t0, t0 + 1, ... (mod 2**64),
+    one per entry of ``firsts``, with ``rwre``'s roles."""
+    return direct._kernels().first_returns(
+        *RngStream(seed, 0).key, t0, len(firsts), ENVIRONMENT, MIRROR_ENVIRONMENT, p1.alpha,
+        p1.beta, p2.alpha, p2.beta, budget, firsts.ctypes.data,
+        None if sites is None else sites.ctypes.data)

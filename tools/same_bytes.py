@@ -7,7 +7,7 @@ once on this tree's ``src`` and once on OTHER_TREE's, each run in a fresh
 temporary directory holding only the command's input files.  The exit
 code, standard output, standard error and the bytes of every file in the
 directory afterwards must be equal.  One line per command says ``same`` or
-what differs; the exit code is 1 on any difference.  The 40 commands cover
+what differs; the exit code is 1 on any difference.  The 43 commands cover
 every subcommand; the direct engine runs at delta = 0, at dyadic a and
 delta, and at a non-dyadic pair, once without a log
 (``simulate-general-delta``) and once with a timed log of trials long
@@ -17,8 +17,10 @@ log buffer of 2**16 events, and a budget of 10**12 events cut short by
 the first meeting; 20,000 short trials and a lone walker with neither a
 log nor rows cover the meeting counts.  ``rwre`` runs its compiled loop
 at shapes of 0.001, whose Beta draws often retry, at a budget of 1, at a
-budget past int64 on chains that always return, and outside the regime,
-where many trials are cut at the budget.  ``urn-verify`` also runs below
+budget past int64 on chains that always return, outside the regime,
+where many trials are cut at the budget, at a negative seed and one past
+2**64, whose streams the kernel keys from the masked seed's key words,
+and over 20,000 trials in one call.  ``urn-verify`` also runs below
 a = 1, ``polya`` with its three-color urn, and ``criterion`` on a pair
 whose quadrature fails (exit 2).  The whole list takes about 25 seconds
 on a 2-vCPU VM.
@@ -82,6 +84,11 @@ COMMANDS = [
                                 "--trials", "200"], {}),
     ("rwre-outside-cut", ["rwre", "--alpha1", "2", "--beta1", "0.5", "--alpha2", "2",
                           "--beta2", "0.5", "--budgets", "100,10000", "--trials", "100"], {}),
+    ("rwre-huge-seed", ["rwre", "--budgets", "10,1000", "--trials", "100", "--seed",
+                        "18446744073709551621"], {}),
+    ("rwre-negative-seed", ["rwre", "--budgets", "10,1000", "--trials", "100", "--seed", "-3"],
+     {}),
+    ("rwre-many-trials", ["rwre", "--trials", "20000", "--budgets", "10,100"], {}),
     ("urn-verify-h7", ["urn-verify", "--horizon", "7"], {}),
     ("urn-verify-small-a", ["urn-verify", "--a", "0.5", "--allow-small-a", "--horizon", "5"], {}),
     ("criterion", ["criterion", "--pair", "1", "2", "--pair", "3", "2"], {}),
