@@ -108,23 +108,18 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _write_csv(path: str | None, config: dict, notes: list[str], columns: tuple, rows) -> None:
     """CRLF CSV: version and config header lines, ``# note:`` lines, the
-    column row, then the ``repr`` of each row dict's three cells: a label,
-    a fraction and its standard error."""
+    column row, then, for each row ``(labels, fraction, stderr)``, one line
+    per label: the ``repr`` of the label, the fraction and the standard
+    error.  The pair is formatted once per row, however many labels (a
+    ``range`` of them, say) share it."""
     lines = [f"# reinforce-sim v{__version__}", f"# config: {json.dumps(config, sort_keys=True)}"]
     lines += [f"# note: {note}" for note in notes]
     lines.append(",".join(columns))
-    # few distinct (fraction, error) pairs fill many rows, so each is
-    # formatted once; both are nonnegative floats, whose equal values have
-    # equal reprs
-    label, fraction, error = columns
-    tails = {}
-    for row in rows:
-        key = row[fraction], row[error]
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = f"{key[0]!r},{key[1]!r}"
-        lines.append(f"{row[label]!r},{tail}")
-    _write_text(path, "".join(line + "\r\n" for line in lines))
+    text = [line + "\r\n" for line in lines]
+    for labels, fraction, stderr in rows:
+        tail = f",{fraction!r},{stderr!r}\r\n"
+        text.append(tail.join(map(repr, labels)) + tail)
+    _write_text(path, "".join(text))
 
 
 def _model_params(a, delta, l0, r0, events, allow_small_a=False) -> ModelParams:

@@ -321,14 +321,22 @@ def _library(cache_dir: Path) -> ctypes.CDLL:
     return ctypes.CDLL(str(path))
 
 
-def meeting_statistics(counts: list[int]) -> list[dict]:
-    """CSV rows of P(N >= k), with its standard error, for k = 1 up to the
-    largest of the trials' meeting counts N."""
+def meeting_statistics(counts: list[int]) -> list[tuple[range, float, float]]:
+    """P(N >= k), with its standard error, for k = 1 up to the largest of
+    the trials' meeting counts N, as CSV rows ``(ks, frequency, stderr)``:
+    one per run of consecutive k that the same trials reach, ``ks`` a
+    ``range`` and the two Python floats its k share.  A run ends at each
+    distinct positive count, so n trials give at most n rows."""
     if not counts:
         raise ValueError("no meeting counts given")
     n = len(counts)
-    # hits[k-1] = trials with >= k meetings
-    hits = np.cumsum(np.bincount(counts)[::-1])[::-1][1:].tolist()
-    freqs = [h / n for h in hits]
-    return [{"k": k, "frequency": f, "stderr": (f * (1 - f) / n) ** 0.5}
-            for k, f in enumerate(freqs, 1)]
+    # hits[k-1] = trials with >= k meetings; it is at least 1 at the largest
+    # k, so each run of equal hits ends where the next value differs
+    hits = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
+    ends = np.flatnonzero(np.diff(hits, append=0))
+    rows, first = [], 1
+    for last, h in zip((ends + 1).tolist(), hits[ends].tolist()):
+        f = h / n
+        rows.append((range(first, last + 1), f, (f * (1 - f) / n) ** 0.5))
+        first = last + 1
+    return rows

@@ -4,7 +4,9 @@ recurrence experiment, whose trials run in C: one call of the compiled
 ``first_returns`` (``direct_kernel.c``) runs them all, keying each
 trial's three Philox streams itself, bit for bit as
 :class:`~reinforce_sim.distributions.RngStream` keys them, and drawing the
-environments' Betas through numpy's C gamma draw.
+environments' Betas through numpy's C gamma draw.  :func:`first_returns`
+returns the int64 array that call writes, one first return per trial, 0
+for none.
 
 Sign conventions: transience to the right is governed by
 E[log(p/(1-p))] > 0, while the difference-recurrence hypothesis uses
@@ -96,18 +98,16 @@ class RecurrenceCurve:
     regime_ok: bool
 
     def rows(self):
-        return [
-            {"budget": b, "hit_fraction": f, "stderr": s}
-            for b, f, s in zip(self.budgets, self.hit_fractions, self.stderrs)
-        ]
+        """CSV rows ``((budget,), hit_fraction, stderr)``, one per budget."""
+        return [((b,), f, s) for b, f, s in zip(self.budgets, self.hit_fractions, self.stderrs)]
 
 
 def first_returns(
     p1: BetaParams, p2: BetaParams, max_budget: int, trials: int, seed: int
-) -> list[int | None]:
+) -> np.ndarray:
     """Per trial, the first event (1, 2, ...) at which both chains of the
-    difference-recurrence experiment are back at 0, or None if that does
-    not happen within ``max_budget`` events.
+    difference-recurrence experiment are back at 0, or 0 if that does not
+    happen within ``max_budget`` events, as one int64 array.
 
     Chain one lives on the nonnegative sites with forward probabilities
     p1(i) (p1(0) = 1); chain two mirrors it on the nonpositive sites with
@@ -118,19 +118,10 @@ def first_returns(
     A chain reaches site i only after sites 1, ..., i - 1, so the draw of
     site i does not depend on the path.  All trials run in one call of the
     compiled ``first_returns``, which keys each trial's three streams
-    itself from the seed's key words (:attr:`RngStream.key`) and writes the
-    first returns to one int64 array, 0 for none; this list holds them as
-    Python ints.  A budget past int64 runs as 2**63 - 1 events, which no
+    itself from the seed's key words (:attr:`RngStream.key`) and writes
+    the array.  A budget past int64 runs as 2**63 - 1 events, which no
     trial reaches.
     """
-    firsts = _first_return_array(p1, p2, max_budget, trials, seed)
-    return [first or None for first in firsts.tolist()]
-
-
-def _first_return_array(
-    p1: BetaParams, p2: BetaParams, max_budget: int, trials: int, seed: int
-) -> np.ndarray:
-    """:func:`first_returns` as the int64 array the kernel writes, 0 for none."""
     firsts = np.empty(trials, np.int64)
     shapes = (float(p1.alpha), float(p1.beta), float(p2.alpha), float(p2.beta))
     if _kernels().first_returns(*RngStream(seed, 0).key, 0, trials, ENVIRONMENT,
@@ -161,7 +152,7 @@ def difference_recurrence(
     if trials <= 0:
         raise ValueError("trials must be positive")
     regime_ok = all(classify(p) is Classification.TRANSIENT_LEFT for p in (p1, p2))
-    firsts = _first_return_array(p1, p2, budgets[-1], trials, seed)
+    firsts = first_returns(p1, p2, budgets[-1], trials, seed)
     # a trial counts at each budget from the first one that reaches its first
     # return; no first return passes int64, so clamped budgets count alike
     at = np.searchsorted([min(b, _MAX_INT64) for b in budgets], firsts[firsts > 0])

@@ -3,7 +3,8 @@
 They are the straightforward, slow forms of what the library does fast:
 the direct dynamics one jump at a time (:func:`direct_step`, the
 bit-level reference of ``run_direct``, reads each uniform as it needs
-it), the difference-recurrence experiment as a scalar loop over freshly
+it), the meeting table one k at a time and its CSV one row at a time,
+the difference-recurrence experiment as a scalar loop over freshly
 built streams and a memoized environment, Beta samples drawn in blocks, and
 Polya urns run one run and one drawing at a time, both models of the
 two-particle dynamics enumerated one trajectory at a time (and walked
@@ -19,13 +20,14 @@ the C interface of a numpy bit generator.
 from __future__ import annotations
 
 import ctypes
+import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 
-from reinforce_sim import urn_process
+from reinforce_sim import __version__, urn_process
 from reinforce_sim.coupling import (
     CoupledState, CouplingRunResult, Environment, SandwichViolationError, coupled_events,
     replay_record,
@@ -173,10 +175,10 @@ class BDEnvironment:
 def scalar_first_returns(
     p1: BetaParams, p2: BetaParams, max_budget: int, trials: int, seed: int,
     sites: list | None = None,
-) -> list[int | None]:
+) -> list[int]:
     """``rwre.first_returns`` as one uniform at a time on three freshly
-    built streams per trial.  Given ``sites``, each trial appends to it the
-    number of sites that chain one and chain two drew."""
+    built streams per trial, 0 for no return.  Given ``sites``, each trial
+    appends to it the number of sites that chain one and chain two drew."""
     first_returns = []
     for trial in range(trials):
         trial_rng = RngStream(seed, trial)
@@ -184,7 +186,7 @@ def scalar_first_returns(
         env2 = BDEnvironment(p2, RngStream(seed, trial, MIRROR_ENVIRONMENT), overrides={0: 1.0})
         zr = 0  # distance of chain one from the origin (nonnegative)
         zl = 0  # distance of chain two from the origin (nonnegative)
-        first = None
+        first = 0
         for e in range(1, max_budget + 1):
             if trial_rng.gen.random() < 0.5:
                 zr = zr + 1 if trial_rng.gen.random() < env1.p(zr) else zr - 1
@@ -197,6 +199,28 @@ def scalar_first_returns(
         if sites is not None:
             sites.append((len(env1._sites) - 1, len(env2._sites) - 1))  # less site 0
     return first_returns
+
+
+def quadratic_meeting_rows(counts: list[int]) -> list[tuple[int, float, float]]:
+    """(k, P(N >= k), its standard error) for k = 1 up to the largest
+    meeting count N, each k counted over every trial: the definition that
+    ``direct.meeting_statistics`` computes in runs of equal frequency."""
+    n = len(counts)
+    rows = []
+    for k in range(1, max(counts) + 1):
+        f = sum(c >= k for c in counts) / n
+        rows.append((k, f, (f * (1 - f) / n) ** 0.5))
+    return rows
+
+
+def per_row_csv(config: dict, notes: list[str], columns: tuple, rows) -> bytes:
+    """The file ``cli._write_csv`` writes, each row ``(label, fraction,
+    stderr)`` formatted on its own line by its own f-string."""
+    lines = [f"# reinforce-sim v{__version__}", f"# config: {json.dumps(config, sort_keys=True)}"]
+    lines += [f"# note: {note}" for note in notes]
+    lines.append(",".join(columns))
+    lines += [f"{k!r},{f!r},{s!r}" for k, f, s in rows]
+    return "".join(line + "\r\n" for line in lines).encode()
 
 
 @dataclass

@@ -17,9 +17,12 @@ from reinforce_sim import cli, direct, distributions, rwre, urn_process
 from reinforce_sim.cli import main
 from reinforce_sim.coupling import MARGINAL_TRIALS, Environment, run_coupling
 from reinforce_sim.direct import ModelParams, meeting_statistics, run_direct
-from reinforce_sim.distributions import ENVIRONMENT, HOLDING_TIMES, RngStream
+from reinforce_sim.distributions import ENVIRONMENT, HOLDING_TIMES, BetaParams, RngStream
 
-from oracles import FAR, blocked_right, out_of_order_free_step, shifted_red, stepped_run_direct
+from oracles import (
+    FAR, blocked_right, out_of_order_free_step, per_row_csv, quadratic_meeting_rows, shifted_red,
+    stepped_run_direct,
+)
 
 
 @pytest.fixture()
@@ -30,6 +33,13 @@ def runner():
 def read_csv(path):
     with open(path, newline="") as fh:
         return fh.read()
+
+
+def meeting_lines(records) -> list[str]:
+    """simulate's CSV lines for these records' meeting counts, one per k,
+    expanded from the runs of ``meeting_statistics``."""
+    runs = meeting_statistics([rec.meetings for rec in records])
+    return [f"{k},{f!r},{s!r}" for ks, f, s in runs for k in ks]
 
 
 class TestSimulate:
@@ -112,8 +122,7 @@ class TestSimulate:
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=700)
         records = [run_direct(params, 2, RngStream(13, t), stop_after_meetings=3)
                    for t in range(6)]
-        rows = [f"{r['k']},{r['frequency']!r},{r['stderr']!r}"
-                for r in meeting_statistics([rec.meetings for rec in records])]
+        rows = meeting_lines(records)
         assert read_csv(out).split("\r\n")[-len(rows) - 1:-1] == rows
         clock = RngStream(13, 0, HOLDING_TIMES) if timestamps else None
         assert traj.read_text() == records[0].to_jsonl(clock)
@@ -140,8 +149,7 @@ class TestSimulate:
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=700)
         records = [run_direct(params, 2, RngStream(13, t), stop_after_meetings=3)
                    for t in range(trials)]
-        rows = [f"{r['k']},{r['frequency']!r},{r['stderr']!r}"
-                for r in meeting_statistics([rec.meetings for rec in records])]
+        rows = meeting_lines(records)
         assert result.stdout.split("\n")[-len(rows) - 1:-1] == rows
         assert traj.read_text() == records[0].to_jsonl()
 
@@ -153,8 +161,7 @@ class TestSimulate:
         assert result.exit_code == 0, result.output
         params = ModelParams(a=1.0, delta=0.0, l0=l0, r0=l0 + 2, max_events=50)
         records = [run_direct(params, 2, RngStream(3, t)) for t in range(30)]
-        rows = [f"{r['k']},{r['frequency']!r},{r['stderr']!r}"
-                for r in meeting_statistics([rec.meetings for rec in records])]
+        rows = meeting_lines(records)
         assert result.stdout.split("\n")[-len(rows) - 1:-1] == rows
 
     def test_zero_budget_writes_an_empty_log(self, runner, tmp_path):
@@ -709,7 +716,7 @@ class TestRwre:
         def warning_first_returns(*args):
             warnings.warn("synthetic", RuntimeWarning)
             return []
-        monkeypatch.setattr(rwre, "_first_return_array", warning_first_returns)
+        monkeypatch.setattr(rwre, "first_returns", warning_first_returns)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = runner.invoke(main, ["rwre", "--trials", "5", "--budgets", "10"])
@@ -743,6 +750,35 @@ KEYED_STREAM_COMMANDS = {
 }
 # 20 short runs leave the marginal check no site to test, so it fails
 KEYED_STREAM_EXIT_CODES = {"couple-marginal-check": 1}
+
+
+class TestWriteCsv:
+    """``_write_csv`` byte for byte against one f-string per row."""
+
+    @staticmethod
+    def _written(tmp_path, config, notes, columns, rows) -> bytes:
+        out = tmp_path / "out.csv"
+        cli._write_csv(str(out), config, notes, columns, rows)
+        return out.read_bytes()
+
+    # counts far apart with a zero, counts that all meet (frequency 1.0),
+    # and counts that never meet (no rows)
+    @pytest.mark.parametrize("counts", [[3, 0, 7, 3, 1, 7, 2000], [4, 4, 9], [0, 0]],
+                             ids=["gaps", "all-meet", "none-meet"])
+    def test_simulate_table(self, tmp_path, counts):
+        config, notes, columns = {"trials": len(counts)}, ["a note"], ("k", "frequency", "stderr")
+        got = self._written(tmp_path, config, notes, columns, meeting_statistics(counts))
+        assert got == per_row_csv(config, notes, columns, quadratic_meeting_rows(counts))
+
+    def test_rwre_curve(self, tmp_path):
+        # no trial returns within 1 event, so the first fraction is 0.0
+        p = BetaParams(0.5, 1.5)
+        curve = rwre.difference_recurrence(p, p, [1, 10, 100, 1000], 50, 3)
+        assert curve.hit_fractions[0] == 0.0 < curve.hit_fractions[-1]
+        config, columns = {"budgets": curve.budgets}, ("budget", "hit_fraction", "stderr")
+        rows = zip(curve.budgets, curve.hit_fractions, curve.stderrs)
+        assert self._written(tmp_path, config, [], columns, curve.rows()) == \
+            per_row_csv(config, [], columns, rows)
 
 
 class TestStreamKeys:

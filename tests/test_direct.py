@@ -20,7 +20,7 @@ from reinforce_sim.direct import (
 )
 from reinforce_sim.distributions import HOLDING_TIMES, RngStream, trial_streams
 
-from oracles import LargestUniform, direct_step, stepped_run_direct
+from oracles import LargestUniform, direct_step, quadratic_meeting_rows, stepped_run_direct
 
 
 def added_weight(w: WeightMap, lo: int, hi: int):
@@ -664,31 +664,46 @@ def meeting_counts(params, seed, trials):
 
 
 class TestMeetingStatistics:
-    def _counts(self, n, seed):
-        return meeting_counts(ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=2000), seed, n)
+    """The runs of equal frequency against the quadratic definition, one k
+    at a time."""
 
-    def test_frequencies_nonincreasing_in_k(self):
-        freqs = [row["frequency"] for row in meeting_statistics(self._counts(200, 63))]
-        assert all(f1 >= f2 for f1, f2 in zip(freqs, freqs[1:]))
-        assert all(0.0 <= f <= 1.0 for f in freqs)
+    @staticmethod
+    def _simulated(seed, r0=2):
+        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=r0, max_events=2000)
+        return meeting_counts(params, seed, 40)
 
-    def test_rows_schema(self):
-        rows = meeting_statistics(self._counts(50, 64))
-        assert rows[0]["k"] == 1
-        assert set(rows[0]) == {"k", "frequency", "stderr"}
+    # simulated counts, every count 0, one trial, equal counts, coincident
+    # starts and counts far apart
+    CASES = {
+        "simulated": lambda: TestMeetingStatistics._simulated(67),
+        "all-zero": lambda: [0] * 7,
+        "one-trial": lambda: [5],
+        "all-equal": lambda: [9] * 12,
+        "coincident": lambda: TestMeetingStatistics._simulated(65, r0=0),
+        "long-gaps": lambda: [3, 0, 50_000, 3, 2001, 2000, 1],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_runs_expand_to_the_quadratic_rows(self, case):
+        counts = self.CASES[case]()
+        runs = meeting_statistics(counts)
+        expanded = [(k, f, s) for ks, f, s in runs for k in ks]
+        assert expanded == quadratic_meeting_rows(counts)
+        # one run ends at each distinct positive count, so consecutive runs
+        # differ, and every number is a Python int or float
+        assert [ks[-1] for ks, _, _ in runs] == sorted(set(counts) - {0})
+        assert all(ks.step == 1 for ks, _, _ in runs)
+        assert all(type(f) is float and type(s) is float for _, f, s in runs)
 
     def test_coincident_starts_give_frequency_one(self):
-        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=0, max_events=10)
-        assert meeting_statistics(meeting_counts(params, 65, 20))[0]["frequency"] == 1.0
+        assert meeting_statistics(self._simulated(65, r0=0))[0][1:] == (1.0, 0.0)
 
-    def test_matches_quadratic_reference(self):
-        counts = self._counts(40, 67)
-        rows = meeting_statistics(counts)
-        assert [row["k"] for row in rows] == list(range(1, max(counts) + 1))
-        for k, row in enumerate(rows, 1):
-            f = sum(c >= k for c in counts) / len(counts)
-            assert row["frequency"] == f
-            assert row["stderr"] == (f * (1 - f) / len(counts)) ** 0.5
+    def test_runs_of_the_edge_cases(self):
+        assert meeting_statistics([0] * 7) == []
+        assert meeting_statistics([9] * 12) == [(range(1, 10), 1.0, 0.0)]
+        assert meeting_statistics([5]) == [(range(1, 6), 1.0, 0.0)]
+        assert [len(ks) for ks, _, _ in meeting_statistics([3, 0, 50_000, 3, 2001, 2000, 1])] \
+            == [1, 2, 1997, 1, 47_999]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

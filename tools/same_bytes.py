@@ -7,14 +7,15 @@ once on this tree's ``src`` and once on OTHER_TREE's, each run in a fresh
 temporary directory holding only the command's input files.  The exit
 code, standard output, standard error and the bytes of every file in the
 directory afterwards must be equal.  One line per command says ``same`` or
-what differs; the exit code is 1 on any difference.  The 43 commands cover
+what differs; the exit code is 1 on any difference.  The 44 commands cover
 every subcommand; the direct engine runs at delta = 0, at dyadic a and
 delta, and at a non-dyadic pair, once without a log
 (``simulate-general-delta``) and once with a timed log of trials long
 enough to grow their weight windows (``simulate-general-delta-logged``).
 Logged runs also cover a budget of 0, a trial longer than the engine's
 log buffer of 2**16 events, and a budget of 10**12 events cut short by
-the first meeting; 20,000 short trials and a lone walker with neither a
+the first meeting; 20,000 short trials, a single trial, whose meeting
+table is one run of equal frequency, and a lone walker with neither a
 log nor rows cover the meeting counts.  ``rwre`` runs its compiled loop
 at shapes of 0.001, whose Beta draws often retry, at a budget of 1, at a
 budget past int64 on chains that always return, outside the regime,
@@ -55,6 +56,7 @@ COMMANDS = [
      {}),
     ("simulate-many-short-trials", ["simulate", "--trials", "20000", "--events", "10", "--seed",
                                     "1"], {}),
+    ("simulate-one-trial", ["simulate", "--trials", "1", "--events", "3000", "--seed", "2"], {}),
     ("simulate-timestamps", ["simulate", "--trials", "40", "--events", "2000", "--timestamps",
                              *TRAJ, "--out", "meetings.csv"], {}),
     ("simulate-small-a", ["simulate", "--a", "0.5", "--trials", "40", "--events", "2000"], {}),
