@@ -5,28 +5,23 @@ Each particle carries an independent rate-1 exponential clock, so the
 embedded jump chain picks the next mover uniformly among the particles.
 Continuous timestamps are optional decoration, Exp(n) holding times
 from a stream of their own; every statement here is about the jump chain.
-The event loop is C (``direct_kernel.c``), built with the system compiler
-on the first run and cached under ``__pycache__``.  It draws each event's
-two uniforms from the trial's own numpy generator, through numpy's C
-interface to it, so a trial reads exactly two uniforms per event it runs.
-Python runs trials one after another and grows the weight windows the
-loop runs in.  The same library holds ``rwre``'s first-return loop and
-the C twin of ``RngStream`` that keys its trials' streams.
+The event loop is ``run_events`` of ``kernels.c``, reached through
+:mod:`~reinforce_sim.native`.  It draws each event's two uniforms from
+the trial's own numpy generator, through numpy's C interface to it, so a
+trial reads exactly two uniforms per event it runs.  Python runs trials
+one after another and grows the weight windows the loop runs in.
 """
 from __future__ import annotations
 
 import ctypes
-import os
-import tempfile
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cache
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import RngStream
+from .native import MAX_INT64, Trial, kernels
 
 
 @dataclass(frozen=True)
@@ -154,18 +149,9 @@ def run_direct_batch(
 # that its walker would leave doubles on that side, so a trial holds weight
 # cells in proportion to the sites its walkers visit, never to their gap.
 _FIRST_REACH = 32
-_MAX_INT64 = 2**63 - 1
 # Events a logged trial runs per kernel call; their log codes are decoded
 # after each call, so the buffer does not grow with the budget.
 _LOG_EVENTS = 1 << 16
-
-
-class _Trial(ctypes.Structure):
-    """``struct trial`` of ``direct_kernel.c``: walker i stands at index
-    ``at[i]`` of its window, the ``width[i]`` edge weights at ``w[i]``."""
-
-    _fields_ = [("w", ctypes.c_void_p * 2), ("width", ctypes.c_int64 * 2),
-                ("at", ctypes.c_int64 * 2), ("meetings", ctypes.c_int64)]
 
 
 class _Engine:
@@ -175,14 +161,14 @@ class _Engine:
 
     def __init__(self, params: ModelParams, n: int, stop_after_meetings: int | None):
         self.params, self.n, self.a = params, n, float(params.a)
-        self.kernel = _kernels().run_events
+        self.kernel = kernels().run_events
         # the first meeting ends a run with any limit <= 1; INT64_MAX never comes
-        self.limit = _MAX_INT64 if stop_after_meetings is None else \
-            min(max(stop_after_meetings, 1), _MAX_INT64)
+        self.limit = MAX_INT64 if stop_after_meetings is None else \
+            min(max(stop_after_meetings, 1), MAX_INT64)
         # every trial starts from these windows, refilled with a; sites count
         # from l0, as Python ints, so any start and any gap fits
         starts = [0, params.r0 - params.l0][:n]
-        t = _Trial(meetings=int(n == 2 and starts[0] == starts[1]))
+        t = Trial(meetings=int(n == 2 and starts[0] == starts[1]))
         self.lo, self.windows = starts[:], [np.empty(0) for _ in starts]
         for i, v in enumerate(starts):
             self._cover(t, self.lo, self.windows, i, v - _FIRST_REACH, v + _FIRST_REACH)
@@ -196,9 +182,9 @@ class _Engine:
         delta, budget = float(self.params.delta), self.params.max_events
         logged = events is not None
         log = (ctypes.c_int8 * _LOG_EVENTS)() if logged else None
-        step = _LOG_EVENTS if logged else _MAX_INT64
+        step = _LOG_EVENTS if logged else MAX_INT64
         for rng in streams:
-            t, lo, windows = _Trial.from_buffer_copy(self.first), self.lo[:], self.windows[:]
+            t, lo, windows = Trial.from_buffer_copy(self.first), self.lo[:], self.windows[:]
             for w in windows:
                 w.fill(self.a)
             trial, bits, e = ctypes.byref(t), rng.gen.bit_generator.ctypes.bit_generator, 0
@@ -211,11 +197,11 @@ class _Engine:
                 e += done
             yield TrajectoryRecord(t.meetings, e, self._sites(t, lo), events if logged else ())
 
-    def _sites(self, t: _Trial, lo: list) -> list:
+    def _sites(self, t: Trial, lo: list) -> list:
         """The walkers' sites."""
         return [self.params.l0 + v + x for v, x in zip(lo, t.at)]
 
-    def _grow(self, t: _Trial, lo: list, windows: list) -> None:
+    def _grow(self, t: Trial, lo: list, windows: list) -> None:
         """Double the window of each walker that stands at its edge, on that side."""
         for i in range(self.n):
             if t.at[i] < 1:
@@ -223,7 +209,7 @@ class _Engine:
             elif t.at[i] >= t.width[i]:
                 self._cover(t, lo, windows, i, lo[i], lo[i] + 2 * t.width[i])
 
-    def _cover(self, t: _Trial, lo: list, windows: list, i: int, new_lo: int, new_hi: int):
+    def _cover(self, t: Trial, lo: list, windows: list, i: int, new_lo: int, new_hi: int):
         """Widen walker ``i``'s window to the edges [new_lo, new_hi) too
         (sites less l0), and to the other walker's window if the two would
         then touch.  ``lo[i]`` is the site of the first edge of ``windows[i]``.
@@ -252,73 +238,6 @@ def _decode(events: list, e: int, sites: list, codes: list) -> None:
         v = sites[i]
         sites[i] = v + 2 * (code & 1) - 1
         events.append((e, i, v, sites[i]))
-
-
-# The kernels' source and the command that builds them; the library is cached
-# under a hash of all of it, so a library built from other text is never loaded.
-_SOURCE = Path(__file__).with_name("direct_kernel.c")
-_CC = "cc"
-# numpy's include directory holds numpy/random/bitgen.h
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", f"-I{np.get_include()}")
-# numpy's libnpyrandom holds random_standard_gamma, the draw of Generator.gamma
-_LDFLAGS = (f"-L{Path(np.__file__).parent / 'random' / 'lib'}", "-lnpyrandom", "-lm")
-
-
-@cache
-def _kernels() -> ctypes.CDLL:
-    """The library of ``direct_kernel.c`` with ``run_events`` and
-    ``first_returns`` typed, built or loaded on the first direct or rwre
-    run, never at import."""
-    library = _library(Path(__file__).with_name("__pycache__"))
-    library.run_events.argtypes = [ctypes.POINTER(_Trial), ctypes.c_void_p, ctypes.c_int64,
-                                   ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
-                                   ctypes.POINTER(ctypes.c_int8)]
-    library.run_events.restype = ctypes.c_int64
-    library.first_returns.argtypes = [*[ctypes.c_uint64] * 3, ctypes.c_int64,
-                                      *[ctypes.c_uint64] * 2, *[ctypes.c_double] * 4,
-                                      ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]
-    library.first_returns.restype = ctypes.c_int64
-    return library
-
-
-def _library(cache_dir: Path) -> ctypes.CDLL:
-    """The kernel library, loaded from ``cache_dir`` or built into it: built
-    to a temporary file there and renamed into place, or, if ``cache_dir``
-    cannot be written, built in a temporary directory removed once loaded.
-    A library built into ``cache_dir`` replaces those built there under
-    other hashes, which are removed as far as they can be."""
-    import hashlib
-    import subprocess
-
-    source, command = _SOURCE.read_bytes(), [_CC, *_CFLAGS, *_LDFLAGS]
-    key = hashlib.sha256(repr(command).encode() + b"\0" + source).hexdigest()[:16]
-    path = cache_dir / f"direct_kernel-{key}.so"
-    if not path.exists():
-        try:
-            cache_dir.mkdir(exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache_dir)
-        except OSError:
-            with tempfile.TemporaryDirectory() as private:
-                return _library(Path(private))
-        os.close(fd)
-        # the source text that was hashed; the libraries follow it, as the linker reads in order
-        argv = [_CC, *_CFLAGS, "-x", "c", "-", "-o", tmp, *_LDFLAGS]
-        try:
-            done = subprocess.run(argv, input=source, capture_output=True, check=False)
-            if done.returncode:
-                raise RuntimeError(
-                    f"building the kernel library failed: {' '.join(argv)} exited with "
-                    f"{done.returncode}: {done.stderr.decode(errors='replace').strip()}")
-            os.replace(tmp, path)
-        finally:
-            Path(tmp).unlink(missing_ok=True)
-        for stale in cache_dir.glob("direct_kernel-" + "[0-9a-f]" * 16 + ".so"):
-            if stale != path:
-                try:
-                    stale.unlink()
-                except OSError:
-                    pass
-    return ctypes.CDLL(str(path))
 
 
 def meeting_statistics(counts: list[int]) -> list[tuple[range, float, float]]:

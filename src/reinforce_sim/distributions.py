@@ -11,11 +11,11 @@ counter words under one key give independent streams, so
 :meth:`RngStream.rekey` moves one generator from trial to trial by
 rewriting its counter.
 
-``direct_kernel.c`` holds the C twin of :class:`RngStream`, ``struct
-philox``: numpy's Philox4x64-10 bit for bit, keyed with the seed's two
-key words (:attr:`RngStream.key`, numpy's hash of the seed, computed once
-in Python) and the counter ``[0, 0, trial, role]``.  ``rwre``'s trials
-key their streams in it, so a run of trials takes one kernel call.
+``kernels.c``, through :mod:`~reinforce_sim.native`, holds the C twin of
+:class:`RngStream`, ``struct philox``: numpy's Philox4x64-10 bit for bit, keyed
+with the seed's two key words (:attr:`RngStream.key`, numpy's hash of the seed,
+computed once in Python) and the counter ``[0, 0, trial, role]``.  ``rwre``'s
+trials key their streams in it, so a run of trials takes one kernel call.
 """
 from __future__ import annotations
 

@@ -1,8 +1,8 @@
 /* The compiled loops: the direct dynamics' event loop run_events, one trial
  * per call, and rwre's first_returns, a range of trials per call on Philox
- * streams it keys itself.  reinforce_sim.direct builds this file into one
- * shared library, linked with numpy's libnpyrandom, and both modules call it
- * through ctypes. */
+ * streams it keys itself.  reinforce_sim.native builds this file into one
+ * shared library, linked with numpy's libnpyrandom, and types its entries
+ * for ctypes; direct and rwre call them through it. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <numpy/random/bitgen.h>

@@ -1,8 +1,8 @@
 """Birth-death chains in random environment: transience/return-time
 criteria in closed form, plus a simulator for the two-chain difference
-recurrence experiment, whose trials run in C: one call of the compiled
-``first_returns`` (``direct_kernel.c``) runs them all, keying each
-trial's three Philox streams itself, bit for bit as
+recurrence experiment, whose trials run in C: one call of ``first_returns``
+(``kernels.c``, through :mod:`~reinforce_sim.native`) runs them all, keying
+each trial's three Philox streams itself, bit for bit as
 :class:`~reinforce_sim.distributions.RngStream` keys them, and drawing the
 environments' Betas through numpy's C gamma draw.  :func:`first_returns`
 returns the int64 array that call writes, one first return per trial, 0
@@ -19,8 +19,8 @@ from enum import Enum
 
 import numpy as np
 
-from .direct import _MAX_INT64, _kernels
 from .distributions import ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, digamma
+from .native import MAX_INT64, kernels
 
 
 class Classification(Enum):
@@ -124,9 +124,9 @@ def first_returns(
     """
     firsts = np.empty(trials, np.int64)
     shapes = (float(p1.alpha), float(p1.beta), float(p2.alpha), float(p2.beta))
-    if _kernels().first_returns(*RngStream(seed, 0).key, 0, trials, ENVIRONMENT,
-                                MIRROR_ENVIRONMENT, *shapes, min(max_budget, _MAX_INT64),
-                                firsts.ctypes.data, None):
+    if kernels().first_returns(*RngStream(seed, 0).key, 0, trials, ENVIRONMENT,
+                               MIRROR_ENVIRONMENT, *shapes, min(max_budget, MAX_INT64),
+                               firsts.ctypes.data, None):
         raise MemoryError("rwre.first_returns: no memory for a chain's sites")
     return firsts
 
@@ -155,7 +155,7 @@ def difference_recurrence(
     firsts = first_returns(p1, p2, budgets[-1], trials, seed)
     # a trial counts at each budget from the first one that reaches its first
     # return; no first return passes int64, so clamped budgets count alike
-    at = np.searchsorted([min(b, _MAX_INT64) for b in budgets], firsts[firsts > 0])
+    at = np.searchsorted([min(b, MAX_INT64) for b in budgets], firsts[firsts > 0])
     fractions, errs = [], []
     for hits in np.cumsum(np.bincount(at, minlength=len(budgets))).tolist():
         frac = hits / trials

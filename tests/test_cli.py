@@ -973,7 +973,7 @@ class TestImportPath:
                   "ctypes.CDLL = lambda *a, **k: seen.append(a) or load(*a, **k)\n"
                   "subprocess.run = lambda *a, **k: seen.append(a) or run(*a, **k)\n"
                   "import reinforce_sim.cli\n"
-                  "print(reinforce_sim.direct._kernels.cache_info().currsize, len(seen))")
+                  "print(reinforce_sim.native.kernels.cache_info().currsize, len(seen))")
         res = subprocess.run([sys.executable, "-c", script], env=src_env(),
                              capture_output=True, text=True, timeout=120, check=True)
         assert res.stdout.split() == ["0", "0"]

@@ -2,9 +2,7 @@
 urn equivalence."""
 import json
 import pickle
-import re
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,10 +421,23 @@ class TestRunDirectBatch:
         assert all(rec.events == [] for rec in logged)
         assert all(drew_exactly(stream, 0) for stream in streams)
 
+    @pytest.mark.parametrize("stop", [None, 1, 3, 1000])
+    @pytest.mark.parametrize("trials", [3, 40, 100])
+    def test_each_trial_draws_two_uniforms_per_event(self, stop, trials):
+        # each stream is read from its start, two uniforms per event the
+        # trial runs, and no further
+        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=700)
+        streams = [RngStream(85, t) for t in range(trials)]
+        got = list(run_direct_batch(params, streams, stop_after_meetings=stop))
+        assert got == scalar_records(params, 85, trials, stop)
+        assert all(drew_exactly(stream, 2 * rec.events_executed)
+                   for rec, stream in zip(got, streams))
+        if stop is None:
+            assert all(rec.events_executed == params.max_events for rec in got)
+
 
 class TestEngine:
-    """The compiled event loop against the stepped oracle, event by event,
-    and how its library is built and cached."""
+    """The compiled event loop against the stepped oracle, event by event."""
 
     @pytest.mark.parametrize("a", [0.3, 1.0, 2.7])
     @pytest.mark.parametrize("delta", [0.0, 0.37, 5.0])
@@ -470,59 +481,6 @@ class TestEngine:
         assert not windows[0][1] and any(shared for _, shared in windows)
         assert sum(rec.meetings for rec in got) > 0
 
-    def test_a_library_built_from_other_source_is_never_loaded(self, monkeypatch, tmp_path):
-        cache = tmp_path / "cache"
-        other = tmp_path / "other.c"  # a kernel that adds 2 per traversal
-        other.write_text(direct._SOURCE.read_text().replace("+= 1.0", "+= 2.0"))
-        source = direct._SOURCE
-        monkeypatch.setattr(direct, "_SOURCE", other)
-        built = direct._library(cache)._name
-        monkeypatch.setattr(direct, "_SOURCE", source)
-        loaded = direct._library(cache)._name
-        assert loaded != built
-        # the new build removed the one from the other source
-        assert [p.name for p in cache.iterdir()] == [Path(loaded).name]
-        assert direct._library(cache)._name == loaded  # a second load builds nothing
-
-    def test_a_build_removes_only_libraries_of_other_hashes(self, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        (cache / "direct_kernel-0123456789abcdef.so").write_bytes(b"an old library")
-        # a directory cannot be unlinked: the OSError is ignored
-        (cache / "direct_kernel-fedcba9876543210.so").mkdir()
-        # a concurrent build's temporary file, and names of other forms
-        kept = ["tmpa1b2c3d4.so", "direct_kernel-0123.so", "direct_kernel-0123456789ABCDEF.so",
-                "direct_kernel-0123456789abcdef.so.bak"]
-        for name in kept:
-            (cache / name).write_bytes(b"")
-        loaded = Path(direct._library(cache)._name).name
-        assert sorted(p.name for p in cache.iterdir()) == sorted(
-            [loaded, "direct_kernel-fedcba9876543210.so", *kept])
-
-    def test_an_unwritable_cache_builds_in_a_temporary_directory(self, tmp_path):
-        blocked = tmp_path / "file"
-        blocked.write_text("")
-        library = direct._library(blocked / "cache")  # no directory can be made in a file
-        assert not Path(library._name).exists()  # removed once loaded
-        assert [p.name for p in tmp_path.iterdir()] == ["file"]
-
-    @pytest.mark.parametrize("compiler,text,stderr", [
-        ("false", None, ""), ("cc", "#error a broken kernel\n", "a broken kernel")])
-    def test_a_failed_build_names_the_command_and_its_stderr(self, monkeypatch, tmp_path,
-                                                             compiler, text, stderr):
-        monkeypatch.setattr(direct, "_CC", compiler)
-        if text is not None:
-            broken = tmp_path / "broken.c"
-            broken.write_text(text)
-            monkeypatch.setattr(direct, "_SOURCE", broken)
-        cache = tmp_path / "cache"
-        command = " ".join([compiler, *direct._CFLAGS])
-        with pytest.raises(RuntimeError,
-                           match=f"{re.escape(command)} -x c - -o .* exited with 1") as err:
-            direct._library(cache)
-        assert stderr in str(err.value)
-        assert list(cache.iterdir()) == []  # no library and no temporary file left
-
 
 class TestLockstepHandoff:
     """Cases first written for the hand-off from the old lockstep engine to
@@ -561,20 +519,6 @@ class TestLockstepHandoff:
         assert windows and not any(shared for _, shared in windows)
         bound = 4 * (params.max_events + 2 * direct._FIRST_REACH)
         assert max(width for width, _ in windows) <= bound
-
-    @pytest.mark.parametrize("stop", [None, 1, 3, 1000])
-    @pytest.mark.parametrize("trials", [3, 40, 100])
-    def test_each_trial_draws_two_uniforms_per_event(self, stop, trials):
-        # each stream is read from its start, two uniforms per event the
-        # trial runs, and no further
-        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=700)
-        streams = [RngStream(85, t) for t in range(trials)]
-        got = list(run_direct_batch(params, streams, stop_after_meetings=stop))
-        assert got == scalar_records(params, 85, trials, stop)
-        assert all(drew_exactly(stream, 2 * rec.events_executed)
-                   for rec, stream in zip(got, streams))
-        if stop is None:
-            assert all(rec.events_executed == params.max_events for rec in got)
 
     @pytest.mark.parametrize("stop", [None, 2])
     def test_starts_beyond_int64(self, stop):

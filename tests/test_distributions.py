@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from reinforce_sim import direct
+from reinforce_sim import native
 from reinforce_sim.distributions import (
     ENVIRONMENT,
     HOLDING_TIMES,
@@ -135,7 +135,7 @@ class TestStreamKeys:
 
 
 class _Philox(ctypes.Structure):
-    """``struct philox`` of ``direct_kernel.c``, the C twin of RngStream."""
+    """``struct philox`` of ``kernels.c``, the C twin of RngStream."""
 
     _fields_ = [("counter", ctypes.c_uint64 * 4), ("key", ctypes.c_uint64 * 2),
                 ("buffer", ctypes.c_uint64 * 4), ("buffer_pos", ctypes.c_int),
@@ -162,8 +162,8 @@ class TestPhiloxTwin:
 
     def twin(self, key, counter):
         """A fresh C stream (nothing buffered) and a draw function over it."""
-        library, state = direct._kernels(), _Philox(counter=(ctypes.c_uint64 * 4)(*counter),
-                                                     key=(ctypes.c_uint64 * 2)(*key), buffer_pos=4)
+        library, state = native.kernels(), _Philox(counter=(ctypes.c_uint64 * 4)(*counter),
+                                                   key=(ctypes.c_uint64 * 2)(*key), buffer_pos=4)
         calls = {kind: ctypes.CFUNCTYPE(ret, ctypes.c_void_p)((self.CALLBACKS[kind], library))
                  for kind, ret in self.NEXT.items()}
         return state, lambda kind: calls[kind](ctypes.addressof(state))
@@ -203,7 +203,7 @@ class TestPhiloxTwin:
             assert [mine(kind) for kind in order] == [theirs(kind) for kind in order]
 
     def test_a_bitgen_of_the_twin_draws_numpys_gammas(self):
-        library = direct._kernels()
+        library = native.kernels()
         gamma = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p, ctypes.c_double)(
             ("random_standard_gamma", library))
         key = RngStream(-3, 0).key

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from reinforce_sim import direct
+from reinforce_sim import native
 from reinforce_sim.distributions import (
     ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, sample_beta,
 )
@@ -210,7 +210,7 @@ class TestDifferenceRecurrence:
         # array of site probabilities doubles several times
         p1, p2, trials = self.ORACLE_GRID[1]
         first_sites = int(re.search(r"#define FIRST_SITES (\d+)",
-                                    direct._SOURCE.read_text()).group(1))
+                                    native._SOURCE.read_text()).group(1))
         expected = []
         firsts = scalar_first_returns(p1, p2, 10_000, trials, 113, expected)
         got = kernel_sites(p1, p2, 10_000, trials, 113)
@@ -284,7 +284,7 @@ def kernel_first_returns(p1: BetaParams, p2: BetaParams, budget: int, seed: int,
                          firsts: np.ndarray, sites: np.ndarray | None = None) -> int:
     """The compiled ``first_returns`` on trials t0, t0 + 1, ... (mod 2**64),
     one per entry of ``firsts``, with ``rwre``'s roles."""
-    return direct._kernels().first_returns(
+    return native.kernels().first_returns(
         *RngStream(seed, 0).key, t0, len(firsts), ENVIRONMENT, MIRROR_ENVIRONMENT, p1.alpha,
         p1.beta, p2.alpha, p2.beta, budget, firsts.ctypes.data,
         None if sites is None else sites.ctypes.data)

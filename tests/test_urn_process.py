@@ -8,6 +8,7 @@ the first meeting time.
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,13 @@ from reinforce_sim.coupling import (
     SandwichViolationError,
     run_coupling,
 )
-from reinforce_sim.direct import ModelParams, right_jump_probability, run_direct, run_direct_batch
+from reinforce_sim.direct import (
+    ModelParams,
+    WeightMap,
+    right_jump_probability,
+    run_direct,
+    run_direct_batch,
+)
 from reinforce_sim.distributions import ENVIRONMENT, RngStream, trial_streams
 from reinforce_sim.urn import MagicUrn, NegativeMassError, left_mass
 from reinforce_sim.urn_process import (
@@ -672,3 +679,96 @@ class TestUrnCertificate:
         for a in (1.0, 2.0, 3.0):
             for delta in (0.0, 0.5, 1.0):
                 assert compare_exact(params_for(a=a, delta=delta, r0=gap), 9).tv_distance == 0
+
+
+def crossed(s: int, x: int, v: int) -> int:
+    """Right crossings minus left crossings of edge [v, v+1] by a walker
+    that went from site s to site x: [s <= v < x] - [x <= v < s]."""
+    return (s <= v < x) - (x <= v < s)
+
+
+def net_flows(l0: int, r0: int, v: int, left_present: bool) -> tuple[int, int]:
+    """F(v - 1) and F(v), the net flows of both walkers across [v - 1, v]
+    and [v, v + 1], with the left (or right) walker at v and the other
+    strictly on its own side, as before their meeting."""
+    sites = (v, max(v + 1, r0)) if left_present else (min(v - 1, l0), v)
+    return tuple(sum(crossed(s, x, u) for s, x in zip((l0, r0), sites)) for u in (v - 1, v))
+
+
+class TestUrnEquivalenceAtEveryHorizon:
+    """The two kernels agree at every state reached before the first
+    meeting, so TV = 0 at every horizon, not only at ``TestUrnCertificate``'s 9.
+
+    Net-flow lemma: across edge [v, v+1] a walker's right crossings minus
+    its left crossings are ``crossed(start, site, v)``, so with lj and rj
+    the jumps from a site by either walker (the counts ``compare_exact``
+    keys on), rj(v) - lj(v + 1) = F(v).  The direct kernel at v then reads
+    2 lj(v) + F(v - 1) traversals of [v - 1, v] and 2 rj(v) - F(v) of
+    [v, v + 1], and before the meeting F(v - 1) and F(v) depend only on
+    v's class against l0 and r0 and on which walker stands at v
+    (``net_flows``).  The identity test checks, per class and side, that
+    ``right_jump_probability`` on those traversals is 1 - ``left_mass`` /
+    ``total`` of ``compare_exact``'s urn.  TV = 0 at depth 0, so by
+    induction over the events TV = 0 at every horizon.
+
+    Premise, as in ``TestUrnCertificate``: the kernels read only their
+    documented inputs (``initial_masses``, ``WeightMap``,
+    ``right_jump_probability``, ``left_mass / total``), are ratios of
+    forms of degree <= 1 in (a, delta, lj, rj) and never branch on the
+    values of a, delta or the counts.  The cross-multiplied difference is
+    then of degree <= 2 in each, and one that vanishes on a 3 x 3 x 3 x 3
+    grid vanishes identically (Alon, "Combinatorial Nullstellensatz", CPC
+    8, 1999, Lemma 2.1).  Scope: a >= 1; below it a mass can go negative.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(l0=st.integers(-3, 3), gap=st.integers(1, 4),
+           moves=st.lists(st.tuples(st.booleans(), st.booleans()), max_size=40))
+    def test_net_flow_lemma_on_paths_cut_at_the_meeting(self, l0, gap, moves):
+        starts = sites = (l0, l0 + gap)
+        right, left = {}, {}  # (walker, edge) -> right and left crossings
+        jumps = {}  # (site, right) -> jumps from the site by either walker
+        for mover, to_right in moves:
+            l, r = sites
+            for i, v in enumerate(sites):  # before the meeting, per walker at v
+                assert net_flows(*starts, v, i == 0) == tuple(
+                    sum(right.get((j, u), 0) - left.get((j, u), 0) for j in (0, 1))
+                    for u in (v - 1, v))
+            v = sites[mover]
+            edge, counts = (v, right) if to_right else (v - 1, left)
+            counts[mover, edge] = counts.get((mover, edge), 0) + 1
+            jumps[v, to_right] = jumps.get((v, to_right), 0) + 1
+            moved = v + 1 if to_right else v - 1
+            sites = (moved, r) if mover == 0 else (l, moved)
+            if sites[0] == sites[1]:
+                break
+        for u in range(l0 - len(moves) - 1, l0 + gap + len(moves) + 1):
+            flows = [right.get((j, u), 0) - left.get((j, u), 0) for j in (0, 1)]
+            assert flows == [crossed(s, x, u) for s, x in zip(starts, sites)]
+            assert jumps.get((u, True), 0) - jumps.get((u + 1, False), 0) == sum(flows)
+
+    @pytest.mark.parametrize("gap", [1, 2, 3])
+    def test_direct_kernel_is_the_urn_kernel_per_site_class_and_side(self, gap):
+        l0, r0 = -1, gap - 1
+        classes, mismatches = set(), []
+        for v in range(l0 - 2, r0 + 3):
+            for left_present in (True, False):
+                before, after = net_flows(l0, r0, v, left_present)
+                classes.add(((v > l0) - (v < l0), (v > r0) - (v < r0), left_present))
+                # three counts each, from the least that leaves no edge a
+                # negative traversal count: 0 unless a flow forces a jump
+                lj0, rj0 = max(0, 1 - before) // 2, max(0, after + 1) // 2
+                for a, d, lj, rj in product((1, 2, 3), (0, 1, 2), range(lj0, lj0 + 3),
+                                            range(rj0, rj0 + 3)):
+                    a, delta = Fraction(a), Fraction(d, 2)
+                    weights = WeightMap(a)
+                    for edge, n in ((v - 1, 2 * lj + before), (v, 2 * rj - after)):
+                        for _ in range(n):
+                            weights.reinforce(edge)
+                    params = ModelParams(a=float(a), delta=float(delta), l0=l0, r0=r0)
+                    urn = MagicUrn(*initial_masses(params, v, Fraction), 2 * lj, 2 * rj)
+                    if right_jump_probability(weights, v, delta) != \
+                            1 - left_mass(urn, left_present) / urn.total:
+                        mismatches.append((v, left_present, a, delta, lj, rj))
+        assert mismatches == []
+        assert len(classes) == (8 if gap == 1 else 10)  # every class on both sides
