@@ -8,7 +8,7 @@ together, one breadth-first layer per event, merging the paths that reach
 the same joint state; it gives the trajectory TV distance, each model's
 law of the first meeting time and the first step at which the two
 kernels differ.  A node is keyed by the two sites, its ratio of urn to
-direct probability and a flat tuple of the jumps from each site of a
+direct probability and one int packing the jumps from each site of a
 window around the starts, sized once by the horizon, never by the gap;
 the nodes a layer absorbs are summed once per layer.
 Probabilities are exact rationals (floats are binary rationals, so any
@@ -28,8 +28,9 @@ from .urn import MagicUrn, left_mass
 
 # Joint states one layer of compare_exact may hold.  The states grow about
 # 1.8-fold per event.  At a=2, delta=0.5, gap 3, horizon 11 (8,094 states
-# in its last layer) runs in 0.16-0.22 s with a 39 MiB peak RSS on a 2-vCPU
-# VM, and refusing horizon 12 (14,124) or more takes 0.25-0.33 s.
+# in its last layer) runs in 0.08-0.12 s of process time, with a 4.3 MiB
+# tracemalloc peak and a 35 MiB peak RSS for the whole command, on a
+# 2-vCPU VM, and refusing horizon 12 (14,124) or more takes 0.10-0.18 s.
 MAX_LIVE_STATES = 10_000
 
 # Largest radius of compare_exact's site window, so that a huge horizon
@@ -140,24 +141,28 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
     family, since the law only depends on the pooled masses.  A layer of
     more than ``MAX_LIVE_STATES`` nodes raises ValueError.
 
-    A node's key is ``(l, r, (A, B), jumps)``, ``jumps`` a flat tuple of
-    each window site's left and right jumps; a child replaces one entry.
+    A node's key is ``(l, r, (A, B), jumps)``, ``jumps`` one int holding
+    each window site's left and right jumps in fields of
+    ``radius.bit_length()`` bits; a child adds 1 to one field, and a move
+    reads its site's two fields and the neighbours' by shift and mask.
     The window (``_window``) is the sites within a radius of l0 or r0:
     the horizon or ``_WINDOW_RADIUS``, whichever is smaller.  Before that
     depth a mover is strictly inside it, so its edges' traversals are in
     the window too; a pass that gets that deep before the horizon raises
     ValueError (``MAX_LIVE_STATES`` refuses such a pass first).
 
-    Every probability is a reduced (numerator, denominator) pair of ints,
-    and the nodes a layer absorbs are summed once, over the lcm of their
-    denominators; the result is converted to ``Fraction`` once at the
-    end.  Each kernel value is computed once per pass, in
-    ``Fraction``s, and cached: ``right_jump_probability`` on the site and
-    the traversals of its two edges, ``left_mass`` / ``total`` on the
-    site, the present particle and the site's jumps.  A miss rebuilds the
-    kernel's input: the edge weights by ``WeightMap.reinforce`` (the
-    update of the direct engine's stepped test reference) and the urn
-    with two family marbles per jump, as ``coupled_events`` adds them.  The cache is sound only because
+    Every probability is a reduced (numerator, denominator) pair of ints.
+    A child's t is summed into its node inline, adding the numerators
+    when the denominators are equal, with one gcd per child; the nodes a
+    layer absorbs are summed once, over the lcm of their denominators; the
+    result is converted to ``Fraction`` once at the end.  Each kernel
+    value is computed once per pass, in ``Fraction``s, and cached:
+    ``right_jump_probability`` on the site and the traversals of its two
+    edges, ``left_mass`` / ``total`` on the site, the present particle
+    and the site's jumps.  A miss rebuilds the kernel's input: the edge
+    weights by ``WeightMap.reinforce`` (the update of the direct engine's
+    stepped test reference) and the urn with two family marbles per jump,
+    as ``coupled_events`` adds them.  The cache is sound only because
     these kernels read nothing but that input.
 
     ``first_difference`` is the first step, in the pass's order, at which
@@ -183,13 +188,17 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
         return (left_mass(urn, left_present) / urn.total).as_integer_ratio()
 
     radius = min(horizon, _WINDOW_RADIUS)
-    base, blocks = _window(l0, r0, radius)
+    base = _window(l0, r0, radius)
+    # one field per window site and side; a site's jumps never exceed the
+    # depth, and a pass ends at depth radius
+    width = radius.bit_length()
+    mask = (1 << width) - 1
     tv, masses = (0, 1), [(0, 1), (0, 1)]
     trajectories = [0, 0]
     meeting = ([(0, 1)] * (horizon + 1), [(0, 1)] * (horizon + 1))
     first = None
-    # (l, r, (A, B), jumps) -> [t as (num, den), paths]
-    layer = {(l0, r0, (1, 1), (0,) * (2 * sum(n for *_, n in blocks))): [(1, 1), 1]}
+    # (l, r, (A, B), jumps) -> [t numerator, t denominator, paths]
+    layer = {(l0, r0, (1, 1), 0): [1, 1, 1]}
     for depth in range(horizon + 1):
         if not layer:  # every path has met
             break
@@ -198,25 +207,27 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
                              f"{_WINDOW_RADIUS} at depth {depth}")
         children: dict = {}
         absorbed = []  # (t num, t den, A, B, met) of the nodes this layer ends
-        for (l, r, (A, B), jumps), ((tn, td), paths) in layer.items():
+        for (l, r, (A, B), jumps), (tn, td, paths) in layer.items():
             if l == r or depth == horizon:
                 absorbed.append((tn, td, A, B, l == r))
                 trajectories[0] += paths if B else 0
                 trajectories[1] += paths if A else 0
                 continue
             for mover, v, left_present in ((0, l, True), (1, r, False)):
-                i = 2 * (v - base[mover])
-                lj, rj = jumps[i], jumps[i + 1]
+                k = 2 * (v - base[mover])  # the field of v's left jumps
+                # v - 1's right jumps, v's left and right jumps, v + 1's left jumps
+                s = jumps >> width * (k - 1)
+                lj, rj = s >> width & mask, s >> 2 * width & mask
                 # an edge's traversals: right jumps from its left end
                 # and left jumps from its right end
-                pn, pd = p_right(v, jumps[i - 1] + lj, rj + jumps[i + 2]) if B else (0, 1)
+                pn, pd = p_right(v, (s & mask) + lj, rj + (s >> 3 * width & mask)) if B else (0, 1)
                 qn, qd = q_left(v, left_present, lj, rj) if A else (0, 1)
                 for right in (0, 1):
                     ps, qs = (pn, qd - qn) if right else (pd - pn, qn)
                     if qs * pd == ps * qd:  # equal steps keep the ratio: no gcd
                         if not ps:
                             continue
-                        ratio, t = (A, B), _reduced(tn * ps, td * 2 * pd)
+                        ratio, n, d = (A, B), tn * ps, td * 2 * pd
                     else:
                         if first is None:
                             first = KernelDifference(depth, l, r, mover, bool(right), (lj, rj),
@@ -225,22 +236,24 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
                         if not (x or y):
                             continue
                         g = gcd(x, y)
-                        ratio, t = (x // g, y // g), _reduced(tn * g, td * 2 * pd * qd)
-                    k = i + right
-                    child = jumps[:k] + (jumps[k] + 1,) + jumps[k + 1:]
+                        ratio, n, d = (x // g, y // g), tn * g, td * 2 * pd * qd
                     to = v + 1 if right else v - 1
+                    child = jumps + (1 << width * (k + right))
                     key = (to, r, ratio, child) if mover == 0 else (l, to, ratio, child)
                     node = children.get(key)
-                    if node is not None:
-                        node[0] = _add(node[0], t)
-                        node[1] += paths
-                    elif len(children) < MAX_LIVE_STATES:
-                        children[key] = [t, paths]
-                    else:
+                    if node is not None:  # t + the node's t, over one gcd
+                        nn, nd, _ = node
+                        n, d = (n + nn, d) if d == nd else (n * nd + nn * d, d * nd)
+                        node[2] += paths
+                    elif len(children) >= MAX_LIVE_STATES:
                         raise ValueError(
                             f"horizon {horizon} needs more than MAX_LIVE_STATES = "
                             f"{MAX_LIVE_STATES} live joint states at depth {depth + 1}"
                         )
+                    else:
+                        node = children[key] = [0, 0, paths]
+                    g = gcd(n, d)
+                    node[0], node[1] = n // g, d // g
         # numerators over den of the direct and urn masses, of t*|B - A|
         # and of the met nodes' direct and urn masses
         den = lcm(*(td for _, td, *_ in absorbed))
@@ -264,14 +277,13 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
                            *(Fraction(*m) for m in masses), first)
 
 
-def _window(l0: int, r0: int, radius: int):
-    """The sites within ``radius`` of l0 or r0 as (base, blocks): site v of
-    mover m is number v - base[m]; a block (first site, mover, sites) is
-    one range, one for both walkers when theirs overlap or touch."""
+def _window(l0: int, r0: int, radius: int) -> tuple[int, int]:
+    """The sites within ``radius`` of l0 or r0, numbered: site v of mover m
+    is number v - base[m].  The numbers are one range, shared by both
+    walkers, when their ranges overlap or touch, else one range each."""
     if r0 - l0 <= 2 * radius + 1:
-        return (l0 - radius, l0 - radius), ((l0 - radius, 0, r0 - l0 + 2 * radius + 1),)
-    n = 2 * radius + 1
-    return (l0 - radius, r0 - radius - n), ((l0 - radius, 0, n), (r0 - radius, 1, n))
+        return l0 - radius, l0 - radius
+    return l0 - radius, r0 - 3 * radius - 1
 
 
 def _reduced(num: int, den: int) -> tuple[int, int]:

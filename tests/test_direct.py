@@ -421,6 +421,15 @@ class TestRunDirectBatch:
         assert all(rec.events == [] for rec in logged)
         assert all(drew_exactly(stream, 0) for stream in streams)
 
+    def test_coincident_starts_stopping_at_the_first_meeting_draw_nothing(self):
+        params = ModelParams(a=1.0, delta=0.0, l0=4, r0=4, max_events=100)
+        streams = [RngStream(82, t) for t in range(30)]
+        got = list(run_direct_batch(params, streams, stop_after_meetings=1))
+        assert [(rec.meetings, rec.events_executed, rec.final_positions) for rec in got] == \
+            [(1, 0, [4, 4])] * 30
+        assert got == scalar_records(params, 82, 30, stop=1)
+        assert all(drew_exactly(stream, 0) for stream in streams)
+
     @pytest.mark.parametrize("stop", [None, 1, 3, 1000])
     @pytest.mark.parametrize("trials", [3, 40, 100])
     def test_each_trial_draws_two_uniforms_per_event(self, stop, trials):
@@ -485,8 +494,8 @@ class TestEngine:
 class TestLockstepHandoff:
     """Cases first written for the hand-off from the old lockstep engine to
     its scalar loop, kept for what they still check on the one compiled
-    engine: the records across trial counts and stops, the uniforms each
-    trial reads, and starts far apart or beyond int64."""
+    engine: the records across trial counts and stops, and starts far
+    apart or beyond int64."""
 
     @pytest.mark.parametrize("a", [1.0, 2.0**60])  # at 2**60, a + 1 == a
     @pytest.mark.parametrize("delta", [0.0, 0.5])
@@ -497,15 +506,6 @@ class TestLockstepHandoff:
         got = batch_records(params, 80, trials, stop)
         assert got == scalar_records(params, 80, trials, stop)
         assert got[:3] == stepped_records(params, 80, 3, stop)
-
-    def test_coincident_starts_stopping_at_the_first_meeting_draw_nothing(self):
-        params = ModelParams(a=1.0, delta=0.0, l0=4, r0=4, max_events=100)
-        streams = [RngStream(82, t) for t in range(30)]
-        got = list(run_direct_batch(params, streams, stop_after_meetings=1))
-        assert [(rec.meetings, rec.events_executed, rec.final_positions) for rec in got] == \
-            [(1, 0, [4, 4])] * 30
-        assert got == scalar_records(params, 82, 30, stop=1)
-        assert all(drew_exactly(stream, 0) for stream in streams)
 
     @pytest.mark.parametrize("trials,gap", [(100, 10**12), (300, 2**22 + 1),
                                             (50, 2**63 + 1), (50, 10**22)])

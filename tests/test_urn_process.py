@@ -321,11 +321,12 @@ class TestEnumeration:
         assert not any(c.meeting_direct) and not any(c.meeting_urn)
 
     def test_keys_do_not_grow_with_the_gap(self):
-        # a key holds the window's 2 * (4h + 2) ints; one that spanned the
-        # gap would hold 2 * 10**6 of them, 16 MB, in each of its 5 nodes
+        # a key packs the window's 2 * (4h + 2) one-bit fields (the pass
+        # peaks near 5 kB); one that spanned the gap would pack 2 * 10**7,
+        # 2.5 MB, in each of the right walker's two children
         tracemalloc.start()
         try:
-            compare_exact(params_for(l0=0, r0=10**6), 1)
+            compare_exact(params_for(l0=0, r0=10**7), 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -458,6 +459,29 @@ class TestEnumeration:
         with pytest.raises(ValueError,
                            match="MAX_LIVE_STATES = 10000 live joint states at depth 12"):
             compare_exact(p, 12)
+
+    @pytest.mark.parametrize("h", [9, 11])
+    def test_deep_passes_keep_their_recorded_laws(self, h):
+        # past the tree oracle's reach (4**h trajectories): the counts and
+        # the law of tau1 recorded from the earlier pass, whose keys held
+        # the jumps as a tuple; at gap 3 the walkers meet at odd k only
+        c = compare_exact(params_for(a=2.0, delta=0.5, l0=0, r0=3), h)
+        law = (0, 0, 0, Fraction(283, 2904), 0, Fraction(90412397, 1121234400), 0,
+               Fraction(15873189502033, 247716558460800), 0,
+               Fraction(32052511734940385591, 618387478430176540800), 0,
+               Fraction(1837987213654977926497379, 42854252255211234277440000))
+        assert c.trajectories_direct == c.trajectories_urn == {9: 187_624, 11: 2_768_104}[h]
+        assert c.meeting_direct == c.meeting_urn == law[:h + 1]
+
+    @pytest.mark.parametrize("h", [3, 5])
+    def test_packed_jump_fields_hold_the_most_jumps_a_pass_allows(self, h):
+        # a key packs each window site's left and right jumps into fields
+        # of radius.bit_length() bits, and the radius is h here; a walker
+        # going back and forth over one edge jumps (h + 1) // 2 times from
+        # one side of one site, the most h events allow
+        for l0, r0 in ((0, 1), (0, 2), (0, 3), (5, 9), (0, 40)):
+            c = assert_pass_matches_tree(params_for(a=2.0, delta=0.5, l0=l0, r0=r0), h)
+            assert c.tv_distance == 0
 
     def test_simulation_frequencies_match_enumeration(self):
         # one event of the coupled quadruple from its start, tying the

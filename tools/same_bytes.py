@@ -7,7 +7,7 @@ once on this tree's ``src`` and once on OTHER_TREE's, each run in a fresh
 temporary directory holding only the command's input files.  The exit
 code, standard output, standard error and the bytes of every file in the
 directory afterwards must be equal.  One line per command says ``same`` or
-what differs; the exit code is 1 on any difference.  The 44 commands cover
+what differs; the exit code is 1 on any difference.  The 47 commands cover
 every subcommand; the direct engine runs at delta = 0, at dyadic a and
 delta, and at a non-dyadic pair, once without a log
 (``simulate-general-delta``) and once with a timed log of trials long
@@ -22,9 +22,10 @@ budget past int64 on chains that always return, outside the regime,
 where many trials are cut at the budget, at a negative seed and one past
 2**64, whose streams the kernel keys from the masked seed's key words,
 and over 20,000 trials in one call.  ``urn-verify`` also runs below
-a = 1, ``polya`` with its three-color urn, and ``criterion`` on a pair
-whose quadrature fails (exit 2).  The whole list takes about 25 seconds
-on a 2-vCPU VM.
+a = 1, at horizon 11, with walkers 40 apart (a site window of two
+ranges), and at horizon 12, which it refuses (exit 2); ``polya`` runs with
+its three-color urn, and ``criterion`` on a pair whose quadrature fails
+(exit 2).  The whole list takes about 40 seconds on a 2-vCPU VM.
 """
 from __future__ import annotations
 
@@ -93,6 +94,10 @@ COMMANDS = [
     ("rwre-many-trials", ["rwre", "--trials", "20000", "--budgets", "10,100"], {}),
     ("urn-verify-h7", ["urn-verify", "--horizon", "7"], {}),
     ("urn-verify-small-a", ["urn-verify", "--a", "0.5", "--allow-small-a", "--horizon", "5"], {}),
+    *((f"urn-verify-{name}", ["urn-verify", "--a", "2", "--delta", "0.5", "--r0", r0,
+                              "--horizon", horizon], {})
+      for name, r0, horizon in (("h11", "3", "11"), ("two-ranges", "40", "9"),
+                                ("h12-refused", "3", "12"))),
     ("criterion", ["criterion", "--pair", "1", "2", "--pair", "3", "2"], {}),
     ("criterion-huge-shapes", ["criterion", "--pair", "1e8", "3e8"], {}),
     ("polya", ["polya", "--draws", "200", "--runs", "200", "--ks-threshold", "0.1", "--seed",
