@@ -311,7 +311,7 @@ def criterion_cmd(pairs, out_path) -> None:
             quadrature = integrate_log_odds(p)
         except (ValueError, QuadratureError) as exc:
             raise click.UsageError(str(exc)) from exc
-        row = criterion(p).to_dict()
+        row = criterion(p)
         rows.append(row | {"closed_form": row["log_odds_mean"], "quadrature": quadrature})
     report = {"meta": _meta(_resolved()), "results": rows}
     _write_text(out_path, json.dumps(report, sort_keys=True) + "\n")

@@ -14,7 +14,7 @@ one after another and grows the weight windows the loop runs in.
 from __future__ import annotations
 
 import ctypes
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,29 +51,11 @@ class ModelParams:
         return self.delta >= 1.0
 
 
-class WeightMap:
-    """Sparse edge weights, keyed by the left endpoint of edge [v, v+1].
-
-    Untouched edges have weight ``a``; each traversal adds exactly 1.
-    """
-
-    __slots__ = ("a", "_w")
-
-    def __init__(self, a):
-        self.a = a
-        self._w = {}
-
-    def weight(self, v: int):
-        return self._w.get(v, self.a)
-
-    def reinforce(self, v: int) -> None:
-        self._w[v] = self._w.get(v, self.a) + 1
-
-
-def right_jump_probability(weights: WeightMap, v: int, delta):
-    """P(jump v -> v+1) = (W[v,v+1] + delta) / (W[v-1,v] + W[v,v+1] + delta)."""
-    wl = weights.weight(v - 1)
-    wr = weights.weight(v)
+def right_jump_probability(weights: Mapping, v: int, delta):
+    """P(jump v -> v+1) = (W[v,v+1] + delta) / (W[v-1,v] + W[v,v+1] + delta),
+    each W[u,u+1] read as ``weights[u]``, for u = v - 1 and v only."""
+    wl = weights[v - 1]
+    wr = weights[v]
     return (wr + delta) / (wl + wr + delta)
 
 

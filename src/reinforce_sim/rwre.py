@@ -15,7 +15,6 @@ mu = E[log((1-p)/p)] > 0.  Results carry both orientations explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -23,67 +22,34 @@ from .distributions import ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStrea
 from .native import MAX_INT64, kernels
 
 
-class Classification(Enum):
-    TRANSIENT_RIGHT = "transient_right"
-    TRANSIENT_LEFT = "transient_left"
-    RECURRENT = "recurrent"
+# The classes of an iid Beta environment, as :func:`classify` names them
+TRANSIENT_RIGHT, TRANSIENT_LEFT, RECURRENT = "transient_right", "transient_left", "recurrent"
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    """Closed-form transience / return-time criteria for an iid Beta environment.
-
-    ``mean_inverse_odds`` is E[(1-p)/p]; ``None`` marks an infinite
-    expectation (alpha <= 1).  ``finite_mean_return`` holds exactly when
-    alpha > 1 + beta.
-    """
-
-    params: BetaParams
-    log_odds_mean: float  # E[log(p/(1-p))]; positive => drift to the right
-    mu: float  # E[log((1-p)/p)], the opposite orientation
-    mean_inverse_odds: float | None
-    classification: Classification
-    finite_mean_return: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.params.alpha,
-            "beta": self.params.beta,
-            "log_odds_mean": self.log_odds_mean,
-            "mu": self.mu,
-            "mean_inverse_odds": self.mean_inverse_odds,
-            "classification": self.classification.value,
-            "finite_mean_return": self.finite_mean_return,
-        }
-
-
-def classify(p: BetaParams) -> Classification:
+def classify(p: BetaParams) -> str:
     """The class of an iid Beta environment, by the sign of alpha - beta: the
     sign of E[log(p/(1-p))] = digamma(alpha) - digamma(beta), as digamma
     increases strictly, and exact where that float difference rounds to 0."""
     if p.alpha > p.beta:
-        return Classification.TRANSIENT_RIGHT
+        return TRANSIENT_RIGHT
     if p.alpha < p.beta:
-        return Classification.TRANSIENT_LEFT
-    return Classification.RECURRENT
+        return TRANSIENT_LEFT
+    return RECURRENT
 
 
-def criterion(p: BetaParams) -> CriterionResult:
-    """Evaluate the transience and expected-return-time criteria.
-
-    E[log(p/(1-p))] = digamma(alpha) - digamma(beta);
-    E[(1-p)/p] = beta/(alpha-1) for alpha > 1, infinite otherwise.
-    """
+def criterion(p: BetaParams) -> dict:
+    """The closed-form transience and return-time criteria of an iid Beta
+    environment, as one row: ``alpha``, ``beta``, ``log_odds_mean`` =
+    E[log(p/(1-p))] = digamma(alpha) - digamma(beta) (positive => drift to
+    the right), ``mu`` = E[log((1-p)/p)] (the opposite orientation),
+    ``mean_inverse_odds`` = E[(1-p)/p] = beta/(alpha-1), ``None``
+    (infinite) for alpha <= 1, the ``classification`` of :func:`classify`
+    and ``finite_mean_return``, which holds exactly when alpha > 1 + beta."""
     m = digamma(p.alpha) - digamma(p.beta)
     inv = p.beta / (p.alpha - 1.0) if p.alpha > 1.0 else None
-    return CriterionResult(
-        params=p,
-        log_odds_mean=m,
-        mu=-m,
-        mean_inverse_odds=inv,
-        classification=classify(p),
-        finite_mean_return=inv is not None and inv < 1.0,
-    )
+    return {"alpha": p.alpha, "beta": p.beta, "log_odds_mean": m, "mu": -m,
+            "mean_inverse_odds": inv, "classification": classify(p),
+            "finite_mean_return": inv is not None and inv < 1.0}
 
 
 @dataclass
@@ -151,7 +117,7 @@ def difference_recurrence(
         raise ValueError("budgets must be positive")
     if trials <= 0:
         raise ValueError("trials must be positive")
-    regime_ok = all(classify(p) is Classification.TRANSIENT_LEFT for p in (p1, p2))
+    regime_ok = all(classify(p) == TRANSIENT_LEFT for p in (p1, p2))
     firsts = first_returns(p1, p2, budgets[-1], trials, seed)
     # a trial counts at each budget from the first one that reaches its first
     # return; no first return passes int64, so clamped budgets count alike

@@ -12,8 +12,8 @@ direct probability and one int packing the jumps from each site of a
 window around the starts, sized once by the horizon, never by the gap;
 the nodes a layer absorbs are summed once per layer.
 Probabilities are exact rationals (floats are binary rationals, so any
-float a and delta enumerate exactly), carried as reduced pairs of ints;
-the live states of a layer are bounded by ``MAX_LIVE_STATES``.
+float a and delta enumerate exactly), the nodes' masses as reduced pairs
+of ints; the live states of a layer are bounded by ``MAX_LIVE_STATES``.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from functools import cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .direct import ModelParams, WeightMap, right_jump_probability
+from .direct import ModelParams, right_jump_probability
 from .urn import MagicUrn, left_mass
 
 # Joint states one layer of compare_exact may hold.  The states grow about
@@ -106,9 +106,10 @@ class ExactComparison:
     of (mover, direction) trajectories cut at the first meeting or the
     horizon; ``trajectories_direct`` and ``trajectories_urn`` count the
     trajectories of positive probability under each model.
-    ``meeting_direct[k]`` and ``meeting_urn[k]`` are P(tau1 = k), k <=
-    horizon, under each model; ``mass_direct`` and ``mass_urn`` are the
-    total probabilities absorbed, 1 when the kernels are probability laws.
+    ``meeting_direct[k]`` and ``meeting_urn[k]`` are P(tau1 = k) under
+    each model, for k up to the last layer the pass ran (every later k
+    has probability 0); ``mass_direct`` and ``mass_urn`` are the total
+    probabilities absorbed, 1 when the kernels are probability laws.
     ``first_difference`` is the first (so lowest-depth) step at which the
     kernels differ, None if they agree at every state the pass reached.
     """
@@ -151,19 +152,19 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
     the window too; a pass that gets that deep before the horizon raises
     ValueError (``MAX_LIVE_STATES`` refuses such a pass first).
 
-    Every probability is a reduced (numerator, denominator) pair of ints.
-    A child's t is summed into its node inline, adding the numerators
-    when the denominators are equal, with one gcd per child; the nodes a
-    layer absorbs are summed once, over the lcm of their denominators; the
-    result is converted to ``Fraction`` once at the end.  Each kernel
-    value is computed once per pass, in ``Fraction``s, and cached:
+    A node's t is a reduced (numerator, denominator) pair of ints, summed
+    into its node inline: numerators are added when the denominators are
+    equal, with one gcd per child.  The nodes a layer absorbs are summed
+    once, over the lcm of their denominators, into ``Fraction``s, and the
+    layer's meeting probabilities end the laws: a pass whose paths have
+    all met stops there, whatever the horizon.  Each kernel value is
+    computed once per pass, in ``Fraction``s, and cached:
     ``right_jump_probability`` on the site and the traversals of its two
     edges, ``left_mass`` / ``total`` on the site, the present particle
-    and the site's jumps.  A miss rebuilds the kernel's input: the edge
-    weights by ``WeightMap.reinforce`` (the update of the direct engine's
-    stepped test reference) and the urn with two family marbles per jump,
-    as ``coupled_events`` adds them.  The cache is sound only because
-    these kernels read nothing but that input.
+    and the site's jumps.  A miss builds the kernel's input from those
+    counts: each edge weight is a plus the edge's traversals, and the urn
+    holds two family marbles per jump, as ``coupled_events`` adds them.
+    The cache is sound only because these kernels read nothing but that input.
 
     ``first_difference`` is the first step, in the pass's order, at which
     the kernels differ; it is built only where steps differ.
@@ -176,10 +177,7 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
 
     @cache
     def p_right(v, left_edge, right_edge):  # traversals of [v-1, v] and [v, v+1]
-        weights = WeightMap(a)
-        for edge, traversals in ((v - 1, left_edge), (v, right_edge)):
-            for _ in range(traversals):
-                weights.reinforce(edge)
+        weights = {v - 1: a + left_edge, v: a + right_edge}
         return right_jump_probability(weights, v, delta).as_integer_ratio()
 
     @cache
@@ -193,9 +191,9 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
     # depth, and a pass ends at depth radius
     width = radius.bit_length()
     mask = (1 << width) - 1
-    tv, masses = (0, 1), [(0, 1), (0, 1)]
+    tv = mass_p = mass_q = Fraction(0)
     trajectories = [0, 0]
-    meeting = ([(0, 1)] * (horizon + 1), [(0, 1)] * (horizon + 1))
+    meeting_p, meeting_q = [], []
     first = None
     # (l, r, (A, B), jumps) -> [t numerator, t denominator, paths]
     layer = {(l0, r0, (1, 1), 0): [1, 1, 1]}
@@ -266,15 +264,14 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
             if met:
                 p_met += w * B
                 q_met += w * A
-        masses = [_add(masses[0], (p_mass, den)), _add(masses[1], (q_mass, den))]
-        tv = _add(tv, (tv_mass, den))
-        meeting[0][depth] = _reduced(p_met, den)
-        meeting[1][depth] = _reduced(q_met, den)
+        mass_p += Fraction(p_mass, den)
+        mass_q += Fraction(q_mass, den)
+        tv += Fraction(tv_mass, den)
+        meeting_p.append(Fraction(p_met, den))
+        meeting_q.append(Fraction(q_met, den))
         layer = children
-    return ExactComparison(Fraction(*tv) / 2, *trajectories,
-                           tuple(Fraction(*m) for m in meeting[0]),
-                           tuple(Fraction(*m) for m in meeting[1]),
-                           *(Fraction(*m) for m in masses), first)
+    return ExactComparison(tv / 2, *trajectories, tuple(meeting_p), tuple(meeting_q),
+                           mass_p, mass_q, first)
 
 
 def _window(l0: int, r0: int, radius: int) -> tuple[int, int]:
@@ -284,12 +281,3 @@ def _window(l0: int, r0: int, radius: int) -> tuple[int, int]:
     if r0 - l0 <= 2 * radius + 1:
         return l0 - radius, l0 - radius
     return l0 - radius, r0 - 3 * radius - 1
-
-
-def _reduced(num: int, den: int) -> tuple[int, int]:
-    g = gcd(num, den)
-    return num // g, den // g
-
-
-def _add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    return _reduced(x[0] * y[1] + y[0] * x[1], x[1] * y[1])

@@ -3,7 +3,8 @@
 They are the straightforward, slow forms of what the library does fast:
 the direct dynamics one jump at a time (:func:`direct_step`, the
 bit-level reference of ``run_direct``, reads each uniform as it needs
-it), the meeting table one k at a time and its CSV one row at a time,
+it, and reinforces the sparse edge weights of a :class:`WeightMap`), the
+meeting table one k at a time and its CSV one row at a time,
 the difference-recurrence experiment as a scalar loop over freshly
 built streams and a memoized environment, Beta samples drawn in blocks, and
 Polya urns run one run and one drawing at a time, both models of the
@@ -32,9 +33,7 @@ from reinforce_sim.coupling import (
     CoupledState, CouplingRunResult, Environment, SandwichViolationError, coupled_events,
     replay_record,
 )
-from reinforce_sim.direct import (
-    ModelParams, TrajectoryRecord, WeightMap, right_jump_probability,
-)
+from reinforce_sim.direct import ModelParams, TrajectoryRecord, right_jump_probability
 from reinforce_sim.distributions import (
     ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, sample_beta, trial_streams,
 )
@@ -73,6 +72,27 @@ class LargestUniform:
 
     def uniforms(self, n: int) -> np.ndarray:
         return self.random(n)
+
+
+class WeightMap(dict):
+    """Sparse edge weights, keyed by the left endpoint of edge [v, v+1],
+    as ``direct.right_jump_probability`` reads them.
+
+    Untouched edges have weight ``a``; each traversal adds exactly 1.
+    """
+
+    def __init__(self, a):
+        super().__init__()
+        self.a = a
+
+    def __missing__(self, v: int):
+        return self.a
+
+    def weight(self, v: int):
+        return self[v]
+
+    def reinforce(self, v: int) -> None:
+        self[v] += 1
 
 
 def direct_step(

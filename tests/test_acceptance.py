@@ -21,7 +21,7 @@ from reinforce_sim.distributions import (
     digamma,
     integrate_log_odds,
 )
-from reinforce_sim.rwre import Classification, criterion, difference_recurrence
+from reinforce_sim.rwre import TRANSIENT_RIGHT, criterion, difference_recurrence
 from reinforce_sim.urn import PolyaUrn, polya_fraction_samples
 from reinforce_sim.urn_process import compare_exact, initial_masses
 
@@ -136,7 +136,7 @@ def test_criterion_4_transience_criteria():
 
     p = BetaParams(2.0, 1.0)
     xs = beta_samples(RngStream(112, 0), p, 100_000)
-    mc_err = abs(np.mean(np.log(xs / (1 - xs))) - criterion(p).log_odds_mean)
+    mc_err = abs(np.mean(np.log(xs / (1 - xs))) - criterion(p)["log_odds_mean"])
 
     p = BetaParams(2.5, 0.5)
     xs = beta_samples(RngStream(102, 0), p, 100_000)
@@ -147,8 +147,8 @@ def test_criterion_4_transience_criteria():
     for a in (0.5, 1.0, 2.0, 5.0):
         for delta in (0.0, 0.25, 0.5, 0.75, 0.99):
             res = criterion(BetaParams((a + 1) / 2, (a + delta) / 2))
-            classifications_ok &= res.classification is Classification.TRANSIENT_RIGHT
-            classifications_ok &= not res.finite_mean_return
+            classifications_ok &= res["classification"] == TRANSIENT_RIGHT
+            classifications_ok &= not res["finite_mean_return"]
 
     ok = (
         quad_err < 1e-7

@@ -369,6 +369,25 @@ class TestUrnVerify:
         assert result.exit_code == 0
         assert result.output == "TV(direct, urn) = 0.0 at horizon 9: OK\n"
 
+    def test_a_coincident_start_at_a_huge_horizon_is_ok(self, runner):
+        result = runner.invoke(main, ["urn-verify", "--l0", "0", "--r0", "0",
+                                      "--horizon", "1000000000000"])
+        assert result.exit_code == 0
+        assert result.output == "TV(direct, urn) = 0.0 at horizon 1000000000000: OK\n"
+
+    def test_a_huge_horizon_is_one_usage_error_line(self):
+        # refused by MAX_LIVE_STATES at depth 12, with no traceback
+        res = subprocess.run(
+            [sys.executable, "-m", "reinforce_sim.cli", "urn-verify", "--horizon", "1000000000000"],
+            env=src_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines()[-1] == (
+            "Error: horizon 1000000000000 needs more than MAX_LIVE_STATES = 10000 live joint "
+            "states at depth 12")
+        assert "Traceback" not in res.stderr
+
     def test_small_a_needs_flag(self, runner):
         result = runner.invoke(main, ["urn-verify", "--a", "0.5"])
         assert result.exit_code == 2

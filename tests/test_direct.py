@@ -10,7 +10,6 @@ import pytest
 from reinforce_sim import direct
 from reinforce_sim.direct import (
     ModelParams,
-    WeightMap,
     meeting_statistics,
     right_jump_probability,
     run_direct,
@@ -18,7 +17,9 @@ from reinforce_sim.direct import (
 )
 from reinforce_sim.distributions import HOLDING_TIMES, RngStream, trial_streams
 
-from oracles import LargestUniform, direct_step, quadratic_meeting_rows, stepped_run_direct
+from oracles import (
+    LargestUniform, WeightMap, direct_step, quadratic_meeting_rows, stepped_run_direct,
+)
 
 
 def added_weight(w: WeightMap, lo: int, hi: int):
@@ -444,6 +445,15 @@ class TestRunDirectBatch:
         if stop is None:
             assert all(rec.events_executed == params.max_events for rec in got)
 
+    @pytest.mark.parametrize("stop", [None, 2])
+    def test_starts_beyond_int64(self, stop):
+        # sites count from l0, so 30 trials run from 10**22 and end at
+        # their true sites
+        params = ModelParams(a=1.0, delta=0.5, l0=10**22, r0=10**22 + 2, max_events=1100)
+        got = batch_records(params, 83, 30, stop)
+        assert got == stepped_records(params, 83, 30, stop)
+        assert all(min(rec.final_positions) > 10**22 - 1100 for rec in got)
+
 
 class TestEngine:
     """The compiled event loop against the stepped oracle, event by event."""
@@ -490,23 +500,6 @@ class TestEngine:
         assert not windows[0][1] and any(shared for _, shared in windows)
         assert sum(rec.meetings for rec in got) > 0
 
-
-class TestLockstepHandoff:
-    """Cases first written for the hand-off from the old lockstep engine to
-    its scalar loop, kept for what they still check on the one compiled
-    engine: the records across trial counts and stops, and starts far
-    apart or beyond int64."""
-
-    @pytest.mark.parametrize("a", [1.0, 2.0**60])  # at 2**60, a + 1 == a
-    @pytest.mark.parametrize("delta", [0.0, 0.5])
-    @pytest.mark.parametrize("stop", [1, 3, 1000])
-    @pytest.mark.parametrize("trials", [40, 100, 1000])
-    def test_matches_scalar_across_the_handoff(self, a, delta, stop, trials):
-        params = ModelParams(a=a, delta=delta, l0=0, r0=2, max_events=600)
-        got = batch_records(params, 80, trials, stop)
-        assert got == scalar_records(params, 80, trials, stop)
-        assert got[:3] == stepped_records(params, 80, 3, stop)
-
     @pytest.mark.parametrize("trials,gap", [(100, 10**12), (300, 2**22 + 1),
                                             (50, 2**63 + 1), (50, 10**22)])
     def test_far_apart_starts_split_until_no_group_holds_weights(self, monkeypatch, trials, gap):
@@ -520,14 +513,21 @@ class TestLockstepHandoff:
         bound = 4 * (params.max_events + 2 * direct._FIRST_REACH)
         assert max(width for width, _ in windows) <= bound
 
-    @pytest.mark.parametrize("stop", [None, 2])
-    def test_starts_beyond_int64(self, stop):
-        # sites count from l0, so 30 trials run from 10**22 and end at
-        # their true sites
-        params = ModelParams(a=1.0, delta=0.5, l0=10**22, r0=10**22 + 2, max_events=1100)
-        got = batch_records(params, 83, 30, stop)
-        assert got == stepped_records(params, 83, 30, stop)
-        assert all(min(rec.final_positions) > 10**22 - 1100 for rec in got)
+
+class TestLockstepHandoff:
+    """Cases first written for the hand-off from the old lockstep engine to
+    its scalar loop, kept for what they still check on the one compiled
+    engine: the records across trial counts and stops."""
+
+    @pytest.mark.parametrize("a", [1.0, 2.0**60])  # at 2**60, a + 1 == a
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    @pytest.mark.parametrize("stop", [1, 3, 1000])
+    @pytest.mark.parametrize("trials", [40, 100, 1000])
+    def test_matches_scalar_across_the_handoff(self, a, delta, stop, trials):
+        params = ModelParams(a=a, delta=delta, l0=0, r0=2, max_events=600)
+        got = batch_records(params, 80, trials, stop)
+        assert got == scalar_records(params, 80, trials, stop)
+        assert got[:3] == stepped_records(params, 80, 3, stop)
 
 
 class TestSingleParticleUrnEquivalence:

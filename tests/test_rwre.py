@@ -9,7 +9,9 @@ from reinforce_sim import native
 from reinforce_sim.distributions import (
     ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, sample_beta,
 )
-from reinforce_sim.rwre import Classification, criterion, difference_recurrence, first_returns
+from reinforce_sim.rwre import (
+    RECURRENT, TRANSIENT_LEFT, TRANSIENT_RIGHT, criterion, difference_recurrence, first_returns,
+)
 
 from oracles import BDEnvironment, beta_samples, scalar_first_returns
 
@@ -25,61 +27,63 @@ def simulate_bd(env: BDEnvironment, start: int, max_events: int, rng) -> int:
 class TestCriterion:
     def test_symmetric_environment_is_recurrent(self):
         res = criterion(BetaParams(1.0, 1.0))
-        assert res.classification is Classification.RECURRENT
-        assert res.log_odds_mean == pytest.approx(0.0, abs=1e-12)
-        assert res.mu == pytest.approx(0.0, abs=1e-12)
+        assert res["classification"] == RECURRENT
+        assert res["log_odds_mean"] == pytest.approx(0.0, abs=1e-12)
+        assert res["mu"] == pytest.approx(0.0, abs=1e-12)
 
     def test_right_heavy_environment(self):
         res = criterion(BetaParams(2.0, 1.0))
-        assert res.classification is Classification.TRANSIENT_RIGHT
-        assert res.log_odds_mean == pytest.approx(1.0, abs=1e-12)  # psi(2) - psi(1)
-        assert res.mean_inverse_odds == pytest.approx(1.0)
-        assert not res.finite_mean_return  # E[(1-p)/p] = 1, not < 1
+        assert res["classification"] == TRANSIENT_RIGHT
+        assert res["log_odds_mean"] == pytest.approx(1.0, abs=1e-12)  # psi(2) - psi(1)
+        assert res["mean_inverse_odds"] == pytest.approx(1.0)
+        assert not res["finite_mean_return"]  # E[(1-p)/p] = 1, not < 1
 
     def test_left_heavy_environment(self):
         res = criterion(BetaParams(1.0, 2.0))
-        assert res.classification is Classification.TRANSIENT_LEFT
-        assert res.mu == pytest.approx(1.0, abs=1e-12)
+        assert res["classification"] == TRANSIENT_LEFT
+        assert res["mu"] == pytest.approx(1.0, abs=1e-12)
 
     def test_classification_is_the_exact_order_of_the_shapes(self):
         # the float digamma difference rounds to 0 when the shapes are one
         # ulp apart; the order of the shapes does not
         for alpha in (0.5, 1.0, 7.0, 12.5, 100.0):
-            for beta, cls in ((np.nextafter(alpha, np.inf), Classification.TRANSIENT_LEFT),
-                              (alpha, Classification.RECURRENT),
-                              (np.nextafter(alpha, 0), Classification.TRANSIENT_RIGHT)):
-                assert criterion(BetaParams(alpha, beta)).classification is cls
+            for beta, cls in ((np.nextafter(alpha, np.inf), TRANSIENT_LEFT),
+                              (alpha, RECURRENT),
+                              (np.nextafter(alpha, 0), TRANSIENT_RIGHT)):
+                assert criterion(BetaParams(alpha, beta))["classification"] == cls
         near = 1.0000000000001
-        assert criterion(BetaParams(1.0, near)).classification is Classification.TRANSIENT_LEFT
-        assert criterion(BetaParams(near, 1.0)).classification is Classification.TRANSIENT_RIGHT
+        assert criterion(BetaParams(1.0, near))["classification"] == TRANSIENT_LEFT
+        assert criterion(BetaParams(near, 1.0))["classification"] == TRANSIENT_RIGHT
 
     def test_infinite_inverse_odds_marked_none(self):
         res = criterion(BetaParams(1.0, 0.5))
-        assert res.mean_inverse_odds is None
-        assert not res.finite_mean_return
+        assert res["mean_inverse_odds"] is None
+        assert not res["finite_mean_return"]
 
     def test_finite_mean_return_threshold(self):
         # E[(1-p)/p] = beta/(alpha-1) < 1 iff alpha > 1 + beta
-        assert criterion(BetaParams(3.0, 0.5)).finite_mean_return
-        assert criterion(BetaParams(3.0, 2.5)).finite_mean_return is False
-        assert criterion(BetaParams(1.4, 0.5)).finite_mean_return is False
+        assert criterion(BetaParams(3.0, 0.5))["finite_mean_return"]
+        assert criterion(BetaParams(3.0, 2.5))["finite_mean_return"] is False
+        assert criterion(BetaParams(1.4, 0.5))["finite_mean_return"] is False
 
     def test_monte_carlo_log_odds_agreement(self):
         p = BetaParams(2.0, 1.0)
         xs = beta_samples(RngStream(112, 0), p, 100_000)
         mc = np.mean(np.log(xs / (1.0 - xs)))
-        assert abs(mc - criterion(p).log_odds_mean) < 0.01
+        assert abs(mc - criterion(p)["log_odds_mean"]) < 0.01
 
     def test_monte_carlo_inverse_odds_agreement(self):
         p = BetaParams(2.5, 0.5)
         xs = beta_samples(RngStream(102, 0), p, 100_000)
         mc = np.mean((1.0 - xs) / xs)
-        target = criterion(p).mean_inverse_odds
+        target = criterion(p)["mean_inverse_odds"]
         assert target == pytest.approx(1.0 / 3.0)
         assert abs(mc - target) / target < 0.02
 
-    def test_to_dict_round_trip(self):
-        d = criterion(BetaParams(2.0, 1.0)).to_dict()
+    def test_row_keys(self):
+        d = criterion(BetaParams(2.0, 1.0))
+        assert sorted(d) == ["alpha", "beta", "classification", "finite_mean_return",
+                             "log_odds_mean", "mean_inverse_odds", "mu"]
         assert d["classification"] == "transient_right"
         assert d["alpha"] == 2.0 and d["beta"] == 1.0
 
@@ -113,7 +117,7 @@ class TestSimulateBd:
                 env = BDEnvironment(sampler=BetaParams(alpha, beta), rng=rng)
                 finals.append(simulate_bd(env, 0, n_events, rng))
             mean = np.mean(finals)
-            if res.classification is Classification.TRANSIENT_RIGHT:
+            if res["classification"] == TRANSIENT_RIGHT:
                 assert mean > 0
             else:
                 assert mean < 0
@@ -154,7 +158,7 @@ class TestDifferenceRecurrence:
         shapes = [0.05, 0.5, 1.0, 1.0 + 1e-12, 2.0, 7.0 * (1 - 1e-12), 7.0, 40.0]
         for p in (BetaParams(a, b) for a in shapes for b in shapes):
             curve = difference_recurrence(p, p, [1], 1, 111)
-            assert curve.regime_ok == (criterion(p).mu > 0)
+            assert curve.regime_ok == (criterion(p)["mu"] > 0)
         # regime_ok needs both chains in the regime
         ok, bad = BetaParams(0.5, 2.0), BetaParams(2.0, 0.5)
         assert not difference_recurrence(ok, bad, [1], 1, 111).regime_ok

@@ -25,7 +25,6 @@ from reinforce_sim.coupling import (
 )
 from reinforce_sim.direct import (
     ModelParams,
-    WeightMap,
     right_jump_probability,
     run_direct,
     run_direct_batch,
@@ -41,6 +40,7 @@ from reinforce_sim.urn_process import (
 
 from oracles import (
     ExactDistribution,
+    WeightMap,
     blocked_right,
     enumerate_exact,
     first_kernel_difference,
@@ -202,13 +202,18 @@ def meeting_law(d: ExactDistribution) -> tuple[Fraction, ...]:
 
 def assert_pass_matches_tree(p: ModelParams, h: int):
     """compare_exact gives the trees' TV, trajectory counts, meeting laws
-    and total masses exactly; returns its result."""
+    and total masses exactly; returns its result.  The pass's laws end at
+    its last layer, the depth of the trees' longest trajectory (h unless
+    every path has met before), and the trees' laws are 0 past it."""
     d1, d2 = enumerate_exact("direct", p, h), enumerate_exact("urn", p, h)
     c = compare_exact(p, h)
     assert c.tv_distance == tv_distance(d1, d2)
     assert (c.trajectories_direct, c.trajectories_urn) == (len(d1.probs), len(d2.probs))
     assert (c.mass_direct, c.mass_urn) == (sum(d1.probs.values()), sum(d2.probs.values()))
-    assert (c.meeting_direct, c.meeting_urn) == (meeting_law(d1), meeting_law(d2))
+    layers = 1 + max(len(traj) for traj in (*d1.probs, *d2.probs))
+    tree_direct, tree_urn = meeting_law(d1), meeting_law(d2)
+    assert (c.meeting_direct, c.meeting_urn) == (tree_direct[:layers], tree_urn[:layers])
+    assert not any(tree_direct[layers:]) and not any(tree_urn[layers:])
     return c
 
 
@@ -238,6 +243,26 @@ class TestEnumeration:
         d = enumerate_exact("direct", params_for(), 1)
         assert all(p == Fraction(1, 4) for p in d.probs.values())
         assert len(d.probs) == 4
+
+    def test_a_coincident_start_ends_at_once_at_any_horizon(self):
+        # every path has met at depth 0, so the pass runs one layer and its
+        # laws end there, however far the horizon
+        c = compare_exact(params_for(a=2.0, delta=0.5, l0=3, r0=3), 10**12)
+        assert c.meeting_direct == c.meeting_urn == (1,)
+        assert c.mass_direct == c.mass_urn == 1
+        assert (c.trajectories_direct, c.trajectories_urn) == (1, 1)
+        assert c.tv_distance == 0 and c.first_difference is None
+
+    def test_a_pass_whose_paths_all_meet_matches_the_tree(self):
+        # the trees' laws run to the horizon; the pass's end at depth 0
+        c = assert_pass_matches_tree(params_for(a=2.0, delta=0.5, l0=3, r0=3), 6)
+        assert c.meeting_direct == c.meeting_urn == (1,)
+
+    def test_a_huge_horizon_is_refused_by_its_live_states(self):
+        # nothing in the pass is sized by the horizon: the layers refuse it
+        with pytest.raises(ValueError, match="horizon 1000000000000 needs more than "
+                                             "MAX_LIVE_STATES = 10000 live joint states"):
+            compare_exact(params_for(l0=0, r0=2), 10**12)
 
     def test_total_mass_is_exactly_one(self):
         for model in ("direct", "urn"):
@@ -407,7 +432,7 @@ class TestEnumeration:
         calls, sites = Counter(), []
 
         def counted_right(weights, v, delta):
-            calls["right", v, weights.weight(v - 1), weights.weight(v)] += 1
+            calls["right", v, weights[v - 1], weights[v]] += 1
             return right_jump_probability(weights, v, delta)
 
         def counted_masses(params, v, num=float):
@@ -687,7 +712,7 @@ class TestUrnCertificate:
         and delta >= 0, and every start pair with this gap.
 
         Premise: both kernels stay ratios of forms of degree <= 1 in
-        (a, delta) (``initial_masses``, ``WeightMap``,
+        (a, delta) (``initial_masses``, the edge weights a plus traversals,
         ``right_jump_probability``, ``left_mass / total``) and never branch
         on the values of a or delta; their kernels then lie in (0, 1), so
         the joint states reached do not depend on (a, delta).  The
@@ -736,8 +761,8 @@ class TestUrnEquivalenceAtEveryHorizon:
     induction over the events TV = 0 at every horizon.
 
     Premise, as in ``TestUrnCertificate``: the kernels read only their
-    documented inputs (``initial_masses``, ``WeightMap``,
-    ``right_jump_probability``, ``left_mass / total``), are ratios of
+    documented inputs (``initial_masses``, the edge weights a plus
+    traversals, ``right_jump_probability``, ``left_mass / total``), are ratios of
     forms of degree <= 1 in (a, delta, lj, rj) and never branch on the
     values of a, delta or the counts.  The cross-multiplied difference is
     then of degree <= 2 in each, and one that vanishes on a 3 x 3 x 3 x 3

@@ -7,7 +7,7 @@ once on this tree's ``src`` and once on OTHER_TREE's, each run in a fresh
 temporary directory holding only the command's input files.  The exit
 code, standard output, standard error and the bytes of every file in the
 directory afterwards must be equal.  One line per command says ``same`` or
-what differs; the exit code is 1 on any difference.  The 47 commands cover
+what differs; the exit code is 1 on any difference.  The 49 commands cover
 every subcommand; the direct engine runs at delta = 0, at dyadic a and
 delta, and at a non-dyadic pair, once without a log
 (``simulate-general-delta``) and once with a timed log of trials long
@@ -23,8 +23,10 @@ where many trials are cut at the budget, at a negative seed and one past
 2**64, whose streams the kernel keys from the masked seed's key words,
 and over 20,000 trials in one call.  ``urn-verify`` also runs below
 a = 1, at horizon 11, with walkers 40 apart (a site window of two
-ranges), and at horizon 12, which it refuses (exit 2); ``polya`` runs with
-its three-color urn, and ``criterion`` on a pair whose quadrature fails
+ranges), at horizon 12, which it refuses (exit 2), and from a coincident
+start at horizon 100,000, whose pass ends after one layer; ``polya`` runs
+with its three-color urn, and ``criterion`` on a recurrent pair, on one
+with a finite mean return time and on a pair whose quadrature fails
 (exit 2).  The whole list takes about 40 seconds on a 2-vCPU VM.
 """
 from __future__ import annotations
@@ -98,7 +100,11 @@ COMMANDS = [
                               "--horizon", horizon], {})
       for name, r0, horizon in (("h11", "3", "11"), ("two-ranges", "40", "9"),
                                 ("h12-refused", "3", "12"))),
+    ("urn-verify-coincident-deep", ["urn-verify", "--l0", "0", "--r0", "0", "--horizon",
+                                    "100000"], {}),
     ("criterion", ["criterion", "--pair", "1", "2", "--pair", "3", "2"], {}),
+    ("criterion-classes", ["criterion", "--pair", "2", "2", "--pair", "3", "0.5", "--pair", "0.5",
+                           "1.5"], {}),
     ("criterion-huge-shapes", ["criterion", "--pair", "1e8", "3e8"], {}),
     ("polya", ["polya", "--draws", "200", "--runs", "200", "--ks-threshold", "0.1", "--seed",
                "3"], {}),
