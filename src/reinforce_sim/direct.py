@@ -6,8 +6,10 @@ embedded jump chain picks the next mover uniformly among the particles.
 Continuous timestamps are optional decoration, Exp(n) holding times
 from a stream of their own; every statement here is about the jump chain.
 The event loop is ``run_events`` of ``kernels.c``, reached through
-:mod:`~reinforce_sim.native`.  It draws each event's two uniforms from
-the trial's own numpy generator, through numpy's C interface to it, so a
+:mod:`~reinforce_sim.native`.  It reads each event's two words from the
+trial's own numpy Philox generator, through numpy's C interface to it:
+the mover is the first word's top bit, ``int(2 * u)`` for its uniform u
+(0 for a lone walker), and the step the second word's uniform.  So a
 trial reads exactly two uniforms per event it runs.  Python runs trials
 one after another and grows the weight windows the loop runs in.
 """

@@ -89,7 +89,8 @@ class RngStream:
 # use, and a long one makes few reads yet holds one chunk at a time.  Only
 # run_coupling's Python loop reads its stream through uniform_chunks; the
 # direct engine's C loop draws from the stream's generator itself, and
-# rwre.first_returns' from the C twin of its streams, two uniforms per event.
+# rwre.first_returns' inline from the C twin of its streams, two words per
+# event, each pick the top bit of its word.
 _FIRST_CHUNK, _MAX_CHUNK = 8, 512
 
 

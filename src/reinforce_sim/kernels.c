@@ -14,18 +14,19 @@ double random_standard_gamma(bitgen_t *bitgen_state, double shape);
 /* A Philox4x64-10 stream, numpy's Philox bit for bit (Salmon et al., SC'11):
  * the two key words are numpy's hash of the seed, and each block of four
  * words is the ten-round cipher of the counter, which goes up by one, with
- * the carry, before the block is made.  The words are served in order, and
- * next_uint32 serves each word's low half, then keeps its high half for the
- * next call, as numpy does. */
+ * the carry, before the block is made.  philox_word serves the words in
+ * order; the loops here inline it, and the exported bitgen_t callbacks
+ * below, which numpy's gamma draw calls, wrap it: next_uint32 serves each
+ * word's low half, then keeps its high half for the next call, as numpy
+ * does, and next_double is the word's top 53 bits times 2**-53. */
 struct philox {
     uint64_t counter[4], key[2], buffer[4];
     int buffer_pos, has_uint32;
     uint32_t uinteger;
 };
 
-uint64_t philox_next64(void *state)
+static inline uint64_t philox_word(struct philox *s)
 {
-    struct philox *s = state;
     if (s->buffer_pos < 4)
         return s->buffer[s->buffer_pos++];
     for (int i = 0; i < 4 && ++s->counter[i] == 0; i++)
@@ -50,6 +51,17 @@ uint64_t philox_next64(void *state)
     return x[0];
 }
 
+/* A uniform on [0, 1) from the top 53 bits of a word, as numpy makes it. */
+static inline double unit_double(uint64_t word)
+{
+    return (double)(word >> 11) * (1.0 / 9007199254740992.0);
+}
+
+uint64_t philox_next64(void *state)
+{
+    return philox_word(state);
+}
+
 uint32_t philox_next32(void *state)
 {
     struct philox *s = state;
@@ -57,26 +69,23 @@ uint32_t philox_next32(void *state)
         s->has_uint32 = 0;
         return s->uinteger;
     }
-    uint64_t next = philox_next64(s);
+    uint64_t next = philox_word(s);
     s->has_uint32 = 1;
     s->uinteger = (uint32_t)(next >> 32);
     return (uint32_t)next;
 }
 
-/* A uniform on [0, 1) from the top 53 bits of the next word, as numpy makes it. */
 double philox_next_double(void *state)
 {
-    return (double)(philox_next64(state) >> 11) * (1.0 / 9007199254740992.0);
+    return unit_double(philox_word(state));
 }
 
 /* Make s stream (seed, trial, role) of distributions.RngStream, a fresh one:
  * the counter [0, 0, trial, role], under the seed's key words, with nothing
- * buffered; and make bits read it. */
-static void philox_key(struct philox *s, bitgen_t *bits, const uint64_t key[2], uint64_t trial,
-                       uint64_t role)
+ * buffered. */
+static void philox_key(struct philox *s, const uint64_t key[2], uint64_t trial, uint64_t role)
 {
     *s = (struct philox){{0, 0, trial, role}, {key[0], key[1]}, {0, 0, 0, 0}, 4, 0, 0};
-    *bits = (bitgen_t){s, philox_next64, philox_next32, philox_next_double, philox_next64};
 }
 
 /* Walker i stands at index at[i] of its window w[i], the index of the edge
@@ -89,15 +98,18 @@ struct trial {
     int64_t meetings;
 };
 
-/* Run up to k events of the n walkers, each on the next two uniforms of rng
- * as direct.run_direct states it, in the same floating-point operations and
- * order.  rng is the bit generator of the trial's numpy Generator, and its
- * next_double is the draw of Generator.random, so the loop reads the
- * stream's own uniform sequence.  Returns the number of events run: k, or
- * fewer after the limit-th meeting or once a walker stands at the edge of
- * its window, which is checked before an event draws.  log[e], if log is
- * not NULL, gets 2 * walker + 1 if the call's event e moves its walker
- * right, 2 * walker if left. */
+/* Run up to k events of the n walkers (1 or 2), each on the next two words
+ * of rng as direct.run_direct states it, in the same floating-point
+ * operations and order.  rng is the bit generator of the trial's numpy
+ * Philox Generator, whose next_double, the draw of Generator.random, is the
+ * top 53 bits of the next word times 2**-53.  So the mover, int(n * u) for
+ * the first uniform u, is 0 for a lone walker and the top bit of the word
+ * for two: the loop reads that word with next_uint64, then the step's
+ * uniform with next_double, and reads the stream's own word sequence.
+ * Returns the number of events run: k, or fewer after the limit-th meeting
+ * or once a walker stands at the edge of its window, which is checked
+ * before an event draws.  log[e], if log is not NULL, gets 2 * walker + 1
+ * if the call's event e moves its walker right, 2 * walker if left. */
 int64_t run_events(struct trial *t, bitgen_t *rng, int64_t k, int64_t n, double delta,
                    int64_t limit, int8_t *log)
 {
@@ -105,7 +117,7 @@ int64_t run_events(struct trial *t, bitgen_t *rng, int64_t k, int64_t n, double 
         for (int64_t j = 0; j < n; j++)
             if (t->at[j] < 1 || t->at[j] >= t->width[j])
                 return e;
-        int64_t i = (int64_t)(rng->next_double(rng->state) * (double)n), x = t->at[i];
+        int64_t i = (int64_t)(rng->next_uint64(rng->state) >> 63) & (n - 1), x = t->at[i];
         double *w = t->w[i];
         double wl = w[x - 1], wr = w[x];
         int right = rng->next_double(rng->state) < (wr + delta) / ((wl + wr) + delta);
@@ -136,22 +148,24 @@ static double beta_draw(bitgen_t *rng, double alpha, double beta)
 
 /* One trial of rwre.first_returns: the first event (1, 2, ...) after which
  * both chains stand at 0, or 0 if none does within budget events; -1 if
- * memory runs out.  Each event reads two uniforms of walk: chain two moves
- * if the first is >= 0.5, chain one otherwise, and it steps right if the
- * second is below its site's forward probability.  Chain c draws site k's
- * probability from env[c], Beta(alpha[c], beta[c]), on its first visit to
- * site k >= 1, into p[c][k], an array of cap[c] doubles that it doubles
- * when full; site 0 reflects.  sites[c], if sites is not NULL, gets the
- * number of sites chain c drew. */
-static int64_t first_return(bitgen_t *walk, bitgen_t *env[2], const double alpha[2],
+ * memory runs out.  Each event reads two words of walk: chain two moves if
+ * the first word's top bit is set, which is its uniform (top 53 bits times
+ * 2**-53) being >= 0.5, chain one otherwise, and it steps right if the
+ * second word's uniform is below its site's forward probability.  walk is
+ * read inline, as philox_word.  Chain c draws site k's probability from
+ * env[c], Beta(alpha[c], beta[c]), on its first visit to site k >= 1, into
+ * p[c][k], an array of cap[c] doubles that it doubles when full; site 0
+ * reflects.  sites[c], if sites is not NULL, gets the number of sites
+ * chain c drew. */
+static int64_t first_return(struct philox *walk, bitgen_t env[2], const double alpha[2],
                             const double beta[2], int64_t budget, double *p[2], int64_t cap[2],
                             int64_t *sites)
 {
     int64_t n[2] = {1, 1}, z[2] = {0, 0}, first = 0;
     p[0][0] = p[1][0] = 1.0;  /* p[c][k]: site k's forward probability */
     for (int64_t e = 1; e <= budget && !first; e++) {
-        int c = walk->next_double(walk->state) >= 0.5;
-        double u = walk->next_double(walk->state);
+        int c = (int)(philox_word(walk) >> 63);
+        double u = unit_double(philox_word(walk));
         int64_t k = z[c];
         if (k == n[c]) {
             if (n[c] == cap[c]) {
@@ -161,7 +175,7 @@ static int64_t first_return(bitgen_t *walk, bitgen_t *env[2], const double alpha
                 p[c] = q;
                 cap[c] *= 2;
             }
-            p[c][n[c]++] = beta_draw(env[c], alpha[c], beta[c]);
+            p[c][n[c]++] = beta_draw(&env[c], alpha[c], beta[c]);
         }
         z[c] = u < p[c][k] ? k + 1 : k - 1;
         if (z[0] == 0 && z[1] == 0)
@@ -190,11 +204,13 @@ int64_t first_returns(uint64_t key0, uint64_t key1, uint64_t t0, int64_t n, uint
     double *p[2] = {malloc(FIRST_SITES * sizeof(double)), malloc(FIRST_SITES * sizeof(double))};
     int64_t cap[2] = {FIRST_SITES, FIRST_SITES}, done = p[0] && p[1] ? 0 : -1;
     struct philox s[3];
-    bitgen_t bits[3], *env[2] = {&bits[1], &bits[2]};
+    /* the environment streams, as numpy's gamma draw reads them */
+    bitgen_t env[2] = {{&s[1], philox_next64, philox_next32, philox_next_double, philox_next64},
+                       {&s[2], philox_next64, philox_next32, philox_next_double, philox_next64}};
     for (int64_t i = 0; i < n && !done; i++) {
         for (int j = 0; j < 3; j++)
-            philox_key(&s[j], &bits[j], key, t0 + (uint64_t)i, role[j]);
-        first[i] = first_return(&bits[0], env, alpha, beta, budget, p, cap,
+            philox_key(&s[j], key, t0 + (uint64_t)i, role[j]);
+        first[i] = first_return(&s[0], env, alpha, beta, budget, p, cap,
                                 sites ? sites + 2 * i : NULL);
         if (first[i] < 0)
             done = -1;

@@ -1,10 +1,12 @@
 """``kernels.c`` built, cached, loaded and typed: the direct loop
 ``run_events``, ``rwre``'s ``first_returns`` and ``struct philox``, the C
-twin of ``RngStream``.  The first :func:`kernels` call, never an import,
-builds it with the system compiler and numpy's ``libnpyrandom`` into
-``__pycache__/kernels-<hash>.so`` (a temporary directory if that cannot be
-written).  The hash covers the source and the command, so a library built
-from other text is never loaded; a build removes those of other hashes.
+twin of ``RngStream``, whose words ``first_returns`` reads inline and
+whose exported ``bitgen_t`` callbacks serve numpy's gamma draw.  The
+first :func:`kernels` call, never an import, builds it with the system
+compiler and numpy's ``libnpyrandom`` into ``__pycache__/kernels-<hash>.so``
+(a temporary directory if that cannot be written).  The hash covers the
+source and the command, so a library built from other text is never
+loaded; a build removes those of other hashes.
 """
 from __future__ import annotations
 

@@ -3,10 +3,10 @@ criteria in closed form, plus a simulator for the two-chain difference
 recurrence experiment, whose trials run in C: one call of ``first_returns``
 (``kernels.c``, through :mod:`~reinforce_sim.native`) runs them all, keying
 each trial's three Philox streams itself, bit for bit as
-:class:`~reinforce_sim.distributions.RngStream` keys them, and drawing the
-environments' Betas through numpy's C gamma draw.  :func:`first_returns`
-returns the int64 array that call writes, one first return per trial, 0
-for none.
+:class:`~reinforce_sim.distributions.RngStream` keys them, reading the
+walk's words inline and drawing the environments' Betas through numpy's
+C gamma draw.  :func:`first_returns` returns the int64 array that call
+writes, one first return per trial, 0 for none.
 
 Sign conventions: transience to the right is governed by
 E[log(p/(1-p))] > 0, while the difference-recurrence hypothesis uses
@@ -77,7 +77,8 @@ def first_returns(
 
     Chain one lives on the nonnegative sites with forward probabilities
     p1(i) (p1(0) = 1); chain two mirrors it on the nonpositive sites with
-    p2.  An event takes two uniforms: the chain pick, then the step.
+    p2.  An event takes two uniforms: the chain pick, chain two when the
+    first is >= 0.5 (its word's top bit), then the step.
 
     Trial t moves on stream (seed, t); chain one's environment comes from
     (seed, t, ENVIRONMENT), chain two's from (seed, t, MIRROR_ENVIRONMENT).

@@ -15,12 +15,15 @@ outer steps of coupled runs tallied from the walkers' positions, the
 chameleon urn's draw as a function, and the coupled run drawing one
 uniform at a time from its stream.  :func:`out_of_order_free_step` breaks
 a coupled run's order through a real path.
-:class:`LargestUniform` is a stub stream for the edge of [0, 1), down to
-the C interface of a numpy bit generator.
+:class:`ScriptedWords` is a stub stream that serves given 64-bit words,
+down to the C interface of a numpy bit generator, and
+:class:`LargestUniform` one whose every word is 2**64 - 1, for the edge of
+[0, 1).
 """
 from __future__ import annotations
 
 import ctypes
+import itertools
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -41,37 +44,56 @@ from reinforce_sim.urn import MagicUrn, NegativeMassError, left_mass
 from reinforce_sim.urn_process import initial_masses
 
 
-# 1 - 2**-53, numpy's largest ``random()``
+# 1 - 2**-53, numpy's largest ``random()``, the uniform of the word 2**64 - 1
 LARGEST = float(np.nextafter(1.0, 0.0))
+_NEXT_UINT64 = ctypes.CFUNCTYPE(ctypes.c_uint64, ctypes.c_void_p)
 _NEXT_DOUBLE = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
-_next_largest = _NEXT_DOUBLE(lambda state: LARGEST)
 
 
 class _BitGen(ctypes.Structure):
     """numpy's ``bitgen_t``, as ``numpy/random/bitgen.h`` declares it."""
 
-    _fields_ = [("state", ctypes.c_void_p), ("next_uint64", ctypes.c_void_p),
+    _fields_ = [("state", ctypes.c_void_p), ("next_uint64", _NEXT_UINT64),
                 ("next_uint32", ctypes.c_void_p), ("next_double", _NEXT_DOUBLE),
                 ("next_raw", ctypes.c_void_p)]
 
 
-class LargestUniform:
-    """A stream whose every uniform is :data:`LARGEST`, read through
+class ScriptedWords:
+    """A stream that serves ``words`` in order, one per draw, read through
     ``gen.random`` or, by a compiled loop, through the ``bitgen_t`` at
-    ``gen.bit_generator.ctypes.bit_generator``, whose ``next_double``
-    returns it (its other functions are NULL).  It is its own ``gen`` and
+    ``gen.bit_generator.ctypes.bit_generator``: ``random`` and its
+    ``next_double`` give the next word's uniform, its top 53 bits times
+    2**-53 as numpy's Philox makes it, and its ``next_uint64`` the word
+    itself (its other
+    functions are NULL).  ``read`` counts the draws asked for, one past the
+    script if a draw found it spent.  It is its own ``gen`` and
     ``bit_generator``."""
 
-    def __init__(self):
+    def __init__(self, words):
         self.gen = self.bit_generator = self
-        self._bitgen = _BitGen(next_double=_next_largest)
+        self._words, self.read = iter(words), 0
+        self._bitgen = _BitGen(next_uint64=_NEXT_UINT64(lambda state: self.word()),
+                               next_double=_NEXT_DOUBLE(lambda state: self.random()))
         self.ctypes = SimpleNamespace(bit_generator=ctypes.addressof(self._bitgen))
 
+    def word(self) -> int:
+        self.read += 1
+        return next(self._words)
+
     def random(self, n: int | None = None):
-        return LARGEST if n is None else np.full(n, LARGEST)
+        if n is None:
+            return (self.word() >> 11) * 2.0**-53
+        return np.array([self.random() for _ in range(n)])
 
     def uniforms(self, n: int) -> np.ndarray:
         return self.random(n)
+
+
+class LargestUniform(ScriptedWords):
+    """A stream whose every word is 2**64 - 1, so every uniform is :data:`LARGEST`."""
+
+    def __init__(self):
+        super().__init__(itertools.repeat(2**64 - 1))
 
 
 class WeightMap(dict):

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from reinforce_sim import direct
 from reinforce_sim.direct import (
@@ -18,7 +20,8 @@ from reinforce_sim.direct import (
 from reinforce_sim.distributions import HOLDING_TIMES, RngStream, trial_streams
 
 from oracles import (
-    LargestUniform, WeightMap, direct_step, quadratic_meeting_rows, stepped_run_direct,
+    LargestUniform, ScriptedWords, WeightMap, direct_step, quadratic_meeting_rows,
+    stepped_run_direct,
 )
 
 
@@ -211,6 +214,32 @@ class TestRunDirect:
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=40)
         assert run_direct(params, n, LargestUniform()) == \
             stepped_run_direct(params, n, LargestUniform())
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_mover_words_at_the_top_bit_match_the_stepped_oracle(self, n):
+        # each event's first word is 0, 2**63 - 1, 2**63 or 2**64 - 1 in turn,
+        # whose uniforms are 0, 1/2 - 2**-53, 1/2 and 1 - 2**-53; its second
+        # is a word of a Philox stream
+        movers = [0, 2**63 - 1, 2**63, 2**64 - 1] * 10
+        steps = np.random.Philox(34).random_raw(len(movers)).tolist()
+        words = [w for pair in zip(movers, steps) for w in pair]
+        params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=len(movers))
+        mine, theirs = ScriptedWords(words), ScriptedWords(words)
+        got = run_direct(params, n, mine)
+        assert got == stepped_run_direct(params, n, theirs)
+        assert [i for _, i, _, _ in got.events] == [(w >> 63) * (n - 1) for w in movers]
+        assert mine.read == theirs.read == len(words)
+
+    @given(st.integers(0, 2**64 - 1))
+    @example(0).via("the smallest word")
+    @example(2**63 - 1).via("the last word below one half")
+    @example(2**63).via("the first word at one half")
+    @example(2**64 - 1).via("the largest word")
+    def test_a_words_top_bit_is_its_uniforms_two_way_pick(self, w):
+        # numpy's Philox makes the uniform (w >> 11) * 2**-53 of a word w, so
+        # the compiled loops read a two-way pick as the word's top bit
+        u = (w >> 11) * 2**-53
+        assert w >> 63 == int(u * 2) == int(u >= 0.5)
 
     def test_jsonl_schema(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=20)

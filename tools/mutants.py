@@ -1,0 +1,165 @@
+"""Check that the tests kill each mutant of a committed table.
+
+Run from the root of a checkout: ``python3 tools/mutants.py``.
+
+Each row of ``MUTANTS`` names a file of the tree, an exact text that
+occurs in it once, the text that replaces it, and the tests that should
+fail on the result.  For each row, the tree's ``src``, ``tests`` and
+``pyproject.toml`` are copied to a temporary directory, the row is
+applied there and its tests run there as ``python -m pytest -q -x``; a
+C mutant is built under its own hash in the copy's ``__pycache__``.  The
+mutant is killed when a test fails, the run crashes or it outlasts
+``TIMEOUT``, and alive when every test passes.  First the
+unmutated copy runs all the rows' tests, which must pass.  ``SURVIVORS``
+holds the mutants known to live, each with its reason.  One line per
+mutant says ``killed`` or ``alive``; the exit code is 1 on a new survivor
+or on a known one that is now killed, and 2 if a row's text does not
+occur exactly once or the unmutated copy fails.  A mutant whose kernel
+library does not build stops the run with an error; it is not killed.
+The 13 rows, all of ``kernels.c``, take 20 to 40 seconds on a 2-vCPU VM.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+# seconds a mutant's test run may take before the mutant counts as killed
+TIMEOUT = 900
+
+
+class Mutant(NamedTuple):
+    """One mutant: ``old``, found once in the tree's file ``path``, becomes
+    ``new``, and one of ``tests`` (files or node ids) should then fail."""
+
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+KERNELS = "src/reinforce_sim/kernels.c"
+RWRE = ("tests/test_rwre.py::TestDifferenceRecurrence",)
+TWIN = ("tests/test_distributions.py::TestPhiloxTwin", *RWRE)
+MOVER = ("tests/test_direct.py::TestRunDirect",)
+
+MUTANTS = [
+    # the two-way picks read from one word's top bit
+    Mutant("chain-pick-bit-62", KERNELS, "int c = (int)(philox_word(walk) >> 63);",
+           "int c = (int)(philox_word(walk) >> 62);", RWRE),
+    Mutant("mover-pick-bit-62", KERNELS, "(rng->next_uint64(rng->state) >> 63) & (n - 1)",
+           "(rng->next_uint64(rng->state) >> 62) & (n - 1)", MOVER),
+    Mutant("mover-second-word", KERNELS,
+           "(rng->next_uint64(rng->state) >> 63) & (n - 1)",
+           "((rng->next_uint64(rng->state), rng->next_uint64(rng->state)) >> 63) & (n - 1)",
+           MOVER),
+    # the Philox twin
+    Mutant("counter-after-block", KERNELS,
+           "    for (int i = 0; i < 4 && ++s->counter[i] == 0; i++)\n        ;\n"
+           "    uint64_t x[4] = {s->counter[0], s->counter[1], s->counter[2], s->counter[3]};\n",
+           "    uint64_t x[4] = {s->counter[0], s->counter[1], s->counter[2], s->counter[3]};\n"
+           "    for (int i = 0; i < 4 && ++s->counter[i] == 0; i++)\n        ;\n", TWIN),
+    Mutant("round-constant", KERNELS, "0xD2E7470EE14C6C93ULL", "0xD2E7470EE14C6C95ULL",
+           TWIN),
+    Mutant("no-key-bump", KERNELS, "k0 += 0x9E3779B97F4A7C15ULL;", "", TWIN),
+    Mutant("buffer-pos-0-after-block", KERNELS, "s->buffer_pos = 1;", "s->buffer_pos = 0;",
+           TWIN),
+    Mutant("buffer-bound-3", KERNELS, "if (s->buffer_pos < 4)", "if (s->buffer_pos < 3)", TWIN),
+    Mutant("keyed-buffer-pos-3", KERNELS, "{0, 0, 0, 0}, 4, 0, 0}",
+           "{0, 0, 0, 0}, 3, 0, 0}", RWRE),
+    # the Beta draw and the first-return loop
+    Mutant("no-gamma-retry", KERNELS, "} while (x + y == 0.0);", "} while (0);", RWRE),
+    Mutant("gamma-y-before-x", KERNELS,
+           "x = random_standard_gamma(rng, alpha);\n        y = random_standard_gamma(rng, beta);",
+           "y = random_standard_gamma(rng, beta);\n        x = random_standard_gamma(rng, alpha);",
+           RWRE),
+    Mutant("first-return-late", KERNELS, "first = e;", "first = e + 1;", RWRE),
+    Mutant("budget-bound-short", KERNELS, "e <= budget && !first", "e < budget && !first",
+           RWRE),
+]
+
+# name -> why the tests cannot kill it
+SURVIVORS: dict[str, str] = {}
+
+
+def copy_tree(root: Path, dest: Path) -> None:
+    """Copy ``root``'s ``src``, ``tests`` and ``pyproject.toml`` to ``dest``."""
+    for name in ("src", "tests"):
+        shutil.copytree(root / name, dest / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy2(root / "pyproject.toml", dest / "pyproject.toml")
+
+
+def passes(tree: Path, tests) -> bool:
+    """Whether ``tests`` pass in ``tree``: True if all pass, False if one
+    fails, the run crashes or it outlasts ``TIMEOUT``.  A kernel library
+    that does not build, or an error of pytest itself (a bad node id,
+    nothing collected), raises RuntimeError."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, check=False,
+                              timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return False
+    if b"building the kernel library failed" in done.stdout:
+        raise RuntimeError(f"the kernel library does not build: {done.stdout[-2000:]}")
+    if done.returncode in (0, 1) or done.returncode < 0:
+        return done.returncode == 0
+    raise RuntimeError(f"pytest exited with {done.returncode}: "
+                       f"{done.stdout.decode(errors='replace')[-2000:]}")
+
+
+def survives(root: Path, mutant: Mutant) -> bool:
+    """Whether ``mutant`` of the tree at ``root`` passes its tests; a
+    ``ValueError`` if its text does not occur exactly once."""
+    text = (root / mutant.path).read_text()
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: its text occurs {text.count(mutant.old)} times "
+                         f"in {mutant.path}")
+    with tempfile.TemporaryDirectory() as tmp:
+        copy_tree(root, Path(tmp))
+        (Path(tmp) / mutant.path).write_text(text.replace(mutant.old, mutant.new))
+        return passes(Path(tmp), mutant.tests)
+
+
+def check(root: Path, mutants: list[Mutant], survivors: dict[str, str]) -> int:
+    """Run ``mutants`` on the tree at ``root``, print one line each and
+    return the exit code."""
+    tests = list(dict.fromkeys(test for mutant in mutants for test in mutant.tests))
+    with tempfile.TemporaryDirectory() as tmp:
+        copy_tree(root, Path(tmp))
+        if not passes(Path(tmp), tests):
+            print("the unmutated tree fails its tests", file=sys.stderr)
+            return 2
+    wrong = 0
+    for mutant in mutants:
+        try:
+            alive = survives(root, mutant)
+        except ValueError as error:
+            print(error, file=sys.stderr)
+            return 2
+        known = mutant.name in survivors
+        wrong += alive != known
+        note = f" (known: {survivors[mutant.name]})" if alive and known else \
+            " (NEW SURVIVOR)" if alive else " (a known survivor, now killed)" if known else ""
+        print(f"{'alive' if alive else 'killed'}  {mutant.name}{note}", flush=True)
+    print(f"{wrong} of {len(mutants)} mutants disagree with the table")
+    return 1 if wrong else 0
+
+
+def main(argv: list[str]) -> int:
+    if argv:
+        print("usage: python3 tools/mutants.py", file=sys.stderr)
+        return 2
+    return check(ROOT, MUTANTS, SURVIVORS)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
