@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from itertools import chain, islice
+from itertools import chain
 
 import click
 
@@ -190,9 +190,9 @@ def simulate(n, a, delta, l0, r0, events, trials,
     logged = [] if trajectory_out is None else [
         run_direct(params, n, RngStream(seed, 0), stop_after_meetings=stop_after_meetings)]
     rows = []  # a lone particle never meets, so its statistics have no rows
-    if n > 1:  # one generator, re-keyed as each trial starts
-        streams = islice(trial_streams(seed, trials), len(logged), None)
-        records = run_direct_batch(params, streams, stop_after_meetings=stop_after_meetings)
+    if n > 1:
+        records = run_direct_batch(params, seed, range(len(logged), trials),
+                                   stop_after_meetings=stop_after_meetings)
         rows = meeting_statistics([rec.meetings for rec in chain(logged, records)])
     resolved = _resolved(outside_recurrence_regime=params.outside_recurrence_regime)
     notes = ["delta >= 1 is outside the proven recurrence regime"]

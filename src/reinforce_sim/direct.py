@@ -5,25 +5,22 @@ Each particle carries an independent rate-1 exponential clock, so the
 embedded jump chain picks the next mover uniformly among the particles.
 Continuous timestamps are optional decoration, Exp(n) holding times
 from a stream of their own; every statement here is about the jump chain.
-The event loop is ``run_events`` of ``kernels.c``, reached through
-:mod:`~reinforce_sim.native`.  It reads each event's two words from the
-trial's own numpy Philox generator, through numpy's C interface to it:
-the mover is the first word's top bit, ``int(2 * u)`` for its uniform u
-(0 for a lone walker), and the step the second word's uniform.  So a
-trial reads exactly two uniforms per event it runs.  Python runs trials
-one after another and grows the weight windows the loop runs in.
+Trials run in C, a range of them per call of ``direct_trials`` (see
+:mod:`~reinforce_sim.native`), each on the stream (seed, t) that the call
+keys, or one on a given stream's bit generator.  The C trial owns the
+walkers' weight windows.
 """
 from __future__ import annotations
 
 import ctypes
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .distributions import RngStream
-from .native import MAX_INT64, Trial, kernels
+from .native import MAX_INT64, kernels
 
 
 @dataclass(frozen=True)
@@ -108,24 +105,33 @@ def run_direct(
     """
     if n_particles not in (1, 2):
         raise ValueError(f"n_particles must be 1 or 2, got {n_particles!r}")
-    return next(_Engine(params, n_particles, stop_after_meetings).run([rng], []))
+    [(meetings, done, *_)], codes = _trials(params, n_particles, stop_after_meetings, 1,
+                                            rng=rng.gen.bit_generator.ctypes.bit_generator)
+    sites, events = [params.l0, params.r0][:n_particles], []
+    for e, code in enumerate(codes, 1):  # code: 2 x walker, plus 1 for a right jump
+        i, v = code >> 1, sites[code >> 1]
+        sites[i] = v + 2 * (code & 1) - 1
+        events.append((e, i, v, sites[i]))
+    return TrajectoryRecord(meetings, done, sites, events)
 
 
 def run_direct_batch(
     params: ModelParams,
-    streams: Iterable[RngStream],
+    seed: int,
+    trials: range,
     stop_after_meetings: int | None = None,
 ) -> Iterator[TrajectoryRecord]:
-    """Run one two-walker trial per stream, without event logs.
-
-    Yields, for each stream ``s``, the record of ``run_direct(params, 2,
-    s, stop_after_meetings=...)`` bit for bit, with ``events`` left
-    empty.  A trial's record is yielded when the trial ends, before the
-    next stream is read, so ``streams`` may yield one stream re-keyed
-    from trial to trial, as :func:`distributions.trial_streams` does.  A
-    trial draws exactly two uniforms per event it runs.
-    """
-    return _Engine(params, 2, stop_after_meetings).run(streams)
+    """Yield, for each trial t of the range ``trials``, the record of
+    ``run_direct(params, 2, RngStream(seed, t), stop_after_meetings=...)``
+    bit for bit, with ``events`` left empty.  Trials run ``_BLOCK`` to a
+    kernel call, so memory does not grow with the trials."""
+    if trials.step != 1:
+        raise ValueError(f"trials must be a range of step 1, got {trials!r}")
+    key = RngStream(seed, 0).key
+    for t in range(trials.start, trials.stop, _BLOCK):
+        rows, _ = _trials(params, 2, stop_after_meetings, min(_BLOCK, trials.stop - t), t, key)
+        for meetings, done, left, right, *_ in rows:
+            yield TrajectoryRecord(meetings, done, [params.l0 + left, params.r0 + right])
 
 
 # A walker's first window holds the edges within this many sites of its
@@ -133,95 +139,29 @@ def run_direct_batch(
 # that its walker would leave doubles on that side, so a trial holds weight
 # cells in proportion to the sites its walkers visit, never to their gap.
 _FIRST_REACH = 32
-# Events a logged trial runs per kernel call; their log codes are decoded
-# after each call, so the buffer does not grow with the budget.
-_LOG_EVENTS = 1 << 16
+# Trials run_direct_batch runs per kernel call.
+_BLOCK = 1 << 10
 
 
-class _Engine:
-    """Trials of one parameter set, run one after another by the compiled
-    event loop: one C call per trial, one more after each growth of a
-    weight window, and one per ``_LOG_EVENTS`` events of a logged trial."""
-
-    def __init__(self, params: ModelParams, n: int, stop_after_meetings: int | None):
-        self.params, self.n, self.a = params, n, float(params.a)
-        self.kernel = kernels().run_events
-        # the first meeting ends a run with any limit <= 1; INT64_MAX never comes
-        self.limit = MAX_INT64 if stop_after_meetings is None else \
-            min(max(stop_after_meetings, 1), MAX_INT64)
-        # every trial starts from these windows, refilled with a; sites count
-        # from l0, as Python ints, so any start and any gap fits
-        starts = [0, params.r0 - params.l0][:n]
-        t = Trial(meetings=int(n == 2 and starts[0] == starts[1]))
-        self.lo, self.windows = starts[:], [np.empty(0) for _ in starts]
-        for i, v in enumerate(starts):
-            self._cover(t, self.lo, self.windows, i, v - _FIRST_REACH, v + _FIRST_REACH)
-        self.first = bytes(t)
-
-    def run(self, streams: Iterable[RngStream], events: list | None = None):
-        """Yield the record of one trial per stream, each when its trial
-        ends and before the next stream is read.  Given ``events``, each
-        trial appends its event log to that list, which its record holds."""
-        n, limit, kernel = self.n, self.limit, self.kernel
-        delta, budget = float(self.params.delta), self.params.max_events
-        logged = events is not None
-        log = (ctypes.c_int8 * _LOG_EVENTS)() if logged else None
-        step = _LOG_EVENTS if logged else MAX_INT64
-        for rng in streams:
-            t, lo, windows = Trial.from_buffer_copy(self.first), self.lo[:], self.windows[:]
-            for w in windows:
-                w.fill(self.a)
-            trial, bits, e = ctypes.byref(t), rng.gen.bit_generator.ctypes.bit_generator, 0
-            sites = self._sites(t, lo) if logged else None  # moved by _decode
-            while e < budget and t.meetings < limit:
-                self._grow(t, lo, windows)  # the walkers at a window's edge
-                done = kernel(trial, bits, min(budget - e, step), n, delta, limit, log)
-                if logged:
-                    _decode(events, e, sites, log[:done])
-                e += done
-            yield TrajectoryRecord(t.meetings, e, self._sites(t, lo), events if logged else ())
-
-    def _sites(self, t: Trial, lo: list) -> list:
-        """The walkers' sites."""
-        return [self.params.l0 + v + x for v, x in zip(lo, t.at)]
-
-    def _grow(self, t: Trial, lo: list, windows: list) -> None:
-        """Double the window of each walker that stands at its edge, on that side."""
-        for i in range(self.n):
-            if t.at[i] < 1:
-                self._cover(t, lo, windows, i, lo[i] - t.width[i], lo[i])
-            elif t.at[i] >= t.width[i]:
-                self._cover(t, lo, windows, i, lo[i], lo[i] + 2 * t.width[i])
-
-    def _cover(self, t: Trial, lo: list, windows: list, i: int, new_lo: int, new_hi: int):
-        """Widen walker ``i``'s window to the edges [new_lo, new_hi) too
-        (sites less l0), and to the other walker's window if the two would
-        then touch.  ``lo[i]`` is the site of the first edge of ``windows[i]``.
-        A walker stays on the sites of its window's edges, so walkers in
-        windows that do not touch cannot meet."""
-        new_lo, new_hi = min(new_lo, lo[i]), max(new_hi, lo[i] + len(windows[i]))
-        share = [j for j in range(self.n) if windows[j] is windows[i]
-                 or new_lo <= lo[j] + len(windows[j]) and lo[j] <= new_hi]
-        new_lo = min([new_lo] + [lo[j] for j in share])
-        new_hi = max([new_hi] + [lo[j] + len(windows[j]) for j in share])
-        w = np.full(new_hi - new_lo, self.a)
-        for j in share:
-            w[lo[j] - new_lo:][:len(windows[j])] = windows[j]
-        for j in share:
-            t.at[j] += lo[j] - new_lo
-            lo[j], windows[j] = new_lo, w
-            t.w[j], t.width[j] = w.ctypes.data, len(w)
-
-
-def _decode(events: list, e: int, sites: list, codes: list) -> None:
-    """Append the events after event ``e`` to ``events`` as (event, walker,
-    from, to), from their log codes (2 x walker, plus 1 for a right jump),
-    moving the walkers' ``sites`` from before the events to after them."""
-    for code in codes:
-        i, e = code >> 1, e + 1
-        v = sites[i]
-        sites[i] = v + 2 * (code & 1) - 1
-        events.append((e, i, v, sites[i]))
+def _trials(params: ModelParams, n: int, stop: int | None, count: int, t0: int = 0,
+            key: Sequence[int] = (0, 0), rng: int | None = None) -> tuple[list, bytes]:
+    """The rows ``direct_trials`` of ``kernels.c`` writes, one per trial: its
+    meetings, events run, walkers' offsets from their starts and windows'
+    widths; and, for a trial on the bit generator at ``rng``, its log codes."""
+    rows, log, library = np.empty((count, 6), np.int64), ctypes.c_void_p(), kernels()
+    # the first meeting ends a run with any limit <= 1; a budget past int64
+    # runs as 2**63 - 1 events, which no trial reaches; no window grows
+    # across a gap of 2**62, and walkers' offsets from it still fit in int64
+    limit = MAX_INT64 if stop is None else min(max(stop, 1), MAX_INT64)
+    try:
+        if library.direct_trials(*key, t0 % 2**64, count, rng, n, float(params.a),
+                                   float(params.delta), min(params.r0 - params.l0, 2**62),
+                                   _FIRST_REACH, min(params.max_events, MAX_INT64), limit,
+                                   None if rng is None else ctypes.byref(log), rows.ctypes.data):
+            raise MemoryError("direct: no memory for a trial's weight windows or log")
+        return rows.tolist(), ctypes.string_at(log, int(rows[0, 1])) if log else b""
+    finally:
+        library.free(log)
 
 
 def meeting_statistics(counts: list[int]) -> list[tuple[range, float, float]]:

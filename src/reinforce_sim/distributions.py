@@ -14,8 +14,9 @@ rewriting its counter.
 ``kernels.c``, through :mod:`~reinforce_sim.native`, holds the C twin of
 :class:`RngStream`, ``struct philox``: numpy's Philox4x64-10 bit for bit, keyed
 with the seed's two key words (:attr:`RngStream.key`, numpy's hash of the seed,
-computed once in Python) and the counter ``[0, 0, trial, role]``.  ``rwre``'s
-trials key their streams in it, so a run of trials takes one kernel call.
+computed once in Python) and the counter ``[0, 0, trial, role]``.  The trials
+of ``rwre`` and of ``direct.run_direct_batch`` key their streams in it, so a
+run of trials takes one kernel call.
 """
 from __future__ import annotations
 
@@ -88,8 +89,8 @@ class RngStream:
 # up to the cap.  So a run that stops early draws few uniforms it does not
 # use, and a long one makes few reads yet holds one chunk at a time.  Only
 # run_coupling's Python loop reads its stream through uniform_chunks; the
-# direct engine's C loop draws from the stream's generator itself, and
-# rwre.first_returns' inline from the C twin of its streams, two words per
+# direct trials draw from a stream's bit generator or the C twin of their
+# streams, and rwre.first_returns inline from the C twin, two words per
 # event, each pick the top bit of its word.
 _FIRST_CHUNK, _MAX_CHUNK = 8, 512
 

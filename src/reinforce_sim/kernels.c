@@ -1,8 +1,9 @@
-/* The compiled loops: the direct dynamics' event loop run_events, one trial
- * per call, and rwre's first_returns, a range of trials per call on Philox
- * streams it keys itself.  reinforce_sim.native builds this file into one
- * shared library, linked with numpy's libnpyrandom, and types its entries
- * for ctypes; direct and rwre call them through it. */
+/* The compiled loops: the direct dynamics' direct_trials and rwre's
+ * first_returns, each a range of trials per call on Philox streams it keys
+ * itself (direct_trials also one trial on a given numpy bit generator).
+ * reinforce_sim.native builds this file into one shared library, linked with
+ * numpy's libnpyrandom, and types its entries for ctypes; direct and rwre
+ * call them through it. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <numpy/random/bitgen.h>
@@ -88,47 +89,109 @@ static void philox_key(struct philox *s, const uint64_t key[2], uint64_t trial, 
     *s = (struct philox){{0, 0, trial, role}, {key[0], key[1]}, {0, 0, 0, 0}, 4, 0, 0};
 }
 
-/* Walker i stands at index at[i] of its window w[i], the index of the edge
- * on its right; the window holds width[i] edge weights.  Two walkers share
- * one window once their windows would touch, and only then can they meet. */
-struct trial {
-    double *w[2];
-    int64_t width[2];
-    int64_t at[2];
-    int64_t meetings;
+/* A weight window: the weights of the edges [lo, lo + width) at w, an edge
+ * named by the site on its left, sites counted from l0. */
+struct window {
+    double *w;
+    int64_t lo, width;
 };
 
-/* Run up to k events of the n walkers (1 or 2), each on the next two words
- * of rng as direct.run_direct states it, in the same floating-point
- * operations and order.  rng is the bit generator of the trial's numpy
- * Philox Generator, whose next_double, the draw of Generator.random, is the
- * top 53 bits of the next word times 2**-53.  So the mover, int(n * u) for
- * the first uniform u, is 0 for a lone walker and the top bit of the word
- * for two: the loop reads that word with next_uint64, then the step's
- * uniform with next_double, and reads the stream's own word sequence.
- * Returns the number of events run: k, or fewer after the limit-th meeting
- * or once a walker stands at the edge of its window, which is checked
- * before an event draws.  log[e], if log is not NULL, gets 2 * walker + 1
- * if the call's event e moves its walker right, 2 * walker if left. */
-int64_t run_events(struct trial *t, bitgen_t *rng, int64_t k, int64_t n, double delta,
-                   int64_t limit, int8_t *log)
+/* Widen walker i's window, win[home[i]], to the edges [lo, hi) too, and to
+ * the other walker's window if the two would then touch, which both walkers
+ * then share; new edges weigh a.  A walker stays on the sites of its
+ * window's edges, so walkers in windows that do not touch cannot meet.
+ * Returns 0, or -1 if memory runs out. */
+static int cover(struct window win[2], int64_t home[2], int64_t n, int64_t i, int64_t lo,
+                 int64_t hi, double a)
 {
-    for (int64_t e = 0; e < k; e++) {
-        for (int64_t j = 0; j < n; j++)
-            if (t->at[j] < 1 || t->at[j] >= t->width[j])
-                return e;
-        int64_t i = (int64_t)(rng->next_uint64(rng->state) >> 63) & (n - 1), x = t->at[i];
-        double *w = t->w[i];
-        double wl = w[x - 1], wr = w[x];
-        int right = rng->next_double(rng->state) < (wr + delta) / ((wl + wr) + delta);
-        w[x - 1 + right] += 1.0;
-        t->at[i] = x - 1 + 2 * right;
-        if (log)
-            log[e] = (int8_t)(2 * i + right);
-        if (t->w[0] == t->w[1] && t->at[0] == t->at[1] && ++t->meetings >= limit)
-            return e + 1;
+    struct window *own = &win[home[i]], *other = &win[home[n - 1 - i]], *parts[2] = {own, NULL};
+    for (int c = 0; c < 2 && parts[c]; c++) {
+        lo = parts[c]->lo < lo ? parts[c]->lo : lo;
+        hi = parts[c]->lo + parts[c]->width > hi ? parts[c]->lo + parts[c]->width : hi;
+        if (other != own && lo <= other->lo + other->width && other->lo <= hi)
+            parts[1] = other;
     }
-    return k;
+    double *w = malloc((size_t)(hi - lo) * sizeof(double));
+    if (!w)
+        return -1;
+    for (int64_t k = 0; k < hi - lo; k++)
+        w[k] = a;
+    for (int c = 0; c < 2 && parts[c]; c++) {
+        for (int64_t k = 0; k < parts[c]->width; k++)
+            w[parts[c]->lo - lo + k] = parts[c]->w[k];
+        free(parts[c]->w);
+        *parts[c] = (struct window){NULL, lo, 0};
+    }
+    if (parts[1])
+        home[n - 1 - i] = home[i];
+    *own = (struct window){w, lo, hi - lo};
+    return 0;
+}
+
+/* Trials t0, t0 + 1, ..., t0 + trials - 1 (mod 2**64) of direct.run_direct,
+ * one after another: each on rng if rng is not NULL, else trial t on stream
+ * (seed, t), keyed here from the seed's key words as distributions.RngStream
+ * keys it.  A trial runs up to budget events of the n walkers (1 or 2),
+ * walker 0 from site 0 and walker 1 from gap, each event on the next two
+ * words of its stream, in the floating-point operations and order that
+ * run_direct states: the mover, int(n * u) for the first word's uniform u,
+ * is 0 for a lone walker and the word's top bit for two, read with
+ * next_uint64; the step's uniform is read with next_double, the top 53 bits
+ * of the next word times 2**-53, as numpy's Generator.random makes it.  A
+ * trial stops after the limit-th meeting, checked before an event draws.
+ * Walker i's first window holds the edges within reach sites of its start,
+ * and doubles on the side the walker reaches.  Row i of out, six int64, gets
+ * trial t0 + i's meetings, events run, walkers' offsets from their starts
+ * and their windows' widths.  If log is not NULL, (*log)[e] gets 2 * walker
+ * + 1 if event e + 1 moves its walker right, 2 * walker if left, for a run
+ * of one trial, in a buffer (NULL at first) that doubles as the events run,
+ * which the caller frees.  Returns 0, or -1 if memory runs out. */
+int64_t direct_trials(uint64_t key0, uint64_t key1, uint64_t t0, int64_t trials,
+                      bitgen_t *rng, int64_t n, double a, double delta, int64_t gap,
+                      int64_t reach, int64_t budget, int64_t limit, int8_t **log, int64_t *out)
+{
+    struct philox s;
+    bitgen_t keyed = {&s, philox_next64, philox_next32, philox_next_double, philox_next64};
+    int64_t cap = 0, failed = 0;
+    rng = rng ? rng : &keyed;
+    for (int64_t t = 0; t < trials && !failed; t++, out += 6) {
+        struct window win[2] = {{NULL, 0, 0}, {NULL, gap, 0}};
+        int64_t home[2] = {0, 1}, x[2] = {0, gap}, meetings = n == 2 && gap == 0, e = 0;
+        philox_key(&s, (const uint64_t[2]){key0, key1}, t0 + (uint64_t)t, 0);
+        for (int64_t j = 0; j < n && !failed; j++)
+            failed = cover(win, home, n, j, x[j] - reach, x[j] + reach, a);
+        for (; !failed && e < budget && meetings < limit; e++) {
+            if (log && e == cap) {
+                int8_t *grown = realloc(*log, (size_t)(cap = 2 * cap + 1));
+                failed = !grown;
+                if (grown)
+                    *log = grown;
+            }
+            int64_t i = (int64_t)(rng->next_uint64(rng->state) >> 63) & (n - 1);
+            struct window *v = &win[home[i]];
+            while (!failed && x[i] <= v->lo)
+                failed = cover(win, home, n, i, v->lo - v->width, v->lo, a);
+            while (!failed && x[i] >= v->lo + v->width)
+                failed = cover(win, home, n, i, v->lo, v->lo + 2 * v->width, a);
+            if (failed)
+                break;
+            double *w = v->w + (x[i] - v->lo);  /* the edge on x[i]'s right */
+            int right = rng->next_double(rng->state) < (w[0] + delta) / ((w[-1] + w[0]) + delta);
+            w[right - 1] += 1.0;
+            x[i] += 2 * right - 1;
+            if (log)
+                (*log)[e] = (int8_t)(2 * i + right);
+            meetings += home[0] == home[1] && x[0] == x[1];
+        }
+        out[0] = meetings;
+        out[1] = e;
+        for (int j = 0; j < 2; j++) {
+            out[2 + j] = x[j] - j * gap;
+            out[4 + j] = win[home[j]].width;
+            free(win[j].w);
+        }
+    }
+    return -failed;
 }
 
 /* One Beta(alpha, beta) draw as distributions.sample_beta makes it: x =

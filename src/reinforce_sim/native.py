@@ -1,7 +1,8 @@
-"""``kernels.c`` built, cached, loaded and typed: the direct loop
-``run_events``, ``rwre``'s ``first_returns`` and ``struct philox``, the C
-twin of ``RngStream``, whose words ``first_returns`` reads inline and
-whose exported ``bitgen_t`` callbacks serve numpy's gamma draw.  The
+"""``kernels.c`` built, cached, loaded and typed: ``direct``'s
+``direct_trials``, ``rwre``'s ``first_returns`` and ``struct philox``, the
+C twin of ``RngStream``, whose words ``first_returns`` reads inline and
+whose exported ``bitgen_t`` callbacks serve ``direct_trials``' keyed
+trials and numpy's gamma draw.  The
 first :func:`kernels` call, never an import, builds it with the system
 compiler and numpy's ``libnpyrandom`` into ``__pycache__/kernels-<hash>.so``
 (a temporary directory if that cannot be written).  The hash covers the
@@ -21,14 +22,6 @@ import numpy as np
 MAX_INT64 = 2**63 - 1
 
 
-class Trial(ctypes.Structure):
-    """``struct trial`` of ``kernels.c``: walker i stands at index
-    ``at[i]`` of its window, the ``width[i]`` edge weights at ``w[i]``."""
-
-    _fields_ = [("w", ctypes.c_void_p * 2), ("width", ctypes.c_int64 * 2),
-                ("at", ctypes.c_int64 * 2), ("meetings", ctypes.c_int64)]
-
-
 # The kernels' source and the command that builds them; the library is cached
 # under a hash of all of it.
 _SOURCE = Path(__file__).with_name("kernels.c")
@@ -41,12 +34,14 @@ _LDFLAGS = (f"-L{Path(np.__file__).parent / 'random' / 'lib'}", "-lnpyrandom", "
 
 @cache
 def kernels() -> ctypes.CDLL:
-    """The library, with ``run_events`` and ``first_returns`` typed."""
+    """The library, with ``direct_trials``, ``first_returns`` and libc's
+    ``free``, which releases the log ``direct_trials`` allocates, typed."""
     library = _library(Path(__file__).with_name("__pycache__"))
-    library.run_events.argtypes = [ctypes.POINTER(Trial), ctypes.c_void_p, ctypes.c_int64,
-                                   ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
-                                   ctypes.POINTER(ctypes.c_int8)]
-    library.run_events.restype = ctypes.c_int64
+    library.direct_trials.argtypes = [*[ctypes.c_uint64] * 3, ctypes.c_int64, ctypes.c_void_p,
+                                      ctypes.c_int64, *[ctypes.c_double] * 2,
+                                      *[ctypes.c_int64] * 4, ctypes.c_void_p, ctypes.c_void_p]
+    library.direct_trials.restype = ctypes.c_int64
+    library.free.argtypes, library.free.restype = [ctypes.c_void_p], None
     library.first_returns.argtypes = [*[ctypes.c_uint64] * 3, ctypes.c_int64,
                                       *[ctypes.c_uint64] * 2, *[ctypes.c_double] * 4,
                                       ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p]

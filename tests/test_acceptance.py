@@ -169,8 +169,8 @@ def test_criterion_5_recurrence_trend_direct():
     for delta in (0.0, 0.5):
         params = ModelParams(a=1.0, delta=delta, l0=0, r0=2, max_events=budgets[-1])
         offset = 0 if delta == 0.0 else 500_000
-        streams = [RngStream(515, t + offset) for t in range(baselines.PILOT_TRIALS)]
-        records = run_direct_batch(params, streams, stop_after_meetings=1)
+        records = run_direct_batch(params, 515, range(offset, offset + baselines.PILOT_TRIALS),
+                                   stop_after_meetings=1)
         taus = [rec.events_executed if rec.meetings else None for rec in records]
         fracs = [
             sum(1 for tau in taus if tau is not None and tau <= b) / len(taus)

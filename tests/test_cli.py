@@ -16,7 +16,7 @@ import reinforce_sim
 from reinforce_sim import cli, direct, distributions, rwre, urn_process
 from reinforce_sim.cli import main
 from reinforce_sim.coupling import MARGINAL_TRIALS, Environment, run_coupling
-from reinforce_sim.direct import ModelParams, meeting_statistics, run_direct
+from reinforce_sim.direct import ModelParams, meeting_statistics, run_direct, run_direct_batch
 from reinforce_sim.distributions import ENVIRONMENT, HOLDING_TIMES, BetaParams, RngStream
 
 from oracles import (
@@ -129,23 +129,26 @@ class TestSimulate:
 
     @pytest.mark.parametrize("trials", [1, 40])
     def test_trial_zero_runs_once_with_its_log(self, runner, tmp_path, monkeypatch, trials):
-        built = []  # the stream key of each trial run, as the engine receives it
-        run = direct._Engine.run
+        # trial 0 runs through run_direct on its stream, the others through
+        # run_direct_batch on their range
+        logged, batched = [], []
 
-        def keys(streams):
-            for rng in streams:
-                built.append((rng.seed, rng.trial, rng.role))
-                yield rng
+        def one(params, n, rng, **kw):
+            logged.append((rng.seed, rng.trial, rng.role))
+            return run_direct(params, n, rng, **kw)
 
-        monkeypatch.setattr(direct._Engine, "run",
-                            lambda engine, streams, *args: run(engine, keys(streams), *args))
+        def batch(params, seed, trials, **kw):
+            batched.append((seed, trials))
+            return run_direct_batch(params, seed, trials, **kw)
+
+        monkeypatch.setattr(cli, "run_direct", one)
+        monkeypatch.setattr(cli, "run_direct_batch", batch)
         traj = tmp_path / "traj.jsonl"
         result = runner.invoke(main, ["simulate", "--trials", str(trials), "--events", "700",
                                       "--seed", "13", "--stop-after-meetings", "3",
                                       "--trajectory-out", str(traj)])
         assert result.exit_code == 0
-        assert built.count((13, 0, None)) == 1
-        assert sorted(built) == [(13, t, None) for t in range(trials)]
+        assert logged == [(13, 0, None)] and batched == [(13, range(1, trials))]
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=700)
         records = [run_direct(params, 2, RngStream(13, t), stop_after_meetings=3)
                    for t in range(trials)]
@@ -805,11 +808,11 @@ class TestStreamKeys:
     def test_output_does_not_depend_on_the_chunk_sizes(self, runner, tmp_path, monkeypatch, name):
         outputs = set()
         # first and largest uniform_chunks chunk, in events, which the coupled
-        # and rwre loops read, and the direct engine's logged events per call
+        # loop reads, and the direct trials run per kernel call
         for first, largest in ((8, 512), (1, 1), (3, 700)):
             monkeypatch.setattr(distributions, "_FIRST_CHUNK", first)
             monkeypatch.setattr(distributions, "_MAX_CHUNK", largest)
-            monkeypatch.setattr(direct, "_LOG_EVENTS", largest)
+            monkeypatch.setattr(direct, "_BLOCK", largest)
             out, traj = tmp_path / f"{first}.out", tmp_path / f"{first}.jsonl"
             args = [str(traj) if a == "TRAJ" else a for a in KEYED_STREAM_COMMANDS[name]]
             result = runner.invoke(main, args + ["--out", str(out)])
@@ -985,7 +988,7 @@ class TestImportPath:
         assert scipy_modules_after("import reinforce_sim.cli") == []
 
     def test_importing_the_cli_builds_and_loads_no_kernel(self):
-        # neither the direct engine's run_events nor rwre's first_return:
+        # neither the direct trials nor rwre's first returns:
         # no compiler runs and no library is loaded
         script = ("import ctypes, subprocess\n"
                   "seen, load, run = [], ctypes.CDLL, subprocess.run\n"

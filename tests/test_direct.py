@@ -2,6 +2,7 @@
 urn equivalence."""
 import json
 import pickle
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from reinforce_sim.direct import (
     run_direct,
     run_direct_batch,
 )
-from reinforce_sim.distributions import HOLDING_TIMES, RngStream, trial_streams
+from reinforce_sim.distributions import HOLDING_TIMES, RngStream
 
 from oracles import (
     LargestUniform, ScriptedWords, WeightMap, direct_step, quadratic_meeting_rows,
@@ -298,23 +299,16 @@ def drew_exactly(rng: RngStream, uniforms: int) -> bool:
     return generator_state(rng) == generator_state(fresh)
 
 
-def spy_on_windows(monkeypatch):
-    """A list that gets (edges, shared) of each window the engine gives a
-    walker of a two-walker trial: its width, and whether both walkers hold it."""
-    windows = []
-    cover = direct._Engine._cover
-
-    def spy(engine, t, lo, held, i, *bounds):
-        cover(engine, t, lo, held, i, *bounds)
-        windows.append((t.width[i], held[0] is held[1]))
-
-    monkeypatch.setattr(direct._Engine, "_cover", spy)
-    return windows
+def window_widths(params, seed, trials, stop=None):
+    """The widths of the two walkers' final windows in each of ``trials``
+    two-walker trials, as the compiled trials report them; walkers that
+    share a window report its width twice."""
+    rows, _ = direct._trials(params, 2, stop, trials, 0, RngStream(seed, 0).key)
+    return [row[4:] for row in rows]
 
 
 def batch_records(params, seed, trials, stop=None):
-    streams = [RngStream(seed, t) for t in range(trials)]
-    return list(run_direct_batch(params, streams, stop_after_meetings=stop))
+    return list(run_direct_batch(params, seed, range(trials), stop_after_meetings=stop))
 
 
 class TestRunDirectBatch:
@@ -343,6 +337,44 @@ class TestRunDirectBatch:
                     assert batch_records(params, 70, 8, stop) == \
                         scalar_records(params, 70, 8, stop)
 
+    @pytest.mark.parametrize("a", [1.0, 2.0**60])  # at 2**60, a + 1 == a
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    @pytest.mark.parametrize("stop", [1, 3, 1000])
+    @pytest.mark.parametrize("trials", [40, 100, 1000])
+    def test_matches_scalar_across_trial_counts_and_stops(self, a, delta, stop, trials):
+        params = ModelParams(a=a, delta=delta, l0=0, r0=2, max_events=600)
+        got = batch_records(params, 80, trials, stop)
+        assert got == scalar_records(params, 80, trials, stop)
+        assert got[:3] == stepped_records(params, 80, 3, stop)
+
+    @pytest.mark.parametrize("seed,start", [(93, 2**63 - 2), (93, 2**64 - 2), (-93, 5),
+                                            (2**64 + 93, 5)],
+                             ids=["past-int64", "wrapping", "negative-seed", "seed-past-2**64"])
+    def test_keys_each_trial_as_rng_stream_does(self, seed, start):
+        # the kernel keys trial t from the seed's key words and counter word
+        # t mod 2**64, as RngStream(seed, t) does
+        params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=300)
+        trials = range(start, start + 4)
+        got = list(run_direct_batch(params, seed, trials, stop_after_meetings=2))
+        assert got == [unlogged(run_direct(params, 2, RngStream(seed, t), stop_after_meetings=2))
+                       for t in trials]
+        assert len({tuple(rec.final_positions) for rec in got}) > 1
+
+    def test_blocks_of_trials_give_the_records_of_one(self, monkeypatch):
+        # kernel calls of three trials, one of them across the counter's wrap
+        params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=200)
+        trials = range(2**64 - 4, 2**64 + 6)
+        whole = list(run_direct_batch(params, 94, trials, stop_after_meetings=3))
+        monkeypatch.setattr(direct, "_BLOCK", 3)
+        assert list(run_direct_batch(params, 94, trials, stop_after_meetings=3)) == whole
+        assert whole == [unlogged(run_direct(params, 2, RngStream(94, t), stop_after_meetings=3))
+                         for t in trials]
+
+    def test_a_range_of_another_step_is_refused(self):
+        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10)
+        with pytest.raises(ValueError, match="step 1"):
+            next(run_direct_batch(params, 0, range(0, 10, 2)))
+
     @pytest.mark.parametrize("stop", [None, 1, 3])
     def test_output_does_not_depend_on_the_first_window_reach(self, monkeypatch, stop):
         # first windows of 2, 4 and 10 edges against the default 64: at gap 3
@@ -354,11 +386,11 @@ class TestRunDirectBatch:
             assert batch_records(params, 71, 24, stop=stop) == expected
 
     def test_largest_uniforms_move_the_last_walker(self):
+        # run_direct and run_direct_batch share one compiled loop
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=40)
-        streams = [LargestUniform() for _ in range(6)]
-        recs = list(run_direct_batch(params, streams))
-        assert recs[0].final_positions == [0, -37]
-        assert recs == [unlogged(run_direct(params, 2, s)) for s in streams]
+        rec = run_direct(params, 2, LargestUniform())
+        assert rec.final_positions == [0, -37]
+        assert rec == stepped_run_direct(params, 2, LargestUniform())
 
     def test_window_growth(self, monkeypatch):
         # first windows of two edges, so every excursion past the start
@@ -376,7 +408,7 @@ class TestRunDirectBatch:
         # Pickling serialises everything they reach: 64 count records take
         # about 3 KB, lists of their 288,578 meeting times about 870 KB
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=1, max_events=20_000)
-        records = list(run_direct_batch(params, [RngStream(79, t) for t in range(64)]))
+        records = batch_records(params, 79, 64)
         assert sum(rec.meetings for rec in records) > 64 * 1000
         assert len(pickle.dumps(records)) < 1 << 14
 
@@ -402,49 +434,30 @@ class TestRunDirectBatch:
         # in which it does, some within eight events
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=3, max_events=403)
         streams = [RngStream(78, t) for t in range(64)]
-        got = list(run_direct_batch(params, streams, stop_after_meetings=stop))
-        assert got == scalar_records(params, 78, 64, stop=stop)
+        got = batch_records(params, 78, 64, stop)
+        assert got == [unlogged(run_direct(params, 2, s, stop_after_meetings=stop))
+                       for s in streams]
         retired = [rec.meetings == stop for rec in got]
         assert 0 < sum(done and rec.events_executed <= 8 for rec, done in zip(got, retired)) < 32
         assert sum(retired) < 64
         assert all(drew_exactly(stream, 2 * rec.events_executed)
                    for rec, stream in zip(got, streams))
 
-    @pytest.mark.parametrize("stop", [None, 1])
-    def test_one_generator_re_keyed_per_trial(self, stop):
-        # each trial ends before the next stream is read, so one re-keyed
-        # generator serves them all
-        params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=1101)
-        got = list(run_direct_batch(params, trial_streams(77, 36), stop_after_meetings=stop))
-        assert got == scalar_records(params, 77, 36, stop=stop)
-        assert got[:4] == stepped_records(params, 77, 4, stop=stop)
-
-    def test_each_record_is_yielded_before_the_next_stream_is_read(self):
-        params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=300)
-        seen = []
-
-        def streams():
-            for t in range(4):
-                seen.append(("stream", t))
-                yield RngStream(86, t)
-
-        for rec in run_direct_batch(params, streams(), stop_after_meetings=1):
-            seen.append(rec)
-        expected = scalar_records(params, 86, 4, stop=1)
-        assert seen == [x for t in range(4) for x in (("stream", t), expected[t])]
-
-    def test_no_streams_no_records(self):
+    def test_an_empty_range_yields_no_records(self):
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10)
-        assert list(run_direct_batch(params, [])) == []
+        assert list(run_direct_batch(params, 0, range(0))) == []
+        assert list(run_direct_batch(params, 0, range(5, 5))) == []
 
     @pytest.mark.parametrize("gap", [0, 2])
     @pytest.mark.parametrize("stop", [None, 1])
     def test_zero_budget_runs_and_draws_nothing(self, gap, stop):
         params = ModelParams(a=1.0, delta=0.5, l0=-1, r0=gap - 1, max_events=0)
-        streams = [RngStream(74, t) for t in range(3)]
-        got = list(run_direct_batch(params, streams, stop_after_meetings=stop))
+        got = batch_records(params, 74, 3, stop)
         assert [(rec.meetings, rec.events_executed, rec.final_positions) for rec in got] == \
             [(int(gap == 0), 0, [-1, gap - 1])] * 3
+        streams = [RngStream(74, t) for t in range(3)]
+        assert got == [unlogged(run_direct(params, 2, s, stop_after_meetings=stop))
+                       for s in streams]
         logged = [run_direct(params, n, RngStream(74, 0), stop_after_meetings=stop)
                   for n in (1, 2)]
         assert logged == [stepped_run_direct(params, n, RngStream(74, 0), stop) for n in (1, 2)]
@@ -453,11 +466,12 @@ class TestRunDirectBatch:
 
     def test_coincident_starts_stopping_at_the_first_meeting_draw_nothing(self):
         params = ModelParams(a=1.0, delta=0.0, l0=4, r0=4, max_events=100)
-        streams = [RngStream(82, t) for t in range(30)]
-        got = list(run_direct_batch(params, streams, stop_after_meetings=1))
+        got = batch_records(params, 82, 30, stop=1)
         assert [(rec.meetings, rec.events_executed, rec.final_positions) for rec in got] == \
             [(1, 0, [4, 4])] * 30
-        assert got == scalar_records(params, 82, 30, stop=1)
+        streams = [RngStream(82, t) for t in range(30)]
+        assert got == [unlogged(run_direct(params, 2, s, stop_after_meetings=1))
+                       for s in streams]
         assert all(drew_exactly(stream, 0) for stream in streams)
 
     @pytest.mark.parametrize("stop", [None, 1, 3, 1000])
@@ -467,8 +481,9 @@ class TestRunDirectBatch:
         # trial runs, and no further
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=700)
         streams = [RngStream(85, t) for t in range(trials)]
-        got = list(run_direct_batch(params, streams, stop_after_meetings=stop))
-        assert got == scalar_records(params, 85, trials, stop)
+        got = batch_records(params, 85, trials, stop)
+        assert got == [unlogged(run_direct(params, 2, s, stop_after_meetings=stop))
+                       for s in streams]
         assert all(drew_exactly(stream, 2 * rec.events_executed)
                    for rec, stream in zip(got, streams))
         if stop is None:
@@ -502,18 +517,14 @@ class TestEngine:
                 assert run_direct(params, n, RngStream(90, budget),
                                   stop_after_meetings=stop) == oracle
                 if n == 2:
-                    assert list(run_direct_batch(params, [RngStream(90, budget)], stop)) == \
-                        [unlogged(oracle)]
+                    assert list(run_direct_batch(params, 90, range(budget, budget + 1), stop)) \
+                        == [unlogged(oracle)]
 
-    @pytest.mark.parametrize("log_events", [1, 7, None])
-    def test_logs_longer_than_the_log_buffer_match_the_stepped_oracle(self, monkeypatch,
-                                                                      log_events):
-        # a logged trial runs one kernel call per _LOG_EVENTS events and
-        # decodes each call's codes; None keeps the real buffer
-        if log_events is not None:
-            monkeypatch.setattr(direct, "_LOG_EVENTS", log_events)
-        budget = 3 * direct._LOG_EVENTS + 2 if log_events else direct._LOG_EVENTS + 5
-        params = ModelParams(a=0.3, delta=0.37, l0=0, r0=1, max_events=max(budget, 600))
+    @pytest.mark.parametrize("budget", [1, 2, 3, 4, 7, 8, 2**16 + 5])
+    def test_logs_match_the_stepped_oracle_as_the_log_grows(self, budget):
+        # a logged trial's code buffer holds 1 code, then 3, 7, 15, ...:
+        # budgets at and past its first sizes, and past 2**16 events
+        params = ModelParams(a=0.3, delta=0.37, l0=0, r0=1, max_events=budget)
         for n, stop in ((1, None), (2, None), (2, 3)):
             rng = RngStream(92, n)
             got = run_direct(params, n, rng, stop_after_meetings=stop)
@@ -522,41 +533,26 @@ class TestEngine:
 
     def test_windows_apart_merge_before_the_walkers_meet(self, monkeypatch):
         monkeypatch.setattr(direct, "_FIRST_REACH", 2)
-        windows = spy_on_windows(monkeypatch)
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=12, max_events=3000)
         got = [run_direct(params, 2, RngStream(91, t)) for t in range(4)]
         assert got == [stepped_run_direct(params, 2, RngStream(91, t)) for t in range(4)]
-        assert not windows[0][1] and any(shared for _, shared in windows)
         assert sum(rec.meetings for rec in got) > 0
+        # each walker starts in a window of four edges of its own; walkers
+        # meet only in one window, which spans both starts' windows
+        assert window_widths(replace(params, max_events=0), 91, 4) == [[4, 4]] * 4
+        widths = window_widths(params, 91, 4)
+        assert all(w0 == w1 >= 16 for (w0, w1), rec in zip(widths, got) if rec.meetings)
 
     @pytest.mark.parametrize("trials,gap", [(100, 10**12), (300, 2**22 + 1),
                                             (50, 2**63 + 1), (50, 10**22)])
-    def test_far_apart_starts_split_until_no_group_holds_weights(self, monkeypatch, trials, gap):
+    def test_far_apart_starts_split_until_no_group_holds_weights(self, trials, gap):
         # each walker keeps a window of its own, and none spans the gap
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=gap, max_events=300)
         expected = stepped_records(params, 84, 5)
-        windows = spy_on_windows(monkeypatch)
         got = batch_records(params, 84, trials)
         assert got[:5] == expected and got == scalar_records(params, 84, trials)
-        assert windows and not any(shared for _, shared in windows)
         bound = 4 * (params.max_events + 2 * direct._FIRST_REACH)
-        assert max(width for width, _ in windows) <= bound
-
-
-class TestLockstepHandoff:
-    """Cases first written for the hand-off from the old lockstep engine to
-    its scalar loop, kept for what they still check on the one compiled
-    engine: the records across trial counts and stops."""
-
-    @pytest.mark.parametrize("a", [1.0, 2.0**60])  # at 2**60, a + 1 == a
-    @pytest.mark.parametrize("delta", [0.0, 0.5])
-    @pytest.mark.parametrize("stop", [1, 3, 1000])
-    @pytest.mark.parametrize("trials", [40, 100, 1000])
-    def test_matches_scalar_across_the_handoff(self, a, delta, stop, trials):
-        params = ModelParams(a=a, delta=delta, l0=0, r0=2, max_events=600)
-        got = batch_records(params, 80, trials, stop)
-        assert got == scalar_records(params, 80, trials, stop)
-        assert got[:3] == stepped_records(params, 80, 3, stop)
+        assert max(max(widths) for widths in window_widths(params, 84, trials)) <= bound
 
 
 class TestSingleParticleUrnEquivalence:
@@ -632,8 +628,7 @@ class TestSingleParticleUrnEquivalence:
 
 def meeting_counts(params, seed, trials):
     """The meeting counts of ``trials`` two-walker trials."""
-    streams = (RngStream(seed, t) for t in range(trials))
-    return [rec.meetings for rec in run_direct_batch(params, streams)]
+    return [rec.meetings for rec in batch_records(params, seed, trials)]
 
 
 class TestMeetingStatistics:

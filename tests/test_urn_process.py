@@ -615,8 +615,8 @@ class TestMeetingLaw:
         assert_meeting_law(taus, law)
 
     def test_run_direct_batch(self, law):
-        streams = (RngStream(1202, t) for t in range(MEETING_TRIALS))
-        records = run_direct_batch(MEETING_PARAMS, streams, stop_after_meetings=1)
+        records = run_direct_batch(MEETING_PARAMS, 1202, range(MEETING_TRIALS),
+                                   stop_after_meetings=1)
         assert_meeting_law([r.events_executed if r.meetings else None for r in records], law)
 
     def test_coupled_inner_pair(self, law):

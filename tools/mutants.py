@@ -16,11 +16,14 @@ mutant says ``killed`` or ``alive``; the exit code is 1 on a new survivor
 or on a known one that is now killed, and 2 if a row's text does not
 occur exactly once or the unmutated copy fails.  A mutant whose kernel
 library does not build stops the run with an error; it is not killed.
-The 13 rows, all of ``kernels.c``, take 20 to 40 seconds on a 2-vCPU VM.
+Each test run may map at most ``MEMORY`` bytes.  The 22 rows (18 of
+``kernels.c``, 3 of ``direct.py``, 1 of ``rwre.py``) take 40 to 60 seconds on
+a 2-vCPU VM.
 """
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -31,6 +34,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 # seconds a mutant's test run may take before the mutant counts as killed
 TIMEOUT = 900
+# bytes of address space a test run may map: a mutant whose memory grows
+# without bound fails an allocation at this size and is killed
+MEMORY = 1 << 30
 
 
 class Mutant(NamedTuple):
@@ -45,9 +51,13 @@ class Mutant(NamedTuple):
 
 
 KERNELS = "src/reinforce_sim/kernels.c"
+DIRECT = "src/reinforce_sim/direct.py"
 RWRE = ("tests/test_rwre.py::TestDifferenceRecurrence",)
 TWIN = ("tests/test_distributions.py::TestPhiloxTwin", *RWRE)
 MOVER = ("tests/test_direct.py::TestRunDirect",)
+ENGINE = ("tests/test_direct.py::TestEngine",)
+BATCH = ("tests/test_direct.py::TestRunDirectBatch",)
+STATISTICS = ("tests/test_direct.py::TestMeetingStatistics",)
 
 MUTANTS = [
     # the two-way picks read from one word's top bit
@@ -82,6 +92,29 @@ MUTANTS = [
     Mutant("first-return-late", KERNELS, "first = e;", "first = e + 1;", RWRE),
     Mutant("budget-bound-short", KERNELS, "e <= budget && !first", "e < budget && !first",
            RWRE),
+    Mutant("rwre-budget-unclamped", "src/reinforce_sim/rwre.py",
+           "min(max_budget, MAX_INT64)", "max_budget", RWRE),
+    # the direct trials: windows, keys, meetings and log codes
+    Mutant("window-doubled-wrong-side", KERNELS,
+           "failed = cover(win, home, n, i, v->lo, v->lo + 2 * v->width, a);",
+           "failed = cover(win, home, n, i, v->lo - v->width, v->lo + v->width, a);", ENGINE),
+    Mutant("no-merge-when-windows-touch", KERNELS, "            parts[1] = other;",
+           "            parts[1] = NULL;", ENGINE),
+    Mutant("trial-counter-without-t0", KERNELS, "{key0, key1}, t0 + (uint64_t)t, 0);",
+           "{key0, key1}, (uint64_t)t, 0);", BATCH),
+    # sites share one origin, so two walkers in windows apart never coincide;
+    # a lone walker does reach its absent partner's start, which has no window
+    Mutant("meeting-while-windows-apart", KERNELS,
+           "meetings += home[0] == home[1] && x[0] == x[1];", "meetings += x[0] == x[1];",
+           ENGINE),
+    Mutant("log-code-wrong-walker-bit", KERNELS, "(int8_t)(2 * i + right)",
+           "(int8_t)(2 * (i ^ 1) + right)", MOVER),
+    # meeting_statistics' runs of equal frequency
+    Mutant("run-range-short", DIRECT, "range(first, last + 1)", "range(first, last)",
+           STATISTICS),
+    Mutant("run-counts-numpy", DIRECT, "hits[ends].tolist()", "hits[ends]", STATISTICS),
+    Mutant("last-run-dropped", DIRECT, "np.diff(hits, append=0)", "np.diff(hits)",
+           STATISTICS),
 ]
 
 # name -> why the tests cannot kill it
@@ -98,14 +131,15 @@ def copy_tree(root: Path, dest: Path) -> None:
 
 def passes(tree: Path, tests) -> bool:
     """Whether ``tests`` pass in ``tree``: True if all pass, False if one
-    fails, the run crashes or it outlasts ``TIMEOUT``.  A kernel library
+    fails, the run crashes or it outlasts ``TIMEOUT``, in ``MEMORY`` bytes
+    of address space.  A kernel library
     that does not build, or an error of pytest itself (a bad node id,
     nothing collected), raises RuntimeError."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, check=False,
-                              timeout=TIMEOUT)
+                              timeout=TIMEOUT, preexec_fn=_limit_memory)
     except subprocess.TimeoutExpired:
         return False
     if b"building the kernel library failed" in done.stdout:
@@ -114,6 +148,11 @@ def passes(tree: Path, tests) -> bool:
         return done.returncode == 0
     raise RuntimeError(f"pytest exited with {done.returncode}: "
                        f"{done.stdout.decode(errors='replace')[-2000:]}")
+
+
+def _limit_memory() -> None:
+    """Cap the address space of the test run about to start at ``MEMORY``."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
 
 
 def survives(root: Path, mutant: Mutant) -> bool:

@@ -12,9 +12,10 @@ every subcommand; the direct engine runs at delta = 0, at dyadic a and
 delta, and at a non-dyadic pair, once without a log
 (``simulate-general-delta``) and once with a timed log of trials long
 enough to grow their weight windows (``simulate-general-delta-logged``).
-Logged runs also cover a budget of 0, a trial longer than the engine's
-log buffer of 2**16 events, and a budget of 10**12 events cut short by
-the first meeting; 20,000 short trials, a single trial, whose meeting
+Logged runs also cover a budget of 0, a trial of 70,000 events, whose
+log buffer doubles past 2**16 codes, and a budget of 10**12 events cut
+short by the first meeting; 20,000 short trials (20 kernel calls of
+1,024 trials), a single trial, whose meeting
 table is one run of equal frequency, and a lone walker with neither a
 log nor rows cover the meeting counts.  ``rwre`` runs its compiled loop
 at shapes of 0.001, whose Beta draws often retry, at a budget of 1, at a
