@@ -13,7 +13,7 @@ walkers' weight windows.
 from __future__ import annotations
 
 import ctypes
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,14 +48,6 @@ class ModelParams:
     def outside_recurrence_regime(self) -> bool:
         """Drift values >= 1 fall outside the proven recurrence regime."""
         return self.delta >= 1.0
-
-
-def right_jump_probability(weights: Mapping, v: int, delta):
-    """P(jump v -> v+1) = (W[v,v+1] + delta) / (W[v-1,v] + W[v,v+1] + delta),
-    each W[u,u+1] read as ``weights[u]``, for u = v - 1 and v only."""
-    wl = weights[v - 1]
-    wr = weights[v]
-    return (wr + delta) / (wl + wr + delta)
 
 
 class TrajectoryRecord(NamedTuple):

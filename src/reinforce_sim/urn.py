@@ -67,33 +67,6 @@ class MagicUrn:
         if self.fam_red < 0 or self.fam_blue < 0:
             raise ValueError("family masses must be nonnegative")
 
-    @property
-    def total(self):
-        """Total drawn-from mass, chameleon marble included
-        (``coupling.coupled_events`` sums the same fields in the same order)."""
-        return self.pure_red + self.pure_blue + self.fam_red + self.fam_blue + 1
-
-
-def left_mass(urn: MagicUrn, left_present: bool):
-    """Mass of the marbles that send the present particle left: the red
-    marbles, plus the chameleon marble when the left particle is present.
-
-    The rest of ``urn.total`` sends it right.  Raises NegativeMassError
-    when either direction's mass is negative (only possible for a < 1).
-    """
-    red = urn.pure_red + urn.fam_red
-    blue = urn.pure_blue + urn.fam_blue
-    if left_present:
-        red += 1
-    else:
-        blue += 1
-    if red < 0 or blue < 0:
-        raise NegativeMassError(
-            f"effective masses went negative (red={red}, blue={blue}) "
-            f"with {'left' if left_present else 'right'} particle present; urn={urn}"
-        )
-    return red
-
 
 def polya_fraction_samples(
     urn: PolyaUrn, n_draws: int, n_runs: int, rng: RngStream

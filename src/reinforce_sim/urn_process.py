@@ -12,8 +12,9 @@ direct probability and one int packing the jumps from each site of a
 window around the starts, sized once by the horizon, never by the gap;
 the nodes a layer absorbs are summed once per layer.
 Probabilities are exact rationals (floats are binary rationals, so any
-float a and delta enumerate exactly), the nodes' masses as reduced pairs
-of ints; the live states of a layer are bounded by ``MAX_LIVE_STATES``.
+float a and delta enumerate exactly), the kernels' values and the nodes'
+masses as reduced pairs of ints; the live states of a layer are bounded
+by ``MAX_LIVE_STATES``.
 """
 from __future__ import annotations
 
@@ -23,12 +24,12 @@ from functools import cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .direct import ModelParams, right_jump_probability
-from .urn import MagicUrn, left_mass
+from .direct import ModelParams
+from .urn import MagicUrn, NegativeMassError
 
 # Joint states one layer of compare_exact may hold.  The states grow about
 # 1.8-fold per event.  At a=2, delta=0.5, gap 3, horizon 11 (8,094 states
-# in its last layer) runs in 0.08-0.12 s of process time, with a 4.3 MiB
+# in its last layer) runs in 0.08-0.12 s of process time, with a 4.0 MiB
 # tracemalloc peak and a 35 MiB peak RSS for the whole command, on a
 # 2-vCPU VM, and refusing horizon 12 (14,124) or more takes 0.10-0.18 s.
 MAX_LIVE_STATES = 10_000
@@ -73,6 +74,49 @@ def check_small_a_policy(params: ModelParams) -> None:
             f"urn representation requires a >= 1 (got a={params.a}); "
             "pass allow_small_a to override, at the risk of negative masses"
         )
+
+
+def direct_kernel(params: ModelParams):
+    """The weight dynamics' right-jump probability from site v as a reduced
+    pair of ints, a function of (v, traversals of [v - 1, v] and of [v, v + 1]):
+    each edge weight is a plus its traversals, over one denominator with delta."""
+    (an, ad), (dn, dd) = params.a.as_integer_ratio(), params.delta.as_integer_ratio()
+    unit = lcm(ad, dd)
+    a, delta = an * (unit // ad), dn * (unit // dd)
+
+    def p_right(v, left_edge, right_edge):
+        right, left = a + right_edge * unit + delta, a + left_edge * unit
+        g = gcd(right, left)
+        return right // g, (right + left) // g
+    return p_right
+
+
+def urn_kernel(params: ModelParams):
+    """The urns' left-jump probability at site v as a reduced pair of ints, a
+    function of (v, whether the left particle is present, left and right jumps
+    from v): red mass over total of ``initial_masses`` (read once per site, over
+    its own denominator), two family marbles per jump and the chameleon marble.
+    Raises NegativeMassError when the red or the blue mass is negative."""
+    sites, masses_at = {}, initial_masses
+
+    def q_left(v, left_present, lj, rj):
+        site = sites.get(v)
+        if site is None:
+            masses = masses_at(params, v, Fraction)
+            (rn, rd), (bn, bd) = (m.as_integer_ratio() for m in masses)
+            unit = lcm(rd, bd)
+            site = sites[v] = masses, rn * (unit // rd), bn * (unit // bd), unit
+        masses, red, blue, unit = site
+        red += (2 * lj + left_present) * unit
+        blue += (2 * rj + (not left_present)) * unit
+        if red < 0 or blue < 0:
+            raise NegativeMassError(
+                f"effective masses went negative (red={Fraction(red, unit)}, blue="
+                f"{Fraction(blue, unit)}) with {'left' if left_present else 'right'} particle "
+                f"present; urn={MagicUrn(*masses, 2 * lj, 2 * rj)}")
+        g = gcd(red, blue)
+        return red // g, (red + blue) // g
+    return q_left
 
 
 class KernelDifference(NamedTuple):
@@ -157,14 +201,13 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
     equal, with one gcd per child.  The nodes a layer absorbs are summed
     once, over the lcm of their denominators, into ``Fraction``s, and the
     layer's meeting probabilities end the laws: a pass whose paths have
-    all met stops there, whatever the horizon.  Each kernel value is
-    computed once per pass, in ``Fraction``s, and cached:
-    ``right_jump_probability`` on the site and the traversals of its two
-    edges, ``left_mass`` / ``total`` on the site, the present particle
-    and the site's jumps.  A miss builds the kernel's input from those
-    counts: each edge weight is a plus the edge's traversals, and the urn
-    holds two family marbles per jump, as ``coupled_events`` adds them.
-    The cache is sound only because these kernels read nothing but that input.
+    all met stops there, whatever the horizon; these sums are the pass's
+    only ``Fraction``s.  The kernels, looked up by name once per pass so a
+    test can patch them, give reduced pairs of ints, each computed once
+    per pass and cached: ``direct_kernel`` on the site and its two edges'
+    traversals, ``urn_kernel`` on the site, the present particle and the
+    site's jumps (two family marbles each, as ``coupled_events`` adds
+    them).  The cache is sound only because they read nothing but that input.
 
     ``first_difference`` is the first step, in the pass's order, at which
     the kernels differ; it is built only where steps differ.
@@ -172,26 +215,15 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     check_small_a_policy(params)
-    a, delta = Fraction(params.a), Fraction(params.delta)
     l0, r0 = params.l0, params.r0
-
-    @cache
-    def p_right(v, left_edge, right_edge):  # traversals of [v-1, v] and [v, v+1]
-        weights = {v - 1: a + left_edge, v: a + right_edge}
-        return right_jump_probability(weights, v, delta).as_integer_ratio()
-
-    @cache
-    def q_left(v, left_present, lj, rj):  # lj, rj: left and right jumps from v
-        urn = MagicUrn(*initial_masses(params, v, Fraction), 2 * lj, 2 * rj)
-        return (left_mass(urn, left_present) / urn.total).as_integer_ratio()
-
+    p_right, q_left = cache(direct_kernel(params)), cache(urn_kernel(params))
     radius = min(horizon, _WINDOW_RADIUS)
     base = _window(l0, r0, radius)
     # one field per window site and side; a site's jumps never exceed the
     # depth, and a pass ends at depth radius
     width = radius.bit_length()
     mask = (1 << width) - 1
-    tv = mass_p = mass_q = Fraction(0)
+    tv = mass_p = mass_q = 0
     trajectories = [0, 0]
     meeting_p, meeting_q = [], []
     first = None

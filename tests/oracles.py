@@ -7,10 +7,13 @@ it, and reinforces the sparse edge weights of a :class:`WeightMap`), the
 meeting table one k at a time and its CSV one row at a time,
 the difference-recurrence experiment as a scalar loop over freshly
 built streams and a memoized environment, Beta samples drawn in blocks, and
-Polya urns run one run and one drawing at a time, both models of the
-two-particle dynamics enumerated one trajectory at a time (and walked
-breadth first to the first step at which their kernels differ), two
-patched kernels for those enumerations to tell apart, the free
+Polya urns run one run and one drawing at a time, both models' one-step
+kernels in the number type of their masses (:func:`right_jump_probability`,
+:func:`left_mass` over :func:`total_mass`), the two models of the
+two-particle dynamics enumerated one trajectory at a time on those kernels
+in ``Fraction``s (and walked breadth first to the first step at which
+they differ), patched kernels for those enumerations and for
+``urn_process.compare_exact`` to tell apart, the free
 outer steps of coupled runs tallied from the walkers' positions, the
 chameleon urn's draw as a function, and the coupled run drawing one
 uniform at a time from its stream.  :func:`out_of_order_free_step` breaks
@@ -36,11 +39,11 @@ from reinforce_sim.coupling import (
     CoupledState, CouplingRunResult, Environment, SandwichViolationError, coupled_events,
     replay_record,
 )
-from reinforce_sim.direct import ModelParams, TrajectoryRecord, right_jump_probability
+from reinforce_sim.direct import ModelParams, TrajectoryRecord
 from reinforce_sim.distributions import (
     ENVIRONMENT, MIRROR_ENVIRONMENT, BetaParams, RngStream, sample_beta, trial_streams,
 )
-from reinforce_sim.urn import MagicUrn, NegativeMassError, left_mass
+from reinforce_sim.urn import MagicUrn, NegativeMassError
 from reinforce_sim.urn_process import initial_masses
 
 
@@ -98,7 +101,7 @@ class LargestUniform(ScriptedWords):
 
 class WeightMap(dict):
     """Sparse edge weights, keyed by the left endpoint of edge [v, v+1],
-    as ``direct.right_jump_probability`` reads them.
+    as :func:`right_jump_probability` reads them.
 
     Untouched edges have weight ``a``; each traversal adds exactly 1.
     """
@@ -115,6 +118,42 @@ class WeightMap(dict):
 
     def reinforce(self, v: int) -> None:
         self[v] += 1
+
+
+def right_jump_probability(weights, v: int, delta):
+    """P(jump v -> v+1) = (W[v,v+1] + delta) / (W[v-1,v] + W[v,v+1] + delta),
+    each W[u,u+1] read as ``weights[u]``, for u = v - 1 and v only: the
+    weight dynamics' kernel in the number type of the weights."""
+    wl = weights[v - 1]
+    wr = weights[v]
+    return (wr + delta) / (wl + wr + delta)
+
+
+def total_mass(urn: MagicUrn):
+    """Total drawn-from mass of ``urn``, chameleon marble included
+    (``coupling.coupled_events`` sums the same fields in the same order)."""
+    return urn.pure_red + urn.pure_blue + urn.fam_red + urn.fam_blue + 1
+
+
+def left_mass(urn: MagicUrn, left_present: bool):
+    """Mass of the marbles that send the present particle left: the red
+    marbles, plus the chameleon marble when the left particle is present.
+
+    The rest of :func:`total_mass` sends it right.  Raises NegativeMassError
+    when either direction's mass is negative (only possible for a < 1).
+    """
+    red = urn.pure_red + urn.fam_red
+    blue = urn.pure_blue + urn.fam_blue
+    if left_present:
+        red += 1
+    else:
+        blue += 1
+    if red < 0 or blue < 0:
+        raise NegativeMassError(
+            f"effective masses went negative (red={red}, blue={blue}) "
+            f"with {'left' if left_present else 'right'} particle present; urn={urn}"
+        )
+    return red
 
 
 def direct_step(
@@ -283,10 +322,14 @@ def enumerate_exact(model: str, params: ModelParams, horizon: int) -> ExactDistr
 
     ``model`` is "direct" (weight dynamics) or "urn" (chameleon urns).
     Each move branches on mover and direction by the one-step kernel of
-    the model, looked up on ``reinforce_sim.urn_process`` at call time, so
-    a test that patches a kernel there perturbs this tree and
-    ``urn_process.compare_exact`` alike.  Zero-probability branches are
-    cut; the rest end at the first meeting or the horizon.
+    the model in ``Fraction``s, independent of ``urn_process``'s integer
+    kernels: :func:`right_jump_probability` and :func:`left_mass`, looked
+    up on this module at call time, the urns starting from
+    ``urn_process.initial_masses``, looked up there at call time.
+    A test that patches ``initial_masses`` perturbs this tree and
+    ``urn_process.compare_exact`` alike; one that patches the direct
+    kernel patches both forms.  Zero-probability branches are cut; the
+    rest end at the first meeting or the horizon.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -325,7 +368,7 @@ def _direct_branches(params: ModelParams):
         weights = WeightMap(a)
         for edge in traversed:
             weights.reinforce(edge)
-        p_right = urn_process.right_jump_probability(weights, v, delta)
+        p_right = right_jump_probability(weights, v, delta)
         for direction, p_dir in ((0, 1 - p_right), (1, p_right)):
             if p_dir:
                 yield direction, p_dir, traversed + (v - 1 + direction,)
@@ -339,8 +382,8 @@ def _urn_branches(params: ModelParams):
         urn = urns.get(v)
         if urn is None:
             urn = MagicUrn(*urn_process.initial_masses(params, v, Fraction))
-        total = urn.total
-        left = urn_process.left_mass(urn, mover == 0)
+        total = total_mass(urn)
+        left = left_mass(urn, mover == 0)
         for direction, mass in ((0, left), (1, total - left)):
             if mass:
                 drawn = (replace(urn, fam_blue=urn.fam_blue + 2) if direction
@@ -390,10 +433,33 @@ def shifted_red(v0: int, shift: Fraction):
 
 
 def blocked_right(v0: int):
-    """right_jump_probability with every jump from site v0 to the right."""
+    """``urn_process.direct_kernel`` with every jump from site v0 to the right."""
+    kernel = urn_process.direct_kernel
+
+    def blocked(params):
+        p_right = kernel(params)
+        return lambda v, *edges: (1, 1) if v == v0 else p_right(v, *edges)
+    return blocked
+
+
+def blocked_right_probability(v0: int):
+    """:func:`right_jump_probability` with every jump from site v0 to the
+    right: :func:`blocked_right` for the trees."""
+    kernel = right_jump_probability
+
     def probability(weights, v, delta):
-        return Fraction(1) if v == v0 else right_jump_probability(weights, v, delta)
+        return Fraction(1) if v == v0 else kernel(weights, v, delta)
     return probability
+
+
+def shifted_right(shift: Fraction):
+    """``urn_process.direct_kernel`` with every right-jump probability moved by ``shift``."""
+    kernel = urn_process.direct_kernel
+
+    def shifted(params):
+        p_right = kernel(params)
+        return lambda *key: (Fraction(*p_right(*key)) + shift).as_integer_ratio()
+    return shifted
 
 
 def tv_distance(d1: ExactDistribution, d2: ExactDistribution) -> Fraction:
@@ -548,7 +614,7 @@ def _scalar_draw(urn: MagicUrn, left_present: bool, rng: RngStream) -> tuple[boo
     """(right, pure) of one urn drawing on the next uniform of ``rng``, and
     two marbles added to the drawn class."""
     left = left_mass(urn, left_present)
-    total = urn.total
+    total = total_mass(urn)
     if total <= 0:
         raise NegativeMassError(f"urn total mass {total} is not positive; urn={urn}")
     u = rng.gen.random() * total

@@ -21,7 +21,7 @@ from reinforce_sim.distributions import ENVIRONMENT, HOLDING_TIMES, BetaParams, 
 
 from oracles import (
     FAR, blocked_right, out_of_order_free_step, per_row_csv, quadratic_meeting_rows, shifted_red,
-    stepped_run_direct,
+    shifted_right, stepped_run_direct,
 )
 
 
@@ -309,9 +309,7 @@ class TestUrnVerify:
     def test_any_exact_difference_is_a_mismatch(self, runner, tmp_path, monkeypatch):
         # a kernel off by 1e-30 gives a TV far below any float tolerance;
         # the verdict reads the exact distance, so it still fails
-        exact = urn_process.right_jump_probability
-        monkeypatch.setattr(urn_process, "right_jump_probability",
-                            lambda *args: exact(*args) + Fraction(1, 10**30))
+        monkeypatch.setattr(urn_process, "direct_kernel", shifted_right(Fraction(1, 10**30)))
         out = tmp_path / "report.json"
         result = runner.invoke(main, ["urn-verify", "--horizon", "3", "--out", str(out)])
         assert result.exit_code == 1
@@ -324,9 +322,7 @@ class TestUrnVerify:
                                                                       monkeypatch):
         # float() of this distance underflows: the line shows the exact
         # value and the JSON the smallest positive double
-        exact = urn_process.right_jump_probability
-        monkeypatch.setattr(urn_process, "right_jump_probability",
-                            lambda *args: exact(*args) + Fraction(1, 10**400))
+        monkeypatch.setattr(urn_process, "direct_kernel", shifted_right(Fraction(1, 10**400)))
         out = tmp_path / "report.json"
         result = runner.invoke(main, ["urn-verify", "--horizon", "3", "--out", str(out)])
         assert result.exit_code == 1
@@ -345,7 +341,7 @@ class TestUrnVerify:
             monkeypatch.setattr(urn_process, "initial_masses", shifted_red(0, Fraction(1, 2)))
             probabilities = "1/2 (direct) and 3/5 (urn)"
         else:
-            monkeypatch.setattr(urn_process, "right_jump_probability", blocked_right(0))
+            monkeypatch.setattr(urn_process, "direct_kernel", blocked_right(0))
             probabilities = "0 (direct) and 1/2 (urn)"
         out = tmp_path / "report.json"
         result = runner.invoke(main, ["urn-verify", "--horizon", "3", "--out", str(out)])

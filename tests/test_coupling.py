@@ -32,7 +32,7 @@ from reinforce_sim.urn_process import SmallAPolicyError, initial_masses
 
 from oracles import (
     FAR, LargestUniform, free_step_tallies, magic_draw, one_event, out_of_order_free_step,
-    scalar_run_coupling, stream_step,
+    scalar_run_coupling, stream_step, total_mass,
 )
 
 
@@ -169,8 +169,8 @@ def class_midpoints(group, start, env, urn):
         assert 0.0 < rate < 1.0
         return rate / 2, (1.0 + rate) / 2
     red = urn.pure_red + urn.fam_red + (group == "l_group")
-    bounds = (0.0, urn.pure_red, red, red + urn.pure_blue, urn.total)
-    return [(lo + hi) / 2 / urn.total for lo, hi in zip(bounds, bounds[1:])]
+    bounds = (0.0, urn.pure_red, red, red + urn.pure_blue, total_mass(urn))
+    return [(lo + hi) / 2 / total_mass(urn) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def drawn_class(state, group, start, urn):

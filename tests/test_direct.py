@@ -11,18 +11,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reinforce_sim import direct
-from reinforce_sim.direct import (
-    ModelParams,
-    meeting_statistics,
-    right_jump_probability,
-    run_direct,
-    run_direct_batch,
-)
+from reinforce_sim.direct import ModelParams, meeting_statistics, run_direct, run_direct_batch
 from reinforce_sim.distributions import HOLDING_TIMES, RngStream
 
 from oracles import (
     LargestUniform, ScriptedWords, WeightMap, direct_step, quadratic_meeting_rows,
-    stepped_run_direct,
+    right_jump_probability, stepped_run_direct,
 )
 
 

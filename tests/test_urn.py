@@ -14,11 +14,10 @@ from reinforce_sim.urn import (
     MagicUrn,
     NegativeMassError,
     PolyaUrn,
-    left_mass,
     polya_fraction_samples,
 )
 
-from oracles import magic_draw, polya_fractions
+from oracles import left_mass, magic_draw, polya_fractions, total_mass
 
 
 def reference_draw(urn: MagicUrn, left_present: bool, rng):
@@ -146,11 +145,11 @@ class TestMagicUrnMasses:
         # the chameleon send it right
         urn = MagicUrn(1.0, 2.0, fam_red=4.0, fam_blue=6.0)
         assert left_mass(urn, False) == 5.0
-        assert urn.total - left_mass(urn, True) == 8.0
-        assert urn.total == 14.0
+        assert total_mass(urn) - left_mass(urn, True) == 8.0
+        assert total_mass(urn) == 14.0
 
     def test_chameleon_marble_counts_in_total(self):
-        assert MagicUrn(0.0, 0.0).total == 1
+        assert total_mass(MagicUrn(0.0, 0.0)) == 1
 
     def test_negative_family_masses_rejected(self):
         with pytest.raises(ValueError):
@@ -214,7 +213,7 @@ class TestOutcomeRules:
         urn = MagicUrn(1.0, 1.5)
         for k in range(1, 200):
             magic_draw(urn, k % 2 == 1, rng.gen.random())
-            assert urn.total == pytest.approx(3.5 + 2 * k)
+            assert total_mass(urn) == pytest.approx(3.5 + 2 * k)
 
 
 class TestMagicDraw:
@@ -230,7 +229,7 @@ class TestMagicDraw:
         masses = {(False, True): urn.pure_red, (False, False): urn.fam_red + 1,
                   (True, True): urn.pure_blue, (True, False): urn.fam_blue}
         for key, mass in masses.items():
-            p = mass / urn.total
+            p = mass / total_mass(urn)
             se = np.sqrt(p * (1 - p) / n)
             assert abs(counts[key] / n - p) < 4 * se
 
@@ -264,7 +263,7 @@ class TestMagicDraw:
             right, pure = magic_draw(replace(urn), True, rng.gen.random())
             assert not (pure and not right)
             lefts += not right
-        p_left = (urn.pure_red + urn.fam_red + 1) / urn.total  # 0.5 / 1.5
+        p_left = (urn.pure_red + urn.fam_red + 1) / total_mass(urn)  # 0.5 / 1.5
         assert abs(lefts / n - p_left) < 4 * np.sqrt(p_left * (1 - p_left) / n)
 
     @settings(max_examples=300, deadline=None)
@@ -295,7 +294,7 @@ class TestMagicDraw:
 def edge_weights(urn: MagicUrn, left_present: bool):
     """Edge weights ([v-1,v], [v,v+1]) the present particle sees at the urn."""
     left = left_mass(urn, left_present)
-    return left, urn.total - left
+    return left, total_mass(urn) - left
 
 
 class TestEffectiveEdgeWeights:

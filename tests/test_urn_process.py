@@ -5,6 +5,7 @@ The merged-state pass ``compare_exact`` is checked against the
 trajectory-tree oracle, and the Monte Carlo engines against its law of
 the first meeting time.
 """
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -23,14 +24,9 @@ from reinforce_sim.coupling import (
     SandwichViolationError,
     run_coupling,
 )
-from reinforce_sim.direct import (
-    ModelParams,
-    right_jump_probability,
-    run_direct,
-    run_direct_batch,
-)
+from reinforce_sim.direct import ModelParams, run_direct, run_direct_batch
 from reinforce_sim.distributions import ENVIRONMENT, RngStream, trial_streams
-from reinforce_sim.urn import MagicUrn, NegativeMassError, left_mass
+from reinforce_sim.urn import MagicUrn, NegativeMassError
 from reinforce_sim.urn_process import (
     KernelDifference,
     SmallAPolicyError,
@@ -38,15 +34,19 @@ from reinforce_sim.urn_process import (
     initial_masses,
 )
 
+import oracles
 from oracles import (
     ExactDistribution,
-    WeightMap,
     blocked_right,
+    blocked_right_probability,
     enumerate_exact,
     first_kernel_difference,
+    left_mass,
     one_event,
+    right_jump_probability,
     shifted_red,
     stream_step,
+    total_mass,
     tv_distance,
 )
 
@@ -111,8 +111,8 @@ class TestSmallAPolicy:
 
 def jump_probabilities(urn: MagicUrn, left_present: bool):
     """(left, right) jump probabilities of the present particle."""
-    left = left_mass(urn, left_present)
-    return left / urn.total, (urn.total - left) / urn.total
+    left, total = left_mass(urn, left_present), total_mass(urn)
+    return left / total, (total - left) / total
 
 
 class TestJumpProbabilities:
@@ -142,6 +142,49 @@ class TestJumpProbabilities:
         assert jump_probabilities(left_urn, True) == (0.5, 0.5)
         right_urn = MagicUrn(*initial_masses(p, 2))
         assert jump_probabilities(right_urn, False) == (0.5, 0.5)
+
+
+# (a, allow_small_a) and delta of the integer kernels' grid: a = 1.1 and
+# delta = 0.3 have 2**-52-scale denominators; a < 1 makes masses negative
+KERNEL_A = [(1.0, False), (2.0, False), (1.1, False), (1e6, False), (0.5, True), (0.75, True)]
+KERNEL_DELTA = [0.0, 0.3, 0.5, 1e6]
+
+
+class TestIntegerKernels:
+    """``compare_exact``'s kernels, pairs of ints, against the ``Fraction``
+    forms of the trees, at traversals and jumps 0 to 8 from every site
+    class (l0 = -1, r0 = 1) with either particle present."""
+
+    @pytest.mark.parametrize("delta", KERNEL_DELTA)
+    @pytest.mark.parametrize("a,small", KERNEL_A)
+    def test_direct_kernel_is_right_jump_probability(self, a, small, delta):
+        p_right = urn_process.direct_kernel(params_for(a, delta, -1, 1, allow_small_a=small))
+        exact_a, exact_delta = Fraction(a), Fraction(delta)
+        for v, left_edge, right_edge in product((-2, 0, 2), range(9), range(9)):
+            weights = {v - 1: exact_a + left_edge, v: exact_a + right_edge}
+            assert p_right(v, left_edge, right_edge) == \
+                right_jump_probability(weights, v, exact_delta).as_integer_ratio()
+
+    # the red mass at l0 moved by a shift whose denominator a and delta
+    # do not have; -7/3 makes masses negative at a >= 1 too
+    @pytest.mark.parametrize("shift", [None, Fraction(1, 2), Fraction(-7, 3)])
+    @pytest.mark.parametrize("delta", KERNEL_DELTA)
+    @pytest.mark.parametrize("a,small", KERNEL_A)
+    def test_urn_kernel_is_left_mass_over_total(self, monkeypatch, a, small, delta, shift):
+        if shift is not None:
+            monkeypatch.setattr(urn_process, "initial_masses", shifted_red(-1, shift))
+        params = params_for(a, delta, -1, 1, allow_small_a=small)
+        q_left = urn_process.urn_kernel(params)
+        for v, left_present, lj, rj in product(range(-3, 4), (True, False), range(9), range(9)):
+            urn = MagicUrn(*urn_process.initial_masses(params, v, Fraction), 2 * lj, 2 * rj)
+            try:
+                expected = (left_mass(urn, left_present) / total_mass(urn)).as_integer_ratio()
+            except NegativeMassError as error:
+                with pytest.raises(NegativeMassError) as raised:
+                    q_left(v, left_present, lj, rj)
+                assert str(raised.value) == str(error)
+            else:
+                assert q_left(v, left_present, lj, rj) == expected
 
 
 class TestUrnProcessStep:
@@ -220,9 +263,11 @@ def assert_pass_matches_tree(p: ModelParams, h: int):
 def patch_kernel(monkeypatch, kernel: str, v0: int) -> None:
     """Perturb one model's kernel at site v0: the urn's red mass by 1/2
     ("red + 1/2") or by -2, so its left jump is blocked ("blocked urn"), or
-    the weight dynamics' left jump ("blocked direct")."""
+    the weight dynamics' left jump ("blocked direct"), in the pass and in
+    the trees."""
     if kernel == "blocked direct":
-        monkeypatch.setattr(urn_process, "right_jump_probability", blocked_right(v0))
+        monkeypatch.setattr(urn_process, "direct_kernel", blocked_right(v0))
+        monkeypatch.setattr(oracles, "right_jump_probability", blocked_right_probability(v0))
     else:
         shift = Fraction(1, 2) if kernel == "red + 1/2" else Fraction(-2)
         monkeypatch.setattr(urn_process, "initial_masses", shifted_red(v0, shift))
@@ -401,7 +446,7 @@ class TestEnumeration:
     def test_direct_kernel_with_a_blocked_jump(self, monkeypatch, h):
         # no left jump from site 0 in the weight dynamics: those urn paths
         # have p = 0 (rho = infinity) and carry their q mass
-        monkeypatch.setattr(urn_process, "right_jump_probability", blocked_right(0))
+        patch_kernel(monkeypatch, "blocked direct", 0)
         c = assert_pass_matches_tree(params_for(a=2.0, delta=0.5, l0=0, r0=2), h)
         assert c.tv_distance > 0
         assert c.trajectories_direct < c.trajectories_urn
@@ -427,36 +472,63 @@ class TestEnumeration:
 
     def test_each_kernel_key_is_computed_once_per_pass(self, monkeypatch):
         # count the kernels' inputs by the pass's cache keys: the site and
-        # its two edge weights; the site (as initial_masses sees it), the
-        # site's jumps and the present particle
+        # its two edges' traversals; the site, the present particle and the
+        # site's jumps; and each site's initial masses, read once
         calls, sites = Counter(), []
 
-        def counted_right(weights, v, delta):
-            calls["right", v, weights[v - 1], weights[v]] += 1
-            return right_jump_probability(weights, v, delta)
+        def counted(name, factory):
+            def counted_factory(params):
+                kernel = factory(params)
+
+                def counted_kernel(*key):
+                    calls[name, *key] += 1
+                    return kernel(*key)
+                return counted_kernel
+            return counted_factory
 
         def counted_masses(params, v, num=float):
             sites.append(v)
             return initial_masses(params, v, num)
 
-        def counted_left(urn, present):
-            calls["left", sites[-1], urn.fam_red, urn.fam_blue, present] += 1
-            return left_mass(urn, present)
-
-        monkeypatch.setattr(urn_process, "right_jump_probability", counted_right)
+        monkeypatch.setattr(urn_process, "direct_kernel",
+                            counted("right", urn_process.direct_kernel))
+        monkeypatch.setattr(urn_process, "urn_kernel", counted("left", urn_process.urn_kernel))
         monkeypatch.setattr(urn_process, "initial_masses", counted_masses)
-        monkeypatch.setattr(urn_process, "left_mass", counted_left)
         p = params_for(a=2.0, delta=0.5, l0=0, r0=3)
         keys = []
-        for _ in range(2):  # the cache lives inside one pass
+        for _ in range(2):  # the caches live inside one pass
             calls.clear()
+            sites.clear()
             c = compare_exact(p, 7)
             assert (c.tv_distance, c.trajectories_direct) == (0, 12904)
             assert set(calls.values()) == {1}
+            assert sorted(sites) == sorted(set(sites)) == sorted({k[1] for k in calls
+                                                                   if k[0] == "left"})
             keys.append(set(calls))
         assert keys[0] == keys[1]
         assert len([k for k in keys[0] if k[0] == "right"]) > 50
         assert len([k for k in keys[0] if k[0] == "left"]) > 50
+
+    @pytest.mark.parametrize("h", [0, 3, 7])
+    def test_a_pass_builds_fractions_only_in_its_layer_sums(self, monkeypatch, h):
+        # the kernels are pairs of ints: the pass's own Fractions are its
+        # five sums per layer (the masses, the TV and the two meeting
+        # probabilities); the initial masses are read in Fractions, once
+        # per site, through the number type the pass hands over
+        built = Counter()
+
+        def counted(*args):
+            built[sys._getframe(1).f_code.co_name] += 1
+            return Fraction(*args)
+
+        monkeypatch.setattr(urn_process, "Fraction", counted)
+        c = compare_exact(params_for(a=1.1, delta=0.3, l0=0, r0=3), h)
+        assert c.tv_distance == 0
+        layers = len(c.meeting_direct)
+        assert layers == h + 1
+        assert built["compare_exact"] == 5 * layers
+        assert built["initial_masses"] <= 2 * (4 * layers + 2)  # a, delta per site read
+        assert set(built) <= {"compare_exact", "initial_masses"}
 
     @pytest.mark.parametrize("r0", [1, 2, 3])
     def test_binary_rational_parameters_match_the_trees(self, r0):
@@ -654,7 +726,7 @@ class TestWeightAgreement:
                 wl = weights.get(v - 1, a)
                 wr = weights.get(v, a) + delta
                 eff_l = left_mass(urn, left_present)
-                eff_r = urn.total - eff_l
+                eff_r = total_mass(urn) - eff_l
                 assert eff_l == wl
                 assert eff_r == wr
                 for d_idx in (0, 1):
@@ -713,8 +785,8 @@ class TestUrnCertificate:
 
         Premise: both kernels stay ratios of forms of degree <= 1 in
         (a, delta) (``initial_masses``, the edge weights a plus traversals,
-        ``right_jump_probability``, ``left_mass / total``) and never branch
-        on the values of a or delta; their kernels then lie in (0, 1), so
+        ``direct_kernel``, ``urn_kernel``) and never branch on the values
+        of a or delta; their kernels then lie in (0, 1), so
         the joint states reached do not depend on (a, delta).  The
         cross-multiplied difference of the two kernels at a reached state is
         then a polynomial of degree <= 2 in a and <= 2 in delta, and one
@@ -756,14 +828,14 @@ class TestUrnEquivalenceAtEveryHorizon:
     [v, v + 1], and before the meeting F(v - 1) and F(v) depend only on
     v's class against l0 and r0 and on which walker stands at v
     (``net_flows``).  The identity test checks, per class and side, that
-    ``right_jump_probability`` on those traversals is 1 - ``left_mass`` /
-    ``total`` of ``compare_exact``'s urn.  TV = 0 at depth 0, so by
-    induction over the events TV = 0 at every horizon.
+    ``direct_kernel`` on those traversals is 1 - ``urn_kernel``, the two
+    kernels ``compare_exact`` runs.  TV = 0 at depth 0, so by induction
+    over the events TV = 0 at every horizon.
 
     Premise, as in ``TestUrnCertificate``: the kernels read only their
     documented inputs (``initial_masses``, the edge weights a plus
-    traversals, ``right_jump_probability``, ``left_mass / total``), are ratios of
-    forms of degree <= 1 in (a, delta, lj, rj) and never branch on the
+    traversals, ``direct_kernel``, ``urn_kernel``), are ratios of forms of
+    degree <= 1 in (a, delta, lj, rj) and never branch on the
     values of a, delta or the counts.  The cross-multiplied difference is
     then of degree <= 2 in each, and one that vanishes on a 3 x 3 x 3 x 3
     grid vanishes identically (Alon, "Combinatorial Nullstellensatz", CPC
@@ -809,15 +881,10 @@ class TestUrnEquivalenceAtEveryHorizon:
                 lj0, rj0 = max(0, 1 - before) // 2, max(0, after + 1) // 2
                 for a, d, lj, rj in product((1, 2, 3), (0, 1, 2), range(lj0, lj0 + 3),
                                             range(rj0, rj0 + 3)):
-                    a, delta = Fraction(a), Fraction(d, 2)
-                    weights = WeightMap(a)
-                    for edge, n in ((v - 1, 2 * lj + before), (v, 2 * rj - after)):
-                        for _ in range(n):
-                            weights.reinforce(edge)
-                    params = ModelParams(a=float(a), delta=float(delta), l0=l0, r0=r0)
-                    urn = MagicUrn(*initial_masses(params, v, Fraction), 2 * lj, 2 * rj)
-                    if right_jump_probability(weights, v, delta) != \
-                            1 - left_mass(urn, left_present) / urn.total:
-                        mismatches.append((v, left_present, a, delta, lj, rj))
+                    params = ModelParams(a=float(a), delta=d / 2, l0=l0, r0=r0)
+                    p_right = urn_process.direct_kernel(params)
+                    qn, qd = urn_process.urn_kernel(params)(v, left_present, lj, rj)
+                    if p_right(v, 2 * lj + before, 2 * rj - after) != (qd - qn, qd):
+                        mismatches.append((v, left_present, a, d / 2, lj, rj))
         assert mismatches == []
         assert len(classes) == (8 if gap == 1 else 10)  # every class on both sides

@@ -16,9 +16,9 @@ mutant says ``killed`` or ``alive``; the exit code is 1 on a new survivor
 or on a known one that is now killed, and 2 if a row's text does not
 occur exactly once or the unmutated copy fails.  A mutant whose kernel
 library does not build stops the run with an error; it is not killed.
-Each test run may map at most ``MEMORY`` bytes.  The 22 rows (18 of
-``kernels.c``, 3 of ``direct.py``, 1 of ``rwre.py``) take 40 to 60 seconds on
-a 2-vCPU VM.
+Each test run may map at most ``MEMORY`` bytes.  The 29 rows (18 of
+``kernels.c``, 6 of ``urn_process.py``, 3 of ``direct.py``, 1 of ``rwre.py``
+and 1 of ``cli.py``; 1 known survivor) take 70 to 80 seconds on a 2-vCPU VM.
 """
 from __future__ import annotations
 
@@ -58,6 +58,9 @@ MOVER = ("tests/test_direct.py::TestRunDirect",)
 ENGINE = ("tests/test_direct.py::TestEngine",)
 BATCH = ("tests/test_direct.py::TestRunDirectBatch",)
 STATISTICS = ("tests/test_direct.py::TestMeetingStatistics",)
+URN_PROCESS = "src/reinforce_sim/urn_process.py"
+INT_KERNELS = ("tests/test_urn_process.py::TestIntegerKernels",)
+ENUMERATION = ("tests/test_urn_process.py::TestEnumeration",)
 
 MUTANTS = [
     # the two-way picks read from one word's top bit
@@ -115,10 +118,34 @@ MUTANTS = [
     Mutant("run-counts-numpy", DIRECT, "hits[ends].tolist()", "hits[ends]", STATISTICS),
     Mutant("last-run-dropped", DIRECT, "np.diff(hits, append=0)", "np.diff(hits)",
            STATISTICS),
+    # the exact pass: its integer kernels, the initial masses and the packed keys
+    Mutant("family-marbles-one-per-jump", URN_PROCESS, "red += (2 * lj + left_present) * unit",
+           "red += (lj + left_present) * unit", INT_KERNELS),
+    Mutant("total-without-chameleon", URN_PROCESS, "(red + blue) // g",
+           "(red + blue - unit) // g", INT_KERNELS),
+    Mutant("direct-denominator-without-delta", URN_PROCESS, "(right + left) // g",
+           "(right + left - delta) // g", INT_KERNELS),
+    Mutant("red-mass-half-up-at-l0", URN_PROCESS, "return a - 1, a + d\n",
+           "return a - 1 + num(1) / 2, a + d\n",
+           ("tests/test_urn_process.py::TestUrnEquivalenceAtEveryHorizon",)),
+    Mutant("packed-field-two-bits-narrower", URN_PROCESS, "width = radius.bit_length()\n",
+           "width = max(radius.bit_length() - 2, 0)\n", ENUMERATION),
+    Mutant("packed-field-one-bit-narrower", URN_PROCESS, "width = radius.bit_length()\n",
+           "width = max(radius.bit_length() - 1, 0)\n", ("tests/test_urn_process.py",)),
+    # couple's environments keyed by (seed, t) with no role reuse the dynamics' bits
+    Mutant("couple-environment-without-role", "src/reinforce_sim/cli.py",
+           "trial_streams(seed, trials, ENVIRONMENT))", "trial_streams(seed, trials))",
+           ("tests/test_cli.py::TestCouple",)),
 ]
 
 # name -> why the tests cannot kill it
-SURVIVORS: dict[str, str] = {}
+SURVIVORS: dict[str, str] = {
+    "packed-field-one-bit-narrower":
+        "equivalent: a field holds at most (depth + 1) // 2 jumps, which fits in one bit "
+        "fewer at every depth the kernels read; the last layer's overflow only merges "
+        "absorbed nodes, whose sums are linear, in layers of at most 1,024 states (depths "
+        "1, 3 and 7; MAX_LIVE_STATES refuses every pass before depth 15)",
+}
 
 
 def copy_tree(root: Path, dest: Path) -> None:

@@ -7,7 +7,7 @@ once on this tree's ``src`` and once on OTHER_TREE's, each run in a fresh
 temporary directory holding only the command's input files.  The exit
 code, standard output, standard error and the bytes of every file in the
 directory afterwards must be equal.  One line per command says ``same`` or
-what differs; the exit code is 1 on any difference.  The 49 commands cover
+what differs; the exit code is 1 on any difference.  The 51 commands cover
 every subcommand; the direct engine runs at delta = 0, at dyadic a and
 delta, and at a non-dyadic pair, once without a log
 (``simulate-general-delta``) and once with a timed log of trials long
@@ -23,8 +23,10 @@ budget past int64 on chains that always return, outside the regime,
 where many trials are cut at the budget, at a negative seed and one past
 2**64, whose streams the kernel keys from the masked seed's key words,
 and over 20,000 trials in one call.  ``urn-verify`` also runs below
-a = 1, at horizon 11, with walkers 40 apart (a site window of two
-ranges), at horizon 12, which it refuses (exit 2), and from a coincident
+a = 1, at a = 1.1 and delta = 0.3 (binary rationals with 2**-52-scale
+denominators, so the kernels' integers grow large) and at a = delta =
+10**6, both at horizon 6, then at horizon 11, with walkers 40 apart (a
+site window of two ranges), at horizon 12, which it refuses (exit 2), and from a coincident
 start at horizon 100,000, whose pass ends after one layer; ``polya`` runs
 with its three-color urn, and ``criterion`` on a recurrent pair, on one
 with a finite mean return time and on a pair whose quadrature fails
@@ -97,6 +99,10 @@ COMMANDS = [
     ("rwre-many-trials", ["rwre", "--trials", "20000", "--budgets", "10,100"], {}),
     ("urn-verify-h7", ["urn-verify", "--horizon", "7"], {}),
     ("urn-verify-small-a", ["urn-verify", "--a", "0.5", "--allow-small-a", "--horizon", "5"], {}),
+    ("urn-verify-binary-rationals", ["urn-verify", "--a", "1.1", "--delta", "0.3", "--horizon",
+                                     "6"], {}),
+    ("urn-verify-huge-weights", ["urn-verify", "--a", "1e6", "--delta", "1e6", "--horizon", "6"],
+     {}),
     *((f"urn-verify-{name}", ["urn-verify", "--a", "2", "--delta", "0.5", "--r0", r0,
                               "--horizon", horizon], {})
       for name, r0, horizon in (("h11", "3", "11"), ("two-ranges", "40", "9"),
