@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from itertools import chain
 
 import click
+import numpy as np
 
 from . import __version__
 from .direct import ModelParams, meeting_statistics, run_direct, run_direct_batch
@@ -187,20 +187,24 @@ def simulate(n, a, delta, l0, r0, events, trials,
     params = _model_params(a, delta, l0, r0, events)
 
     # trial 0 runs once, with its event log when there is a log to write
-    logged = [] if trajectory_out is None else [
-        run_direct(params, n, RngStream(seed, 0), stop_after_meetings=stop_after_meetings)]
+    logged = None if trajectory_out is None else run_direct(
+        params, n, RngStream(seed, 0), stop_after_meetings=stop_after_meetings)
     rows = []  # a lone particle never meets, so its statistics have no rows
     if n > 1:
-        records = run_direct_batch(params, seed, range(len(logged), trials),
-                                   stop_after_meetings=stop_after_meetings)
-        rows = meeting_statistics([rec.meetings for rec in chain(logged, records)])
+        # hist[k]: trials with exactly k meetings, added up block by block
+        hist = np.bincount([] if logged is None else [logged.meetings], minlength=1)
+        for block in run_direct_batch(params, seed, range(int(logged is not None), trials),
+                                      stop_after_meetings=stop_after_meetings):
+            counts = np.bincount(block[:, 0], minlength=hist.size)
+            hist = counts + np.pad(hist, (0, counts.size - hist.size))
+        rows = meeting_statistics(hist)
     resolved = _resolved(outside_recurrence_regime=params.outside_recurrence_regime)
     notes = ["delta >= 1 is outside the proven recurrence regime"]
     _write_csv(out_path, resolved, notes if params.outside_recurrence_regime else [],
                ("k", "frequency", "stderr"), rows)
-    if logged:
+    if logged is not None:
         clock = RngStream(seed, 0, HOLDING_TIMES) if timestamps else None
-        _write_text(trajectory_out, logged[0].to_jsonl(clock))
+        _write_text(trajectory_out, logged.to_jsonl(clock))
 
 
 @main.command("urn-verify")

@@ -5,10 +5,10 @@ Each particle carries an independent rate-1 exponential clock, so the
 embedded jump chain picks the next mover uniformly among the particles.
 Continuous timestamps are optional decoration, Exp(n) holding times
 from a stream of their own; every statement here is about the jump chain.
-Trials run in C, a range of them per call of ``direct_trials`` (see
-:mod:`~reinforce_sim.native`), each on the stream (seed, t) that the call
-keys, or one on a given stream's bit generator.  The C trial owns the
-walkers' weight windows.
+Trials run in C, which owns the walkers' weight windows: a range of them
+per call of ``direct_trials`` (see :mod:`~reinforce_sim.native`), each on
+the stream (seed, t) that the call keys and reported as an int64 row, or
+one on a given stream's bit generator, with its event log.
 """
 from __future__ import annotations
 
@@ -51,15 +51,14 @@ class ModelParams:
 
 
 class TrajectoryRecord(NamedTuple):
-    """What one trial produced: its meeting count, the events it ran, the
-    walkers' final sites and, for a logged trial, its event log.
+    """What one trial run by :func:`run_direct` produced: its meeting count,
+    the events it ran, the walkers' final sites and its event log.
 
     ``meetings`` counts the events after which all walkers coincide, plus
     one when they start coincident.  The k-th meeting time is
     ``events_executed`` of the same run under ``stop_after_meetings=k``,
     when that run has ``meetings == k``.  ``events`` holds (event index,
-    walker, from, to), and is empty for a trial run without its log.
-    """
+    walker, from, to)."""
 
     meetings: int
     events_executed: int
@@ -97,14 +96,14 @@ def run_direct(
     """
     if n_particles not in (1, 2):
         raise ValueError(f"n_particles must be 1 or 2, got {n_particles!r}")
-    [(meetings, done, *_)], codes = _trials(params, n_particles, stop_after_meetings, 1,
-                                            rng=rng.gen.bit_generator.ctypes.bit_generator)
+    rows, codes = _trials(params, n_particles, stop_after_meetings, 1,
+                          rng=rng.gen.bit_generator.ctypes.bit_generator)
     sites, events = [params.l0, params.r0][:n_particles], []
     for e, code in enumerate(codes, 1):  # code: 2 x walker, plus 1 for a right jump
         i, v = code >> 1, sites[code >> 1]
         sites[i] = v + 2 * (code & 1) - 1
         events.append((e, i, v, sites[i]))
-    return TrajectoryRecord(meetings, done, sites, events)
+    return TrajectoryRecord(int(rows[0, 0]), len(events), sites, events)
 
 
 def run_direct_batch(
@@ -112,18 +111,16 @@ def run_direct_batch(
     seed: int,
     trials: range,
     stop_after_meetings: int | None = None,
-) -> Iterator[TrajectoryRecord]:
-    """Yield, for each trial t of the range ``trials``, the record of
-    ``run_direct(params, 2, RngStream(seed, t), stop_after_meetings=...)``
-    bit for bit, with ``events`` left empty.  Trials run ``_BLOCK`` to a
-    kernel call, so memory does not grow with the trials."""
+) -> Iterator[np.ndarray]:
+    """Yield the rows (see :func:`_trials`) of the trials t of the range
+    ``trials`` as int64 arrays, one per kernel call of ``_BLOCK`` trials or
+    fewer, so memory does not grow with the trials.  Trial t's row is that
+    of ``run_direct(params, 2, RngStream(seed, t), ...)``, bit for bit."""
     if trials.step != 1:
         raise ValueError(f"trials must be a range of step 1, got {trials!r}")
     key = RngStream(seed, 0).key
     for t in range(trials.start, trials.stop, _BLOCK):
-        rows, _ = _trials(params, 2, stop_after_meetings, min(_BLOCK, trials.stop - t), t, key)
-        for meetings, done, left, right, *_ in rows:
-            yield TrajectoryRecord(meetings, done, [params.l0 + left, params.r0 + right])
+        yield _trials(params, 2, stop_after_meetings, min(_BLOCK, trials.stop - t), t, key)[0]
 
 
 # A walker's first window holds the edges within this many sites of its
@@ -136,9 +133,9 @@ _BLOCK = 1 << 10
 
 
 def _trials(params: ModelParams, n: int, stop: int | None, count: int, t0: int = 0,
-            key: Sequence[int] = (0, 0), rng: int | None = None) -> tuple[list, bytes]:
-    """The rows ``direct_trials`` of ``kernels.c`` writes, one per trial: its
-    meetings, events run, walkers' offsets from their starts and windows'
+            key: Sequence[int] = (0, 0), rng: int | None = None) -> tuple[np.ndarray, bytes]:
+    """The int64 rows ``direct_trials`` of ``kernels.c`` writes, one per trial:
+    its meetings, events run, walkers' offsets from their starts and windows'
     widths; and, for a trial on the bit generator at ``rng``, its log codes."""
     rows, log, library = np.empty((count, 6), np.int64), ctypes.c_void_p(), kernels()
     # the first meeting ends a run with any limit <= 1; a budget past int64
@@ -151,23 +148,24 @@ def _trials(params: ModelParams, n: int, stop: int | None, count: int, t0: int =
                                    _FIRST_REACH, min(params.max_events, MAX_INT64), limit,
                                    None if rng is None else ctypes.byref(log), rows.ctypes.data):
             raise MemoryError("direct: no memory for a trial's weight windows or log")
-        return rows.tolist(), ctypes.string_at(log, int(rows[0, 1])) if log else b""
+        return rows, ctypes.string_at(log, int(rows[0, 1])) if log else b""
     finally:
         library.free(log)
 
 
-def meeting_statistics(counts: list[int]) -> list[tuple[range, float, float]]:
-    """P(N >= k), with its standard error, for k = 1 up to the largest of
-    the trials' meeting counts N, as CSV rows ``(ks, frequency, stderr)``:
-    one per run of consecutive k that the same trials reach, ``ks`` a
-    ``range`` and the two Python floats its k share.  A run ends at each
-    distinct positive count, so n trials give at most n rows."""
-    if not counts:
-        raise ValueError("no meeting counts given")
-    n = len(counts)
-    # hits[k-1] = trials with >= k meetings; it is at least 1 at the largest
-    # k, so each run of equal hits ends where the next value differs
-    hits = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
+def meeting_statistics(hist: np.ndarray) -> list[tuple[range, float, float]]:
+    """P(N >= k), with its standard error, for k = 1 up to the largest
+    meeting count N of the trials, ``hist[k]`` of them with N = k, as CSV
+    rows ``(ks, frequency, stderr)``: one per run of consecutive k that the
+    same trials reach, ``ks`` a ``range`` and the two Python floats its k
+    share.  A run ends at each distinct positive N: n trials, n rows or fewer."""
+    n = int(hist.sum())
+    if n == 0:
+        raise ValueError("no trials counted")
+    # hits[k-1] = trials with >= k meetings; each run of equal hits ends
+    # where the next value differs, and the k that no trial reaches, where
+    # hits is 0, end no run
+    hits = np.cumsum(hist[::-1])[::-1][1:]
     ends = np.flatnonzero(np.diff(hits, append=0))
     rows, first = [], 1
     for last, h in zip((ends + 1).tolist(), hits[ends].tolist()):

@@ -4,7 +4,8 @@ They are the straightforward, slow forms of what the library does fast:
 the direct dynamics one jump at a time (:func:`direct_step`, the
 bit-level reference of ``run_direct``, reads each uniform as it needs
 it, and reinforces the sparse edge weights of a :class:`WeightMap`), the
-meeting table one k at a time and its CSV one row at a time,
+exact law of the meeting count breadth first (:func:`meeting_count_law`),
+the meeting table one k at a time and its CSV one row at a time,
 the difference-recurrence experiment as a scalar loop over freshly
 built streams and a memoized environment, Beta samples drawn in blocks, and
 Polya urns run one run and one drawing at a time, both models' one-step
@@ -292,6 +293,51 @@ def quadratic_meeting_rows(counts: list[int]) -> list[tuple[int, float, float]]:
         f = sum(c >= k for c in counts) / n
         rows.append((k, f, (f * (1 - f) / n) ** 0.5))
     return rows
+
+
+# States a layer of meeting_count_law may hold before it refuses: at a = 1,
+# gap 2 and cap 3 its largest layer to horizon 10 holds 6,155
+MAX_MEETING_STATES = 10_000
+
+
+def meeting_count_law(params: ModelParams, horizon: int, cap: int) -> list[Fraction]:
+    """The law of the meeting count N of two walkers after ``horizon``
+    events of the direct dynamics, in ``Fraction``s: P(N = 0), ...,
+    P(N = cap - 1) and, last, P(N >= cap).  A breadth-first pass of the
+    jump chain, each event moving either walker with probability 1/2 by
+    :func:`right_jump_probability` on weights a plus the traversals: a
+    state is (l, r, the traversals of each edge within ``horizon`` sites of
+    a start, the meetings so far capped at ``cap``), and a state that
+    reaches ``cap`` meetings leaves the pass with its mass.  A layer of
+    more than ``MAX_MEETING_STATES`` states raises ValueError."""
+    a, delta, lo = Fraction(params.a), Fraction(params.delta), params.l0 - horizon
+    p_right = {}  # (traversals of the edges left and right of a site) -> P(right)
+    law = [Fraction(0)] * (cap + 1)
+    crossed = (0,) * (params.r0 + horizon - lo)  # edge [v, v + 1] at v - lo
+    layer = {(params.l0, params.r0, crossed, min(int(params.l0 == params.r0), cap)): Fraction(1)}
+    for depth in range(horizon + 1):
+        children = {}
+        for (l, r, crossed, met), prob in layer.items():
+            if met == cap or depth == horizon:
+                law[met] += prob
+                continue
+            for mover, v in enumerate((l, r)):
+                edges = crossed[v - 1 - lo], crossed[v - lo]
+                if edges not in p_right:
+                    p_right[edges] = right_jump_probability(
+                        {-1: a + edges[0], 0: a + edges[1]}, 0, delta)
+                for right, p in ((0, 1 - p_right[edges]), (1, p_right[edges])):
+                    e = v - 1 + right - lo
+                    to = v - 1 + 2 * right
+                    nl, nr = (to, r) if mover == 0 else (l, to)
+                    key = (nl, nr, crossed[:e] + (crossed[e] + 1,) + crossed[e + 1:],
+                           min(met + (nl == nr), cap))
+                    children[key] = children.get(key, 0) + prob * p / 2
+        if len(children) > MAX_MEETING_STATES:
+            raise ValueError(f"more than MAX_MEETING_STATES = {MAX_MEETING_STATES} states "
+                             f"at depth {depth + 1}")
+        layer = children
+    return law
 
 
 def per_row_csv(config: dict, notes: list[str], columns: tuple, rows) -> bytes:

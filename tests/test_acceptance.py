@@ -8,7 +8,6 @@ lines on success.
 from dataclasses import replace
 
 import numpy as np
-import pytest
 from scipy import stats
 
 from reinforce_sim import baselines
@@ -169,13 +168,10 @@ def test_criterion_5_recurrence_trend_direct():
     for delta in (0.0, 0.5):
         params = ModelParams(a=1.0, delta=delta, l0=0, r0=2, max_events=budgets[-1])
         offset = 0 if delta == 0.0 else 500_000
-        records = run_direct_batch(params, 515, range(offset, offset + baselines.PILOT_TRIALS),
-                                   stop_after_meetings=1)
-        taus = [rec.events_executed if rec.meetings else None for rec in records]
-        fracs = [
-            sum(1 for tau in taus if tau is not None and tau <= b) / len(taus)
-            for b in budgets
-        ]
+        rows = np.concatenate(list(run_direct_batch(
+            params, 515, range(offset, offset + baselines.PILOT_TRIALS), stop_after_meetings=1)))
+        met, taus = rows[:, 0] > 0, rows[:, 1]  # events run: tau1 where the walkers met
+        fracs = [int(np.count_nonzero(met & (taus <= b))) / len(rows) for b in budgets]
         monotone = all(f1 <= f2 for f1, f2 in zip(fracs, fracs[1:]))
         threshold = baselines.regression_threshold(
             baselines.DIRECT_TAU1_PILOT[(delta, budgets[-1])]

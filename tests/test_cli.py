@@ -9,6 +9,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -38,7 +39,7 @@ def read_csv(path):
 def meeting_lines(records) -> list[str]:
     """simulate's CSV lines for these records' meeting counts, one per k,
     expanded from the runs of ``meeting_statistics``."""
-    runs = meeting_statistics([rec.meetings for rec in records])
+    runs = meeting_statistics(np.bincount([rec.meetings for rec in records]))
     return [f"{k},{f!r},{s!r}" for ks, f, s in runs for k in ks]
 
 
@@ -127,10 +128,11 @@ class TestSimulate:
         clock = RngStream(13, 0, HOLDING_TIMES) if timestamps else None
         assert traj.read_text() == records[0].to_jsonl(clock)
 
-    @pytest.mark.parametrize("trials", [1, 40])
+    @pytest.mark.parametrize("trials", [1, 40, 2500])
     def test_trial_zero_runs_once_with_its_log(self, runner, tmp_path, monkeypatch, trials):
         # trial 0 runs through run_direct on its stream, the others through
-        # run_direct_batch on their range
+        # run_direct_batch on their range, whose blocks' meeting counts the
+        # table adds to trial 0's
         logged, batched = [], []
 
         def one(params, n, rng, **kw):
@@ -155,6 +157,21 @@ class TestSimulate:
         rows = meeting_lines(records)
         assert result.stdout.split("\n")[-len(rows) - 1:-1] == rows
         assert traj.read_text() == records[0].to_jsonl()
+
+    def test_an_unlogged_run_builds_no_record(self, runner, monkeypatch):
+        # the table adds up the meeting columns of 2,500 trials' three
+        # blocks, and no trial becomes a TrajectoryRecord
+        params = ModelParams(a=1.0, delta=0.0, l0=0, r0=2, max_events=10)
+        rows = meeting_lines([run_direct(params, 2, RngStream(1, t)) for t in range(2500)])
+
+        def no_record(*args):
+            raise AssertionError("simulate built a TrajectoryRecord")
+
+        monkeypatch.setattr(direct, "TrajectoryRecord", no_record)
+        result = runner.invoke(main, ["simulate", "--trials", "2500", "--events", "10",
+                                      "--seed", "1"])
+        assert result.exit_code == 0, result.output
+        assert result.stdout.split("\n")[-len(rows) - 1:-1] == rows
 
     def test_starts_beyond_int64(self, runner):
         # sites count from l0, so 30 trials start at 10**22
@@ -187,8 +204,9 @@ class TestSimulate:
         assert result.stdout.endswith("\nk,frequency,stderr\n1,1.0,0.0\n")
 
     def test_memory_does_not_grow_with_the_trials(self, runner):
-        # simulate keeps one meeting count per trial; a record per trial
-        # (about 0.3 KB each) would take about 3 MiB at 10,000 trials
+        # simulate keeps a histogram of the meeting counts and one block of
+        # rows at a time; a record per trial (about 0.3 KB each) would take
+        # about 3 MiB at 10,000 trials
         assert runner.invoke(main, ["simulate", "--trials", "2", "--events", "10"]).exit_code == 0
         tracemalloc.start()
         try:
@@ -785,7 +803,8 @@ class TestWriteCsv:
                              ids=["gaps", "all-meet", "none-meet"])
     def test_simulate_table(self, tmp_path, counts):
         config, notes, columns = {"trials": len(counts)}, ["a note"], ("k", "frequency", "stderr")
-        got = self._written(tmp_path, config, notes, columns, meeting_statistics(counts))
+        got = self._written(tmp_path, config, notes, columns,
+                            meeting_statistics(np.bincount(counts)))
         assert got == per_row_csv(config, notes, columns, quadratic_meeting_rows(counts))
 
     def test_rwre_curve(self, tmp_path):

@@ -11,7 +11,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reinforce_sim import direct
-from reinforce_sim.direct import ModelParams, meeting_statistics, run_direct, run_direct_batch
+from reinforce_sim.direct import (
+    ModelParams, TrajectoryRecord, meeting_statistics, run_direct, run_direct_batch,
+)
 from reinforce_sim.distributions import HOLDING_TIMES, RngStream
 
 from oracles import (
@@ -261,8 +263,16 @@ class TestRunDirect:
 
 
 def unlogged(rec):
-    """``rec`` without its event log, as ``run_direct_batch`` yields it."""
+    """``rec`` without its event log, as :func:`row_records` reads a batch row."""
     return rec._replace(events=())
+
+
+def row_records(params, blocks):
+    """The rows of ``run_direct_batch``'s blocks, each read as the unlogged
+    record of its trial: ``TrajectoryRecord(meetings, events, [l0 + left,
+    r0 + right])``."""
+    return [TrajectoryRecord(meetings, events, [params.l0 + left, params.r0 + right])
+            for block in blocks for meetings, events, left, right, _, _ in block.tolist()]
 
 
 def scalar_records(params, seed, trials, stop=None):
@@ -297,17 +307,20 @@ def window_widths(params, seed, trials, stop=None):
     """The widths of the two walkers' final windows in each of ``trials``
     two-walker trials, as the compiled trials report them; walkers that
     share a window report its width twice."""
-    rows, _ = direct._trials(params, 2, stop, trials, 0, RngStream(seed, 0).key)
-    return [row[4:] for row in rows]
+    blocks = run_direct_batch(params, seed, range(trials), stop_after_meetings=stop)
+    return np.concatenate(list(blocks))[:, 4:].tolist()
 
 
 def batch_records(params, seed, trials, stop=None):
-    return list(run_direct_batch(params, seed, range(trials), stop_after_meetings=stop))
+    """The records of ``trials`` two-walker trials, read from their batch rows."""
+    return row_records(params, run_direct_batch(params, seed, range(trials),
+                                                stop_after_meetings=stop))
 
 
 class TestRunDirectBatch:
-    """``run_direct_batch`` must give ``run_direct``'s records bit for bit:
-    a trial's record does not depend on the trials run before it."""
+    """``run_direct_batch``'s rows, read as records, must equal
+    ``run_direct``'s bit for bit: a trial's row does not depend on the
+    trials run before it."""
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.5])
     @pytest.mark.parametrize("delta", [0.0, 0.5, 0.9])
@@ -349,7 +362,7 @@ class TestRunDirectBatch:
         # t mod 2**64, as RngStream(seed, t) does
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=300)
         trials = range(start, start + 4)
-        got = list(run_direct_batch(params, seed, trials, stop_after_meetings=2))
+        got = row_records(params, run_direct_batch(params, seed, trials, stop_after_meetings=2))
         assert got == [unlogged(run_direct(params, 2, RngStream(seed, t), stop_after_meetings=2))
                        for t in trials]
         assert len({tuple(rec.final_positions) for rec in got}) > 1
@@ -358,9 +371,11 @@ class TestRunDirectBatch:
         # kernel calls of three trials, one of them across the counter's wrap
         params = ModelParams(a=1.0, delta=0.5, l0=0, r0=3, max_events=200)
         trials = range(2**64 - 4, 2**64 + 6)
-        whole = list(run_direct_batch(params, 94, trials, stop_after_meetings=3))
+        whole = row_records(params, run_direct_batch(params, 94, trials, stop_after_meetings=3))
         monkeypatch.setattr(direct, "_BLOCK", 3)
-        assert list(run_direct_batch(params, 94, trials, stop_after_meetings=3)) == whole
+        blocks = list(run_direct_batch(params, 94, trials, stop_after_meetings=3))
+        assert [len(block) for block in blocks] == [3, 3, 3, 1]
+        assert row_records(params, blocks) == whole
         assert whole == [unlogged(run_direct(params, 2, RngStream(94, t), stop_after_meetings=3))
                          for t in trials]
 
@@ -398,13 +413,14 @@ class TestRunDirectBatch:
 
     def test_records_hold_one_meeting_count_each(self):
         # walkers started side by side meet thousands of times in 2e4
-        # events; what the records keep must not grow with the meetings.
-        # Pickling serialises everything they reach: 64 count records take
-        # about 3 KB, lists of their 288,578 meeting times about 870 KB
+        # events; what the rows keep must not grow with the meetings.
+        # Pickling serialises everything they reach: the 64 rows take about
+        # 3 KB, lists of their 288,578 meeting times about 870 KB
         params = ModelParams(a=1.0, delta=0.0, l0=0, r0=1, max_events=20_000)
-        records = batch_records(params, 79, 64)
-        assert sum(rec.meetings for rec in records) > 64 * 1000
-        assert len(pickle.dumps(records)) < 1 << 14
+        [rows] = run_direct_batch(params, 79, range(64))
+        assert rows.dtype == np.int64 and rows.shape == (64, 6)
+        assert rows[:, 0].sum() > 64 * 1000
+        assert len(pickle.dumps(rows)) < 1 << 14
 
     def test_far_apart_walkers_run_without_a_dense_window(self):
         # a window over the gap would take 8 TB
@@ -511,8 +527,8 @@ class TestEngine:
                 assert run_direct(params, n, RngStream(90, budget),
                                   stop_after_meetings=stop) == oracle
                 if n == 2:
-                    assert list(run_direct_batch(params, 90, range(budget, budget + 1), stop)) \
-                        == [unlogged(oracle)]
+                    assert row_records(params, run_direct_batch(
+                        params, 90, range(budget, budget + 1), stop)) == [unlogged(oracle)]
 
     @pytest.mark.parametrize("budget", [1, 2, 3, 4, 7, 8, 2**16 + 5])
     def test_logs_match_the_stepped_oracle_as_the_log_grows(self, budget):
@@ -648,7 +664,7 @@ class TestMeetingStatistics:
     @pytest.mark.parametrize("case", CASES)
     def test_runs_expand_to_the_quadratic_rows(self, case):
         counts = self.CASES[case]()
-        runs = meeting_statistics(counts)
+        runs = meeting_statistics(np.bincount(counts))
         expanded = [(k, f, s) for ks, f, s in runs for k in ks]
         assert expanded == quadratic_meeting_rows(counts)
         # one run ends at each distinct positive count, so consecutive runs
@@ -658,15 +674,17 @@ class TestMeetingStatistics:
         assert all(type(f) is float and type(s) is float for _, f, s in runs)
 
     def test_coincident_starts_give_frequency_one(self):
-        assert meeting_statistics(self._simulated(65, r0=0))[0][1:] == (1.0, 0.0)
+        assert meeting_statistics(np.bincount(self._simulated(65, r0=0)))[0][1:] == (1.0, 0.0)
 
     def test_runs_of_the_edge_cases(self):
-        assert meeting_statistics([0] * 7) == []
-        assert meeting_statistics([9] * 12) == [(range(1, 10), 1.0, 0.0)]
-        assert meeting_statistics([5]) == [(range(1, 6), 1.0, 0.0)]
-        assert [len(ks) for ks, _, _ in meeting_statistics([3, 0, 50_000, 3, 2001, 2000, 1])] \
-            == [1, 2, 1997, 1, 47_999]
+        assert meeting_statistics(np.bincount([0] * 7)) == []
+        assert meeting_statistics(np.bincount([9] * 12)) == [(range(1, 10), 1.0, 0.0)]
+        assert meeting_statistics(np.bincount([5])) == [(range(1, 6), 1.0, 0.0)]
+        counts = np.bincount([3, 0, 50_000, 3, 2001, 2000, 1])
+        assert [len(ks) for ks, _, _ in meeting_statistics(counts)] == [1, 2, 1997, 1, 47_999]
+        # counts of k past the largest N give no row
+        assert meeting_statistics(np.append(counts, [0, 0])) == meeting_statistics(counts)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            meeting_statistics([])
+            meeting_statistics(np.bincount([]))

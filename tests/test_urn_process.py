@@ -11,12 +11,15 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from reinforce_sim import urn_process
+from reinforce_sim.cli import main
 
 from reinforce_sim.coupling import (
     CoupledState,
@@ -658,7 +661,8 @@ MEETING_TRIALS = 10_000
 
 def assert_meeting_law(taus: list, law: tuple) -> None:
     """Binomial test of the counts of tau1 = k (None: no meeting by the
-    horizon) against the exact law."""
+    horizon) against the exact law, P(tau1 = k) = law[k]; or of any other
+    value k, with None for the values past the law."""
     cells = {k: law[k] for k in range(len(law))}
     cells[None] = 1 - sum(law)
     tested = [k for k, prob in cells.items() if prob > 0]
@@ -687,9 +691,9 @@ class TestMeetingLaw:
         assert_meeting_law(taus, law)
 
     def test_run_direct_batch(self, law):
-        records = run_direct_batch(MEETING_PARAMS, 1202, range(MEETING_TRIALS),
-                                   stop_after_meetings=1)
-        assert_meeting_law([r.events_executed if r.meetings else None for r in records], law)
+        rows = np.concatenate(list(run_direct_batch(MEETING_PARAMS, 1202, range(MEETING_TRIALS),
+                                                    stop_after_meetings=1)))
+        assert_meeting_law([e if m else None for m, e in rows[:, :2].tolist()], law)
 
     def test_coupled_inner_pair(self, law):
         # tau1 counts the inner pair's moves only; free outer steps are
@@ -707,6 +711,52 @@ class TestMeetingLaw:
                         break
             taus.append(tau)
         assert_meeting_law(taus, law)
+
+
+# The law of the meeting count N after MEETING_PARAMS.max_events events,
+# from oracles.meeting_count_law, against the compiled trials' meeting
+# column, in run_direct_batch's blocks and in simulate's table.  Cells
+# N = 0, 1, 2 and N >= COUNT_CAP, each test at family-wise level
+# MEETING_ALPHA as above.
+COUNT_CAP = 3
+
+
+class TestMeetingCountLaw:
+    @pytest.fixture(scope="class", params=[0.0, 0.5], ids=["delta-0", "delta-0.5"])
+    def case(self, request):
+        params = params_for(a=1.0, delta=request.param, l0=0, r0=2, max_events=10)
+        law = oracles.meeting_count_law(params, params.max_events, COUNT_CAP)
+        assert sum(law) == 1
+        return params, law
+
+    @pytest.mark.parametrize("stop", [None, 1, 2, 3])
+    def test_run_direct_batch(self, case, stop):
+        # a run stopped at s meetings reports min(N, s)
+        params, law = case
+        rows = np.concatenate(list(run_direct_batch(params, 1204, range(MEETING_TRIALS),
+                                                    stop_after_meetings=stop)))
+        cells = COUNT_CAP if stop is None else stop
+        assert stop is None or rows[:, 0].max() <= stop
+        assert_meeting_law([k if k < cells else None for k in rows[:, 0].tolist()], law[:cells])
+
+    def test_simulate_table(self, case):
+        # the table's P(N >= k), read back as the trials with N >= k
+        params, law = case
+        result = CliRunner().invoke(main, [
+            "simulate", "--delta", str(params.delta), "--events", str(params.max_events),
+            "--trials", str(MEETING_TRIALS), "--seed", "1205"])
+        assert result.exit_code == 0, result.output
+        lines = result.stdout.split("\n")
+        hits = [MEETING_TRIALS] + [round(float(line.split(",")[1]) * MEETING_TRIALS)
+                                   for line in lines[lines.index("k,frequency,stderr") + 1:-1]]
+        hits += [0] * COUNT_CAP
+        counts = [k for k in range(COUNT_CAP) for _ in range(hits[k] - hits[k + 1])]
+        assert_meeting_law(counts + [None] * hits[COUNT_CAP], law[:COUNT_CAP])
+
+    def test_a_pass_past_its_state_bound_is_refused(self, monkeypatch):
+        monkeypatch.setattr(oracles, "MAX_MEETING_STATES", 100)
+        with pytest.raises(ValueError, match="MAX_MEETING_STATES = 100 states at depth 5"):
+            oracles.meeting_count_law(MEETING_PARAMS, MEETING_PARAMS.max_events, COUNT_CAP)
 
 
 class TestWeightAgreement:

@@ -16,9 +16,14 @@ mutant says ``killed`` or ``alive``; the exit code is 1 on a new survivor
 or on a known one that is now killed, and 2 if a row's text does not
 occur exactly once or the unmutated copy fails.  A mutant whose kernel
 library does not build stops the run with an error; it is not killed.
-Each test run may map at most ``MEMORY`` bytes.  The 29 rows (18 of
-``kernels.c``, 6 of ``urn_process.py``, 3 of ``direct.py``, 1 of ``rwre.py``
-and 1 of ``cli.py``; 1 known survivor) take 70 to 80 seconds on a 2-vCPU VM.
+Each test run may map at most ``MEMORY`` bytes.  The 31 rows (19 of
+``kernels.c``, 6 of ``urn_process.py``, 3 of ``direct.py``, 2 of ``cli.py``
+and 1 of ``rwre.py``; 1 known survivor) take 75 to 85 seconds on a 2-vCPU VM.
+
+Mutants of code that is gone or moved to C have no row: those of the
+Python event loop that once drew each direct trial's uniforms and sized
+its log buffer, and those of the per-trial records that ``simulate`` and
+``run_direct_batch`` once built and yielded one at a time.
 """
 from __future__ import annotations
 
@@ -112,12 +117,22 @@ MUTANTS = [
            ENGINE),
     Mutant("log-code-wrong-walker-bit", KERNELS, "(int8_t)(2 * i + right)",
            "(int8_t)(2 * (i ^ 1) + right)", MOVER),
-    # meeting_statistics' runs of equal frequency
+    # meeting_statistics' runs of equal frequency, read from the histogram
     Mutant("run-range-short", DIRECT, "range(first, last + 1)", "range(first, last)",
            STATISTICS),
     Mutant("run-counts-numpy", DIRECT, "hits[ends].tolist()", "hits[ends]", STATISTICS),
     Mutant("last-run-dropped", DIRECT, "np.diff(hits, append=0)", "np.diff(hits)",
            STATISTICS),
+    # simulate's histogram: a block's counts replace the total, not add to it
+    Mutant("block-histogram-overwrites", "src/reinforce_sim/cli.py",
+           "hist = counts + np.pad(hist, (0, counts.size - hist.size))", "hist = counts",
+           ("tests/test_cli.py::TestSimulate",)),
+    # the law of the meeting count: a meeting counted only when the right
+    # walker moves
+    Mutant("meeting-only-when-right-walker-moves", KERNELS,
+           "meetings += home[0] == home[1] && x[0] == x[1];",
+           "meetings += i == 1 && home[0] == home[1] && x[0] == x[1];",
+           ("tests/test_urn_process.py::TestMeetingCountLaw",)),
     # the exact pass: its integer kernels, the initial masses and the packed keys
     Mutant("family-marbles-one-per-jump", URN_PROCESS, "red += (2 * lj + left_present) * unit",
            "red += (lj + left_present) * unit", INT_KERNELS),

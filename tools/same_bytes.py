@@ -7,7 +7,7 @@ once on this tree's ``src`` and once on OTHER_TREE's, each run in a fresh
 temporary directory holding only the command's input files.  The exit
 code, standard output, standard error and the bytes of every file in the
 directory afterwards must be equal.  One line per command says ``same`` or
-what differs; the exit code is 1 on any difference.  The 51 commands cover
+what differs; the exit code is 1 on any difference.  The 52 commands cover
 every subcommand; the direct engine runs at delta = 0, at dyadic a and
 delta, and at a non-dyadic pair, once without a log
 (``simulate-general-delta``) and once with a timed log of trials long
@@ -15,7 +15,8 @@ enough to grow their weight windows (``simulate-general-delta-logged``).
 Logged runs also cover a budget of 0, a trial of 70,000 events, whose
 log buffer doubles past 2**16 codes, and a budget of 10**12 events cut
 short by the first meeting; 20,000 short trials (20 kernel calls of
-1,024 trials), a single trial, whose meeting
+1,024 trials), 2,500 short trials whose logged first trial's meeting
+count joins those of three kernel calls, a single trial, whose meeting
 table is one run of equal frequency, and a lone walker with neither a
 log nor rows cover the meeting counts.  ``rwre`` runs its compiled loop
 at shapes of 0.001, whose Beta draws often retry, at a budget of 1, at a
@@ -62,6 +63,8 @@ COMMANDS = [
      {}),
     ("simulate-many-short-trials", ["simulate", "--trials", "20000", "--events", "10", "--seed",
                                     "1"], {}),
+    ("simulate-many-short-trials-logged", ["simulate", "--trials", "2500", "--events", "10",
+                                           "--stop-after-meetings", "3", *TRAJ], {}),
     ("simulate-one-trial", ["simulate", "--trials", "1", "--events", "3000", "--seed", "2"], {}),
     ("simulate-timestamps", ["simulate", "--trials", "40", "--events", "2000", "--timestamps",
                              *TRAJ, "--out", "meetings.csv"], {}),
