@@ -1,9 +1,13 @@
 /* The compiled loops: the direct dynamics' direct_trials and rwre's
  * first_returns, each a range of trials per call on Philox streams it keys
- * itself (direct_trials also one trial on a given numpy bit generator).
- * reinforce_sim.native builds this file into one shared library, linked with
- * numpy's libnpyrandom, and types its entries for ctypes; direct and rwre
- * call them through it. */
+ * itself and reads inline (direct_trials also one trial on a given numpy bit
+ * generator).  direct_trials holds each walker as a pointer to the weight of
+ * the edge on its site's right, so an event reads and reinforces weights
+ * through it, two walkers meet when their pointers are equal, and the sites
+ * are worked out from the pointers only when a window grows and when a trial
+ * ends.  reinforce_sim.native builds this file into one shared library at
+ * -O3, linked with numpy's libnpyrandom, and types its entries for ctypes;
+ * direct and rwre call them through it. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <numpy/random/bitgen.h>
@@ -19,17 +23,19 @@ double random_standard_gamma(bitgen_t *bitgen_state, double shape);
  * order; the loops here inline it, and the exported bitgen_t callbacks
  * below, which numpy's gamma draw calls, wrap it: next_uint32 serves each
  * word's low half, then keeps its high half for the next call, as numpy
- * does, and next_double is the word's top 53 bits times 2**-53. */
+ * does, and next_double is the word's top 53 bits times 2**-53.  The block,
+ * made every fourth word, is philox_block, a call that is never inlined, so
+ * the event loops that read the words stay small: inlined, the ten rounds
+ * left direct_trials' loop at 14 to 20 ns per event at -O3 as the compiler's
+ * code layout varied, and called, at 14 under each layout tried. */
 struct philox {
     uint64_t counter[4], key[2], buffer[4];
     int buffer_pos, has_uint32;
     uint32_t uinteger;
 };
 
-static inline uint64_t philox_word(struct philox *s)
+static uint64_t __attribute__((noinline)) philox_block(struct philox *s)
 {
-    if (s->buffer_pos < 4)
-        return s->buffer[s->buffer_pos++];
     for (int i = 0; i < 4 && ++s->counter[i] == 0; i++)
         ;
     uint64_t x[4] = {s->counter[0], s->counter[1], s->counter[2], s->counter[3]};
@@ -50,6 +56,11 @@ static inline uint64_t philox_word(struct philox *s)
         s->buffer[i] = x[i];
     s->buffer_pos = 1;
     return x[0];
+}
+
+static inline uint64_t philox_word(struct philox *s)
+{
+    return s->buffer_pos < 4 ? s->buffer[s->buffer_pos++] : philox_block(s);
 }
 
 /* A uniform on [0, 1) from the top 53 bits of a word, as numpy makes it. */
@@ -111,7 +122,7 @@ static int cover(struct window win[2], int64_t home[2], int64_t n, int64_t i, in
         if (other != own && lo <= other->lo + other->width && other->lo <= hi)
             parts[1] = other;
     }
-    double *w = malloc((size_t)(hi - lo) * sizeof(double));
+    double *w = malloc((size_t)(hi - lo + 1) * sizeof(double));  /* and one spare */
     if (!w)
         return -1;
     for (int64_t k = 0; k < hi - lo; k++)
@@ -128,65 +139,88 @@ static int cover(struct window win[2], int64_t home[2], int64_t n, int64_t i, in
     return 0;
 }
 
+/* Point walkers 0, ..., n - 1 at the weight of the edge on their sites'
+ * right, walker j at x[j] in its window win[home[j]], whose weights [lo[j],
+ * hi[j]) it may read and step within. */
+static void place(const struct window win[2], const int64_t home[2], const int64_t x[2],
+                  int64_t n, double *p[2], double *lo[2], double *hi[2])
+{
+    for (int64_t j = 0; j < n; j++) {
+        lo[j] = win[home[j]].w;
+        hi[j] = lo[j] + win[home[j]].width;
+        p[j] = lo[j] + (x[j] - win[home[j]].lo);
+    }
+}
+
 /* Trials t0, t0 + 1, ..., t0 + trials - 1 (mod 2**64) of direct.run_direct,
  * one after another: each on rng if rng is not NULL, else trial t on stream
  * (seed, t), keyed here from the seed's key words as distributions.RngStream
- * keys it.  A trial runs up to budget events of the n walkers (1 or 2),
- * walker 0 from site 0 and walker 1 from gap, each event on the next two
- * words of its stream, in the floating-point operations and order that
- * run_direct states: the mover, int(n * u) for the first word's uniform u,
- * is 0 for a lone walker and the word's top bit for two, read with
- * next_uint64; the step's uniform is read with next_double, the top 53 bits
- * of the next word times 2**-53, as numpy's Generator.random makes it.  A
- * trial stops after the limit-th meeting, checked before an event draws.
- * Walker i's first window holds the edges within reach sites of its start,
- * and doubles on the side the walker reaches.  Row i of out, six int64, gets
- * trial t0 + i's meetings, events run, walkers' offsets from their starts
- * and their windows' widths.  If log is not NULL, (*log)[e] gets 2 * walker
- * + 1 if event e + 1 moves its walker right, 2 * walker if left, for a run
- * of one trial, in a buffer (NULL at first) that doubles as the events run,
- * which the caller frees.  Returns 0, or -1 if memory runs out. */
+ * keys it and read inline, as philox_word.  A trial runs up to budget events
+ * of the n walkers (1 or 2), walker 0 from site 0 and walker 1 from gap, each
+ * event on the next two words of its stream, in the floating-point
+ * operations and order that run_direct states: the mover, int(n * u) for
+ * the first word's uniform u, is 0 for a lone walker and the word's top bit
+ * for two; the step's uniform is the top 53 bits of the next word times
+ * 2**-53, as numpy's Generator.random makes it (rng's next_double).  A trial
+ * stops after the limit-th meeting, checked before an event draws.  Walker
+ * i's first window holds the edges within reach sites of its start, and
+ * doubles on the side the walker reaches.  A walker is a pointer, p[i], to
+ * the weight of the edge on its site's right; its site x[i] is brought up to
+ * date from p[i]'s offset in its window only when a window grows and when
+ * the trial ends.  A window holds one spare cell past its last edge, so a
+ * walker's pointer never leaves its window's allocation, and two walkers
+ * coincide exactly when their pointers are equal.  Row i of out, six int64,
+ * gets trial t0 + i's meetings, events run, walkers' offsets from their
+ * starts and their windows' widths.  If log is not NULL, (*log)[e] gets 2 *
+ * walker + 1 if event e + 1 moves its walker right, 2 * walker if left, for
+ * a run of one trial, in a buffer (NULL at first) that doubles as the events
+ * run, which the caller frees.  Returns 0, or -1 if memory runs out. */
 int64_t direct_trials(uint64_t key0, uint64_t key1, uint64_t t0, int64_t trials,
                       bitgen_t *rng, int64_t n, double a, double delta, int64_t gap,
                       int64_t reach, int64_t budget, int64_t limit, int8_t **log, int64_t *out)
 {
     struct philox s;
-    bitgen_t keyed = {&s, philox_next64, philox_next32, philox_next_double, philox_next64};
     int64_t cap = 0, failed = 0;
-    rng = rng ? rng : &keyed;
     for (int64_t t = 0; t < trials && !failed; t++, out += 6) {
         struct window win[2] = {{NULL, 0, 0}, {NULL, gap, 0}};
         int64_t home[2] = {0, 1}, x[2] = {0, gap}, meetings = n == 2 && gap == 0, e = 0;
+        double *p[2] = {NULL, NULL}, *lo[2], *hi[2];
         philox_key(&s, (const uint64_t[2]){key0, key1}, t0 + (uint64_t)t, 0);
         for (int64_t j = 0; j < n && !failed; j++)
             failed = cover(win, home, n, j, x[j] - reach, x[j] + reach, a);
+        place(win, home, x, n, p, lo, hi);
         for (; !failed && e < budget && meetings < limit; e++) {
             if (log && e == cap) {
                 int8_t *grown = realloc(*log, (size_t)(cap = 2 * cap + 1));
-                failed = !grown;
-                if (grown)
-                    *log = grown;
+                if ((failed = !grown))
+                    break;
+                *log = grown;
             }
-            int64_t i = (int64_t)(rng->next_uint64(rng->state) >> 63) & (n - 1);
-            struct window *v = &win[home[i]];
-            while (!failed && x[i] <= v->lo)
-                failed = cover(win, home, n, i, v->lo - v->width, v->lo, a);
-            while (!failed && x[i] >= v->lo + v->width)
-                failed = cover(win, home, n, i, v->lo, v->lo + 2 * v->width, a);
-            if (failed)
-                break;
-            double *w = v->w + (x[i] - v->lo);  /* the edge on x[i]'s right */
-            int right = rng->next_double(rng->state) < (w[0] + delta) / ((w[-1] + w[0]) + delta);
-            w[right - 1] += 1.0;
-            x[i] += 2 * right - 1;
+            int64_t i = ((rng ? rng->next_uint64(rng->state) : philox_word(&s)) >> 63) & (n - 1);
+            if (p[i] <= lo[i] || p[i] >= hi[i]) {  /* an edge beside walker i is outside */
+                for (int64_t j = 0; j < n; j++)
+                    x[j] = win[home[j]].lo + (p[j] - lo[j]);
+                struct window *v = &win[home[i]];
+                while (!failed && x[i] <= v->lo)
+                    failed = cover(win, home, n, i, v->lo - v->width, v->lo, a);
+                while (!failed && x[i] >= v->lo + v->width)
+                    failed = cover(win, home, n, i, v->lo, v->lo + 2 * v->width, a);
+                if (failed)
+                    break;
+                place(win, home, x, n, p, lo, hi);  /* a merge frees the other's window */
+            }
+            double *q = p[i], u = rng ? rng->next_double(rng->state) : unit_double(philox_word(&s));
+            int right = u < (q[0] + delta) / ((q[-1] + q[0]) + delta);
+            q[right - 1] += 1.0;
+            p[i] = q + 2 * right - 1;
             if (log)
                 (*log)[e] = (int8_t)(2 * i + right);
-            meetings += home[0] == home[1] && x[0] == x[1];
+            meetings += p[0] == p[1];
         }
         out[0] = meetings;
         out[1] = e;
         for (int j = 0; j < 2; j++) {
-            out[2 + j] = x[j] - j * gap;
+            out[2 + j] = j < n ? win[home[j]].lo + (p[j] - lo[j]) - j * gap : 0;
             out[4 + j] = win[home[j]].width;
             free(win[j].w);
         }
@@ -275,8 +309,7 @@ int64_t first_returns(uint64_t key0, uint64_t key1, uint64_t t0, int64_t n, uint
             philox_key(&s[j], key, t0 + (uint64_t)i, role[j]);
         first[i] = first_return(&s[0], env, alpha, beta, budget, p, cap,
                                 sites ? sites + 2 * i : NULL);
-        if (first[i] < 0)
-            done = -1;
+        done = first[i] < 0 ? -1 : 0;
     }
     free(p[0]);
     free(p[1]);

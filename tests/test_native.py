@@ -29,6 +29,13 @@ class TestStructure:
 class TestBuild:
     """How the kernel library is built, cached and loaded."""
 
+    def test_the_flags_keep_each_floating_point_operation_as_written(self):
+        # both entries promise numpy's bits, which any -O level keeps only
+        # while no multiply and add fuse and no fast-math rule applies
+        assert "-ffp-contract=off" in native._CFLAGS
+        unsafe = {"-ffast-math", "-Ofast", "-funsafe-math-optimizations", "-ffinite-math-only"}
+        assert unsafe.isdisjoint(native._CFLAGS)
+
     def test_a_library_built_from_other_source_is_never_loaded(self, monkeypatch, tmp_path):
         cache = tmp_path / "cache"
         other = tmp_path / "other.c"  # a kernel that adds 2 per traversal
