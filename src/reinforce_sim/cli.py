@@ -239,9 +239,10 @@ def urn_verify(a, delta, l0, r0, horizon, allow_small_a, out_path) -> None:
     }
     if out_path is not None:
         _write_text(out_path, json.dumps(report, sort_keys=True) + "\n")
-    click.echo(f"TV(direct, urn) = {shown} at horizon {horizon}: {'OK' if ok else 'MISMATCH'}")
+    _write_text(None, f"TV(direct, urn) = {shown} at horizon {horizon}: "
+                      f"{'OK' if ok else 'MISMATCH'}\n")
     if not ok:  # a distance > 0 needs a step at which the kernels differ
-        click.echo(f"first kernel difference: {law.first_difference}", err=True)
+        sys.stderr.write(f"first kernel difference: {law.first_difference}\n")
         sys.exit(1)
 
 
@@ -276,7 +277,7 @@ def couple(a, delta, l0, r0, events, trials, allow_small_a,
     except SmallAPolicyError as exc:
         raise click.UsageError(str(exc)) from exc
     except NegativeMassError as exc:
-        click.echo(f"negative urn mass in a coupled run: {exc}", err=True)
+        sys.stderr.write(f"negative urn mass in a coupled run: {exc}\n")
         sys.exit(1)
     lines = [json.dumps({"meta": _meta(_resolved())}, sort_keys=True)]
     lines += [res.to_json() for res in results]
@@ -288,11 +289,11 @@ def couple(a, delta, l0, r0, events, trials, allow_small_a,
     for res in results:
         if res.violations:
             where = replay_record(res.seed, res.stream_id, res.events_executed, res.positions)
-            click.echo(f"ordering violated: {where}", err=True)
+            sys.stderr.write(f"ordering violated: {where}\n")
     if violations:
-        click.echo(f"ordering violations detected in {violations} run(s)", err=True)
+        sys.stderr.write(f"ordering violations detected in {violations} run(s)\n")
     if not marginal_passed:
-        click.echo("marginal check failed; its report is the last output line", err=True)
+        sys.stderr.write("marginal check failed; its report is the last output line\n")
     if violations or not marginal_passed:
         sys.exit(1)
 
@@ -406,8 +407,8 @@ def rwre(alpha1, beta1, alpha2, beta2, budgets, trials, seed, out_path) -> None:
         raise click.UsageError("--budgets must be positive integers")
     curve = difference_recurrence(p1, p2, budget_list, trials, seed)
     if not curve.regime_ok:
-        click.echo("warning: environment parameters violate the mu > 0 hypothesis; the "
-                   "return probability has no guarantee in this regime", err=True)
+        sys.stderr.write("warning: environment parameters violate the mu > 0 hypothesis; the "
+                         "return probability has no guarantee in this regime\n")
     _write_csv(out_path, _resolved(budgets=budget_list, regime_ok=curve.regime_ok), [],
                ("budget", "hit_fraction", "stderr"), curve.rows())
 

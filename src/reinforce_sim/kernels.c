@@ -5,9 +5,14 @@
  * the edge on its site's right, so an event reads and reinforces weights
  * through it, two walkers meet when their pointers are equal, and the sites
  * are worked out from the pointers only when a window grows and when a trial
- * ends.  reinforce_sim.native builds this file into one shared library at
+ * ends.  It decides a step by a product, and by the division that defines
+ * it only near a tie, with the same outcome bit for bit.  Its one source
+ * loop, run_trials, is inlined twice: once with no bit generator and no log,
+ * which the keyed trials of a batch take, so that loop tests neither per
+ * event.  reinforce_sim.native builds this file into one shared library at
  * -O3, linked with numpy's libnpyrandom, and types its entries for ctypes;
  * direct and rwre call them through it. */
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <numpy/random/bitgen.h>
@@ -157,8 +162,8 @@ static void place(const struct window win[2], const int64_t home[2], const int64
  * (seed, t), keyed here from the seed's key words as distributions.RngStream
  * keys it and read inline, as philox_word.  A trial runs up to budget events
  * of the n walkers (1 or 2), walker 0 from site 0 and walker 1 from gap, each
- * event on the next two words of its stream, in the floating-point
- * operations and order that run_direct states: the mover, int(n * u) for
+ * event on the next two words of its stream, with the outcomes that
+ * run_direct states (see the step below): the mover, int(n * u) for
  * the first word's uniform u, is 0 for a lone walker and the word's top bit
  * for two; the step's uniform is the top 53 bits of the next word times
  * 2**-53, as numpy's Generator.random makes it (rng's next_double).  A trial
@@ -174,10 +179,12 @@ static void place(const struct window win[2], const int64_t home[2], const int64
  * starts and their windows' widths.  If log is not NULL, (*log)[e] gets 2 *
  * walker + 1 if event e + 1 moves its walker right, 2 * walker if left, for
  * a run of one trial, in a buffer (NULL at first) that doubles as the events
- * run, which the caller frees.  Returns 0, or -1 if memory runs out. */
-int64_t direct_trials(uint64_t key0, uint64_t key1, uint64_t t0, int64_t trials,
-                      bitgen_t *rng, int64_t n, double a, double delta, int64_t gap,
-                      int64_t reach, int64_t budget, int64_t limit, int8_t **log, int64_t *out)
+ * run, which the caller frees.  Returns 0, or -1 if memory runs out.
+ * direct_trials below is this function, inlined twice. */
+static inline __attribute__((always_inline)) int64_t
+run_trials(uint64_t key0, uint64_t key1, uint64_t t0, int64_t trials, bitgen_t *rng, int64_t n,
+           double a, double delta, int64_t gap, int64_t reach, int64_t budget, int64_t limit,
+           int8_t **log, int64_t *out)
 {
     struct philox s;
     int64_t cap = 0, failed = 0;
@@ -210,7 +217,22 @@ int64_t direct_trials(uint64_t key0, uint64_t key1, uint64_t t0, int64_t trials,
                 place(win, home, x, n, p, lo, hi);  /* a merge frees the other's window */
             }
             double *q = p[i], u = rng ? rng->next_double(rng->state) : unit_double(philox_word(&s));
-            int right = u < (q[0] + delta) / ((q[-1] + q[0]) + delta);
+            /* The step goes right when u < num / den, for num = q[0] + delta
+             * and den = (q[-1] + q[0]) + delta, rounded as run_direct rounds
+             * them.  When m = u * den is at least 2**-900 and differs from
+             * num by more than num * 2**-40, m < num decides it with no
+             * division, and exactly so.  Each operation then errs by a
+             * factor within 2**-53 of 1 (m is normal; num * 2**-40 is exact
+             * unless num < 2**-982, far below m), and 0 < num <= den, as a >
+             * 0 and delta >= 0.  If m < num, u den < num (1 - 2**-42), so u
+             * < (num / den)(1 - 2**-42), and num / den, normal as it exceeds
+             * u >= 2**-53, does not round to u or below.  If m > num, u den
+             * > num, so u > num / den, which rounds to at most the double u.
+             * An infinite den makes m infinite, left as num / den = 0, or
+             * NaN at u = 0, which fails the test, as m - num does for an
+             * infinite num. */
+            double num = q[0] + delta, den = (q[-1] + q[0]) + delta, m = u * den;
+            int right = m >= 0x1p-900 && fabs(m - num) > num * 0x1p-40 ? m < num : u < num / den;
             q[right - 1] += 1.0;
             p[i] = q + 2 * right - 1;
             if (log)
@@ -226,6 +248,20 @@ int64_t direct_trials(uint64_t key0, uint64_t key1, uint64_t t0, int64_t trials,
         }
     }
     return -failed;
+}
+
+/* run_trials, compiled once for the keyed, unlogged trials of
+ * direct.run_direct_batch, with no per-event test of rng or log, and once
+ * for the rest. */
+int64_t direct_trials(uint64_t key0, uint64_t key1, uint64_t t0, int64_t trials,
+                      bitgen_t *rng, int64_t n, double a, double delta, int64_t gap,
+                      int64_t reach, int64_t budget, int64_t limit, int8_t **log, int64_t *out)
+{
+    if (!rng && !log)
+        return run_trials(key0, key1, t0, trials, NULL, n, a, delta, gap, reach, budget, limit,
+                          NULL, out);
+    return run_trials(key0, key1, t0, trials, rng, n, a, delta, gap, reach, budget, limit, log,
+                      out);
 }
 
 /* One Beta(alpha, beta) draw as distributions.sample_beta makes it: x =

@@ -26,7 +26,7 @@ MAX_INT64 = 2**63 - 1
 # under a hash of all of it.
 _SOURCE = Path(__file__).with_name("kernels.c")
 _CC = "cc"
-# -O3 runs direct_trials' event loop at 14 ns per event against 16 at -O2
+# -O3 runs direct_trials' event loop at 13 ns per event against 17 at -O2
 # (a = 1, delta = 0, gap 2, on a 2-vCPU x86-64 VM with gcc 12), and
 # first_returns in about 86 % of its time at -O2.  Neither level changes a
 # bit of output: C evaluates each floating-point operation as written, in

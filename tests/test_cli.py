@@ -1,4 +1,7 @@
 """Command-line interface: exit codes, output formats, reproducibility."""
+import contextlib
+import gc
+import io
 import json
 import math
 import os
@@ -6,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -373,6 +377,27 @@ class TestUrnVerify:
         assert sorted(report) == ["equivalent", "meta", "trajectories_direct",
                                   "trajectories_urn", "tv_distance"]
         assert report["equivalent"] is False and report["tv_distance"] == float(tv)
+
+    @pytest.mark.parametrize("verdict", ["OK", "MISMATCH"])
+    def test_in_process_runs_leave_no_redirected_stream_alive(self, monkeypatch, verdict):
+        # click.echo caches a wrapper per stream in a WeakKeyDictionary whose
+        # value is the stream itself, so each run that echoed kept its
+        # redirected stdout (and, on a mismatch, stderr) for good
+        if verdict == "MISMATCH":
+            monkeypatch.setattr(urn_process, "direct_kernel", shifted_right(Fraction(1, 10**30)))
+        refs = []
+        for _ in range(200):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    main(["urn-verify", "--horizon", "1"], standalone_mode=False)
+                except SystemExit as exc:
+                    assert exc.code == 1
+            assert out.getvalue().endswith(f"at horizon 1: {verdict}\n")
+            refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []
 
     def test_horizon_guard_is_usage_error(self, runner, monkeypatch):
         # a small bound keeps the refusal cheap; the default takes 11 layers

@@ -227,6 +227,45 @@ class TestRunDirect:
         assert [i for _, i, _, _ in got.events] == [(w >> 63) * (n - 1) for w in movers]
         assert mine.read == theirs.read == len(words)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_step_uniforms_beside_the_ratio_match_the_stepped_oracle(self, n):
+        # A walker's first step goes right when u < x / y rounded, x = a +
+        # delta and y = (a + a) + delta; the compiled loop decides most
+        # steps by u * y < x instead.  The first step here draws each of
+        # the nine uniforms k * 2**-53 nearest x / y, and the test finds
+        # among them, in Python floats, some that the product alone would
+        # send the wrong way; the other steps draw Philox words.
+        steps = np.random.Philox(35).random_raw(30).tolist()
+        wrong = []
+        for a, delta in [(1.0, 0.0), (1.0, 0.5), (2.0, 0.1), (0.5, 2.0), (3.7, 0.3), (2.5, 0.7)]:
+            x, y = a + delta, (a + a) + delta
+            params = ModelParams(a=a, delta=delta, l0=0, r0=3, max_events=16)
+            middle = int(x / y * 2**53)  # x / y <= 1, so the product is exact
+            for k in range(middle - 4, middle + 5):
+                u = k * 2.0**-53
+                wrong += [(a, delta, k)] * ((u * y < x) != (u < x / y))
+                for mover in [0, 2**63][:n]:
+                    words = [mover, k << 11, *steps]
+                    mine, theirs = ScriptedWords(words), ScriptedWords(words)
+                    got = run_direct(params, n, mine)
+                    assert got == stepped_run_direct(params, n, theirs)
+                    _, _, start, to = got.events[0]
+                    assert to - start == (1 if u < x / y else -1)
+                    assert mine.read == theirs.read == len(words)
+        assert wrong  # so a loop that decided by the product alone fails here
+
+    def test_a_ratio_that_rounds_to_zero_sends_a_zero_uniform_left(self):
+        # a is the least double: the walker steps left, then right, so
+        # edge [-1, 0] weighs 2, then at 0 draws u = 0 against a / 2, which
+        # rounds to 0; u < 0 is false, though u * y = 0 < a
+        a = 5e-324
+        params = ModelParams(a=a, delta=0.0, l0=0, r0=0, max_events=3)
+        words = [0, 2**64 - 1, 0, 0, 0, 0]
+        assert a / (2.0 + a) == 0.0 and 0.0 * (2.0 + a) < a
+        got = run_direct(params, 1, ScriptedWords(words))
+        assert got == stepped_run_direct(params, 1, ScriptedWords(words))
+        assert [to for *_, to in got.events] == [-1, 0, -1]
+
     @given(st.integers(0, 2**64 - 1))
     @example(0).via("the smallest word")
     @example(2**63 - 1).via("the last word below one half")

@@ -16,9 +16,10 @@ mutant says ``killed`` or ``alive``; the exit code is 1 on a new survivor
 or on a known one that is now killed, and 2 if a row's text does not
 occur exactly once or the unmutated copy fails.  A mutant whose kernel
 library does not build stops the run with an error; it is not killed.
-Each test run may map at most ``MEMORY`` bytes.  The 32 rows (20 of
-``kernels.c``, 6 of ``urn_process.py``, 3 of ``direct.py``, 2 of ``cli.py``
-and 1 of ``rwre.py``; 1 known survivor) take 70 to 85 seconds on a 2-vCPU VM.
+Each test run may map at most ``MEMORY`` bytes.  The 37 rows (23 of
+``kernels.c``, 6 of ``urn_process.py``, 3 of ``direct.py``, 2 of ``cli.py``,
+2 of ``coupling.py`` and 1 of ``rwre.py``; 1 known survivor) take 80 to 95
+seconds on a 2-vCPU VM.
 
 Mutants of code that is gone or moved to C have no row: those of the
 Python event loop that once drew each direct trial's uniforms and sized
@@ -66,6 +67,7 @@ STATISTICS = ("tests/test_direct.py::TestMeetingStatistics",)
 URN_PROCESS = "src/reinforce_sim/urn_process.py"
 INT_KERNELS = ("tests/test_urn_process.py::TestIntegerKernels",)
 ENUMERATION = ("tests/test_urn_process.py::TestEnumeration",)
+COUPLED_STEP = ("tests/test_coupling.py::TestCoupledStep",)
 
 MUTANTS = [
     # the two-way picks read from one word's top bit
@@ -118,6 +120,14 @@ MUTANTS = [
            "place(win, home, x, n, p, lo, hi);  /* a merge frees the other's window */",
            "lo[i] = win[home[i]].w, hi[i] = lo[i] + win[home[i]].width,\n"
            "                p[i] = lo[i] + (x[i] - win[home[i]].lo);", ENGINE),
+    # the step decided by the product u * den: alone, without its band
+    # around num, or without its guard against underflow
+    Mutant("step-by-product-alone", KERNELS,
+           "m >= 0x1p-900 && fabs(m - num) > num * 0x1p-40 ? m < num : u < num / den",
+           "m < num", MOVER),
+    Mutant("step-without-band", KERNELS, "m >= 0x1p-900 && fabs(m - num) > num * 0x1p-40 ?",
+           "m >= 0x1p-900 ?", MOVER),
+    Mutant("step-without-underflow-guard", KERNELS, "m >= 0x1p-900 && fabs(", "fabs(", MOVER),
     Mutant("log-code-wrong-walker-bit", KERNELS, "(int8_t)(2 * i + right)",
            "(int8_t)(2 * (i ^ 1) + right)", MOVER),
     # meeting_statistics' runs of equal frequency, read from the histogram
@@ -149,6 +159,13 @@ MUTANTS = [
            "width = max(radius.bit_length() - 2, 0)\n", ENUMERATION),
     Mutant("packed-field-one-bit-narrower", URN_PROCESS, "width = radius.bit_length()\n",
            "width = max(radius.bit_length() - 1, 0)\n", ("tests/test_urn_process.py",)),
+    # the coupled quadruple's event: a coincident pair that a family marble
+    # no longer splits, and the free lP walker's clock taking rP's share
+    Mutant("family-marble-keeps-pair-together", "src/reinforce_sim/coupling.py",
+           "lP = l + 1 if pure and right else l - 1", "lP = l + 1 if right else l - 1",
+           COUPLED_STEP),
+    Mutant("group-pick-boundary-moved", "src/reinforce_sim/coupling.py",
+           "elif x < 3 and l_free:", "elif x < 4 and l_free:", COUPLED_STEP),
     # couple's environments keyed by (seed, t) with no role reuse the dynamics' bits
     Mutant("couple-environment-without-role", "src/reinforce_sim/cli.py",
            "trial_streams(seed, trials, ENVIRONMENT))", "trial_streams(seed, trials))",
