@@ -10,7 +10,7 @@ law of the first meeting time and the first step at which the two
 kernels differ.  A node is keyed by the two sites, its ratio of urn to
 direct probability and one int packing the jumps from each site of a
 window around the starts, sized once by the horizon, never by the gap;
-the nodes a layer absorbs are summed once per layer.
+moves come from a step table, and a layer's absorbed nodes are summed once.
 Probabilities are exact rationals (floats are binary rationals, so any
 float a and delta enumerate exactly), the kernels' values and the nodes'
 masses as reduced pairs of ints; the live states of a layer are bounded
@@ -29,9 +29,9 @@ from .urn import MagicUrn, NegativeMassError
 
 # Joint states one layer of compare_exact may hold.  The states grow about
 # 1.8-fold per event.  At a=2, delta=0.5, gap 3, horizon 11 (8,094 states
-# in its last layer) runs in 0.08-0.12 s of process time, with a 4.0 MiB
-# tracemalloc peak and a 35 MiB peak RSS for the whole command, on a
-# 2-vCPU VM, and refusing horizon 12 (14,124) or more takes 0.10-0.18 s.
+# in its last layer) runs in 0.05-0.10 s of process time, with a 3.6 MiB
+# tracemalloc peak and a 34 MiB peak RSS for the whole command, on a
+# 2-vCPU VM, and refusing horizon 12 (14,124) or more takes 0.07-0.10 s.
 MAX_LIVE_STATES = 10_000
 
 # Largest radius of compare_exact's site window, so that a huge horizon
@@ -180,21 +180,32 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
     direct probability t*B and urn probability t*A.  B = 0 marks paths
     the weight dynamics cannot take, A = 0 paths the urns cannot take.
     Both models are Markov in their states, so a node's paths share their
-    future, and the node's share of the TV distance is t*|B - A|.
-    Children come from the one-step kernels the samplers run, skipping a
-    model whose probability is already 0; every urn draw is booked as
-    family, since the law only depends on the pooled masses.  A layer of
-    more than ``MAX_LIVE_STATES`` nodes raises ValueError.
+    future, and the node's share of the TV distance is t*|B - A|.  Every
+    urn draw is booked as family, since the law only depends on the
+    pooled masses.  A layer of more than ``MAX_LIVE_STATES`` nodes raises
+    ValueError.
 
     A node's key is ``(l, r, (A, B), jumps)``, ``jumps`` one int holding
     each window site's left and right jumps in fields of
-    ``radius.bit_length()`` bits; a child adds 1 to one field, and a move
-    reads its site's two fields and the neighbours' by shift and mask.
+    ``radius.bit_length()`` bits; a child adds 1 to one field.
     The window (``_window``) is the sites within a radius of l0 or r0:
     the horizon or ``_WINDOW_RADIUS``, whichever is smaller.  Before that
     depth a mover is strictly inside it, so its edges' traversals are in
     the window too; a pass that gets that deep before the horizon raises
     ValueError (``MAX_LIVE_STATES`` refuses such a pass first).
+
+    Moves come from a step table filled during the pass, keyed on one int
+    packing the kernels' inputs (the move's four jump fields: v - 1's
+    right, v's left and right and v + 1's left jumps; the field number k
+    of v's left jumps; the mover bit) and which models run: not one whose
+    probability is already 0.  An entry holds whether the kernels agree
+    and, per direction, the target site, the jump increment, the direct
+    factor (ps, 2 * pd) and the urn's qs; an agreeing move takes two
+    multiplies and keeps the node's ratio tuple, any other divides out a
+    gcd.  The kernels (``direct_kernel``, ``urn_kernel``), looked up by
+    name once per pass so a test can patch them, give reduced pairs of
+    ints, each computed once per pass and cached, which is sound only
+    because they read nothing but their documented input.
 
     A node's t is a reduced (numerator, denominator) pair of ints, summed
     into its node inline: numerators are added when the denominators are
@@ -202,15 +213,8 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
     once, over the lcm of their denominators, into ``Fraction``s, and the
     layer's meeting probabilities end the laws: a pass whose paths have
     all met stops there, whatever the horizon; these sums are the pass's
-    only ``Fraction``s.  The kernels, looked up by name once per pass so a
-    test can patch them, give reduced pairs of ints, each computed once
-    per pass and cached: ``direct_kernel`` on the site and its two edges'
-    traversals, ``urn_kernel`` on the site, the present particle and the
-    site's jumps (two family marbles each, as ``coupled_events`` adds
-    them).  The cache is sound only because they read nothing but that input.
-
-    ``first_difference`` is the first step, in the pass's order, at which
-    the kernels differ; it is built only where steps differ.
+    only ``Fraction``s.  ``first_difference`` is the first step, in the
+    pass's order, at which the kernels differ; it is built only there.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -222,7 +226,11 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
     # one field per window site and side; a site's jumps never exceed the
     # depth, and a pass ends at depth radius
     width = radius.bit_length()
-    mask = (1 << width) - 1
+    mask, four = (1 << width) - 1, (1 << 4 * width) - 1
+    # a step's key: its four jump fields, k | mover (k is even and below the
+    # window's last field) and which models run, A > 0 and B > 0
+    kbits = (2 * (r0 + radius - base[1]) + 1).bit_length() + 2
+    steps = {}
     tv = mass_p = mass_q = 0
     trajectories = [0, 0]
     meeting_p, meeting_q = [], []
@@ -237,39 +245,48 @@ def compare_exact(params: ModelParams, horizon: int) -> ExactComparison:
                              f"{_WINDOW_RADIUS} at depth {depth}")
         children: dict = {}
         absorbed = []  # (t num, t den, A, B, met) of the nodes this layer ends
-        for (l, r, (A, B), jumps), (tn, td, paths) in layer.items():
+        for (l, r, ratio, jumps), (tn, td, paths) in layer.items():
+            A, B = ratio
             if l == r or depth == horizon:
                 absorbed.append((tn, td, A, B, l == r))
                 trajectories[0] += paths if B else 0
                 trajectories[1] += paths if A else 0
                 continue
-            for mover, v, left_present in ((0, l, True), (1, r, False)):
+            runs = (A > 0) << 1 | (B > 0)
+            for mover, v in ((0, l), (1, r)):
                 k = 2 * (v - base[mover])  # the field of v's left jumps
                 # v - 1's right jumps, v's left and right jumps, v + 1's left jumps
                 s = jumps >> width * (k - 1)
-                lj, rj = s >> width & mask, s >> 2 * width & mask
-                # an edge's traversals: right jumps from its left end
-                # and left jumps from its right end
-                pn, pd = p_right(v, (s & mask) + lj, rj + (s >> 3 * width & mask)) if B else (0, 1)
-                qn, qd = q_left(v, left_present, lj, rj) if A else (0, 1)
-                for right in (0, 1):
-                    ps, qs = (pn, qd - qn) if right else (pd - pn, qn)
-                    if qs * pd == ps * qd:  # equal steps keep the ratio: no gcd
+                at = (s & four) << kbits | (k | mover) << 2 | runs
+                entry = steps.get(at)
+                if entry is None:  # a model whose probability is 0 is not run
+                    lj, rj = s >> width & mask, s >> 2 * width & mask
+                    # an edge's traversals: right jumps from its left end
+                    # and left jumps from its right end
+                    pn, pd = p_right(v, (s & mask) + lj,
+                                     rj + (s >> 3 * width & mask)) if B else (0, 1)
+                    qn, qd = q_left(v, mover == 0, lj, rj) if A else (0, 1)
+                    moves = ((v - 1, 1 << width * k, pd - pn, 2 * pd, qn),
+                             (v + 1, 1 << width * (k + 1), pn, 2 * pd, qd - qn))
+                    # equal left steps, qn / qd = (pd - pn) / pd, are equal right steps
+                    entry = steps[at] = qn * pd == (pd - pn) * qd, moves, lj, rj, pd, qd
+                agree, moves, lj, rj, pd, qd = entry
+                for to, inc, ps, pd2, qs in moves:
+                    if agree:  # equal steps keep the ratio: no gcd
                         if not ps:
                             continue
-                        ratio, n, d = (A, B), tn * ps, td * 2 * pd
+                        child_ratio, n, d = ratio, tn * ps, td * pd2
                     else:
                         if first is None:
-                            first = KernelDifference(depth, l, r, mover, bool(right), (lj, rj),
+                            first = KernelDifference(depth, l, r, mover, to > v, (lj, rj),
                                                      Fraction(ps, pd), Fraction(qs, qd))
                         x, y = A * qs * pd, B * ps * qd
                         if not (x or y):
                             continue
                         g = gcd(x, y)
-                        ratio, n, d = (x // g, y // g), tn * g, td * 2 * pd * qd
-                    to = v + 1 if right else v - 1
-                    child = jumps + (1 << width * (k + right))
-                    key = (to, r, ratio, child) if mover == 0 else (l, to, ratio, child)
+                        child_ratio, n, d = (x // g, y // g), tn * g, td * pd2 * qd
+                    child = jumps + inc
+                    key = (to, r, child_ratio, child) if mover == 0 else (l, to, child_ratio, child)
                     node = children.get(key)
                     if node is not None:  # t + the node's t, over one gcd
                         nn, nd, _ = node

@@ -61,6 +61,26 @@ def test_a_tree_failing_its_tests_unmutated_is_refused(toy):
     assert mutants.check(toy, [toy_mutant("minus", "a - b", old="a * b")], {}) == 2
 
 
+def test_named_rows_run_alone(toy, capsys, monkeypatch):
+    monkeypatch.setattr(mutants, "ROOT", toy)
+    monkeypatch.setattr(mutants, "MUTANTS", [toy_mutant("minus", "a - b"),
+                                             toy_mutant("swapped", "b + a")])
+    monkeypatch.setattr(mutants, "SURVIVORS", {})
+    assert mutants.main(["minus"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "killed  minus", "0 of 1 mutants disagree with the table"]
+
+
+@pytest.mark.parametrize("names", [["no-such-row"], [mutants.MUTANTS[0].name, "no-such-row"]],
+                         ids=["unknown", "known-and-unknown"])
+def test_a_name_not_in_the_table_exits_2_with_the_usage_line(capsys, names):
+    assert mutants.main(names) == 2  # before any row runs
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["usage: python3 tools/mutants.py [NAME ...]",
+                                "no such row: no-such-row"]
+
+
 @pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda mutant: mutant.name)
 def test_each_row_of_the_table_finds_its_text_once_in_this_tree(mutant):
     assert (ROOT / mutant.path).read_text().count(mutant.old) == 1

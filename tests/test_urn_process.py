@@ -715,9 +715,9 @@ class TestMeetingLaw:
 
 # The law of the meeting count N after MEETING_PARAMS.max_events events,
 # from oracles.meeting_count_law, against the compiled trials' meeting
-# column, in run_direct_batch's blocks and in simulate's table.  Cells
-# N = 0, 1, 2 and N >= COUNT_CAP, each test at family-wise level
-# MEETING_ALPHA as above.
+# column, in run_direct_batch's blocks and in simulate's table, and against
+# run_direct's logged runs.  Cells N = 0, 1, 2 and N >= COUNT_CAP, each test
+# at family-wise level MEETING_ALPHA as above.
 COUNT_CAP = 3
 
 
@@ -738,6 +738,16 @@ class TestMeetingCountLaw:
         cells = COUNT_CAP if stop is None else stop
         assert stop is None or rows[:, 0].max() <= stop
         assert_meeting_law([k if k < cells else None for k in rows[:, 0].tolist()], law[:cells])
+
+    @pytest.mark.parametrize("stop", [None, 2])
+    def test_run_direct(self, case, stop):
+        # one logged run per stream (seed, t), at about 35 us a run
+        params, law = case
+        counts = [run_direct(params, 2, RngStream(1206, t), stop_after_meetings=stop).meetings
+                  for t in range(MEETING_TRIALS)]
+        cells = COUNT_CAP if stop is None else stop
+        assert stop is None or max(counts) <= stop
+        assert_meeting_law([k if k < cells else None for k in counts], law[:cells])
 
     def test_simulate_table(self, case):
         # the table's P(N >= k), read back as the trials with N >= k

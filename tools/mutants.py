@@ -1,6 +1,7 @@
 """Check that the tests kill each mutant of a committed table.
 
-Run from the root of a checkout: ``python3 tools/mutants.py``.
+Run from the root of a checkout: ``python3 tools/mutants.py [NAME ...]``,
+which runs the rows named, or every row when none is.
 
 Each row of ``MUTANTS`` names a file of the tree, an exact text that
 occurs in it once, the text that replaces it, and the tests that should
@@ -16,10 +17,11 @@ mutant says ``killed`` or ``alive``; the exit code is 1 on a new survivor
 or on a known one that is now killed, and 2 if a row's text does not
 occur exactly once or the unmutated copy fails.  A mutant whose kernel
 library does not build stops the run with an error; it is not killed.
-Each test run may map at most ``MEMORY`` bytes.  The 37 rows (23 of
-``kernels.c``, 6 of ``urn_process.py``, 3 of ``direct.py``, 2 of ``cli.py``,
-2 of ``coupling.py`` and 1 of ``rwre.py``; 1 known survivor) take 80 to 95
-seconds on a 2-vCPU VM.
+Each test run may map at most ``MEMORY`` bytes.  The 41 rows (23 of
+``kernels.c``, 10 of ``urn_process.py``, 3 of ``direct.py``, 2 of ``cli.py``,
+2 of ``coupling.py`` and 1 of ``rwre.py``; 3 known survivors) take two to
+three and a half minutes on a shared 2-vCPU VM.  Naming rows runs only those, after the unmutated
+copy passes their tests; a name not in the table exits 2.
 
 Mutants of code that is gone or moved to C have no row: those of the
 Python event loop that once drew each direct trial's uniforms and sized
@@ -67,6 +69,7 @@ STATISTICS = ("tests/test_direct.py::TestMeetingStatistics",)
 URN_PROCESS = "src/reinforce_sim/urn_process.py"
 INT_KERNELS = ("tests/test_urn_process.py::TestIntegerKernels",)
 ENUMERATION = ("tests/test_urn_process.py::TestEnumeration",)
+URN_EQUIVALENCE = ("tests/test_urn_process.py::TestUrnEquivalenceAtEveryHorizon",)
 COUPLED_STEP = ("tests/test_coupling.py::TestCoupledStep",)
 
 MUTANTS = [
@@ -159,6 +162,18 @@ MUTANTS = [
            "width = max(radius.bit_length() - 2, 0)\n", ENUMERATION),
     Mutant("packed-field-one-bit-narrower", URN_PROCESS, "width = radius.bit_length()\n",
            "width = max(radius.bit_length() - 1, 0)\n", ("tests/test_urn_process.py",)),
+    # the exact pass's step table: its key without the mover bit or without
+    # v + 1's left jumps, and an entry that takes every move as agreeing;
+    # the site window numbered as one range across any gap
+    Mutant("step-key-without-mover", URN_PROCESS, "(k | mover) << 2", "k << 2",
+           (*ENUMERATION, *URN_EQUIVALENCE)),
+    Mutant("step-key-without-right-neighbour", URN_PROCESS, "(1 << 4 * width) - 1",
+           "(1 << 3 * width) - 1", (*ENUMERATION, *URN_EQUIVALENCE)),
+    Mutant("step-always-agrees", URN_PROCESS, "steps[at] = qn * pd == (pd - pn) * qd,",
+           "steps[at] = True,", ENUMERATION),
+    Mutant("window-spans-the-gap", URN_PROCESS, "    if r0 - l0 <= 2 * radius + 1:\n",
+           "    if True:\n",
+           ("tests/test_urn_process.py::TestEnumeration::test_keys_do_not_grow_with_the_gap",)),
     # the coupled quadruple's event: a coincident pair that a family marble
     # no longer splits, and the free lP walker's clock taking rP's share
     Mutant("family-marble-keeps-pair-together", "src/reinforce_sim/coupling.py",
@@ -179,6 +194,15 @@ SURVIVORS: dict[str, str] = {
         "fewer at every depth the kernels read; the last layer's overflow only merges "
         "absorbed nodes, whose sums are linear, in layers of at most 1,024 states (depths "
         "1, 3 and 7; MAX_LIVE_STATES refuses every pass before depth 15)",
+    # the net-flow lemma (TestUrnEquivalenceAtEveryHorizon): before the meeting,
+    # rj(u) - lj(u + 1) is the net flow F(u) across [u, u + 1], and F(v - 1) and
+    # F(v) depend only on v's site class and on which walker stands at v
+    "step-key-without-mover":
+        "equivalent: F(v - 1) = rj(v - 1) - lj(v) is one more with the left walker at v "
+        "than with the right one, so the four jump fields tell the walkers apart",
+    "step-key-without-right-neighbour":
+        "equivalent: lj(v + 1) = rj(v) - F(v), and v's field number and the mover bit "
+        "fix F(v), so the rest of the key fixes v + 1's left jumps",
 }
 
 
@@ -255,10 +279,14 @@ def check(root: Path, mutants: list[Mutant], survivors: dict[str, str]) -> int:
 
 
 def main(argv: list[str]) -> int:
-    if argv:
-        print("usage: python3 tools/mutants.py", file=sys.stderr)
+    """Run the rows named in ``argv``, in the table's order, or every row."""
+    unknown = set(argv) - {mutant.name for mutant in MUTANTS}
+    if unknown:
+        print("usage: python3 tools/mutants.py [NAME ...]", file=sys.stderr)
+        print(f"no such row: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
-    return check(ROOT, MUTANTS, SURVIVORS)
+    return check(ROOT, [mutant for mutant in MUTANTS if not argv or mutant.name in argv],
+                 SURVIVORS)
 
 
 if __name__ == "__main__":
